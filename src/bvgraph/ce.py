@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD
+from .graded import EVEN, ODD, koszul_sign, perm_parity
 from .superpoly import SuperPolynomial
 from .symplectic import SymplecticSpace
 
@@ -24,22 +24,13 @@ def sort_wedge_word(space, word):
     Adjacent transposition of factors h, h' costs -(-1)^{|h||h'|}; a repeated
     even factor kills the word, repeated odd factors are allowed.
     """
-    word = list(word)
-    n = len(word)
-    sign = 1
-    for i in range(n):
-        pi = monomial_parity(space, word[i])
-        for j in range(i + 1, n):
-            if word[i] == word[j]:
-                if pi == EVEN:
-                    return None, 0  # repeated even factor: w ^ w = 0
-                continue
-            if (len(word[i]), word[i]) > (len(word[j]), word[j]):
-                pj = monomial_parity(space, word[j])
-                # adjacent transposition costs -(-1)^{|h||h'|}
-                sign *= 1 if (pi and pj) else -1
-    word.sort(key=lambda k: (len(k), k))
-    return tuple(word), sign
+    pars = [monomial_parity(space, key) for key in word]
+    order = sorted(range(len(word)), key=lambda i: (len(word[i]), word[i]))
+    for a, b in zip(order, order[1:]):
+        if word[a] == word[b] and pars[a] == EVEN:
+            return None, 0  # repeated even factor: w ^ w = 0
+    return (tuple(word[i] for i in order),
+            perm_parity(order) * koszul_sign(order, pars))
 
 
 class CEChain:

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, tensor_space
+from .graded import EVEN, ODD, SuperSpace, tensor_space
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
-from .symplectic import (BilinearForm, SymplecticSpace, pi2_of_form,
-                         i2_of_quadratic, restrict_polynomial, upsilon_inverse)
-from .forms import FormContext
+from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
+                         restrict_polynomial)
 from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
                         vertex_tensor, vertex_tensor_on_vectors)
 from .wick import QuadraticWeight, beta_contract_indices, chord_diagrams
@@ -94,7 +93,11 @@ class TensorModel:
         if key in self._psi_cache:
             return self._psi_cache[key]
         k = len(key)
-        mu = self.mu(k) if k >= 3 else vertex_tensor_on_chain(self.alg, k)
+        if k == 2:  # mu_2(a_1, a_2) = <a_1, a_2>
+            mu = {(i, j): c for i, row in enumerate(self.alg.pairing.rows)
+                  for j, c in enumerate(row) if c}
+        else:
+            mu = self.mu(k)
         vpar = [self.v.space.parities[i] for i in key]
         apar = self.alg.space.parities
         out = SuperPolynomial.zero(self.space)
@@ -148,20 +151,6 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
                 else:
                     entries.pop(ekey, None)
     return MultilinearMap(target, zeta.rank, entries)
-
-
-def vertex_tensor_on_chain(alg, k):
-    """mu_k for k < 3 (plumbing for low-degree checks, never used by F)."""
-    from itertools import product
-    out = {}
-    n = len(alg.space)
-    e = [alg.basis_element(i) for i in range(n)]
-    for tup in product(range(n), repeat=k):
-        prod = alg.mul_chain([e[i] for i in tup[:-1]])
-        val = alg.pair(prod, e[tup[-1]])
-        if val:
-            out[tup] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +259,10 @@ def feynman_value(model: TensorModel, gm: GaugeModel,
     def rec(vtx, assignment, coeff):
         nonlocal total
         if vtx == len(sizes):
-            pars = [lpar[s] for s in assignment]
-            val = coeff * Fraction(koszul_sign([p for ij in chord for p in ij],
-                                               pars))
-            for i, j in chord:
-                val *= prop[assignment[i]][assignment[j]]
-                if val == 0:
-                    return
-            total += val
+            val = beta_contract_indices([lpar[s] for s in assignment],
+                                        assignment, chord, prop)
+            if val:
+                total += coeff * val
             return
         for idx, mval in mus[vtx].items():
             rec(vtx + 1, assignment + list(idx), coeff * mval)
@@ -379,12 +364,13 @@ def verify_cocycle_graphs(model: TensorModel, gm: GaugeModel, v: int,
 
 def verify_cocycle_chains(model: TensorModel, gm: GaugeModel, chains) -> dict:
     from .ce import ce_differential
+    chains = list(chains)
     wit = []
     for chain in chains:
         val = s_functional(model, gm, ce_differential(chain))
         if val != 0:
             wit.append({"chain": chain.to_json(), "S_delta": str(val)})
-    return _report("cocycle_chains", not wit, wit, samples=len(list(chains)),
+    return _report("cocycle_chains", not wit, wit, samples=len(chains),
                    algebra=model.alg.name, gauge=gm.gauge.label)
 
 

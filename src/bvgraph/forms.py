@@ -43,12 +43,6 @@ class FormContext:
     def form_degree(self, key) -> int:
         return sum(1 for i in key if i >= self.n)
 
-    def degree_components(self, w: SuperPolynomial):
-        comps = {}
-        for k, v in w.terms.items():
-            comps.setdefault(self.form_degree(k), {})[k] = v
-        return {d: SuperPolynomial(self.space, t) for d, t in sorted(comps.items())}
-
     def is_constant_form(self, w: SuperPolynomial) -> bool:
         return all(all(i >= self.n for i in k) for k in w.terms)
 
@@ -128,13 +122,3 @@ class FormContext:
         if not (self.d(self.inject(h)) - lam).is_zero():
             raise AssertionError("Poincare integration failed to invert d")
         return h
-
-
-def commutator_op(op1, p1, op2, p2):
-    """Graded commutator of two operators given as callables with parities."""
-    sgn = -1 if (p1 and p2) else 1
-
-    def op(w):
-        return op1(op2(w)) - sgn * op2(op1(w))
-
-    return op

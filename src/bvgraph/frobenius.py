@@ -6,7 +6,6 @@ pairing matrix over a named basis.  Elements are sparse coefficient dicts
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -84,9 +83,6 @@ class FrobeniusAlgebra:
         return ps.pop() if ps else None
 
     # -- structural data -----------------------------------------------------
-    def d_matrix(self):
-        return [row[:] for row in self.diff]
-
     def image_of_d(self):
         return linalg.column_space_basis(self.diff)
 
@@ -302,18 +298,8 @@ def find_gauges(alg: FrobeniusAlgebra, values=(0, 1), limit=64):
 
 
 def vertex_tensor(alg: FrobeniusAlgebra, k: int) -> dict:
-    """mu_k(a_1..a_k) = <a_1 ... a_{k-1}, a_k>, as a sparse coefficient dict."""
-    if k < 3:
-        raise ValueError("vertex tensors need valence >= 3")
-    n = len(alg.space)
-    out = {}
-    e = [alg.basis_element(i) for i in range(n)]
-    for tup in product(range(n), repeat=k):
-        prod = alg.mul_chain([e[i] for i in tup[:-1]])
-        val = alg.pair(prod, e[tup[-1]])
-        if val:
-            out[tup] = val
-    return out
+    """mu_k(a_1..a_k) = <a_1 ... a_{k-1}, a_k> on the basis, as a sparse dict."""
+    return vertex_tensor_on_vectors(alg, linalg.identity(len(alg.space)), k)
 
 
 def vertex_tensor_on_vectors(alg: FrobeniusAlgebra, vectors, k: int) -> dict:
@@ -359,13 +345,9 @@ def _grassmann_mul(a, b):
     if set(a) & set(b):
         return None, 0
     merged = a + b
-    sign = 1
-    items = list(merged)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return tuple(sorted(merged)), sign
+    order = sorted(range(len(merged)), key=merged.__getitem__)
+    return (tuple(merged[i] for i in order),
+            koszul_sign(order, (ODD,) * len(merged)))
 
 
 def grassmann_algebra(k: int, d_images: dict, name="") -> FrobeniusAlgebra:
@@ -447,7 +429,7 @@ def g3_gauge(a=0, b=0, c=0, d=0, alg=None) -> Gauge:
 
 
 # ---------------------------------------------------------------------------
-# JSON algebra format (see the cli module for the schema)
+# JSON algebra format (its schema is what algebra_to_json writes)
 
 def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
     mult = []
@@ -483,12 +465,3 @@ def algebra_from_json(data: dict) -> FrobeniusAlgebra:
     for i, j, c in data.get("differential", []):
         diff[i][j] = Fraction(c)
     return FrobeniusAlgebra(space, mult, diff, pairing, name=data.get("name", ""))
-
-
-def load_algebra(path_or_name: str) -> FrobeniusAlgebra:
-    if path_or_name.upper() == "K2":
-        return k2()
-    if path_or_name.upper() == "G3":
-        return g3()
-    with open(path_or_name, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))

@@ -69,10 +69,6 @@ class CanonicalGraph:
         self.n_vertices = n_vertices
         self.edges = tuple(sorted(tuple(e) for e in edges))
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
     def valences(self):
         val = [0] * self.n_vertices
         for a, b in self.edges:

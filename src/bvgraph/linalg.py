@@ -4,10 +4,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(m, n):
     return [[Fraction(0)] * n for _ in range(m)]
 
@@ -16,23 +12,6 @@ def identity(n):
     out = zeros(n, n)
     for i in range(n):
         out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a, b):
-    m, k, n = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(m, n)
-    for i in range(m):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x == 0:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(n):
-                if bt[j]:
-                    oi[j] += x * bt[j]
     return out
 
 
@@ -124,7 +103,3 @@ def column_space_basis(a):
     _, pivots = rref(a)
     cols = transpose(a)
     return [cols[p] for p in pivots]
-
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]

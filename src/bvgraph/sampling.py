@@ -1,7 +1,7 @@
 """Seeded random generators for polynomials, fields, forms and multilinear maps.
 
-Every sampler takes an explicit random.Random so that a RunConfig seed fully
-determines all sampling.
+Every sampler takes an explicit random.Random, so the seed of that generator
+fully determines what is drawn.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .graded import EVEN, ODD, SuperSpace
+from .graded import SuperSpace
 from .superpoly import MultilinearMap, SuperPolynomial, VectorField
 from .forms import FormContext
 
@@ -94,11 +94,6 @@ def multilinear(rng, space, rank, entries=4, parity=None) -> MultilinearMap:
 
 def vector(rng, space):
     return [rational(rng) for _ in range(len(space))]
-
-
-def homogeneous_vector(rng, space, parity):
-    return [rational(rng) if space.parities[i] == parity else Fraction(0)
-            for i in range(len(space))]
 
 
 def invertible_graded_matrix(rng, space):

@@ -125,12 +125,6 @@ class SuperPolynomial:
             out[self.monomial_parity(k)].terms[k] = v
         return out
 
-    def degree_components(self):
-        comp = {}
-        for k, v in self.terms.items():
-            comp.setdefault(len(k), {})[k] = v
-        return {d: SuperPolynomial(self.space, t) for d, t in sorted(comp.items())}
-
     def max_degree(self):
         return max((len(k) for k in self.terms), default=0)
 
@@ -179,11 +173,6 @@ class SuperPolynomial:
             out = out + prod
         return out
 
-    def rename_space(self, new_space: SuperSpace) -> "SuperPolynomial":
-        if new_space.parities != self.space.parities:
-            raise ValueError("parity pattern mismatch")
-        return SuperPolynomial(new_space, dict(self.terms))
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -204,11 +193,6 @@ class SuperPolynomial:
         return " + ".join(bits)
 
     __repr__ = render
-
-
-def poly_from_vector(space, vec) -> SuperPolynomial:
-    """Linear polynomial sum_i vec[i] * y_i."""
-    return SuperPolynomial(space, {(i,): Fraction(c) for i, c in enumerate(vec) if c})
 
 
 class VectorField:
@@ -449,7 +433,3 @@ class MultilinearMap:
             val = self.evaluate(list(vectors) + [basis]).get(j, Fraction(0))
             total += (-1 if self.space.parities[j] else 1) * val
         return total
-
-
-def divergence_as_supertrace(zeta: MultilinearMap, vectors) -> Fraction:
-    return zeta.supertrace_form(vectors)

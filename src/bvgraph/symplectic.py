@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import EVEN, ODD, SuperSpace
 from .forms import FormContext
-from .superpoly import SuperPolynomial, VectorField, divergence, poly_from_vector
+from .superpoly import SuperPolynomial, VectorField, divergence
 
 
 class BilinearForm:
@@ -366,7 +366,6 @@ def lagrangian_from_generating_function(symp: SymplecticSpace, phi: SuperPolynom
 
 
 def canonical_lagrangian(symp: SymplecticSpace, k: int) -> LagrangianSubspace:
-    ctx_n = len(symp.space) // 2
     zero = SuperPolynomial.zero(symp.space)
     return lagrangian_from_generating_function(symp, zero, k)
 

@@ -52,12 +52,13 @@ def chord_sign(parities, chord) -> int:
 
 def beta_contract_indices(parities, idxs, chord, matrix) -> Fraction:
     """beta_c on a pure tensor of basis vectors given by index list `idxs`."""
-    val = Fraction(chord_sign(parities, chord))
+    val = Fraction(1)
     for (i, j) in chord:
-        val *= matrix[idxs[i]][idxs[j]]
-        if val == 0:
+        entry = matrix[idxs[i]][idxs[j]]
+        if not entry:  # the sign is needed only for a nonzero product
             return Fraction(0)
-    return val
+        val *= entry
+    return chord_sign(parities, chord) * val
 
 
 def beta_contract(factors, chord, form: BilinearForm) -> Fraction:
@@ -313,73 +314,6 @@ def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
     sigma_l = restrict_polynomial(sigma, lagrangian.vectors, sub)
     weight = QuadraticWeight.from_sigma(sigma_l)
     return weight.expectation(restrict_polynomial(r, lagrangian.vectors, sub))
-
-
-def _nilpotent_exp(p: SuperPolynomial) -> SuperPolynomial:
-    """exp(p) for a polynomial with no scalar term and nilpotent support."""
-    out = SuperPolynomial.scalar(p.space, 1)
-    term = SuperPolynomial.scalar(p.space, 1)
-    j = 1
-    while True:
-        term = term * p * Fraction(1, j)
-        if term.is_zero():
-            return out
-        out = out + term
-        j += 1
-
-
-def integral_duality_sides(symp: SymplecticSpace, f: SuperPolynomial,
-                           sigma: SuperPolynomial, k: int):
-    """Both sides of the Lagrangian-integral duality on canonical U_{n|n}.
-
-    Returns (lhs, rhs) where each side is divided by the common Gaussian
-    normalizer of the even weight on the k-dimensional body; the identity
-    asserts lhs == (-1)^{k(n-k)} * rhs, and the (-1) factor is already folded
-    into rhs here.
-    """
-    from .graded import EVEN as _E
-    from .symplectic import duality_map
-    space = symp.space
-    n = len(space) // 2
-
-    def keep_var(i):
-        return (i < k) or (i >= n + k)
-
-    images = [SuperPolynomial.variable(space, i) if keep_var(i)
-              else SuperPolynomial.zero(space) for i in range(2 * n)]
-    sigma_l = sigma.substitute(images, space)
-    f_l = f.substitute(images, space)
-    sxx_l = SuperPolynomial(space, {key: c for key, c in sigma_l.terms.items()
-                                    if all(i < n for i in key)})
-    rest_l = sigma_l - sxx_l
-    integrand = f_l * _nilpotent_exp(-rest_l)
-    reduced = berezin_integrate(integrand, range(n + k, 2 * n))
-    if any(i >= n for key in reduced.terms for i in key):
-        raise AssertionError("odd variables survived the Berezin integral")
-    body = SuperSpace([space.names[i] for i in range(k)], [_E] * k)
-    to_body = [SuperPolynomial.variable(body, i) if i < k
-               else SuperPolynomial.zero(body) for i in range(2 * n)]
-    weight = QuadraticWeight.from_sigma(sxx_l.substitute(to_body, body))
-    lhs = weight.expectation(reduced.substitute(to_body, body))
-
-    # right side: D(f e^{-sigma}) with the pure-even Gaussian factored out
-    sxx_full = SuperPolynomial(space, {key: c for key, c in sigma.terms.items()
-                                       if all(i < n for i in key)})
-    p = f * _nilpotent_exp(-(sigma - sxx_full))
-    ctx, form = duality_map(symp, p)
-    phi = SuperPolynomial.zero(body)
-    target_dys = tuple(range(n, n + k))
-    for key, val in form.terms.items():
-        xs = tuple(i for i in key if i < n)
-        dys = tuple(i for i in key if i >= n)
-        if dys != target_dys:
-            continue
-        if any(i >= k for i in xs):
-            continue
-        phi = phi + SuperPolynomial(body, {xs: val})
-    sign = -1 if (k * (n - k)) % 2 else 1
-    rhs = sign * weight.expectation(phi)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

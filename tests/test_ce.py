@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -52,6 +53,31 @@ def test_odd_odd_swap_is_plus():
     c1 = CEChain.from_polynomials(symp, [h1, h2])
     c2 = CEChain.from_polynomials(symp, [h2, h1])
     assert c1.terms == c2.terms
+
+
+def bubble_sort_wedge(space, word):
+    """Sort by adjacent transpositions, each swap of h, h' costing -(-1)^{|h||h'|}."""
+    word = list(word)
+    pars = [sum(space.parities[i] for i in key) % 2 for key in word]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if (len(word[i]), word[i]) > (len(word[i + 1]), word[i + 1]):
+                word[i], word[i + 1] = word[i + 1], word[i]
+                pars[i], pars[i + 1] = pars[i + 1], pars[i]
+                sign *= 1 if pars[i] and pars[i + 1] else -1
+    if any(a == b and not p for a, b, p in zip(word, word[1:], pars)):
+        return None, 0
+    return tuple(word), sign
+
+
+def test_sort_wedge_word_matches_adjacent_transpositions():
+    space = v21().space
+    keys = sampling.monomial_keys(space, 3) + sampling.monomial_keys(space, 4)
+    words = [w for n in range(4) for w in product(keys, repeat=n)]
+    assert len(words) == 4369
+    for word in words:
+        assert sort_wedge_word(space, word) == bubble_sort_wedge(space, word)
 
 
 def test_degree_filter():

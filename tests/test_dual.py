@@ -74,10 +74,15 @@ def test_psi_rejects_low_order():
 
 def test_psi_is_shifted_lie_map():
     # {psi(a), psi(b)} = (-1)^{|a|} psi({a,b}); the (-1)^{|a|} is the parity
-    # shift transported through Pi, same decoration as the Hamiltonian square
+    # shift transported through Pi, same decoration as the Hamiltonian square.
+    # Every quadratic a with every cubic b reaches Psi's mu_2 branch.
     rng = random.Random(2)
+    quadratic_pairs = [(SuperPolynomial.monomial(V21.space, ka),
+                        SuperPolynomial.monomial(V21.space, kb))
+                       for ka in sampling.monomial_keys(V21.space, 2)
+                       for kb in sampling.monomial_keys(V21.space, 3)]
     for model in (model_k2(V21), model_g3(V21)):
-        checked = 0
+        cubic_pairs = []
         for _ in range(10):
             pa, pb = rng.choice((0, 1)), rng.choice((0, 1))
             try:
@@ -85,12 +90,16 @@ def test_psi_is_shifted_lie_map():
                 b = sampling.homogeneous_monomial(rng, V21.space, 3, parity=pb)
             except ValueError:
                 continue
+            cubic_pairs.append((a, b))
+        assert len(cubic_pairs) >= 6
+        nonzero = 0
+        for a, b in cubic_pairs + quadratic_pairs:
             lhs = model.symp.antibracket(model.psi(a), model.psi(b))
             rhs = model.psi(V21.poisson(a, b))
-            sgn = -1 if pa else 1
+            sgn = -1 if a.parity() else 1
             assert (lhs - sgn * rhs).is_zero()
-            checked += 1
-        assert checked >= 6
+            nonzero += not lhs.is_zero()
+        assert nonzero >= len(quadratic_pairs) // 2
 
 
 def test_psi_field_compatibility_square():
@@ -449,6 +458,10 @@ def test_cocycle_chain_side():
             chains.append(ch)
     rep = verify_cocycle_chains(model, gm, chains)
     assert rep["status"] == "pass", rep["witnesses"]
+    assert rep["inputs"]["samples"] == len(chains)
+    # an iterator of chains is counted too, not exhausted before the count
+    rep = verify_cocycle_chains(model, gm, (ch for ch in chains[:2]))
+    assert rep["status"] == "pass" and rep["inputs"]["samples"] == 2
 
 
 def test_gauge_independence_on_cycles():

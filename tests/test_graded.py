@@ -5,9 +5,10 @@ from itertools import permutations, product
 import pytest
 
 from bvgraph.graded import (EVEN, ODD, SuperSpace, average_tensor, koszul_sign,
-                            perm_parity, permute_tensor, symmetrize_tensor,
-                            tensor_space)
-from bvgraph.sampling import rational
+                            perm_parity, permute_tensor, sort_indices_with_sign,
+                            symmetrize_tensor, tensor_space)
+from bvgraph.sampling import monomial_keys, rational
+from bvgraph.superpoly import merge_keys
 
 
 def test_koszul_sign_identity():
@@ -31,6 +32,31 @@ def test_koszul_sign_length_mismatch():
 def test_koszul_reduces_to_sign_for_all_odd():
     for order in permutations(range(4)):
         assert koszul_sign(order, (ODD,) * 4) == perm_parity(order)
+
+
+def koszul_sort(parities, seq):
+    """Stable sort of seq with the koszul_sign of the sort; (None, 0) on an odd square."""
+    if any(parities[v] and seq.count(v) > 1 for v in seq):
+        return None, 0
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    return (tuple(seq[i] for i in order),
+            koszul_sign(order, [parities[v] for v in seq]))
+
+
+def test_sort_indices_with_sign_is_koszul_sign():
+    w = SuperSpace(("x1", "t1", "x2", "t2"), (EVEN, ODD, EVEN, ODD))
+    seqs = [seq for n in range(6) for seq in product(range(4), repeat=n)]
+    assert len(seqs) == 1365
+    for seq in seqs:
+        assert sort_indices_with_sign(w, seq) == koszul_sort(w.parities, seq)
+
+
+def test_merge_keys_is_koszul_sign():
+    w = SuperSpace(("x1", "t1", "x2", "t2"), (EVEN, ODD, EVEN, ODD))
+    keys = [key for d in range(4) for key in monomial_keys(w, d)]
+    assert len(keys) == 25
+    for k1, k2 in product(keys, repeat=2):
+        assert merge_keys(w, k1, k2) == koszul_sort(w.parities, k1 + k2)
 
 
 def test_koszul_trivial_for_all_even():

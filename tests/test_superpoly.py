@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bvgraph.graded import EVEN, ODD, SuperSpace
-from bvgraph.superpoly import (MultilinearMap, SuperPolynomial, VectorField,
-                               divergence, divergence_as_supertrace)
+from bvgraph.superpoly import MultilinearMap, SuperPolynomial, VectorField, divergence
 from bvgraph import sampling
 
 
@@ -186,10 +185,10 @@ def test_multilinear_odd_square_gives_zero():
 def test_supertrace_identity_maps():
     we = SuperSpace(("x",), (EVEN,))
     zeta = MultilinearMap(we, 1, {((0,), 0): Fraction(1)})
-    assert divergence_as_supertrace(zeta, []) == 1
+    assert zeta.supertrace_form([]) == 1
     wo = SuperSpace(("xi",), (ODD,))
     zeta = MultilinearMap(wo, 1, {((0,), 0): Fraction(1)})
-    assert divergence_as_supertrace(zeta, []) == -1
+    assert zeta.supertrace_form([]) == -1
 
 
 def tensor_evaluate(space, t, vectors):
