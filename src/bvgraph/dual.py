@@ -51,17 +51,9 @@ class TensorModel:
 
     def _dtilde_field(self) -> VectorField:
         """(d (x) 1)^vee: z_{(alpha,i)} -> sum_beta d[alpha][beta] z_{(beta,i)}."""
-        imgs = []
-        na = len(self.alg.space)
-        for alpha in range(na):
-            for i in range(self.nv):
-                img = SuperPolynomial.zero(self.space)
-                for beta in range(na):
-                    c = self.alg.diff[alpha][beta]
-                    if c:
-                        img = img + SuperPolynomial(
-                            self.space, {(self.z(beta, i),): c})
-                imgs.append(img)
+        imgs = [SuperPolynomial(self.space, {(self.z(beta, i),): c
+                                             for beta, c in enumerate(row)})
+                for row in self.alg.diff for i in range(self.nv)]
         return VectorField(self.space, imgs, ODD)
 
     def _sigma_tilde(self) -> SuperPolynomial:
@@ -84,10 +76,8 @@ class TensorModel:
             raise ValueError("Hamiltonian must live on V")
         if not h.is_zero() and h.min_degree() < 2:
             raise ValueError("Psi needs polynomial order >= 2")
-        out = SuperPolynomial.zero(self.space)
-        for key, coeff in h.terms.items():
-            out = out + coeff * self._psi_monomial(key)
-        return out
+        return SuperPolynomial.sum(self.space, (
+            coeff * self._psi_monomial(key) for key, coeff in h.terms.items()))
 
     def _psi_monomial(self, key) -> SuperPolynomial:
         if key in self._psi_cache:
@@ -100,23 +90,23 @@ class TensorModel:
             mu = self.mu(k)
         vpar = [self.v.space.parities[i] for i in key]
         apar = self.alg.space.parities
-        out = SuperPolynomial.zero(self.space)
-        for alphas, mval in mu.items():
-            shuffle = 0
-            for r in range(k):
-                if vpar[r]:
-                    shuffle += sum(apar[alphas[s]] for s in range(r + 1, k))
-            sign = -1 if shuffle % 2 else 1
-            mono = SuperPolynomial.monomial(
+        out = SuperPolynomial.sum(self.space, (
+            SuperPolynomial.monomial(
                 self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)),
-                sign * mval)
-            out = out + mono
+                shuffle_sign(vpar, [apar[a] for a in alphas]) * mval)
+            for alphas, mval in mu.items()))
         self._psi_cache[key] = out
         return out
 
     # -- Psi on multilinear maps ----------------------------------------------
     def psi_multilinear(self, zeta: MultilinearMap) -> MultilinearMap:
         return psi_multilinear_map(self.alg, self.v.space, zeta, self.space)
+
+
+def shuffle_sign(vpar, apar) -> int:
+    """Sign of moving each odd V factor left past the a*'s after it."""
+    odd = sum(apar[s] for r, p in enumerate(vpar) if p for s in range(r + 1, len(apar)))
+    return -1 if odd % 2 else 1
 
 
 def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
@@ -137,19 +127,11 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
             prod_vec = alg.mul_chain([alg.basis_element(a) for a in alphas])
             if not prod_vec:
                 continue
-            shuffle = 0
-            for r in range(n):
-                if vpar[args[r]]:
-                    shuffle += sum(apar[alphas[s]] for s in range(r + 1, n))
-            sign = -1 if shuffle % 2 else 1
+            sign = shuffle_sign([vpar[a] for a in args], [apar[a] for a in alphas])
             akey = tuple(alphas[r] * nv + args[r] for r in range(n))
             for out_a, c in prod_vec.items():
                 ekey = (akey, out_a * nv + out_w)
-                cur = entries.get(ekey, Fraction(0)) + sign * val * c
-                if cur:
-                    entries[ekey] = cur
-                else:
-                    entries.pop(ekey, None)
+                entries[ekey] = entries.get(ekey, Fraction(0)) + sign * val * c
     return MultilinearMap(target, zeta.rank, entries)
 
 
@@ -181,6 +163,15 @@ class GaugeModel:
         self.vectors = vectors
         sigma_l = restrict_polynomial(model.sigma, vectors, self.space)
         self.weight = QuadraticWeight.from_sigma(sigma_l)
+        self.propagator = gauge.restricted_form().inverse().rows
+        self._mu_cache = {}
+
+    def mu(self, k: int) -> dict:
+        """mu_k on the gauge basis, computed once per valence."""
+        if k not in self._mu_cache:
+            self._mu_cache[k] = vertex_tensor_on_vectors(
+                self.model.alg, self.gauge.vectors, k)
+        return self._mu_cache[k]
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return restrict_polynomial(f, self.vectors, self.space)
@@ -249,11 +240,10 @@ def feynman_value(model: TensorModel, gm: GaugeModel,
                   graph: CanonicalGraph) -> Fraction:
     """F(Gamma) = beta_c over L* of mu_{k_1} (x) .. (x) mu_{k_l}, with the
     inverse restricted d-form as propagator."""
-    gauge = gm.gauge
     sizes, chord = chord_presentation(graph)
-    mus = [vertex_tensor_on_vectors(model.alg, gauge.vectors, k) for k in sizes]
-    prop = gauge.restricted_form().inverse().rows
-    lpar = gauge.parities
+    mus = [gm.mu(k) for k in sizes]
+    prop = gm.propagator
+    lpar = gm.gauge.parities
     total = Fraction(0)
 
     def rec(vtx, assignment, coeff):

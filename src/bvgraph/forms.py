@@ -80,9 +80,10 @@ class FormContext:
         """Write a 1-form as sum_v c_v * dy_v; returns the list [c_v] on the base.
 
         Canonical monomial order puts the single d-generator last, so the
-        coefficient polynomials read off without extra signs.
+        coefficient polynomials read off without extra signs, and each
+        monomial of w gives its own term of one coefficient.
         """
-        coeffs = [SuperPolynomial.zero(self.base) for _ in range(self.n)]
+        coeffs = [{} for _ in range(self.n)]
         for key, val in w.terms.items():
             dpart = [i for i in key if i >= self.n]
             if len(dpart) != 1:
@@ -91,14 +92,12 @@ class FormContext:
             ykey = tuple(i for i in key if i < self.n)
             if key != ykey + (dpart[0],):
                 raise AssertionError("monomial not in canonical y..dy order")
-            coeffs[v] = coeffs[v] + SuperPolynomial(self.base, {ykey: val})
-        return coeffs
+            coeffs[v][ykey] = val
+        return [SuperPolynomial(self.base, c) for c in coeffs]
 
     def one_form(self, coeffs) -> SuperPolynomial:
-        out = SuperPolynomial.zero(self.space)
-        for v, c in enumerate(coeffs):
-            out = out + self.inject(c) * self.dy(v)
-        return out
+        return SuperPolynomial.sum(
+            self.space, (self.inject(c) * self.dy(v) for v, c in enumerate(coeffs)))
 
     def euler_field(self) -> VectorField:
         imgs = [SuperPolynomial.variable(self.base, i) for i in range(self.n)]
@@ -113,12 +112,11 @@ class FormContext:
         if not self.d(lam).is_zero():
             raise ValueError("1-form is not closed")
         e = self.euler_field()
-        h = SuperPolynomial.zero(self.base)
-        for key, val in lam.terms.items():
-            k = sum(1 for i in key if i < self.n)
-            piece = SuperPolynomial(self.space, {key: val})
-            contracted = self.project_function(self.contract(e, piece))
-            h = h + contracted * Fraction(1, k + 1)
+        h = SuperPolynomial.sum(self.base, (
+            self.project_function(
+                self.contract(e, SuperPolynomial(self.space, {key: val})))
+            * Fraction(1, len(key) - self.form_degree(key) + 1)
+            for key, val in lam.terms.items()))
         if not (self.d(self.inject(h)) - lam).is_zero():
             raise AssertionError("Poincare integration failed to invert d")
         return h

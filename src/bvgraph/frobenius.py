@@ -452,6 +452,7 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> FrobeniusAlgebra:
+    """The algebra a JSON record describes; ValueError unless it passes verify_axioms."""
     basis = data["basis"]
     space = SuperSpace([b["name"] for b in basis], [b["parity"] for b in basis])
     mult = {}
@@ -464,4 +465,9 @@ def algebra_from_json(data: dict) -> FrobeniusAlgebra:
     diff = [[Fraction(0)] * n for _ in range(n)]
     for i, j, c in data.get("differential", []):
         diff[i][j] = Fraction(c)
-    return FrobeniusAlgebra(space, mult, diff, pairing, name=data.get("name", ""))
+    alg = FrobeniusAlgebra(space, mult, diff, pairing, name=data.get("name", ""))
+    report = verify_axioms(alg)
+    if not report["ok"]:
+        raise ValueError("JSON algebra fails the DG Frobenius axioms: "
+                         + "; ".join(report["failures"]))
+    return alg

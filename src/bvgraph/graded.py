@@ -7,7 +7,8 @@ list of graded symbols.  That primitive, ``koszul_sign``, lives here.
 Three hot loops keep faster special cases of it: ``sort_indices_with_sign``
 (below), ``superpoly.merge_keys`` and ``perm_parity`` (the all-odd case).
 ``tests/test_graded.py`` pins each of them to ``koszul_sign`` exhaustively on
-small inputs.  ``dual.wedge_sign`` is a closed form of the same sign.
+small inputs.  ``dual.wedge_sign`` and ``dual.shuffle_sign`` are closed forms
+of the same sign; ``tests/test_dual.py`` pins ``shuffle_sign`` to it.
 """
 from __future__ import annotations
 

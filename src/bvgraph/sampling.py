@@ -30,9 +30,16 @@ def monomial_keys(space: SuperSpace, degree: int):
     return keys
 
 
+def _draw_terms(rng, space, pool, terms) -> SuperPolynomial:
+    """Sum of `terms` monomials, each a key drawn from `pool` then a coefficient."""
+    return SuperPolynomial.sum(space, (
+        SuperPolynomial.monomial(space, pool[rng.randrange(len(pool))],
+                                 rational(rng, zero_ok=False))
+        for _ in range(terms)))
+
+
 def polynomial(rng, space, max_degree, parity=None, terms=3,
                min_degree=0) -> SuperPolynomial:
-    out = SuperPolynomial.zero(space)
     pool = []
     for d in range(min_degree, max_degree + 1):
         for key in monomial_keys(space, d):
@@ -40,11 +47,8 @@ def polynomial(rng, space, max_degree, parity=None, terms=3,
                 continue
             pool.append(key)
     if not pool:
-        return out
-    for _ in range(terms):
-        key = pool[rng.randrange(len(pool))]
-        out = out + SuperPolynomial.monomial(space, key, rational(rng, zero_ok=False))
-    return out
+        return SuperPolynomial.zero(space)
+    return _draw_terms(rng, space, pool, terms)
 
 
 def homogeneous_monomial(rng, space, degree, parity=None) -> SuperPolynomial:
@@ -65,16 +69,12 @@ def vector_field(rng, space, parity, max_degree, terms=2) -> VectorField:
 
 
 def form(rng, ctx: FormContext, max_degree, max_form_degree, terms=3) -> SuperPolynomial:
-    out = SuperPolynomial.zero(ctx.space)
     pool = []
     for d in range(max_degree + 1):
         for key in monomial_keys(ctx.space, d):
             if ctx.form_degree(key) <= max_form_degree:
                 pool.append(key)
-    for _ in range(terms):
-        key = pool[rng.randrange(len(pool))]
-        out = out + SuperPolynomial.monomial(ctx.space, key, rational(rng, zero_ok=False))
-    return out
+    return _draw_terms(rng, ctx.space, pool, terms)
 
 
 def multilinear(rng, space, rank, entries=4, parity=None) -> MultilinearMap:

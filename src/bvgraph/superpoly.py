@@ -4,6 +4,12 @@ Monomials are tuples of variable indices sorted ascending; odd variables never
 repeat (their square is zero) and the Koszul sign of every reordering is folded
 into the coefficient, so equality of polynomials is plain dict equality.
 
+Polynomials are summed only through ``SuperPolynomial.sum``: it adds the
+terms of all its parts into one dict and drops zeros once.  ``+`` and ``-``
+are its two-part cases; an accumulation passes its parts as a generator
+rather than folding ``out = out + part``, which copies and re-filters the
+whole running sum at each step.
+
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
 convention.
@@ -61,16 +67,23 @@ class SuperPolynomial:
             return cls(space)
         return cls(space, {key: Fraction(coeff) * sign})
 
+    @classmethod
+    def sum(cls, space, parts):
+        """The sum of the polynomials `parts`, each on `space`; zeros dropped once."""
+        out = {}
+        for part in parts:
+            if part.space is not space and part.space != space:
+                raise ValueError("polynomials live on different variable spaces")
+            for k, v in part.terms.items():
+                out[k] = out[k] + v if k in out else v
+        return cls(space, out)
+
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SuperPolynomial(self.space, out)
+        return SuperPolynomial.sum(self.space, (self, other))
 
     def __sub__(self, other):
-        return self + (-other)
+        return SuperPolynomial.sum(self.space, (self, -other))
 
     def __neg__(self):
         return SuperPolynomial(self.space, {k: -v for k, v in self.terms.items()})
@@ -163,15 +176,16 @@ class SuperPolynomial:
             p = img.parity()
             if p is not None and p != self.space.parities[i]:
                 raise ValueError("substitution must preserve parity")
-        out = SuperPolynomial.zero(target_space)
-        for key, val in self.terms.items():
+
+        def image(key, val):
             prod = SuperPolynomial.scalar(target_space, val)
             for v in key:
                 prod = prod * images[v]
                 if prod.is_zero():
                     break
-            out = out + prod
-        return out
+            return prod
+        return SuperPolynomial.sum(
+            target_space, (image(key, val) for key, val in self.terms.items()))
 
     def render(self) -> str:
         if not self.terms:
@@ -274,38 +288,32 @@ def apply_derivation(space, images, op_parity, f: SuperPolynomial) -> SuperPolyn
     """
     if op_parity is None:
         raise ValueError("derivation parity must be declared")
-    out = SuperPolynomial.zero(space)
     pars = space.parities
-    for key, val in f.terms.items():
-        odd_prefix = 0
-        for pos, v in enumerate(key):
-            img = images[v]
-            if not img.is_zero():
-                sign = -1 if (op_parity and odd_prefix % 2) else 1
-                pre = SuperPolynomial.monomial(space, key[:pos], sign * val)
-                suf = SuperPolynomial.monomial(space, key[pos + 1:], 1)
-                out = out + pre * img * suf
-            if pars[v]:
-                odd_prefix += 1
-    return out
+
+    def parts():
+        for key, val in f.terms.items():
+            odd_prefix = 0
+            for pos, v in enumerate(key):
+                img = images[v]
+                if not img.is_zero():
+                    sign = -1 if (op_parity and odd_prefix % 2) else 1
+                    pre = SuperPolynomial.monomial(space, key[:pos], sign * val)
+                    suf = SuperPolynomial.monomial(space, key[pos + 1:], 1)
+                    yield pre * img * suf
+                if pars[v]:
+                    odd_prefix += 1
+    return SuperPolynomial.sum(space, parts())
 
 
 def divergence(eta: VectorField) -> SuperPolynomial:
     """nabla(eta) = sum_i (-1)^{|y_i| + |y_i||eta|} d/dy_i [eta(y_i)]."""
     if eta.parity is None:
-        parts = []
-        for comp in _field_parity_parts(eta):
-            parts.append(divergence(comp))
-        out = SuperPolynomial.zero(eta.space)
-        for p in parts:
-            out = out + p
-        return out
-    out = SuperPolynomial.zero(eta.space)
-    for i, img in enumerate(eta.images):
-        pi = eta.space.parities[i]
-        sign = -1 if (pi + pi * eta.parity) % 2 else 1
-        out = out + sign * img.deriv_left(i)
-    return out
+        return SuperPolynomial.sum(
+            eta.space, (divergence(comp) for comp in _field_parity_parts(eta)))
+    pars = eta.space.parities
+    return SuperPolynomial.sum(eta.space, (
+        (-1 if (pars[i] + pars[i] * eta.parity) % 2 else 1) * img.deriv_left(i)
+        for i, img in enumerate(eta.images)))
 
 
 def _field_parity_parts(eta: VectorField):
@@ -358,8 +366,7 @@ class MultilinearMap:
                 sign = koszul_sign(order, pars)
                 key = (tuple(args[o] for o in order), tgt)
                 out[key] = out.get(key, Fraction(0)) + Fraction(sign, fact) * val
-        return MultilinearMap(self.space, self.rank,
-                              {k: v for k, v in out.items() if v != 0})
+        return MultilinearMap(self.space, self.rank, out)
 
     def is_symmetric(self) -> bool:
         for s in range(self.rank - 1):
@@ -396,13 +403,10 @@ class MultilinearMap:
         """
         space = self.space
         fact = factorial(self.rank)
-        imgs = [SuperPolynomial.zero(space) for _ in space.names]
-        for (args, tgt), val in self.entries.items():
-            key, sign = sort_indices_with_sign(space, args)
-            if key is None:
-                continue
-            imgs[tgt] = imgs[tgt] + SuperPolynomial(
-                space, {key: Fraction(sign, fact) * val})
+        imgs = [SuperPolynomial.sum(space, (
+            SuperPolynomial.monomial(space, args, Fraction(1, fact) * val)
+            for (args, t), val in self.entries.items() if t == tgt))
+            for tgt in range(len(space))]
         return VectorField(space, imgs, self.parity())
 
     @classmethod
@@ -419,7 +423,7 @@ class MultilinearMap:
                     sign = koszul_sign(order, pars)
                     akey = (tuple(key[o] for o in order), tgt)
                     entries[akey] = entries.get(akey, Fraction(0)) + sign * val
-        return cls(space, degree, {k: v for k, v in entries.items() if v != 0})
+        return cls(space, degree, entries)
 
     def supertrace_form(self, vectors) -> Fraction:
         """tr[x -> zeta(args, x)] for n-1 argument vectors."""

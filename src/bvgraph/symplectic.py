@@ -125,13 +125,9 @@ def i2_of_quadratic(sigma: SuperPolynomial) -> list:
 def pi2_of_form(b: BilinearForm) -> SuperPolynomial:
     """The quadratic Hamiltonian pi_2(<-,->); inverse of i2 on (super)symmetric forms."""
     space = b.space
-    sp = SuperPolynomial.zero(space)
-    n = len(space)
-    for i in range(n):
-        for j in range(n):
-            if b.rows[i][j]:
-                sp = sp + SuperPolynomial.monomial(space, (i, j), b.rows[i][j] / 2)
-    return sp
+    return SuperPolynomial.sum(space, (
+        SuperPolynomial.monomial(space, (i, j), c / 2)
+        for i, row in enumerate(b.rows) for j, c in enumerate(row) if c))
 
 
 def upsilon(ctx: FormContext, omega: SuperPolynomial) -> BilinearForm:
@@ -164,20 +160,10 @@ def upsilon_inverse(ctx: FormContext, b: BilinearForm) -> SuperPolynomial:
     """The constant 2-form with Upsilon(omega) = b, for super-skew b."""
     n = ctx.n
     pars = ctx.base.parities
-    omega = SuperPolynomial.zero(ctx.space)
-    for i in range(n):
-        for j in range(n):
-            v = b.rows[i][j]
-            if v == 0:
-                continue
-            if i == j:
-                omega = omega + SuperPolynomial.monomial(
-                    ctx.space, (n + i, n + i), -v / 2)
-            elif i < j:
-                si = -1 if pars[i] else 1
-                omega = omega + SuperPolynomial.monomial(
-                    ctx.space, (n + i, n + j), si * v)
-    return omega
+    return SuperPolynomial.sum(ctx.space, (
+        SuperPolynomial.monomial(ctx.space, (n + i, n + j),
+                                 -v / 2 if i == j else (-1 if pars[i] else 1) * v)
+        for i, row in enumerate(b.rows) for j, v in enumerate(row) if v and i <= j))
 
 
 class SymplecticSpace:
@@ -216,14 +202,11 @@ class SymplecticSpace:
         parities = [EVEN] * (2 * n) + [ODD] * m
         space = SuperSpace(names, parities)
         ctx = FormContext(space)
-        omega = SuperPolynomial.zero(ctx.space)
-        for i in range(n):
-            omega = omega + SuperPolynomial.monomial(
-                ctx.space, (len(space) + i, len(space) + n + i), 1)
-        for j in range(m):
-            k = len(space) + 2 * n + j
-            omega = omega + SuperPolynomial.monomial(ctx.space, (k, k), Fraction(1, 2))
-        return cls(space, omega)
+        dp, dx = len(space), len(space) + 2 * n
+        terms = [((dp + i, dp + n + i), 1) for i in range(n)]
+        terms += [((dx + j, dx + j), Fraction(1, 2)) for j in range(m)]
+        return cls(space, SuperPolynomial.sum(ctx.space, (
+            SuperPolynomial.monomial(ctx.space, key, c) for key, c in terms)))
 
     @classmethod
     def canonical_odd(cls, n: int) -> "SymplecticSpace":
@@ -232,11 +215,9 @@ class SymplecticSpace:
         parities = [EVEN] * n + [ODD] * n
         space = SuperSpace(names, parities)
         ctx = FormContext(space)
-        omega = SuperPolynomial.zero(ctx.space)
-        for i in range(n):
-            omega = omega + SuperPolynomial.monomial(
-                ctx.space, (2 * n + i, 2 * n + n + i), 1)
-        return cls(space, omega)
+        return cls(space, SuperPolynomial.sum(ctx.space, (
+            SuperPolynomial.monomial(ctx.space, (2 * n + i, 3 * n + i), 1)
+            for i in range(n))))
 
     @classmethod
     def from_bilinear(cls, b: BilinearForm) -> "SymplecticSpace":
@@ -250,14 +231,8 @@ class SymplecticSpace:
             raise ValueError("Hamiltonian not on this space")
         da = self.ctx.d(self.ctx.inject(a))
         coeffs = self.ctx.one_form_coefficients(da)
-        n = len(self.space)
-        imgs = []
-        for u in range(n):
-            img = SuperPolynomial.zero(self.space)
-            for v in range(n):
-                if self._minv[u][v]:
-                    img = img + coeffs[v] * self._minv[u][v]
-            imgs.append(img)
+        imgs = [SuperPolynomial.sum(self.space, (
+            coeffs[v] * c for v, c in enumerate(row) if c)) for row in self._minv]
         return VectorField(self.space, imgs)
 
     def hamiltonian_of(self, eta: VectorField) -> SuperPolynomial:
@@ -273,13 +248,9 @@ class SymplecticSpace:
         """{a,b} = (-1)^a L_alpha(b) on an even symplectic space."""
         if self.parity != EVEN:
             raise ValueError("Poisson bracket needs an even symplectic form")
-        out = SuperPolynomial.zero(self.space)
-        for part in a.parity_components():
-            if part.is_zero():
-                continue
-            sgn = -1 if part.parity() else 1
-            out = out + sgn * self.hamiltonian_field(part)(b)
-        return out
+        return SuperPolynomial.sum(self.space, (
+            (-1 if part.parity() else 1) * self.hamiltonian_field(part)(b)
+            for part in a.parity_components() if not part.is_zero()))
 
     def antibracket(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
         """{a,b} = L_alpha(b) on an odd symplectic space (linear P-manifold)."""
@@ -296,10 +267,8 @@ class SymplecticSpace:
     def canonical_laplacian_oracle(self, a: SuperPolynomial) -> SuperPolynomial:
         """sum_i d/dx_i d/dxi_i, valid on the canonical U_{n|n} only (test oracle)."""
         n = len(self.space) // 2
-        out = SuperPolynomial.zero(self.space)
-        for i in range(n):
-            out = out + a.deriv_left(n + i).deriv_left(i)
-        return out
+        return SuperPolynomial.sum(
+            self.space, (a.deriv_left(n + i).deriv_left(i) for i in range(n)))
 
 
 class LagrangianSubspace:
@@ -372,14 +341,9 @@ def canonical_lagrangian(symp: SymplecticSpace, k: int) -> LagrangianSubspace:
 
 def restrict_polynomial(f: SuperPolynomial, vectors, sub_space: SuperSpace) -> SuperPolynomial:
     """Pull back along the inclusion span(vectors) -> ambient, in given coordinates."""
-    images = []
-    amb = f.space
-    for i in range(len(amb)):
-        img = SuperPolynomial.zero(sub_space)
-        for s, v in enumerate(vectors):
-            if v[i]:
-                img = img + SuperPolynomial(sub_space, {(s,): Fraction(v[i])})
-        images.append(img)
+    images = [SuperPolynomial(sub_space, {(s,): Fraction(v[i])
+                                          for s, v in enumerate(vectors) if v[i]})
+              for i in range(len(f.space))]
     return f.substitute(images, sub_space)
 
 
@@ -393,12 +357,13 @@ def duality_map(symp: SymplecticSpace, g: SuperPolynomial):
     body = SuperSpace([symp.space.names[i] for i in range(n)], [EVEN] * n)
     ctx = FormContext(body)
     vol_key = tuple(range(n, 2 * n))
-    out = SuperPolynomial.zero(ctx.space)
-    for key, val in g.terms.items():
+
+    def image(key, val):
         xs = tuple(i for i in key if i < n)
         xis = tuple(i - n for i in key if i >= n)
         base = SuperPolynomial(ctx.space, {xs + vol_key: val})
         for i in reversed(xis):
             base = ctx.contract(VectorField.coordinate(body, i), base)
-        out = out + base
-    return ctx, out
+        return base
+    return ctx, SuperPolynomial.sum(
+        ctx.space, (image(key, val) for key, val in g.terms.items()))

@@ -296,13 +296,10 @@ def laplacian_exponential_expansion(q: SuperPolynomial, sigma: SuperPolynomial,
     lap = symp.odd_laplacian
     br = symp.antibracket
     master = br(sigma, sigma) / 2 - lap(sigma)
-    out = SuperPolynomial.zero(symp.space)
-    for part in q.parity_components():
-        if part.is_zero():
-            continue
-        sgn = -1 if part.parity() else 1
-        out = out + lap(part) - br(part, sigma) + sgn * (part * master)
-    return out
+    return SuperPolynomial.sum(symp.space, (
+        term for part in q.parity_components() if not part.is_zero()
+        for term in (lap(part), -br(part, sigma),
+                     (-1 if part.parity() else 1) * (part * master))))
 
 
 def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
@@ -321,11 +318,9 @@ def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
 
 def standard_even_weight(space: SuperSpace) -> SuperPolynomial:
     """sigma_0 = 1/2 sum x_i^2 over the even variables."""
-    out = SuperPolynomial.zero(space)
-    for i in range(len(space)):
-        if space.parities[i] == EVEN:
-            out = out + SuperPolynomial.monomial(space, (i, i), Fraction(1, 2))
-    return out
+    return SuperPolynomial.sum(space, (
+        SuperPolynomial.monomial(space, (i, i), Fraction(1, 2))
+        for i, p in enumerate(space.parities) if p == EVEN))
 
 
 def flat_integral(f: SuperPolynomial) -> Fraction:
@@ -359,12 +354,10 @@ def berezin_change_of_variables(eta: VectorField, f: SuperPolynomial):
     sigma0 = standard_even_weight(space)
     if eta.parity is None:
         raise ValueError("field must be parity homogeneous")
-    lhs_poly = SuperPolynomial.zero(space)
-    for part in f.parity_components():
-        if part.is_zero():
-            continue
-        sgn = -1 if (eta.parity and part.parity()) else 1
-        lhs_poly = lhs_poly + eta(part) - sgn * (part * eta(sigma0))
+    lhs_poly = SuperPolynomial.sum(space, (
+        term for part in f.parity_components() if not part.is_zero()
+        for term in (eta(part), (1 if (eta.parity and part.parity()) else -1)
+                     * (part * eta(sigma0)))))
     lhs = flat_integral(lhs_poly)
     rhs = -flat_integral(divergence(eta) * f)
     return lhs, rhs

@@ -14,7 +14,7 @@ from bvgraph.graphs import GraphChain, boundary, enumerate_graphs, theta_graph
 from bvgraph.wick import beta_contract_indices, chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, psi_of_word,
-                          s_functional, verify_cocycle_chains,
+                          s_functional, shuffle_sign, verify_cocycle_chains,
                           verify_cocycle_graphs, verify_commute,
                           verify_gauge_independence,
                           verify_kontsevich_chain_map, verify_master_equations,
@@ -239,6 +239,29 @@ def test_feynman_theta_value_is_gauge_independent_zero():
     for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4)):
         gm = GaugeModel(model, g3_gauge(*params, alg=model.alg))
         assert feynman_value(model, gm, theta_graph()) == 0
+
+
+def test_gauge_model_owns_its_feynman_data():
+    from bvgraph.frobenius import vertex_tensor_on_vectors
+    model = model_g3()
+    for params in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 2, 3, 4)):
+        gauge = g3_gauge(*params, alg=model.alg)
+        gm = GaugeModel(model, gauge)
+        assert gm.propagator == gauge.restricted_form().inverse().rows
+        for k in (3, 4):
+            assert gm.mu(k) == vertex_tensor_on_vectors(model.alg, gauge.vectors, k)
+            assert gm.mu(k) is gm.mu(k)
+        assert feynman_value(model, gm, theta_graph()) == 0
+
+
+def test_shuffle_sign_is_koszul_sign():
+    # a_1..a_k w_1..w_k rearranged to a_1 w_1 a_2 w_2 ... a_k w_k
+    for k in range(1, 5):
+        order = [s for r in range(k) for s in (r, k + r)]
+        for bits in range(4 ** k):
+            pars = [(bits >> i) & 1 for i in range(2 * k)]
+            apar, vpar = pars[:k], pars[k:]
+            assert shuffle_sign(vpar, apar) == koszul_sign(order, pars)
 
 
 def test_product_gauge_has_no_interactions():

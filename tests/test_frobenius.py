@@ -162,3 +162,15 @@ def test_json_round_trip():
         assert back.mult == alg.mult
         assert back.diff == alg.diff
         assert back.pairing.rows == alg.pairing.rows
+
+
+@pytest.mark.parametrize("edit", ("flip_pairing_sign", "drop_differential_entry"))
+def test_json_algebra_failing_the_axioms_is_rejected(edit):
+    data = algebra_to_json(g3())
+    if edit == "flip_pairing_sign":
+        i, j, c = data["pairing"][0]
+        data["pairing"][0] = [i, j, str(-Fraction(c))]
+    else:
+        del data["differential"][0]
+    with pytest.raises(ValueError, match="axioms"):
+        algebra_from_json(data)

@@ -1,4 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene of the package modules.
+
+No module imports a name it never uses, and no module sums polynomials by
+folding ``x = x + ...``: every accumulation goes through
+``SuperPolynomial.sum``.
+"""
 import ast
 from pathlib import Path
 
@@ -28,4 +33,35 @@ def unused_imports(path):
 
 def test_no_unused_imports():
     hits = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
+    assert hits == []
+
+
+
+def self_folds(source, name=""):
+    """Assignments whose value is a +/- chain starting with the target itself."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        head = node.value
+        while isinstance(head, ast.BinOp) and isinstance(head.op, (ast.Add, ast.Sub)):
+            head = head.left
+        # unparse, not dump: the target is a Store and the operand a Load
+        if head is not node.value and ast.unparse(head) == ast.unparse(node.targets[0]):
+            hits.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    return hits
+
+
+def test_self_folds_are_detected():
+    source = ("out = out + p\n"
+              "imgs[t] = imgs[t] + q - r\n"
+              "out = p + out\n"
+              "total += c\n"
+              "out = SuperPolynomial.sum(space, parts)\n")
+    assert self_folds(source) == [":1 out = out + p", ":2 imgs[t] = imgs[t] + q - r"]
+
+
+def test_no_polynomial_folds():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in self_folds(path.read_text(encoding="utf-8"), path.name)]
     assert hits == []

@@ -46,6 +46,53 @@ def test_mul_associative_and_commutative_exhaustive_deg4():
         assert (a * b) * c == a * (b * c)
 
 
+def random_parts(seed, count=6):
+    rng = random.Random(seed)
+    w = space_22()
+    return w, [sampling.polynomial(rng, w, 3, terms=rng.randrange(1, 5))
+               for _ in range(count)]
+
+
+def test_sum_equals_pairwise_fold_and_termwise_oracle():
+    for seed in range(20):
+        w, parts = random_parts(seed)
+        fold = SuperPolynomial.zero(w)
+        for p in parts:
+            fold = fold + p
+        total = SuperPolynomial.sum(w, (p for p in parts))
+        assert total == fold
+        keys = {k for p in parts for k in p.terms}
+        coeffs = {k: sum(p.terms.get(k, Fraction(0)) for p in parts) for k in keys}
+        assert total.terms == {k: c for k, c in coeffs.items() if c != 0}
+        assert SuperPolynomial.sum(w, reversed(parts)) == total
+
+
+def test_sum_that_cancels_stores_no_zero_coefficients():
+    w, parts = random_parts(7)
+    p, q = parts[0], parts[1]
+    cancel = SuperPolynomial.sum(w, iter([p, q, -p, -q]))
+    assert cancel.terms == {}
+    partial = SuperPolynomial.sum(w, iter([p, q, -p]))
+    assert partial.terms == q.terms
+    assert all(v != 0 for v in partial.terms.values())
+
+
+def test_sum_of_no_parts_is_zero():
+    w = space_22()
+    total = SuperPolynomial.sum(w, iter(()))
+    assert total.is_zero() and total.space == w
+    assert total == SuperPolynomial.zero(w)
+
+
+def test_sum_rejects_a_part_on_another_space():
+    w, parts = random_parts(3, count=2)
+    stray = SuperPolynomial.variable(space_11(), 0)
+    with pytest.raises(ValueError):
+        SuperPolynomial.sum(w, iter(parts + [stray]))
+    with pytest.raises(ValueError):
+        parts[0] + stray
+
+
 def test_euler_field_on_cubic():
     w = SuperSpace(("x",), (EVEN,))
     x = SuperPolynomial.variable(w, 0)
