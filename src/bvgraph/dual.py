@@ -13,7 +13,7 @@ from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          restrict_polynomial)
 from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
-                        vertex_tensor, vertex_tensor_on_vectors)
+                        vertex_tensor)
 from .wick import QuadraticWeight, beta_contract_indices, chord_diagrams
 from .graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from .ce import CEChain
@@ -163,15 +163,11 @@ class GaugeModel:
         self.vectors = vectors
         sigma_l = restrict_polynomial(model.sigma, vectors, self.space)
         self.weight = QuadraticWeight.from_sigma(sigma_l)
-        self.propagator = gauge.restricted_form().inverse().rows
-        self._mu_cache = {}
+        self.propagator = gauge.propagator
 
     def mu(self, k: int) -> dict:
-        """mu_k on the gauge basis, computed once per valence."""
-        if k not in self._mu_cache:
-            self._mu_cache[k] = vertex_tensor_on_vectors(
-                self.model.alg, self.gauge.vectors, k)
-        return self._mu_cache[k]
+        """mu_k on the gauge basis, shared by every model on this gauge."""
+        return self.gauge.mu(k)
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return restrict_polynomial(f, self.vectors, self.space)

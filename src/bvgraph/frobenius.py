@@ -7,6 +7,7 @@ pairing matrix over a named basis.  Elements are sparse coefficient dicts
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
@@ -178,6 +179,7 @@ class Gauge:
         self.alg = alg
         self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
         self.label = label
+        self._mu = {}
         self.parities = []
         for v in self.vectors:
             ps = {alg.space.parities[i] for i, c in enumerate(v) if c != 0}
@@ -209,6 +211,17 @@ class Gauge:
         dform = degenerate_form(self.alg)
         rows = dform.restrict(self.vectors)
         return BilinearForm(self.subspace(), rows, EVEN, "skew")
+
+    @cached_property
+    def propagator(self):
+        """Rows of the inverse restricted d-form, the Feynman propagator on L."""
+        return self.restricted_form().inverse().rows
+
+    def mu(self, k: int) -> dict:
+        """mu_k on the gauge basis, computed once per valence."""
+        if k not in self._mu:
+            self._mu[k] = vertex_tensor_on_vectors(self.alg, self.vectors, k)
+        return self._mu[k]
 
     def to_json(self):
         return {"label": self.label,

@@ -8,7 +8,6 @@ induces an odd total sign; loops always do, via the half-edge swap.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 
 from . import linalg
 from .graded import perm_parity
@@ -93,6 +92,9 @@ class CanonicalGraph:
         return self.graph_id()
 
 
+# Cleared when full; a graph_complex benchmark pass (4,624 distinct keys) never
+# fills it.
+_CANON_CACHE_SIZE = 1 << 14
 _canon_cache = {}
 
 
@@ -103,39 +105,102 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     relabelings with all edges redirected small-to-large; the sign is the
     parity of the relabeling times one -1 per redirected edge, and 0 when two
     relabelings achieve the minimum with opposite signs (odd automorphism).
+    A graph with a loop keeps its own labels and has sign 0.
+
+    The minimum is found by a depth-first search that gives labels 0, 1, 2,
+    ... in turn and reaches every minimal relabeling, so the sign is exact.
+    Both of its cuts only drop relabelings whose code is strictly larger:
+
+    - Prefix: call the edges (i, j), j > i, of one label i its block.  With
+      labels 0..k-1 given, the code is fixed up to the first block i* that
+      still has an edge to an unlabelled vertex: every block before i*, then
+      the edges of block i* to labels < k, which sort before its edges to
+      labels >= k.  A branch whose fixed prefix exceeds the same prefix of
+      the best code so far is cut; ties are kept.
+    - Candidates: while block i* is open, label k goes only to an unlabelled
+      vertex with the most edges to vertex i*.  Giving it to one with fewer
+      puts (i*, j > k) where this puts (i*, k), after an equal prefix.  When
+      no block is open (label 0, or a new component) every unlabelled vertex
+      is tried.
     """
     edges = tuple(edges)
     cache_key = (nv, edges)
-    if cache_key in _canon_cache:
-        return _canon_cache[cache_key]
+    hit = _canon_cache.get(cache_key)
+    if hit is not None:
+        return hit
     if any(a == b for a, b in edges):
-        rep = CanonicalGraph(nv, tuple((a, b) if a <= b else (b, a)
-                                       for a, b in edges))
-        _canon_cache[cache_key] = (rep, 0)
-        return rep, 0
+        result = (CanonicalGraph(nv, tuple((a, b) if a <= b else (b, a)
+                                           for a, b in edges)), 0)
+    else:
+        code, sign = _minimal_code(nv, edges)
+        result = (CanonicalGraph(nv, code), sign)
+    if len(_canon_cache) >= _CANON_CACHE_SIZE:
+        _canon_cache.clear()
+    _canon_cache[cache_key] = result
+    return result
 
-    best_code = None
-    best_signs = set()
-    for perm in permutations(range(nv)):
-        flips = 0
-        code = []
-        for a, b in edges:
-            na, nb = perm[a], perm[b]
-            if na > nb:
-                na, nb = nb, na
-                flips += 1
-            code.append((na, nb))
-        code = tuple(sorted(code))
-        sign = perm_parity(perm) * (-1 if flips % 2 else 1)
-        if best_code is None or code < best_code:
-            best_code = code
-            best_signs = {sign}
-        elif code == best_code:
-            best_signs.add(sign)
-    rep = CanonicalGraph(nv, best_code)
-    sign = best_signs.pop() if len(best_signs) == 1 else 0
-    _canon_cache[cache_key] = (rep, sign)
-    return rep, sign
+
+def _minimal_code(nv: int, edges) -> tuple:
+    """(minimal sorted edge code, sign) of a loopless multigraph; see
+    ``canonicalize_directed``."""
+    mult = [[0] * nv for _ in range(nv)]
+    for a, b in edges:
+        mult[a][b] += 1
+        mult[b][a] += 1
+    nbrs = [[w for w in range(nv) if row[w]] for row in mult]
+    open_half = [sum(row) for row in mult]  # half-edges to unlabelled vertices
+    label = [-1] * nv
+    order = []   # order[i] is the vertex labelled i
+    prefix = []  # the code fixed by the labels so far
+    best = None
+    signs = set()
+
+    def search(first_open):
+        # first_open: the first label whose vertex has open half-edges, or
+        # len(order) when there is none
+        nonlocal best, signs
+        k = len(order)
+        if k == nv:
+            flips = sum(1 for a, b in edges if label[a] > label[b])
+            sign = -perm_parity(label) if flips % 2 else perm_parity(label)
+            if best is None or prefix < best:
+                best = prefix[:]
+                signs = {sign}
+            else:
+                signs.add(sign)
+            return
+        if first_open < k:
+            row = mult[order[first_open]]
+            free = [w for w in nbrs[order[first_open]] if label[w] < 0]
+            most = max(row[w] for w in free)
+            candidates = [w for w in free if row[w] == most]
+        else:
+            candidates = [w for w in range(nv) if label[w] < 0]
+        for w in candidates:
+            mark = len(prefix)
+            label[w] = k
+            order.append(w)
+            for u in nbrs[w]:
+                open_half[u] -= mult[u][w]
+            i = first_open
+            if i < k:
+                prefix.extend([(i, k)] * mult[order[i]][w])
+            while i <= k and not open_half[order[i]]:
+                i += 1
+                if i <= k:
+                    row = mult[order[i]]
+                    for j in range(i + 1, k + 1):
+                        prefix.extend([(i, j)] * row[order[j]])
+            if best is None or prefix <= best[:len(prefix)]:
+                search(i)
+            del prefix[mark:]
+            for u in nbrs[w]:
+                open_half[u] += mult[u][w]
+            order.pop()
+            label[w] = -1
+
+    search(0)
+    return tuple(best), (signs.pop() if len(signs) == 1 else 0)
 
 
 def canonicalize(g: OrientedGraph):
@@ -232,25 +297,48 @@ def boundary(chain: GraphChain) -> GraphChain:
 
 
 def enumerate_graphs(v: int, e: int):
-    """All nonzero canonical graphs in bidegree (v, e), valence >= 3 everywhere."""
-    if v < 1 or e < 0 or 3 * v > 2 * e:
-        return []
-    if v == 1:
-        return []  # every edge would be a loop
-    pairs = list(combinations_with_replacement(range(v), 2))
-    pairs = [p for p in pairs if p[0] != p[1]]
+    """All nonzero canonical graphs in bidegree (v, e), valence >= 3 everywhere.
+
+    Every multiset of e loopless vertex pairs with all valences >= 3 is
+    canonicalised.  The multisets are built pair by pair, in the order of
+    ``combinations_with_replacement`` over the sorted pairs, and a prefix is
+    dropped once a vertex whose last pair has passed has valence < 3, or the
+    valence still missing exceeds two per edge left.
+    """
+    if v < 2:
+        return []  # one vertex carries only loops
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    # closing[p]: the vertices whose last pair is p - 1
+    closing = [[] for _ in range(len(pairs) + 1)]
+    for u in range(v):
+        closing[max(p for p, pair in enumerate(pairs) if u in pair) + 1].append(u)
+    degs = [0] * v
+    combo = []
     seen = {}
-    for combo in combinations_with_replacement(pairs, e):
-        degs = [0] * v
-        for a, b in combo:
+
+    def extend(start, deficit):
+        left = e - len(combo)
+        if deficit > 2 * left:
+            return
+        if not left:
+            rep, sign = canonicalize_directed(v, tuple(combo))
+            if sign:
+                seen.setdefault(rep.key(), rep)
+            return
+        for p in range(start, len(pairs)):
+            if p > start and any(degs[u] < 3 for u in closing[p]):
+                return
+            a, b = pairs[p]
+            gain = (degs[a] < 3) + (degs[b] < 3)
             degs[a] += 1
             degs[b] += 1
-        if any(d < 3 for d in degs):
-            continue
-        rep, sign = canonicalize_directed(v, tuple(combo))
-        if sign == 0:
-            continue
-        seen.setdefault(rep.key(), rep)
+            combo.append(pairs[p])
+            extend(p, deficit - gain)
+            combo.pop()
+            degs[a] -= 1
+            degs[b] -= 1
+
+    extend(0, 3 * v)
     return sorted(seen.values(), key=lambda g: g.key())
 
 

@@ -1,0 +1,80 @@
+"""Brute-force reference implementations that the library's kernels are tested against.
+
+They define the graph complex's canonical forms by exhaustion and are far too
+slow for the library: ``canonicalize_oracle`` tries all nv! relabelings and
+``valent_multisets_oracle`` walks every edge multiset of the bidegree.
+"""
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
+
+from bvgraph.graded import perm_parity
+from bvgraph.graphs import CanonicalGraph
+
+
+@lru_cache(maxsize=None)
+def _relabelings(nv):
+    """(perm, {directed pair: its relabelled pair, small end first}) for
+    every permutation of range(nv)."""
+    return [(perm, {(a, b): (min(perm[a], perm[b]), max(perm[a], perm[b]))
+                    for a in range(nv) for b in range(nv)})
+            for perm in permutations(range(nv))]
+
+
+def canonicalize_oracle(nv, edges):
+    """(CanonicalGraph, sign) by minimising the sorted edge code over all nv! relabelings.
+
+    Each relabeling redirects every edge small-to-large; its sign is the
+    parity of the relabeling times one -1 per redirected edge, and the result
+    has sign 0 when two minimal relabelings disagree.  A graph with a loop is
+    returned with its edges redirected in place and sign 0.
+    """
+    edges = tuple(edges)
+    if any(a == b for a, b in edges):
+        return CanonicalGraph(nv, tuple((a, b) if a <= b else (b, a)
+                                        for a, b in edges)), 0
+    best_code = None
+    best_signs = set()
+    for perm, moved in _relabelings(nv):
+        code = sorted(map(moved.__getitem__, edges))
+        if best_code is not None and code > best_code:
+            continue
+        flips = sum(perm[a] > perm[b] for a, b in edges)
+        sign = perm_parity(perm) * (-1 if flips % 2 else 1)
+        if best_code is None or code < best_code:
+            best_code = code
+            best_signs = {sign}
+        else:
+            best_signs.add(sign)
+    sign = best_signs.pop() if len(best_signs) == 1 else 0
+    return CanonicalGraph(nv, best_code), sign
+
+
+def valent_multisets_oracle(v, e):
+    """Every multiset of e loopless pairs on v vertices with all valences >= 3,
+    in the order ``combinations_with_replacement`` yields them."""
+    if e > 100:
+        raise ValueError("valences must fit in a byte")
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    # a pair adds 1 to the byte of each of its ends, so the sum over a multiset
+    # packs its valences one byte each; adding 125 to a byte sets its top bit
+    # exactly when that valence is >= 3
+    weight = {(a, b): (1 << 8 * a) + (1 << 8 * b) for a, b in pairs}
+    add = sum(125 << 8 * u for u in range(v))
+    top = sum(128 << 8 * u for u in range(v))
+    return [combo for combo in combinations_with_replacement(pairs, e)
+            if (sum(map(weight.__getitem__, combo)) + add) & top == top]
+
+
+@lru_cache(maxsize=None)
+def canonical_multisets_oracle(v, e):
+    """Each multiset of ``valent_multisets_oracle(v, e)`` with its
+    ``canonicalize_oracle`` (rep, sign); computed once per bidegree."""
+    return tuple((combo, canonicalize_oracle(v, combo))
+                 for combo in valent_multisets_oracle(v, e))
+
+
+def enumerate_graphs_oracle(v, e):
+    """Sorted nonzero canonical graphs of bidegree (v, e), v >= 1, by exhaustion."""
+    reps = {rep.key(): rep for _, (rep, sign) in canonical_multisets_oracle(v, e)
+            if sign}
+    return sorted(reps.values(), key=lambda g: g.key())

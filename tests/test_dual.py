@@ -248,9 +248,12 @@ def test_gauge_model_owns_its_feynman_data():
         gauge = g3_gauge(*params, alg=model.alg)
         gm = GaugeModel(model, gauge)
         assert gm.propagator == gauge.restricted_form().inverse().rows
+        twin = GaugeModel(model, gauge)
+        assert twin.propagator is gm.propagator
         for k in (3, 4):
             assert gm.mu(k) == vertex_tensor_on_vectors(model.alg, gauge.vectors, k)
             assert gm.mu(k) is gm.mu(k)
+            assert twin.mu(k) is gm.mu(k)
         assert feynman_value(model, gm, theta_graph()) == 0
 
 

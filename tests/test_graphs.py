@@ -1,12 +1,16 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bvgraph import graphs
+from bvgraph.graded import perm_parity
 from bvgraph.graphs import (CanonicalGraph, GraphChain, OrientedGraph, boundary,
                             boundary_of_graph, canonicalize,
                             canonicalize_directed, contract_directed,
                             cycle_space, enumerate_graphs, theta_graph)
+from oracles import (canonical_multisets_oracle, canonicalize_oracle,
+                     enumerate_graphs_oracle)
 
 
 def test_loop_graph_canonicalizes_to_zero():
@@ -37,36 +41,63 @@ def test_single_edge_flip_negates():
     assert rep1 == rep2 and s1 == -s2 != 0
 
 
-def test_canonicalize_constant_on_random_relabelings():
-    rng = random.Random(1)
-    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    base_rep, base_sign = canonicalize_directed(4, edges)
-    for _ in range(25):
-        perm = list(range(4))
-        rng.shuffle(perm)
-        flips = 0
-        new_edges = []
-        for a, b in edges:
-            na, nb = perm[a], perm[b]
-            if rng.random() < 0.5:
-                na, nb = nb, na
-                flips += 1
-        # rebuild with tracked transformations
-        perm_sign = 1
-        seen = []
-        new_edges = []
-        flips = 0
-        for a, b in edges:
-            if rng.random() < 0.5:
-                new_edges.append((perm[b], perm[a]))
-                flips += 1
-            else:
-                new_edges.append((perm[a], perm[b]))
-        from bvgraph.graded import perm_parity
-        rel_sign = perm_parity(perm) * (-1 if flips % 2 else 1)
-        rep, sign = canonicalize_directed(4, tuple(new_edges))
-        assert rep == base_rep
-        assert sign == base_sign * rel_sign
+@st.composite
+def relabeled_multigraphs(draw):
+    """(nv, edges, relabeled edges, sign of the relabeling): loops, multi-edges
+    and disconnected graphs included."""
+    nv = draw(st.integers(1, 6))
+    vertex = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    perm = draw(st.permutations(range(nv)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    moved = tuple((perm[b], perm[a]) if flip else (perm[a], perm[b])
+                  for (a, b), flip in zip(edges, flips))
+    rel_sign = perm_parity(perm) * (-1 if sum(flips) % 2 else 1)
+    return nv, tuple(edges), moved, rel_sign
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_multigraphs())
+def test_canonicalize_constant_on_random_relabelings(case):
+    nv, edges, moved, rel_sign = case
+    rep, sign = canonicalize_directed(nv, edges)
+    assert (rep, sign) == canonicalize_oracle(nv, edges)
+    moved_rep, moved_sign = canonicalize_directed(nv, moved)
+    assert moved_sign == sign * rel_sign
+    if all(a != b for a, b in edges):
+        assert moved_rep == rep  # a graph with a loop keeps its own labels
+
+
+def test_canonicalize_disconnected_minimum_at_a_low_degree_vertex():
+    # the minimal code labels a degree-3 theta vertex 0, not a degree-4 one,
+    # so a search that tries highest degree first misses it
+    edges = ((0, 1),) * 3 + ((2, 3),) * 2 + ((2, 4),) * 2 + ((3, 4),)
+    rep, sign = canonicalize_directed(5, edges)
+    assert (rep, sign) == canonicalize_oracle(5, edges)
+    assert rep.edges[:3] == ((0, 1),) * 3 and sign != 0
+
+
+@pytest.mark.parametrize("v, es", [(v, range(10)) for v in range(1, 6)] + [(6, [9])],
+                         ids=[f"v{v}" for v in range(1, 6)] + ["v6e9"])
+def test_enumerate_graphs_matches_oracle(v, es):
+    for e in es:
+        assert enumerate_graphs(v, e) == enumerate_graphs_oracle(v, e), (v, e)
+
+
+@pytest.mark.parametrize("v, e", [(5, 9), (6, 9)])
+def test_canonicalize_matches_oracle_on_valent_multisets(v, e):
+    for combo, expected in canonical_multisets_oracle(v, e):
+        assert canonicalize_directed(v, combo) == expected, combo
+
+
+def test_canon_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(graphs, "_canon_cache", {})
+    monkeypatch.setattr(graphs, "_CANON_CACHE_SIZE", 16)
+    for combo, expected in canonical_multisets_oracle(4, 8):
+        assert canonicalize_directed(4, combo) == expected
+        assert len(graphs._canon_cache) <= 16
+    assert enumerate_graphs(4, 8) == enumerate_graphs_oracle(4, 8)
+    assert len(graphs._canon_cache) <= 16
 
 
 def test_oriented_graph_half_edge_interface():
