@@ -14,7 +14,8 @@ from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          restrict_polynomial)
 from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
                         vertex_tensor)
-from .wick import QuadraticWeight, beta_contract_indices, chord_diagrams
+from .wick import (QuadraticWeight, beta_contract_indices, chord_diagrams,
+                   chord_sign)
 from .graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from .ce import CEChain
 
@@ -235,25 +236,43 @@ def chord_presentation(graph: CanonicalGraph):
 def feynman_value(model: TensorModel, gm: GaugeModel,
                   graph: CanonicalGraph) -> Fraction:
     """F(Gamma) = beta_c over L* of mu_{k_1} (x) .. (x) mu_{k_l}, with the
-    inverse restricted d-form as propagator."""
+    inverse restricted d-form as propagator.
+
+    That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
+    blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
+    times the chord sign of the assigned gauge indices a.  The recursion
+    assigns one block at a time and multiplies in the propagator entries of
+    the chords whose later end lies in that block (a loop closes at its own
+    vertex), so a branch is cut as soon as one of them is 0: every leaf below
+    it has a zero product.  A leaf then multiplies only by the chord sign,
+    which is computed on exactly the leaves whose propagator product is
+    nonzero.
+    """
     sizes, chord = chord_presentation(graph)
     mus = [gm.mu(k) for k in sizes]
     prop = gm.propagator
     lpar = gm.gauge.parities
+    vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
+    closes = [[] for _ in sizes]
+    for i, j in chord:
+        closes[vertex_of[max(i, j)]].append((i, j))
     total = Fraction(0)
 
     def rec(vtx, assignment, coeff):
         nonlocal total
         if vtx == len(sizes):
-            val = beta_contract_indices([lpar[s] for s in assignment],
-                                        assignment, chord, prop)
-            if val:
-                total += coeff * val
+            total += coeff * chord_sign([lpar[s] for s in assignment], chord)
             return
         for idx, mval in mus[vtx].items():
-            rec(vtx + 1, assignment + list(idx), coeff * mval)
+            assigned = assignment + idx
+            entries = [prop[assigned[i]][assigned[j]] for i, j in closes[vtx]]
+            if all(entries):
+                val = coeff * mval
+                for entry in entries:
+                    val *= entry
+                rec(vtx + 1, assigned, val)
 
-    rec(0, [], Fraction(1))
+    rec(0, (), Fraction(1))
     return total
 
 

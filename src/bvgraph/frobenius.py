@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
 from .graded import EVEN, ODD, SuperSpace, koszul_sign
@@ -316,16 +316,33 @@ def vertex_tensor(alg: FrobeniusAlgebra, k: int) -> dict:
 
 
 def vertex_tensor_on_vectors(alg: FrobeniusAlgebra, vectors, k: int) -> dict:
-    """mu_k evaluated on a list of elements (e.g. a gauge basis)."""
+    """mu_k evaluated on a list of elements (e.g. a gauge basis).
+
+    The entry at an index tuple t is <v_{t_1} ... v_{t_{k-1}}, v_{t_k}>, the
+    product taken left to right; the dict holds the nonzero entries with
+    their keys in lexicographic order.  The search builds each product of
+    k - 1 factors from its prefix by one more multiplication, depth first,
+    and stops at the first empty prefix product: every key extending it
+    pairs 0 with its last factor.
+    """
     if k < 3:
         raise ValueError("vertex tensors need valence >= 3")
     els = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
     out = {}
-    for tup in product(range(len(els)), repeat=k):
-        prod = alg.mul_chain([els[i] for i in tup[:-1]])
-        val = alg.pair(prod, els[tup[-1]])
-        if val:
-            out[tup] = val
+
+    def extend(prefix, prod):
+        if len(prefix) == k - 1:
+            for last, el in enumerate(els):
+                val = alg.pair(prod, el)
+                if val:
+                    out[prefix + (last,)] = val
+            return
+        for i, el in enumerate(els):
+            longer = alg.mul(prod, el) if prefix else el
+            if longer:
+                extend(prefix + (i,), longer)
+
+    extend((), None)
     return out
 
 

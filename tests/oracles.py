@@ -1,12 +1,17 @@
 """Brute-force reference implementations that the library's kernels are tested against.
 
-They define the graph complex's canonical forms by exhaustion and are far too
-slow for the library: ``canonicalize_oracle`` tries all nv! relabelings and
+They define their results by exhaustion and are far too slow for the
+library.  ``canonicalize_oracle`` tries all nv! relabelings and
 ``valent_multisets_oracle`` walks every edge multiset of the bidegree.
+``vertex_tensor_oracle`` multiplies out every index tuple of mu_k, and
+``feynman_value_oracle`` walks the full product of the vertex-tensor supports
+with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
 """
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
+from bvgraph.dual import chord_presentation
 from bvgraph.graded import perm_parity
 from bvgraph.graphs import CanonicalGraph
 
@@ -78,3 +83,52 @@ def enumerate_graphs_oracle(v, e):
     reps = {rep.key(): rep for _, (rep, sign) in canonical_multisets_oracle(v, e)
             if sign}
     return sorted(reps.values(), key=lambda g: g.key())
+
+
+def vertex_tensor_oracle(alg, vectors, k):
+    """mu_k on a list of elements: <v_{t_1} ... v_{t_{k-1}}, v_{t_k}> for
+    every index tuple t in ``product`` order, nonzero entries only."""
+    els = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
+    out = {}
+    for tup in product(range(len(els)), repeat=k):
+        prod = alg.mul_chain([els[i] for i in tup[:-1]])
+        val = alg.pair(prod, els[tup[-1]])
+        if val:
+            out[tup] = val
+    return out
+
+
+def chord_sign_oracle(parities, chord):
+    """Sign of reordering the factors into (i1, j1, i2, j2, ...), by bubble
+    sort: each adjacent swap of two odd factors costs -1."""
+    order = [p for pair in chord for p in pair]
+    sign = 1
+    for end in range(len(order) - 1, 0, -1):
+        for i in range(end):
+            if order[i] > order[i + 1]:
+                order[i], order[i + 1] = order[i + 1], order[i]
+                if parities[order[i]] and parities[order[i + 1]]:
+                    sign = -sign
+    return sign
+
+
+def feynman_value_oracle(gm, graph):
+    """F(Gamma) as the sum over the full product of the mu_k supports of the
+    entries, the propagator entries of every chord and the chord sign.
+
+    Reads only ``gm.mu(k)``, ``gm.propagator`` and ``gm.gauge.parities``.
+    """
+    sizes, chord = chord_presentation(graph)
+    prop = gm.propagator
+    lpar = gm.gauge.parities
+    total = Fraction(0)
+    for entries in product(*(gm.mu(k).items() for k in sizes)):
+        assigned = [s for idx, _ in entries for s in idx]
+        props = [prop[assigned[i]][assigned[j]] for i, j in chord]
+        if not all(props):
+            continue
+        val = Fraction(chord_sign_oracle([lpar[s] for s in assigned], chord))
+        for factor in props + [mval for _, mval in entries]:
+            val *= factor
+        total += val
+    return total

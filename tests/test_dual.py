@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
-from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign
+from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
+                            symmetrize_tensor)
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial, divergence
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, g3, g3_gauge, k2, k2_gauge,
                                verify_axioms)
 from bvgraph.ce import CEChain, ce_differential, osp_action
-from bvgraph.graphs import GraphChain, boundary, enumerate_graphs, theta_graph
+from bvgraph.graphs import (CanonicalGraph, GraphChain, boundary,
+                            enumerate_graphs, theta_graph)
 from bvgraph.wick import beta_contract_indices, chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, psi_of_word,
@@ -21,6 +24,7 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wick_map)
 from bvgraph import sampling
+from oracles import feynman_value_oracle
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -241,6 +245,18 @@ def test_feynman_theta_value_is_gauge_independent_zero():
         assert feynman_value(model, gm, theta_graph()) == 0
 
 
+def test_feynman_vanishes_on_g3_at_5_8_and_6_9():
+    # the reach of the cut recursion: mu_3 and mu_4 at gauge (1,1,1,1) over
+    # every graph of (5,8) and (6,9); the amplitudes vanish as on the rest of
+    # the G3 family
+    model = model_g3()
+    gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
+    for (v, e), count in (((5, 8), 4), ((6, 9), 7)):
+        vals = feynman_cochain(model, gm, v, e)
+        assert len(vals) == count
+        assert all(x == 0 for x in vals.values())
+
+
 def test_gauge_model_owns_its_feynman_data():
     from bvgraph.frobenius import vertex_tensor_on_vectors
     model = model_g3()
@@ -325,6 +341,80 @@ def _random_even_skew(rng, space):
         b = BilinearForm(space, rows, EVEN, "skew")
         if b.is_nondegenerate():
             return b
+
+
+class SyntheticGauge:
+    """What ``feynman_value`` reads from a gauge model, drawn at random over a
+    4-dimensional space: graded-symmetric mu_3..mu_5 of odd total parity, and
+    the inverse of an even skew form as propagator (zero between opposite
+    parities, so the recursion's cut is exercised)."""
+
+    def __init__(self, seed, parities):
+        rng = random.Random(seed)
+        space = SuperSpace(("a", "b", "c", "d"), parities)
+        self.gauge = SimpleNamespace(parities=list(parities))
+        self.propagator = _random_even_skew(rng, space).inverse().rows
+        self._mu = {}
+        for k in (3, 4, 5):
+            raw = {}
+            while len(raw) < 4:
+                key = tuple(rng.randrange(4) for _ in range(k))
+                if sum(parities[i] for i in key) % 2:
+                    raw[key] = sampling.rational(rng, zero_ok=False)
+            self._mu[k] = symmetrize_tensor(space, raw, k)
+
+    def mu(self, k):
+        return self._mu[k]
+
+
+SYNTHETIC_SETTINGS = [(seed, parities) for seed in (0, 1, 2)
+                      for parities in ((EVEN, EVEN, ODD, ODD),
+                                       (ODD, EVEN, ODD, EVEN))]
+
+
+def _synthetic_graphs():
+    """The graphs of (2,3)..(4,6) whose valences mu_3..mu_5 cover."""
+    return [g for v, e in ((2, 3), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6))
+            for g in enumerate_graphs(v, e) if max(g.valences()) <= 5]
+
+
+def test_feynman_value_matches_oracle_on_synthetic_data():
+    graphs = _synthetic_graphs() + [CanonicalGraph(2, ((0, 0), (0, 1), (1, 1))),
+                                    CanonicalGraph(1, ((0, 0), (0, 0)))]
+    assert len(graphs) == 9
+    values = []
+    for seed, parities in SYNTHETIC_SETTINGS:
+        gm = SyntheticGauge(seed, parities)
+        for g in graphs:
+            val = feynman_value(None, gm, g)
+            assert val == feynman_value_oracle(gm, g), (seed, parities, g)
+            values.append(val)
+    assert 3 * sum(1 for x in values if x) >= len(values)
+
+
+def test_feynman_value_relabeling_law_on_synthetic_data():
+    # relabeling the vertices by perm and flipping some edges multiplies F by
+    # perm_parity(perm) * (-1)^flips, the sign canonicalize_directed assigns
+    rng = random.Random(22)
+    graphs = _synthetic_graphs()
+    nonzero = total = 0
+    for seed, parities in SYNTHETIC_SETTINGS:
+        gm = SyntheticGauge(seed, parities)
+        for g in graphs:
+            base = feynman_value(None, gm, g)
+            for _ in range(3):
+                perm = list(range(g.n_vertices))
+                rng.shuffle(perm)
+                flips = [rng.random() < 0.5 for _ in g.edges]
+                edges = [(perm[b], perm[a]) if flip else (perm[a], perm[b])
+                         for (a, b), flip in zip(g.edges, flips)]
+                sign = perm_parity(perm) * (-1 if sum(flips) % 2 else 1)
+                relabeled = CanonicalGraph(g.n_vertices, edges)
+                assert feynman_value(None, gm, relabeled) == sign * base, \
+                    (seed, parities, g, perm, flips)
+                total += 1
+                nonzero += base != 0
+    assert 3 * nonzero >= total
 
 
 def test_tensor_beta_factorization_nonzero():

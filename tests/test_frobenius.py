@@ -9,6 +9,7 @@ from bvgraph.frobenius import (Gauge, algebra_from_json, algebra_to_json,
                                vertex_tensor_is_symmetric,
                                vertex_tensor_on_vectors)
 from bvgraph import linalg
+from oracles import vertex_tensor_oracle
 
 
 def test_k2_axioms_pass():
@@ -128,6 +129,34 @@ def test_vertex_tensor_symmetry_k_up_to_4():
             assert vertex_tensor_is_symmetric(alg.space.parities, mu, k)
             mul = vertex_tensor_on_vectors(alg, gauge.vectors, k)
             assert vertex_tensor_is_symmetric(gauge.parities, mul, k)
+
+
+VERTEX_TENSOR_CASES = {
+    "K2": (k2, lambda alg: linalg.identity(2)),
+    "G3": (g3, lambda alg: linalg.identity(8)),
+    **{"G3_" + "".join(map(str, params)):
+       (g3, lambda alg, p=params: g3_gauge(*p, alg=alg).vectors)
+       for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERTEX_TENSOR_CASES))
+def test_vertex_tensor_matches_oracle(case):
+    make_alg, make_vectors = VERTEX_TENSOR_CASES[case]
+    alg = make_alg()
+    vectors = make_vectors(alg)
+    for k in (3, 4, 5):
+        mu = vertex_tensor_on_vectors(alg, vectors, k)
+        # equal entries, and the keys in the same (lexicographic) order
+        assert list(mu.items()) == list(vertex_tensor_oracle(alg, vectors, k).items())
+
+
+def test_vertex_tensor_matches_oracle_at_valence_6():
+    alg = g3()
+    vectors = g3_gauge(1, 2, 3, 4, alg=alg).vectors
+    mu = vertex_tensor_on_vectors(alg, vectors, 6)
+    assert mu
+    assert list(mu.items()) == list(vertex_tensor_oracle(alg, vectors, 6).items())
 
 
 def test_vertex_tensor_rejects_low_valence():
