@@ -17,7 +17,7 @@ from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
 from .wick import (QuadraticWeight, beta_contract_indices, chord_diagrams,
                    chord_sign)
 from .graphs import CanonicalGraph, GraphChain, canonicalize_directed
-from .ce import CEChain
+from .ce import CEChain, monomial_parity
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,7 @@ class GaugeModel:
         sigma_l = restrict_polynomial(model.sigma, vectors, self.space)
         self.weight = QuadraticWeight.from_sigma(sigma_l)
         self.propagator = gauge.propagator
+        self._psi = {}
 
     def mu(self, k: int) -> dict:
         """mu_k on the gauge basis, shared by every model on this gauge."""
@@ -173,34 +174,64 @@ class GaugeModel:
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return restrict_polynomial(f, self.vectors, self.space)
 
+    def psi_monomial(self, key) -> SuperPolynomial:
+        """Psi of one monomial of V restricted to L (x) V, once per key.
 
-def wedge_sign(parities) -> int:
-    """(-1)^{p(h)} from commuting one odd Psi past each following factor."""
-    total = 0
-    l = len(parities)
-    for r, p in enumerate(parities):
-        total += (l - 1 - r) * p
+        It restricts the full-space ``TensorModel._psi_monomial`` and never
+        reads ``self.mu``: S and F then share no vertex data.
+        """
+        if key not in self._psi:
+            self._psi[key] = self.restrict(self.model._psi_monomial(key))
+        return self._psi[key]
+
+    def psi_of_word(self, word) -> SuperPolynomial:
+        """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) restricted to L (x) V.
+
+        Multiplies the restricted factors and stops at the first zero product.
+        """
+        out = SuperPolynomial.scalar(self.space, wedge_sign(self.model.v.space, word))
+        for key in word:
+            out = out * self.psi_monomial(key)
+            if out.is_zero():
+                break
+        return out
+
+
+def wedge_sign(vspace: SuperSpace, word) -> int:
+    """(-1)^{p(h)} of a word of monomial keys on V, from commuting one odd Psi
+    past each following factor."""
+    l = len(word)
+    total = sum((l - 1 - r) * monomial_parity(vspace, key)
+                for r, key in enumerate(word))
     return -1 if total % 2 else 1
 
 
 def psi_of_word(model: TensorModel, word) -> SuperPolynomial:
     """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) for a word of monomial keys."""
-    vspace = model.v.space
-    pars = [sum(vspace.parities[i] for i in key) % 2 for key in word]
-    out = SuperPolynomial.scalar(model.space, wedge_sign(pars))
+    out = SuperPolynomial.scalar(model.space, wedge_sign(model.v.space, word))
     for key in word:
         out = out * model._psi_monomial(key)
     return out
 
 
 def s_functional(model: TensorModel, gm: GaugeModel, chain: CEChain) -> Fraction:
-    """S = (-1)^{p(h)} < prod Psi(h_r) >_0 over L (x) V with the sigma weight."""
+    """S = sum over the words of the chain of coeff * (-1)^{p(h)}
+    < Psi(h_1) ... Psi(h_l) |_{L (x) V} >_0, the Gaussian expectation over
+    L (x) V with the restricted sigma weight.
+
+    It restricts each Psi(h_r) to L (x) V before it multiplies
+    (``GaugeModel.psi_of_word``), so the product is taken on half the
+    variables.  That is exact: restriction pulls back along the inclusion
+    L (x) V -> A (x) V, a map of graded commutative algebras, so the
+    restriction of the product is the product of the restricted factors.
+    """
     if chain.symp is not model.v and chain.symp.space != model.v.space:
         raise ValueError("chain over the wrong symplectic space")
+    if gm.model is not model:
+        raise ValueError("gauge model belongs to a different tensor model")
     total = Fraction(0)
     for word, coeff in chain.terms.items():
-        poly = gm.restrict(psi_of_word(model, word))
-        total += coeff * gm.weight.expectation(poly)
+        total += coeff * gm.weight.expectation(gm.psi_of_word(word))
     return total
 
 

@@ -360,16 +360,6 @@ def vertex_tensor_is_symmetric(space_parities, tensor, k) -> bool:
 # ---------------------------------------------------------------------------
 # Grassmann fixtures
 
-def grassmann_space(k: int):
-    """Basis of Lambda(xi_1..xi_k) indexed by sorted generator subsets."""
-    subsets = []
-    for r in range(k + 1):
-        subsets.extend(combinations(range(1, k + 1), r))
-    names = ["1"] + ["xi" + "".join(str(i) for i in s) for s in subsets[1:]]
-    parities = [len(s) % 2 for s in subsets]
-    return subsets, SuperSpace(names, parities)
-
-
 def _grassmann_mul(a, b):
     """Product of generator subsets, (subset, sign) or (None, 0)."""
     if set(a) & set(b):
@@ -386,20 +376,26 @@ def grassmann_algebra(k: int, d_images: dict, name="") -> FrobeniusAlgebra:
     d_images maps a basis subset to the element dict of its d-image; d is a
     matrix, not a derivation: callers supply every column they need.
     """
-    subsets, space = grassmann_space(k)
+    subsets = [s for r in range(k + 1) for s in combinations(range(1, k + 1), r)]
+    return _grassmann_span(k, subsets, d_images, name)
+
+
+def _grassmann_span(k: int, subsets, d_images: dict, name) -> FrobeniusAlgebra:
+    """The span of some generator subsets of Lambda(xi_1..xi_k), basis in the
+    given order: a product leaving the span is dropped, and <a, b> is the
+    coefficient of xi_1..xi_k in the product ab taken in Lambda."""
     index = {s: i for i, s in enumerate(subsets)}
+    space = SuperSpace(["xi" + "".join(map(str, s)) if s else "1" for s in subsets],
+                       [len(s) % 2 for s in subsets])
     n = len(subsets)
-    mult = {}
-    for i, a in enumerate(subsets):
-        for j, b in enumerate(subsets):
-            m, sign = _grassmann_mul(a, b)
-            if m is not None:
-                mult[(i, j)] = {index[m]: Fraction(sign)}
     top = tuple(range(1, k + 1))
+    mult = {}
     pairing = [[Fraction(0)] * n for _ in range(n)]
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
             m, sign = _grassmann_mul(a, b)
+            if m in index:
+                mult[(i, j)] = {index[m]: Fraction(sign)}
             if m == top:
                 pairing[i][j] = Fraction(sign)
     diff = [[Fraction(0)] * n for _ in range(n)]
@@ -423,6 +419,24 @@ def g3() -> FrobeniusAlgebra:
         (1, 2, 3): {(2, 3): Fraction(1)},
     }
     return grassmann_algebra(3, d_images, name="G3")
+
+
+def so3_reduced() -> FrobeniusAlgebra:
+    """The reduced Chevalley-Eilenberg algebra of so(3): the augmentation
+    ideal of Lambda(xi1,xi2,xi3) modulo its top element xi1xi2xi3.
+
+    Basis xi1, xi2, xi3 | xi12, xi13, xi23 (3|3), no unit; the products of
+    two generators survive and every other product is 0.  d xi1 = xi2xi3,
+    d xi2 = -xi1xi3, d xi3 = xi1xi2 and d = 0 on the even part; the pairing
+    is the top coefficient, and it is odd.
+    """
+    d_images = {
+        (1,): {(2, 3): Fraction(1)},
+        (2,): {(1, 3): Fraction(-1)},
+        (3,): {(1, 2): Fraction(1)},
+    }
+    subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    return _grassmann_span(3, subsets, d_images, name="so3red")
 
 
 def k2_gauge(alg=None) -> Gauge:

@@ -105,7 +105,8 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     relabelings with all edges redirected small-to-large; the sign is the
     parity of the relabeling times one -1 per redirected edge, and 0 when two
     relabelings achieve the minimum with opposite signs (odd automorphism).
-    A graph with a loop keeps its own labels and has sign 0.
+    A graph with a loop is zero in the graph complex: it gives (None, 0),
+    before the cache is consulted.
 
     The minimum is found by a depth-first search that gives labels 0, 1, 2,
     ... in turn and reaches every minimal relabeling, so the sign is exact.
@@ -124,16 +125,14 @@ def canonicalize_directed(nv: int, edges) -> tuple:
       is tried.
     """
     edges = tuple(edges)
+    if any(a == b for a, b in edges):
+        return None, 0
     cache_key = (nv, edges)
     hit = _canon_cache.get(cache_key)
     if hit is not None:
         return hit
-    if any(a == b for a, b in edges):
-        result = (CanonicalGraph(nv, tuple((a, b) if a <= b else (b, a)
-                                           for a, b in edges)), 0)
-    else:
-        code, sign = _minimal_code(nv, edges)
-        result = (CanonicalGraph(nv, code), sign)
+    code, sign = _minimal_code(nv, edges)
+    result = (CanonicalGraph(nv, code), sign)
     if len(_canon_cache) >= _CANON_CACHE_SIZE:
         _canon_cache.clear()
     _canon_cache[cache_key] = result

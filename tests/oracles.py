@@ -6,12 +6,14 @@ library.  ``canonicalize_oracle`` tries all nv! relabelings and
 ``vertex_tensor_oracle`` multiplies out every index tuple of mu_k, and
 ``feynman_value_oracle`` walks the full product of the vertex-tensor supports
 with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
+``restricted_word_oracle`` multiplies a word of Psi images out over all of
+A (x) V and restricts the product to the gauge only then.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
-from bvgraph.dual import chord_presentation
+from bvgraph.dual import chord_presentation, psi_of_word
 from bvgraph.graded import perm_parity
 from bvgraph.graphs import CanonicalGraph
 
@@ -30,13 +32,12 @@ def canonicalize_oracle(nv, edges):
 
     Each relabeling redirects every edge small-to-large; its sign is the
     parity of the relabeling times one -1 per redirected edge, and the result
-    has sign 0 when two minimal relabelings disagree.  A graph with a loop is
-    returned with its edges redirected in place and sign 0.
+    has sign 0 when two minimal relabelings disagree.  A graph with a loop
+    gives (None, 0).
     """
     edges = tuple(edges)
     if any(a == b for a, b in edges):
-        return CanonicalGraph(nv, tuple((a, b) if a <= b else (b, a)
-                                        for a, b in edges)), 0
+        return None, 0
     best_code = None
     best_signs = set()
     for perm, moved in _relabelings(nv):
@@ -132,3 +133,9 @@ def feynman_value_oracle(gm, graph):
             val *= factor
         total += val
     return total
+
+
+def restricted_word_oracle(model, gm, word):
+    """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) over all of A (x) V, restricted to
+    L (x) V after the product."""
+    return gm.restrict(psi_of_word(model, word))

@@ -9,10 +9,10 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
                             symmetrize_tensor)
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial, divergence
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
-from bvgraph.frobenius import (FrobeniusAlgebra, g3, g3_gauge, k2, k2_gauge,
-                               verify_axioms)
+from bvgraph.frobenius import (FrobeniusAlgebra, find_gauges, g3, g3_gauge, k2,
+                               k2_gauge, so3_reduced, verify_axioms)
 from bvgraph.ce import CEChain, ce_differential, osp_action
-from bvgraph.graphs import (CanonicalGraph, GraphChain, boundary,
+from bvgraph.graphs import (CanonicalGraph, GraphChain, boundary, cycle_space,
                             enumerate_graphs, theta_graph)
 from bvgraph.wick import beta_contract_indices, chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
@@ -22,9 +22,9 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_gauge_independence,
                           verify_kontsevich_chain_map, verify_master_equations,
                           verify_osp_invariance, verify_vanishing_divergence,
-                          wick_map)
+                          wedge_sign, wick_map)
 from bvgraph import sampling
-from oracles import feynman_value_oracle
+from oracles import feynman_value_oracle, restricted_word_oracle
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -216,13 +216,91 @@ def test_s_equals_f_after_i_on_quintic_wedge_with_live_cancellation():
     q = SuperPolynomial.variable(V20.space, 1)
     chain = CEChain.from_polynomials(V20, [p * p * p * p * p, q * q * q * q * q])
     word = next(iter(chain.terms))
-    poly = gm.restrict(psi_of_word(model, word))
+    poly = gm.psi_of_word(word)
     live = [key for key, val in poly.terms.items()
             if val != 0 and gm.weight.monomial_vev(key) != 0]
     assert len(live) >= 4  # the zero is a genuine cancellation, not vacuous
     s = s_functional(model, gm, chain)
     fi = feynman_on_chain(model, gm, wick_map(chain))
     assert s == fi == 0
+
+
+# The wedges of the commute benchmark pool (G3 at gauge (1,1,1,1)); keys
+# index p, q (even) and, on V_{2|1}, x (odd).
+COMMUTE_WEDGES = (
+    (V20, ((0, 0, 0), (1, 1, 1))), (V20, ((0, 0, 1), (0, 0, 1, 1, 1))),
+    (V20, ((0, 0, 0, 1), (1, 1, 1, 1))), (V20, ((0, 1, 1, 1), (0, 0, 0, 1))),
+    (V20, ((1, 1, 1, 1, 1), (0, 1, 1, 1, 1))),
+    (V20, ((0, 0, 1), (1, 1, 1), (0, 0, 0, 0))),
+    (V20, ((0, 1, 1), (0, 0, 1), (0, 0, 0, 1))),
+    (V20, ((1, 1, 1, 1), (0, 0, 1, 1), (0, 1, 1, 1))),
+    (V20, ((1, 1, 1), (0, 0, 1), (0, 0, 0), (0, 1, 1))),
+    (V21, ((0, 0, 0), (0, 1, 1))), (V21, ((0, 0, 1), (1, 1, 1, 1, 2))),
+    (V21, ((0, 0, 2), (0, 1, 1, 1, 2))), (V21, ((0, 1, 1, 1), (0, 0, 0, 1))),
+    (V21, ((0, 1, 1, 2), (0, 0, 0, 1))),
+    (V20, ((0, 0, 0), (0, 0, 1), (1, 1, 1, 1))),
+    (V20, ((0, 0, 1), (0, 0, 0), (0, 1, 1, 1))),
+    (V21, ((1, 1, 1), (0, 0, 0))), (V21, ((0, 0, 1), (1, 1, 1), (0, 0, 1, 1))),
+    (V21, ((0, 0, 1), (1, 1, 2), (1, 1, 1, 2))),
+    (V20, ((0, 0, 1, 1), (0, 0, 0, 0))), (V20, ((0, 0, 0, 0), (1, 1, 1, 1))),
+    (V20, ((0, 0, 1), (0, 1, 1), (0, 1, 1, 1))),
+    (V20, ((1, 1, 1), (0, 0, 1), (0, 1, 1, 1))),
+    (V21, ((0, 1, 2), (0, 0, 2))), (V21, ((0, 0, 0, 1), (0, 0, 1, 2))),
+    (V21, ((1, 1, 2), (0, 0, 1, 1, 1))),
+)
+
+
+def wedge(v, keys):
+    return CEChain.from_polynomials(
+        v, [SuperPolynomial.monomial(v.space, k) for k in keys])
+
+
+def test_restricted_product_matches_full_space_oracle():
+    # the gauge model multiplies the restricted Psi factors; the oracle
+    # multiplies over all of A (x) V and restricts afterwards.  The words are
+    # those of the commute pool's wedges and of their delta, plus p^3 ^ q^3
+    # on so(3); some carry the wedge sign -1 and are nonzero.
+    cases = []
+    for v in (V20, V21):
+        model = model_g3(v)
+        gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
+        words = set()
+        for w, keys in COMMUTE_WEDGES:
+            if w is v:
+                chain = wedge(v, keys)
+                words.update(chain.terms, ce_differential(chain).terms)
+        cases += [(model, gm, word) for word in sorted(words)]
+    so3 = TensorModel(so3_reduced(), V20)
+    cases.append((so3, GaugeModel(so3, find_gauges(so3.alg)[0][0]),
+                  ((0, 0, 0), (1, 1, 1))))
+    assert len(cases) == 64
+    nonzero = odd_sign = 0
+    for model, gm, word in cases:
+        poly = gm.psi_of_word(word)
+        assert poly.space == gm.space
+        assert poly == restricted_word_oracle(model, gm, word), word
+        nonzero += not poly.is_zero()
+        odd_sign += not poly.is_zero() and wedge_sign(model.v.space, word) < 0
+    assert nonzero >= len(cases) // 2
+    assert odd_sign >= 1
+
+
+def test_restricted_psi_is_memoised_per_gauge_model():
+    model = model_g3(V21)
+    gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
+    key = (0, 1, 2)
+    assert gm.psi_monomial(key) is gm.psi_monomial(key)
+    assert gm.psi_monomial(key) == gm.restrict(model._psi_monomial(key))
+    twin = GaugeModel(model, gm.gauge)
+    assert twin.psi_monomial(key) is not gm.psi_monomial(key)
+
+
+def test_s_functional_rejects_a_foreign_gauge_model():
+    model = model_g3()
+    other = TensorModel(model.alg, V20)
+    gm = GaugeModel(other, g3_gauge(1, 1, 1, 1, alg=model.alg))
+    with pytest.raises(ValueError):
+        s_functional(model, gm, wedge(V20, ((0, 0, 0), (1, 1, 1))))
 
 
 # -- Feynman amplitudes --------------------------------------------------------
@@ -284,11 +362,50 @@ def test_shuffle_sign_is_koszul_sign():
 
 
 def test_product_gauge_has_no_interactions():
+    # The vanishing theorem, first half.  With a unit 1 = d(xi), the gauge
+    # xi A is isotropic and square-zero, so mu_k vanishes on it for every
+    # k >= 3: K2's gauge is xi A, and G3's (0,0,0,0) is eta * C with
+    # eta = xi1 - xi123.
     from bvgraph.frobenius import vertex_tensor_on_vectors
-    alg = g3()
-    gauge = g3_gauge(0, 0, 0, 0, alg=alg)  # this is eta * C, eta = xi1 - xi123
-    for k in (3, 4, 5):
-        assert vertex_tensor_on_vectors(alg, gauge.vectors, k) == {}
+    for gauge in (k2_gauge(), g3_gauge(0, 0, 0, 0)):
+        for k in (3, 4, 5, 6):
+            assert vertex_tensor_on_vectors(gauge.alg, gauge.vectors, k) == {}
+
+
+def test_feynman_vanishes_on_cycles_at_a_gauge_with_interactions():
+    # The vanishing theorem, second half: F = 0 on cycles at the square-zero
+    # gauge, hence at every gauge.  At (1,1,1,1) mu_3..mu_6 are nonempty, yet
+    # F vanishes on the cycle_space bases of (2,3) and (4,6).
+    model = model_g3()
+    gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
+    assert [len(gm.mu(k)) for k in (3, 4, 5, 6)] == [12, 32, 80, 192]
+    for (v, e), n_cycles in (((2, 3), 1), ((4, 6), 2)):
+        _, cycles = cycle_space(v, e)
+        assert len(cycles) == n_cycles
+        assert [feynman_on_chain(model, gm, z) for z in cycles] == [0] * n_cycles
+
+
+def test_so3_fixture_gives_nonzero_amplitudes():
+    # the reduced so(3) algebra has no unit, so the vanishing theorem does not
+    # apply: F(theta) = 6 and F is nonzero on the cycle_space bases
+    model = TensorModel(so3_reduced(), V20)
+    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+    assert feynman_value(model, gm, theta_graph()) == 6
+    for (v, e), values in (((2, 3), [6]), ((4, 6), [36, -42])):
+        _, cycles = cycle_space(v, e)
+        assert [feynman_on_chain(model, gm, z) for z in cycles] == values
+
+
+def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
+    model = TensorModel(so3_reduced(), V20)
+    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+    chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))  # p^3 ^ q^3
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "pass", rep["witnesses"]
+    assert s_functional(model, gm, chain) == -36
+    assert feynman_on_chain(model, gm, wick_map(chain)) == -36
+    # q^3 ^ p^3 sorts to -(p^3 ^ q^3): an adjacent swap of even factors costs -1
+    assert s_functional(model, gm, wedge(V20, ((1, 1, 1), (0, 0, 0)))) == 36
 
 
 def test_feynman_value_invariant_under_slot_assignment():

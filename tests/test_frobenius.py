@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from bvgraph.frobenius import (Gauge, algebra_from_json, algebra_to_json,
                                check_contractible, degenerate_form, find_gauges,
                                g3, g3_gauge, grassmann_algebra, k2, k2_gauge,
-                               verify_axioms, vertex_tensor,
+                               so3_reduced, verify_axioms, vertex_tensor,
                                vertex_tensor_is_symmetric,
                                vertex_tensor_on_vectors)
 from bvgraph import linalg
+from bvgraph.graded import EVEN, ODD, perm_parity
 from oracles import vertex_tensor_oracle
 
 
@@ -99,6 +101,23 @@ def test_named_g3_gauges_lie_in_generic_family():
     for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (2, -1, 3, 1),
                    (Fraction(1, 2), 0, 1, -2)):
         g3_gauge(*params).validate()
+
+
+def test_so3_reduced_fixture():
+    alg = so3_reduced()
+    assert alg.space.names == ("xi1", "xi2", "xi3", "xi12", "xi13", "xi23")
+    assert alg.space.parities == (ODD,) * 3 + (EVEN,) * 3
+    assert verify_axioms(alg)["ok"]
+    assert check_contractible(alg) == (True, 3)
+    gauges, info = find_gauges(alg)
+    assert len(gauges) == 1 and info["n_parameters"] == 0
+    gauge = gauges[0]
+    assert gauge.parities == [ODD] * 3  # the odd part xi1, xi2, xi3
+    assert [list(row) for row in gauge.propagator] == [
+        [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    # mu_3 is the Levi-Civita symbol
+    assert gauge.mu(3) == {perm: perm_parity(perm)
+                           for perm in permutations(range(3))}
 
 
 def test_non_contractible_input_has_no_gauges():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvgraph.graded import (EVEN, ODD, SuperSpace, average_tensor, koszul_sign,
                             perm_parity, permute_tensor, sort_indices_with_sign,
@@ -57,6 +58,51 @@ def test_merge_keys_is_koszul_sign():
     assert len(keys) == 25
     for k1, k2 in product(keys, repeat=2):
         assert merge_keys(w, k1, k2) == koszul_sort(w.parities, k1 + k2)
+
+
+@st.composite
+def graded_permutations(draw):
+    """(order, parities): a random permutation of 0..n-1 and mixed parities."""
+    n = draw(st.integers(2, 8))
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)), min_size=n, max_size=n)
+                    .filter(lambda ps: EVEN in ps and ODD in ps))
+    return draw(st.permutations(range(n))), parities
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_permutations())
+def test_koszul_sign_is_a_product_of_adjacent_transposition_signs(case):
+    # sort the arrangement back by adjacent swaps; swapping symbols a and b
+    # costs (-1)^{|a||b|}
+    order, parities = case
+    seq, sign = list(order), 1
+    for end in range(len(seq) - 1, 0, -1):
+        for i in range(end):
+            if seq[i] > seq[i + 1]:
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                if parities[seq[i]] and parities[seq[i + 1]]:
+                    sign = -sign
+    assert koszul_sign(order, parities) == sign
+
+
+W22 = SuperSpace(("x1", "t1", "x2", "t2"), (EVEN, ODD, EVEN, ODD))
+W22_KEYS = [key for d in range(4) for key in monomial_keys(W22, d)]
+
+
+def signed_merge(left, right):
+    """merge_keys on (key, sign) pairs; (None, 0) absorbs."""
+    if left[0] is None or right[0] is None:
+        return None, 0
+    key, sign = merge_keys(W22, left[0], right[0])
+    return key, sign * left[1] * right[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(W22_KEYS), min_size=3, max_size=3))
+def test_merge_keys_is_associative_with_signs(keys):
+    a, b, c = ((key, 1) for key in keys)
+    assert (signed_merge(signed_merge(a, b), c)
+            == signed_merge(a, signed_merge(b, c)))
 
 
 def test_koszul_trivial_for_all_even():
