@@ -14,8 +14,7 @@ from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          restrict_polynomial)
 from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
                         vertex_tensor)
-from .wick import (QuadraticWeight, beta_contract_indices, chord_diagrams,
-                   chord_sign)
+from .wick import QuadraticWeight, chord_sign, live_chords
 from .graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from .ce import CEChain, monomial_parity
 
@@ -324,20 +323,25 @@ def feynman_on_chain(model: TensorModel, gm: GaugeModel,
 # The chord-diagram map I
 
 def wick_map(chain: CEChain) -> GraphChain:
-    """I: wedge words of monomials to signed sums of graphs, one per diagram."""
+    """I: wedge words of monomials to signed sums of graphs, one per diagram.
+
+    A word h_1 ^ ... ^ h_l with coefficient a goes to the sum over the chord
+    diagrams c on its factors of a * beta_c * Gamma(c; |h_1|, ..., |h_l|),
+    beta_c contracting the factors with the inverse symplectic form.
+
+    Only the diagrams with beta_c != 0 are visited (``wick.live_chords``):
+    the walk pairs a factor only with a partner of nonzero inverse-form entry.
+    The others add 0, so the image is the same, and the live diagrams come in
+    the order of ``chord_diagrams``, so even its key order is unchanged.
+    """
     symp = chain.symp
     inv = symp.form.inverse().rows
     out = GraphChain()
     for word, coeff in chain.terms.items():
         factors = [i for key in word for i in key]
         sizes = [len(key) for key in word]
-        if len(factors) % 2:
-            continue
         pars = [symp.space.parities[i] for i in factors]
-        for chord in chord_diagrams(len(factors) // 2):
-            val = beta_contract_indices(pars, factors, chord, inv)
-            if val == 0:
-                continue
+        for chord, val in live_chords(pars, factors, inv):
             nv, edges = graph_from_chord(sizes, chord)
             rep, sign = canonicalize_directed(nv, edges)
             if sign == 0:

@@ -92,7 +92,7 @@ class CanonicalGraph:
         return self.graph_id()
 
 
-# Cleared when full; a graph_complex benchmark pass (4,624 distinct keys) never
+# Cleared when full; a graph_complex benchmark pass (846 distinct keys) never
 # fills it.
 _CANON_CACHE_SIZE = 1 << 14
 _canon_cache = {}
@@ -298,11 +298,26 @@ def boundary(chain: GraphChain) -> GraphChain:
 def enumerate_graphs(v: int, e: int):
     """All nonzero canonical graphs in bidegree (v, e), valence >= 3 everywhere.
 
-    Every multiset of e loopless vertex pairs with all valences >= 3 is
-    canonicalised.  The multisets are built pair by pair, in the order of
-    ``combinations_with_replacement`` over the sorted pairs, and a prefix is
-    dropped once a vertex whose last pair has passed has valence < 3, or the
-    valence still missing exceeds two per edge left.
+    A graph of the bidegree is a multiset of e loopless vertex pairs with all
+    valences >= 3, taken up to relabeling; its canonical code is the least
+    sorted edge code over all relabelings (``canonicalize_directed``), and it
+    is listed when its sign is nonzero.
+
+    The multisets are built pair by pair, in the order of
+    ``combinations_with_replacement`` over the sorted pairs, so every prefix
+    is a sorted code.  A prefix is dropped once a vertex whose last pair has
+    passed has valence < 3, or the valence still missing exceeds two per edge
+    left, or the prefix is not its own canonical code.  Each class then
+    reaches exactly one leaf, its canonical code, and the canonicalisation
+    that tested that leaf also gives its sign.
+
+    The last cut is exact because being canonical passes to prefixes: let P
+    be the first m edges of a code C, and suppose a relabeling pi gives
+    sorted(pi(P)) < P.  pi(P) is a sub-multiset of pi(C), so the m smallest
+    edges of pi(C) are elementwise <= sorted(pi(P)); hence the first m edges
+    of sorted(pi(C)) are < P, sorted(pi(C)) < C, and C is not canonical
+    either.  So a non-canonical prefix has no canonical extension
+    (Read-Faradzev orderly generation).
     """
     if v < 2:
         return []  # one vertex carries only loops
@@ -313,16 +328,19 @@ def enumerate_graphs(v: int, e: int):
         closing[max(p for p, pair in enumerate(pairs) if u in pair) + 1].append(u)
     degs = [0] * v
     combo = []
-    seen = {}
+    found = []
 
     def extend(start, deficit):
         left = e - len(combo)
         if deficit > 2 * left:
             return
+        code = tuple(combo)
+        rep, sign = canonicalize_directed(v, code)
+        if rep.edges != code:
+            return
         if not left:
-            rep, sign = canonicalize_directed(v, tuple(combo))
             if sign:
-                seen.setdefault(rep.key(), rep)
+                found.append(rep)
             return
         for p in range(start, len(pairs)):
             if p > start and any(degs[u] < 3 for u in closing[p]):
@@ -338,7 +356,7 @@ def enumerate_graphs(v: int, e: int):
             degs[b] -= 1
 
     extend(0, 3 * v)
-    return sorted(seen.values(), key=lambda g: g.key())
+    return sorted(found, key=lambda g: g.key())
 
 
 def cycle_space(v: int, e: int):

@@ -264,12 +264,6 @@ class SymplecticSpace:
             raise ValueError("the odd Laplacian needs an odd symplectic form")
         return divergence(self.hamiltonian_field(a)) / 2
 
-    def canonical_laplacian_oracle(self, a: SuperPolynomial) -> SuperPolynomial:
-        """sum_i d/dx_i d/dxi_i, valid on the canonical U_{n|n} only (test oracle)."""
-        n = len(self.space) // 2
-        return SuperPolynomial.sum(
-            self.space, (a.deriv_left(n + i).deriv_left(i) for i in range(n)))
-
 
 class LagrangianSubspace:
     """Graded maximally isotropic subspace of an odd symplectic space."""

@@ -1,8 +1,8 @@
 """Chord diagrams, algebraic Gaussian expectation values and Stokes lemmas.
 
 The Wick sum over chord diagrams *is* the definition of the Gaussian integral
-here; analytic input survives only in the Berezin/moment oracle's sign rule
-for negative weights.
+here; analytic input survives only in the Berezin integrals and in the test
+suite's moment oracle, with its sign rule for negative weights.
 """
 from __future__ import annotations
 
@@ -50,37 +50,36 @@ def chord_sign(parities, chord) -> int:
     return koszul_sign(order, parities)
 
 
-def beta_contract_indices(parities, idxs, chord, matrix) -> Fraction:
-    """beta_c on a pure tensor of basis vectors given by index list `idxs`."""
-    val = Fraction(1)
-    for (i, j) in chord:
-        entry = matrix[idxs[i]][idxs[j]]
-        if not entry:  # the sign is needed only for a nonzero product
-            return Fraction(0)
-        val *= entry
-    return chord_sign(parities, chord) * val
+def live_chords(parities, idxs, matrix):
+    """Yield (chord, beta_c) for the chord diagrams on the factors ``idxs``
+    whose contraction beta_c = chord_sign * prod_{(i, j) in c}
+    matrix[idxs[i]][idxs[j]] is nonzero, in the order of ``chord_diagrams``.
 
+    Like ``chord_diagrams`` it pairs the first open point with each later
+    point in turn, but only with a point whose matrix entry is nonzero, and
+    carries the running product; the chord sign is taken at a leaf.  A pair
+    with a zero entry makes the product of every diagram containing it 0, so
+    the diagrams skipped are exactly those with beta_c = 0, and the order of
+    the rest is unchanged.
+    """
+    if len(idxs) % 2:
+        return
+    chord = []
 
-def beta_contract(factors, chord, form: BilinearForm) -> Fraction:
-    """beta_c on a sequence of linear functions over form.space (multilinear)."""
-    if any(f.max_degree() > 1 or f.min_degree() < 1 for f in factors if not f.is_zero()):
-        raise ValueError("factors must be linear")
-    space = form.space
-    total = Fraction(0)
-
-    def rec(slot, idxs, coeff, parities):
-        nonlocal total
-        if coeff == 0:
+    def rec(points, prod):
+        if not points:
+            done = tuple(chord)
+            yield done, chord_sign(parities, done) * prod
             return
-        if slot == len(factors):
-            total += coeff * beta_contract_indices(parities, idxs, chord, form.rows)
-            return
-        for key, c in factors[slot].terms.items():
-            rec(slot + 1, idxs + [key[0]], coeff * c,
-                parities + [space.parities[key[0]]])
+        row = matrix[idxs[points[0]]]
+        for pos in range(1, len(points)):
+            entry = row[idxs[points[pos]]]
+            if entry:
+                chord.append((points[0], points[pos]))
+                yield from rec(points[1:pos] + points[pos + 1:], prod * entry)
+                chord.pop()
 
-    rec(0, [], Fraction(1), [])
-    return total
+    yield from rec(tuple(range(len(idxs))), Fraction(1))
 
 
 class QuadraticWeight:
@@ -138,16 +137,6 @@ class QuadraticWeight:
                 sign = -sign
         return total
 
-    def monomial_vev_chords(self, key) -> Fraction:
-        """Literal sum of beta_c over chd(k) with the inverse form."""
-        if len(key) % 2:
-            return Fraction(0)
-        pars = [self.space.parities[i] for i in key]
-        total = Fraction(0)
-        for chord in chord_diagrams(len(key) // 2):
-            total += beta_contract_indices(pars, key, chord, self.inverse.rows)
-        return total
-
     def expectation(self, f: SuperPolynomial) -> Fraction:
         if f.space != self.space:
             raise ValueError("observable lives on the wrong space")
@@ -158,7 +147,7 @@ class QuadraticWeight:
 
 
 # ---------------------------------------------------------------------------
-# Berezin / moment oracle for split-diagonal weights
+# Berezin integration
 
 def right_deriv(f: SuperPolynomial, var: int) -> SuperPolynomial:
     """Right-acting partial derivative (odd integration convention)."""
@@ -184,99 +173,6 @@ def berezin_integrate(f: SuperPolynomial, odd_vars) -> SuperPolynomial:
     for var in reversed(list(odd_vars)):
         f = right_deriv(f, var)
     return f
-
-
-class SplitWeight:
-    """Weight in split-diagonal shape: diagonal even block, odd standard pairs."""
-
-    def __init__(self, weight: QuadraticWeight):
-        self.weight = weight
-        space = weight.space
-        rows = weight.form.rows
-        n = len(space)
-        evens = [i for i in range(n) if space.parities[i] == EVEN]
-        odds = [i for i in range(n) if space.parities[i] == ODD]
-        for i in evens:
-            for j in evens:
-                if i != j and rows[i][j] != 0:
-                    raise ValueError("even block is not diagonal")
-            if rows[i][i] == 0:
-                raise ValueError("degenerate even entry")
-        pairs = []
-        used = set()
-        for a in odds:
-            if a in used:
-                continue
-            partners = [b for b in odds if b not in used and b != a and rows[a][b] != 0]
-            if len(partners) != 1:
-                raise ValueError("odd block is not in standard pairs")
-            b = partners[0]
-            used.update((a, b))
-            pairs.append((a, b) if a < b else (b, a))
-        self.evens = evens
-        self.pairs = pairs
-        self.block_of = {}
-        for r, i in enumerate(evens):
-            self.block_of[i] = ("even", r)
-        for r, (a, b) in enumerate(pairs):
-            self.block_of[a] = ("odd", r)
-            self.block_of[b] = ("odd", r)
-        self.pair_vevs = [self._pair_vev_table(a, b, rows[a][b]) for (a, b) in pairs]
-
-    def _pair_vev_table(self, a, b, c):
-        """Literal iterated-integral vevs on one odd pair with sigma = c xi xi'."""
-        sp = SuperSpace(("u", "v"), (ODD, ODD))
-        u = SuperPolynomial.variable(sp, 0)
-        v = SuperPolynomial.variable(sp, 1)
-        expw = SuperPolynomial.scalar(sp, 1) - c * (u * v)  # e^{-c u v}
-        denom = berezin_integrate(expw, (0, 1)).terms.get((), Fraction(0))
-        if denom == 0:
-            raise ValueError("degenerate odd pair")
-        table = {}
-        for mono in ((), (0,), (1,), (0, 1)):
-            num = berezin_integrate(SuperPolynomial.monomial(sp, mono, 1) * expw, (0, 1))
-            table[mono] = num.terms.get((), Fraction(0)) / denom
-        return table
-
-    def monomial_vev(self, key) -> Fraction:
-        space = self.weight.space
-        pars = [space.parities[i] for i in key]
-        # stable-group the factors block by block, tracking the Koszul sign
-        tagged = sorted(range(len(key)),
-                        key=lambda p: (self.block_of[key[p]], key[p]))
-        sign = koszul_sign(tagged, pars)
-        value = Fraction(sign)
-        groups = {}
-        for p in tagged:
-            groups.setdefault(self.block_of[key[p]], []).append(key[p])
-        for (kind, r), vars_ in groups.items():
-            if kind == "even":
-                i = self.evens[r]
-                deg = len(vars_)
-                if deg % 2:
-                    return Fraction(0)
-                eps = self.weight.form.rows[i][i]
-                value *= Fraction(double_factorial(deg - 1)) / (eps ** (deg // 2))
-            else:
-                a, b = self.pairs[r]
-                mono = tuple(0 if v == a else 1 for v in vars_)
-                if len(set(vars_)) != len(vars_):
-                    return Fraction(0)
-                value *= self.pair_vevs[r][tuple(sorted(mono))]
-            if value == 0:
-                return value
-        return value
-
-    def expectation(self, f: SuperPolynomial) -> Fraction:
-        total = Fraction(0)
-        for key, val in f.terms.items():
-            total += val * self.monomial_vev(key)
-        return total
-
-
-def berezin_oracle(f: SuperPolynomial, weight: QuadraticWeight) -> Fraction:
-    """Moment/Berezin value of <f>_0; requires a split-diagonal weight."""
-    return SplitWeight(weight).expectation(f)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,22 @@ library.  ``canonicalize_oracle`` tries all nv! relabelings and
 with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
 ``restricted_word_oracle`` multiplies a word of Psi images out over all of
 A (x) V and restricts the product to the gauge only then.
+``wick_map_oracle`` contracts every chord diagram of a word, zero or not, and
+``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
+``berezin_oracle`` integrates split-diagonal weights block by block, and
+``canonical_laplacian_oracle`` is the coordinate odd Laplacian of U_{n|n}.
+``feynman_product_oracle`` evaluates F on a disjoint union from F on its
+connected components.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
-from bvgraph.dual import chord_presentation, psi_of_word
-from bvgraph.graded import perm_parity
-from bvgraph.graphs import CanonicalGraph
+from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word
+from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, perm_parity
+from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
+from bvgraph.superpoly import SuperPolynomial
+from bvgraph.wick import berezin_integrate, chord_diagrams, double_factorial
 
 
 @lru_cache(maxsize=None)
@@ -139,3 +147,206 @@ def restricted_word_oracle(model, gm, word):
     """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) over all of A (x) V, restricted to
     L (x) V after the product."""
     return gm.restrict(psi_of_word(model, word))
+
+
+def connected_components(graph):
+    """The vertex sets of the connected components of a canonical graph, each
+    sorted, in order of their least vertex."""
+    comp = list(range(graph.n_vertices))
+
+    def root(u):
+        while comp[u] != u:
+            u = comp[u]
+        return u
+
+    for a, b in graph.edges:
+        comp[root(a)] = root(b)
+    blocks = {}
+    for u in range(graph.n_vertices):
+        blocks.setdefault(root(u), []).append(u)
+    return list(blocks.values())
+
+
+def feynman_product_oracle(value, graph):
+    """F(graph) from ``value`` (an F on canonical graphs) on its connected
+    components, by multiplicativity on disjoint unions.
+
+    The vertices are relabelled so that each component, taken in order of
+    its least vertex, is a block of consecutive labels; that block graph is
+    s * graph, s the sign ``canonicalize_directed`` gives it.  Component i,
+    shifted to start at label 0, is s_i * rep_i, and
+    F(graph) = s * prod_i s_i * value(rep_i).
+    """
+    blocks = connected_components(graph)
+    order = [u for block in blocks for u in block]
+    new = {old: pos for pos, old in enumerate(order)}
+    rep, total = canonicalize_directed(
+        graph.n_vertices, tuple((new[a], new[b]) for a, b in graph.edges))
+    assert rep == graph and total
+    start = 0
+    for block in blocks:
+        edges = tuple((new[a] - start, new[b] - start)
+                      for a, b in graph.edges if a in block)
+        rep_i, sign_i = canonicalize_directed(len(block), edges)
+        if not sign_i:
+            return Fraction(0)
+        total *= sign_i * value(rep_i)
+        start += len(block)
+    return total
+
+
+def beta_contract_indices(parities, idxs, chord, matrix):
+    """beta_c on a pure tensor of basis vectors given by index list ``idxs``:
+    the chord sign times the product of matrix[idxs[i]][idxs[j]] over c."""
+    val = Fraction(1)
+    for i, j in chord:
+        val *= matrix[idxs[i]][idxs[j]]
+    return chord_sign_oracle(parities, chord) * val if val else val
+
+
+def beta_contract(factors, chord, form):
+    """beta_c on a sequence of linear functions over form.space (multilinear)."""
+    if any(f.max_degree() > 1 or f.min_degree() < 1 for f in factors if not f.is_zero()):
+        raise ValueError("factors must be linear")
+    pars = form.space.parities
+    total = Fraction(0)
+    for terms in product(*(f.terms.items() for f in factors)):
+        idxs = [key[0] for key, _ in terms]
+        coeff = Fraction(1)
+        for _, c in terms:
+            coeff *= c
+        total += coeff * beta_contract_indices([pars[i] for i in idxs], idxs,
+                                               chord, form.rows)
+    return total
+
+
+def monomial_vev_chords_oracle(weight, key):
+    """<y_{k1} ... y_{k_2m}>_0 as the literal sum of beta_c over all chord
+    diagrams, with the inverse form of ``weight``."""
+    if len(key) % 2:
+        return Fraction(0)
+    pars = [weight.space.parities[i] for i in key]
+    return sum((beta_contract_indices(pars, key, chord, weight.inverse.rows)
+                for chord in chord_diagrams(len(key) // 2)), Fraction(0))
+
+
+def wick_map_oracle(chain):
+    """I(chain) from every chord diagram of every word, zero or not: each adds
+    coeff * beta_c times its graph, canonicalised with its sign."""
+    inv = chain.symp.form.inverse().rows
+    pars = chain.symp.space.parities
+    out = GraphChain()
+    for word, coeff in chain.terms.items():
+        factors = [i for key in word for i in key]
+        if len(factors) % 2:
+            continue
+        sizes = [len(key) for key in word]
+        for chord in chord_diagrams(len(factors) // 2):
+            val = beta_contract_indices([pars[i] for i in factors], factors,
+                                        chord, inv)
+            if val == 0:
+                continue
+            rep, sign = canonicalize_directed(*graph_from_chord(sizes, chord))
+            if sign:
+                out.add(rep, coeff * val * sign)
+    return out
+
+
+def canonical_laplacian_oracle(symp, a):
+    """sum_i d/dx_i d/dxi_i, valid on the canonical U_{n|n} only."""
+    n = len(symp.space) // 2
+    return SuperPolynomial.sum(
+        symp.space, (a.deriv_left(n + i).deriv_left(i) for i in range(n)))
+
+
+class SplitWeight:
+    """Weight in split-diagonal shape: diagonal even block, odd standard pairs."""
+
+    def __init__(self, weight):
+        self.weight = weight
+        space = weight.space
+        rows = weight.form.rows
+        n = len(space)
+        evens = [i for i in range(n) if space.parities[i] == EVEN]
+        odds = [i for i in range(n) if space.parities[i] == ODD]
+        for i in evens:
+            for j in evens:
+                if i != j and rows[i][j] != 0:
+                    raise ValueError("even block is not diagonal")
+            if rows[i][i] == 0:
+                raise ValueError("degenerate even entry")
+        pairs = []
+        used = set()
+        for a in odds:
+            if a in used:
+                continue
+            partners = [b for b in odds if b not in used and b != a and rows[a][b] != 0]
+            if len(partners) != 1:
+                raise ValueError("odd block is not in standard pairs")
+            b = partners[0]
+            used.update((a, b))
+            pairs.append((a, b) if a < b else (b, a))
+        self.evens = evens
+        self.pairs = pairs
+        self.block_of = {}
+        for r, i in enumerate(evens):
+            self.block_of[i] = ("even", r)
+        for r, (a, b) in enumerate(pairs):
+            self.block_of[a] = ("odd", r)
+            self.block_of[b] = ("odd", r)
+        self.pair_vevs = [self._pair_vev_table(rows[a][b]) for (a, b) in pairs]
+
+    def _pair_vev_table(self, c):
+        """Literal iterated-integral vevs on one odd pair with sigma = c xi xi'."""
+        sp = SuperSpace(("u", "v"), (ODD, ODD))
+        u = SuperPolynomial.variable(sp, 0)
+        v = SuperPolynomial.variable(sp, 1)
+        expw = SuperPolynomial.scalar(sp, 1) - c * (u * v)  # e^{-c u v}
+        denom = berezin_integrate(expw, (0, 1)).terms.get((), Fraction(0))
+        if denom == 0:
+            raise ValueError("degenerate odd pair")
+        table = {}
+        for mono in ((), (0,), (1,), (0, 1)):
+            num = berezin_integrate(SuperPolynomial.monomial(sp, mono, 1) * expw, (0, 1))
+            table[mono] = num.terms.get((), Fraction(0)) / denom
+        return table
+
+    def monomial_vev(self, key):
+        space = self.weight.space
+        pars = [space.parities[i] for i in key]
+        # stable-group the factors block by block, tracking the Koszul sign
+        tagged = sorted(range(len(key)),
+                        key=lambda p: (self.block_of[key[p]], key[p]))
+        sign = koszul_sign(tagged, pars)
+        value = Fraction(sign)
+        groups = {}
+        for p in tagged:
+            groups.setdefault(self.block_of[key[p]], []).append(key[p])
+        for (kind, r), vars_ in groups.items():
+            if kind == "even":
+                i = self.evens[r]
+                deg = len(vars_)
+                if deg % 2:
+                    return Fraction(0)
+                eps = self.weight.form.rows[i][i]
+                value *= Fraction(double_factorial(deg - 1)) / (eps ** (deg // 2))
+            else:
+                a, b = self.pairs[r]
+                mono = tuple(0 if v == a else 1 for v in vars_)
+                if len(set(vars_)) != len(vars_):
+                    return Fraction(0)
+                value *= self.pair_vevs[r][tuple(sorted(mono))]
+            if value == 0:
+                return value
+        return value
+
+    def expectation(self, f):
+        total = Fraction(0)
+        for key, val in f.terms.items():
+            total += val * self.monomial_vev(key)
+        return total
+
+
+def berezin_oracle(f, weight):
+    """Moment/Berezin value of <f>_0; requires a split-diagonal weight."""
+    return SplitWeight(weight).expectation(f)

@@ -14,7 +14,7 @@ from bvgraph.frobenius import (FrobeniusAlgebra, find_gauges, g3, g3_gauge, k2,
 from bvgraph.ce import CEChain, ce_differential, osp_action
 from bvgraph.graphs import (CanonicalGraph, GraphChain, boundary, cycle_space,
                             enumerate_graphs, theta_graph)
-from bvgraph.wick import beta_contract_indices, chord_diagrams
+from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, psi_of_word,
                           s_functional, shuffle_sign, verify_cocycle_chains,
@@ -24,7 +24,10 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
 from bvgraph import sampling
-from oracles import feynman_value_oracle, restricted_word_oracle
+from oracles import (beta_contract_indices, connected_components,
+                     feynman_product_oracle,
+                     feynman_value_oracle, restricted_word_oracle,
+                     wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -387,13 +390,37 @@ def test_feynman_vanishes_on_cycles_at_a_gauge_with_interactions():
 
 def test_so3_fixture_gives_nonzero_amplitudes():
     # the reduced so(3) algebra has no unit, so the vanishing theorem does not
-    # apply: F(theta) = 6 and F is nonzero on the cycle_space bases
+    # apply: F(theta) = 6 and F is nonzero on the cycle_space bases, up to
+    # the 6 cycles of loop order 5
     model = TensorModel(so3_reduced(), V20)
     gm = GaugeModel(model, find_gauges(model.alg)[0][0])
     assert feynman_value(model, gm, theta_graph()) == 6
-    for (v, e), values in (((2, 3), [6]), ((4, 6), [36, -42])):
+    for (v, e), values in (((2, 3), [6]), ((4, 6), [36, -42]),
+                           ((6, 9), [216, -252, 138]),
+                           ((8, 12), [1296, -1512, 828, 1764, -4824, -1582])):
         _, cycles = cycle_space(v, e)
         assert [feynman_on_chain(model, gm, z) for z in cycles] == values
+
+
+def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
+    # F of a disconnected graph is the product of F on its components, up to
+    # the signs of presenting the components as consecutive vertex blocks
+    model = TensorModel(so3_reduced(), V20)
+    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+
+    def value(g):
+        return feynman_value(model, gm, g)
+
+    disconnected = nonzero = 0
+    for v, e in ((4, 6), (6, 9), (8, 12)):
+        for g in enumerate_graphs(v, e):
+            if len(connected_components(g)) == 1:
+                continue
+            product = feynman_product_oracle(value, g)
+            assert value(g) == product, g
+            disconnected += 1
+            nonzero += product != 0
+    assert (disconnected, nonzero) == (14, 14)
 
 
 def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
@@ -618,6 +645,38 @@ def test_wick_map_diagram_census_on_cubic_wedge():
         else:
             cross += 1
     assert (cross, loops) == (6, 9)
+
+
+# The wedges of the graph_complex benchmark pool's chain-map checks, and the
+# (4,5,5) wedge p^3q ^ p^4q ^ q^5, whose image under I is nonzero.
+KONTSEVICH_WEDGES = (
+    (V20, ((0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1))),
+    (V20, ((0, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 0))),
+    (V21, ((0, 0, 1, 2), (1, 1, 1, 1), (0, 1, 1, 2))),
+    (V21, ((0, 0, 0, 2), (0, 1, 1, 1), (0, 0, 0, 1))),
+    (V20, ((0, 0, 0, 1), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1))),
+)
+
+
+def test_wick_map_matches_the_all_diagram_oracle():
+    # wick_map visits only the chord diagrams with beta_c != 0; the oracle
+    # contracts all of them.  The images agree term by term and in key order
+    # on the commute and Kontsevich wedges and their delta (p^3 ^ q^3, the
+    # so(3) wedge, is the first commute wedge).  Over V_{2|0} and V_{2|1}
+    # every live chord sign is +1, so two wedges over V_{2|2}, whose live
+    # chords cross the odd factors x1, x2, pin the sign.
+    v22 = SymplecticSpace.canonical_even(1, 2)
+    odd_cases = ((v22, ((1, 2, 3), (0, 2, 3))),
+                 (v22, ((0, 1, 2, 3), (0, 2, 3), (0, 1, 1))))
+    nonzero = 0
+    for v, keys in COMMUTE_WEDGES + KONTSEVICH_WEDGES + odd_cases:
+        chain = wedge(v, keys)
+        for c in (chain, ce_differential(chain)):
+            img = wick_map(c)
+            assert list(img.terms.items()) == \
+                list(wick_map_oracle(c).terms.items()), keys
+            nonzero += not img.is_zero()
+    assert nonzero >= 5
 
 
 def test_kontsevich_chain_map():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,25 @@ def test_canonicalize_constant_on_random_relabelings(case):
     assert moved_rep == rep
 
 
+@st.composite
+def loopless_multigraphs(draw):
+    nv = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=10)) if nv > 1 else []
+    return nv, tuple(edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loopless_multigraphs())
+def test_every_prefix_of_a_canonical_code_is_canonical(case):
+    # the lemma behind the orderly cut of enumerate_graphs
+    nv, edges = case
+    code = canonicalize_directed(nv, edges)[0].edges
+    for m in range(len(code) + 1):
+        assert canonicalize_directed(nv, code[:m])[0].edges == code[:m]
+
+
 def test_canonicalize_disconnected_minimum_at_a_low_degree_vertex():
     # the minimal code labels a degree-3 theta vertex 0, not a degree-4 one,
     # so a search that tries highest degree first misses it
@@ -80,6 +100,29 @@ def test_canonicalize_disconnected_minimum_at_a_low_degree_vertex():
 def test_enumerate_graphs_matches_oracle(v, es):
     for e in es:
         assert enumerate_graphs(v, e) == enumerate_graphs_oracle(v, e), (v, e)
+
+
+@pytest.mark.parametrize("v, e, count, digest", [
+    (6, 10, 15, "2c9087d815cd84145747e0c97418fe5132ff8d8b2c684afef6c6bae828bf5fc7"),
+    (7, 11, 25, "a4174df812c01d956fada54c556353fdb87bd0fce141cd3c07732baf78865eff"),
+    (8, 12, 24, "f2e5e661a0d6b32cdb4ebca19e263641db8b987f31e0204072a7a8d0597982c9"),
+], ids=["v6e10", "v7e11", "v8e12"])
+def test_enumerate_graphs_at_loop_order_5(v, e, count, digest):
+    # pinned from the exhaustive enumerator that canonicalised every
+    # valence >= 3 multiset (over 100 s at (8,12)): the graph count and the
+    # sha256 of the sorted ids
+    ids = sorted(g.graph_id() for g in enumerate_graphs(v, e))
+    assert len(ids) == count
+    assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("v, e, n_cycles", [(7, 11, 18), (8, 12, 6)],
+                         ids=["v7e11", "v8e12"])
+def test_cycle_space_at_loop_order_5(v, e, n_cycles):
+    basis, chains = cycle_space(v, e)
+    assert len(chains) == n_cycles
+    for z in chains:
+        assert boundary(z).is_zero()
 
 
 @pytest.mark.parametrize("v, e", [(5, 9), (6, 9)])

@@ -2,12 +2,15 @@
 
 No module imports a name it never uses, and no module sums polynomials by
 folding ``x = x + ...``: every accumulation goes through
-``SuperPolynomial.sum``.
+``SuperPolynomial.sum``.  The library holds the engine and ``tests/`` the
+oracles: no package name ends in ``_oracle``, and no module imports from the
+tests.
 """
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bvgraph"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "bvgraph"
 
 
 def unused_imports(path):
@@ -64,4 +67,36 @@ def test_self_folds_are_detected():
 def test_no_polynomial_folds():
     hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in self_folds(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def oracle_names(source, name=""):
+    """Functions, classes and methods whose name ends in ``_oracle``."""
+    return [f"{name}:{node.lineno} {node.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.endswith("_oracle")]
+
+
+def test_oracles_live_in_the_tests():
+    assert oracle_names("class W:\n    def berezin_oracle(self): pass\n") == \
+        [":2 berezin_oracle"]
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in oracle_names(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def test_library_never_imports_the_tests():
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {n}" for n in names
+                     if n.split(".")[0] in test_modules]
+    assert "oracles" in test_modules
     assert hits == []

@@ -6,11 +6,12 @@ import pytest
 from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField
 from bvgraph.symplectic import BilinearForm, SymplecticSpace, canonical_lagrangian
-from bvgraph.wick import (QuadraticWeight, SplitWeight, berezin_change_of_variables,
-                          berezin_integrate, berezin_oracle, beta_contract,
+from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
                           bv_stokes_value, chord_diagrams, double_factorial,
-                          gaussian_stokes_even, right_deriv)
+                          gaussian_stokes_even, live_chords, right_deriv)
 from bvgraph import sampling
+from oracles import (SplitWeight, berezin_oracle, beta_contract,
+                     beta_contract_indices, monomial_vev_chords_oracle)
 
 
 def unit_weight_1d():
@@ -25,6 +26,29 @@ def test_chord_counts():
     for k in range(5):
         assert len(chord_diagrams(k)) == double_factorial(2 * k - 1)
         assert len(set(chord_diagrams(k))) == len(chord_diagrams(k))
+
+
+def test_live_chords_are_the_nonzero_diagrams_in_order():
+    # a sparse matrix over mixed parities: live_chords lists exactly the
+    # diagrams with beta_c != 0, with their beta_c, in chord_diagrams order
+    rng = random.Random(6)
+    n = 5
+    parities = [EVEN, EVEN, ODD, ODD, ODD]
+    live = total = 0
+    for _ in range(20):
+        matrix = [[sampling.rational(rng) if rng.random() < 0.6 else 0
+                   for _ in range(n)] for _ in range(n)]
+        k = rng.choice((1, 2, 3, 4))
+        idxs = [rng.randrange(n) for _ in range(2 * k)]
+        pars = [parities[i] for i in idxs]
+        expected = [(c, beta_contract_indices(pars, idxs, c, matrix))
+                    for c in chord_diagrams(k)]
+        assert list(live_chords(pars, idxs, matrix)) == \
+            [(c, val) for c, val in expected if val]
+        live += sum(1 for _, val in expected if val)
+        total += len(expected)
+    assert 0 < live < total
+    assert list(live_chords([EVEN], [0], [[1]])) == []
 
 
 def test_beta_contract_simple():
@@ -88,7 +112,7 @@ def test_expectation_matches_literal_chord_sum():
             key = tuple(sorted(rng.choices(range(2), k=rng.choice((2, 4))))) \
                 + tuple(i for i in (2, 3) if rng.random() < 0.5)
             key = tuple(sorted(key))
-            assert wt.monomial_vev(key) == wt.monomial_vev_chords(key)
+            assert wt.monomial_vev(key) == monomial_vev_chords_oracle(wt, key)
 
 
 def test_expectation_odd_parity_vanishes():
