@@ -122,7 +122,18 @@ def canonicalize_directed(nv: int, edges) -> tuple:
       vertex with the most edges to vertex i*.  Giving it to one with fewer
       puts (i*, j > k) where this puts (i*, k), after an equal prefix.  When
       no block is open (label 0, or a new component) every unlabelled vertex
-      is tried.
+      with an edge is tried, and of the unlabelled isolated vertices only the
+      one of least index.
+    - Isolated vertices: a vertex with no edge is never a candidate while a
+      block is open, and any permutation of the isolated vertices is an
+      automorphism: it changes no edge.  So a minimal relabeling composed
+      with the permutation that puts its isolated vertices in index order is
+      again minimal, and the full search reaches it along a path on which
+      each isolated vertex is the least unlabelled one when it is labelled;
+      the cut search keeps that path, so it finds the same minimum.  It drops
+      the other orders of the isolated vertices, and with them the signs they
+      carry: with two or more isolated vertices their transposition is an
+      automorphism of sign -1 (odd parity, no edge flipped), so the sign is 0.
     """
     edges = tuple(edges)
     if any(a == b for a, b in edges):
@@ -147,6 +158,7 @@ def _minimal_code(nv: int, edges) -> tuple:
         mult[a][b] += 1
         mult[b][a] += 1
     nbrs = [[w for w in range(nv) if row[w]] for row in mult]
+    isolated = [w for w in range(nv) if not nbrs[w]]
     open_half = [sum(row) for row in mult]  # half-edges to unlabelled vertices
     label = [-1] * nv
     order = []   # order[i] is the vertex labelled i
@@ -174,7 +186,9 @@ def _minimal_code(nv: int, edges) -> tuple:
             most = max(row[w] for w in free)
             candidates = [w for w in free if row[w] == most]
         else:
-            candidates = [w for w in range(nv) if label[w] < 0]
+            lone = next((w for w in isolated if label[w] < 0), -1)
+            candidates = [w for w in range(nv)
+                          if label[w] < 0 and (nbrs[w] or w == lone)]
         for w in candidates:
             mark = len(prefix)
             label[w] = k
@@ -199,6 +213,8 @@ def _minimal_code(nv: int, edges) -> tuple:
             label[w] = -1
 
     search(0)
+    if len(isolated) > 1:
+        return tuple(best), 0
     return tuple(best), (signs.pop() if len(signs) == 1 else 0)
 
 

@@ -1,8 +1,14 @@
 """Constant symplectic structures, Hamiltonian fields, brackets, odd Laplacian.
 
-All brackets and the Laplacian run through the generic machinery (solve
-i_alpha(omega) = da, then Lie/divergence); canonical-coordinate formulas exist
-only as independent test oracles.
+The form algebra sets the structure up: omega is a constant 2-form, and
+Upsilon and the contraction matrix Phi (i_{d/dy_u} omega = sum_v Phi[v][u]
+dy_v) are read from it once.  The operators then work on the monomials of a
+function directly: the coefficients c_v of da = sum_v c_v dy_v are signed left
+derivatives, the Hamiltonian field is Phi^{-1} applied to them, and the odd
+Laplacian is the second-order operator 1/2 sum Phi^{-1}[u][v] d_u d_v with
+signs.  Brackets are Hamiltonian fields applied to functions.  The routes
+through 2N-variable forms (solve i_alpha(omega) = da, take the divergence)
+and the canonical-coordinate Laplacian are test oracles.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import EVEN, ODD, SuperSpace
 from .forms import FormContext
-from .superpoly import SuperPolynomial, VectorField, divergence
+from .superpoly import SuperPolynomial, VectorField
 
 
 class BilinearForm:
@@ -183,15 +189,17 @@ class SymplecticSpace:
             ev, od = space.dim()
             if ev != od:
                 raise ValueError("odd symplectic space must have dimension n|n")
-        # Contraction matrix: i_{d/dy_u}(omega) = sum_v M[v][u] dy_v.
+        # Contraction matrix Phi: i_{d/dy_u}(omega) = sum_v Phi[v][u] dy_v.
         n = len(space)
         m = [[Fraction(0)] * n for _ in range(n)]
         for u in range(n):
             lam = self.ctx.contract(VectorField.coordinate(space, u), omega)
             for v, c in enumerate(self.ctx.one_form_coefficients(lam)):
                 m[v][u] = c.terms.get((), Fraction(0))
-        self._m = m
-        self._minv = linalg.inverse(m)
+        minv = linalg.inverse(m)
+        # the nonzero entries (u, Phi^{-1}[u][v]) of each column v
+        self._minv_cols = [[(u, row[v]) for u, row in enumerate(minv) if row[v]]
+                           for v in range(n)]
 
     # -- canonical models -----------------------------------------------------
     @classmethod
@@ -226,14 +234,34 @@ class SymplecticSpace:
 
     # -- Hamiltonian correspondence --------------------------------------------
     def hamiltonian_field(self, a: SuperPolynomial) -> VectorField:
-        """Phi^{-1}(da): the field alpha with i_alpha(omega) = da."""
+        """Phi^{-1}(da): the field alpha with i_alpha(omega) = da.
+
+        alpha(y_u) = sum_v Phi^{-1}[u][v] c_v, where da = sum_v c_v dy_v with
+        the coefficients on the left.  For a monomial m,
+
+            c_v = (-1)^{(1 + p_v)|m|} d^L_v m,
+
+        d^L_v the left derivative (for an even v it carries the multiplicity).
+        This is exact: d is the odd derivation with d(y_v) = dy_v, so the
+        occurrence of y_v after a prefix P of m gives (-1)^{|P|} P dy_v S, and
+        moving dy_v (parity p_v + 1) to the right past the suffix S costs
+        (-1)^{(p_v + 1)|S|}.  The product of the two signs is (-1)^{|P|} =
+        the sign of d^L_v for an odd v, and (-1)^{|P| + |S|} = (-1)^{|m|} for
+        an even v.  It is the same da as FormContext.d gives, read off without
+        building the 2N-variable form.
+        """
         if a.space != self.space:
             raise ValueError("Hamiltonian not on this space")
-        da = self.ctx.d(self.ctx.inject(a))
-        coeffs = self.ctx.one_form_coefficients(da)
-        imgs = [SuperPolynomial.sum(self.space, (
-            coeffs[v] * c for v, c in enumerate(row) if c)) for row in self._minv]
-        return VectorField(self.space, imgs)
+        pars = self.space.parities
+        cols = self._minv_cols
+        imgs = [{} for _ in pars]
+        for key, val in a.terms.items():
+            for v, rest, f in _gradient(pars, key):
+                c = f * val
+                for u, x in cols[v]:
+                    img = imgs[u]
+                    img[rest] = img[rest] + x * c if rest in img else x * c
+        return VectorField(self.space, [SuperPolynomial(self.space, t) for t in imgs])
 
     def hamiltonian_of(self, eta: VectorField) -> SuperPolynomial:
         """Inverse direction: the Hamiltonian of a symplectic field (up to constants)."""
@@ -259,10 +287,60 @@ class SymplecticSpace:
         return self.hamiltonian_field(a)(b)
 
     def odd_laplacian(self, a: SuperPolynomial) -> SuperPolynomial:
-        """Delta(a) = 1/2 nabla(Phi^{-1} da)."""
+        """Delta(a) = 1/2 nabla(Phi^{-1} da), as a second-order operator.
+
+        On a monomial m, with c_v its gradient coefficients
+        (``hamiltonian_field``),
+
+            Delta(m) = 1/2 sum_{u,v} (-1)^{p_u |m|} Phi^{-1}[u][v] d^L_u c_v.
+
+        This is exact: alpha = Phi^{-1}(dm) has parity |m| + 1, since
+        Phi^{-1}[u][v] is 0 unless p_u + p_v is odd, and the divergence
+        nabla(alpha) = sum_u (-1)^{p_u + p_u |alpha|} d^L_u alpha(y_u) gives
+        the sign (-1)^{p_u |m|}.  Summing monomial by monomial makes it exact
+        on inhomogeneous a too, where the divergence splits the field by
+        parity.  Only the u of column v of Phi^{-1} that occur in a term of
+        c_v contribute.
+        """
         if self.parity != ODD:
             raise ValueError("the odd Laplacian needs an odd symplectic form")
-        return divergence(self.hamiltonian_field(a)) / 2
+        if a.space != self.space:
+            raise ValueError("polynomial not on this space")
+        pars = self.space.parities
+        cols = self._minv_cols
+        out = {}
+        for key, val in a.terms.items():
+            s = sum(pars[i] for i in key) % 2
+            for v, rest, f in _gradient(pars, key):
+                for u, x in cols[v]:
+                    if u in rest:
+                        term, g = _left_partial(pars, rest, u)
+                        t = (-g if s and pars[u] else g) * f * x * val
+                        out[term] = out[term] + t if term in out else t
+        return SuperPolynomial(self.space, {term: t / 2 for term, t in out.items()})
+
+
+def _gradient(pars, key):
+    """(v, rest, f) for each v in the canonical monomial m = y_key, where
+    c_v = f * y_rest in dm = sum_v c_v dy_v; see ``hamiltonian_field``."""
+    s = sum(pars[i] for i in key) % 2
+    for v in set(key):
+        rest, f = _left_partial(pars, key, v)
+        yield v, rest, -f if s and not pars[v] else f
+
+
+def _left_partial(pars, key, v):
+    """(rest, f) with d^L_v y_key = f * y_rest, for v in the canonical monomial key.
+
+    f is the multiplicity of y_v for an even v, and (-1)^{|P|} for an odd v
+    (which occurs once), P the prefix of key before it.
+    """
+    pos = key.index(v)
+    if pars[v]:
+        f = -1 if sum(pars[i] for i in key[:pos]) % 2 else 1
+    else:
+        f = key.count(v)
+    return key[:pos] + key[pos + 1:], f
 
 
 class LagrangianSubspace:

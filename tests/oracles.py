@@ -12,6 +12,9 @@ A (x) V and restricts the product to the gauge only then.
 ``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
 ``berezin_oracle`` integrates split-diagonal weights block by block, and
 ``canonical_laplacian_oracle`` is the coordinate odd Laplacian of U_{n|n}.
+``hamiltonian_field_form_oracle`` solves i_alpha(omega) = da in the form
+algebra on the 2N variables {y, dy}, with its own contraction matrix, and
+``odd_laplacian_form_oracle`` is 1/2 nabla of that field.
 ``feynman_product_oracle`` evaluates F on a disjoint union from F on its
 connected components.
 """
@@ -19,10 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
+from bvgraph import linalg
 from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word
 from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, perm_parity
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
-from bvgraph.superpoly import SuperPolynomial
+from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.wick import berezin_integrate, chord_diagrams, double_factorial
 
 
@@ -257,6 +261,32 @@ def canonical_laplacian_oracle(symp, a):
     n = len(symp.space) // 2
     return SuperPolynomial.sum(
         symp.space, (a.deriv_left(n + i).deriv_left(i) for i in range(n)))
+
+
+def hamiltonian_field_form_oracle(symp, a):
+    """Phi^{-1}(da), with da = FormContext.d(a) read off by one_form_coefficients.
+
+    Phi is rebuilt here from the contractions i_{d/dy_u}(omega), not read
+    from the space.
+    """
+    ctx, space = symp.ctx, symp.space
+    n = len(space)
+    phi = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        lam = ctx.contract(VectorField.coordinate(space, u), symp.omega)
+        for v, c in enumerate(ctx.one_form_coefficients(lam)):
+            phi[v][u] = c.terms.get((), Fraction(0))
+    coeffs = ctx.one_form_coefficients(ctx.d(ctx.inject(a)))
+    return VectorField(space, [SuperPolynomial.sum(space, (
+        coeffs[v] * c for v, c in enumerate(row) if c))
+        for row in linalg.inverse(phi)])
+
+
+def odd_laplacian_form_oracle(symp, a):
+    """Delta(a) = 1/2 nabla(Phi^{-1} da) through the form algebra."""
+    if symp.parity != ODD:
+        raise ValueError("the odd Laplacian needs an odd symplectic form")
+    return divergence(hamiltonian_field_form_oracle(symp, a)) / 2
 
 
 class SplitWeight:

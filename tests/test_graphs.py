@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,21 @@ def test_canonicalize_disconnected_minimum_at_a_low_degree_vertex():
     assert rep.edges[:3] == ((0, 1),) * 3 and sign != 0
 
 
+def test_canonicalize_matches_oracle_with_isolated_vertices():
+    # every loopless multigraph on 5 vertices with at most 4 edges, so that
+    # 0 to 5 vertices are isolated
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    signed = {0: 0, 1: 0}
+    for e in range(5):
+        for edges in combinations_with_replacement(pairs, e):
+            rep, sign = canonicalize_directed(5, edges)
+            assert (rep, sign) == canonicalize_oracle(5, edges), edges
+            n_isolated = 5 - len({v for edge in edges for v in edge})
+            if n_isolated < 2 and sign:
+                signed[n_isolated] += 1
+    assert signed[0] and signed[1]
+
+
 @pytest.mark.parametrize("v, es", [(v, range(10)) for v in range(1, 6)] + [(6, [9])],
                          ids=[f"v{v}" for v in range(1, 6)] + ["v6e9"])
 def test_enumerate_graphs_matches_oracle(v, es):
@@ -106,7 +122,8 @@ def test_enumerate_graphs_matches_oracle(v, es):
     (6, 10, 15, "2c9087d815cd84145747e0c97418fe5132ff8d8b2c684afef6c6bae828bf5fc7"),
     (7, 11, 25, "a4174df812c01d956fada54c556353fdb87bd0fce141cd3c07732baf78865eff"),
     (8, 12, 24, "f2e5e661a0d6b32cdb4ebca19e263641db8b987f31e0204072a7a8d0597982c9"),
-], ids=["v6e10", "v7e11", "v8e12"])
+    (10, 15, 86, "0845145f8b5f96604e93a5a94a52e4323e91c318988f7ccef9e8262232ce9632"),
+], ids=["v6e10", "v7e11", "v8e12", "v10e15"])
 def test_enumerate_graphs_at_loop_order_5(v, e, count, digest):
     # pinned from the exhaustive enumerator that canonicalised every
     # valence >= 3 multiset (over 100 s at (8,12)): the graph count and the

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
@@ -11,8 +12,11 @@ from bvgraph.symplectic import (BilinearForm, SymplecticSpace,
                                 i2_of_quadratic, pi2_of_form,
                                 lagrangian_from_generating_function,
                                 restrict_polynomial, upsilon, upsilon_inverse)
+from bvgraph.frobenius import g3, k2, so3_reduced
+from bvgraph.dual import TensorModel, psi_of_word
 from bvgraph import sampling
-from oracles import canonical_laplacian_oracle
+from oracles import (canonical_laplacian_oracle, hamiltonian_field_form_oracle,
+                     odd_laplacian_form_oracle)
 
 
 def test_upsilon_on_dp_dq():
@@ -271,6 +275,93 @@ def test_bv_identities_exhaustive_deg4_u22():
                   + u.antibracket(u.odd_laplacian(a), b)
                   + sa * u.antibracket(a, u.odd_laplacian(b)))
             assert br.is_zero()
+
+
+# -- the direct operators against the form route -----------------------------
+
+def _matches_form_route(symp, a):
+    """Assert that the Hamiltonian field of a, and on an odd space its
+    Laplacian, equal the form oracles; return whether the value compared last
+    is nonzero."""
+    field = symp.hamiltonian_field(a)
+    oracle = hamiltonian_field_form_oracle(symp, a)
+    assert field.images == oracle.images
+    assert field.parity == oracle.parity
+    if symp.parity == EVEN:
+        return not field.is_zero()
+    lap = symp.odd_laplacian(a)
+    assert lap == odd_laplacian_form_oracle(symp, a)
+    return not lap.is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operators_match_form_route_on_canonical_odd(n):
+    rng = random.Random(20 + n)
+    u = SymplecticSpace.canonical_odd(n)
+    polys = [SuperPolynomial.monomial(u.space, key, 1)
+             for d in range(4) for key in sampling.monomial_keys(u.space, d)]
+    polys += [sampling.polynomial(rng, u.space, 4, terms=5) for _ in range(20)]
+    nonzero = sum(_matches_form_route(u, a) for a in polys)
+    assert 3 * nonzero >= len(polys)
+
+
+K2_V21 = TensorModel(k2(), SymplecticSpace.canonical_even(1, 1)).symp
+ODD_SPACES = (SymplecticSpace.canonical_odd(2), K2_V21)
+
+
+@st.composite
+def odd_space_polynomials(draw):
+    """(odd symplectic space, inhomogeneous polynomial of degree <= 4)."""
+    symp = draw(st.sampled_from(ODD_SPACES))
+    keys = [key for d in range(5) for key in sampling.monomial_keys(symp.space, d)]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    terms = draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=6))
+    return symp, SuperPolynomial(symp.space, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_space_polynomials())
+def test_operators_match_form_route_on_random_polynomials(case):
+    # K2 (x) V_{2|1} carries an odd form that is not in canonical coordinates
+    symp, a = case
+    _matches_form_route(symp, a)
+    assert symp.odd_laplacian(symp.odd_laplacian(a)).is_zero()
+
+
+def test_operators_match_form_route_on_psi_words_and_sigma():
+    rng = random.Random(12)
+    nonzero = compared = 0
+    for alg in (k2(), g3(), so3_reduced()):
+        for v in (SymplecticSpace.canonical_even(1, 0), SymplecticSpace.canonical_even(1, 1)):
+            model = TensorModel(alg, v)
+            quadratic = sampling.monomial_keys(v.space, 2)
+            cubic = sampling.monomial_keys(v.space, 3)
+            words = [(rng.choice(quadratic), rng.choice(cubic)) for _ in range(3)]
+            words += [tuple(rng.sample(cubic, 2)) for _ in range(3)]
+            polys = [psi_of_word(model, word) for word in words] + [model.sigma]
+            nonzero += sum(_matches_form_route(model.symp, a) for a in polys)
+            compared += len(polys)
+    assert 3 * nonzero >= compared
+
+
+def test_poisson_fields_match_form_route_on_v21():
+    rng = random.Random(13)
+    v = SymplecticSpace.canonical_even(1, 1)
+    nonzero = compared = 0
+    for _ in range(15):
+        a = sampling.polynomial(rng, v.space, 4, terms=4)
+        b = sampling.polynomial(rng, v.space, 4, terms=4)
+        parts = [part for part in a.parity_components() if not part.is_zero()]
+        for part in parts:
+            nonzero += _matches_form_route(v, part)
+            compared += 1
+        oracle = SuperPolynomial.sum(v.space, (
+            (-1 if part.parity() else 1) * hamiltonian_field_form_oracle(v, part)(b)
+            for part in parts))
+        assert v.poisson(a, b) == oracle
+        nonzero += not oracle.is_zero()
+        compared += 1
+    assert 3 * nonzero >= compared
 
 
 def test_lagrangian_from_zero_phi_is_canonical():
