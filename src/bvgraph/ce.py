@@ -74,6 +74,8 @@ class CEChain:
         return out
 
     def add(self, other: "CEChain") -> "CEChain":
+        if other.symp.space != self.symp.space:
+            raise ValueError("chains over different symplectic spaces")
         out = CEChain(self.symp, dict(self.terms))
         for w, c in other.terms.items():
             out._accumulate(w, c)

@@ -6,6 +6,7 @@ keystone that pins every remaining sign convention end to end.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .graded import EVEN, ODD, SuperSpace, tensor_space
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
@@ -15,8 +16,9 @@ from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
 from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
                         vertex_tensor)
 from .wick import QuadraticWeight, chord_sign, live_chords
-from .graphs import CanonicalGraph, GraphChain, canonicalize_directed
-from .ce import CEChain, monomial_parity
+from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
+                     canonicalize_directed, cycle_space, enumerate_graphs)
+from .ce import CEChain, ce_differential, monomial_parity, osp_action
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +35,7 @@ class TensorModel:
         self.space = tensor_space(alg.space, v.space)
         self.nv = len(v.space)
         form = alg.pairing.tensor_with(v.form, space=self.space)
-        self.symp = SymplecticSpace.from_bilinear(form)
+        self.symp = SymplecticSpace(form)
         self._mu_cache = {}
         self._psi_cache = {}
         self.sigma = self._sigma_tilde()
@@ -114,7 +116,6 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
     """(m_n (x) zeta) o shuffle on S^n(A (x) V); needs no symplectic data."""
     if zeta.space != vspace:
         raise ValueError("map must live on V")
-    from itertools import product
     target = target or tensor_space(alg.space, vspace)
     na = len(alg.space)
     nv = len(vspace)
@@ -307,7 +308,6 @@ def feynman_value(model: TensorModel, gm: GaugeModel,
 
 
 def feynman_cochain(model: TensorModel, gm: GaugeModel, v: int, e: int) -> dict:
-    from .graphs import enumerate_graphs
     return {g: feynman_value(model, gm, g) for g in enumerate_graphs(v, e)}
 
 
@@ -335,7 +335,7 @@ def wick_map(chain: CEChain) -> GraphChain:
     the order of ``chord_diagrams``, so even its key order is unchanged.
     """
     symp = chain.symp
-    inv = symp.form.inverse().rows
+    inv = symp.inverse.rows
     out = GraphChain()
     for word, coeff in chain.terms.items():
         factors = [i for key in word for i in key]
@@ -392,7 +392,6 @@ def verify_commute(model: TensorModel, gm: GaugeModel, chain: CEChain) -> dict:
 
 def verify_cocycle_graphs(model: TensorModel, gm: GaugeModel, v: int,
                           e: int) -> dict:
-    from .graphs import boundary_of_graph, enumerate_graphs
     wit = []
     for g in enumerate_graphs(v, e):
         val = feynman_on_chain(model, gm, boundary_of_graph(g))
@@ -403,7 +402,6 @@ def verify_cocycle_graphs(model: TensorModel, gm: GaugeModel, v: int,
 
 
 def verify_cocycle_chains(model: TensorModel, gm: GaugeModel, chains) -> dict:
-    from .ce import ce_differential
     chains = list(chains)
     wit = []
     for chain in chains:
@@ -416,7 +414,6 @@ def verify_cocycle_chains(model: TensorModel, gm: GaugeModel, chains) -> dict:
 
 def verify_gauge_independence(model: TensorModel, g0: Gauge, g1: Gauge,
                               v: int, e: int) -> dict:
-    from .graphs import cycle_space
     gm0 = GaugeModel(model, g0)
     gm1 = GaugeModel(model, g1)
     _, cycles = cycle_space(v, e)
@@ -431,8 +428,6 @@ def verify_gauge_independence(model: TensorModel, g0: Gauge, g1: Gauge,
 
 
 def verify_kontsevich_chain_map(chain: CEChain) -> dict:
-    from .ce import ce_differential
-    from .graphs import boundary
     lhs = wick_map(ce_differential(chain))
     rhs = boundary(wick_map(chain))
     diff = lhs + rhs.scale(-1)
@@ -444,7 +439,6 @@ def verify_kontsevich_chain_map(chain: CEChain) -> dict:
 
 def verify_osp_invariance(model: TensorModel, gm: GaugeModel,
                           eta: SuperPolynomial, chain: CEChain) -> dict:
-    from .ce import osp_action
     val = s_functional(model, gm, osp_action(eta, chain))
     ok = val == 0
     wit = [] if ok else [{"S_of_action": str(val), "eta": eta.render()}]

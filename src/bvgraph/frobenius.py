@@ -496,18 +496,28 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> FrobeniusAlgebra:
-    """The algebra a JSON record describes; ValueError unless it passes verify_axioms."""
+    """The algebra a JSON record describes; ValueError unless its indices lie in
+    [0, n), its parities in {0, 1} and it passes verify_axioms."""
     basis = data["basis"]
+    if any(b["parity"] not in (EVEN, ODD) for b in basis):
+        raise ValueError("basis parities must be 0 or 1")
     space = SuperSpace([b["name"] for b in basis], [b["parity"] for b in basis])
-    mult = {}
-    for i, j, k, c in data.get("mult", []):
-        mult.setdefault((i, j), {})[k] = Fraction(c)
     n = len(space)
+
+    def entries(field, arity):
+        for entry in data.get(field, []):
+            if not all(isinstance(i, int) and 0 <= i < n for i in entry[:arity]):
+                raise ValueError(f"{field} index out of range in {entry}")
+            yield entry
+
+    mult = {}
+    for i, j, k, c in entries("mult", 3):
+        mult.setdefault((i, j), {})[k] = Fraction(c)
     pairing = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, c in data.get("pairing", []):
+    for i, j, c in entries("pairing", 2):
         pairing[i][j] = Fraction(c)
     diff = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, c in data.get("differential", []):
+    for i, j, c in entries("differential", 2):
         diff[i][j] = Fraction(c)
     alg = FrobeniusAlgebra(space, mult, diff, pairing, name=data.get("name", ""))
     report = verify_axioms(alg)

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from . import linalg
 from .graded import SuperSpace
 from .superpoly import MultilinearMap, SuperPolynomial, VectorField
 from .forms import FormContext
@@ -98,7 +99,6 @@ def vector(rng, space):
 
 def invertible_graded_matrix(rng, space):
     """Random invertible parity-preserving matrix (columns = new basis vectors)."""
-    from . import linalg
     n = len(space)
     while True:
         m = [[Fraction(0)] * n for _ in range(n)]

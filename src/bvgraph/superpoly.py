@@ -38,6 +38,17 @@ def merge_keys(space: SuperSpace, k1, k2):
     return tuple(sorted(k1 + k2)), sign
 
 
+def left_partial(pars, key, v):
+    """(rest, f) with d^L_v y_key = f * y_rest, v in the canonical monomial key: f is
+    the multiplicity of an even v, and (-1)^{|P|} for an odd v after the prefix P."""
+    pos = key.index(v)
+    if pars[v]:
+        f = -1 if sum(pars[i] for i in key[:pos]) % 2 else 1
+    else:
+        f = key.count(v)
+    return key[:pos] + key[pos + 1:], f
+
+
 class SuperPolynomial:
     __slots__ = ("space", "terms")
 
@@ -156,18 +167,9 @@ class SuperPolynomial:
         pars = self.space.parities
         out = {}
         for key, val in self.terms.items():
-            odd_before = 0
-            seen = set()
-            for pos, v in enumerate(key):
-                if v == var and v not in seen:
-                    mult = key.count(v)
-                    rest = key[:pos] + key[pos + 1:]
-                    sign = -1 if (pars[var] and odd_before % 2) else 1
-                    coeff = val * sign * (mult if not pars[var] else 1)
-                    out[rest] = out.get(rest, Fraction(0)) + coeff
-                    seen.add(v)
-                if pars[v]:
-                    odd_before += 1
+            if var in key:
+                rest, f = left_partial(pars, key, var)
+                out[rest] = out[rest] + f * val if rest in out else f * val
         return SuperPolynomial(self.space, out)
 
     def substitute(self, images, target_space: SuperSpace) -> "SuperPolynomial":

@@ -1,23 +1,23 @@
 """Constant symplectic structures, Hamiltonian fields, brackets, odd Laplacian.
 
-The form algebra sets the structure up: omega is a constant 2-form, and
-Upsilon and the contraction matrix Phi (i_{d/dy_u} omega = sum_v Phi[v][u]
-dy_v) are read from it once.  The operators then work on the monomials of a
-function directly: the coefficients c_v of da = sum_v c_v dy_v are signed left
-derivatives, the Hamiltonian field is Phi^{-1} applied to them, and the odd
+A symplectic space is the super-skew matrix b = Upsilon(omega) of its
+constant 2-form omega, and the operators read b and its inverse only.  The
+coefficients c_v of da = sum_v c_v dy_v are signed left derivatives of the
+monomials of a, the Hamiltonian field is Phi^{-1} applied to them, and the odd
 Laplacian is the second-order operator 1/2 sum Phi^{-1}[u][v] d_u d_v with
-signs.  Brackets are Hamiltonian fields applied to functions.  The routes
-through 2N-variable forms (solve i_alpha(omega) = da, take the divergence)
-and the canonical-coordinate Laplacian are test oracles.
+signs; the contraction matrix Phi and its inverse are b and b^{-1} with signs.
+Brackets are Hamiltonian fields applied to functions.  The form algebra on
+the 2N variables {y, dy} serves only the form maps Upsilon, its inverse and
+the duality map; the form routes of the operators are test oracles.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace
+from .graded import EVEN, ODD, SuperSpace, tensor_space
 from .forms import FormContext
-from .superpoly import SuperPolynomial, VectorField
+from .superpoly import SuperPolynomial, VectorField, left_partial, merge_keys
 
 
 class BilinearForm:
@@ -65,9 +65,7 @@ class BilinearForm:
         E = diag((-1)^{p_i * |form|}); for odd symmetric forms the result is
         antisymmetric.
         """
-        if not self.is_nondegenerate():
-            raise ValueError("form is degenerate")
-        binv = linalg.inverse(self.matrix())
+        binv = linalg.inverse(self.matrix())  # ValueError if degenerate
         if self.parity == ODD:
             for i in range(len(binv)):
                 for j in range(len(binv)):
@@ -94,7 +92,6 @@ class BilinearForm:
 
     def tensor_with(self, other: "BilinearForm", space=None) -> "BilinearForm":
         """<a1 (x) w1, a2 (x) w2> = (-1)^{|w1||a2|} <a1,a2> <w1,w2>."""
-        from .graded import tensor_space
         sp = space or tensor_space(self.space, other.space)
         na, nw = len(self.space), len(other.space)
         rows = [[Fraction(0)] * (na * nw) for _ in range(na * nw)]
@@ -173,33 +170,29 @@ def upsilon_inverse(ctx: FormContext, b: BilinearForm) -> SuperPolynomial:
 
 
 class SymplecticSpace:
-    """Superspace with a constant nondegenerate 2-form (even or odd)."""
+    """Superspace with a constant nondegenerate 2-form omega (even or odd).
 
-    def __init__(self, space: SuperSpace, omega: SuperPolynomial):
-        self.space = space
-        self.ctx = FormContext(space)
-        if omega.space != self.ctx.space:
-            raise ValueError("omega must live in the form algebra of the space")
-        self.omega = omega
-        self.form = upsilon(self.ctx, omega)
-        if not self.form.is_nondegenerate():
-            raise ValueError("symplectic form is degenerate")
-        self.parity = self.form.parity
+    The space is its matrix b = Upsilon(omega), a super-skew BilinearForm;
+    b and its inverse, taken once, give every operator.  Phi, with
+    i_{d/dy_u}(omega) = sum_v Phi[v][u] dy_v, is Phi[v][u] = (-1)^{p_u} b[u][v],
+    and Phi^{-1} = (-1)^{1 + |omega|} b^{-1}, b^{-1} the form ``inverse``.
+    """
+
+    def __init__(self, form: BilinearForm):
+        if form.symmetry != "skew":
+            raise ValueError("a symplectic form is super-skew")
+        self.space = form.space
+        self.form = form
+        self.parity = form.parity
         if self.parity == ODD:
-            ev, od = space.dim()
+            ev, od = self.space.dim()
             if ev != od:
                 raise ValueError("odd symplectic space must have dimension n|n")
-        # Contraction matrix Phi: i_{d/dy_u}(omega) = sum_v Phi[v][u] dy_v.
-        n = len(space)
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for u in range(n):
-            lam = self.ctx.contract(VectorField.coordinate(space, u), omega)
-            for v, c in enumerate(self.ctx.one_form_coefficients(lam)):
-                m[v][u] = c.terms.get((), Fraction(0))
-        minv = linalg.inverse(m)
+        self.inverse = form.inverse()
+        sign = 1 if self.parity == ODD else -1
         # the nonzero entries (u, Phi^{-1}[u][v]) of each column v
-        self._minv_cols = [[(u, row[v]) for u, row in enumerate(minv) if row[v]]
-                           for v in range(n)]
+        self._minv_cols = [[(u, sign * row[v]) for u, row in enumerate(self.inverse.rows)
+                            if row[v]] for v in range(len(self.space))]
 
     # -- canonical models -----------------------------------------------------
     @classmethod
@@ -207,30 +200,23 @@ class SymplecticSpace:
         """V_{2n|m} with omega = sum dp_i dq_i + 1/2 sum dx_i dx_i."""
         names = ([f"p{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
                  + [f"x{i+1}" for i in range(m)])
-        parities = [EVEN] * (2 * n) + [ODD] * m
-        space = SuperSpace(names, parities)
-        ctx = FormContext(space)
-        dp, dx = len(space), len(space) + 2 * n
-        terms = [((dp + i, dp + n + i), 1) for i in range(n)]
-        terms += [((dx + j, dx + j), Fraction(1, 2)) for j in range(m)]
-        return cls(space, SuperPolynomial.sum(ctx.space, (
-            SuperPolynomial.monomial(ctx.space, key, c) for key, c in terms)))
+        return cls._canonical(names, [EVEN] * (2 * n) + [ODD] * m, n, EVEN)
 
     @classmethod
     def canonical_odd(cls, n: int) -> "SymplecticSpace":
         """U_{n|n} with omega = sum dx_i dxi_i."""
         names = [f"x{i+1}" for i in range(n)] + [f"xi{i+1}" for i in range(n)]
-        parities = [EVEN] * n + [ODD] * n
-        space = SuperSpace(names, parities)
-        ctx = FormContext(space)
-        return cls(space, SuperPolynomial.sum(ctx.space, (
-            SuperPolynomial.monomial(ctx.space, (2 * n + i, 3 * n + i), 1)
-            for i in range(n))))
+        return cls._canonical(names, [EVEN] * n + [ODD] * n, n, ODD)
 
     @classmethod
-    def from_bilinear(cls, b: BilinearForm) -> "SymplecticSpace":
-        ctx = FormContext(b.space)
-        return cls(b.space, upsilon_inverse(ctx, b))
+    def _canonical(cls, names, parities, n, parity):
+        """b[y_i][y_{n+i}] = 1, b[y_{n+i}][y_i] = -1 (i < n), b[y_j][y_j] = -1 (j >= 2n)."""
+        rows = [[0] * len(names) for _ in names]
+        for i in range(n):
+            rows[i][n + i], rows[n + i][i] = 1, -1
+        for j in range(2 * n, len(names)):
+            rows[j][j] = -1
+        return cls(BilinearForm(SuperSpace(names, parities), rows, parity, "skew"))
 
     # -- Hamiltonian correspondence --------------------------------------------
     def hamiltonian_field(self, a: SuperPolynomial) -> VectorField:
@@ -264,12 +250,36 @@ class SymplecticSpace:
         return VectorField(self.space, [SuperPolynomial(self.space, t) for t in imgs])
 
     def hamiltonian_of(self, eta: VectorField) -> SuperPolynomial:
-        """Inverse direction: the Hamiltonian of a symplectic field (up to constants)."""
-        lam = self.ctx.contract(eta, self.omega)
-        return self.ctx.poincare_integrate(lam)
+        """The Hamiltonian of a symplectic field, with no constant term.
+
+        i_eta(omega) = sum_v c_v dy_v, c_v = sum_u eta(y_u) Phi[v][u], and the
+        Poincare integral maps a term m dy_v to (-1)^{|m|} m y_v / (deg m + 1).
+        It inverts d when i_eta(omega) is closed (eta symplectic); else ValueError.
+        """
+        if eta.space != self.space:
+            raise ValueError("field not on this space")
+        pars = self.space.parities
+        terms = {}
+        for u, row in enumerate(self.form.rows):
+            for v, b in ((v, b) for v, b in enumerate(row) if b):
+                for key, val in eta.images[u].terms.items():
+                    term, sign = merge_keys(self.space, key, (v,))
+                    if term is not None:
+                        sign *= (-1) ** (pars[u] + sum(pars[i] for i in key))
+                        t = sign * b * val / (len(key) + 1)
+                        terms[term] = terms[term] + t if term in terms else t
+        h = SuperPolynomial(self.space, terms)
+        if self.hamiltonian_field(h).images != eta.images:
+            raise ValueError("field is not symplectic")
+        return h
 
     def is_symplectic_field(self, eta: VectorField) -> bool:
-        return self.ctx.lie(eta, self.omega).is_zero()
+        """Whether L_eta(omega) = 0: eta is a field on this space with a Hamiltonian."""
+        try:
+            self.hamiltonian_of(eta)
+        except ValueError:
+            return False
+        return True
 
     # -- brackets ---------------------------------------------------------------
     def poisson(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
@@ -314,7 +324,7 @@ class SymplecticSpace:
             for v, rest, f in _gradient(pars, key):
                 for u, x in cols[v]:
                     if u in rest:
-                        term, g = _left_partial(pars, rest, u)
+                        term, g = left_partial(pars, rest, u)
                         t = (-g if s and pars[u] else g) * f * x * val
                         out[term] = out[term] + t if term in out else t
         return SuperPolynomial(self.space, {term: t / 2 for term, t in out.items()})
@@ -325,22 +335,8 @@ def _gradient(pars, key):
     c_v = f * y_rest in dm = sum_v c_v dy_v; see ``hamiltonian_field``."""
     s = sum(pars[i] for i in key) % 2
     for v in set(key):
-        rest, f = _left_partial(pars, key, v)
+        rest, f = left_partial(pars, key, v)
         yield v, rest, -f if s and not pars[v] else f
-
-
-def _left_partial(pars, key, v):
-    """(rest, f) with d^L_v y_key = f * y_rest, for v in the canonical monomial key.
-
-    f is the multiplicity of y_v for an even v, and (-1)^{|P|} for an odd v
-    (which occurs once), P the prefix of key before it.
-    """
-    pos = key.index(v)
-    if pars[v]:
-        f = -1 if sum(pars[i] for i in key[:pos]) % 2 else 1
-    else:
-        f = key.count(v)
-    return key[:pos] + key[pos + 1:], f
 
 
 class LagrangianSubspace:

@@ -10,8 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graded import EVEN, ODD, SuperSpace, koszul_sign
-from .superpoly import SuperPolynomial, VectorField, divergence
-from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
+from .superpoly import SuperPolynomial, VectorField, divergence, left_partial
+from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
+                         pi2_of_form, restrict_polynomial)
 
 
 def double_factorial(n: int) -> int:
@@ -102,7 +103,6 @@ class QuadraticWeight:
         return cls(space, BilinearForm(space, rows, EVEN, "sym"))
 
     def sigma(self) -> SuperPolynomial:
-        from .symplectic import pi2_of_form
         return pi2_of_form(self.form)
 
     # -- expectation ---------------------------------------------------------
@@ -150,21 +150,16 @@ class QuadraticWeight:
 # Berezin integration
 
 def right_deriv(f: SuperPolynomial, var: int) -> SuperPolynomial:
-    """Right-acting partial derivative (odd integration convention)."""
+    """Right-acting partial derivative (odd integration convention): for an odd
+    var, (-1)^{|m| - 1} times the left one on a monomial m."""
     pars = f.space.parities
     out = {}
     for key, val in f.terms.items():
-        seen = set()
-        for pos in range(len(key) - 1, -1, -1):
-            v = key[pos]
-            if v != var or v in seen:
-                continue
-            seen.add(v)
-            odd_after = sum(1 for w in key[pos + 1:] if pars[w])
-            sign = -1 if (pars[var] and odd_after % 2) else 1
-            mult = key.count(v) if not pars[var] else 1
-            rest = key[:pos] + key[pos + 1:]
-            out[rest] = out.get(rest, Fraction(0)) + val * sign * mult
+        if var in key:
+            rest, c = left_partial(pars, key, var)
+            if pars[var] and not sum(pars[i] for i in key) % 2:
+                c = -c
+            out[rest] = out[rest] + c * val if rest in out else c * val
     return SuperPolynomial(f.space, out)
 
 
@@ -201,7 +196,6 @@ def laplacian_exponential_expansion(q: SuperPolynomial, sigma: SuperPolynomial,
 def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
                     symp: SymplecticSpace, lagrangian) -> Fraction:
     """Normalized integral over the gauge of Delta(q e^{-sigma}); exactly 0."""
-    from .symplectic import restrict_polynomial
     r = laplacian_exponential_expansion(q, sigma, symp)
     sub = lagrangian.subspace()
     sigma_l = restrict_polynomial(sigma, lagrangian.vectors, sub)

@@ -12,9 +12,11 @@ A (x) V and restricts the product to the gauge only then.
 ``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
 ``berezin_oracle`` integrates split-diagonal weights block by block, and
 ``canonical_laplacian_oracle`` is the coordinate odd Laplacian of U_{n|n}.
-``hamiltonian_field_form_oracle`` solves i_alpha(omega) = da in the form
-algebra on the 2N variables {y, dy}, with its own contraction matrix, and
-``odd_laplacian_form_oracle`` is 1/2 nabla of that field.
+``contraction_matrix_oracle`` rebuilds the 2-form omega from the matrix b of
+a symplectic space and reads Phi off its contractions in the form algebra on
+the 2N variables {y, dy}; ``hamiltonian_field_form_oracle`` solves
+i_alpha(omega) = da there, and ``odd_laplacian_form_oracle`` is 1/2 nabla of
+that field.
 ``feynman_product_oracle`` evaluates F on a disjoint union from F on its
 connected components.
 """
@@ -24,9 +26,11 @@ from itertools import combinations_with_replacement, permutations, product
 
 from bvgraph import linalg
 from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word
+from bvgraph.forms import FormContext
 from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, perm_parity
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
+from bvgraph.symplectic import upsilon_inverse
 from bvgraph.wick import berezin_integrate, chord_diagrams, double_factorial
 
 
@@ -263,21 +267,30 @@ def canonical_laplacian_oracle(symp, a):
         symp.space, (a.deriv_left(n + i).deriv_left(i) for i in range(n)))
 
 
-def hamiltonian_field_form_oracle(symp, a):
-    """Phi^{-1}(da), with da = FormContext.d(a) read off by one_form_coefficients.
+def contraction_matrix_oracle(symp):
+    """(FormContext, omega, Phi) of a symplectic space by the form route.
 
-    Phi is rebuilt here from the contractions i_{d/dy_u}(omega), not read
-    from the space.
+    omega = Upsilon^{-1}(b) is the constant 2-form on the 2N variables
+    {y, dy}, and Phi is read from the contractions i_{d/dy_u}(omega) =
+    sum_v Phi[v][u] dy_v, not from the sign rule the library uses.
     """
-    ctx, space = symp.ctx, symp.space
+    ctx, space = FormContext(symp.space), symp.space
+    omega = upsilon_inverse(ctx, symp.form)
     n = len(space)
     phi = [[Fraction(0)] * n for _ in range(n)]
     for u in range(n):
-        lam = ctx.contract(VectorField.coordinate(space, u), symp.omega)
+        lam = ctx.contract(VectorField.coordinate(space, u), omega)
         for v, c in enumerate(ctx.one_form_coefficients(lam)):
             phi[v][u] = c.terms.get((), Fraction(0))
+    return ctx, omega, phi
+
+
+def hamiltonian_field_form_oracle(symp, a):
+    """Phi^{-1}(da), with da = FormContext.d(a) read off by one_form_coefficients
+    and Phi from ``contraction_matrix_oracle``."""
+    ctx, _, phi = contraction_matrix_oracle(symp)
     coeffs = ctx.one_form_coefficients(ctx.d(ctx.inject(a)))
-    return VectorField(space, [SuperPolynomial.sum(space, (
+    return VectorField(symp.space, [SuperPolynomial.sum(symp.space, (
         coeffs[v] * c for v, c in enumerate(row) if c))
         for row in linalg.inverse(phi)])
 

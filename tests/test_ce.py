@@ -80,6 +80,19 @@ def test_sort_wedge_word_matches_adjacent_transpositions():
         assert sort_wedge_word(space, word) == bubble_sort_wedge(space, word)
 
 
+def test_add_rejects_a_chain_over_another_space():
+    symp = v21()
+    p, q = (SuperPolynomial.variable(symp.space, i) for i in (0, 1))
+    chain = CEChain.from_polynomials(symp, [p * p * q])
+    same = CEChain.from_polynomials(v21(), [p * p * q])  # equal space, new object
+    assert chain.add(same).terms == {((0, 0, 1),): Fraction(2)}
+    v20 = SymplecticSpace.canonical_even(1, 0)
+    other = CEChain.from_polynomials(
+        v20, [SuperPolynomial.monomial(v20.space, (0, 0, 1))])
+    with pytest.raises(ValueError, match="different symplectic spaces"):
+        chain.add(other)
+
+
 def test_degree_filter():
     symp = v21()
     p = SuperPolynomial.variable(symp.space, 0)

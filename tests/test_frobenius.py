@@ -222,3 +222,22 @@ def test_json_algebra_failing_the_axioms_is_rejected(edit):
         del data["differential"][0]
     with pytest.raises(ValueError, match="axioms"):
         algebra_from_json(data)
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("mult", [0, 0, 6, "1"]), ("mult", [-1, 0, 0, "1"]),
+    ("pairing", [0, 6, "1"]), ("pairing", [-1, 0, "1"]),
+    ("differential", [6, 0, "1"]), ("differential", [0, -1, "1"]),
+])
+def test_json_index_out_of_range_is_rejected(field, entry):
+    data = algebra_to_json(so3_reduced())  # 6 basis elements
+    data[field].append(entry)
+    with pytest.raises(ValueError, match=f"{field} index out of range"):
+        algebra_from_json(data)
+
+
+def test_json_parity_out_of_range_is_rejected():
+    data = algebra_to_json(so3_reduced())
+    data["basis"][0]["parity"] = 3
+    with pytest.raises(ValueError, match="parities"):
+        algebra_from_json(data)

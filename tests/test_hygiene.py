@@ -4,7 +4,7 @@ No module imports a name it never uses, and no module sums polynomials by
 folding ``x = x + ...``: every accumulation goes through
 ``SuperPolynomial.sum``.  The library holds the engine and ``tests/`` the
 oracles: no package name ends in ``_oracle``, and no module imports from the
-tests.
+tests.  Every import of the package is at module level.
 """
 import ast
 from pathlib import Path
@@ -99,4 +99,25 @@ def test_library_never_imports_the_tests():
             hits += [f"{path.name}:{node.lineno} {n}" for n in names
                      if n.split(".")[0] in test_modules]
     assert "oracles" in test_modules
+    assert hits == []
+
+
+def local_imports(source, name=""):
+    """Import statements inside a function or method body."""
+    return [f"{name}:{inner.lineno} {ast.unparse(inner)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+
+
+def test_local_imports_are_detected():
+    source = ("import os\n"
+              "def f():\n    from . import linalg\n"
+              "class C:\n    def g(self):\n        import math\n")
+    assert local_imports(source) == [":3 from . import linalg", ":6 import math"]
+
+
+def test_imports_are_at_module_level():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in local_imports(path.read_text(encoding="utf-8"), path.name)]
     assert hits == []

@@ -14,19 +14,31 @@ from bvgraph.symplectic import (BilinearForm, SymplecticSpace,
                                 restrict_polynomial, upsilon, upsilon_inverse)
 from bvgraph.frobenius import g3, k2, so3_reduced
 from bvgraph.dual import TensorModel, psi_of_word
-from bvgraph import sampling
-from oracles import (canonical_laplacian_oracle, hamiltonian_field_form_oracle,
-                     odd_laplacian_form_oracle)
+from bvgraph import linalg, sampling
+from oracles import (canonical_laplacian_oracle, contraction_matrix_oracle,
+                     hamiltonian_field_form_oracle, odd_laplacian_form_oracle)
 
 
 def test_upsilon_on_dp_dq():
     v = SymplecticSpace.canonical_even(1, 0)
-    assert v.form.matrix() == [[0, 1], [-1, 0]]
+    ctx = FormContext(v.space)
+    omega = SuperPolynomial.monomial(ctx.space, (2, 3), 1)  # dp dq
+    assert upsilon(ctx, omega).matrix() == v.form.matrix() == [[0, 1], [-1, 0]]
 
 
 def test_upsilon_on_odd_square_form():
     v = SymplecticSpace.canonical_even(0, 1)
-    assert v.form.matrix() == [[-1]]
+    ctx = FormContext(v.space)
+    omega = SuperPolynomial.monomial(ctx.space, (1, 1), Fraction(1, 2))  # 1/2 dx dx
+    assert upsilon(ctx, omega).matrix() == v.form.matrix() == [[-1]]
+
+
+def test_upsilon_on_canonical_odd_form():
+    u = SymplecticSpace.canonical_odd(2)
+    ctx = FormContext(u.space)
+    omega = SuperPolynomial.sum(ctx.space, (  # dx1 dxi1 + dx2 dxi2
+        SuperPolynomial.monomial(ctx.space, (4 + i, 6 + i), 1) for i in range(2)))
+    assert upsilon(ctx, omega).matrix() == u.form.matrix()
 
 
 def test_upsilon_round_trip_random():
@@ -104,6 +116,17 @@ def test_i2_pi2_round_trip():
         assert pi2_of_form(b) == sigma
 
 
+def test_symplectic_space_needs_a_nondegenerate_skew_form():
+    w = SuperSpace(("p", "q"), (EVEN, EVEN))
+    with pytest.raises(ValueError, match="super-skew"):
+        SymplecticSpace(BilinearForm(w, [[1, 0], [0, 1]], EVEN, "sym"))
+    with pytest.raises(ValueError, match="singular"):
+        SymplecticSpace(BilinearForm(w, [[0, 0], [0, 0]], EVEN, "skew"))
+    u = SuperSpace(("x", "y", "xi"), (EVEN, EVEN, ODD))
+    with pytest.raises(ValueError, match="n\\|n"):
+        SymplecticSpace(BilinearForm(u, [[0, 0, 1], [0, 0, 0], [-1, 0, 0]], ODD, "skew"))
+
+
 def test_hamiltonian_of_constant_is_zero_field():
     v = SymplecticSpace.canonical_even(1, 0)
     a = SuperPolynomial.scalar(v.space, 7)
@@ -138,11 +161,73 @@ def test_phi_round_trip_and_closedness():
         par = rng.choice((0, 1))
         a = sampling.polynomial(rng, v.space, 3, parity=par, min_degree=1)
         alpha = v.hamiltonian_field(a)
-        lam = v.ctx.contract(alpha, v.omega)
-        assert v.ctx.d(lam).is_zero()
+        ctx, omega, _ = contraction_matrix_oracle(v)
+        assert ctx.d(ctx.contract(alpha, omega)).is_zero()
         back = v.hamiltonian_of(alpha)
         diff = back - a
         assert all(k == () for k in diff.terms)
+
+
+SPACES = {
+    "V20": lambda: SymplecticSpace.canonical_even(1, 0),
+    "V21": lambda: SymplecticSpace.canonical_even(1, 1),
+    "V42": lambda: SymplecticSpace.canonical_even(2, 2),
+    "U11": lambda: SymplecticSpace.canonical_odd(1),
+    "U22": lambda: SymplecticSpace.canonical_odd(2),
+    "G3xV21": lambda: TensorModel(g3(), SymplecticSpace.canonical_even(1, 1)).symp,
+    "so3xV21": lambda: TensorModel(so3_reduced(),
+                                   SymplecticSpace.canonical_even(1, 1)).symp,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_phi_and_its_inverse_match_the_contraction_route(name):
+    # Phi[v][u] = (-1)^{p_u} b[u][v] and Phi^{-1} = (-1)^{1 + |omega|} b^{-1},
+    # read off the operators: hamiltonian_of(d/dy_u) = sum_v Phi[v][u] y_v and
+    # hamiltonian_field(y_v)(y_u) = Phi^{-1}[u][v].
+    symp = SPACES[name]()
+    _, _, phi = contraction_matrix_oracle(symp)
+    n, pars, b = len(symp.space), symp.space.parities, symp.form.rows
+    assert phi == [[(-1 if pars[u] else 1) * b[u][v] for u in range(n)] for v in range(n)]
+    assert phi == [[symp.hamiltonian_of(VectorField.coordinate(symp.space, u))
+                    .coefficient((v,)) for u in range(n)] for v in range(n)]
+    sign = -1 if symp.parity == EVEN else 1
+    phi_inv = [[sign * x for x in row] for row in symp.inverse.rows]
+    assert phi_inv == linalg.inverse(phi)
+    fields = [symp.hamiltonian_field(SuperPolynomial.variable(symp.space, v))
+              for v in range(n)]
+    assert phi_inv == [[fields[v].images[u].coefficient(()) for v in range(n)]
+                       for u in range(n)]
+
+
+def test_hamiltonian_of_rejects_a_non_symplectic_field():
+    v = SymplecticSpace.canonical_even(1, 0)
+    p = SuperPolynomial.variable(v.space, 0)
+    eta = VectorField(v.space, [p, SuperPolynomial.zero(v.space)])
+    with pytest.raises(ValueError, match="not symplectic"):
+        v.hamiltonian_of(eta)
+    assert not v.is_symplectic_field(eta)
+
+
+@pytest.mark.parametrize("name", ["V21", "U22", "G3xV21"])
+def test_is_symplectic_field_agrees_with_the_lie_derivative(name):
+    rng = random.Random(14)
+    symp = SPACES[name]()
+    ctx, omega, _ = contraction_matrix_oracle(symp)
+    outcomes = set()
+    for parity in (EVEN, ODD):
+        for _ in range(6):
+            a = sampling.polynomial(rng, symp.space, 3, parity=(parity + symp.parity) % 2,
+                                    min_degree=1)
+            for eta in (symp.hamiltonian_field(a),
+                        sampling.vector_field(rng, symp.space, parity, 2)):
+                agrees = symp.is_symplectic_field(eta)
+                assert agrees == ctx.lie(eta, omega).is_zero()
+                outcomes.add(agrees)
+                if agrees:
+                    assert symp.hamiltonian_field(symp.hamiltonian_of(eta)).images \
+                        == eta.images
+    assert outcomes == {True, False}
 
 
 def test_poisson_pq_is_minus_one():
