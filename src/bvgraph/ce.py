@@ -88,7 +88,8 @@ class CEChain:
         return not self.terms
 
     def __eq__(self, other):
-        return (isinstance(other, CEChain) and self.symp is other.symp
+        return (isinstance(other, CEChain)
+                and self.symp.space == other.symp.space
                 and self.terms == other.terms)
 
     def word_parities(self, word):

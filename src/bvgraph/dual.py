@@ -1,6 +1,9 @@
 """The dual construction: Psi, sigma-tilde, S (BV side), F (Feynman side), I.
 
-Both pipelines produce the same rationals; the commuting-diagram check is the
+S reads a ``GaugeModel``: the tensor model A (x) V, Psi restricted to L (x) V
+and the restricted weight.  F reads a ``frobenius.Gauge`` alone: the vertex
+tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
+routes share no object, and the commuting-diagram check S = F o I is the
 keystone that pins every remaining sign convention end to end.
 """
 from __future__ import annotations
@@ -140,7 +143,8 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
 # Restriction to a gauge and the BV functional
 
 class GaugeModel:
-    """The integration locus L (x) V inside A (x) V, with the restricted weight."""
+    """The integration locus L (x) V inside A (x) V, with the restricted weight:
+    what S reads.  The gauge is kept for its label; F reads the gauge itself."""
 
     def __init__(self, model: TensorModel, gauge: Gauge):
         if gauge.alg is not model.alg:
@@ -164,12 +168,7 @@ class GaugeModel:
         self.vectors = vectors
         sigma_l = restrict_polynomial(model.sigma, vectors, self.space)
         self.weight = QuadraticWeight.from_sigma(sigma_l)
-        self.propagator = gauge.propagator
         self._psi = {}
-
-    def mu(self, k: int) -> dict:
-        """mu_k on the gauge basis, shared by every model on this gauge."""
-        return self.gauge.mu(k)
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return restrict_polynomial(f, self.vectors, self.space)
@@ -177,8 +176,8 @@ class GaugeModel:
     def psi_monomial(self, key) -> SuperPolynomial:
         """Psi of one monomial of V restricted to L (x) V, once per key.
 
-        It restricts the full-space ``TensorModel._psi_monomial`` and never
-        reads ``self.mu``: S and F then share no vertex data.
+        It restricts the full-space ``TensorModel._psi_monomial``; a gauge
+        model holds no vertex tensor, so S and F share no vertex data.
         """
         if key not in self._psi:
             self._psi[key] = self.restrict(self.model._psi_monomial(key))
@@ -264,10 +263,10 @@ def chord_presentation(graph: CanonicalGraph):
     return sizes, tuple(chord)
 
 
-def feynman_value(model: TensorModel, gm: GaugeModel,
-                  graph: CanonicalGraph) -> Fraction:
+def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """F(Gamma) = beta_c over L* of mu_{k_1} (x) .. (x) mu_{k_l}, with the
-    inverse restricted d-form as propagator.
+    inverse restricted d-form as propagator.  It reads only ``gauge.mu(k)``,
+    ``gauge.propagator`` and ``gauge.parities``.
 
     That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
     blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
@@ -280,9 +279,9 @@ def feynman_value(model: TensorModel, gm: GaugeModel,
     nonzero.
     """
     sizes, chord = chord_presentation(graph)
-    mus = [gm.mu(k) for k in sizes]
-    prop = gm.propagator
-    lpar = gm.gauge.parities
+    mus = [gauge.mu(k) for k in sizes]
+    prop = gauge.propagator
+    lpar = gauge.parities
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
     closes = [[] for _ in sizes]
     for i, j in chord:
@@ -307,15 +306,14 @@ def feynman_value(model: TensorModel, gm: GaugeModel,
     return total
 
 
-def feynman_cochain(model: TensorModel, gm: GaugeModel, v: int, e: int) -> dict:
-    return {g: feynman_value(model, gm, g) for g in enumerate_graphs(v, e)}
+def feynman_cochain(gauge: Gauge, v: int, e: int) -> dict:
+    return {g: feynman_value(gauge, g) for g in enumerate_graphs(v, e)}
 
 
-def feynman_on_chain(model: TensorModel, gm: GaugeModel,
-                     chain: GraphChain) -> Fraction:
+def feynman_on_chain(gauge: Gauge, chain: GraphChain) -> Fraction:
     total = Fraction(0)
     for g, c in chain.terms.items():
-        total += c * feynman_value(model, gm, g)
+        total += c * feynman_value(gauge, g)
     return total
 
 
@@ -382,7 +380,7 @@ def verify_master_equations(model: TensorModel) -> dict:
 
 def verify_commute(model: TensorModel, gm: GaugeModel, chain: CEChain) -> dict:
     lhs = s_functional(model, gm, chain)
-    rhs = feynman_on_chain(model, gm, wick_map(chain))
+    rhs = feynman_on_chain(gm.gauge, wick_map(chain))
     ok = lhs == rhs
     wit = [] if ok else [{"S": str(lhs), "F_I": str(rhs),
                           "chain": chain.to_json()}]
@@ -394,7 +392,7 @@ def verify_cocycle_graphs(model: TensorModel, gm: GaugeModel, v: int,
                           e: int) -> dict:
     wit = []
     for g in enumerate_graphs(v, e):
-        val = feynman_on_chain(model, gm, boundary_of_graph(g))
+        val = feynman_on_chain(gm.gauge, boundary_of_graph(g))
         if val != 0:
             wit.append({"graph": g.graph_id(), "F_boundary": str(val)})
     return _report("cocycle_graphs", not wit, wit, bidegree=[v, e],
@@ -414,13 +412,13 @@ def verify_cocycle_chains(model: TensorModel, gm: GaugeModel, chains) -> dict:
 
 def verify_gauge_independence(model: TensorModel, g0: Gauge, g1: Gauge,
                               v: int, e: int) -> dict:
-    gm0 = GaugeModel(model, g0)
-    gm1 = GaugeModel(model, g1)
+    if g0.alg is not model.alg or g1.alg is not model.alg:
+        raise ValueError("gauge belongs to a different algebra")
     _, cycles = cycle_space(v, e)
     wit = []
     for z in cycles:
-        v0 = feynman_on_chain(model, gm0, z)
-        v1 = feynman_on_chain(model, gm1, z)
+        v0 = feynman_on_chain(g0, z)
+        v1 = feynman_on_chain(g1, z)
         if v0 != v1:
             wit.append({"cycle": z.to_json(), "F_L0": str(v0), "F_L1": str(v1)})
     return _report("gauge_independence", not wit, wit, bidegree=[v, e],

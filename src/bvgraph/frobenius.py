@@ -7,7 +7,6 @@ pairing matrix over a named basis.  Elements are sparse coefficient dicts
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -173,7 +172,11 @@ def check_contractible(alg: FrobeniusAlgebra):
 
 
 class Gauge:
-    """A graded isotropic complement L of d(A) with nondegenerate <-,->_d."""
+    """A graded isotropic complement L of d(A) with nondegenerate <-,->_d.
+
+    It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
+    ``propagator``, the rows of the inverse restricted d-form.
+    """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
         self.alg = alg
@@ -201,8 +204,10 @@ class Gauge:
         stacked = [list(v) for v in self.vectors] + [list(v) for v in img]
         if linalg.rank(stacked) != n:
             raise ValueError("gauge does not complement d(A)")
-        if not self.restricted_form().is_nondegenerate():
-            raise ValueError("<-,->_d restricted to the gauge is degenerate")
+        try:
+            self.propagator = self.restricted_form().inverse().rows
+        except ValueError:
+            raise ValueError("<-,->_d restricted to the gauge is degenerate") from None
 
     def subspace(self) -> SuperSpace:
         return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
@@ -212,20 +217,11 @@ class Gauge:
         rows = dform.restrict(self.vectors)
         return BilinearForm(self.subspace(), rows, EVEN, "skew")
 
-    @cached_property
-    def propagator(self):
-        """Rows of the inverse restricted d-form, the Feynman propagator on L."""
-        return self.restricted_form().inverse().rows
-
     def mu(self, k: int) -> dict:
         """mu_k on the gauge basis, computed once per valence."""
         if k not in self._mu:
             self._mu[k] = vertex_tensor_on_vectors(self.alg, self.vectors, k)
         return self._mu[k]
-
-    def to_json(self):
-        return {"label": self.label,
-                "basis": [[str(x) for x in v] for v in self.vectors]}
 
 
 def find_gauges(alg: FrobeniusAlgebra, values=(0, 1), limit=64):
@@ -496,9 +492,12 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> FrobeniusAlgebra:
-    """The algebra a JSON record describes; ValueError unless its indices lie in
-    [0, n), its parities in {0, 1} and it passes verify_axioms."""
-    basis = data["basis"]
+    """The algebra a JSON record describes; ValueError unless it has a basis
+    of named entries with parities in {0, 1}, its indices lie in [0, n) and
+    it passes verify_axioms."""
+    basis = data.get("basis")
+    if basis is None or any("name" not in b or "parity" not in b for b in basis):
+        raise ValueError("every basis entry needs a name and a parity")
     if any(b["parity"] not in (EVEN, ODD) for b in basis):
         raise ValueError("basis parities must be 0 or 1")
     space = SuperSpace([b["name"] for b in basis], [b["parity"] for b in basis])

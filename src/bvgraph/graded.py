@@ -64,7 +64,7 @@ def koszul_sign(order, parities) -> int:
 class SuperSpace:
     """Finite-dimensional Z/2-graded vector space with a named, ordered basis."""
 
-    __slots__ = ("names", "parities", "_dual_of", "_index")
+    __slots__ = ("names", "parities", "_dual_of")
 
     def __init__(self, names, parities, _dual_of=None):
         names = tuple(names)
@@ -76,7 +76,6 @@ class SuperSpace:
         self.names = names
         self.parities = parities
         self._dual_of = _dual_of
-        self._index = {nm: i for i, nm in enumerate(names)}
 
     def __len__(self):
         return len(self.names)
@@ -85,12 +84,6 @@ class SuperSpace:
         """Dimension pair (n_even, n_odd)."""
         ev = sum(1 for p in self.parities if p == EVEN)
         return (ev, len(self.parities) - ev)
-
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
-    def index(self, name: str) -> int:
-        return self._index[name]
 
     def dual(self) -> "SuperSpace":
         if self._dual_of is not None:

@@ -129,17 +129,17 @@ def chord_sign_oracle(parities, chord):
     return sign
 
 
-def feynman_value_oracle(gm, graph):
+def feynman_value_oracle(gauge, graph):
     """F(Gamma) as the sum over the full product of the mu_k supports of the
     entries, the propagator entries of every chord and the chord sign.
 
-    Reads only ``gm.mu(k)``, ``gm.propagator`` and ``gm.gauge.parities``.
+    Reads only ``gauge.mu(k)``, ``gauge.propagator`` and ``gauge.parities``.
     """
     sizes, chord = chord_presentation(graph)
-    prop = gm.propagator
-    lpar = gm.gauge.parities
+    prop = gauge.propagator
+    lpar = gauge.parities
     total = Fraction(0)
-    for entries in product(*(gm.mu(k).items() for k in sizes)):
+    for entries in product(*(gauge.mu(k).items() for k in sizes)):
         assigned = [s for idx, _ in entries for s in idx]
         props = [prop[assigned[i]][assigned[j]] for i, j in chord]
         if not all(props):

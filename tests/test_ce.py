@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from bvgraph.graded import EVEN, ODD
 from bvgraph.superpoly import SuperPolynomial
 from bvgraph.symplectic import SymplecticSpace
 from bvgraph.ce import CEChain, ce_differential, osp_action, sort_wedge_word
@@ -91,6 +90,20 @@ def test_add_rejects_a_chain_over_another_space():
         v20, [SuperPolynomial.monomial(v20.space, (0, 0, 1))])
     with pytest.raises(ValueError, match="different symplectic spaces"):
         chain.add(other)
+
+
+def test_chains_over_equal_spaces_compare_equal():
+    # equality asks what add asks: an equal space, not the same object
+    symp = v21()
+    p, q = (SuperPolynomial.variable(symp.space, i) for i in (0, 1))
+    chain = CEChain.from_polynomials(symp, [p * p * q])
+    same = CEChain.from_polynomials(v21(), [p * p * q])
+    assert same.symp is not chain.symp
+    assert chain == same
+    assert chain.add(same) == chain.scale(2)
+    v20 = SymplecticSpace.canonical_even(1, 0)
+    other = CEChain(v20, dict(chain.terms))  # the same words over V_{2|0}
+    assert other.terms == chain.terms and other != chain
 
 
 def test_degree_filter():

@@ -1,19 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from types import SimpleNamespace
 
 import pytest
 
 from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
                             symmetrize_tensor)
-from bvgraph.superpoly import MultilinearMap, SuperPolynomial, divergence
+from bvgraph.superpoly import MultilinearMap, SuperPolynomial
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, find_gauges, g3, g3_gauge, k2,
-                               k2_gauge, so3_reduced, verify_axioms)
-from bvgraph.ce import CEChain, ce_differential, osp_action
-from bvgraph.graphs import (CanonicalGraph, GraphChain, boundary, cycle_space,
-                            enumerate_graphs, theta_graph)
+                               k2_gauge, so3_reduced, vertex_tensor_on_vectors)
+from bvgraph.ce import CEChain, ce_differential
+from bvgraph.graphs import (CanonicalGraph, cycle_space, enumerate_graphs,
+                            theta_graph)
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, psi_of_word,
@@ -23,7 +22,7 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_kontsevich_chain_map, verify_master_equations,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
-from bvgraph import sampling
+from bvgraph import dual, sampling
 from oracles import (beta_contract_indices, connected_components,
                      feynman_product_oracle,
                      feynman_value_oracle, restricted_word_oracle,
@@ -224,7 +223,7 @@ def test_s_equals_f_after_i_on_quintic_wedge_with_live_cancellation():
             if val != 0 and gm.weight.monomial_vev(key) != 0]
     assert len(live) >= 4  # the zero is a genuine cancellation, not vacuous
     s = s_functional(model, gm, chain)
-    fi = feynman_on_chain(model, gm, wick_map(chain))
+    fi = feynman_on_chain(gm.gauge, wick_map(chain))
     assert s == fi == 0
 
 
@@ -309,10 +308,9 @@ def test_s_functional_rejects_a_foreign_gauge_model():
 # -- Feynman amplitudes --------------------------------------------------------
 
 def test_feynman_k2_all_zero():
-    model = model_k2()
-    gm = GaugeModel(model, k2_gauge(model.alg))
+    gauge = k2_gauge()
     for (v, e) in ((2, 3), (2, 5), (4, 6)):
-        vals = feynman_cochain(model, gm, v, e)
+        vals = feynman_cochain(gauge, v, e)
         assert all(x == 0 for x in vals.values())
 
 
@@ -320,38 +318,35 @@ def test_feynman_theta_value_is_gauge_independent_zero():
     # theta is a cycle that cannot bound (bidegree (3,4) is empty), so its
     # amplitude is gauge independent; the product gauge eta*C has identically
     # vanishing interactions, forcing zero for the whole G3 family
-    model = model_g3()
     for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4)):
-        gm = GaugeModel(model, g3_gauge(*params, alg=model.alg))
-        assert feynman_value(model, gm, theta_graph()) == 0
+        assert feynman_value(g3_gauge(*params), theta_graph()) == 0
 
 
 def test_feynman_vanishes_on_g3_at_5_8_and_6_9():
     # the reach of the cut recursion: mu_3 and mu_4 at gauge (1,1,1,1) over
     # every graph of (5,8) and (6,9); the amplitudes vanish as on the rest of
     # the G3 family
-    model = model_g3()
-    gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
+    gauge = g3_gauge(1, 1, 1, 1)
     for (v, e), count in (((5, 8), 4), ((6, 9), 7)):
-        vals = feynman_cochain(model, gm, v, e)
+        vals = feynman_cochain(gauge, v, e)
         assert len(vals) == count
         assert all(x == 0 for x in vals.values())
 
 
-def test_gauge_model_owns_its_feynman_data():
-    from bvgraph.frobenius import vertex_tensor_on_vectors
-    model = model_g3()
+def test_gauge_owns_its_feynman_data():
+    # the propagator is taken once, when the gauge is validated, and mu_k
+    # once per valence; a gauge model carries neither
+    alg = g3()
     for params in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 2, 3, 4)):
-        gauge = g3_gauge(*params, alg=model.alg)
-        gm = GaugeModel(model, gauge)
-        assert gm.propagator == gauge.restricted_form().inverse().rows
-        twin = GaugeModel(model, gauge)
-        assert twin.propagator is gm.propagator
+        gauge = g3_gauge(*params, alg=alg)
+        assert gauge.propagator == gauge.restricted_form().inverse().rows
         for k in (3, 4):
-            assert gm.mu(k) == vertex_tensor_on_vectors(model.alg, gauge.vectors, k)
-            assert gm.mu(k) is gm.mu(k)
-            assert twin.mu(k) is gm.mu(k)
-        assert feynman_value(model, gm, theta_graph()) == 0
+            assert gauge.mu(k) == vertex_tensor_on_vectors(alg, gauge.vectors, k)
+            assert gauge.mu(k) is gauge.mu(k)
+        assert feynman_value(gauge, theta_graph()) == 0
+    model = model_g3()
+    gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
+    assert not hasattr(gm, "mu") and not hasattr(gm, "propagator")
 
 
 def test_shuffle_sign_is_koszul_sign():
@@ -369,7 +364,6 @@ def test_product_gauge_has_no_interactions():
     # xi A is isotropic and square-zero, so mu_k vanishes on it for every
     # k >= 3: K2's gauge is xi A, and G3's (0,0,0,0) is eta * C with
     # eta = xi1 - xi123.
-    from bvgraph.frobenius import vertex_tensor_on_vectors
     for gauge in (k2_gauge(), g3_gauge(0, 0, 0, 0)):
         for k in (3, 4, 5, 6):
             assert vertex_tensor_on_vectors(gauge.alg, gauge.vectors, k) == {}
@@ -379,37 +373,39 @@ def test_feynman_vanishes_on_cycles_at_a_gauge_with_interactions():
     # The vanishing theorem, second half: F = 0 on cycles at the square-zero
     # gauge, hence at every gauge.  At (1,1,1,1) mu_3..mu_6 are nonempty, yet
     # F vanishes on the cycle_space bases of (2,3) and (4,6).
-    model = model_g3()
-    gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
-    assert [len(gm.mu(k)) for k in (3, 4, 5, 6)] == [12, 32, 80, 192]
+    gauge = g3_gauge(1, 1, 1, 1)
+    assert [len(gauge.mu(k)) for k in (3, 4, 5, 6)] == [12, 32, 80, 192]
     for (v, e), n_cycles in (((2, 3), 1), ((4, 6), 2)):
         _, cycles = cycle_space(v, e)
         assert len(cycles) == n_cycles
-        assert [feynman_on_chain(model, gm, z) for z in cycles] == [0] * n_cycles
+        assert [feynman_on_chain(gauge, z) for z in cycles] == [0] * n_cycles
 
 
-def test_so3_fixture_gives_nonzero_amplitudes():
+def test_so3_fixture_gives_nonzero_amplitudes(monkeypatch):
     # the reduced so(3) algebra has no unit, so the vanishing theorem does not
     # apply: F(theta) = 6 and F is nonzero on the cycle_space bases, up to
-    # the 6 cycles of loop order 5
-    model = TensorModel(so3_reduced(), V20)
-    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
-    assert feynman_value(model, gm, theta_graph()) == 6
+    # the 6 cycles of loop order 5.  F reads the bare gauge: no tensor model
+    # is built.
+    def no_model(*args):
+        raise AssertionError("F built a tensor model")
+
+    monkeypatch.setattr(TensorModel, "__init__", no_model)
+    gauge = find_gauges(so3_reduced())[0][0]
+    assert feynman_value(gauge, theta_graph()) == 6
     for (v, e), values in (((2, 3), [6]), ((4, 6), [36, -42]),
                            ((6, 9), [216, -252, 138]),
                            ((8, 12), [1296, -1512, 828, 1764, -4824, -1582])):
         _, cycles = cycle_space(v, e)
-        assert [feynman_on_chain(model, gm, z) for z in cycles] == values
+        assert [feynman_on_chain(gauge, z) for z in cycles] == values
 
 
 def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
     # F of a disconnected graph is the product of F on its components, up to
     # the signs of presenting the components as consecutive vertex blocks
-    model = TensorModel(so3_reduced(), V20)
-    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+    gauge = find_gauges(so3_reduced())[0][0]
 
     def value(g):
-        return feynman_value(model, gm, g)
+        return feynman_value(gauge, g)
 
     disconnected = nonzero = 0
     for v, e in ((4, 6), (6, 9), (8, 12)):
@@ -430,7 +426,7 @@ def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "pass", rep["witnesses"]
     assert s_functional(model, gm, chain) == -36
-    assert feynman_on_chain(model, gm, wick_map(chain)) == -36
+    assert feynman_on_chain(gm.gauge, wick_map(chain)) == -36
     # q^3 ^ p^3 sorts to -(p^3 ^ q^3): an adjacent swap of even factors costs -1
     assert s_functional(model, gm, wedge(V20, ((1, 1, 1), (0, 0, 0)))) == 36
 
@@ -439,7 +435,6 @@ def test_feynman_value_invariant_under_slot_assignment():
     # beta_c(mu (x) ... (x) mu) must not depend on which half-edge slot of a
     # vertex an edge consumes; checked synthetically with nonzero data
     rng = random.Random(8)
-    from bvgraph.graded import symmetrize_tensor
     space = SuperSpace(("a", "b", "s", "t"), (EVEN, EVEN, ODD, ODD))
     for _ in range(6):
         raw = {tuple(rng.randrange(4) for _ in range(3)):
@@ -488,7 +483,7 @@ def _random_even_skew(rng, space):
 
 
 class SyntheticGauge:
-    """What ``feynman_value`` reads from a gauge model, drawn at random over a
+    """What ``feynman_value`` reads from a gauge, drawn at random over a
     4-dimensional space: graded-symmetric mu_3..mu_5 of odd total parity, and
     the inverse of an even skew form as propagator (zero between opposite
     parities, so the recursion's cut is exercised)."""
@@ -496,7 +491,7 @@ class SyntheticGauge:
     def __init__(self, seed, parities):
         rng = random.Random(seed)
         space = SuperSpace(("a", "b", "c", "d"), parities)
-        self.gauge = SimpleNamespace(parities=list(parities))
+        self.parities = list(parities)
         self.propagator = _random_even_skew(rng, space).inverse().rows
         self._mu = {}
         for k in (3, 4, 5):
@@ -528,10 +523,10 @@ def test_feynman_value_matches_oracle_on_synthetic_data():
     assert len(graphs) == 9
     values = []
     for seed, parities in SYNTHETIC_SETTINGS:
-        gm = SyntheticGauge(seed, parities)
+        gauge = SyntheticGauge(seed, parities)
         for g in graphs:
-            val = feynman_value(None, gm, g)
-            assert val == feynman_value_oracle(gm, g), (seed, parities, g)
+            val = feynman_value(gauge, g)
+            assert val == feynman_value_oracle(gauge, g), (seed, parities, g)
             values.append(val)
     assert 3 * sum(1 for x in values if x) >= len(values)
 
@@ -543,9 +538,9 @@ def test_feynman_value_relabeling_law_on_synthetic_data():
     graphs = _synthetic_graphs()
     nonzero = total = 0
     for seed, parities in SYNTHETIC_SETTINGS:
-        gm = SyntheticGauge(seed, parities)
+        gauge = SyntheticGauge(seed, parities)
         for g in graphs:
-            base = feynman_value(None, gm, g)
+            base = feynman_value(gauge, g)
             for _ in range(3):
                 perm = list(range(g.n_vertices))
                 rng.shuffle(perm)
@@ -554,7 +549,7 @@ def test_feynman_value_relabeling_law_on_synthetic_data():
                          for (a, b), flip in zip(g.edges, flips)]
                 sign = perm_parity(perm) * (-1 if sum(flips) % 2 else 1)
                 relabeled = CanonicalGraph(g.n_vertices, edges)
-                assert feynman_value(None, gm, relabeled) == sign * base, \
+                assert feynman_value(gauge, relabeled) == sign * base, \
                     (seed, parities, g, perm, flips)
                 total += 1
                 nonzero += base != 0
@@ -774,6 +769,24 @@ def test_gauge_independence_same_gauge_trivial():
     g = g3_gauge(0, 0, 0, 1, alg=model.alg)
     rep = verify_gauge_independence(model, g, g, 2, 3)
     assert rep["status"] == "pass"
+
+
+def test_gauge_independence_builds_no_gauge_model(monkeypatch):
+    # F reads the gauges alone, so the check builds no gauge model; it still
+    # rejects a gauge of another algebra, in either slot
+    def no_gauge_model(*args):
+        raise AssertionError("F built a gauge model")
+
+    monkeypatch.setattr(dual, "GaugeModel", no_gauge_model)
+    model = model_g3()
+    g0 = g3_gauge(0, 0, 0, 1, alg=model.alg)
+    g1 = g3_gauge(1, 1, 1, 1, alg=model.alg)
+    rep = verify_gauge_independence(model, g0, g1, 4, 6)
+    assert rep["status"] == "pass" and rep["inputs"]["n_cycles"] == 2
+    foreign = g3_gauge(1, 1, 1, 1)
+    for pair in ((foreign, g1), (g0, foreign)):
+        with pytest.raises(ValueError):
+            verify_gauge_independence(model, *pair, 2, 3)
 
 
 def test_commute_theorem_sampled():

@@ -3,7 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from bvgraph.frobenius import (Gauge, algebra_from_json, algebra_to_json,
+from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, algebra_from_json,
+                               algebra_to_json,
                                check_contractible, degenerate_form, find_gauges,
                                g3, g3_gauge, grassmann_algebra, k2, k2_gauge,
                                so3_reduced, verify_axioms, vertex_tensor,
@@ -81,8 +82,11 @@ def test_g3_gauge_family_has_4_parameters():
 def test_named_g3_gauges_validate():
     g0 = g3_gauge(0, 0, 0, 0)
     g1 = g3_gauge(0, 0, 0, 1)
-    assert g0.dim() if hasattr(g0, "dim") else True
     alg = g3()
+    # the (0,0,0,0) member is spanned by the basis vectors xi1, xi12, xi13, xi123
+    assert [list(v) for v in g0.vectors] == [
+        [int(nm == name) for nm in alg.space.names]
+        for name in ("xi1", "xi12", "xi13", "xi123")]
     idx = {nm: i for i, nm in enumerate(alg.space.names)}
     # the d=1 member contains P = xi1xi2 - 1 and w = xi1xi2xi3 + xi3
     p = [Fraction(0)] * 8
@@ -101,6 +105,15 @@ def test_named_g3_gauges_lie_in_generic_family():
     for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (2, -1, 3, 1),
                    (Fraction(1, 2), 0, 1, -2)):
         g3_gauge(*params).validate()
+
+
+def test_gauge_with_a_degenerate_restricted_d_form_is_rejected():
+    # K2's space and differential with the zero pairing: xi is isotropic and
+    # complements d(A) = span{1}, but <xi, xi>_d = 0, so there is no propagator
+    base = k2()
+    alg = FrobeniusAlgebra(base.space, base.mult, base.diff, [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        Gauge(alg, [(0, 1)])
 
 
 def test_so3_reduced_fixture():
@@ -233,6 +246,14 @@ def test_json_index_out_of_range_is_rejected(field, entry):
     data = algebra_to_json(so3_reduced())  # 6 basis elements
     data[field].append(entry)
     with pytest.raises(ValueError, match=f"{field} index out of range"):
+        algebra_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {}, {"basis": [{"name": "a"}]}, {"basis": [{"parity": 0}]},
+], ids=["no_basis", "no_parity", "no_name"])
+def test_json_basis_without_a_field_is_rejected(data):
+    with pytest.raises(ValueError, match="name and a parity"):
         algebra_from_json(data)
 
 

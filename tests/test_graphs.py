@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvgraph import graphs
 from bvgraph.graded import perm_parity
-from bvgraph.graphs import (CanonicalGraph, GraphChain, OrientedGraph, boundary,
+from bvgraph.graphs import (GraphChain, OrientedGraph, boundary,
                             boundary_of_graph, canonicalize,
                             canonicalize_directed, contract_directed,
                             cycle_space, enumerate_graphs, theta_graph)

@@ -1,8 +1,8 @@
-"""Source hygiene of the package modules.
+"""Source hygiene of the package and test modules.
 
-No module imports a name it never uses, and no module sums polynomials by
-folding ``x = x + ...``: every accumulation goes through
-``SuperPolynomial.sum``.  The library holds the engine and ``tests/`` the
+No module of the package or of the tests imports a name it never uses, and
+no package module sums polynomials by folding ``x = x + ...``: every
+accumulation goes through ``SuperPolynomial.sum``.  The library holds the engine and ``tests/`` the
 oracles: no package name ends in ``_oracle``, and no module imports from the
 tests.  Every import of the package is at module level.
 """
@@ -35,7 +35,8 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
-    hits = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    hits = [hit for path in paths for hit in unused_imports(path)]
     assert hits == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvgraph.graded import EVEN, ODD, SuperSpace
-from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
+from bvgraph.superpoly import SuperPolynomial, VectorField
 from bvgraph.forms import FormContext
 from bvgraph.symplectic import (BilinearForm, SymplecticSpace,
                                 canonical_lagrangian, duality_map,
