@@ -9,7 +9,6 @@ keystone that pins every remaining sign convention end to end.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .graded import EVEN, ODD, SuperSpace, tensor_space
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
@@ -17,7 +16,7 @@ from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          restrict_polynomial)
 from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
-                        vertex_tensor)
+                        nonzero_products, vertex_tensor)
 from .wick import QuadraticWeight, chord_sign, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
@@ -105,7 +104,7 @@ class TensorModel:
 
     # -- Psi on multilinear maps ----------------------------------------------
     def psi_multilinear(self, zeta: MultilinearMap) -> MultilinearMap:
-        return psi_multilinear_map(self.alg, self.v.space, zeta, self.space)
+        return psi_multilinear_map(self.alg, self.v.space, zeta)
 
 
 def shuffle_sign(vpar, apar) -> int:
@@ -115,28 +114,25 @@ def shuffle_sign(vpar, apar) -> int:
 
 
 def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
-                        zeta: MultilinearMap, target=None) -> MultilinearMap:
+                        zeta: MultilinearMap) -> MultilinearMap:
     """(m_n (x) zeta) o shuffle on S^n(A (x) V); needs no symplectic data."""
     if zeta.space != vspace:
         raise ValueError("map must live on V")
-    target = target or tensor_space(alg.space, vspace)
-    na = len(alg.space)
     nv = len(vspace)
     apar = alg.space.parities
     vpar = vspace.parities
+    n = zeta.rank
+    basis = [alg.basis_element(a) for a in range(len(alg.space))]
+    products = list(nonzero_products(alg, basis, n))
     entries = {}
     for (args, out_w), val in zeta.entries.items():
-        n = zeta.rank
-        for alphas in product(range(na), repeat=n):
-            prod_vec = alg.mul_chain([alg.basis_element(a) for a in alphas])
-            if not prod_vec:
-                continue
+        for alphas, prod_vec in products:
             sign = shuffle_sign([vpar[a] for a in args], [apar[a] for a in alphas])
             akey = tuple(alphas[r] * nv + args[r] for r in range(n))
             for out_a, c in prod_vec.items():
                 ekey = (akey, out_a * nv + out_w)
                 entries[ekey] = entries.get(ekey, Fraction(0)) + sign * val * c
-    return MultilinearMap(target, zeta.rank, entries)
+    return MultilinearMap(tensor_space(alg.space, vspace), n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +147,16 @@ class GaugeModel:
             raise ValueError("gauge belongs to a different algebra")
         self.model = model
         self.gauge = gauge
-        nv = model.nv
-        vpar = model.v.space.parities
-        names, parities, vectors = [], [], []
-        dim_a = len(model.alg.space)
-        for s, lvec in enumerate(gauge.vectors):
-            for i in range(nv):
-                names.append(f"l{s}(x){model.v.space.names[i]}")
-                parities.append((gauge.parities[s] + vpar[i]) % 2)
-                vec = [Fraction(0)] * (dim_a * nv)
+        self.space = tensor_space(gauge.subspace(), model.v.space)
+        self.vectors = []
+        for lvec in gauge.vectors:
+            for i in range(model.nv):
+                vec = [Fraction(0)] * len(model.space)
                 for alpha, c in enumerate(lvec):
                     if c:
                         vec[model.z(alpha, i)] = c
-                vectors.append(vec)
-        self.space = SuperSpace(names, parities)
-        self.vectors = vectors
-        sigma_l = restrict_polynomial(model.sigma, vectors, self.space)
-        self.weight = QuadraticWeight.from_sigma(sigma_l)
+                self.vectors.append(vec)
+        self.weight = QuadraticWeight.from_sigma(self.restrict(model.sigma))
         self._psi = {}
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
@@ -184,16 +173,8 @@ class GaugeModel:
         return self._psi[key]
 
     def psi_of_word(self, word) -> SuperPolynomial:
-        """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) restricted to L (x) V.
-
-        Multiplies the restricted factors and stops at the first zero product.
-        """
-        out = SuperPolynomial.scalar(self.space, wedge_sign(self.model.v.space, word))
-        for key in word:
-            out = out * self.psi_monomial(key)
-            if out.is_zero():
-                break
-        return out
+        """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) of the restricted factors."""
+        return _word_product(self.space, self.model.v.space, self.psi_monomial, word)
 
 
 def wedge_sign(vspace: SuperSpace, word) -> int:
@@ -207,9 +188,17 @@ def wedge_sign(vspace: SuperSpace, word) -> int:
 
 def psi_of_word(model: TensorModel, word) -> SuperPolynomial:
     """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) for a word of monomial keys."""
-    out = SuperPolynomial.scalar(model.space, wedge_sign(model.v.space, word))
+    return _word_product(model.space, model.v.space, model._psi_monomial, word)
+
+
+def _word_product(space: SuperSpace, vspace: SuperSpace, factor, word) -> SuperPolynomial:
+    """(-1)^{p(h)} factor(h_1) ... factor(h_l) on `space`, for a word of
+    monomial keys on `vspace`; it stops at the first zero product."""
+    out = SuperPolynomial.scalar(space, wedge_sign(vspace, word))
     for key in word:
-        out = out * model._psi_monomial(key)
+        out = out * factor(key)
+        if out.is_zero():
+            break
     return out
 
 

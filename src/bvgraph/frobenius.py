@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace, koszul_sign
+from .graded import EVEN, ODD, SuperSpace, koszul_sign, vector_parity
 from .symplectic import BilinearForm
 
 
@@ -53,14 +53,6 @@ class FrobeniusAlgebra:
                     out[k] = out.get(k, Fraction(0)) + a * b * c
         return {k: c for k, c in out.items() if c != 0}
 
-    def mul_chain(self, elements):
-        out = None
-        for e in elements:
-            out = e if out is None else self.mul(out, e)
-            if not out:
-                return {}
-        return out if out is not None else {}
-
     def d_of(self, u):
         out = {}
         for j, c in u.items():
@@ -75,12 +67,6 @@ class FrobeniusAlgebra:
             for j, b in v.items():
                 total += a * self.pairing.rows[i][j] * b
         return total
-
-    def element_parity(self, u):
-        ps = {self.space.parities[i] for i in u}
-        if len(ps) > 1:
-            raise ValueError("element is not parity homogeneous")
-        return ps.pop() if ps else None
 
     # -- structural data -----------------------------------------------------
     def image_of_d(self):
@@ -183,12 +169,7 @@ class Gauge:
         self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
         self.label = label
         self._mu = {}
-        self.parities = []
-        for v in self.vectors:
-            ps = {alg.space.parities[i] for i, c in enumerate(v) if c != 0}
-            if len(ps) != 1:
-                raise ValueError("gauge basis vectors must be parity homogeneous")
-            self.parities.append(ps.pop())
+        self.parities = [vector_parity(alg.space, v) for v in self.vectors]
         self.validate()
 
     def validate(self):
@@ -224,12 +205,13 @@ class Gauge:
         return self._mu[k]
 
 
-def find_gauges(alg: FrobeniusAlgebra, values=(0, 1), limit=64):
-    """Enumerate graded isotropic complements of d(A) over a rational parameter box.
+def find_gauges(alg: FrobeniusAlgebra):
+    """Enumerate graded isotropic complements of d(A) over the parameter box {0, 1}^m.
 
     Complements are graphs of parity-preserving maps phi: C0 -> d(A) over a
     reference complement C0; isotropy is linear in phi because d(A) is
-    isotropic, so the family is an affine subspace.  Returns (gauges, info).
+    isotropic, so the family is an affine subspace of dimension m.  At most
+    64 members are tried.  Returns (gauges, info).
     """
     flag, _ = check_contractible(alg)
     if not flag:
@@ -248,10 +230,9 @@ def find_gauges(alg: FrobeniusAlgebra, values=(0, 1), limit=64):
     # parameters t[r][s] for phi(c0_r) = sum_s t[r][s] img_s (parity matching)
     params = []
     for r, cv in enumerate(c0):
-        pr = alg.element_parity({i: c for i, c in enumerate(cv) if c})
+        pr = vector_parity(alg.space, cv)
         for s, iv in enumerate(img):
-            ps = alg.element_parity({i: c for i, c in enumerate(iv) if c})
-            if pr == ps:
+            if pr == vector_parity(alg.space, iv):
                 params.append((r, s))
     # isotropy: <c_r + phi c_r, c_q + phi c_q> = 0, linear in t
     rows, rhs = [], []
@@ -291,9 +272,7 @@ def find_gauges(alg: FrobeniusAlgebra, values=(0, 1), limit=64):
     gauges = []
     assignments = [[]]
     for _ in homogeneous:
-        assignments = [a + [v] for a in assignments for v in values]
-        if len(assignments) > limit:
-            assignments = assignments[:limit]
+        assignments = [a + [v] for a in assignments for v in (0, 1)][:64]
     for lam in assignments:
         tvals = list(particular)
         for l, hvec in zip(lam, homogeneous):
@@ -316,41 +295,36 @@ def vertex_tensor_on_vectors(alg: FrobeniusAlgebra, vectors, k: int) -> dict:
 
     The entry at an index tuple t is <v_{t_1} ... v_{t_{k-1}}, v_{t_k}>, the
     product taken left to right; the dict holds the nonzero entries with
-    their keys in lexicographic order.  The search builds each product of
-    k - 1 factors from its prefix by one more multiplication, depth first,
-    and stops at the first empty prefix product: every key extending it
-    pairs 0 with its last factor.
+    their keys in lexicographic order.  It pairs each nonzero product of
+    k - 1 factors (``nonzero_products``) with each vector.
     """
     if k < 3:
         raise ValueError("vertex tensors need valence >= 3")
     els = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
     out = {}
-
-    def extend(prefix, prod):
-        if len(prefix) == k - 1:
-            for last, el in enumerate(els):
-                val = alg.pair(prod, el)
-                if val:
-                    out[prefix + (last,)] = val
-            return
-        for i, el in enumerate(els):
-            longer = alg.mul(prod, el) if prefix else el
-            if longer:
-                extend(prefix + (i,), longer)
-
-    extend((), None)
+    for prefix, prod in nonzero_products(alg, els, k - 1):
+        for last, el in enumerate(els):
+            val = alg.pair(prod, el)
+            if val:
+                out[prefix + (last,)] = val
     return out
 
 
-def vertex_tensor_is_symmetric(space_parities, tensor, k) -> bool:
-    for s in range(k - 1):
-        for key, val in tensor.items():
-            swapped = list(key)
-            swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
-            sgn = -1 if (space_parities[key[s]] and space_parities[key[s + 1]]) else 1
-            if tensor.get(tuple(swapped), Fraction(0)) != sgn * val:
-                return False
-    return True
+def nonzero_products(alg: FrobeniusAlgebra, elements, n: int):
+    """(t, e_{t_1} ... e_{t_n}) for the index tuples t of length n >= 1 whose
+    product of elements (sparse dicts), taken left to right, is nonzero, in
+    lexicographic order.  Each product is its prefix times one more factor,
+    depth first; the search stops at the first zero prefix."""
+    def extend(prefix, prod):
+        if len(prefix) == n:
+            yield prefix, prod
+            return
+        for i, el in enumerate(elements):
+            longer = alg.mul(prod, el) if prefix else el
+            if longer:
+                yield from extend(prefix + (i,), longer)
+
+    return extend((), None)
 
 
 # ---------------------------------------------------------------------------

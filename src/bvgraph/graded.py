@@ -9,6 +9,12 @@ Three hot loops keep faster special cases of it: ``sort_indices_with_sign``
 ``tests/test_graded.py`` pins each of them to ``koszul_sign`` exhaustively on
 small inputs.  ``dual.wedge_sign`` and ``dual.shuffle_sign`` are closed forms
 of the same sign; ``tests/test_dual.py`` pins ``shuffle_sign`` to it.
+
+The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
+``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
+serve the vertex tensors mu_k (``frobenius``) and the multilinear maps of
+``superpoly`` (keys ``args + (out,)``).  ``vector_parity`` is the parity test
+of a basis vector for the gauges of ``frobenius`` and ``symplectic``.
 """
 from __future__ import annotations
 
@@ -127,23 +133,44 @@ def tensor_clean(t: dict) -> dict:
 
 
 def permute_tensor(space: SuperSpace, t: dict, order) -> dict:
-    """Apply the signed place permutation: slot j of the result holds slot order[j]."""
+    """Apply the signed place permutation to the first len(order) slots of each
+    key: slot j of the result holds slot order[j]; later slots stay in place."""
+    rank = len(order)
     out = {}
     for key, val in t.items():
-        pars = [space.parities[i] for i in key]
-        sign = koszul_sign(order, pars)
-        new = tuple(key[o] for o in order)
+        sign = koszul_sign(order, [space.parities[i] for i in key[:rank]])
+        new = tuple(key[o] for o in order) + key[rank:]
         out[new] = out.get(new, Fraction(0)) + sign * val
     return tensor_clean(out)
 
 
 def symmetrize_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
-    """The map i_n: sum of all Koszul-signed place permutations."""
+    """The map i_n: sum of all Koszul-signed permutations of the first `rank` slots."""
     out = {}
     for order in permutations(range(rank)):
         for key, val in permute_tensor(space, t, order).items():
             out[key] = out.get(key, Fraction(0)) + val
     return tensor_clean(out)
+
+
+def is_symmetric_tensor(space: SuperSpace, t: dict, rank: int) -> bool:
+    """Whether every signed adjacent transposition of the first `rank` slots fixes t."""
+    t = tensor_clean(t)
+    for s in range(rank - 1):
+        order = list(range(rank))
+        order[s], order[s + 1] = s + 1, s
+        if permute_tensor(space, t, order) != t:
+            return False
+    return True
+
+
+def vector_parity(space: SuperSpace, v) -> int:
+    """Parity of a dense coefficient vector on `space`; ValueError unless v is
+    nonzero and parity homogeneous."""
+    ps = {space.parities[i] for i, c in enumerate(v) if c != 0}
+    if len(ps) != 1:
+        raise ValueError("basis vectors must be nonzero and parity homogeneous")
+    return ps.pop()
 
 
 def sort_indices_with_sign(space: SuperSpace, key):

@@ -17,10 +17,10 @@ convention.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, sort_indices_with_sign
+from .graded import (EVEN, ODD, SuperSpace, is_symmetric_tensor,
+                     sort_indices_with_sign, symmetrize_tensor)
 
 
 def merge_keys(space: SuperSpace, k1, k2):
@@ -239,11 +239,6 @@ class VectorField:
         self.parity = parity
 
     @classmethod
-    def zero(cls, space):
-        z = SuperPolynomial.zero(space)
-        return cls(space, [z] * len(space), EVEN)
-
-    @classmethod
     def coordinate(cls, space, i):
         """The left partial d/dy_i as a field."""
         imgs = [SuperPolynomial.zero(space) for _ in space.names]
@@ -252,17 +247,6 @@ class VectorField:
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
         return apply_derivation(self.space, self.images, self.parity, f)
-
-    def __add__(self, other):
-        par = self.parity if self.parity == other.parity else None
-        return VectorField(self.space,
-                           [a + b for a, b in zip(self.images, other.images)], par)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return VectorField(self.space, [img * c for img in self.images], self.parity)
 
     def scale_by_poly(self, p: SuperPolynomial) -> "VectorField":
         pp = p.parity()
@@ -335,6 +319,9 @@ class MultilinearMap:
     """Koszul-symmetric tensor in Hom(S^n(W), W), stored sparsely.
 
     Entries map (args tuple of basis indices, out index) -> coefficient.
+    Symmetrizing and the symmetry test are ``graded``'s sparse-tensor
+    helpers on the flattened keys ``args + (out,)``, acting on the n
+    argument slots only.
     """
 
     __slots__ = ("space", "rank", "entries")
@@ -345,6 +332,9 @@ class MultilinearMap:
         self.space = space
         self.rank = rank
         self.entries = {k: v for k, v in (entries or {}).items() if v != 0}
+
+    def _flat(self) -> dict:
+        return {args + (out,): v for (args, out), v in self.entries.items()}
 
     def parity(self):
         ps = set()
@@ -360,27 +350,13 @@ class MultilinearMap:
 
     def symmetrized(self) -> "MultilinearMap":
         """Average over all Koszul-signed argument permutations."""
-        out = {}
         fact = factorial(self.rank)
-        for (args, tgt), val in self.entries.items():
-            pars = [self.space.parities[a] for a in args]
-            for order in permutations(range(self.rank)):
-                sign = koszul_sign(order, pars)
-                key = (tuple(args[o] for o in order), tgt)
-                out[key] = out.get(key, Fraction(0)) + Fraction(sign, fact) * val
-        return MultilinearMap(self.space, self.rank, out)
+        flat = symmetrize_tensor(self.space, self._flat(), self.rank)
+        return MultilinearMap(self.space, self.rank,
+                              {(k[:-1], k[-1]): v / fact for k, v in flat.items()})
 
     def is_symmetric(self) -> bool:
-        for s in range(self.rank - 1):
-            for (args, tgt), val in self.entries.items():
-                swapped = list(args)
-                swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
-                sign = 1
-                if self.space.parities[args[s]] and self.space.parities[args[s + 1]]:
-                    sign = -1
-                if self.entries.get((tuple(swapped), tgt), Fraction(0)) != sign * val:
-                    return False
-        return True
+        return is_symmetric_tensor(self.space, self._flat(), self.rank)
 
     def evaluate(self, vectors):
         """Value on a tuple of coefficient vectors; a dict {out index: Fraction}."""
@@ -414,18 +390,14 @@ class MultilinearMap:
     @classmethod
     def from_field(cls, eta: VectorField, degree: int) -> "MultilinearMap":
         """Inverse of to_field on fields whose images are pure degree n."""
-        entries = {}
-        space = eta.space
+        flat = {}
         for tgt, img in enumerate(eta.images):
             for key, val in img.terms.items():
                 if len(key) != degree:
                     raise ValueError("field images must be homogeneous of the degree")
-                pars = [space.parities[i] for i in key]
-                for order in permutations(range(degree)):
-                    sign = koszul_sign(order, pars)
-                    akey = (tuple(key[o] for o in order), tgt)
-                    entries[akey] = entries.get(akey, Fraction(0)) + sign * val
-        return cls(space, degree, entries)
+                flat[key + (tgt,)] = val
+        flat = symmetrize_tensor(eta.space, flat, degree)
+        return cls(eta.space, degree, {(k[:-1], k[-1]): v for k, v in flat.items()})
 
     def supertrace_form(self, vectors) -> Fraction:
         """tr[x -> zeta(args, x)] for n-1 argument vectors."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace, tensor_space
+from .graded import EVEN, ODD, SuperSpace, tensor_space, vector_parity
 from .forms import FormContext
 from .superpoly import SuperPolynomial, VectorField, left_partial, merge_keys
 
@@ -47,9 +47,6 @@ class BilinearForm:
                 koszul = -1 if (pi and pj) else 1
                 if self.rows[i][j] != s * koszul * self.rows[j][i]:
                     raise ValueError(f"declared {self.symmetry}metry fails at ({i},{j})")
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
 
     def matrix(self):
         return [list(r) for r in self.rows]
@@ -350,12 +347,7 @@ class LagrangianSubspace:
         n = len(symp.space) // 2
         if len(self.vectors) != n:
             raise ValueError("a Lagrangian in n|n has total dimension n")
-        self.parities = []
-        for v in self.vectors:
-            ps = {symp.space.parities[i] for i, c in enumerate(v) if c != 0}
-            if len(ps) != 1:
-                raise ValueError("basis vectors must be parity homogeneous")
-            self.parities.append(ps.pop())
+        self.parities = [vector_parity(symp.space, v) for v in self.vectors]
         if linalg.rank([list(v) for v in self.vectors]) != n:
             raise ValueError("basis vectors are dependent")
         for u in self.vectors:
@@ -367,9 +359,8 @@ class LagrangianSubspace:
         ev = sum(1 for p in self.parities if p == EVEN)
         return (ev, len(self.parities) - ev)
 
-    def subspace(self, prefix="l") -> SuperSpace:
-        return SuperSpace([f"{prefix}{i}" for i in range(len(self.vectors))],
-                          self.parities)
+    def subspace(self) -> SuperSpace:
+        return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
 
 
 def lagrangian_from_generating_function(symp: SymplecticSpace, phi: SuperPolynomial,

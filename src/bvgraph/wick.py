@@ -89,11 +89,12 @@ class QuadraticWeight:
     def __init__(self, space: SuperSpace, form: BilinearForm):
         if form.parity != EVEN or form.symmetry != "sym":
             raise ValueError("weight must be an even symmetric form")
-        if not form.is_nondegenerate():
-            raise ValueError("weight form is degenerate")
+        try:
+            self.inverse = form.inverse()
+        except ValueError:
+            raise ValueError("weight form is degenerate") from None
         self.space = space
         self.form = form
-        self.inverse = form.inverse()
         self._memo = {}
 
     @classmethod

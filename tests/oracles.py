@@ -21,7 +21,7 @@ that field.
 connected components.
 """
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 
 from bvgraph import linalg
@@ -108,7 +108,7 @@ def vertex_tensor_oracle(alg, vectors, k):
     els = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
     out = {}
     for tup in product(range(len(els)), repeat=k):
-        prod = alg.mul_chain([els[i] for i in tup[:-1]])
+        prod = reduce(alg.mul, (els[i] for i in tup[:-1]))
         val = alg.pair(prod, els[tup[-1]])
         if val:
             out[tup] = val

@@ -11,12 +11,13 @@ from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, find_gauges, g3, g3_gauge, k2,
                                k2_gauge, so3_reduced, vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
-from bvgraph.graphs import (CanonicalGraph, cycle_space, enumerate_graphs,
-                            theta_graph)
+from bvgraph.graphs import (CanonicalGraph, canonicalize_directed, cycle_space,
+                            enumerate_graphs, theta_graph)
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
-                          feynman_on_chain, feynman_value, psi_of_word,
-                          s_functional, shuffle_sign, verify_cocycle_chains,
+                          feynman_on_chain, feynman_value, graph_from_chord,
+                          psi_of_word, s_functional, shuffle_sign,
+                          verify_cocycle_chains,
                           verify_cocycle_graphs, verify_commute,
                           verify_gauge_independence,
                           verify_kontsevich_chain_map, verify_master_equations,
@@ -629,8 +630,6 @@ def test_wick_map_cubic_2_wedge_hits_theta():
 
 def test_wick_map_diagram_census_on_cubic_wedge():
     # 6 of the 15 diagrams are cross matchings (theta); 9 give loop graphs
-    from bvgraph.dual import graph_from_chord
-    from bvgraph.graphs import canonicalize_directed
     cross = loops = 0
     for chord in chord_diagrams(3):
         nv, edges = graph_from_chord([3, 3], chord)

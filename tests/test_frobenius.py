@@ -8,10 +8,9 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, algebra_from_json,
                                check_contractible, degenerate_form, find_gauges,
                                g3, g3_gauge, grassmann_algebra, k2, k2_gauge,
                                so3_reduced, verify_axioms, vertex_tensor,
-                               vertex_tensor_is_symmetric,
                                vertex_tensor_on_vectors)
 from bvgraph import linalg
-from bvgraph.graded import EVEN, ODD, perm_parity
+from bvgraph.graded import EVEN, ODD, is_symmetric_tensor, perm_parity
 from oracles import vertex_tensor_oracle
 
 
@@ -72,7 +71,7 @@ def test_k2_unique_gauge():
 
 
 def test_g3_gauge_family_has_4_parameters():
-    gauges, info = find_gauges(g3(), values=(0, 1))
+    gauges, info = find_gauges(g3())
     assert info["n_parameters"] == 4
     assert len(gauges) == 16
     for g in gauges:
@@ -158,9 +157,28 @@ def test_vertex_tensor_symmetry_k_up_to_4():
     for alg, gauge in ((k2(), k2_gauge()), (g3(), g3_gauge(0, 0, 0, 1))):
         for k in (3, 4):
             mu = vertex_tensor(alg, k)
-            assert vertex_tensor_is_symmetric(alg.space.parities, mu, k)
+            assert is_symmetric_tensor(alg.space, mu, k)
             mul = vertex_tensor_on_vectors(alg, gauge.vectors, k)
-            assert vertex_tensor_is_symmetric(gauge.parities, mul, k)
+            assert is_symmetric_tensor(gauge.subspace(), mul, k)
+
+
+def test_symmetry_check_catches_one_negated_entry():
+    gauge = find_gauges(so3_reduced())[0][0]
+    eps = gauge.mu(3)
+    assert is_symmetric_tensor(gauge.subspace(), eps, 3)
+    for key in eps:
+        broken = dict(eps)
+        broken[key] = -broken[key]
+        assert not is_symmetric_tensor(gauge.subspace(), broken, 3)
+
+
+def test_gauge_rejects_a_vector_of_mixed_parity():
+    alg = g3()
+    idx = {nm: i for i, nm in enumerate(alg.space.names)}
+    vectors = [list(v) for v in g3_gauge(alg=alg).vectors]
+    vectors[0][idx["1"]] = Fraction(1)  # xi1 + 1: odd plus even
+    with pytest.raises(ValueError, match="homogeneous"):
+        Gauge(alg, vectors)
 
 
 VERTEX_TENSOR_CASES = {

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,7 +174,6 @@ def test_average_after_symmetrize_recovers_symmetric_input():
         sym = average_tensor(w, symmetrize_tensor(w, raw, rank), rank)
         twice = average_tensor(w, symmetrize_tensor(
             w, symmetrize_tensor(w, raw, rank), rank), rank)
-        from math import factorial
         scaled = {k: v * factorial(rank) for k, v in sym.items()}
         assert twice == scaled
 
@@ -194,3 +194,6 @@ def test_permute_tensor_signs():
     w = SuperSpace(("xi", "eta"), (ODD, ODD))
     t = {(0, 1): Fraction(1)}
     assert permute_tensor(w, t, (1, 0)) == {(1, 0): Fraction(-1)}
+    # slots after the first len(order) stay in place
+    t = {(0, 1, 1, 0): Fraction(1)}
+    assert permute_tensor(w, t, (1, 0)) == {(1, 0, 1, 0): Fraction(-1)}

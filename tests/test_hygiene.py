@@ -4,7 +4,7 @@ No module of the package or of the tests imports a name it never uses, and
 no package module sums polynomials by folding ``x = x + ...``: every
 accumulation goes through ``SuperPolynomial.sum``.  The library holds the engine and ``tests/`` the
 oracles: no package name ends in ``_oracle``, and no module imports from the
-tests.  Every import of the package is at module level.
+tests.  Every import of the package and of the tests is at module level.
 """
 import ast
 from pathlib import Path
@@ -119,6 +119,7 @@ def test_local_imports_are_detected():
 
 
 def test_imports_are_at_module_level():
-    hits = [hit for path in sorted(SRC.glob("*.py"))
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    hits = [hit for path in paths
             for hit in local_imports(path.read_text(encoding="utf-8"), path.name)]
     assert hits == []

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bvgraph.graded import EVEN, ODD, SuperSpace
+from bvgraph import linalg
+from bvgraph.graded import EVEN, ODD, SuperSpace, symmetrize_tensor
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial, VectorField, divergence
 from bvgraph import sampling
 
@@ -185,7 +186,6 @@ def test_divergence_product_law():
 def test_divergence_basis_independence():
     rng = random.Random(11)
     w = space_22()
-    from bvgraph import linalg
     for _ in range(8):
         p = rng.choice((0, 1))
         eta = sampling.vector_field(rng, w, p, 2)
@@ -254,7 +254,6 @@ def test_divergence_equals_supertrace_dual_path():
     # Prop. divsupertrace: i_{n-1} nabla(zeta^vee) evaluated on arguments equals
     # the supertrace formula; this pins the 1/n! normalization of to_field.
     rng = random.Random(13)
-    from bvgraph.graded import symmetrize_tensor
     w = space_11()
     for _ in range(25):
         rank = rng.choice((2, 3))
@@ -276,6 +275,11 @@ def test_supertrace_dual_path_rank3_on_11():
     w = space_11()
     zeta = sampling.multilinear(rng, w, 3, entries=6)
     assert zeta.is_symmetric()
+    # negating one entry with two distinct arguments breaks the symmetry
+    (args, out), val = next((k, v) for k, v in zeta.entries.items()
+                            if len(set(k[0])) > 1)
+    broken = MultilinearMap(w, 3, {**zeta.entries, (args, out): -val})
+    assert not broken.is_symmetric()
 
 
 def test_from_field_round_trip():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField
 from bvgraph.forms import FormContext
-from bvgraph.symplectic import (BilinearForm, SymplecticSpace,
+from bvgraph.symplectic import (BilinearForm, LagrangianSubspace, SymplecticSpace,
                                 canonical_lagrangian, duality_map,
                                 i2_of_quadratic, pi2_of_form,
                                 lagrangian_from_generating_function,
@@ -468,6 +468,19 @@ def test_lagrangian_rejects_bad_phi():
     bad = SuperPolynomial.monomial(u.space, (0, 1), 1)  # even quadratic
     with pytest.raises(ValueError):
         lagrangian_from_generating_function(u, bad, 1)
+
+
+@pytest.mark.parametrize("vectors, match", [
+    ([(1, 0, 1, 0), (0, 1, 0, 0)], "homogeneous"),   # x1 + xi1
+    ([(0, 0, 0, 0), (0, 1, 0, 0)], "nonzero"),
+    ([(1, 0, 0, 0)], "total dimension"),
+    ([(1, 0, 0, 0), (2, 0, 0, 0)], "dependent"),
+    ([(1, 0, 0, 0), (0, 0, 1, 0)], "isotropic"),      # <x1, xi1> = 1
+], ids=["mixed_parity", "zero_vector", "wrong_count", "dependent", "not_isotropic"])
+def test_lagrangian_rejects_bad_bases(vectors, match):
+    u = SymplecticSpace.canonical_odd(2)
+    with pytest.raises(ValueError, match=match):
+        LagrangianSubspace(u, vectors)
 
 
 def test_duality_map_examples():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bvgraph.graded import EVEN, ODD, SuperSpace
-from bvgraph.superpoly import SuperPolynomial, VectorField
-from bvgraph.symplectic import BilinearForm, SymplecticSpace, canonical_lagrangian
+from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign
+from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
+from bvgraph.symplectic import (BilinearForm, SymplecticSpace, canonical_lagrangian,
+                                restrict_polynomial)
 from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
                           bv_stokes_value, chord_diagrams, double_factorial,
                           gaussian_stokes_even, live_chords, right_deriv)
@@ -76,7 +77,6 @@ def test_beta_contract_odd_swap_flips_sign():
     assert beta_contract([s, t], ((0, 1),), form) == 1
     assert beta_contract([t, s], ((0, 1),), form) == -1
     # 4-factor case: the sign is exactly the Koszul unshuffle sign
-    from bvgraph.graded import koszul_sign
     chord = ((0, 2), (1, 3))
     v = beta_contract([s, s, t, t], chord, form)
     assert v == koszul_sign((0, 2, 1, 3), (1, 1, 1, 1)) * 1 * 1 == -1
@@ -195,7 +195,7 @@ def test_oracle_agrees_with_wick_up_to_22_degree_6():
 def test_oracle_rejects_non_split():
     space = SuperSpace(("x1", "x2"), (EVEN, EVEN))
     rows = [[1, 1], [1, 1]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate"):
         QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
     rows = [[2, 1], [1, 2]]
     wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
@@ -241,7 +241,6 @@ def _nondeg_sigma_on(u, lag, rng=None, extra=0):
 def test_bv_stokes_random_degree_4():
     rng = random.Random(4)
     u = SymplecticSpace.canonical_odd(2)
-    from bvgraph.symplectic import restrict_polynomial
     checked = 0
     for _ in range(40):
         lag = canonical_lagrangian(u, rng.choice((0, 2)))
@@ -277,7 +276,6 @@ def test_berezin_change_of_variables_random():
         f = sampling.polynomial(rng, space, 3, terms=3)
         lhs, rhs = berezin_change_of_variables(eta, f)
         assert lhs == rhs
-        from bvgraph.superpoly import divergence
         if divergence(eta).is_zero():
             zero_div += 1
             assert lhs == 0
