@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, koszul_sign, perm_parity
+from .graded import EVEN, ODD, koszul_sign, perm_parity, sparse_sum
 from .superpoly import SuperPolynomial
 from .symplectic import SymplecticSpace
 
@@ -34,55 +34,47 @@ def sort_wedge_word(space, word):
 
 
 class CEChain:
-    """Formal rational combination of wedge words over a fixed even V_{2n|m}."""
+    """Formal rational combination of wedge words over a fixed even V_{2n|m}.
 
-    def __init__(self, symp: SymplecticSpace, terms=None):
+    It is built from (word, coefficient) pairs, or a dict of them: each word
+    is sorted with its sign (``sort_wedge_word``), and the signed terms are
+    summed through ``graded.sparse_sum``.
+    """
+
+    def __init__(self, symp: SymplecticSpace, terms=()):
         if symp.parity != EVEN:
             raise ValueError("CE chains live over an even symplectic space")
         self.symp = symp
-        self.terms = {}
-        for word, coeff in (terms or {}).items():
-            self._accumulate(word, coeff)
+        space = symp.space
 
-    def _accumulate(self, word, coeff):
-        if coeff == 0:
-            return
-        for key in word:
-            if len(key) < 3:
-                raise ValueError("wedge factors must have degree >= 3")
-        sword, sign = sort_wedge_word(self.symp.space, word)
-        if sword is None:
-            return
-        cur = self.terms.get(sword, Fraction(0)) + sign * coeff
-        if cur:
-            self.terms[sword] = cur
-        else:
-            self.terms.pop(sword, None)
+        def sorted_terms():
+            for word, coeff in (terms.items() if isinstance(terms, dict) else terms):
+                if any(len(key) < 3 for key in word):
+                    raise ValueError("wedge factors must have degree >= 3")
+                sword, sign = sort_wedge_word(space, word)
+                if sword is not None:
+                    yield sword, sign * coeff
+        self.terms = sparse_sum(sorted_terms())
 
     @classmethod
-    def from_polynomials(cls, symp, polys, coeff=1):
+    def from_polynomials(cls, symp, polys):
         """Wedge of polynomials, expanded multilinearly into monomial words."""
-        out = cls(symp)
-        words = [((), Fraction(coeff))]
+        words = [((), Fraction(1))]
         for p in polys:
             if p.space != symp.space:
                 raise ValueError("factor on the wrong space")
             words = [(w + (key,), c * v)
                      for (w, c) in words for key, v in p.terms.items()]
-        for word, c in words:
-            out._accumulate(word, c)
-        return out
+        return cls(symp, words)
 
     def add(self, other: "CEChain") -> "CEChain":
         if other.symp.space != self.symp.space:
             raise ValueError("chains over different symplectic spaces")
-        out = CEChain(self.symp, dict(self.terms))
-        for w, c in other.terms.items():
-            out._accumulate(w, c)
-        return out
+        return CEChain(self.symp, [*self.terms.items(), *other.terms.items()])
 
     def scale(self, c) -> "CEChain":
-        return CEChain(self.symp, {w: v * Fraction(c) for w, v in self.terms.items()})
+        c = Fraction(c)
+        return CEChain(self.symp, ((w, v * c) for w, v in self.terms.items()))
 
     def is_zero(self):
         return not self.terms
@@ -121,22 +113,23 @@ def ce_differential(chain: CEChain) -> CEChain:
            + i + j - 1, with 1-based positions, exactly as printed.
     """
     symp = chain.symp
-    out = CEChain(symp)
-    for word, coeff in chain.terms.items():
-        pars = chain.word_parities(word)
-        m = len(word)
-        for i in range(m):
-            for j in range(i + 1, m):
-                p = (pars[i] * sum(pars[:i]) + pars[j] * sum(pars[:j])
-                     + pars[i] * pars[j] + (i + 1) + (j + 1) - 1)
-                sign = -1 if p % 2 else 1
-                gi = SuperPolynomial(symp.space, {word[i]: Fraction(1)})
-                gj = SuperPolynomial(symp.space, {word[j]: Fraction(1)})
-                bracket = symp.poisson(gi, gj)
-                rest = tuple(word[t] for t in range(m) if t not in (i, j))
-                for bkey, bval in bracket.terms.items():
-                    out._accumulate((bkey,) + rest, sign * coeff * bval)
-    return out
+
+    def terms():
+        for word, coeff in chain.terms.items():
+            pars = chain.word_parities(word)
+            m = len(word)
+            for i in range(m):
+                for j in range(i + 1, m):
+                    p = (pars[i] * sum(pars[:i]) + pars[j] * sum(pars[:j])
+                         + pars[i] * pars[j] + (i + 1) + (j + 1) - 1)
+                    sign = -1 if p % 2 else 1
+                    gi = SuperPolynomial(symp.space, {word[i]: Fraction(1)})
+                    gj = SuperPolynomial(symp.space, {word[j]: Fraction(1)})
+                    bracket = symp.poisson(gi, gj)
+                    rest = tuple(word[t] for t in range(m) if t not in (i, j))
+                    for bkey, bval in bracket.terms.items():
+                        yield (bkey,) + rest, sign * coeff * bval
+    return CEChain(symp, terms())
 
 
 def osp_action(eta: SuperPolynomial, chain: CEChain) -> CEChain:
@@ -145,16 +138,16 @@ def osp_action(eta: SuperPolynomial, chain: CEChain) -> CEChain:
         raise ValueError("osp elements are quadratic Hamiltonians")
     symp = chain.symp
     pe = eta.parity()
-    out = CEChain(symp)
-    for word, coeff in chain.terms.items():
-        pars = chain.word_parities(word)
-        for i in range(len(word)):
-            sign = 1
-            if pe == ODD and sum(pars[:i]) % 2:
-                sign = -1
-            gi = SuperPolynomial(symp.space, {word[i]: Fraction(1)})
-            bracket = symp.poisson(eta, gi)
-            for bkey, bval in bracket.terms.items():
-                out._accumulate(word[:i] + (bkey,) + word[i + 1:],
-                                sign * coeff * bval)
-    return out
+
+    def terms():
+        for word, coeff in chain.terms.items():
+            pars = chain.word_parities(word)
+            for i in range(len(word)):
+                sign = 1
+                if pe == ODD and sum(pars[:i]) % 2:
+                    sign = -1
+                gi = SuperPolynomial(symp.space, {word[i]: Fraction(1)})
+                bracket = symp.poisson(eta, gi)
+                for bkey, bval in bracket.terms.items():
+                    yield word[:i] + (bkey,) + word[i + 1:], sign * coeff * bval
+    return CEChain(symp, terms())

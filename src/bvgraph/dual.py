@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, SuperSpace, tensor_space
+from .graded import EVEN, ODD, SuperSpace, sparse_sum, tensor_space
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
@@ -124,15 +124,15 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
     n = zeta.rank
     basis = [alg.basis_element(a) for a in range(len(alg.space))]
     products = list(nonzero_products(alg, basis, n))
-    entries = {}
-    for (args, out_w), val in zeta.entries.items():
-        for alphas, prod_vec in products:
-            sign = shuffle_sign([vpar[a] for a in args], [apar[a] for a in alphas])
-            akey = tuple(alphas[r] * nv + args[r] for r in range(n))
-            for out_a, c in prod_vec.items():
-                ekey = (akey, out_a * nv + out_w)
-                entries[ekey] = entries.get(ekey, Fraction(0)) + sign * val * c
-    return MultilinearMap(tensor_space(alg.space, vspace), n, entries)
+
+    def entries():
+        for (args, out_w), val in zeta.entries.items():
+            for alphas, prod_vec in products:
+                sign = shuffle_sign([vpar[a] for a in args], [apar[a] for a in alphas])
+                akey = tuple(alphas[r] * nv + args[r] for r in range(n))
+                for out_a, c in prod_vec.items():
+                    yield (akey, out_a * nv + out_w), sign * val * c
+    return MultilinearMap(tensor_space(alg.space, vspace), n, sparse_sum(entries()))
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +323,18 @@ def wick_map(chain: CEChain) -> GraphChain:
     """
     symp = chain.symp
     inv = symp.inverse.rows
-    out = GraphChain()
-    for word, coeff in chain.terms.items():
-        factors = [i for key in word for i in key]
-        sizes = [len(key) for key in word]
-        pars = [symp.space.parities[i] for i in factors]
-        for chord, val in live_chords(pars, factors, inv):
-            nv, edges = graph_from_chord(sizes, chord)
-            rep, sign = canonicalize_directed(nv, edges)
-            if sign == 0:
-                continue
-            out.add(rep, coeff * val * sign)
-    return out
+
+    def terms():
+        for word, coeff in chain.terms.items():
+            factors = [i for key in word for i in key]
+            sizes = [len(key) for key in word]
+            pars = [symp.space.parities[i] for i in factors]
+            for chord, val in live_chords(pars, factors, inv):
+                nv, edges = graph_from_chord(sizes, chord)
+                rep, sign = canonicalize_directed(nv, edges)
+                if sign:
+                    yield rep, coeff * val * sign
+    return GraphChain(terms())
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,11 @@ pairing matrix over a named basis.  Elements are sparse coefficient dicts
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, vector_parity
+from .graded import EVEN, ODD, SuperSpace, koszul_sign, sparse_sum, vector_parity
 from .symplectic import BilinearForm
-
-
-def _vec_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _vec_scale(u, c):
-    c = Fraction(c)
-    return {k: v * c for k, v in u.items() if v * c != 0}
 
 
 class FrobeniusAlgebra:
@@ -43,23 +31,12 @@ class FrobeniusAlgebra:
         return {i: Fraction(1)}
 
     def mul(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                img = self.mult.get((i, j))
-                if not img:
-                    continue
-                for k, c in img.items():
-                    out[k] = out.get(k, Fraction(0)) + a * b * c
-        return {k: c for k, c in out.items() if c != 0}
+        return sparse_sum((k, a * b * c) for i, a in u.items() for j, b in v.items()
+                          for k, c in self.mult.get((i, j), {}).items())
 
     def d_of(self, u):
-        out = {}
-        for j, c in u.items():
-            for k in range(len(self.space)):
-                if self.diff[k][j]:
-                    out[k] = out.get(k, Fraction(0)) + self.diff[k][j] * c
-        return {k: c for k, c in out.items() if c != 0}
+        return sparse_sum((k, self.diff[k][j] * c) for j, c in u.items()
+                          for k in range(len(self.space)) if self.diff[k][j])
 
     def pair(self, u, v) -> Fraction:
         total = Fraction(0)
@@ -91,7 +68,8 @@ def verify_axioms(alg: FrobeniusAlgebra) -> dict:
     for i in range(n):
         for j in range(n):
             lhs = alg.mul(e[i], e[j])
-            rhs = _vec_scale(alg.mul(e[j], e[i]), -1 if (p[i] and p[j]) else 1)
+            sign = -1 if (p[i] and p[j]) else 1
+            rhs = sparse_sum((k, sign * c) for k, c in alg.mul(e[j], e[i]).items())
             if lhs != rhs:
                 failures.append(f"graded commutativity fails at ({i},{j})")
     for i in range(n):
@@ -117,9 +95,10 @@ def verify_axioms(alg: FrobeniusAlgebra) -> dict:
     for i in range(n):
         for j in range(n):
             lhs = alg.d_of(alg.mul(e[i], e[j]))
-            rhs = _vec_add(alg.mul(alg.d_of(e[i]), e[j]),
-                           _vec_scale(alg.mul(e[i], alg.d_of(e[j])),
-                                      -1 if p[i] else 1))
+            sign = -1 if p[i] else 1
+            rhs = sparse_sum(chain(
+                alg.mul(alg.d_of(e[i]), e[j]).items(),
+                ((k, sign * c) for k, c in alg.mul(e[i], alg.d_of(e[j])).items())))
             if lhs != rhs:
                 failures.append(f"Leibniz rule for d fails at ({i},{j})")
     for j in range(n):

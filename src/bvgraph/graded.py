@@ -10,6 +10,12 @@ Three hot loops keep faster special cases of it: ``sort_indices_with_sign``
 small inputs.  ``dual.wedge_sign`` and ``dual.shuffle_sign`` are closed forms
 of the same sign; ``tests/test_dual.py`` pins ``shuffle_sign`` to it.
 
+Every sparse rational combination of the package (polynomial terms, vertex
+tensors, multilinear maps, graph and Chevalley-Eilenberg chains, algebra
+elements) is accumulated by one function, ``sparse_sum``: it adds the values
+of equal keys, keeps Fraction values and drops zero sums once.
+``SuperPolynomial.sum`` is its polynomial case.
+
 The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
 serve the vertex tensors mu_k (``frobenius``) and the multilinear maps of
@@ -126,36 +132,43 @@ def tensor_space(a: SuperSpace, b: SuperSpace) -> SuperSpace:
 
 
 # ---------------------------------------------------------------------------
-# Sparse tensors: dict {tuple of basis indices: Fraction}
+# Sparse combinations: dict {key: Fraction}, zero values never stored
 
-def tensor_clean(t: dict) -> dict:
-    return {k: v for k, v in t.items() if v != 0}
+def sparse_sum(pairs) -> dict:
+    """The sparse sum of an iterable of (key, value) pairs.
+
+    Values of equal keys are added; keys keep the order of their first
+    occurrence, every value is a Fraction, and the keys whose sum is 0 are
+    dropped once, at the end.
+    """
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            out[k] += v
+        else:
+            out[k] = v if type(v) is Fraction else Fraction(v)
+    return {k: v for k, v in out.items() if v}
 
 
 def permute_tensor(space: SuperSpace, t: dict, order) -> dict:
     """Apply the signed place permutation to the first len(order) slots of each
     key: slot j of the result holds slot order[j]; later slots stay in place."""
     rank = len(order)
-    out = {}
-    for key, val in t.items():
-        sign = koszul_sign(order, [space.parities[i] for i in key[:rank]])
-        new = tuple(key[o] for o in order) + key[rank:]
-        out[new] = out.get(new, Fraction(0)) + sign * val
-    return tensor_clean(out)
+    return sparse_sum(
+        (tuple(key[o] for o in order) + key[rank:],
+         koszul_sign(order, [space.parities[i] for i in key[:rank]]) * val)
+        for key, val in t.items())
 
 
 def symmetrize_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
     """The map i_n: sum of all Koszul-signed permutations of the first `rank` slots."""
-    out = {}
-    for order in permutations(range(rank)):
-        for key, val in permute_tensor(space, t, order).items():
-            out[key] = out.get(key, Fraction(0)) + val
-    return tensor_clean(out)
+    return sparse_sum(item for order in permutations(range(rank))
+                      for item in permute_tensor(space, t, order).items())
 
 
 def is_symmetric_tensor(space: SuperSpace, t: dict, rank: int) -> bool:
     """Whether every signed adjacent transposition of the first `rank` slots fixes t."""
-    t = tensor_clean(t)
+    t = sparse_sum(t.items())
     for s in range(rank - 1):
         order = list(range(rank))
         order[s], order[s + 1] = s + 1, s
@@ -194,11 +207,11 @@ def average_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
     Keys repeating an odd index represent classes that vanish in the symmetric
     algebra and are dropped.
     """
-    out = {}
     fact = factorial(rank)
-    for key, val in t.items():
-        skey, sign = sort_indices_with_sign(space, key)
-        if skey is None:
-            continue
-        out[skey] = out.get(skey, Fraction(0)) + Fraction(sign, fact) * val
-    return tensor_clean(out)
+
+    def terms():
+        for key, val in t.items():
+            skey, sign = sort_indices_with_sign(space, key)
+            if skey is not None:
+                yield skey, Fraction(sign, fact) * val
+    return sparse_sum(terms())

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import perm_parity
+from .graded import perm_parity, sparse_sum
 
 
 class OrientedGraph:
@@ -249,31 +249,20 @@ def contract_directed(nv: int, edges, edge_index: int):
 
 
 class GraphChain:
-    """Sparse rational combination of canonical graphs in one bidegree."""
+    """Sparse rational combination of canonical graphs in one bidegree.
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        for g, c in (terms or {}).items():
-            if c != 0:
-                self.terms[g] = Fraction(c)
+    It is built from (graph, coefficient) pairs, or a dict of them, through
+    ``graded.sparse_sum``: repeated graphs add up and zero sums are dropped.
+    """
 
-    def add(self, graph: CanonicalGraph, coeff):
-        if coeff == 0:
-            return
-        cur = self.terms.get(graph, Fraction(0)) + coeff
-        if cur:
-            self.terms[graph] = cur
-        else:
-            self.terms.pop(graph, None)
+    def __init__(self, terms=()):
+        self.terms = sparse_sum(terms.items() if isinstance(terms, dict) else terms)
 
     def __add__(self, other):
-        out = GraphChain(self.terms)
-        for g, c in other.terms.items():
-            out.add(g, c)
-        return out
+        return GraphChain([*self.terms.items(), *other.terms.items()])
 
     def scale(self, c):
-        return GraphChain({g: v * c for g, v in self.terms.items()})
+        return GraphChain((g, v * c) for g, v in self.terms.items())
 
     def is_zero(self):
         return not self.terms
@@ -295,20 +284,18 @@ class GraphChain:
 
 def boundary_of_graph(graph: CanonicalGraph) -> GraphChain:
     """Sum of single non-loop edge contractions, canonicalized with signs."""
-    out = GraphChain()
-    for i in range(len(graph.edges)):
-        nv, new_edges, csign = contract_directed(graph.n_vertices, graph.edges, i)
-        rep, sign = canonicalize_directed(nv, new_edges)
-        out.add(rep, Fraction(csign * sign))
-    return out
+    def terms():
+        for i in range(len(graph.edges)):
+            nv, new_edges, csign = contract_directed(graph.n_vertices, graph.edges, i)
+            rep, sign = canonicalize_directed(nv, new_edges)
+            if sign:
+                yield rep, csign * sign
+    return GraphChain(terms())
 
 
 def boundary(chain: GraphChain) -> GraphChain:
-    out = GraphChain()
-    for g, c in chain.terms.items():
-        for h, v in boundary_of_graph(g).terms.items():
-            out.add(h, c * v)
-    return out
+    return GraphChain((h, c * v) for g, c in chain.terms.items()
+                      for h, v in boundary_of_graph(g).terms.items())
 
 
 def enumerate_graphs(v: int, e: int):
@@ -391,14 +378,7 @@ def cycle_space(v: int, e: int):
             if h.key() not in lower_index:
                 raise AssertionError("boundary left the expected bidegree")
             rows[lower_index[h.key()]][col] = c
-    kernels = linalg.nullspace(rows)
-    chains = []
-    for vec in kernels:
-        ch = GraphChain()
-        for i, c in enumerate(vec):
-            ch.add(basis[i], c)
-        chains.append(ch)
-    return basis, chains
+    return basis, [GraphChain(zip(basis, vec)) for vec in linalg.nullspace(rows)]
 
 
 def theta_graph() -> CanonicalGraph:

@@ -4,11 +4,13 @@ Monomials are tuples of variable indices sorted ascending; odd variables never
 repeat (their square is zero) and the Koszul sign of every reordering is folded
 into the coefficient, so equality of polynomials is plain dict equality.
 
-Polynomials are summed only through ``SuperPolynomial.sum``: it adds the
-terms of all its parts into one dict and drops zeros once.  ``+`` and ``-``
-are its two-part cases; an accumulation passes its parts as a generator
-rather than folding ``out = out + part``, which copies and re-filters the
-whole running sum at each step.
+Polynomials are summed only through ``SuperPolynomial.sum``, the polynomial
+case of ``graded.sparse_sum``: it adds the terms of all its parts into one
+dict and drops zeros once.  ``+`` and ``-`` are its two-part cases; an
+accumulation passes its parts as a generator rather than folding
+``out = out + part``, which copies and re-filters the whole running sum at
+each step.  Products, derivatives and multilinear maps sum their terms
+through ``sparse_sum`` as well.
 
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
@@ -17,10 +19,11 @@ convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .graded import (EVEN, ODD, SuperSpace, is_symmetric_tensor,
-                     sort_indices_with_sign, symmetrize_tensor)
+                     sort_indices_with_sign, sparse_sum, symmetrize_tensor)
 
 
 def merge_keys(space: SuperSpace, k1, k2):
@@ -81,13 +84,11 @@ class SuperPolynomial:
     @classmethod
     def sum(cls, space, parts):
         """The sum of the polynomials `parts`, each on `space`; zeros dropped once."""
-        out = {}
-        for part in parts:
+        def terms(part):
             if part.space is not space and part.space != space:
                 raise ValueError("polynomials live on different variable spaces")
-            for k, v in part.terms.items():
-                out[k] = out[k] + v if k in out else v
-        return cls(space, out)
+            return part.terms.items()
+        return cls(space, sparse_sum(chain.from_iterable(map(terms, parts))))
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
@@ -102,14 +103,14 @@ class SuperPolynomial:
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
             self._check(other)
-            out = {}
-            for k1, v1 in self.terms.items():
-                for k2, v2 in other.terms.items():
-                    key, sign = merge_keys(self.space, k1, k2)
-                    if key is None:
-                        continue
-                    out[key] = out.get(key, Fraction(0)) + sign * v1 * v2
-            return SuperPolynomial(self.space, out)
+
+            def products():
+                for k1, v1 in self.terms.items():
+                    for k2, v2 in other.terms.items():
+                        key, sign = merge_keys(self.space, k1, k2)
+                        if key is not None:
+                            yield key, sign * v1 * v2
+            return SuperPolynomial(self.space, sparse_sum(products()))
         c = Fraction(other)
         return SuperPolynomial(self.space, {k: v * c for k, v in self.terms.items()})
 
@@ -165,12 +166,13 @@ class SuperPolynomial:
     def deriv_left(self, var: int) -> "SuperPolynomial":
         """Left partial derivative with respect to variable `var`."""
         pars = self.space.parities
-        out = {}
-        for key, val in self.terms.items():
-            if var in key:
-                rest, f = left_partial(pars, key, var)
-                out[rest] = out[rest] + f * val if rest in out else f * val
-        return SuperPolynomial(self.space, out)
+
+        def terms():
+            for key, val in self.terms.items():
+                if var in key:
+                    rest, f = left_partial(pars, key, var)
+                    yield rest, f * val
+        return SuperPolynomial(self.space, sparse_sum(terms()))
 
     def substitute(self, images, target_space: SuperSpace) -> "SuperPolynomial":
         """Graded algebra map sending variable i to images[i] (same parity)."""
@@ -362,16 +364,17 @@ class MultilinearMap:
         """Value on a tuple of coefficient vectors; a dict {out index: Fraction}."""
         if len(vectors) != self.rank:
             raise ValueError("argument count mismatch")
-        out = {}
-        for (args, tgt), val in self.entries.items():
-            c = val
-            for slot, a in enumerate(args):
-                c *= vectors[slot][a] if a < len(vectors[slot]) else 0
-                if c == 0:
-                    break
-            if c:
-                out[tgt] = out.get(tgt, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v != 0}
+
+        def terms():
+            for (args, tgt), val in self.entries.items():
+                c = val
+                for slot, a in enumerate(args):
+                    c *= vectors[slot][a] if a < len(vectors[slot]) else 0
+                    if c == 0:
+                        break
+                if c:
+                    yield tgt, c
+        return sparse_sum(terms())
 
     def to_field(self) -> VectorField:
         """The vector field pi_n(y) * d_alpha for each entry y (x) alpha.

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace, tensor_space, vector_parity
+from .graded import EVEN, ODD, SuperSpace, sparse_sum, tensor_space, vector_parity
 from .forms import FormContext
 from .superpoly import SuperPolynomial, VectorField, left_partial, merge_keys
 
@@ -237,13 +237,16 @@ class SymplecticSpace:
             raise ValueError("Hamiltonian not on this space")
         pars = self.space.parities
         cols = self._minv_cols
+
+        def terms():
+            for key, val in a.terms.items():
+                for v, rest, f in _gradient(pars, key):
+                    c = f * val
+                    for u, x in cols[v]:
+                        yield (u, rest), x * c
         imgs = [{} for _ in pars]
-        for key, val in a.terms.items():
-            for v, rest, f in _gradient(pars, key):
-                c = f * val
-                for u, x in cols[v]:
-                    img = imgs[u]
-                    img[rest] = img[rest] + x * c if rest in img else x * c
+        for (u, rest), c in sparse_sum(terms()).items():
+            imgs[u][rest] = c
         return VectorField(self.space, [SuperPolynomial(self.space, t) for t in imgs])
 
     def hamiltonian_of(self, eta: VectorField) -> SuperPolynomial:
@@ -256,16 +259,16 @@ class SymplecticSpace:
         if eta.space != self.space:
             raise ValueError("field not on this space")
         pars = self.space.parities
-        terms = {}
-        for u, row in enumerate(self.form.rows):
-            for v, b in ((v, b) for v, b in enumerate(row) if b):
-                for key, val in eta.images[u].terms.items():
-                    term, sign = merge_keys(self.space, key, (v,))
-                    if term is not None:
-                        sign *= (-1) ** (pars[u] + sum(pars[i] for i in key))
-                        t = sign * b * val / (len(key) + 1)
-                        terms[term] = terms[term] + t if term in terms else t
-        h = SuperPolynomial(self.space, terms)
+
+        def terms():
+            for u, row in enumerate(self.form.rows):
+                for v, b in ((v, b) for v, b in enumerate(row) if b):
+                    for key, val in eta.images[u].terms.items():
+                        term, sign = merge_keys(self.space, key, (v,))
+                        if term is not None:
+                            sign *= (-1) ** (pars[u] + sum(pars[i] for i in key))
+                            yield term, sign * b * val / (len(key) + 1)
+        h = SuperPolynomial(self.space, sparse_sum(terms()))
         if self.hamiltonian_field(h).images != eta.images:
             raise ValueError("field is not symplectic")
         return h
@@ -288,10 +291,13 @@ class SymplecticSpace:
             for part in a.parity_components() if not part.is_zero()))
 
     def antibracket(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
-        """{a,b} = L_alpha(b) on an odd symplectic space (linear P-manifold)."""
+        """{a,b} = L_alpha(b) on an odd symplectic space (linear P-manifold),
+        summed over the parity components of a."""
         if self.parity != ODD:
             raise ValueError("antibracket needs an odd symplectic form")
-        return self.hamiltonian_field(a)(b)
+        return SuperPolynomial.sum(self.space, (
+            self.hamiltonian_field(part)(b)
+            for part in a.parity_components() if not part.is_zero()))
 
     def odd_laplacian(self, a: SuperPolynomial) -> SuperPolynomial:
         """Delta(a) = 1/2 nabla(Phi^{-1} da), as a second-order operator.
@@ -315,16 +321,17 @@ class SymplecticSpace:
             raise ValueError("polynomial not on this space")
         pars = self.space.parities
         cols = self._minv_cols
-        out = {}
-        for key, val in a.terms.items():
-            s = sum(pars[i] for i in key) % 2
-            for v, rest, f in _gradient(pars, key):
-                for u, x in cols[v]:
-                    if u in rest:
-                        term, g = left_partial(pars, rest, u)
-                        t = (-g if s and pars[u] else g) * f * x * val
-                        out[term] = out[term] + t if term in out else t
-        return SuperPolynomial(self.space, {term: t / 2 for term, t in out.items()})
+
+        def terms():
+            for key, val in a.terms.items():
+                s = sum(pars[i] for i in key) % 2
+                for v, rest, f in _gradient(pars, key):
+                    for u, x in cols[v]:
+                        if u in rest:
+                            term, g = left_partial(pars, rest, u)
+                            yield term, (-g if s and pars[u] else g) * f * x * val
+        return SuperPolynomial(self.space, {term: t / 2
+                                            for term, t in sparse_sum(terms()).items()})
 
 
 def _gradient(pars, key):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import EVEN, ODD, SuperSpace, koszul_sign
+from .graded import EVEN, ODD, SuperSpace, koszul_sign, sparse_sum
 from .superpoly import SuperPolynomial, VectorField, divergence, left_partial
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          pi2_of_form, restrict_polynomial)
@@ -86,22 +86,20 @@ def live_chords(parities, idxs, matrix):
 class QuadraticWeight:
     """Even symmetric nondegenerate bilinear form driving a Gaussian expectation."""
 
-    def __init__(self, space: SuperSpace, form: BilinearForm):
+    def __init__(self, form: BilinearForm):
         if form.parity != EVEN or form.symmetry != "sym":
             raise ValueError("weight must be an even symmetric form")
         try:
             self.inverse = form.inverse()
         except ValueError:
             raise ValueError("weight form is degenerate") from None
-        self.space = space
+        self.space = form.space
         self.form = form
         self._memo = {}
 
     @classmethod
     def from_sigma(cls, sigma: SuperPolynomial) -> "QuadraticWeight":
-        space = sigma.space
-        rows = i2_of_quadratic(sigma)
-        return cls(space, BilinearForm(space, rows, EVEN, "sym"))
+        return cls(BilinearForm(sigma.space, i2_of_quadratic(sigma), EVEN, "sym"))
 
     def sigma(self) -> SuperPolynomial:
         return pi2_of_form(self.form)
@@ -154,14 +152,15 @@ def right_deriv(f: SuperPolynomial, var: int) -> SuperPolynomial:
     """Right-acting partial derivative (odd integration convention): for an odd
     var, (-1)^{|m| - 1} times the left one on a monomial m."""
     pars = f.space.parities
-    out = {}
-    for key, val in f.terms.items():
-        if var in key:
-            rest, c = left_partial(pars, key, var)
-            if pars[var] and not sum(pars[i] for i in key) % 2:
-                c = -c
-            out[rest] = out[rest] + c * val if rest in out else c * val
-    return SuperPolynomial(f.space, out)
+
+    def terms():
+        for key, val in f.terms.items():
+            if var in key:
+                rest, c = left_partial(pars, key, var)
+                if pars[var] and not sum(pars[i] for i in key) % 2:
+                    c = -c
+                yield rest, c * val
+    return SuperPolynomial(f.space, sparse_sum(terms()))
 
 
 def berezin_integrate(f: SuperPolynomial, odd_vars) -> SuperPolynomial:

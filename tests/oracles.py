@@ -243,7 +243,7 @@ def wick_map_oracle(chain):
     coeff * beta_c times its graph, canonicalised with its sign."""
     inv = chain.symp.form.inverse().rows
     pars = chain.symp.space.parities
-    out = GraphChain()
+    terms = []
     for word, coeff in chain.terms.items():
         factors = [i for key in word for i in key]
         if len(factors) % 2:
@@ -256,8 +256,8 @@ def wick_map_oracle(chain):
                 continue
             rep, sign = canonicalize_directed(*graph_from_chord(sizes, chord))
             if sign:
-                out.add(rep, coeff * val * sign)
-    return out
+                terms.append((rep, coeff * val * sign))
+    return GraphChain(terms)
 
 
 def canonical_laplacian_oracle(symp, a):

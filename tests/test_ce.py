@@ -126,12 +126,9 @@ def test_delta_on_2_wedge_is_the_bracket():
     for _ in range(6):
         h1, h2 = cubic(symp, rng), cubic(symp, rng)
         c = CEChain.from_polynomials(symp, [h1, h2])
-        expect = CEChain(symp)
         br = symp.poisson(h1, h2)
-        sgn = {}
         # p(g) at (i,j) = (1,2) is even for every parity combination
-        for key, val in br.terms.items():
-            expect._accumulate((key,), val)
+        expect = CEChain(symp, (((key,), val) for key, val in br.terms.items()))
         lhs = ce_differential(c)
         # compare through the coefficient dicts of single-factor words
         assert lhs.terms == expect.terms

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +9,7 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
                             symmetrize_tensor)
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
-from bvgraph.frobenius import (FrobeniusAlgebra, find_gauges, g3, g3_gauge, k2,
+from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, find_gauges, g3, g3_gauge, k2,
                                k2_gauge, so3_reduced, vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
 from bvgraph.graphs import (CanonicalGraph, canonicalize_directed, cycle_space,
@@ -819,6 +820,95 @@ def test_osp_invariance():
             continue
         rep = verify_osp_invariance(model, gm, eta, chain)
         assert rep["status"] == "pass", rep["witnesses"]
+
+
+# -- every suite can fail ---------------------------------------------------------
+# On the so(3) fixture over V_{2|0} with the wedge p^3 ^ q^3, where S = F o I
+# = -36, each suite is handed one fault and must report it with its witness.
+
+def so3_commute_case():
+    model = TensorModel(so3_reduced(), V20)
+    gauge = find_gauges(model.alg)[0][0]
+    return model, GaugeModel(model, gauge), wedge(V20, ((0, 0, 0), (1, 1, 1)))
+
+
+def negated_propagator(gauge):
+    out = Gauge(gauge.alg, gauge.vectors, label="negated")
+    out.propagator = [[-x for x in row] for row in gauge.propagator]
+    return out
+
+
+def test_master_equations_fail_on_a_perturbed_sigma():
+    model = TensorModel(so3_reduced(), V20)
+    sigma = model.sigma
+    # an even cubic keeps sigma even; an odd one makes it inhomogeneous
+    for key, witness in (((0, 1, 6), "(2)*xi1(x)p1*xi1(x)q1*xi3(x)p1"),
+                         ((0, 6, 8), "(2)*xi1(x)p1*xi2(x)p1*xi12(x)p1"
+                                     " + (-2)*xi1(x)p1*xi3(x)p1*xi13(x)p1")):
+        model.sigma = sigma + SuperPolynomial.monomial(model.space, key)
+        rep = verify_master_equations(model)
+        assert rep["status"] == "fail"
+        assert rep["witnesses"] == [{"classical_master": witness}]
+
+
+def test_commute_fails_on_a_negated_propagator():
+    model, gm, chain = so3_commute_case()
+    gm.gauge.propagator = [[-x for x in row] for row in gm.gauge.propagator]
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S": "-36", "F_I": "36", "chain": chain.to_json()}]
+    assert chain.render() == "(1)*[(1)*p1^3 ^ (1)*q1^3]"
+
+
+def test_gauge_independence_fails_on_a_negated_propagator():
+    model, gm, _ = so3_commute_case()
+    rep = verify_gauge_independence(model, gm.gauge, negated_propagator(gm.gauge), 2, 3)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"cycle": [{"graph": "v2e3:0-1,0-1,0-1", "coeff": "1"}],
+                                 "F_L0": "6", "F_L1": "-6"}]
+
+
+def test_cocycle_graphs_fail_on_synthetic_vertex_tensors():
+    # random symmetric mu_3..mu_5 satisfy no cocycle relation; the suite
+    # reads only the gauge of the gauge model and the algebra's name
+    gauge = SyntheticGauge(0, (EVEN, EVEN, ODD, ODD))
+    gauge.label = "synthetic"
+    model = SimpleNamespace(alg=SimpleNamespace(name="synthetic"))
+    rep = verify_cocycle_graphs(model, SimpleNamespace(gauge=gauge), 3, 6)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"graph": "v3e6:0-1,0-1,0-1,0-2,0-2,1-2",
+                                 "F_boundary": "245/116"}]
+
+
+# so(3) has only mu_3, so no fault in the data fails the three suites below at
+# this size; each is handed an identity in place of delta, the osp action or
+# the graph boundary, and then compares S = -36 (or I = -6 theta) with 0.
+
+def test_cocycle_chains_fail_when_delta_is_the_identity(monkeypatch):
+    model, gm, chain = so3_commute_case()
+    monkeypatch.setattr(dual, "ce_differential", lambda c: c)
+    rep = verify_cocycle_chains(model, gm, [chain])
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"chain": chain.to_json(), "S_delta": "-36"}]
+
+
+def test_osp_invariance_fails_when_the_action_is_the_identity(monkeypatch):
+    model, gm, chain = so3_commute_case()
+    eta = SuperPolynomial.monomial(V20.space, (0, 1))
+    monkeypatch.setattr(dual, "osp_action", lambda e, c: c)
+    rep = verify_osp_invariance(model, gm, eta, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S_of_action": "-36", "eta": "(1)*p1*q1"}]
+
+
+def test_kontsevich_chain_map_fails_when_the_boundary_is_the_identity(monkeypatch):
+    _, _, chain = so3_commute_case()
+    monkeypatch.setattr(dual, "boundary", lambda c: c)
+    rep = verify_kontsevich_chain_map(chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{
+        "I_delta_minus_boundary_I": [{"graph": "v2e3:0-1,0-1,0-1", "coeff": "6"}],
+        "chain": chain.to_json()}]
 
 
 def test_report_shape():

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from bvgraph.graded import (EVEN, ODD, SuperSpace, average_tensor, koszul_sign,
                             perm_parity, permute_tensor, sort_indices_with_sign,
-                            symmetrize_tensor, tensor_space)
+                            sparse_sum, symmetrize_tensor, tensor_space)
 from bvgraph.sampling import monomial_keys, rational
-from bvgraph.superpoly import merge_keys
+from bvgraph.superpoly import MultilinearMap, merge_keys
 
 
 def test_koszul_sign_identity():
@@ -197,3 +197,27 @@ def test_permute_tensor_signs():
     # slots after the first len(order) stay in place
     t = {(0, 1, 1, 0): Fraction(1)}
     assert permute_tensor(w, t, (1, 0)) == {(1, 0, 1, 0): Fraction(-1)}
+
+
+def test_sparse_sum_adds_repeated_keys_and_drops_cancelled_ones():
+    pairs = [("a", Fraction(1, 2)), ("b", Fraction(2)), ("a", Fraction(1, 3)),
+             ("c", Fraction(1)), ("b", Fraction(-2))]
+    assert sparse_sum(pairs) == {"a": Fraction(5, 6), "c": Fraction(1)}
+    assert sparse_sum([]) == {} and sparse_sum([("z", 0)]) == {}
+
+
+def test_sparse_sum_keeps_first_insertion_order():
+    # a key keeps its first place even when its running sum passes through 0
+    pairs = [("c", 1), ("a", 2), ("c", -1), ("b", 3), ("a", 1), ("c", 4)]
+    assert list(sparse_sum(pairs).items()) == [("c", 4), ("a", 3), ("b", 3)]
+
+
+def test_sparse_sum_values_are_fractions():
+    out = sparse_sum([("a", 1), ("b", 2), ("a", 3)])
+    assert out == {"a": 4, "b": 2}
+    assert all(type(v) is Fraction for v in out.values())
+    # an int entry must not leak through symmetrizing as a float 1/2
+    w = SuperSpace(("x", "y"), (EVEN, EVEN))
+    sym = MultilinearMap(w, 2, {((0, 1), 0): 1}).symmetrized()
+    assert sym.entries == {((0, 1), 0): Fraction(1, 2), ((1, 0), 0): Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in sym.entries.values())

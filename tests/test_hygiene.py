@@ -1,10 +1,13 @@
 """Source hygiene of the package and test modules.
 
 No module of the package or of the tests imports a name it never uses, and
-no package module sums polynomials by folding ``x = x + ...``: every
-accumulation goes through ``SuperPolynomial.sum``.  The library holds the engine and ``tests/`` the
-oracles: no package name ends in ``_oracle``, and no module imports from the
-tests.  Every import of the package and of the tests is at module level.
+no package module sums polynomials by folding ``x = x + ...`` or sums a sparse
+dict by hand with ``d[k] = d.get(k, 0) + v`` or ``d[k] = d[k] + v if k in d
+else v``: every sparse accumulation goes through ``graded.sparse_sum``, and
+``SuperPolynomial.sum`` is its polynomial case.  The library holds the engine
+and ``tests/`` the oracles: no package name ends in ``_oracle``, and no module
+imports from the tests.  Every import of the package and of the tests is at
+module level.
 """
 import ast
 from pathlib import Path
@@ -68,6 +71,51 @@ def test_self_folds_are_detected():
 def test_no_polynomial_folds():
     hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in self_folds(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def sparse_accumulations(source, name=""):
+    """Assignments whose value, or the ``if`` branch of a conditional value,
+    is a ``+`` chain headed by ``d.get(k, default)`` or by the target ``d[k]``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target = node.targets[0]
+        value = node.value.body if isinstance(node.value, ast.IfExp) else node.value
+        head = value
+        while isinstance(head, ast.BinOp) and isinstance(head.op, ast.Add):
+            head = head.left
+        if head is value:
+            continue
+        lookup = (isinstance(head, ast.Call) and isinstance(head.func, ast.Attribute)
+                  and head.func.attr == "get" and len(head.args) == 2)
+        refold = (isinstance(target, ast.Subscript)
+                  and ast.unparse(head) == ast.unparse(target))
+        if lookup or refold:
+            hits.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    return hits
+
+
+def test_sparse_accumulations_are_detected():
+    source = ("out[k] = out.get(k, Fraction(0)) + v\n"
+              "cur = terms.get(w, Fraction(0)) + s * c\n"
+              "out[k] = out[k] + v if k in out else v\n"
+              "rows[i][j] += val\n"
+              "degs[a] += 1\n"
+              "total = total + v\n"
+              "x = d.get(k) + 1\n"
+              "out = sparse_sum((k, v) for k, v in pairs)\n")
+    assert sparse_accumulations(source) == [
+        ":1 out[k] = out.get(k, Fraction(0)) + v",
+        ":2 cur = terms.get(w, Fraction(0)) + s * c",
+        ":3 out[k] = out[k] + v if k in out else v"]
+
+
+def test_sparse_sums_go_through_sparse_sum():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in sparse_accumulations(path.read_text(encoding="utf-8"),
+                                            path.name)]
     assert hits == []
 
 

@@ -288,6 +288,16 @@ def test_antibracket_x_xi():
     assert u.antibracket(SuperPolynomial.scalar(u.space, 2), xi).is_zero()
 
 
+def test_antibracket_is_linear_in_an_inhomogeneous_first_argument():
+    u = SymplecticSpace.canonical_odd(1)
+    x = SuperPolynomial.variable(u.space, 0)
+    xi = SuperPolynomial.variable(u.space, 1)
+    b = x * xi
+    bracket = u.antibracket(x * x + xi, b)
+    assert bracket == u.antibracket(x * x, b) + u.antibracket(xi, b)
+    assert bracket == 2 * x * x + xi
+
+
 def test_antibracket_odd_leibniz():
     rng = random.Random(8)
     u = SymplecticSpace.canonical_odd(2)

@@ -17,7 +17,7 @@ from oracles import (SplitWeight, berezin_oracle, beta_contract,
 
 def unit_weight_1d():
     w = SuperSpace(("x",), (EVEN,))
-    return QuadraticWeight(w, BilinearForm(w, [[1]], EVEN, "sym"))
+    return QuadraticWeight(BilinearForm(w, [[1]], EVEN, "sym"))
 
 
 def test_chord_counts():
@@ -105,7 +105,7 @@ def test_expectation_matches_literal_chord_sum():
         rows[2][3] = c
         rows[3][2] = -c
         try:
-            wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+            wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
         except ValueError:
             continue
         for _ in range(8):
@@ -118,7 +118,7 @@ def test_expectation_matches_literal_chord_sum():
 def test_expectation_odd_parity_vanishes():
     space = SuperSpace(("x", "s", "t"), (EVEN, ODD, ODD))
     rows = [[1, 0, 0], [0, 0, 1], [0, -1, 0]]
-    wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+    wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
     rng = random.Random(2)
     for _ in range(20):
         f = sampling.polynomial(rng, space, 4, parity=ODD)
@@ -130,7 +130,7 @@ def test_expectation_factor_order_invariance():
     # change the expectation: build the same monomial two ways
     space = SuperSpace(("x", "s", "t"), (EVEN, ODD, ODD))
     rows = [[1, 0, 0], [0, 0, 2], [0, -2, 0]]
-    wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+    wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
     x, s, t = (SuperPolynomial.variable(space, i) for i in range(3))
     orderings = [x * s * t * x, x * x * s * t, s * x * t * x, -(s * t) * x * x * -1]
     vals = {wt.expectation(f) for f in orderings}
@@ -142,7 +142,7 @@ def test_expectation_factor_order_invariance():
 def test_block_multiplicativity():
     space = SuperSpace(("x1", "x2"), (EVEN, EVEN))
     rows = [[1, 0], [0, -2]]
-    wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+    wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
     x1 = SuperPolynomial.variable(space, 0)
     x2 = SuperPolynomial.variable(space, 1)
     f1 = x1 * x1
@@ -162,7 +162,7 @@ def test_berezin_pair_value():
     space = SuperSpace(("s", "t"), (ODD, ODD))
     c = Fraction(3)
     rows = [[0, c], [-c, 0]]
-    wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+    wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
     st = SuperPolynomial.monomial(space, (0, 1), 1)
     assert wt.expectation(st) == Fraction(-1, 3)
     assert berezin_oracle(st, wt) == Fraction(-1, 3)
@@ -170,7 +170,7 @@ def test_berezin_pair_value():
 
 def test_oracle_negative_definite_even():
     space = SuperSpace(("x",), (EVEN,))
-    wt = QuadraticWeight(space, BilinearForm(space, [[-1]], EVEN, "sym"))
+    wt = QuadraticWeight(BilinearForm(space, [[-1]], EVEN, "sym"))
     x = SuperPolynomial.variable(space, 0)
     assert wt.expectation(x * x) == -1
     assert berezin_oracle(x * x, wt) == -1
@@ -186,7 +186,7 @@ def test_oracle_agrees_with_wick_up_to_22_degree_6():
                 rows = [[Fraction(0)] * 4 for _ in range(4)]
                 rows[0][0], rows[1][1] = Fraction(eps1), Fraction(eps2)
                 rows[2][3], rows[3][2] = Fraction(c), Fraction(-c)
-                wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+                wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
                 for _ in range(6):
                     f = sampling.polynomial(rng, space, 6, terms=4)
                     assert wt.expectation(f) == berezin_oracle(f, wt)
@@ -196,9 +196,9 @@ def test_oracle_rejects_non_split():
     space = SuperSpace(("x1", "x2"), (EVEN, EVEN))
     rows = [[1, 1], [1, 1]]
     with pytest.raises(ValueError, match="degenerate"):
-        QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+        QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
     rows = [[2, 1], [1, 2]]
-    wt = QuadraticWeight(space, BilinearForm(space, rows, EVEN, "sym"))
+    wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
     with pytest.raises(ValueError):
         SplitWeight(wt)
 
