@@ -67,14 +67,20 @@ class CEChain:
                      for (w, c) in words for key, v in p.terms.items()]
         return cls(symp, words)
 
+    def _with_terms(self, terms) -> "CEChain":
+        """A chain over this space from words that are sorted already."""
+        out = CEChain(self.symp)
+        out.terms = terms
+        return out
+
     def add(self, other: "CEChain") -> "CEChain":
         if other.symp.space != self.symp.space:
             raise ValueError("chains over different symplectic spaces")
-        return CEChain(self.symp, [*self.terms.items(), *other.terms.items()])
+        return self._with_terms(sparse_sum([*self.terms.items(), *other.terms.items()]))
 
     def scale(self, c) -> "CEChain":
         c = Fraction(c)
-        return CEChain(self.symp, ((w, v * c) for w, v in self.terms.items()))
+        return self._with_terms({w: v * c for w, v in self.terms.items()} if c else {})
 
     def is_zero(self):
         return not self.terms

@@ -9,6 +9,7 @@ keystone that pins every remaining sign convention end to end.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .graded import EVEN, ODD, SuperSpace, sparse_sum, tensor_space
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
@@ -266,33 +267,43 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     it has a zero product.  A leaf then multiplies only by the chord sign,
     which is computed on exactly the leaves whose propagator product is
     nonzero.
+
+    It runs over integers, the mu entries times D_mu and the propagator times
+    D_p, each D the lcm of the denominators.  Every leaf multiplies exactly
+    |V| mu and |E| propagator entries, so F = total / (D_mu^|V| D_p^|E|).
     """
     sizes, chord = chord_presentation(graph)
     mus = [gauge.mu(k) for k in sizes]
-    prop = gauge.propagator
+    d_mu = lcm(*(m.denominator for mu in mus for m in mu.values()))
+    d_p = lcm(*(p.denominator for row in gauge.propagator for p in row))
+    imus = [[(idx, m.numerator * (d_mu // m.denominator)) for idx, m in mu.items()]
+            for mu in mus]
+    prop = [[p.numerator * (d_p // p.denominator) for p in row]
+            for row in gauge.propagator]
     lpar = gauge.parities
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
     closes = [[] for _ in sizes]
     for i, j in chord:
         closes[vertex_of[max(i, j)]].append((i, j))
-    total = Fraction(0)
+    total = 0
 
     def rec(vtx, assignment, coeff):
         nonlocal total
         if vtx == len(sizes):
             total += coeff * chord_sign([lpar[s] for s in assignment], chord)
             return
-        for idx, mval in mus[vtx].items():
+        for idx, mval in imus[vtx]:
             assigned = assignment + idx
-            entries = [prop[assigned[i]][assigned[j]] for i, j in closes[vtx]]
-            if all(entries):
-                val = coeff * mval
-                for entry in entries:
-                    val *= entry
+            val = coeff * mval
+            for i, j in closes[vtx]:
+                val *= prop[assigned[i]][assigned[j]]
+                if not val:
+                    break
+            else:
                 rec(vtx + 1, assigned, val)
 
-    rec(0, (), Fraction(1))
-    return total
+    rec(0, (), 1)
+    return Fraction(total, d_mu ** len(sizes) * d_p ** len(chord))
 
 
 def feynman_cochain(gauge: Gauge, v: int, e: int) -> dict:

@@ -275,15 +275,19 @@ def vertex_tensor_on_vectors(alg: FrobeniusAlgebra, vectors, k: int) -> dict:
     The entry at an index tuple t is <v_{t_1} ... v_{t_{k-1}}, v_{t_k}>, the
     product taken left to right; the dict holds the nonzero entries with
     their keys in lexicographic order.  It pairs each nonzero product of
-    k - 1 factors (``nonzero_products``) with each vector.
+    k - 1 factors (``nonzero_products``) with each vector v through its
+    covector c = P v, P the pairing matrix: <u, v> = sum_i u_i c_i over the
+    nonzero entries of c, which are found once per call.
     """
     if k < 3:
         raise ValueError("vertex tensors need valence >= 3")
     els = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
+    covs = [{i: c for i, row in enumerate(alg.pairing.rows)
+             if (c := sum(row[j] * x for j, x in el.items()))} for el in els]
     out = {}
     for prefix, prod in nonzero_products(alg, els, k - 1):
-        for last, el in enumerate(els):
-            val = alg.pair(prod, el)
+        for last, cov in enumerate(covs):
+            val = sum(a * cov[i] for i, a in prod.items() if i in cov)
             if val:
                 out[prefix + (last,)] = val
     return out

@@ -106,6 +106,27 @@ def test_chains_over_equal_spaces_compare_equal():
     assert other.terms == chain.terms and other != chain
 
 
+def test_scale_and_add_keep_the_sorted_words():
+    # scale and add take words that are sorted already: the same chains, in
+    # the same key order, as sending every word back through the constructor;
+    # and 0 times a chain is the zero chain
+    symp = v21()
+    rng = random.Random(5)
+    keys = sampling.monomial_keys(symp.space, 4)
+    quartics = [SuperPolynomial.sum(symp.space, (
+        SuperPolynomial.monomial(symp.space, key, sampling.rational(rng, zero_ok=False))
+        for key in keys)) for _ in range(3)]
+    chain = CEChain.from_polynomials(symp, quartics)
+    assert len(chain.terms) == 120
+    c = Fraction(-2, 3)
+    rebuilt = CEChain(symp, ((w, v * c) for w, v in chain.terms.items()))
+    assert list(chain.scale(c).terms.items()) == list(rebuilt.terms.items())
+    summed = CEChain(symp, [*chain.terms.items(), *rebuilt.terms.items()])
+    assert list(chain.add(rebuilt).terms.items()) == list(summed.terms.items())
+    assert chain.scale(c).scale(1 / c) == chain
+    assert chain.scale(0).is_zero() and chain.scale(0) == CEChain(symp)
+
+
 def test_degree_filter():
     symp = v21()
     p = SuperPolynomial.variable(symp.space, 0)

@@ -421,6 +421,28 @@ def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
     assert (disconnected, nonzero) == (14, 14)
 
 
+def test_feynman_value_is_exact_on_fractional_tensors():
+    # F does not depend on the basis of L.  Scaled by 1/2, -2/3 and 3/5, mu_3
+    # has denominator 5 and the propagator 4 and 9, so the recursion runs over
+    # mu_3 * 5 and prop * 36: a dropped division by 5^|V| 36^|E|, or a wrong
+    # exponent, changes every value below
+    gauge = find_gauges(so3_reduced())[0][0]
+    scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
+    scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
+    assert {m.denominator for m in scaled.mu(3).values()} == {5}
+    assert {p.denominator for row in scaled.propagator for p in row} == {1, 4, 9}
+    theta = feynman_value(scaled, theta_graph())
+    assert theta == 6 and type(theta) is Fraction
+    for (v, e), values in (((4, 6), [36, -12, -6]),
+                           ((6, 9), [216, -72, -36, 24, -24, 12, 6])):
+        cochain = feynman_cochain(scaled, v, e)
+        assert list(cochain.values()) == values
+        assert cochain == feynman_cochain(gauge, v, e)
+        assert all(type(x) is Fraction for x in cochain.values())
+        if v == 4:
+            assert all(x == feynman_value_oracle(scaled, g) for g, x in cochain.items())
+
+
 def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
     model = TensorModel(so3_reduced(), V20)
     gm = GaugeModel(model, find_gauges(model.alg)[0][0])

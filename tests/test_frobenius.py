@@ -187,6 +187,11 @@ VERTEX_TENSOR_CASES = {
     **{"G3_" + "".join(map(str, params)):
        (g3, lambda alg, p=params: g3_gauge(*p, alg=alg).vectors)
        for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4))},
+    "so3": (so3_reduced, lambda alg: find_gauges(alg)[0][0].vectors),
+    # the so(3) gauge with its basis scaled by 1/2, -2/3 and 3/5
+    "so3_scaled": (so3_reduced, lambda alg: [
+        [s * x for x in v] for s, v in zip((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)),
+                                           find_gauges(alg)[0][0].vectors)]),
 }
 
 

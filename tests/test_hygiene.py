@@ -6,8 +6,8 @@ dict by hand with ``d[k] = d.get(k, 0) + v`` or ``d[k] = d[k] + v if k in d
 else v``: every sparse accumulation goes through ``graded.sparse_sum``, and
 ``SuperPolynomial.sum`` is its polynomial case.  The library holds the engine
 and ``tests/`` the oracles: no package name ends in ``_oracle``, and no module
-imports from the tests.  Every import of the package and of the tests is at
-module level.
+imports from the tests.  The oracles never use the Feynman kernels they
+check.  Every import of the package and of the tests is at module level.
 """
 import ast
 from pathlib import Path
@@ -149,6 +149,35 @@ def test_library_never_imports_the_tests():
                      if n.split(".")[0] in test_modules]
     assert "oracles" in test_modules
     assert hits == []
+
+
+# the kernels of the Feynman route that tests/oracles.py checks
+FEYNMAN_KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "nonzero_products",
+                   "live_chords"}
+
+
+def kernel_uses(source):
+    """The Feynman kernels a module imports or reads, by name or as an
+    attribute such as ``dual.feynman_value``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(names & FEYNMAN_KERNELS)
+
+
+def test_oracles_never_use_the_kernels_they_check():
+    source = ("from bvgraph.dual import feynman_value as fv\n"
+              "from bvgraph import frobenius\n"
+              "frobenius.nonzero_products(alg, els, 2)\n"
+              "import bvgraph.wick as w\n"
+              "w.live_chords(pars, idxs, inv)\n")
+    assert kernel_uses(source) == ["feynman_value", "live_chords", "nonzero_products"]
+    assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
 
 
 def local_imports(source, name=""):
