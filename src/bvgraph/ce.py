@@ -9,13 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, koszul_sign, perm_parity, sparse_sum
+from .graded import EVEN, koszul_sign, monomial_parity, perm_parity, sparse_sum
 from .superpoly import SuperPolynomial
 from .symplectic import SymplecticSpace
-
-
-def monomial_parity(space, key):
-    return sum(space.parities[i] for i in key) % 2
 
 
 def sort_wedge_word(space, word):
@@ -139,21 +135,24 @@ def ce_differential(chain: CEChain) -> CEChain:
 
 
 def osp_action(eta: SuperPolynomial, chain: CEChain) -> CEChain:
-    """Adjoint action of a quadratic Hamiltonian, extended by the Leibniz rule."""
+    """Adjoint action of a quadratic Hamiltonian, extended by the Leibniz rule.
+
+    The odd part of eta takes a sign passing an odd prefix of the word, so
+    after an odd prefix the factor is bracketed with eta_even - eta_odd; eta
+    need not be parity homogeneous.
+    """
     if any(len(k) != 2 for k in eta.terms):
         raise ValueError("osp elements are quadratic Hamiltonians")
     symp = chain.symp
-    pe = eta.parity()
+    even, odd = eta.parity_components()
+    after_prefix = (eta, even - odd)  # indexed by the parity of the prefix
 
     def terms():
         for word, coeff in chain.terms.items():
             pars = chain.word_parities(word)
             for i in range(len(word)):
-                sign = 1
-                if pe == ODD and sum(pars[:i]) % 2:
-                    sign = -1
                 gi = SuperPolynomial(symp.space, {word[i]: Fraction(1)})
-                bracket = symp.poisson(eta, gi)
+                bracket = symp.poisson(after_prefix[sum(pars[:i]) % 2], gi)
                 for bkey, bval in bracket.terms.items():
-                    yield word[:i] + (bkey,) + word[i + 1:], sign * coeff * bval
+                    yield word[:i] + (bkey,) + word[i + 1:], coeff * bval
     return CEChain(symp, terms())

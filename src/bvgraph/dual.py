@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .graded import EVEN, ODD, SuperSpace, sparse_sum, tensor_space
+from .graded import EVEN, SuperSpace, monomial_parity, sparse_sum, tensor_space
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
@@ -21,7 +21,7 @@ from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
 from .wick import QuadraticWeight, chord_sign, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
-from .ce import CEChain, ce_differential, monomial_parity, osp_action
+from .ce import CEChain, ce_differential, osp_action
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ class TensorModel:
         imgs = [SuperPolynomial(self.space, {(self.z(beta, i),): c
                                              for beta, c in enumerate(row)})
                 for row in self.alg.diff for i in range(self.nv)]
-        return VectorField(self.space, imgs, ODD)
+        return VectorField(self.space, imgs)
 
     def _sigma_tilde(self) -> SuperPolynomial:
         return self.symp.hamiltonian_of(self._dtilde_field())

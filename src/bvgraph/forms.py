@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, SuperSpace
+from .graded import ODD, SuperSpace
 from .superpoly import SuperPolynomial, VectorField, apply_derivation
 
 
@@ -51,15 +51,14 @@ class FormContext:
         """De Rham differential: odd derivation, d(y)=dy, d(dy)=0."""
         imgs = [self.dy(i) for i in range(self.n)]
         imgs += [SuperPolynomial.zero(self.space) for _ in range(self.n)]
-        return apply_derivation(self.space, imgs, ODD, w)
+        return apply_derivation(self.space, imgs, w)
 
     def contract(self, eta: VectorField, w: SuperPolynomial) -> SuperPolynomial:
         """i_eta: derivation with i_eta(y)=0, i_eta(dy)=eta(y)."""
         self._check_field(eta)
         imgs = [SuperPolynomial.zero(self.space) for _ in range(self.n)]
         imgs += [self.inject(eta.images[i]) for i in range(self.n)]
-        par = None if eta.parity is None else (eta.parity + 1) % 2
-        return apply_derivation(self.space, imgs, par, w)
+        return apply_derivation(self.space, imgs, w)
 
     def lie(self, eta: VectorField, w: SuperPolynomial) -> SuperPolynomial:
         """L_eta: derivation with L(y)=eta(y), L(dy)=(-1)^{|eta|} d(eta(y))."""
@@ -67,7 +66,7 @@ class FormContext:
         sgn = -1 if eta.parity == ODD else 1
         imgs = [self.inject(eta.images[i]) for i in range(self.n)]
         imgs += [sgn * self.d(self.inject(eta.images[i])) for i in range(self.n)]
-        return apply_derivation(self.space, imgs, eta.parity, w)
+        return apply_derivation(self.space, imgs, w)
 
     def _check_field(self, eta: VectorField):
         if eta.space != self.base:
@@ -101,7 +100,7 @@ class FormContext:
 
     def euler_field(self) -> VectorField:
         imgs = [SuperPolynomial.variable(self.base, i) for i in range(self.n)]
-        return VectorField(self.base, imgs, EVEN)
+        return VectorField(self.base, imgs)
 
     def poincare_integrate(self, lam: SuperPolynomial) -> SuperPolynomial:
         """Solve d(h) = lam for a closed 1-form lam; h has no constant term.

@@ -20,7 +20,10 @@ The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
 serve the vertex tensors mu_k (``frobenius``) and the multilinear maps of
 ``superpoly`` (keys ``args + (out,)``).  ``vector_parity`` is the parity test
-of a basis vector for the gauges of ``frobenius`` and ``symplectic``.
+of a basis vector for the gauges of ``frobenius`` and ``symplectic``, and
+``monomial_parity`` the parity of a monomial key: every parity in the package
+is read off the terms through it, so no caller declares the parity of a whole
+polynomial, field or derivation.
 """
 from __future__ import annotations
 
@@ -175,6 +178,11 @@ def is_symmetric_tensor(space: SuperSpace, t: dict, rank: int) -> bool:
         if permute_tensor(space, t, order) != t:
             return False
     return True
+
+
+def monomial_parity(space: SuperSpace, key) -> int:
+    """Parity of the monomial of basis indices `key`: the sum of their parities."""
+    return sum(space.parities[i] for i in key) % 2
 
 
 def vector_parity(space: SuperSpace, v) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .graded import SuperSpace
+from .graded import SuperSpace, monomial_parity
 from .superpoly import MultilinearMap, SuperPolynomial, VectorField
 from .forms import FormContext
 
@@ -44,7 +44,7 @@ def polynomial(rng, space, max_degree, parity=None, terms=3,
     pool = []
     for d in range(min_degree, max_degree + 1):
         for key in monomial_keys(space, d):
-            if parity is not None and sum(space.parities[v] for v in key) % 2 != parity:
+            if parity is not None and monomial_parity(space, key) != parity:
                 continue
             pool.append(key)
     if not pool:
@@ -54,7 +54,7 @@ def polynomial(rng, space, max_degree, parity=None, terms=3,
 
 def homogeneous_monomial(rng, space, degree, parity=None) -> SuperPolynomial:
     pool = [k for k in monomial_keys(space, degree)
-            if parity is None or sum(space.parities[v] for v in k) % 2 == parity]
+            if parity is None or monomial_parity(space, k) == parity]
     if not pool:
         raise ValueError("no monomials with the requested degree/parity")
     key = pool[rng.randrange(len(pool))]
@@ -66,7 +66,7 @@ def vector_field(rng, space, parity, max_degree, terms=2) -> VectorField:
     for i in range(len(space)):
         imgs.append(polynomial(rng, space, max_degree,
                                parity=(parity + space.parities[i]) % 2, terms=terms))
-    return VectorField(space, imgs, parity)
+    return VectorField(space, imgs)
 
 
 def form(rng, ctx: FormContext, max_degree, max_form_degree, terms=3) -> SuperPolynomial:
@@ -86,8 +86,7 @@ def multilinear(rng, space, rank, entries=4, parity=None) -> MultilinearMap:
         guard += 1
         args = tuple(rng.randrange(n) for _ in range(rank))
         out = rng.randrange(n)
-        p = (space.parities[out] + sum(space.parities[a] for a in args)) % 2
-        if parity is not None and p != parity:
+        if parity is not None and monomial_parity(space, args + (out,)) != parity:
             continue
         raw[(args, out)] = rational(rng, zero_ok=False)
     return MultilinearMap(space, rank, raw).symmetrized()

@@ -15,6 +15,10 @@ through ``sparse_sum`` as well.
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
 convention.
+
+Derivations and vector fields take no declared parity: each sign is the
+Koszul sign of one term, read off with ``graded.monomial_parity``, so a field
+or a polynomial of mixed parity is never split into its parity parts.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
-from .graded import (EVEN, ODD, SuperSpace, is_symmetric_tensor,
+from .graded import (EVEN, SuperSpace, is_symmetric_tensor, monomial_parity,
                      sort_indices_with_sign, sparse_sum, symmetrize_tensor)
 
 
@@ -123,9 +127,6 @@ class SuperPolynomial:
         return (isinstance(other, SuperPolynomial)
                 and self.space == other.space and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.terms.items()))))
-
     def is_zero(self):
         return not self.terms
 
@@ -134,12 +135,9 @@ class SuperPolynomial:
             raise ValueError("polynomials live on different variable spaces")
 
     # -- structure ----------------------------------------------------------
-    def monomial_parity(self, key) -> int:
-        return sum(self.space.parities[i] for i in key) % 2
-
     def parity(self):
         """Parity if homogeneous, else None.  Zero counts as either (None-safe)."""
-        ps = {self.monomial_parity(k) for k in self.terms}
+        ps = {monomial_parity(self.space, k) for k in self.terms}
         if not ps:
             return None
         return ps.pop() if len(ps) == 1 else None
@@ -147,7 +145,7 @@ class SuperPolynomial:
     def parity_components(self):
         out = [SuperPolynomial(self.space), SuperPolynomial(self.space)]
         for k, v in self.terms.items():
-            out[self.monomial_parity(k)].terms[k] = v
+            out[monomial_parity(self.space, k)].terms[k] = v
         return out
 
     def max_degree(self):
@@ -175,11 +173,17 @@ class SuperPolynomial:
         return SuperPolynomial(self.space, sparse_sum(terms()))
 
     def substitute(self, images, target_space: SuperSpace) -> "SuperPolynomial":
-        """Graded algebra map sending variable i to images[i] (same parity)."""
-        for i, img in enumerate(images):
-            p = img.parity()
-            if p is not None and p != self.space.parities[i]:
-                raise ValueError("substitution must preserve parity")
+        """Graded algebra map sending variable i to images[i].
+
+        Every term of images[i] must have the parity of variable i; a zero
+        image is allowed.  Mixed images break graded commutativity: even y, z
+        sent to x + xi and x + theta commute, but their images differ by
+        2 xi theta in the two orders.
+        """
+        pars = self.space.parities
+        if any(monomial_parity(target_space, k) != pars[i]
+               for i, img in enumerate(images) for k in img.terms):
+            raise ValueError("substitution must preserve parity")
 
         def image(key, val):
             prod = SuperPolynomial.scalar(target_space, val)
@@ -214,46 +218,36 @@ class SuperPolynomial:
 
 
 class VectorField:
-    """Graded derivation of S(W*), given by its images on the coordinates."""
+    """Graded derivation of S(W*), given by its images on the coordinates.
+
+    A term t of the image of y_i lies in the part of the field of parity
+    |t| + p_i.  ``parity`` is read off the terms: their common parity, EVEN
+    for the zero field and None when the terms disagree.
+    """
 
     __slots__ = ("space", "images", "parity")
 
-    def __init__(self, space: SuperSpace, images, parity=None):
+    def __init__(self, space: SuperSpace, images):
         self.space = space
         self.images = tuple(images)
         if len(self.images) != len(space):
             raise ValueError("need one image per variable")
-        if parity is None:
-            ps = set()
-            mixed = False
-            for i, img in enumerate(self.images):
-                if img.is_zero():
-                    continue
-                p = img.parity()
-                if p is None:
-                    mixed = True
-                    break
-                ps.add((p - space.parities[i]) % 2)
-            if mixed or len(ps) > 1:
-                parity = None
-            else:
-                parity = ps.pop() if ps else EVEN
-        self.parity = parity
+        ps = {(monomial_parity(space, k) + p) % 2
+              for img, p in zip(self.images, space.parities) for k in img.terms} or {EVEN}
+        self.parity = ps.pop() if len(ps) == 1 else None
 
     @classmethod
     def coordinate(cls, space, i):
         """The left partial d/dy_i as a field."""
         imgs = [SuperPolynomial.zero(space) for _ in space.names]
         imgs[i] = SuperPolynomial.scalar(space, 1)
-        return cls(space, imgs, space.parities[i])
+        return cls(space, imgs)
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
-        return apply_derivation(self.space, self.images, self.parity, f)
+        return apply_derivation(self.space, self.images, f)
 
     def scale_by_poly(self, p: SuperPolynomial) -> "VectorField":
-        pp = p.parity()
-        par = None if (pp is None or self.parity is None) else (pp + self.parity) % 2
-        return VectorField(self.space, [p * img for img in self.images], par)
+        return VectorField(self.space, [p * img for img in self.images])
 
     def commutator(self, other: "VectorField") -> "VectorField":
         if self.parity is None or other.parity is None:
@@ -262,59 +256,56 @@ class VectorField:
         imgs = []
         for i in range(len(self.space)):
             imgs.append(self(other.images[i]) - sgn * other(self.images[i]))
-        return VectorField(self.space, imgs, (self.parity + other.parity) % 2)
+        return VectorField(self.space, imgs)
 
     def is_zero(self):
         return all(img.is_zero() for img in self.images)
 
 
-def apply_derivation(space, images, op_parity, f: SuperPolynomial) -> SuperPolynomial:
-    """Apply the graded derivation with the given generator images to f.
+def apply_derivation(space, images, f: SuperPolynomial) -> SuperPolynomial:
+    """Apply the graded derivation with the generator images `images` to f.
 
-    Works monomial-by-monomial, so f need not be parity homogeneous; the
-    prefix sign uses each monomial's actual prefix parity.
+    Neither the derivation nor f need be parity homogeneous.  A term t of
+    images[v] lies in the part of the derivation of parity |t| + p_v, so at
+    an occurrence of y_v after an odd prefix of a monomial of f it takes the
+    sign (-1)^{|t| + p_v}.  The output term is prefix * t * suffix, sorted
+    with its Koszul sign.
     """
-    if op_parity is None:
-        raise ValueError("derivation parity must be declared")
     pars = space.parities
 
-    def parts():
+    def terms():
         for key, val in f.terms.items():
             odd_prefix = 0
             for pos, v in enumerate(key):
-                img = images[v]
-                if not img.is_zero():
-                    sign = -1 if (op_parity and odd_prefix % 2) else 1
-                    pre = SuperPolynomial.monomial(space, key[:pos], sign * val)
-                    suf = SuperPolynomial.monomial(space, key[pos + 1:], 1)
-                    yield pre * img * suf
-                if pars[v]:
-                    odd_prefix += 1
-    return SuperPolynomial.sum(space, parts())
+                for t, c in images[v].terms.items():
+                    seq = key[:pos] + t + key[pos + 1:]
+                    out, sign = sort_indices_with_sign(space, seq)
+                    if out is not None:
+                        if odd_prefix and (monomial_parity(space, t) + pars[v]) % 2:
+                            sign = -sign
+                        yield out, sign * val * c
+                odd_prefix ^= pars[v]
+    return SuperPolynomial(space, sparse_sum(terms()))
 
 
 def divergence(eta: VectorField) -> SuperPolynomial:
-    """nabla(eta) = sum_i (-1)^{|y_i| + |y_i||eta|} d/dy_i [eta(y_i)]."""
-    if eta.parity is None:
-        return SuperPolynomial.sum(
-            eta.space, (divergence(comp) for comp in _field_parity_parts(eta)))
-    pars = eta.space.parities
-    return SuperPolynomial.sum(eta.space, (
-        (-1 if (pars[i] + pars[i] * eta.parity) % 2 else 1) * img.deriv_left(i)
-        for i, img in enumerate(eta.images)))
+    """nabla(eta) = sum_i (-1)^{p_i + p_i|eta|} d/dy_i [eta(y_i)], in one pass.
 
+    A monomial m of eta(y_i) lies in the part of eta of parity |m| + p_i, so
+    it takes the sign (-1)^{p_i + p_i(|m| + p_i)} = (-1)^{p_i|m|}; a field of
+    mixed parity needs no splitting.
+    """
+    space = eta.space
+    pars = space.parities
 
-def _field_parity_parts(eta: VectorField):
-    parts = []
-    for par in (EVEN, ODD):
-        imgs = []
+    def terms():
         for i, img in enumerate(eta.images):
-            comps = img.parity_components()
-            imgs.append(comps[(par + eta.space.parities[i]) % 2])
-        f = VectorField(eta.space, imgs, par)
-        if not f.is_zero():
-            parts.append(f)
-    return parts
+            for key, val in img.terms.items():
+                if i in key:
+                    rest, f = left_partial(pars, key, i)
+                    odd = pars[i] and monomial_parity(space, key)
+                    yield rest, (-f if odd else f) * val
+    return SuperPolynomial(space, sparse_sum(terms()))
 
 
 class MultilinearMap:
@@ -337,18 +328,6 @@ class MultilinearMap:
 
     def _flat(self) -> dict:
         return {args + (out,): v for (args, out), v in self.entries.items()}
-
-    def parity(self):
-        ps = set()
-        for (args, out) in self.entries:
-            p = (self.space.parities[out]
-                 + sum(self.space.parities[a] for a in args)) % 2
-            ps.add(p)
-        if not ps:
-            return EVEN
-        if len(ps) > 1:
-            return None
-        return ps.pop()
 
     def symmetrized(self) -> "MultilinearMap":
         """Average over all Koszul-signed argument permutations."""
@@ -388,7 +367,7 @@ class MultilinearMap:
             SuperPolynomial.monomial(space, args, Fraction(1, fact) * val)
             for (args, t), val in self.entries.items() if t == tgt))
             for tgt in range(len(space))]
-        return VectorField(space, imgs, self.parity())
+        return VectorField(space, imgs)
 
     @classmethod
     def from_field(cls, eta: VectorField, degree: int) -> "MultilinearMap":

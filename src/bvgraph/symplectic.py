@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace, sparse_sum, tensor_space, vector_parity
+from .graded import (EVEN, ODD, SuperSpace, monomial_parity, sparse_sum, tensor_space,
+                     vector_parity)
 from .forms import FormContext
 from .superpoly import SuperPolynomial, VectorField, left_partial, merge_keys
 
@@ -283,21 +284,19 @@ class SymplecticSpace:
 
     # -- brackets ---------------------------------------------------------------
     def poisson(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
-        """{a,b} = (-1)^a L_alpha(b) on an even symplectic space."""
+        """{a,b} = (-1)^a L_alpha(b) on an even symplectic space; the sign is
+        taken termwise, as the field of a_even - a_odd."""
         if self.parity != EVEN:
             raise ValueError("Poisson bracket needs an even symplectic form")
-        return SuperPolynomial.sum(self.space, (
-            (-1 if part.parity() else 1) * self.hamiltonian_field(part)(b)
-            for part in a.parity_components() if not part.is_zero()))
+        even, odd = a.parity_components()
+        return self.hamiltonian_field(even - odd)(b)
 
     def antibracket(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
-        """{a,b} = L_alpha(b) on an odd symplectic space (linear P-manifold),
-        summed over the parity components of a."""
+        """{a,b} = L_alpha(b) on an odd symplectic space (linear P-manifold);
+        a need not be parity homogeneous."""
         if self.parity != ODD:
             raise ValueError("antibracket needs an odd symplectic form")
-        return SuperPolynomial.sum(self.space, (
-            self.hamiltonian_field(part)(b)
-            for part in a.parity_components() if not part.is_zero()))
+        return self.hamiltonian_field(a)(b)
 
     def odd_laplacian(self, a: SuperPolynomial) -> SuperPolynomial:
         """Delta(a) = 1/2 nabla(Phi^{-1} da), as a second-order operator.
@@ -311,9 +310,9 @@ class SymplecticSpace:
         Phi^{-1}[u][v] is 0 unless p_u + p_v is odd, and the divergence
         nabla(alpha) = sum_u (-1)^{p_u + p_u |alpha|} d^L_u alpha(y_u) gives
         the sign (-1)^{p_u |m|}.  Summing monomial by monomial makes it exact
-        on inhomogeneous a too, where the divergence splits the field by
-        parity.  Only the u of column v of Phi^{-1} that occur in a term of
-        c_v contribute.
+        on inhomogeneous a too, as the divergence takes its sign termwise.
+        Only the u of column v of Phi^{-1} that occur in a term of c_v
+        contribute.
         """
         if self.parity != ODD:
             raise ValueError("the odd Laplacian needs an odd symplectic form")
@@ -378,7 +377,7 @@ def lagrangian_from_generating_function(symp: SymplecticSpace, phi: SuperPolynom
     xi_i = -d phi/dx_i (i <= k), x_j = d phi/dxi_j (j > k).
     """
     n = len(symp.space) // 2
-    if phi.parity() not in (None, ODD) or any(len(key) != 2 for key in phi.terms):
+    if any(len(key) != 2 or monomial_parity(symp.space, key) != ODD for key in phi.terms):
         raise ValueError("generating function must be odd quadratic")
     for key in phi.terms:
         for v in key:

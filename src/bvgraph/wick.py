@@ -183,14 +183,17 @@ def gaussian_stokes_even(p: SuperPolynomial, var: int,
 
 def laplacian_exponential_expansion(q: SuperPolynomial, sigma: SuperPolynomial,
                                     symp: SymplecticSpace) -> SuperPolynomial:
-    """The bracket polynomial R with Delta(q e^{-sigma}) = R e^{-sigma}."""
+    """The bracket polynomial R with Delta(q e^{-sigma}) = R e^{-sigma}:
+
+        R = Delta q - {q, sigma} + (-1)^{|q|} q ({sigma, sigma}/2 - Delta sigma),
+
+    the sign (-1)^{|q|} taken termwise, as q_even - q_odd.
+    """
     lap = symp.odd_laplacian
     br = symp.antibracket
     master = br(sigma, sigma) / 2 - lap(sigma)
-    return SuperPolynomial.sum(symp.space, (
-        term for part in q.parity_components() if not part.is_zero()
-        for term in (lap(part), -br(part, sigma),
-                     (-1 if part.parity() else 1) * (part * master))))
+    even, odd = q.parity_components()
+    return SuperPolynomial.sum(symp.space, (lap(q), -br(q, sigma), (even - odd) * master))
 
 
 def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
@@ -244,10 +247,7 @@ def berezin_change_of_variables(eta: VectorField, f: SuperPolynomial):
     sigma0 = standard_even_weight(space)
     if eta.parity is None:
         raise ValueError("field must be parity homogeneous")
-    lhs_poly = SuperPolynomial.sum(space, (
-        term for part in f.parity_components() if not part.is_zero()
-        for term in (eta(part), (1 if (eta.parity and part.parity()) else -1)
-                     * (part * eta(sigma0)))))
-    lhs = flat_integral(lhs_poly)
+    even, odd = f.parity_components()
+    lhs = flat_integral(eta(f) - (even - odd if eta.parity else f) * eta(sigma0))
     rhs = -flat_integral(divergence(eta) * f)
     return lhs, rhs

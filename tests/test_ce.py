@@ -198,6 +198,17 @@ def test_osp_action_commutes_with_delta():
         assert lhs.terms == rhs.terms
 
 
+def test_osp_action_is_linear_in_a_mixed_parity_eta():
+    # the odd part px of eta takes the Koszul sign past the odd prefix pqx
+    symp = v21()
+    p, q, x = (SuperPolynomial.variable(symp.space, i) for i in range(3))
+    chain = CEChain.from_polynomials(symp, [p * p * q, p * q * x, q * q * x])
+    even, odd = p * p, p * x
+    mixed = osp_action(even + odd, chain)
+    assert mixed == osp_action(even, chain).add(osp_action(odd, chain))
+    assert mixed.terms[((0, 0, 1), (0, 1, 1), (0, 1, 2))] == -1
+
+
 def test_constants_act_as_zero():
     symp = v21()
     rng = random.Random(7)

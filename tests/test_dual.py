@@ -873,6 +873,31 @@ def test_master_equations_fail_on_a_perturbed_sigma():
         assert rep["witnesses"] == [{"classical_master": witness}]
 
 
+def test_master_equations_fail_on_an_odd_quadratic_in_sigma():
+    # z_u z_v with Phi^{-1}[u][v] != 0 (u, v of opposite parity) has
+    # Delta = -1 and breaks the classical equation too
+    model = TensorModel(so3_reduced(), V20)
+    u, v = next((u, v) for u, row in enumerate(model.symp.inverse.rows)
+                for v, c in enumerate(row) if c)
+    assert model.space.parities[u] != model.space.parities[v]
+    model.sigma = model.sigma + SuperPolynomial.monomial(model.space, (u, v))
+    rep = verify_master_equations(model)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"quantum_master": "(-1)"},
+                                {"classical_master": "(-2)*xi1(x)p1*xi1(x)q1"}]
+
+
+def test_master_equations_fail_on_a_perturbed_dform():
+    model = TensorModel(so3_reduced(), V20)
+    rows = [list(row) for row in model.dform.rows]
+    rows[0][0] += 1
+    model.dform = BilinearForm(model.space, rows, EVEN, "sym", check=False)
+    rep = verify_master_equations(model)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [
+        {"dform": "i2(sigma) differs from the printed tensored form"}]
+
+
 def test_commute_fails_on_a_negated_propagator():
     model, gm, chain = so3_commute_case()
     gm.gauge.propagator = [[-x for x in row] for row in gm.gauge.propagator]

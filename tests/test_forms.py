@@ -70,7 +70,7 @@ def test_lie_derivative_examples():
     x = c.y(0)
     assert c.lie(ddx, x * c.dy(0)) == c.dy(0)
     euler_x = VectorField(c.base, [SuperPolynomial.variable(c.base, 0),
-                                   SuperPolynomial.zero(c.base)], EVEN)
+                                   SuperPolynomial.zero(c.base)])
     assert c.lie(euler_x, c.dy(0)) == c.dy(0)
 
 

@@ -8,6 +8,8 @@ else v``: every sparse accumulation goes through ``graded.sparse_sum``, and
 and ``tests/`` the oracles: no package name ends in ``_oracle``, and no module
 imports from the tests.  The oracles never use the Feynman kernels they
 check.  Every import of the package and of the tests is at module level.
+No package module loops over ``x.parity_components()``: every derivation
+reads its signs off the terms, and a sign (-1)^{|x|} is ``even - odd``.
 """
 import ast
 from pathlib import Path
@@ -199,4 +201,32 @@ def test_imports_are_at_module_level():
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     hits = [hit for path in paths
             for hit in local_imports(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def parity_splits(source, name=""):
+    """Loops and comprehensions whose iterable calls ``.parity_components()``,
+    in line order."""
+    iters = sorted((node.iter for node in ast.walk(ast.parse(source))
+                    if isinstance(node, (ast.For, ast.comprehension))),
+                   key=lambda it: it.lineno)
+    return [f"{name}:{it.lineno} {ast.unparse(it)}" for it in iters
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr == "parity_components" for call in ast.walk(it))]
+
+
+def test_parity_splits_are_detected():
+    source = ("for part in a.parity_components():\n    pass\n"
+              "out = [f(p) for p in q.parity_components() if p]\n"
+              "for i, p in enumerate(f.parity_components()):\n    pass\n"
+              "even, odd = x.parity_components()\n"
+              "for term in terms:\n    pass\n")
+    assert parity_splits(source) == [":1 a.parity_components()",
+                                     ":3 q.parity_components()",
+                                     ":4 enumerate(f.parity_components())"]
+
+
+def test_no_parity_splits():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in parity_splits(path.read_text(encoding="utf-8"), path.name)]
     assert hits == []

@@ -97,7 +97,7 @@ def test_sum_rejects_a_part_on_another_space():
 def test_euler_field_on_cubic():
     w = SuperSpace(("x",), (EVEN,))
     x = SuperPolynomial.variable(w, 0)
-    eta = VectorField(w, [x], EVEN)
+    eta = VectorField(w, [x])
     assert eta(x * x * x) == 3 * (x * x * x)
 
 
@@ -113,7 +113,7 @@ def test_derivation_law_with_odd_coefficient_field():
     w = space_11()
     x = SuperPolynomial.variable(w, 0)
     xi = SuperPolynomial.variable(w, 1)
-    eta = VectorField(w, [xi, SuperPolynomial.zero(w)], ODD)  # xi d/dx
+    eta = VectorField(w, [xi, SuperPolynomial.zero(w)])  # xi d/dx
     assert eta(x * x) == 2 * x * xi
 
 
@@ -145,15 +145,53 @@ def test_commutator_closes_and_is_a_derivation():
         assert com(f) == eta(gam(f)) - sgn * gam(eta(f))
 
 
+def test_field_parity_is_read_off_the_terms():
+    w = space_22()
+    zero = SuperPolynomial.zero(w)
+    assert VectorField(w, [zero] * 4).parity == EVEN
+    for i, p in enumerate(w.parities):
+        assert VectorField.coordinate(w, i).parity == p
+    x1 = SuperPolynomial.variable(w, 0)
+    t1 = SuperPolynomial.variable(w, 2)
+    assert VectorField(w, [x1, zero, t1, zero]).parity == EVEN
+    assert VectorField(w, [t1, zero, zero, zero]).parity == ODD
+    assert VectorField(w, [x1 + t1, zero, zero, zero]).parity is None
+    assert VectorField(w, [x1, zero, x1, zero]).parity is None
+
+
+def test_mixed_field_on_a_monomial():
+    # eta = (y + xi) d/dx + x d/dxi sends x y xi to x^2 y + y^2 xi
+    w = SuperSpace(("x", "y", "xi"), (EVEN, EVEN, ODD))
+    x, y, xi = (SuperPolynomial.variable(w, i) for i in range(3))
+    eta = VectorField(w, [y + xi, SuperPolynomial.zero(w), x])
+    assert eta.parity is None
+    assert eta(x * y * xi) == x * x * y + y * y * xi
+
+
+def test_mixed_field_is_the_sum_of_its_parity_parts():
+    rng = random.Random(12)
+    w = space_22()
+    mixed = 0
+    for _ in range(20):
+        even = sampling.vector_field(rng, w, EVEN, 2)
+        odd = sampling.vector_field(rng, w, ODD, 2)
+        eta = VectorField(w, [a + b for a, b in zip(even.images, odd.images)])
+        mixed += eta.parity is None
+        f = sampling.polynomial(rng, w, 3, terms=4)
+        assert eta(f) == even(f) + odd(f)
+        assert divergence(eta) == divergence(even) + divergence(odd)
+    assert mixed == 20
+
+
 def test_divergence_examples():
     w1 = SuperSpace(("x",), (EVEN,))
     x = SuperPolynomial.variable(w1, 0)
-    assert divergence(VectorField(w1, [x], EVEN)) == SuperPolynomial.scalar(w1, 1)
-    assert divergence(VectorField(w1, [x * x], EVEN)) == 2 * x
+    assert divergence(VectorField(w1, [x])) == SuperPolynomial.scalar(w1, 1)
+    assert divergence(VectorField(w1, [x * x])) == 2 * x
 
     w2 = SuperSpace(("xi",), (ODD,))
     xi = SuperPolynomial.variable(w2, 0)
-    assert divergence(VectorField(w2, [xi], EVEN)) == SuperPolynomial.scalar(w2, -1)
+    assert divergence(VectorField(w2, [xi])) == SuperPolynomial.scalar(w2, -1)
 
 
 def test_divergence_commutator_law():
@@ -203,8 +241,22 @@ def test_divergence_basis_independence():
             return f.substitute(phi_inv, w)
 
         imgs = [conj_inv(eta(conj(SuperPolynomial.variable(w, i)))) for i in range(4)]
-        eta_t = VectorField(w, imgs, p)
+        eta_t = VectorField(w, imgs)
         assert divergence(eta_t) == conj_inv(divergence(eta))
+
+
+def test_substitution_rejects_a_mixed_image():
+    # y, z -> x + xi, x + theta: y z = z y, but the image products differ by
+    # 2 xi theta, so the map is no algebra map
+    source = SuperSpace(("y", "z"), (EVEN, EVEN))
+    target = SuperSpace(("x", "xi", "theta"), (EVEN, ODD, ODD))
+    x, xi, theta = (SuperPolynomial.variable(target, i) for i in range(3))
+    assert (x + xi) * (x + theta) - (x + theta) * (x + xi) == 2 * xi * theta
+    yz = SuperPolynomial.monomial(source, (0, 1))
+    with pytest.raises(ValueError):
+        yz.substitute([x + xi, x + theta], target)
+    zero = SuperPolynomial.zero(target)
+    assert yz.substitute([x, zero], target).is_zero()
 
 
 def test_multilinear_identity_gives_euler_field():

@@ -298,6 +298,24 @@ def test_antibracket_is_linear_in_an_inhomogeneous_first_argument():
     assert bracket == 2 * x * x + xi
 
 
+def test_poisson_is_linear_in_an_inhomogeneous_first_argument():
+    v = SymplecticSpace.canonical_even(1, 1)
+    p, q, x = (SuperPolynomial.variable(v.space, i) for i in range(3))
+    b = p * q * x
+    bracket = v.poisson(p * p + q * x, b)
+    assert bracket == v.poisson(p * p, b) + v.poisson(q * x, b)
+    assert bracket == -2 * p * p * x - p * q * q
+    rng = random.Random(14)
+    mixed = 0
+    for _ in range(10):
+        a = sampling.polynomial(rng, v.space, 3, terms=4)
+        b = sampling.polynomial(rng, v.space, 3, terms=3)
+        even, odd = a.parity_components()
+        mixed += a.parity() is None
+        assert v.poisson(a, b) == v.poisson(even, b) + v.poisson(odd, b)
+    assert mixed >= 5
+
+
 def test_antibracket_odd_leibniz():
     rng = random.Random(8)
     u = SymplecticSpace.canonical_odd(2)
@@ -478,6 +496,15 @@ def test_lagrangian_rejects_bad_phi():
     bad = SuperPolynomial.monomial(u.space, (0, 1), 1)  # even quadratic
     with pytest.raises(ValueError):
         lagrangian_from_generating_function(u, bad, 1)
+
+
+def test_lagrangian_rejects_a_mixed_phi():
+    # the even term x1^2 would be dropped from the locus without a word
+    u = SymplecticSpace.canonical_odd(2)
+    x1 = SuperPolynomial.variable(u.space, 0)
+    mixed = x1 * SuperPolynomial.variable(u.space, 3) + x1 * x1
+    with pytest.raises(ValueError):
+        lagrangian_from_generating_function(u, mixed, 1)
 
 
 @pytest.mark.parametrize("vectors, match", [

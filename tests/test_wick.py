@@ -9,7 +9,8 @@ from bvgraph.symplectic import (BilinearForm, SymplecticSpace, canonical_lagrang
                                 restrict_polynomial)
 from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
                           bv_stokes_value, chord_diagrams, double_factorial,
-                          gaussian_stokes_even, live_chords, right_deriv)
+                          gaussian_stokes_even, laplacian_exponential_expansion,
+                          live_chords, right_deriv)
 from bvgraph import sampling
 from oracles import (SplitWeight, berezin_oracle, beta_contract,
                      beta_contract_indices, monomial_vev_chords_oracle)
@@ -256,13 +257,27 @@ def test_bv_stokes_random_degree_4():
     assert checked >= 20
 
 
+def test_laplacian_exponential_expansion_on_a_nilpotent_sigma():
+    # sigma = x1 xi1 xi2 squares to 0, so e^{-sigma} = 1 - sigma exactly, and
+    # Delta(sigma) = xi2 makes the (-1)^{|q|} q (master) term nonzero
+    rng = random.Random(8)
+    u = SymplecticSpace.canonical_odd(2)
+    sigma = SuperPolynomial.monomial(u.space, (0, 2, 3))
+    assert u.odd_laplacian(sigma) == SuperPolynomial.variable(u.space, 3)
+    exp = SuperPolynomial.scalar(u.space, 1) - sigma
+    for _ in range(10):
+        q = sampling.polynomial(rng, u.space, 3, terms=4)
+        r = laplacian_exponential_expansion(q, sigma, u)
+        assert u.odd_laplacian(q * exp) == r * exp
+
+
 def test_berezin_change_of_variables_examples():
     space = SuperSpace(("x",), (EVEN,))
     x = SuperPolynomial.variable(space, 0)
     ddx = VectorField.coordinate(space, 0)
     lhs, rhs = berezin_change_of_variables(ddx, x)
     assert lhs == rhs == 0  # constant field, zero divergence, odd integrand
-    euler = VectorField(space, [x], EVEN)
+    euler = VectorField(space, [x])
     lhs, rhs = berezin_change_of_variables(euler, x * x)
     assert lhs == rhs == -1  # <2x^2 - x^4> = 2 - 3 against -<x^2> = -1
 
