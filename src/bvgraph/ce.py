@@ -138,14 +138,13 @@ def osp_action(eta: SuperPolynomial, chain: CEChain) -> CEChain:
     """Adjoint action of a quadratic Hamiltonian, extended by the Leibniz rule.
 
     The odd part of eta takes a sign passing an odd prefix of the word, so
-    after an odd prefix the factor is bracketed with eta_even - eta_odd; eta
-    need not be parity homogeneous.
+    after an odd prefix the factor is bracketed with the grading involution
+    eta_even - eta_odd; eta need not be parity homogeneous.
     """
     if any(len(k) != 2 for k in eta.terms):
         raise ValueError("osp elements are quadratic Hamiltonians")
     symp = chain.symp
-    even, odd = eta.parity_components()
-    after_prefix = (eta, even - odd)  # indexed by the parity of the prefix
+    after_prefix = (eta, eta.grading_involution())  # indexed by the parity of the prefix
 
     def terms():
         for word, coeff in chain.terms.items():

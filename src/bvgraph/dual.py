@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .graded import EVEN, SuperSpace, monomial_parity, sparse_sum, tensor_space
+from .graded import (EVEN, SuperSpace, monomial_parity, sort_indices_with_sign,
+                     sparse_sum, tensor_space)
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
@@ -95,11 +96,14 @@ class TensorModel:
             mu = self.mu(k)
         vpar = [self.v.space.parities[i] for i in key]
         apar = self.alg.space.parities
-        out = SuperPolynomial.sum(self.space, (
-            SuperPolynomial.monomial(
-                self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)),
-                shuffle_sign(vpar, [apar[a] for a in alphas]) * mval)
-            for alphas, mval in mu.items()))
+
+        def terms():
+            for alphas, mval in mu.items():
+                zkey, sign = sort_indices_with_sign(
+                    self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)))
+                if zkey is not None:
+                    yield zkey, sign * shuffle_sign(vpar, [apar[a] for a in alphas]) * mval
+        out = SuperPolynomial(self.space, sparse_sum(terms()))
         self._psi_cache[key] = out
         return out
 

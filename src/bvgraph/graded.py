@@ -13,8 +13,11 @@ of the same sign; ``tests/test_dual.py`` pins ``shuffle_sign`` to it.
 Every sparse rational combination of the package (polynomial terms, vertex
 tensors, multilinear maps, graph and Chevalley-Eilenberg chains, algebra
 elements) is accumulated by one function, ``sparse_sum``: it adds the values
-of equal keys, keeps Fraction values and drops zero sums once.
-``SuperPolynomial.sum`` is its polynomial case.
+of equal keys, drops zero sums once and returns each other sum as one
+Fraction, divided by a common denominator if one is given, so that integer
+values add as plain ints.  ``SuperPolynomial.sum`` is its polynomial case,
+and the integer product kernel of ``SuperPolynomial.__mul__`` its one
+caller with a denominator.
 
 The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
@@ -137,20 +140,24 @@ def tensor_space(a: SuperSpace, b: SuperSpace) -> SuperSpace:
 # ---------------------------------------------------------------------------
 # Sparse combinations: dict {key: Fraction}, zero values never stored
 
-def sparse_sum(pairs) -> dict:
-    """The sparse sum of an iterable of (key, value) pairs.
+def sparse_sum(pairs, denominator=1) -> dict:
+    """The sparse sum of an iterable of (key, value) pairs, over `denominator`.
 
-    Values of equal keys are added; keys keep the order of their first
-    occurrence, every value is a Fraction, and the keys whose sum is 0 are
-    dropped once, at the end.
+    Values of equal keys are added as they come, so integer values add as
+    plain ints; keys keep the order of their first occurrence, the keys whose
+    sum is 0 are dropped once, at the end, and every other sum s becomes one
+    Fraction s / denominator.
     """
     out = {}
     for k, v in pairs:
         if k in out:
             out[k] += v
         else:
-            out[k] = v if type(v) is Fraction else Fraction(v)
-    return {k: v for k, v in out.items() if v}
+            out[k] = v
+    if denominator == 1:
+        return {k: v if type(v) is Fraction else Fraction(v)
+                for k, v in out.items() if v}
+    return {k: Fraction(v, denominator) for k, v in out.items() if v}
 
 
 def permute_tensor(space: SuperSpace, t: dict, order) -> dict:

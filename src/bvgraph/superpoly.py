@@ -12,6 +12,15 @@ accumulation passes its parts as a generator rather than folding
 each step.  Products, derivatives and multilinear maps sum their terms
 through ``sparse_sum`` as well.
 
+The product of two polynomials runs over integers.  Each factor's
+coefficients are scaled by the lcm D of their denominators, the signed
+products of the scaled numerators are added as plain ints for each merged
+key, and each sum n is divided once, as the Fraction n / (D_1 D_2).  That is
+exact: every term pair contributes one coefficient of each factor, so every
+summand carries exactly the scale D_1 D_2.  The values and the key order are
+those of the term-by-term Fraction product, which costs a Fraction product
+and a Fraction sum (each a gcd) per term pair instead.
+
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
 convention.
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import factorial
+from math import factorial, lcm
 
 from .graded import (EVEN, SuperSpace, is_symmetric_tensor, monomial_parity,
                      sort_indices_with_sign, sparse_sum, symmetrize_tensor)
@@ -54,6 +63,12 @@ def left_partial(pars, key, v):
     else:
         f = key.count(v)
     return key[:pos] + key[pos + 1:], f
+
+
+def _integer_terms(terms):
+    """(D, [(key, c * D)]) for the lcm D of the denominators of the coefficients."""
+    d = lcm(*(v.denominator for v in terms.values()))
+    return d, [(k, v.numerator * (d // v.denominator)) for k, v in terms.items()]
 
 
 class SuperPolynomial:
@@ -105,16 +120,26 @@ class SuperPolynomial:
         return SuperPolynomial(self.space, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        """The product, or the multiple by a scalar.
+
+        Two polynomials multiply over integer-scaled coefficients, c * D for
+        D the lcm of a factor's denominators, and divide once per output
+        term by D_1 D_2.  That is exact because every term pair contributes
+        one coefficient of each factor, so every summand carries that scale.
+        """
         if isinstance(other, SuperPolynomial):
             self._check(other)
+            space = self.space
+            d1, left = _integer_terms(self.terms)
+            d2, right = _integer_terms(other.terms)
 
             def products():
-                for k1, v1 in self.terms.items():
-                    for k2, v2 in other.terms.items():
-                        key, sign = merge_keys(self.space, k1, k2)
+                for k1, a in left:
+                    for k2, b in right:
+                        key, sign = merge_keys(space, k1, k2)
                         if key is not None:
-                            yield key, sign * v1 * v2
-            return SuperPolynomial(self.space, sparse_sum(products()))
+                            yield key, sign * a * b
+            return SuperPolynomial(space, sparse_sum(products(), d1 * d2))
         c = Fraction(other)
         return SuperPolynomial(self.space, {k: v * c for k, v in self.terms.items()})
 
@@ -135,12 +160,11 @@ class SuperPolynomial:
             raise ValueError("polynomials live on different variable spaces")
 
     # -- structure ----------------------------------------------------------
-    def parity(self):
-        """Parity if homogeneous, else None.  Zero counts as either (None-safe)."""
-        ps = {monomial_parity(self.space, k) for k in self.terms}
-        if not ps:
-            return None
-        return ps.pop() if len(ps) == 1 else None
+    def grading_involution(self) -> "SuperPolynomial":
+        """(-1)^{|m|} on each monomial m: the odd terms change sign, in one pass."""
+        space = self.space
+        return SuperPolynomial(space, {k: -v if monomial_parity(space, k) else v
+                                       for k, v in self.terms.items()})
 
     def parity_components(self):
         out = [SuperPolynomial(self.space), SuperPolynomial(self.space)]

@@ -285,11 +285,10 @@ class SymplecticSpace:
     # -- brackets ---------------------------------------------------------------
     def poisson(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
         """{a,b} = (-1)^a L_alpha(b) on an even symplectic space; the sign is
-        taken termwise, as the field of a_even - a_odd."""
+        taken termwise, as the field of the grading involution of a."""
         if self.parity != EVEN:
             raise ValueError("Poisson bracket needs an even symplectic form")
-        even, odd = a.parity_components()
-        return self.hamiltonian_field(even - odd)(b)
+        return self.hamiltonian_field(a.grading_involution())(b)
 
     def antibracket(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
         """{a,b} = L_alpha(b) on an odd symplectic space (linear P-manifold);

@@ -187,13 +187,13 @@ def laplacian_exponential_expansion(q: SuperPolynomial, sigma: SuperPolynomial,
 
         R = Delta q - {q, sigma} + (-1)^{|q|} q ({sigma, sigma}/2 - Delta sigma),
 
-    the sign (-1)^{|q|} taken termwise, as q_even - q_odd.
+    the sign (-1)^{|q|} taken termwise, as the grading involution of q.
     """
     lap = symp.odd_laplacian
     br = symp.antibracket
     master = br(sigma, sigma) / 2 - lap(sigma)
-    even, odd = q.parity_components()
-    return SuperPolynomial.sum(symp.space, (lap(q), -br(q, sigma), (even - odd) * master))
+    return SuperPolynomial.sum(symp.space, (lap(q), -br(q, sigma),
+                                            q.grading_involution() * master))
 
 
 def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
@@ -247,7 +247,6 @@ def berezin_change_of_variables(eta: VectorField, f: SuperPolynomial):
     sigma0 = standard_even_weight(space)
     if eta.parity is None:
         raise ValueError("field must be parity homogeneous")
-    even, odd = f.parity_components()
-    lhs = flat_integral(eta(f) - (even - odd if eta.parity else f) * eta(sigma0))
+    lhs = flat_integral(eta(f) - (f.grading_involution() if eta.parity else f) * eta(sigma0))
     rhs = -flat_integral(divergence(eta) * f)
     return lhs, rhs

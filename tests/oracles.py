@@ -19,15 +19,22 @@ i_alpha(omega) = da there, and ``odd_laplacian_form_oracle`` is 1/2 nabla of
 that field.
 ``feynman_product_oracle`` evaluates F on a disjoint union from F on its
 connected components.
+``polynomial_product_oracle`` multiplies two polynomials with one Fraction
+product per term pair, each merged key sorted by ``sort_indices_with_sign``,
+and ``psi_monomial_oracle`` sums Psi of a monomial as one
+``SuperPolynomial.monomial`` per entry of mu_k.
+``polynomial_parity`` is the parity of a homogeneous polynomial, for tests
+that state a sign (-1)^{|a|}.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
 
 from bvgraph import linalg
-from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word
+from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word, shuffle_sign
 from bvgraph.forms import FormContext
-from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, perm_parity
+from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, monomial_parity,
+                            perm_parity, sort_indices_with_sign)
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import upsilon_inverse
@@ -149,6 +156,45 @@ def feynman_value_oracle(gauge, graph):
             val *= factor
         total += val
     return total
+
+
+def polynomial_parity(p):
+    """The common parity of the terms of p; None if they disagree or p is 0."""
+    ps = {monomial_parity(p.space, k) for k in p.terms}
+    return ps.pop() if len(ps) == 1 else None
+
+
+def polynomial_product_oracle(a, b):
+    """a * b over Fractions: each term pair's concatenated key sorted with its
+    Koszul sign (odd squares dropped), the products added in pair order and
+    the zero sums dropped at the end."""
+    space = a.space
+    out = {}
+    for k1, v1 in a.terms.items():
+        for k2, v2 in b.terms.items():
+            key, sign = sort_indices_with_sign(space, k1 + k2)
+            if key is not None:
+                out[key] = out.get(key, Fraction(0)) + sign * v1 * v2
+    return SuperPolynomial(space, {k: v for k, v in out.items() if v})
+
+
+def psi_monomial_oracle(model, key):
+    """Psi of the monomial key of V on A (x) V: the sum over the entries of
+    mu_k (mu_2 the pairing) of one ``SuperPolynomial.monomial`` each,
+    prod_r z_{(alpha_r, key_r)} times mu_k[alpha] and the shuffle sign."""
+    k = len(key)
+    if k == 2:
+        mu = {(i, j): c for i, row in enumerate(model.alg.pairing.rows)
+              for j, c in enumerate(row) if c}
+    else:
+        mu = model.mu(k)
+    vpar = [model.v.space.parities[i] for i in key]
+    apar = model.alg.space.parities
+    return SuperPolynomial.sum(model.space, (
+        SuperPolynomial.monomial(
+            model.space, tuple(model.z(alphas[r], key[r]) for r in range(k)),
+            shuffle_sign(vpar, [apar[a] for a in alphas]) * mval)
+        for alphas, mval in mu.items()))
 
 
 def restricted_word_oracle(model, gm, word):

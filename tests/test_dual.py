@@ -27,8 +27,8 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
 from bvgraph import dual, sampling
 from oracles import (beta_contract_indices, connected_components,
                      feynman_product_oracle,
-                     feynman_value_oracle, restricted_word_oracle,
-                     wick_map_oracle)
+                     feynman_value_oracle, polynomial_parity, psi_monomial_oracle,
+                     restricted_word_oracle, wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -70,7 +70,22 @@ def test_psi_degree_preserved_parity_reversed():
         if img.is_zero():
             continue
         assert img.max_degree() == deg and img.min_degree() == deg
-        assert img.parity() == (par + 1) % 2
+        assert polynomial_parity(img) == (par + 1) % 2
+
+
+@pytest.mark.parametrize("alg", [g3, so3_reduced])
+@pytest.mark.parametrize("v", [V20, V21], ids=["V20", "V21"])
+def test_psi_monomial_matches_the_per_entry_oracle(alg, v):
+    model = TensorModel(alg(), v)
+    nonzero = 0
+    for degree in range(2, 6):
+        for key in sampling.monomial_keys(v.space, degree):
+            psi = model._psi_monomial(key)
+            ref = psi_monomial_oracle(model, key)
+            assert psi.terms == ref.terms
+            assert list(psi.terms) == list(ref.terms)
+            nonzero += not psi.is_zero()
+    assert nonzero
 
 
 def test_psi_rejects_low_order():
@@ -104,7 +119,7 @@ def test_psi_is_shifted_lie_map():
         for a, b in cubic_pairs + quadratic_pairs:
             lhs = model.symp.antibracket(model.psi(a), model.psi(b))
             rhs = model.psi(V21.poisson(a, b))
-            sgn = -1 if a.parity() else 1
+            sgn = -1 if polynomial_parity(a) else 1
             assert (lhs - sgn * rhs).is_zero()
             nonzero += not lhs.is_zero()
         assert nonzero >= len(quadratic_pairs) // 2
@@ -126,7 +141,7 @@ def test_psi_field_compatibility_square():
             lhs = model.symp.hamiltonian_field(model.psi(h))
             zeta = MultilinearMap.from_field(V21.hamiltonian_field(h), deg - 1)
             rhs = model.psi_multilinear(zeta).to_field()
-            ph = h.parity()
+            ph = polynomial_parity(h)
             for u, (a, b) in enumerate(zip(lhs.images, rhs.images)):
                 sgn = -1 if (ph and (apar[u // nv] + 1) % 2) else 1
                 assert (a - sgn * b).is_zero()

@@ -4,6 +4,7 @@ from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField
 from bvgraph.forms import FormContext
 from bvgraph import sampling
+from oracles import polynomial_parity
 
 
 def ctx_11():
@@ -59,7 +60,7 @@ def test_contraction_derivation_rule():
         for wpart in w.parity_components():
             if wpart.is_zero():
                 continue
-            sgn = -1 if (ip and wpart.parity()) else 1
+            sgn = -1 if (ip and polynomial_parity(wpart)) else 1
             assert (c.contract(eta, wpart * v)
                     == c.contract(eta, wpart) * v + sgn * wpart * c.contract(eta, v))
 

@@ -2,14 +2,16 @@
 
 No module of the package or of the tests imports a name it never uses, and
 no package module sums polynomials by folding ``x = x + ...`` or sums a sparse
-dict by hand with ``d[k] = d.get(k, 0) + v`` or ``d[k] = d[k] + v if k in d
-else v``: every sparse accumulation goes through ``graded.sparse_sum``, and
-``SuperPolynomial.sum`` is its polynomial case.  The library holds the engine
-and ``tests/`` the oracles: no package name ends in ``_oracle``, and no module
-imports from the tests.  The oracles never use the Feynman kernels they
+dict by hand with ``d[k] = d.get(k, 0) + v``, ``d[k] = d[k] + v if k in d
+else v`` or ``if k in d: d[k] += v`` / ``else: d[k] = v``: every sparse
+accumulation goes through ``graded.sparse_sum`` (the one function exempt),
+and ``SuperPolynomial.sum`` is its polynomial case.  The library holds the
+engine and ``tests/`` the oracles: no package name ends in ``_oracle``, and
+no module imports from the tests.  The oracles never name the kernels they
 check.  Every import of the package and of the tests is at module level.
 No package module loops over ``x.parity_components()``: every derivation
-reads its signs off the terms, and a sign (-1)^{|x|} is ``even - odd``.
+reads its signs off the terms, and a sign (-1)^{|x|} is the grading
+involution ``x.grading_involution()``.
 """
 import ast
 from pathlib import Path
@@ -76,11 +78,40 @@ def test_no_polynomial_folds():
     assert hits == []
 
 
-def sparse_accumulations(source, name=""):
+def membership_accumulation(node):
+    """Whether an ``if`` statement tests ``k in d`` (or ``k not in d``), adds
+    to ``d[k]`` with ``+=`` in the branch where k is in d and assigns ``d[k]``
+    in the other."""
+    test = node.test
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.In, ast.NotIn))):
+        return False
+    slot = f"{ast.unparse(test.comparators[0])}[{ast.unparse(test.left)}]"
+    present, absent = node.body, node.orelse
+    if isinstance(test.ops[0], ast.NotIn):
+        present, absent = absent, present
+    return (any(isinstance(s, ast.AugAssign) and isinstance(s.op, ast.Add)
+                and ast.unparse(s.target) == slot for s in present)
+            and any(isinstance(s, ast.Assign) and ast.unparse(s.targets[0]) == slot
+                    for s in absent))
+
+
+def sparse_accumulations(source, name="", exempt=()):
     """Assignments whose value, or the ``if`` branch of a conditional value,
-    is a ``+`` chain headed by ``d.get(k, default)`` or by the target ``d[k]``."""
+    is a ``+`` chain headed by ``d.get(k, default)`` or by the target
+    ``d[k]``, and ``if k in d: d[k] += v`` / ``else: d[k] = v`` statements;
+    the bodies of the functions named in `exempt` are skipped."""
+    tree = ast.parse(source)
+    skipped = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in exempt
+               for inner in ast.walk(node)}
     hits = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.If) and membership_accumulation(node):
+            hits.append(f"{name}:{node.lineno} if {ast.unparse(node.test)}")
+            continue
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
@@ -107,17 +138,34 @@ def test_sparse_accumulations_are_detected():
               "degs[a] += 1\n"
               "total = total + v\n"
               "x = d.get(k) + 1\n"
-              "out = sparse_sum((k, v) for k, v in pairs)\n")
-    assert sparse_accumulations(source) == [
+              "out = sparse_sum((k, v) for k, v in pairs)\n"
+              "for k, v in pairs:\n"
+              "    if k in out:\n        out[k] += v\n"
+              "    else:\n        out[k] = v\n"
+              "    if key not in acc:\n        acc[key] = c\n"
+              "    else:\n        acc[key] += c\n"
+              "    if k in seen:\n        seen[k] += 1\n"
+              "    if k in out:\n        out[k] -= v\n"
+              "    else:\n        out[k] = -v\n"
+              "def sparse_sum(pairs):\n"
+              "    if k in out:\n        out[k] += v\n"
+              "    else:\n        out[k] = v\n")
+    assert sparse_accumulations(source, exempt={"sparse_sum"}) == [
         ":1 out[k] = out.get(k, Fraction(0)) + v",
         ":2 cur = terms.get(w, Fraction(0)) + s * c",
-        ":3 out[k] = out[k] + v if k in out else v"]
+        ":3 out[k] = out[k] + v if k in out else v",
+        ":10 if k in out",
+        ":14 if key not in acc"]
+    assert len(sparse_accumulations(source)) == 6
 
 
 def test_sparse_sums_go_through_sparse_sum():
+    # graded.sparse_sum is the one accumulator, so the form it is written in
+    # is allowed there and nowhere else
     hits = [hit for path in sorted(SRC.glob("*.py"))
-            for hit in sparse_accumulations(path.read_text(encoding="utf-8"),
-                                            path.name)]
+            for hit in sparse_accumulations(
+                path.read_text(encoding="utf-8"), path.name,
+                {"sparse_sum"} if path.name == "graded.py" else ())]
     assert hits == []
 
 
@@ -153,14 +201,15 @@ def test_library_never_imports_the_tests():
     assert hits == []
 
 
-# the kernels of the Feynman route that tests/oracles.py checks
-FEYNMAN_KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "nonzero_products",
-                   "live_chords"}
+# the kernels that tests/oracles.py checks: the Feynman route, and the
+# polynomial product (its key merge) and Psi of a monomial on the BV route
+KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "nonzero_products",
+           "live_chords", "__mul__", "merge_keys", "_psi_monomial"}
 
 
 def kernel_uses(source):
-    """The Feynman kernels a module imports or reads, by name or as an
-    attribute such as ``dual.feynman_value``."""
+    """The kernels a module imports or reads, by name or as an attribute
+    such as ``dual.feynman_value``."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -169,7 +218,7 @@ def kernel_uses(source):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    return sorted(names & FEYNMAN_KERNELS)
+    return sorted(names & KERNELS)
 
 
 def test_oracles_never_use_the_kernels_they_check():
@@ -177,8 +226,12 @@ def test_oracles_never_use_the_kernels_they_check():
               "from bvgraph import frobenius\n"
               "frobenius.nonzero_products(alg, els, 2)\n"
               "import bvgraph.wick as w\n"
-              "w.live_chords(pars, idxs, inv)\n")
-    assert kernel_uses(source) == ["feynman_value", "live_chords", "nonzero_products"]
+              "w.live_chords(pars, idxs, inv)\n"
+              "from bvgraph.superpoly import merge_keys\n"
+              "SuperPolynomial.__mul__(a, b)\n"
+              "model._psi_monomial(key)\n")
+    assert kernel_uses(source) == ["__mul__", "_psi_monomial", "feynman_value",
+                                   "live_chords", "merge_keys", "nonzero_products"]
     assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
 
 

@@ -7,6 +7,7 @@ from bvgraph import linalg
 from bvgraph.graded import EVEN, ODD, SuperSpace, symmetrize_tensor
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial, VectorField, divergence
 from bvgraph import sampling
+from oracles import polynomial_parity, polynomial_product_oracle
 
 
 def space_11():
@@ -29,6 +30,55 @@ def test_graded_commutativity_and_odd_squares():
     assert t1 * t2 == -(t2 * t1)
 
 
+def assert_same_terms(p, q):
+    """Equal values and the same key order."""
+    assert p.terms == q.terms
+    assert list(p.terms) == list(q.terms)
+
+
+def test_product_matches_the_fraction_oracle():
+    # x, y even and s, t, u odd; denominators 2, 3, 5, 7 and products of them
+    w = SuperSpace(("x", "s", "t", "y", "u"), (EVEN, ODD, ODD, EVEN, ODD))
+    keys = [k for d in range(4) for k in sampling.monomial_keys(w, d)]
+    rng = random.Random(15)
+
+    def draw():
+        return SuperPolynomial.sum(w, (
+            SuperPolynomial.monomial(w, rng.choice(keys),
+                                     Fraction(rng.choice([-7, -3, -1, 1, 2, 5, 6]),
+                                              rng.choice([1, 2, 3, 5, 7, 6, 35])))
+            for _ in range(rng.randint(1, 6))))
+
+    x, s, t = (SuperPolynomial.variable(w, i) for i in range(3))
+    zero = SuperPolynomial.zero(w)
+    scalar = SuperPolynomial.scalar(w, Fraction(-3, 7))
+    cases = [(x + s, x - s),  # s x - x s cancels: a key inserted, then dropped
+             (s + t, s + t),  # s t + t s = 0: the whole product cancels
+             (s, s), (t * x, t),  # odd squares
+             (zero, x + t), (x + t, zero), (scalar, x / 5 - t / 2),
+             (x / 2 - t / 3, scalar)]
+    cases += [(draw(), draw()) for _ in range(300)]
+    denominators = set()
+    for a, b in cases:
+        prod = a * b
+        assert_same_terms(prod, polynomial_product_oracle(a, b))
+        denominators |= {v.denominator for v in prod.terms.values()}
+    assert (x + s) * (x - s) == x * x
+    assert ((s + t) * (s + t)).is_zero()
+    assert all(any(d % p == 0 for d in denominators) for p in (2, 3, 5, 7))
+
+
+def test_grading_involution_flips_the_odd_terms():
+    w = space_22()
+    rng = random.Random(4)
+    for _ in range(30):
+        a = sampling.polynomial(rng, w, 3, terms=5)
+        even, odd = a.parity_components()
+        flipped = a.grading_involution()
+        assert flipped == even - odd
+        assert list(flipped.terms) == list(a.terms)
+
+
 def test_mul_associative_and_commutative_exhaustive_deg4():
     # all monomials of degree <= 2 over (2|2), pairwise products
     w = space_22()
@@ -36,7 +86,7 @@ def test_mul_associative_and_commutative_exhaustive_deg4():
              for k in sampling.monomial_keys(w, d)]
     for a in monos:
         for b in monos:
-            pa, pb = a.parity(), b.parity()
+            pa, pb = polynomial_parity(a), polynomial_parity(b)
             sgn = -1 if (pa and pb) else 1
             assert a * b == sgn * (b * a)
     rng = random.Random(0)
@@ -128,7 +178,7 @@ def test_derivation_law_random():
         for apart in a.parity_components():
             if apart.is_zero():
                 continue
-            sgn = -1 if (par and apart.parity()) else 1
+            sgn = -1 if (par and polynomial_parity(apart)) else 1
             assert eta(apart * b) == eta(apart) * b + sgn * apart * eta(b)
 
 
