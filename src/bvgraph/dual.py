@@ -9,10 +9,10 @@ keystone that pins every remaining sign convention end to end.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 
-from .graded import (EVEN, SuperSpace, monomial_parity, sort_indices_with_sign,
-                     sparse_sum, tensor_space)
+from .graded import (EVEN, SuperSpace, integer_terms, monomial_parity,
+                     sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
@@ -272,18 +272,19 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     which is computed on exactly the leaves whose propagator product is
     nonzero.
 
-    It runs over integers, the mu entries times D_mu and the propagator times
-    D_p, each D the lcm of the denominators.  Every leaf multiplies exactly
-    |V| mu and |E| propagator entries, so F = total / (D_mu^|V| D_p^|E|).
+    It runs over integers (``graded.integer_terms``): each mu_k times its
+    D_k and the propagator times D_p, each D the lcm of the denominators.
+    Every leaf multiplies one entry of mu_{k_v} for each vertex v and |E|
+    propagator entries, so F = total / (prod_v D_{k_v} * D_p^|E|).
     """
     sizes, chord = chord_presentation(graph)
-    mus = [gauge.mu(k) for k in sizes]
-    d_mu = lcm(*(m.denominator for mu in mus for m in mu.values()))
-    d_p = lcm(*(p.denominator for row in gauge.propagator for p in row))
-    imus = [[(idx, m.numerator * (d_mu // m.denominator)) for idx, m in mu.items()]
-            for mu in mus]
-    prop = [[p.numerator * (d_p // p.denominator) for p in row]
-            for row in gauge.propagator]
+    scaled = {k: integer_terms(gauge.mu(k)) for k in set(sizes)}
+    imus = [scaled[k][1] for k in sizes]
+    d_p, entries = integer_terms({(i, j): p for i, row in enumerate(gauge.propagator)
+                                  for j, p in enumerate(row) if p})
+    prop = [[0] * len(gauge.propagator) for _ in gauge.propagator]
+    for (i, j), p in entries:
+        prop[i][j] = p
     lpar = gauge.parities
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
     closes = [[] for _ in sizes]
@@ -307,7 +308,7 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
                 rec(vtx + 1, assigned, val)
 
     rec(0, (), 1)
-    return Fraction(total, d_mu ** len(sizes) * d_p ** len(chord))
+    return Fraction(total, prod(scaled[k][0] for k in sizes) * d_p ** len(chord))
 
 
 def feynman_cochain(gauge: Gauge, v: int, e: int) -> dict:

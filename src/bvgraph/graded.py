@@ -15,9 +15,12 @@ tensors, multilinear maps, graph and Chevalley-Eilenberg chains, algebra
 elements) is accumulated by one function, ``sparse_sum``: it adds the values
 of equal keys, drops zero sums once and returns each other sum as one
 Fraction, divided by a common denominator if one is given, so that integer
-values add as plain ints.  ``SuperPolynomial.sum`` is its polynomial case,
-and the integer product kernel of ``SuperPolynomial.__mul__`` its one
-caller with a denominator.
+values add as plain ints.  ``SuperPolynomial.sum`` is its polynomial case.
+The integer kernels (the polynomial product, the Hamiltonian field and the
+odd Laplacian, and the Feynman amplitude ``dual.feynman_value``) scale their
+Fraction inputs to plain ints with ``integer_terms``, the one place that
+takes the lcm of denominators, and divide once by the product of the scales;
+all but the last pass it to ``sparse_sum`` as the denominator.
 
 The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 EVEN = 0
 ODD = 1
@@ -158,6 +161,14 @@ def sparse_sum(pairs, denominator=1) -> dict:
         return {k: v if type(v) is Fraction else Fraction(v)
                 for k, v in out.items() if v}
     return {k: Fraction(v, denominator) for k, v in out.items() if v}
+
+
+def integer_terms(terms: dict):
+    """(D, [(key, c * D)]) for the lcm D of the denominators of the
+    coefficients c of `terms`: each c * D is a plain int, so a kernel can add
+    products of such ints and divide once by the product of their scales."""
+    d = lcm(*(v.denominator for v in terms.values()))
+    return d, [(k, v.numerator * (d // v.denominator)) for k, v in terms.items()]
 
 
 def permute_tensor(space: SuperSpace, t: dict, order) -> dict:

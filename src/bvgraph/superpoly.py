@@ -13,13 +13,14 @@ each step.  Products, derivatives and multilinear maps sum their terms
 through ``sparse_sum`` as well.
 
 The product of two polynomials runs over integers.  Each factor's
-coefficients are scaled by the lcm D of their denominators, the signed
-products of the scaled numerators are added as plain ints for each merged
-key, and each sum n is divided once, as the Fraction n / (D_1 D_2).  That is
-exact: every term pair contributes one coefficient of each factor, so every
-summand carries exactly the scale D_1 D_2.  The values and the key order are
-those of the term-by-term Fraction product, which costs a Fraction product
-and a Fraction sum (each a gcd) per term pair instead.
+coefficients are scaled by the lcm D of their denominators
+(``graded.integer_terms``), the signed products of the scaled numerators
+are added as plain ints for each merged key, and each sum n is divided once,
+as the Fraction n / (D_1 D_2).  That is exact: every term pair contributes
+one coefficient of each factor, so every summand carries exactly the scale
+D_1 D_2.  The values and the key order are those of the term-by-term
+Fraction product, which costs a Fraction product and a Fraction sum (each a
+gcd) per term pair instead.
 
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import factorial, lcm
+from math import factorial
 
-from .graded import (EVEN, SuperSpace, is_symmetric_tensor, monomial_parity,
-                     sort_indices_with_sign, sparse_sum, symmetrize_tensor)
+from .graded import (EVEN, SuperSpace, integer_terms, is_symmetric_tensor,
+                     monomial_parity, sort_indices_with_sign, sparse_sum,
+                     symmetrize_tensor)
 
 
 def merge_keys(space: SuperSpace, k1, k2):
@@ -65,10 +67,21 @@ def left_partial(pars, key, v):
     return key[:pos] + key[pos + 1:], f
 
 
-def _integer_terms(terms):
-    """(D, [(key, c * D)]) for the lcm D of the denominators of the coefficients."""
-    d = lcm(*(v.denominator for v in terms.values()))
-    return d, [(k, v.numerator * (d // v.denominator)) for k, v in terms.items()]
+def left_partials(pars, key):
+    """{v: (pos, f)} for each variable v of the canonical monomial key, in key
+    order, in one walk: pos is the first position of v and d^L_v y_key = f *
+    y_rest with rest the key without that position, f as in ``left_partial``
+    (the multiplicity of an even v, (-1)^{|P|} for an odd v after the prefix
+    P; odd variables never repeat, so |P| is the count of odd ones before)."""
+    out = {}
+    odd = 0
+    for pos, v in enumerate(key):
+        if pars[v]:
+            out[v] = (pos, -1 if odd else 1)
+            odd ^= 1
+        elif v not in out:
+            out[v] = (pos, key.count(v))
+    return out
 
 
 class SuperPolynomial:
@@ -130,8 +143,8 @@ class SuperPolynomial:
         if isinstance(other, SuperPolynomial):
             self._check(other)
             space = self.space
-            d1, left = _integer_terms(self.terms)
-            d2, right = _integer_terms(other.terms)
+            d1, left = integer_terms(self.terms)
+            d2, right = integer_terms(other.terms)
 
             def products():
                 for k1, a in left:
@@ -165,12 +178,6 @@ class SuperPolynomial:
         space = self.space
         return SuperPolynomial(space, {k: -v if monomial_parity(space, k) else v
                                        for k, v in self.terms.items()})
-
-    def parity_components(self):
-        out = [SuperPolynomial(self.space), SuperPolynomial(self.space)]
-        for k, v in self.terms.items():
-            out[monomial_parity(self.space, k)].terms[k] = v
-        return out
 
     def max_degree(self):
         return max((len(k) for k in self.terms), default=0)

@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import (EVEN, ODD, SuperSpace, monomial_parity, sparse_sum, tensor_space,
-                     vector_parity)
+from .graded import (EVEN, ODD, SuperSpace, integer_terms, monomial_parity, sparse_sum,
+                     tensor_space, vector_parity)
 from .forms import FormContext
-from .superpoly import SuperPolynomial, VectorField, left_partial, merge_keys
+from .superpoly import SuperPolynomial, VectorField, left_partials, merge_keys
 
 
 class BilinearForm:
@@ -188,9 +188,14 @@ class SymplecticSpace:
                 raise ValueError("odd symplectic space must have dimension n|n")
         self.inverse = form.inverse()
         sign = 1 if self.parity == ODD else -1
-        # the nonzero entries (u, Phi^{-1}[u][v]) of each column v
-        self._minv_cols = [[(u, sign * row[v]) for u, row in enumerate(self.inverse.rows)
-                            if row[v]] for v in range(len(self.space))]
+        # the nonzero entries (u, Phi^{-1}[u][v] * D) of each column v, as
+        # ints over the lcm D of the denominators of Phi^{-1}
+        self._minv_scale, entries = integer_terms(
+            {(u, v): sign * x for u, row in enumerate(self.inverse.rows)
+             for v, x in enumerate(row) if x})
+        self._minv_cols = [[] for _ in self.space.parities]
+        for (u, v), x in entries:
+            self._minv_cols[v].append((u, x))
 
     # -- canonical models -----------------------------------------------------
     @classmethod
@@ -233,20 +238,25 @@ class SymplecticSpace:
         the sign of d^L_v for an odd v, and (-1)^{|P| + |S|} = (-1)^{|m|} for
         an even v.  It is the same da as FormContext.d gives, read off without
         building the 2N-variable form.
+
+        The sum runs over ints: a's coefficients times their lcm D_a
+        (``graded.integer_terms``) and Phi^{-1} times D_Phi, divided once per
+        output term by D_a D_Phi.
         """
         if a.space != self.space:
             raise ValueError("Hamiltonian not on this space")
         pars = self.space.parities
         cols = self._minv_cols
+        d, coeffs = integer_terms(a.terms)
 
         def terms():
-            for key, val in a.terms.items():
+            for key, val in coeffs:
                 for v, rest, f in _gradient(pars, key):
                     c = f * val
                     for u, x in cols[v]:
                         yield (u, rest), x * c
         imgs = [{} for _ in pars]
-        for (u, rest), c in sparse_sum(terms()).items():
+        for (u, rest), c in sparse_sum(terms(), d * self._minv_scale).items():
             imgs[u][rest] = c
         return VectorField(self.space, [SuperPolynomial(self.space, t) for t in imgs])
 
@@ -310,8 +320,21 @@ class SymplecticSpace:
         nabla(alpha) = sum_u (-1)^{p_u + p_u |alpha|} d^L_u alpha(y_u) gives
         the sign (-1)^{p_u |m|}.  Summing monomial by monomial makes it exact
         on inhomogeneous a too, as the divergence takes its sign termwise.
-        Only the u of column v of Phi^{-1} that occur in a term of c_v
-        contribute.
+
+        One walk of m (``superpoly.left_partials``) gives each variable w its
+        first position and its factor f_w in d^L_w m, and each (u, v) term is
+        sign arithmetic on them.  p_u != p_v, so u != v, and d^L_u y_rest has
+        the factor f_u of u in m: dropping the even one of u, v from m leaves
+        the multiplicity of the other, or the parity of the prefix of the odd
+        one, as it was.  The signs (-1)^{p_u |m|} and (-1)^{(1 + p_v)|m|} of
+        c_v agree, as p_u = 1 + p_v mod 2, so they cancel: the pair adds
+        Phi^{-1}[u][v] f_u f_v times the coefficient of m to the monomial
+        with both first positions dropped.  Only the u of column v of
+        Phi^{-1} that occur in m contribute.
+
+        The sum runs over ints: a's coefficients times their lcm D_a
+        (``graded.integer_terms``) and Phi^{-1} times D_Phi, divided once per
+        output term by 2 D_a D_Phi.
         """
         if self.parity != ODD:
             raise ValueError("the odd Laplacian needs an odd symplectic form")
@@ -319,26 +342,31 @@ class SymplecticSpace:
             raise ValueError("polynomial not on this space")
         pars = self.space.parities
         cols = self._minv_cols
+        d, coeffs = integer_terms(a.terms)
 
         def terms():
-            for key, val in a.terms.items():
-                s = sum(pars[i] for i in key) % 2
-                for v, rest, f in _gradient(pars, key):
+            for key, val in coeffs:
+                walk = left_partials(pars, key)
+                for v, (pv, fv) in walk.items():
+                    c = fv * val
                     for u, x in cols[v]:
-                        if u in rest:
-                            term, g = left_partial(pars, rest, u)
-                            yield term, (-g if s and pars[u] else g) * f * x * val
-        return SuperPolynomial(self.space, {term: t / 2
-                                            for term, t in sparse_sum(terms()).items()})
+                        if u in walk:
+                            pu, fu = walk[u]
+                            i, j = (pu, pv) if pu < pv else (pv, pu)
+                            yield key[:i] + key[i + 1:j] + key[j + 1:], fu * x * c
+        return SuperPolynomial(self.space,
+                               sparse_sum(terms(), 2 * d * self._minv_scale))
 
 
 def _gradient(pars, key):
-    """(v, rest, f) for each v in the canonical monomial m = y_key, where
-    c_v = f * y_rest in dm = sum_v c_v dy_v; see ``hamiltonian_field``."""
-    s = sum(pars[i] for i in key) % 2
-    for v in set(key):
-        rest, f = left_partial(pars, key, v)
-        yield v, rest, -f if s and not pars[v] else f
+    """(v, rest, f) for each v in the canonical monomial m = y_key, in one walk
+    of m, where c_v = f * y_rest in dm = sum_v c_v dy_v; see
+    ``hamiltonian_field``.  Odd variables never repeat, so |m| is the parity
+    of the count of odd variables."""
+    walk = left_partials(pars, key)
+    s = sum(pars[v] for v in walk) % 2
+    for v, (pos, f) in walk.items():
+        yield v, key[:pos] + key[pos + 1:], -f if s and not pars[v] else f
 
 
 class LagrangianSubspace:

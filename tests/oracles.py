@@ -24,7 +24,8 @@ product per term pair, each merged key sorted by ``sort_indices_with_sign``,
 and ``psi_monomial_oracle`` sums Psi of a monomial as one
 ``SuperPolynomial.monomial`` per entry of mu_k.
 ``polynomial_parity`` is the parity of a homogeneous polynomial, for tests
-that state a sign (-1)^{|a|}.
+that state a sign (-1)^{|a|}, and ``parity_components`` splits a polynomial
+into its even and odd parts, for tests that state a rule on each part.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -162,6 +163,14 @@ def polynomial_parity(p):
     """The common parity of the terms of p; None if they disagree or p is 0."""
     ps = {monomial_parity(p.space, k) for k in p.terms}
     return ps.pop() if len(ps) == 1 else None
+
+
+def parity_components(p):
+    """[even part, odd part] of p."""
+    out = [{}, {}]
+    for k, v in p.terms.items():
+        out[monomial_parity(p.space, k)][k] = v
+    return [SuperPolynomial(p.space, terms) for terms in out]
 
 
 def polynomial_product_oracle(a, b):

@@ -24,10 +24,11 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_kontsevich_chain_map, verify_master_equations,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
-from bvgraph import dual, sampling
+from bvgraph import dual, sampling, symplectic
 from oracles import (beta_contract_indices, connected_components,
                      feynman_product_oracle,
-                     feynman_value_oracle, polynomial_parity, psi_monomial_oracle,
+                     feynman_value_oracle, hamiltonian_field_form_oracle,
+                     odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      restricted_word_oracle, wick_map_oracle)
 
 
@@ -185,6 +186,16 @@ def test_sigma_bracket_with_psi_vanishes():
 
 # -- the intertwining Psi delta = Delta Psi ----------------------------------
 
+def intertwining_sides(model, chain):
+    """(Psi(delta chain), Delta(Psi chain)) on the model space."""
+    lhs = SuperPolynomial.sum(model.space, (
+        c * psi_of_word(model, word) for word, c in ce_differential(chain).terms.items()))
+    rhs = SuperPolynomial.sum(model.space, (
+        c * model.symp.odd_laplacian(psi_of_word(model, word))
+        for word, c in chain.terms.items()))
+    return lhs, rhs
+
+
 def test_mapcmplx_intertwining():
     rng = random.Random(6)
     for model in (model_k2(V21), model_g3(V21)):
@@ -195,13 +206,33 @@ def test_mapcmplx_intertwining():
             chain = CEChain.from_polynomials(V21, polys)
             if chain.is_zero():
                 continue
-            lhs = SuperPolynomial.zero(model.space)
-            for word, c in ce_differential(chain).terms.items():
-                lhs = lhs + c * psi_of_word(model, word)
-            rhs = SuperPolynomial.zero(model.space)
-            for word, c in chain.terms.items():
-                rhs = rhs + c * model.symp.odd_laplacian(psi_of_word(model, word))
+            lhs, rhs = intertwining_sides(model, chain)
             assert (lhs - rhs).is_zero()
+
+
+def test_intertwining_and_form_route_fail_on_a_flipped_odd_prefix_sign(monkeypatch):
+    # the mutant drops the sign (-1)^{|P|} of an odd variable after an odd
+    # prefix in the one-pass walk that the Laplacian and the Hamiltonian
+    # fields (so the Poisson bracket inside delta) read their signs from
+    walk = symplectic.left_partials
+
+    def flipped(pars, key):
+        return {v: (pos, 1 if pars[v] else f) for v, (pos, f) in walk(pars, key).items()}
+
+    polys = [SuperPolynomial.monomial(V21.space, key) for key in ((0, 1, 2), (0, 0, 1))]
+    chain = CEChain.from_polynomials(V21, polys)
+    for model in (model_k2(V21), model_g3(V21)):
+        psi = psi_of_word(model, next(iter(chain.terms)))
+        lhs, rhs = intertwining_sides(model, chain)
+        assert lhs == rhs and not lhs.is_zero()
+        assert model.symp.odd_laplacian(psi) == odd_laplacian_form_oracle(model.symp, psi)
+        with monkeypatch.context() as m:
+            m.setattr(symplectic, "left_partials", flipped)
+            lhs, rhs = intertwining_sides(model, chain)
+            assert lhs != rhs
+            assert model.symp.odd_laplacian(psi) != odd_laplacian_form_oracle(model.symp, psi)
+            assert (model.symp.hamiltonian_field(psi).images
+                    != hamiltonian_field_form_oracle(model.symp, psi).images)
 
 
 # -- S functional -------------------------------------------------------------

@@ -4,7 +4,7 @@ from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField
 from bvgraph.forms import FormContext
 from bvgraph import sampling
-from oracles import polynomial_parity
+from oracles import parity_components, polynomial_parity
 
 
 def ctx_11():
@@ -57,7 +57,7 @@ def test_contraction_derivation_rule():
         w = sampling.form(rng, c, 3, 1)
         v = sampling.form(rng, c, 3, 1)
         ip = (eta.parity + 1) % 2
-        for wpart in w.parity_components():
+        for wpart in parity_components(w):
             if wpart.is_zero():
                 continue
             sgn = -1 if (ip and polynomial_parity(wpart)) else 1

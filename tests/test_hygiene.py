@@ -9,9 +9,12 @@ and ``SuperPolynomial.sum`` is its polynomial case.  The library holds the
 engine and ``tests/`` the oracles: no package name ends in ``_oracle``, and
 no module imports from the tests.  The oracles never name the kernels they
 check.  Every import of the package and of the tests is at module level.
-No package module loops over ``x.parity_components()``: every derivation
-reads its signs off the terms, and a sign (-1)^{|x|} is the grading
-involution ``x.grading_involution()``.
+No package module loops over a parity split, ``x.parity_components()`` or
+``parity_components(x)`` (that split lives in ``tests/oracles.py``): every
+derivation reads its signs off the terms, and a sign (-1)^{|x|} is the
+grading involution ``x.grading_involution()``.  The integer kernels scale
+Fractions to ints in one place: no package module takes the ``lcm`` of
+denominators outside ``graded.integer_terms``.
 """
 import ast
 from pathlib import Path
@@ -257,15 +260,21 @@ def test_imports_are_at_module_level():
     assert hits == []
 
 
+def called_name(call):
+    """The name a call calls: ``f`` for ``f(x)`` and for ``m.f(x)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def parity_splits(source, name=""):
-    """Loops and comprehensions whose iterable calls ``.parity_components()``,
-    in line order."""
+    """Loops and comprehensions whose iterable calls ``parity_components``, as
+    a method or a function, in line order."""
     iters = sorted((node.iter for node in ast.walk(ast.parse(source))
                     if isinstance(node, (ast.For, ast.comprehension))),
                    key=lambda it: it.lineno)
     return [f"{name}:{it.lineno} {ast.unparse(it)}" for it in iters
-            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                   and call.func.attr == "parity_components" for call in ast.walk(it))]
+            if any(isinstance(call, ast.Call) and called_name(call) == "parity_components"
+                   for call in ast.walk(it))]
 
 
 def test_parity_splits_are_detected():
@@ -273,13 +282,51 @@ def test_parity_splits_are_detected():
               "out = [f(p) for p in q.parity_components() if p]\n"
               "for i, p in enumerate(f.parity_components()):\n    pass\n"
               "even, odd = x.parity_components()\n"
-              "for term in terms:\n    pass\n")
+              "for term in terms:\n    pass\n"
+              "for part in parity_components(b):\n    pass\n")
     assert parity_splits(source) == [":1 a.parity_components()",
                                      ":3 q.parity_components()",
-                                     ":4 enumerate(f.parity_components())"]
+                                     ":4 enumerate(f.parity_components())",
+                                     ":9 parity_components(b)"]
 
 
 def test_no_parity_splits():
     hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in parity_splits(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def denominator_lcms(source, name="", exempt=()):
+    """Calls of ``lcm`` (``math.lcm`` too) that read a ``.denominator``; the
+    bodies of the functions named in `exempt` are skipped."""
+    tree = ast.parse(source)
+    skipped = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in exempt
+               for inner in ast.walk(node)}
+    return [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+            if id(node) not in skipped and isinstance(node, ast.Call)
+            and called_name(node) == "lcm"
+            and any(isinstance(inner, ast.Attribute) and inner.attr == "denominator"
+                    for inner in ast.walk(node))]
+
+
+def test_denominator_lcms_are_detected():
+    source = ("d = lcm(*(v.denominator for v in terms.values()))\n"
+              "d_p = math.lcm(p.denominator, q.denominator)\n"
+              "n = lcm(3, 4)\n"
+              "k = v.denominator\n"
+              "def integer_terms(terms):\n"
+              "    return lcm(*(v.denominator for v in terms.values()))\n")
+    assert denominator_lcms(source, exempt={"integer_terms"}) == [
+        ":1 lcm(*(v.denominator for v in terms.values()))",
+        ":2 math.lcm(p.denominator, q.denominator)"]
+    assert len(denominator_lcms(source)) == 3
+
+
+def test_integer_scaling_goes_through_integer_terms():
+    # graded.integer_terms is the one place that scales Fractions to ints
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in denominator_lcms(
+                path.read_text(encoding="utf-8"), path.name,
+                {"integer_terms"} if path.name == "graded.py" else ())]
     assert hits == []

@@ -17,7 +17,7 @@ from bvgraph.dual import TensorModel, psi_of_word
 from bvgraph import linalg, sampling
 from oracles import (canonical_laplacian_oracle, contraction_matrix_oracle,
                      hamiltonian_field_form_oracle, odd_laplacian_form_oracle,
-                     polynomial_parity)
+                     parity_components, polynomial_parity)
 
 
 def test_upsilon_on_dp_dq():
@@ -149,7 +149,7 @@ def test_hamiltonian_field_preserves_omega_odd_case():
     rng = random.Random(4)
     for _ in range(5):
         a = sampling.polynomial(rng, u.space, 2, min_degree=2)
-        for part in a.parity_components():
+        for part in parity_components(a):
             if part.is_zero():
                 continue
             assert u.is_symplectic_field(u.hamiltonian_field(part))
@@ -311,7 +311,7 @@ def test_poisson_is_linear_in_an_inhomogeneous_first_argument():
     for _ in range(10):
         a = sampling.polynomial(rng, v.space, 3, terms=4)
         b = sampling.polynomial(rng, v.space, 3, terms=3)
-        even, odd = a.parity_components()
+        even, odd = parity_components(a)
         mixed += polynomial_parity(a) is None
         assert v.poisson(a, b) == v.poisson(even, b) + v.poisson(odd, b)
     assert mixed >= 5
@@ -420,7 +420,23 @@ def test_operators_match_form_route_on_canonical_odd(n):
 
 
 K2_V21 = TensorModel(k2(), SymplecticSpace.canonical_even(1, 1)).symp
-ODD_SPACES = (SymplecticSpace.canonical_odd(2), K2_V21)
+
+
+def odd_space_with_rational_inverse():
+    """U_{2|2} with b[x_i][xi_j] = M[i][j] = -b[xi_j][x_i] for the rational,
+    non-diagonal M = [[2, 1], [1/3, 1]]: Phi^{-1} has the entries +-3/5,
+    -1/5 and 6/5, where every other fixture's are +-1."""
+    space = SuperSpace(["x1", "x2", "xi1", "xi2"], [EVEN, EVEN, ODD, ODD])
+    m = [[2, 1], [Fraction(1, 3), 1]]
+    rows = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            rows[i][2 + j], rows[2 + j][i] = m[i][j], -m[i][j]
+    return SymplecticSpace(BilinearForm(space, rows, ODD, "skew"))
+
+
+U22_RATIONAL = odd_space_with_rational_inverse()
+ODD_SPACES = (SymplecticSpace.canonical_odd(2), K2_V21, U22_RATIONAL)
 
 
 @st.composite
@@ -440,6 +456,21 @@ def test_operators_match_form_route_on_random_polynomials(case):
     symp, a = case
     _matches_form_route(symp, a)
     assert symp.odd_laplacian(symp.odd_laplacian(a)).is_zero()
+
+
+def test_operators_match_form_route_with_a_rational_inverse():
+    # only here do the integer kernels scale Phi^{-1} by a denominator > 1
+    symp = U22_RATIONAL
+    assert {x.denominator for row in symp.inverse.rows for x in row} == {1, 5}
+    rng = random.Random(14)
+    polys = [SuperPolynomial.monomial(symp.space, key, Fraction(1, 2))
+             for d in range(4) for key in sampling.monomial_keys(symp.space, d)]
+    polys += [sampling.polynomial(rng, symp.space, 4, terms=5) for _ in range(20)]
+    nonzero = 0
+    for a in polys:
+        nonzero += _matches_form_route(symp, a)
+        assert symp.odd_laplacian(symp.odd_laplacian(a)).is_zero()
+    assert 3 * nonzero >= len(polys)
 
 
 def test_operators_match_form_route_on_psi_words_and_sigma():
@@ -465,7 +496,7 @@ def test_poisson_fields_match_form_route_on_v21():
     for _ in range(15):
         a = sampling.polynomial(rng, v.space, 4, terms=4)
         b = sampling.polynomial(rng, v.space, 4, terms=4)
-        parts = [part for part in a.parity_components() if not part.is_zero()]
+        parts = [part for part in parity_components(a) if not part.is_zero()]
         for part in parts:
             nonzero += _matches_form_route(v, part)
             compared += 1
