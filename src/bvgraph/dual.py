@@ -11,14 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
+from . import linalg
 from .graded import (EVEN, SuperSpace, integer_terms, monomial_parity,
                      sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
-from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
-                         restrict_polynomial)
-from .frobenius import (FrobeniusAlgebra, Gauge, degenerate_form,
-                        nonzero_products, vertex_tensor)
+from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
+from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors, degenerate_form
 from .wick import QuadraticWeight, chord_sign, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
@@ -29,7 +28,9 @@ from .ce import CEChain, ce_differential, osp_action
 # The tensor model A (x) V and its odd symplectic structure
 
 class TensorModel:
-    """A (x) V with its odd symplectic form and the quadratic Hamiltonian of d."""
+    """A (x) V with its odd symplectic form and the quadratic Hamiltonian of d.
+    ``mu(k)`` reads one ``VertexTensors`` table on the basis of A: Psi takes
+    mu_k of every valence from it, mu_2 (the pairing) included."""
 
     def __init__(self, alg: FrobeniusAlgebra, v: SymplecticSpace):
         if v.parity != EVEN:
@@ -40,7 +41,7 @@ class TensorModel:
         self.nv = len(v.space)
         form = alg.pairing.tensor_with(v.form, space=self.space)
         self.symp = SymplecticSpace(form)
-        self._mu_cache = {}
+        self.mu = VertexTensors(alg, linalg.identity(len(alg.space))).mu
         self._psi_cache = {}
         self.sigma = self._sigma_tilde()
         self.dform = BilinearForm(self.space, i2_of_quadratic(self.sigma),
@@ -49,11 +50,6 @@ class TensorModel:
     def z(self, alpha: int, i: int) -> int:
         """Variable index of a* (x) w* for algebra slot alpha, V slot i."""
         return alpha * self.nv + i
-
-    def mu(self, k: int) -> dict:
-        if k not in self._mu_cache:
-            self._mu_cache[k] = vertex_tensor(self.alg, k)
-        return self._mu_cache[k]
 
     def _dtilde_field(self) -> VectorField:
         """(d (x) 1)^vee: z_{(alpha,i)} -> sum_beta d[alpha][beta] z_{(beta,i)}."""
@@ -86,14 +82,12 @@ class TensorModel:
             coeff * self._psi_monomial(key) for key, coeff in h.terms.items()))
 
     def _psi_monomial(self, key) -> SuperPolynomial:
+        """Psi of one monomial of V, once per key: one ``sparse_sum`` over the
+        entries of mu_k, for k = 2 the pairing's <a_i, a_j> in row-major order."""
         if key in self._psi_cache:
             return self._psi_cache[key]
         k = len(key)
-        if k == 2:  # mu_2(a_1, a_2) = <a_1, a_2>
-            mu = {(i, j): c for i, row in enumerate(self.alg.pairing.rows)
-                  for j, c in enumerate(row) if c}
-        else:
-            mu = self.mu(k)
+        mu = self.mu(k)
         vpar = [self.v.space.parities[i] for i in key]
         apar = self.alg.space.parities
 
@@ -106,10 +100,6 @@ class TensorModel:
         out = SuperPolynomial(self.space, sparse_sum(terms()))
         self._psi_cache[key] = out
         return out
-
-    # -- Psi on multilinear maps ----------------------------------------------
-    def psi_multilinear(self, zeta: MultilinearMap) -> MultilinearMap:
-        return psi_multilinear_map(self.alg, self.v.space, zeta)
 
 
 def shuffle_sign(vpar, apar) -> int:
@@ -127,8 +117,7 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
     apar = alg.space.parities
     vpar = vspace.parities
     n = zeta.rank
-    basis = [alg.basis_element(a) for a in range(len(alg.space))]
-    products = list(nonzero_products(alg, basis, n))
+    products = VertexTensors(alg, linalg.identity(len(alg.space))).products(n)
 
     def entries():
         for (args, out_w), val in zeta.entries.items():
@@ -153,19 +142,17 @@ class GaugeModel:
         self.model = model
         self.gauge = gauge
         self.space = tensor_space(gauge.subspace(), model.v.space)
-        self.vectors = []
-        for lvec in gauge.vectors:
-            for i in range(model.nv):
-                vec = [Fraction(0)] * len(model.space)
-                for alpha, c in enumerate(lvec):
-                    if c:
-                        vec[model.z(alpha, i)] = c
-                self.vectors.append(vec)
+        # restriction sends z_{(alpha,i)} to sum_s L_s[alpha] l_{(s,i)}
+        nv = model.nv
+        self.images = [SuperPolynomial(self.space, {(s * nv + i,): lvec[alpha]
+                                                    for s, lvec in enumerate(gauge.vectors)
+                                                    if lvec[alpha]})
+                       for alpha in range(len(model.alg.space)) for i in range(nv)]
         self.weight = QuadraticWeight.from_sigma(self.restrict(model.sigma))
         self._psi = {}
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
-        return restrict_polynomial(f, self.vectors, self.space)
+        return f.substitute(self.images, self.space)
 
     def psi_monomial(self, key) -> SuperPolynomial:
         """Psi of one monomial of V restricted to L (x) V, once per key.

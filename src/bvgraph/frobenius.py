@@ -2,12 +2,13 @@
 
 An algebra is given by sparse structure constants, a differential matrix and a
 pairing matrix over a named basis.  Elements are sparse coefficient dicts
-{basis index: Fraction}.
+{basis index: Fraction}.  The dual construction reads an algebra through its
+vertex tensors mu_k, which ``VertexTensors`` builds from one walk of products.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from . import linalg
 from .graded import EVEN, ODD, SuperSpace, koszul_sign, sparse_sum, vector_parity
@@ -147,7 +148,7 @@ class Gauge:
         self.alg = alg
         self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
         self.label = label
-        self._mu = {}
+        self.vertex_tensors = VertexTensors(alg, self.vectors)
         self.parities = [vector_parity(alg.space, v) for v in self.vectors]
         self.validate()
 
@@ -178,10 +179,8 @@ class Gauge:
         return BilinearForm(self.subspace(), rows, EVEN, "skew")
 
     def mu(self, k: int) -> dict:
-        """mu_k on the gauge basis, computed once per valence."""
-        if k not in self._mu:
-            self._mu[k] = vertex_tensor_on_vectors(self.alg, self.vectors, k)
-        return self._mu[k]
+        """mu_k on the gauge basis, from the gauge's ``VertexTensors`` table."""
+        return self.vertex_tensors.mu(k)
 
 
 def find_gauges(alg: FrobeniusAlgebra):
@@ -190,7 +189,8 @@ def find_gauges(alg: FrobeniusAlgebra):
     Complements are graphs of parity-preserving maps phi: C0 -> d(A) over a
     reference complement C0; isotropy is linear in phi because d(A) is
     isotropic, so the family is an affine subspace of dimension m.  At most
-    64 members are tried.  Returns (gauges, info).
+    64 corners of the box are tried, fewest directions first, so that every
+    direction is reached when m < 64.  Returns (gauges, info).
     """
     flag, _ = check_contractible(alg)
     if not flag:
@@ -249,14 +249,13 @@ def find_gauges(alg: FrobeniusAlgebra):
         return vectors
 
     gauges = []
-    assignments = [[]]
-    for _ in homogeneous:
-        assignments = [a + [v] for a in assignments for v in (0, 1)][:64]
-    for lam in assignments:
+    m = len(homogeneous)
+    for used in islice(chain.from_iterable(
+            combinations(range(m), r) for r in range(m + 1)), 64):
+        lam = [int(j in used) for j in range(m)]
         tvals = list(particular)
-        for l, hvec in zip(lam, homogeneous):
-            if l:
-                tvals = [t + Fraction(l) * h for t, h in zip(tvals, hvec)]
+        for j in used:
+            tvals = [t + h for t, h in zip(tvals, homogeneous[j])]
         try:
             gauges.append(Gauge(alg, build(tvals), label=str(tuple(lam))))
         except ValueError:
@@ -264,50 +263,61 @@ def find_gauges(alg: FrobeniusAlgebra):
     return gauges, info
 
 
+class VertexTensors:
+    """The vertex tensors mu_k(v_1..v_k) = <v_1 ... v_{k-1}, v_k> of a list
+    of elements (the basis of A, or a gauge basis), for every k >= 2.
+
+    ``mu(k)`` holds the nonzero entries, products taken left to right, keyed
+    by index tuples in lexicographic order.  It pairs level k - 1 of one walk
+    of products, ``products(k - 1)``, with each element v through its
+    covector c = P v (P the pairing matrix): <u, v> = sum_i u_i c_i.  So mu_2
+    is the pairing itself.  Level n lists (t, v_{t_1} ... v_{t_n}) for the
+    tuples t of length n with a nonzero product, in lexicographic order; it
+    is built once, as level n - 1 times one more element, and kept for every
+    valence.  That is exact: a product is its prefix product times its last
+    factor, and a zero prefix has only zero extensions.
+    """
+
+    def __init__(self, alg: FrobeniusAlgebra, vectors):
+        self.alg = alg
+        self.elements = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
+        self.covectors = [{i: c for i, row in enumerate(alg.pairing.rows)
+                           if (c := sum(row[j] * x for j, x in el.items()))}
+                          for el in self.elements]
+        self._levels = [[((i,), el) for i, el in enumerate(self.elements) if el]]
+        self._mu = {}
+
+    def products(self, n: int) -> list:
+        """Level n >= 1 of the walk, each level below it built first, once."""
+        while len(self._levels) < n:
+            self._levels.append([(t + (i,), p) for t, prod in self._levels[-1]
+                                 for i, el in enumerate(self.elements)
+                                 if (p := self.alg.mul(prod, el))])
+        return self._levels[n - 1]
+
+    def mu(self, k: int) -> dict:
+        """mu_k as a sparse dict, built once per valence k >= 2."""
+        if k < 2:
+            raise ValueError("vertex tensors need valence >= 2")
+        if k not in self._mu:
+            out = {}
+            for prefix, prod in self.products(k - 1):
+                for last, cov in enumerate(self.covectors):
+                    val = sum(a * cov[i] for i, a in prod.items() if i in cov)
+                    if val:
+                        out[prefix + (last,)] = val
+            self._mu[k] = out
+        return self._mu[k]
+
+
 def vertex_tensor(alg: FrobeniusAlgebra, k: int) -> dict:
-    """mu_k(a_1..a_k) = <a_1 ... a_{k-1}, a_k> on the basis, as a sparse dict."""
-    return vertex_tensor_on_vectors(alg, linalg.identity(len(alg.space)), k)
+    """mu_k on the basis of A, from a table of its own."""
+    return VertexTensors(alg, linalg.identity(len(alg.space))).mu(k)
 
 
 def vertex_tensor_on_vectors(alg: FrobeniusAlgebra, vectors, k: int) -> dict:
-    """mu_k evaluated on a list of elements (e.g. a gauge basis).
-
-    The entry at an index tuple t is <v_{t_1} ... v_{t_{k-1}}, v_{t_k}>, the
-    product taken left to right; the dict holds the nonzero entries with
-    their keys in lexicographic order.  It pairs each nonzero product of
-    k - 1 factors (``nonzero_products``) with each vector v through its
-    covector c = P v, P the pairing matrix: <u, v> = sum_i u_i c_i over the
-    nonzero entries of c, which are found once per call.
-    """
-    if k < 3:
-        raise ValueError("vertex tensors need valence >= 3")
-    els = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
-    covs = [{i: c for i, row in enumerate(alg.pairing.rows)
-             if (c := sum(row[j] * x for j, x in el.items()))} for el in els]
-    out = {}
-    for prefix, prod in nonzero_products(alg, els, k - 1):
-        for last, cov in enumerate(covs):
-            val = sum(a * cov[i] for i, a in prod.items() if i in cov)
-            if val:
-                out[prefix + (last,)] = val
-    return out
-
-
-def nonzero_products(alg: FrobeniusAlgebra, elements, n: int):
-    """(t, e_{t_1} ... e_{t_n}) for the index tuples t of length n >= 1 whose
-    product of elements (sparse dicts), taken left to right, is nonzero, in
-    lexicographic order.  Each product is its prefix times one more factor,
-    depth first; the search stops at the first zero prefix."""
-    def extend(prefix, prod):
-        if len(prefix) == n:
-            yield prefix, prod
-            return
-        for i, el in enumerate(elements):
-            longer = alg.mul(prod, el) if prefix else el
-            if longer:
-                yield from extend(prefix + (i,), longer)
-
-    return extend((), None)
+    """mu_k on a list of elements (e.g. a gauge basis), from a table of its own."""
+    return VertexTensors(alg, vectors).mu(k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from bvgraph.graphs import (CanonicalGraph, canonicalize_directed, cycle_space,
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, graph_from_chord,
-                          psi_of_word, s_functional, shuffle_sign,
+                          psi_multilinear_map, psi_of_word, s_functional,
+                          shuffle_sign,
                           verify_cocycle_chains,
                           verify_cocycle_graphs, verify_commute,
                           verify_gauge_independence,
@@ -141,7 +142,7 @@ def test_psi_field_compatibility_square():
             h = sampling.homogeneous_monomial(rng, V21.space, deg)
             lhs = model.symp.hamiltonian_field(model.psi(h))
             zeta = MultilinearMap.from_field(V21.hamiltonian_field(h), deg - 1)
-            rhs = model.psi_multilinear(zeta).to_field()
+            rhs = psi_multilinear_map(model.alg, V21.space, zeta).to_field()
             ph = polynomial_parity(h)
             for u, (a, b) in enumerate(zip(lhs.images, rhs.images)):
                 sgn = -1 if (ph and (apar[u // nv] + 1) % 2) else 1
@@ -152,7 +153,7 @@ def test_psi_multilinear_is_symmetric():
     rng = random.Random(4)
     model = model_g3()
     zeta = sampling.multilinear(rng, V20.space, 3, entries=4, parity=0)
-    gamma = model.psi_multilinear(zeta)
+    gamma = psi_multilinear_map(model.alg, V20.space, zeta)
     assert gamma.is_symmetric()
 
 

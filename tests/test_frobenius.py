@@ -1,16 +1,18 @@
 from fractions import Fraction
 from itertools import permutations
 
+import ast
+
 import pytest
 
-from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, algebra_from_json,
-                               algebra_to_json,
+from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
+                               algebra_from_json, algebra_to_json,
                                check_contractible, degenerate_form, find_gauges,
                                g3, g3_gauge, grassmann_algebra, k2, k2_gauge,
                                so3_reduced, verify_axioms, vertex_tensor,
                                vertex_tensor_on_vectors)
 from bvgraph import linalg
-from bvgraph.graded import EVEN, ODD, is_symmetric_tensor, perm_parity
+from bvgraph.graded import EVEN, ODD, SuperSpace, is_symmetric_tensor, perm_parity
 from oracles import vertex_tensor_oracle
 
 
@@ -216,7 +218,78 @@ def test_vertex_tensor_matches_oracle_at_valence_6():
 
 def test_vertex_tensor_rejects_low_valence():
     with pytest.raises(ValueError):
-        vertex_tensor(k2(), 2)
+        vertex_tensor(k2(), 1)
+
+
+def test_vertex_tensors_match_the_oracle_in_any_order():
+    # valences asked out of order still read each level of the one walk
+    alg = g3()
+    vectors = g3_gauge(1, 2, 3, 4, alg=alg).vectors
+    table = VertexTensors(alg, vectors)
+    for k in (6, 3, 5, 4):
+        mu = table.mu(k)
+        assert list(mu.items()) == list(vertex_tensor_oracle(alg, vectors, k).items())
+        assert table.mu(k) is mu
+
+
+def test_vertex_tensors_build_each_level_of_products_once():
+    # mu_3..mu_k multiply each product of levels 1..k-2 by every element
+    # once; a walk per valence would make 1,096 and 1,136 products here
+    alg = g3()
+    gauge = g3_gauge(1, 2, 3, 4, alg=alg)
+    calls = []
+    mul = alg.mul
+    alg.mul = lambda u, v: calls.append(1) or mul(u, v)
+    for vectors, valences, count in ((gauge.vectors, (3, 4, 5, 6), 760),
+                                     (linalg.identity(8), (3, 4, 5), 792)):
+        calls.clear()
+        table = VertexTensors(alg, vectors)
+        for k in valences + valences:
+            table.mu(k)
+        assert len(calls) == count
+
+
+@pytest.mark.parametrize("make_alg", (k2, g3, so3_reduced))
+def test_mu_2_on_a_basis_is_the_pairing(make_alg):
+    alg = make_alg()
+    mu2 = VertexTensors(alg, linalg.identity(len(alg.space))).mu(2)
+    assert list(mu2.items()) == [((i, j), c) for i, row in enumerate(alg.pairing.rows)
+                                 for j, c in enumerate(row) if c]
+
+
+def direct_sum(a, b):
+    """The block direct sum of two algebras: d acts blockwise, and products
+    and the pairing vanish across the blocks."""
+    n = len(a.space)
+    size = n + len(b.space)
+    space = SuperSpace([f"{a.name}.{x}" for x in a.space.names]
+                       + [f"{b.name}.{x}" for x in b.space.names],
+                       a.space.parities + b.space.parities)
+    mult = dict(a.mult)
+    mult.update({(i + n, j + n): {k + n: c for k, c in img.items()}
+                 for (i, j), img in b.mult.items()})
+
+    def blocks(upper, lower):
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for off, mat in ((0, upper), (n, lower)):
+            for i, row in enumerate(mat):
+                for j, c in enumerate(row):
+                    rows[off + i][off + j] = c
+        return rows
+    return FrobeniusAlgebra(space, mult, blocks(a.diff, b.diff),
+                            blocks(a.pairing.rows, b.pairing.rows),
+                            name=f"{a.name}+{b.name}")
+
+
+def test_find_gauges_reaches_every_direction():
+    alg = direct_sum(so3_reduced(), g3())
+    assert verify_axioms(alg)["ok"]
+    assert check_contractible(alg) == (True, 7)
+    gauges, info = find_gauges(alg)
+    assert info["n_parameters"] == 10
+    assert 0 < len(gauges) <= 64
+    lams = [ast.literal_eval(g.label) for g in gauges]
+    assert all(any(lam[j] == 1 for lam in lams) for j in range(10))
 
 
 def test_gauge_invariants():

@@ -14,7 +14,9 @@ No package module loops over a parity split, ``x.parity_components()`` or
 derivation reads its signs off the terms, and a sign (-1)^{|x|} is the
 grading involution ``x.grading_involution()``.  The integer kernels scale
 Fractions to ints in one place: no package module takes the ``lcm`` of
-denominators outside ``graded.integer_terms``.
+denominators outside ``graded.integer_terms``.  Vertex tensors come from one
+table per list of elements: no package code outside the one-shot
+``vertex_tensor`` and ``vertex_tensor_on_vectors`` calls either of them.
 """
 import ast
 from pathlib import Path
@@ -206,7 +208,7 @@ def test_library_never_imports_the_tests():
 
 # the kernels that tests/oracles.py checks: the Feynman route, and the
 # polynomial product (its key merge) and Psi of a monomial on the BV route
-KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "nonzero_products",
+KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "live_chords", "__mul__", "merge_keys", "_psi_monomial"}
 
 
@@ -227,15 +229,50 @@ def kernel_uses(source):
 def test_oracles_never_use_the_kernels_they_check():
     source = ("from bvgraph.dual import feynman_value as fv\n"
               "from bvgraph import frobenius\n"
-              "frobenius.nonzero_products(alg, els, 2)\n"
+              "frobenius.VertexTensors(alg, els).products(2)\n"
               "import bvgraph.wick as w\n"
               "w.live_chords(pars, idxs, inv)\n"
               "from bvgraph.superpoly import merge_keys\n"
               "SuperPolynomial.__mul__(a, b)\n"
               "model._psi_monomial(key)\n")
-    assert kernel_uses(source) == ["__mul__", "_psi_monomial", "feynman_value",
-                                   "live_chords", "merge_keys", "nonzero_products"]
+    assert kernel_uses(source) == ["VertexTensors", "__mul__", "_psi_monomial",
+                                   "feynman_value", "live_chords", "merge_keys"]
     assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
+
+
+# the one-shot vertex-tensor entry points, each a table of its own
+ONE_SHOT = {"vertex_tensor", "vertex_tensor_on_vectors"}
+
+
+def one_shot_calls(source, name=""):
+    """Calls of the one-shot vertex-tensor functions, by name or as an
+    attribute, outside the bodies of those functions."""
+    tree = ast.parse(source)
+    skipped = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in ONE_SHOT
+               for inner in ast.walk(node)}
+    return [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+            if id(node) not in skipped and isinstance(node, ast.Call)
+            and called_name(node) in ONE_SHOT]
+
+
+def test_one_shot_calls_are_detected():
+    source = ("mu = vertex_tensor_on_vectors(self.alg, self.vectors, k)\n"
+              "mu = frobenius.vertex_tensor(alg, 3)\n"
+              "mu = self.vertex_tensors.mu(k)\n"
+              "def vertex_tensor(alg, k):\n"
+              "    return vertex_tensor_on_vectors(alg, identity(n), k)\n")
+    assert one_shot_calls(source) == [
+        ":1 vertex_tensor_on_vectors(self.alg, self.vectors, k)",
+        ":2 frobenius.vertex_tensor(alg, 3)"]
+
+
+def test_library_builds_vertex_tensors_through_one_table():
+    # a holder of mu_k keeps one VertexTensors table and reads every valence
+    # from it; a one-shot call would rebuild the walk of products
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in one_shot_calls(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
 
 
 def local_imports(source, name=""):
