@@ -17,7 +17,7 @@ from .graded import (EVEN, SuperSpace, integer_terms, monomial_parity,
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
-from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors, degenerate_form
+from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors
 from .wick import QuadraticWeight, chord_sign, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
@@ -63,8 +63,7 @@ class TensorModel:
 
     def dform_entrywise(self) -> BilinearForm:
         """The printed tensored form: (-1)^{|w1||a2|} <a1,a2>_d <w1,w2>_W."""
-        md = degenerate_form(self.alg)
-        return md.tensor_with(self.v.form, space=self.space)
+        return self.alg.d_form.tensor_with(self.v.form, space=self.space)
 
     # -- Psi on Hamiltonians -------------------------------------------------
     def psi(self, h: SuperPolynomial) -> SuperPolynomial:

@@ -8,6 +8,7 @@ vertex tensors mu_k, which ``VertexTensors`` builds from one walk of products.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, islice
 
 from . import linalg
@@ -47,8 +48,17 @@ class FrobeniusAlgebra:
         return total
 
     # -- structural data -----------------------------------------------------
-    def image_of_d(self):
-        return linalg.column_space_basis(self.diff)
+    # An algebra is not changed after construction, so d(A) and <-,->_d are
+    # built once, for every gauge of it.
+    @cached_property
+    def d_image(self) -> tuple:
+        """A basis of d(A), each vector a tuple."""
+        return tuple(map(tuple, linalg.column_space_basis(self.diff)))
+
+    @cached_property
+    def d_form(self) -> BilinearForm:
+        """The degenerate form <-,->_d (``degenerate_form``)."""
+        return degenerate_form(self)
 
     def kernel_of_d(self):
         return linalg.nullspace(self.diff)
@@ -128,7 +138,7 @@ def degenerate_form(alg: FrobeniusAlgebra) -> BilinearForm:
 
 def check_contractible(alg: FrobeniusAlgebra):
     """ker d = im d test; returns (flag, dim d(A))."""
-    img = alg.image_of_d()
+    img = alg.d_image
     ker = alg.kernel_of_d()
     rk_img = len(img)
     if rk_img != len(ker):
@@ -161,7 +171,7 @@ class Gauge:
             for v in self.vectors:
                 if alg.pairing.evaluate(u, v) != 0:
                     raise ValueError("gauge is not isotropic for the pairing")
-        img = alg.image_of_d()
+        img = alg.d_image
         stacked = [list(v) for v in self.vectors] + [list(v) for v in img]
         if linalg.rank(stacked) != n:
             raise ValueError("gauge does not complement d(A)")
@@ -174,8 +184,7 @@ class Gauge:
         return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
 
     def restricted_form(self) -> BilinearForm:
-        dform = degenerate_form(self.alg)
-        rows = dform.restrict(self.vectors)
+        rows = self.alg.d_form.restrict(self.vectors)
         return BilinearForm(self.subspace(), rows, EVEN, "skew")
 
     def mu(self, k: int) -> dict:
@@ -196,7 +205,7 @@ def find_gauges(alg: FrobeniusAlgebra):
     if not flag:
         return [], {"error": "algebra is not contractible"}
     n = len(alg.space)
-    img = alg.image_of_d()
+    img = alg.d_image
     # graded reference complement from standard basis vectors
     c0 = []
     current = [list(v) for v in img]

@@ -92,10 +92,16 @@ class CanonicalGraph:
         return self.graph_id()
 
 
-# Cleared when full; a graph_complex benchmark pass (846 distinct keys) never
-# fills it.
+# Cleared when full; a graph_complex benchmark pass (109 distinct keys)
+# never fills it.
 _CANON_CACHE_SIZE = 1 << 14
 _canon_cache = {}
+
+# The graph lists of ``enumerate_graphs`` by bidegree (v, e), cleared when
+# full: ``cycle_space`` reads two bidegrees, and the upper one of (v, e) is
+# the lower one of (v + 1, e + 1).
+_GRAPH_LISTS_SIZE = 32
+_graph_lists = {}
 
 
 def canonicalize_directed(nv: int, edges) -> tuple:
@@ -121,9 +127,17 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     - Candidates: while block i* is open, label k goes only to an unlabelled
       vertex with the most edges to vertex i*.  Giving it to one with fewer
       puts (i*, j > k) where this puts (i*, k), after an equal prefix.  When
-      no block is open (label 0, or a new component) every unlabelled vertex
-      with an edge is tried, and of the unlabelled isolated vertices only the
-      one of least index.
+      no block is open (label 0, or a new component), label k goes only to
+      an unlabelled vertex of the greatest profile: the multiplicities of its
+      edges, largest first, compared as lists, so a longer profile wins a
+      tie on the common prefix.  Its neighbours are all unlabelled, and the
+      cut above gives them labels k+1, k+2, ... in descending multiplicity,
+      so for the profile (m_1, m_2, ...) block k is (k, k+1) m_1 times, then
+      (k, k+2) m_2 times, and so on, after blocks already fixed: a smaller
+      profile gives a larger code.  Degree is not the key: a theta vertex,
+      profile (3), comes before one of profile (2, 2).  An isolated vertex
+      has the least profile, the empty one, so it is taken only when every
+      vertex left is isolated, and then only the one of least index.
     - Isolated vertices: a vertex with no edge is never a candidate while a
       block is open, and any permutation of the isolated vertices is an
       automorphism: it changes no edge.  So a minimal relabeling composed
@@ -150,25 +164,35 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     return result
 
 
-def _minimal_code(nv: int, edges) -> tuple:
+def _minimal_code(nv: int, edges, bound=None):
     """(minimal sorted edge code, sign) of a loopless multigraph; see
-    ``canonicalize_directed``."""
+    ``canonicalize_directed``.
+
+    ``bound``, a sorted edge code of the graph, turns the search into a
+    canonicity test: it starts from the bound as the best code so far and
+    gives None as soon as a branch's fixed prefix falls strictly below it.
+    When no relabeling beats the bound, the bound is the minimum, and the
+    search, which keeps every relabeling whose code is <= the bound, still
+    visits every minimal one, so the sign is exact.
+    """
     mult = [[0] * nv for _ in range(nv)]
     for a, b in edges:
         mult[a][b] += 1
         mult[b][a] += 1
     nbrs = [[w for w in range(nv) if row[w]] for row in mult]
-    isolated = [w for w in range(nv) if not nbrs[w]]
+    # profile[w]: the multiplicities of w's edges, largest first
+    profile = [sorted((row[u] for u in nbrs[w]), reverse=True)
+               for w, row in enumerate(mult)]
     open_half = [sum(row) for row in mult]  # half-edges to unlabelled vertices
     label = [-1] * nv
     order = []   # order[i] is the vertex labelled i
     prefix = []  # the code fixed by the labels so far
-    best = None
+    best = None if bound is None else list(bound)
     signs = set()
 
     def search(first_open):
         # first_open: the first label whose vertex has open half-edges, or
-        # len(order) when there is none
+        # len(order) when there is none; False once a prefix beats the bound
         nonlocal best, signs
         k = len(order)
         if k == nv:
@@ -179,16 +203,18 @@ def _minimal_code(nv: int, edges) -> tuple:
                 signs = {sign}
             else:
                 signs.add(sign)
-            return
+            return True
         if first_open < k:
             row = mult[order[first_open]]
             free = [w for w in nbrs[order[first_open]] if label[w] < 0]
             most = max(row[w] for w in free)
             candidates = [w for w in free if row[w] == most]
         else:
-            lone = next((w for w in isolated if label[w] < 0), -1)
-            candidates = [w for w in range(nv)
-                          if label[w] < 0 and (nbrs[w] or w == lone)]
+            free = [w for w in range(nv) if label[w] < 0]
+            top = max(profile[w] for w in free)
+            candidates = [w for w in free if profile[w] == top]
+            if not top:
+                del candidates[1:]  # isolated: only the least index
         for w in candidates:
             mark = len(prefix)
             label[w] = k
@@ -204,16 +230,21 @@ def _minimal_code(nv: int, edges) -> tuple:
                     row = mult[order[i]]
                     for j in range(i + 1, k + 1):
                         prefix.extend([(i, j)] * row[order[j]])
-            if best is None or prefix <= best[:len(prefix)]:
-                search(i)
+            head = prefix if best is None else best[:len(prefix)]
+            if bound is not None and prefix < head:
+                return False
+            if prefix <= head and not search(i):
+                return False
             del prefix[mark:]
             for u in nbrs[w]:
                 open_half[u] += mult[u][w]
             order.pop()
             label[w] = -1
+        return True
 
-    search(0)
-    if len(isolated) > 1:
+    if not search(0):
+        return None
+    if sum(not row for row in nbrs) > 1:
         return tuple(best), 0
     return tuple(best), (signs.pop() if len(signs) == 1 else 0)
 
@@ -304,15 +335,18 @@ def enumerate_graphs(v: int, e: int):
     A graph of the bidegree is a multiset of e loopless vertex pairs with all
     valences >= 3, taken up to relabeling; its canonical code is the least
     sorted edge code over all relabelings (``canonicalize_directed``), and it
-    is listed when its sign is nonzero.
+    is listed when its sign is nonzero.  Each bidegree is enumerated once: the
+    list is kept in a bounded module cache, and every call gets a fresh copy.
 
     The multisets are built pair by pair, in the order of
     ``combinations_with_replacement`` over the sorted pairs, so every prefix
     is a sorted code.  A prefix is dropped once a vertex whose last pair has
     passed has valence < 3, or the valence still missing exceeds two per edge
-    left, or the prefix is not its own canonical code.  Each class then
-    reaches exactly one leaf, its canonical code, and the canonicalisation
-    that tested that leaf also gives its sign.
+    left, or the prefix is not its own canonical code.  That last test is
+    the search of ``canonicalize_directed`` bounded by the prefix itself: it
+    stops at the first relabeling that beats it.  Each class then reaches
+    exactly one leaf, its canonical code, and the bounded search that passed
+    that leaf also gives its sign, since it visits every minimal relabeling.
 
     The last cut is exact because being canonical passes to prefixes: let P
     be the first m edges of a code C, and suppose a relabeling pi gives
@@ -322,8 +356,19 @@ def enumerate_graphs(v: int, e: int):
     either.  So a non-canonical prefix has no canonical extension
     (Read-Faradzev orderly generation).
     """
+    hit = _graph_lists.get((v, e))
+    if hit is None:
+        hit = _orderly_graphs(v, e)
+        if len(_graph_lists) >= _GRAPH_LISTS_SIZE:
+            _graph_lists.clear()
+        _graph_lists[(v, e)] = hit
+    return list(hit)
+
+
+def _orderly_graphs(v: int, e: int) -> tuple:
+    """The sorted tuple of ``enumerate_graphs``, by orderly generation."""
     if v < 2:
-        return []  # one vertex carries only loops
+        return ()  # one vertex carries only loops
     pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
     # closing[p]: the vertices whose last pair is p - 1
     closing = [[] for _ in range(len(pairs) + 1)]
@@ -338,12 +383,12 @@ def enumerate_graphs(v: int, e: int):
         if deficit > 2 * left:
             return
         code = tuple(combo)
-        rep, sign = canonicalize_directed(v, code)
-        if rep.edges != code:
+        minimal = _minimal_code(v, code, code)
+        if minimal is None:
             return
         if not left:
-            if sign:
-                found.append(rep)
+            if minimal[1]:
+                found.append(CanonicalGraph(v, code))
             return
         for p in range(start, len(pairs)):
             if p > start and any(degs[u] < 3 for u in closing[p]):
@@ -359,7 +404,7 @@ def enumerate_graphs(v: int, e: int):
             degs[b] -= 1
 
     extend(0, 3 * v)
-    return sorted(found, key=lambda g: g.key())
+    return tuple(sorted(found, key=lambda g: g.key()))
 
 
 def cycle_space(v: int, e: int):

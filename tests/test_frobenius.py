@@ -11,7 +11,7 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
                                g3, g3_gauge, grassmann_algebra, k2, k2_gauge,
                                so3_reduced, verify_axioms, vertex_tensor,
                                vertex_tensor_on_vectors)
-from bvgraph import linalg
+from bvgraph import frobenius, linalg
 from bvgraph.graded import EVEN, ODD, SuperSpace, is_symmetric_tensor, perm_parity
 from oracles import vertex_tensor_oracle
 
@@ -290,6 +290,25 @@ def test_find_gauges_reaches_every_direction():
     assert 0 < len(gauges) <= 64
     lams = [ast.literal_eval(g.label) for g in gauges]
     assert all(any(lam[j] == 1 for lam in lams) for j in range(10))
+
+
+def test_find_gauges_builds_d_image_and_d_form_once_per_algebra(monkeypatch):
+    # d(A) and <-,->_d depend on the algebra alone, not on the gauge
+    calls = {"degenerate_form": 0, "column_space_basis": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(frobenius, "degenerate_form")
+    counted(linalg, "column_space_basis")
+    gauges, _ = find_gauges(g3())
+    assert len(gauges) == 16
+    assert calls == {"degenerate_form": 1, "column_space_basis": 1}
 
 
 def test_gauge_invariants():

@@ -12,7 +12,7 @@ from bvgraph.graphs import (GraphChain, OrientedGraph, boundary,
                             canonicalize_directed, contract_directed,
                             cycle_space, enumerate_graphs, theta_graph)
 from oracles import (canonical_multisets_oracle, canonicalize_oracle,
-                     enumerate_graphs_oracle)
+                     enumerate_graphs_oracle, valent_multisets_oracle)
 
 
 def test_loop_graph_canonicalizes_to_zero():
@@ -96,6 +96,48 @@ def test_canonicalize_disconnected_minimum_at_a_low_degree_vertex():
     assert rep.edges[:3] == ((0, 1),) * 3 and sign != 0
 
 
+# Two components whose best vertices tie on the first profile entry.  The
+# component that must come first is given the higher vertex indices.
+_TRIANGLE_2_2 = ((0, 1),) * 2 + ((1, 2),) * 2 + ((0, 2),) * 2  # profiles (2, 2)
+_KITE_2_1_1 = ((0, 1),) * 2 + ((0, 2), (0, 3), (1, 2), (2, 3))  # best (2, 1, 1)
+_TRIANGLE_2_1 = ((0, 1),) * 2 + ((0, 2), (1, 2))  # best (2, 1)
+
+
+def _disjoint(first, n_first, second):
+    return first + tuple((a + n_first, b + n_first) for a, b in second)
+
+
+@pytest.mark.parametrize("nv, edges, block0", [
+    # lexicographic: (2, 2) comes before the longer (2, 1, 1)
+    (7, _disjoint(_KITE_2_1_1, 4, _TRIANGLE_2_2), ((0, 1),) * 2 + ((0, 2),) * 2),
+    # a tie on the common prefix: the longer (2, 1, 1) comes before (2, 1)
+    (7, _disjoint(_TRIANGLE_2_1, 3, _KITE_2_1_1), ((0, 1),) * 2 + ((0, 2), (0, 3))),
+], ids=["lexicographic", "longer_wins"])
+def test_canonicalize_disconnected_tie_on_the_first_profile_entry(nv, edges, block0):
+    rep, sign = canonicalize_directed(nv, edges)
+    assert (rep, sign) == canonicalize_oracle(nv, edges)
+    assert rep.edges[:4] == block0 and rep.edges[4][0] == 1
+
+
+@pytest.mark.parametrize("v, e", [(4, 8), (5, 9), (6, 9)])
+def test_bounded_search_matches_oracle_on_every_prefix(v, e):
+    # the canonicity test of enumerate_graphs: None exactly when the prefix
+    # is not its own canonical code, and otherwise the oracle's sign
+    prefixes = {combo[:m] for combo in valent_multisets_oracle(v, e)
+                for m in range(e + 1)}
+    seen = {"not canonical": 0, "signed": 0}
+    for prefix in sorted(prefixes):
+        rep, sign = canonicalize_oracle(v, prefix)
+        minimal = graphs._minimal_code(v, prefix, prefix)
+        if rep.edges != prefix:
+            assert minimal is None, prefix
+            seen["not canonical"] += 1
+        else:
+            assert minimal == (prefix, sign), prefix
+            seen["signed"] += sign != 0
+    assert all(seen.values())
+
+
 def test_canonicalize_matches_oracle_with_isolated_vertices():
     # every loopless multigraph on 5 vertices with at most 4 edges, so that
     # 0 to 5 vertices are isolated
@@ -133,11 +175,12 @@ def test_enumerate_graphs_at_loop_order_5(v, e, count, digest):
     assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("v, e, n_cycles", [(7, 11, 18), (8, 12, 6)],
-                         ids=["v7e11", "v8e12"])
-def test_cycle_space_at_loop_order_5(v, e, n_cycles):
+@pytest.mark.parametrize("v, e, n_graphs, n_cycles",
+                         [(7, 11, 25, 18), (8, 12, 24, 6), (10, 15, 86, 9)],
+                         ids=["v7e11", "v8e12", "v10e15"])
+def test_cycle_space_at_loop_order_5(v, e, n_graphs, n_cycles):
     basis, chains = cycle_space(v, e)
-    assert len(chains) == n_cycles
+    assert (len(basis), len(chains)) == (n_graphs, n_cycles)
     for z in chains:
         assert boundary(z).is_zero()
 
@@ -149,13 +192,54 @@ def test_canonicalize_matches_oracle_on_valent_multisets(v, e):
 
 
 def test_canon_cache_stays_within_its_bound(monkeypatch):
+    # cycle_space reaches the cache through boundary_of_graph
+    expected = cycle_space(5, 9)
     monkeypatch.setattr(graphs, "_canon_cache", {})
     monkeypatch.setattr(graphs, "_CANON_CACHE_SIZE", 16)
-    for combo, expected in canonical_multisets_oracle(4, 8):
-        assert canonicalize_directed(4, combo) == expected
-        assert len(graphs._canon_cache) <= 16
-    assert enumerate_graphs(4, 8) == enumerate_graphs_oracle(4, 8)
-    assert len(graphs._canon_cache) <= 16
+    sizes = []
+    canonicalize = graphs.canonicalize_directed
+
+    def watched(nv, edges):
+        result = canonicalize(nv, edges)
+        assert result == canonicalize_oracle(nv, edges)
+        sizes.append(len(graphs._canon_cache))
+        return result
+
+    monkeypatch.setattr(graphs, "canonicalize_directed", watched)
+    basis, chains = cycle_space(5, 9)
+    assert basis == expected[0] and chains == expected[1]
+    # filled up to the bound, then cleared
+    assert max(sizes) == 16 and (16, 1) in zip(sizes, sizes[1:])
+
+
+def test_graph_lists_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(graphs, "_graph_lists", {})
+    monkeypatch.setattr(graphs, "_GRAPH_LISTS_SIZE", 3)
+    sizes = []
+    for v, e in [(2, 3), (3, 5), (4, 6), (4, 7), (5, 8), (4, 6)]:
+        assert enumerate_graphs(v, e) == enumerate_graphs_oracle(v, e)
+        sizes.append(len(graphs._graph_lists))
+    assert sizes == [1, 2, 3, 1, 2, 3]
+    # every call gets its own list
+    first = enumerate_graphs(4, 6)
+    first.clear()
+    assert enumerate_graphs(4, 6) == enumerate_graphs_oracle(4, 6) != []
+
+
+def test_cycle_space_enumerates_each_bidegree_once(monkeypatch):
+    monkeypatch.setattr(graphs, "_graph_lists", {})
+    enumerated = []
+    orderly = graphs._orderly_graphs
+
+    def counted(v, e):
+        enumerated.append((v, e))
+        return orderly(v, e)
+
+    monkeypatch.setattr(graphs, "_orderly_graphs", counted)
+    enumerate_graphs(5, 8)
+    cycle_space(5, 8)
+    cycle_space(6, 9)
+    assert enumerated == [(5, 8), (4, 7), (6, 9)]
 
 
 def test_oriented_graph_half_edge_interface():
