@@ -82,21 +82,23 @@ class TensorModel:
 
     def _psi_monomial(self, key) -> SuperPolynomial:
         """Psi of one monomial of V, once per key: one ``sparse_sum`` over the
-        entries of mu_k, for k = 2 the pairing's <a_i, a_j> in row-major order."""
+        entries of mu_k, for k = 2 the pairing's <a_i, a_j> in row-major order.
+        The entries are scaled to ints by their lcm D (``integer_terms``), and
+        each output coefficient is divided once by D."""
         if key in self._psi_cache:
             return self._psi_cache[key]
         k = len(key)
-        mu = self.mu(k)
+        d, mu = integer_terms(self.mu(k))
         vpar = [self.v.space.parities[i] for i in key]
         apar = self.alg.space.parities
 
         def terms():
-            for alphas, mval in mu.items():
+            for alphas, mval in mu:
                 zkey, sign = sort_indices_with_sign(
                     self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)))
                 if zkey is not None:
                     yield zkey, sign * shuffle_sign(vpar, [apar[a] for a in alphas]) * mval
-        out = SuperPolynomial(self.space, sparse_sum(terms()))
+        out = SuperPolynomial(self.space, sparse_sum(terms(), d))
         self._psi_cache[key] = out
         return out
 
@@ -322,20 +324,30 @@ def wick_map(chain: CEChain) -> GraphChain:
     the walk pairs a factor only with a partner of nonzero inverse-form entry.
     The others add 0, so the image is the same, and the live diagrams come in
     the order of ``chord_diagrams``, so even its key order is unchanged.
+
+    The walk runs over integers: the inverse form is scaled once per chain
+    by the lcm d of its denominators (``integer_terms``), so each live
+    diagram yields beta_c * d^|c|, and it is divided once by d^|c|, |c| the
+    number of its chords.
     """
     symp = chain.symp
-    inv = symp.inverse.rows
+    d, entries = integer_terms({(i, j): x for i, row in enumerate(symp.inverse.rows)
+                                for j, x in enumerate(row) if x})
+    inv = [[0] * len(symp.space) for _ in symp.space.parities]
+    for (i, j), x in entries:
+        inv[i][j] = x
 
     def terms():
         for word, coeff in chain.terms.items():
             factors = [i for key in word for i in key]
             sizes = [len(key) for key in word]
             pars = [symp.space.parities[i] for i in factors]
+            scale = d ** (len(factors) // 2)
             for chord, val in live_chords(pars, factors, inv):
                 nv, edges = graph_from_chord(sizes, chord)
                 rep, sign = canonicalize_directed(nv, edges)
                 if sign:
-                    yield rep, coeff * val * sign
+                    yield rep, coeff * Fraction(sign * val, scale)
     return GraphChain(terms())
 
 

@@ -16,11 +16,13 @@ elements) is accumulated by one function, ``sparse_sum``: it adds the values
 of equal keys, drops zero sums once and returns each other sum as one
 Fraction, divided by a common denominator if one is given, so that integer
 values add as plain ints.  ``SuperPolynomial.sum`` is its polynomial case.
-The integer kernels (the polynomial product, the Hamiltonian field and the
-odd Laplacian, and the Feynman amplitude ``dual.feynman_value``) scale their
-Fraction inputs to plain ints with ``integer_terms``, the one place that
-takes the lcm of denominators, and divide once by the product of the scales;
-all but the last pass it to ``sparse_sum`` as the denominator.
+The integer kernels (the polynomial product and the restriction
+``substitute``, the Hamiltonian field and the odd Laplacian, Psi of a
+monomial, the Feynman amplitude ``dual.feynman_value`` and the live chords
+of the map I) scale their Fraction inputs to plain ints with
+``integer_terms``, the one place that takes the lcm of denominators, and
+divide once by the product of the scales, mostly by passing it to
+``sparse_sum`` as the denominator.
 
 The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
@@ -149,7 +151,9 @@ def sparse_sum(pairs, denominator=1) -> dict:
     Values of equal keys are added as they come, so integer values add as
     plain ints; keys keep the order of their first occurrence, the keys whose
     sum is 0 are dropped once, at the end, and every other sum s becomes one
-    Fraction s / denominator.
+    Fraction s / denominator.  With `denominator` None each nonzero sum is
+    kept as it is, so an integer kernel can collapse equal keys between its
+    steps and still divide only once, at the end.
     """
     out = {}
     for k, v in pairs:
@@ -157,6 +161,8 @@ def sparse_sum(pairs, denominator=1) -> dict:
             out[k] += v
         else:
             out[k] = v
+    if denominator is None:
+        return {k: v for k, v in out.items() if v}
     if denominator == 1:
         return {k: v if type(v) is Fraction else Fraction(v)
                 for k, v in out.items() if v}

@@ -36,11 +36,15 @@ def rref(a):
             continue
         r[row], r[piv] = r[piv], r[row]
         inv = 1 / r[row][col]
-        r[row] = [x * inv for x in r[row]]
+        prow = r[row] = [x * inv for x in r[row]]
+        # a row changes only where the pivot row is nonzero
+        support = [j for j, y in enumerate(prow) if y]
         for i in range(m):
-            if i != row and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[row])]
+            f = r[i][col]
+            if i != row and f != 0:
+                ri = r[i]
+                for j in support:
+                    ri[j] -= f * prow[j]
         pivots.append(col)
         row += 1
         if row == m:

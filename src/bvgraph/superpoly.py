@@ -22,6 +22,13 @@ D_1 D_2.  The values and the key order are those of the term-by-term
 Fraction product, which costs a Fraction product and a Fraction sum (each a
 gcd) per term pair instead.
 
+The restriction ``substitute`` runs over integers the same way: every
+image is scaled once, to one common D, each term is multiplied out factor
+by factor over ints with equal keys collapsed after each factor, a term of
+lower degree is padded by the missing powers of D, and each output
+coefficient is divided once by D_0 D^top, D_0 the scale of the
+coefficients and top the largest degree.
+
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
 convention.
@@ -82,6 +89,16 @@ def left_partials(pars, key):
         elif v not in out:
             out[v] = (pos, key.count(v))
     return out
+
+
+def merged_products(space: SuperSpace, left, right):
+    """(key, sign * a * b) for each pair of terms (k1, a) of `left` and
+    (k2, b) of `right` whose merged key is no odd square, in pair order."""
+    for k1, a in left:
+        for k2, b in right:
+            key, sign = merge_keys(space, k1, k2)
+            if key is not None:
+                yield key, sign * a * b
 
 
 class SuperPolynomial:
@@ -145,14 +162,8 @@ class SuperPolynomial:
             space = self.space
             d1, left = integer_terms(self.terms)
             d2, right = integer_terms(other.terms)
-
-            def products():
-                for k1, a in left:
-                    for k2, b in right:
-                        key, sign = merge_keys(space, k1, k2)
-                        if key is not None:
-                            yield key, sign * a * b
-            return SuperPolynomial(space, sparse_sum(products(), d1 * d2))
+            return SuperPolynomial(
+                space, sparse_sum(merged_products(space, left, right), d1 * d2))
         c = Fraction(other)
         return SuperPolynomial(self.space, {k: v * c for k, v in self.terms.items()})
 
@@ -210,21 +221,40 @@ class SuperPolynomial:
         image is allowed.  Mixed images break graded commutativity: even y, z
         sent to x + xi and x + theta commute, but their images differ by
         2 xi theta in the two orders.
+
+        It runs over integers: the images are scaled once by one lcm D of all
+        their denominators, and the coefficients by their lcm D_0.  A term
+        c y_{v_1} ... y_{v_deg} starts from c * D_0 * D^(top - deg), top the
+        largest degree of the polynomial, and takes the scaled images in one
+        factor at a time, collapsing equal keys as ints after each factor, so
+        the work is bounded by the distinct monomials of the partial
+        products, not by the paths through the image terms.  Every summand
+        then carries the scale D_0 * D^top, and each output coefficient is
+        one Fraction n / (D_0 * D^top).  The values and the key order are
+        those of the product taken factor by factor over Fractions.
         """
         pars = self.space.parities
         if any(monomial_parity(target_space, k) != pars[i]
                for i, img in enumerate(images) for k in img.terms):
             raise ValueError("substitution must preserve parity")
+        d, scaled = integer_terms({(i, k): c for i, img in enumerate(images)
+                                   for k, c in img.terms.items()})
+        imgs = [[] for _ in images]
+        for (i, k), c in scaled:
+            imgs[i].append((k, c))
+        d0, terms = integer_terms(self.terms)
+        top = self.max_degree()
 
-        def image(key, val):
-            prod = SuperPolynomial.scalar(target_space, val)
+        def image(key, n):
+            partial = {(): n * d ** (top - len(key))}
             for v in key:
-                prod = prod * images[v]
-                if prod.is_zero():
+                partial = sparse_sum(
+                    merged_products(target_space, partial.items(), imgs[v]), None)
+                if not partial:
                     break
-            return prod
-        return SuperPolynomial.sum(
-            target_space, (image(key, val) for key, val in self.terms.items()))
+            return partial.items()
+        return SuperPolynomial(target_space, sparse_sum(
+            chain.from_iterable(image(key, n) for key, n in terms), d0 * d ** top))
 
     def render(self) -> str:
         if not self.terms:

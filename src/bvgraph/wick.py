@@ -62,6 +62,11 @@ def live_chords(parities, idxs, matrix):
     with a zero entry makes the product of every diagram containing it 0, so
     the diagrams skipped are exactly those with beta_c = 0, and the order of
     the rest is unchanged.
+
+    The running product starts from the int 1, so on a matrix of ints it
+    stays a plain int.  A caller that scaled its matrix by D to make it so
+    divides each beta_c by D^|c|, |c| = len(idxs) / 2 the number of chords:
+    each diagram multiplies exactly |c| entries.
     """
     if len(idxs) % 2:
         return
@@ -80,7 +85,7 @@ def live_chords(parities, idxs, matrix):
                 yield from rec(points[1:pos] + points[pos + 1:], prod * entry)
                 chord.pop()
 
-    yield from rec(tuple(range(len(idxs))), Fraction(1))
+    yield from rec(tuple(range(len(idxs))), 1)
 
 
 class QuadraticWeight:

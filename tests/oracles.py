@@ -7,7 +7,9 @@ library.  ``canonicalize_oracle`` tries all nv! relabelings and
 ``feynman_value_oracle`` walks the full product of the vertex-tensor supports
 with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
 ``restricted_word_oracle`` multiplies a word of Psi images out over all of
-A (x) V and restricts the product to the gauge only then.
+A (x) V and restricts the product to the gauge only then, with
+``substitute_oracle``: that expands each term factor by factor with
+``polynomial_product_oracle``, over Fractions.
 ``wick_map_oracle`` contracts every chord diagram of a word, zero or not, and
 ``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
 ``berezin_oracle`` integrates split-diagonal weights block by block, and
@@ -206,10 +208,24 @@ def psi_monomial_oracle(model, key):
         for alphas, mval in mu.items()))
 
 
+def substitute_oracle(f, images, target_space):
+    """The graded algebra map sending variable i of f to images[i]: each term
+    c y_{v_1} ... y_{v_deg} is the constant c times images[v_1], ...,
+    images[v_deg], one ``polynomial_product_oracle`` per factor, and the
+    terms' images are summed in term order."""
+    def image(key, val):
+        out = SuperPolynomial.scalar(target_space, val)
+        for v in key:
+            out = polynomial_product_oracle(out, images[v])
+        return out
+    return SuperPolynomial.sum(target_space, (image(key, val)
+                                              for key, val in f.terms.items()))
+
+
 def restricted_word_oracle(model, gm, word):
     """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) over all of A (x) V, restricted to
-    L (x) V after the product."""
-    return gm.restrict(psi_of_word(model, word))
+    L (x) V after the product by ``substitute_oracle``."""
+    return substitute_oracle(psi_of_word(model, word), gm.images, gm.space)
 
 
 def connected_components(graph):

@@ -10,7 +10,8 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, find_gauges, g3, g3_gauge, k2,
-                               k2_gauge, so3_reduced, vertex_tensor_on_vectors)
+                               k2_gauge, so3_reduced, verify_axioms,
+                               vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
 from bvgraph.graphs import (CanonicalGraph, canonicalize_directed, cycle_space,
                             enumerate_graphs, theta_graph)
@@ -75,19 +76,44 @@ def test_psi_degree_preserved_parity_reversed():
         assert polynomial_parity(img) == (par + 1) % 2
 
 
-@pytest.mark.parametrize("alg", [g3, so3_reduced])
+def rescaled(alg, scales):
+    """The algebra in the basis b_i = scales[i] a_i: b_i b_j =
+    sum_k s_i s_j c_ij^k / s_k b_k, d(b_j) = sum_k s_j d_kj / s_k b_k and
+    <b_i, b_j> = s_i s_j <a_i, a_j>."""
+    n = len(alg.space)
+    mult = {(i, j): {k: scales[i] * scales[j] * c / scales[k] for k, c in img.items()}
+            for (i, j), img in alg.mult.items()}
+    diff = [[scales[j] * alg.diff[k][j] / scales[k] for j in range(n)] for k in range(n)]
+    pairing = [[scales[i] * scales[j] * alg.pairing.rows[i][j] for j in range(n)]
+               for i in range(n)]
+    return FrobeniusAlgebra(alg.space, mult, diff, pairing, name=alg.name + "_scaled")
+
+
+def so3_scaled():
+    # mu_k has denominators 2, 3 and 5, so Psi runs over mu_k * D
+    scales = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), 1, Fraction(5, 2), 3]
+    return rescaled(so3_reduced(), [Fraction(s) for s in scales])
+
+
+@pytest.mark.parametrize("alg", [g3, so3_reduced, so3_scaled])
 @pytest.mark.parametrize("v", [V20, V21], ids=["V20", "V21"])
 def test_psi_monomial_matches_the_per_entry_oracle(alg, v):
     model = TensorModel(alg(), v)
     nonzero = 0
+    denominators = set()
     for degree in range(2, 6):
         for key in sampling.monomial_keys(v.space, degree):
             psi = model._psi_monomial(key)
             ref = psi_monomial_oracle(model, key)
             assert psi.terms == ref.terms
             assert list(psi.terms) == list(ref.terms)
+            assert all(type(c) is Fraction for c in psi.terms.values())
             nonzero += not psi.is_zero()
+            denominators |= {c.denominator for c in psi.terms.values()}
     assert nonzero
+    if alg is so3_scaled:
+        assert verify_axioms(model.alg)["ok"]
+        assert all(any(d % p == 0 for d in denominators) for p in (2, 3, 5))
 
 
 def test_psi_rejects_low_order():
@@ -502,6 +528,29 @@ def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
     assert s_functional(model, gm, wedge(V20, ((1, 1, 1), (0, 0, 0)))) == 36
 
 
+def test_s_equals_f_of_i_on_a_fractional_so3_gauge():
+    # S and F do not depend on the basis of L.  Scaled by 1/2, -2/3 and 3/5,
+    # the restriction images have denominators 2, 3 and 5, so the integer
+    # restriction runs over images * 30 and divides by 30^deg; a wrong
+    # exponent changes S, and the restricted Psi is checked against the
+    # oracle that restricts by Fraction products
+    model = TensorModel(so3_reduced(), V20)
+    gauge = find_gauges(model.alg)[0][0]
+    scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
+    scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
+    gm = GaugeModel(model, scaled)
+    assert {c.denominator for img in gm.images for c in img.terms.values()} == {2, 3, 5}
+    chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))  # p^3 ^ q^3
+    word = next(iter(chain.terms))
+    poly = gm.psi_of_word(word)
+    assert not poly.is_zero() and poly == restricted_word_oracle(model, gm, word)
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "pass", rep["witnesses"]
+    s = s_functional(model, gm, chain)
+    assert s == -36 and type(s) is Fraction
+    assert feynman_on_chain(gm.gauge, wick_map(chain)) == -36
+
+
 def test_feynman_value_invariant_under_slot_assignment():
     # beta_c(mu (x) ... (x) mu) must not depend on which half-edge slot of a
     # vertex an edge consumes; checked synthetically with nonzero data
@@ -741,6 +790,31 @@ def test_wick_map_matches_the_all_diagram_oracle():
                 list(wick_map_oracle(c).terms.items()), keys
             nonzero += not img.is_zero()
     assert nonzero >= 5
+
+
+def test_wick_map_matches_the_oracle_on_a_fractional_form():
+    # V_{2|2} with b(p, q) = 2 and the odd block [[-3, 1], [1, -5]]: the
+    # inverse form has denominators 2 and 14, so the live chords run over
+    # the inverse * 14 and divide by 14^|c|.  The wedges are the commute
+    # wedges, whose V_{2|0} and V_{2|1} keys name p, q and x1 here, and the
+    # two V_{2|2} wedges of the test above
+    rows = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, -3, 1], [0, 0, 1, -5]]
+    v = SymplecticSpace(BilinearForm(SymplecticSpace.canonical_even(1, 2).space,
+                                     rows, EVEN, "skew"))
+    assert {x.denominator for row in v.inverse.rows for x in row} == {1, 2, 14}
+    odd_cases = (((1, 2, 3), (0, 2, 3)), ((0, 1, 2, 3), (0, 2, 3), (0, 1, 1)))
+    denominators = set()
+    nonzero = 0
+    for keys in [keys for _, keys in COMMUTE_WEDGES] + list(odd_cases):
+        chain = wedge(v, keys)
+        for c in (chain, ce_differential(chain)):
+            img = wick_map(c)
+            assert list(img.terms.items()) == \
+                list(wick_map_oracle(c).terms.items()), keys
+            denominators |= {x.denominator for x in img.terms.values()}
+            nonzero += not img.is_zero()
+    assert nonzero >= 5
+    assert any(d % 2 == 0 for d in denominators) and any(d % 7 == 0 for d in denominators)
 
 
 def test_kontsevich_chain_map():

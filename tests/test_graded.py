@@ -212,6 +212,17 @@ def test_sparse_sum_keeps_first_insertion_order():
     assert list(sparse_sum(pairs).items()) == [("c", 4), ("a", 3), ("b", 3)]
 
 
+def test_sparse_sum_without_a_denominator_keeps_the_sums():
+    # the case an integer kernel collapses equal keys with between its steps:
+    # int sums stay ints, zero sums drop, the first-insertion order holds
+    pairs = [("c", 1), ("a", 2), ("c", -1), ("b", 3), ("a", 1), ("d", 0)]
+    out = sparse_sum(pairs, None)
+    assert list(out.items()) == [("a", 3), ("b", 3)]
+    assert all(type(v) is int for v in out.values())
+    assert sparse_sum([("a", Fraction(1, 2)), ("a", Fraction(1, 3))], None) == \
+        {"a": Fraction(5, 6)}
+
+
 def test_sparse_sum_values_are_fractions():
     out = sparse_sum([("a", 1), ("b", 2), ("a", 3)])
     assert out == {"a": 4, "b": 2}

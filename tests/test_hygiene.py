@@ -207,9 +207,10 @@ def test_library_never_imports_the_tests():
 
 
 # the kernels that tests/oracles.py checks: the Feynman route, and the
-# polynomial product (its key merge) and Psi of a monomial on the BV route
+# polynomial product (its key merge), the restriction and Psi of a monomial
+# on the BV route
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
-           "live_chords", "__mul__", "merge_keys", "_psi_monomial"}
+           "live_chords", "__mul__", "merge_keys", "_psi_monomial", "substitute"}
 
 
 def kernel_uses(source):

@@ -7,7 +7,8 @@ from bvgraph import linalg
 from bvgraph.graded import EVEN, ODD, SuperSpace, symmetrize_tensor
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial, VectorField, divergence
 from bvgraph import sampling
-from oracles import parity_components, polynomial_parity, polynomial_product_oracle
+from oracles import (parity_components, polynomial_parity, polynomial_product_oracle,
+                     substitute_oracle)
 
 
 def space_11():
@@ -307,6 +308,47 @@ def test_substitution_rejects_a_mixed_image():
         yz.substitute([x + xi, x + theta], target)
     zero = SuperPolynomial.zero(target)
     assert yz.substitute([x, zero], target).is_zero()
+
+
+def test_substitute_matches_the_fraction_oracle():
+    # y, z even and eta, zeta odd go to images over x, w even and xi, theta
+    # odd.  The first images have denominators 2, 3 and 5, so they are scaled
+    # by D = 30, and the inputs are not homogeneous, so a term below the top
+    # degree is padded by a power of D: a dropped or wrong exponent changes
+    # its coefficient.  The second set has a zero image and sends eta and
+    # zeta to the same odd image, whose square cancels; the third has
+    # nonlinear images.
+    source = SuperSpace(("y", "z", "eta", "zeta"), (EVEN, EVEN, ODD, ODD))
+    target = SuperSpace(("x", "w", "xi", "theta"), (EVEN, EVEN, ODD, ODD))
+    x, w, xi, theta = (SuperPolynomial.variable(target, i) for i in range(4))
+    zero = SuperPolynomial.zero(target)
+    odd = xi / 5 + theta / 3
+    image_sets = [[x / 2 - w / 3, x * 3 / 5 + w, xi / 3 + theta / 2, xi - theta * 2 / 5],
+                  [x / 2, zero, odd, odd],
+                  [x + xi * theta / 3, w * x / 2, x * xi / 5 + theta, xi * w]]
+    y, z, eta, zeta = (SuperPolynomial.variable(source, i) for i in range(4))
+    one = SuperPolynomial.scalar(source, Fraction(1, 7))
+    rng = random.Random(19)
+    cases = [one + y, y * z + eta * zeta, eta * zeta, y * y * eta + one, z]
+    cases += [sampling.polynomial(rng, source, 4, terms=6) for _ in range(40)]
+    denominators = set()
+    nonzero = 0
+    for images in image_sets:
+        for f in cases:
+            out = f.substitute(images, target)
+            assert_same_terms(out, substitute_oracle(f, images, target))
+            assert all(type(v) is Fraction for v in out.terms.values())
+            denominators |= {v.denominator for v in out.terms.values()}
+            nonzero += not out.is_zero()
+    assert nonzero > 60
+    assert all(any(d % p == 0 for d in denominators) for p in (2, 3, 5))
+    first, second, _ = image_sets
+    assert (one + y).substitute(first, target) == \
+        SuperPolynomial.scalar(target, Fraction(1, 7)) + x / 2 - w / 3
+    # the odd squares drop: (xi/3 + theta/2)(xi - 2 theta/5) = -19/30 xi theta
+    assert (eta * zeta).substitute(first, target) == xi * theta * Fraction(-19, 30)
+    assert (eta * zeta).substitute(second, target).is_zero()
+    assert (y * z + eta).substitute(second, target) == odd
 
 
 def test_multilinear_identity_gives_euler_field():
