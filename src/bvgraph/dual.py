@@ -12,13 +12,13 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .graded import (EVEN, SuperSpace, integer_terms, monomial_parity,
+from .graded import (EVEN, SuperSpace, integer_matrix, monomial_parity,
                      sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
 from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors
-from .wick import QuadraticWeight, chord_sign, live_chords
+from .wick import QuadraticWeight, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
 from .ce import CEChain, ce_differential, osp_action
@@ -30,7 +30,8 @@ from .ce import CEChain, ce_differential, osp_action
 class TensorModel:
     """A (x) V with its odd symplectic form and the quadratic Hamiltonian of d.
     ``mu(k)`` reads one ``VertexTensors`` table on the basis of A: Psi takes
-    mu_k of every valence from it, mu_2 (the pairing) included."""
+    the integer form of mu_k of every valence from it, mu_2 (the pairing)
+    included."""
 
     def __init__(self, alg: FrobeniusAlgebra, v: SymplecticSpace):
         if v.parity != EVEN:
@@ -41,7 +42,8 @@ class TensorModel:
         self.nv = len(v.space)
         form = alg.pairing.tensor_with(v.form, space=self.space)
         self.symp = SymplecticSpace(form)
-        self.mu = VertexTensors(alg, linalg.identity(len(alg.space))).mu
+        self.vertex_tensors = VertexTensors(alg, linalg.identity(len(alg.space)))
+        self.mu = self.vertex_tensors.mu
         self._psi_cache = {}
         self.sigma = self._sigma_tilde()
         self.dform = BilinearForm(self.space, i2_of_quadratic(self.sigma),
@@ -83,12 +85,13 @@ class TensorModel:
     def _psi_monomial(self, key) -> SuperPolynomial:
         """Psi of one monomial of V, once per key: one ``sparse_sum`` over the
         entries of mu_k, for k = 2 the pairing's <a_i, a_j> in row-major order.
-        The entries are scaled to ints by their lcm D (``integer_terms``), and
-        each output coefficient is divided once by D."""
+        It reads the table's integer entries and their scale D
+        (``VertexTensors.integer_mu``), and divides each output coefficient
+        once by D."""
         if key in self._psi_cache:
             return self._psi_cache[key]
         k = len(key)
-        d, mu = integer_terms(self.mu(k))
+        d, mu = self.vertex_tensors.integer_mu(k)
         vpar = [self.v.space.parities[i] for i in key]
         apar = self.alg.space.parities
 
@@ -118,7 +121,8 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
     apar = alg.space.parities
     vpar = vspace.parities
     n = zeta.rank
-    products = VertexTensors(alg, linalg.identity(len(alg.space))).products(n)
+    table = VertexTensors(alg, linalg.identity(len(alg.space)))
+    products = table.products(n)
 
     def entries():
         for (args, out_w), val in zeta.entries.items():
@@ -127,7 +131,8 @@ def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
                 akey = tuple(alphas[r] * nv + args[r] for r in range(n))
                 for out_a, c in prod_vec.items():
                     yield (akey, out_a * nv + out_w), sign * val * c
-    return MultilinearMap(tensor_space(alg.space, vspace), n, sparse_sum(entries()))
+    return MultilinearMap(tensor_space(alg.space, vspace), n,
+                          sparse_sum(entries(), table.product_scale(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +252,9 @@ def chord_presentation(graph: CanonicalGraph):
 
 def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """F(Gamma) = beta_c over L* of mu_{k_1} (x) .. (x) mu_{k_l}, with the
-    inverse restricted d-form as propagator.  It reads only ``gauge.mu(k)``,
-    ``gauge.propagator`` and ``gauge.parities``.
+    inverse restricted d-form as propagator.  It reads only
+    ``gauge.integer_mu(k)``, ``gauge.integer_propagator`` and
+    ``gauge.parities``.
 
     That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
     blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
@@ -256,34 +262,41 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     assigns one block at a time and multiplies in the propagator entries of
     the chords whose later end lies in that block (a loop closes at its own
     vertex), so a branch is cut as soon as one of them is 0: every leaf below
-    it has a zero product.  A leaf then multiplies only by the chord sign,
-    which is computed on exactly the leaves whose propagator product is
-    nonzero.
+    it has a zero product.
 
-    It runs over integers (``graded.integer_terms``): each mu_k times its
-    D_k and the propagator times D_p, each D the lcm of the denominators.
-    Every leaf multiplies one entry of mu_{k_v} for each vertex v and |E|
-    propagator entries, so F = total / (prod_v D_{k_v} * D_p^|E|).
+    The chord sign is the Koszul sign of reordering the slots into
+    (i1, j1, i2, j2, ...): -1 for each inverted pair of slots x > y, x
+    before y in that order, whose assigned indices are both odd.  The
+    inverted pairs depend on the graph alone, so they are listed once, and
+    each is charged at the block where its later slot x is assigned, when y
+    is assigned already.  A leaf then only adds its signed product.
+
+    It runs over integers: the table's integer entries of each mu_k at its
+    scale S_k (``frobenius.VertexTensors.integer_mu``), and the propagator
+    times D_p.  Every leaf multiplies one entry of mu_{k_v} for each vertex
+    v and |E| propagator entries, so F = total / (prod_v S_{k_v} * D_p^|E|).
     """
     sizes, chord = chord_presentation(graph)
-    scaled = {k: integer_terms(gauge.mu(k)) for k in set(sizes)}
+    scaled = {k: gauge.integer_mu(k) for k in set(sizes)}
     imus = [scaled[k][1] for k in sizes]
-    d_p, entries = integer_terms({(i, j): p for i, row in enumerate(gauge.propagator)
-                                  for j, p in enumerate(row) if p})
-    prop = [[0] * len(gauge.propagator) for _ in gauge.propagator]
-    for (i, j), p in entries:
-        prop[i][j] = p
+    d_p, prop = gauge.integer_propagator
     lpar = gauge.parities
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
     closes = [[] for _ in sizes]
     for i, j in chord:
         closes[vertex_of[max(i, j)]].append((i, j))
+    order = [s for pair in chord for s in pair]
+    crossings = [[] for _ in sizes]
+    for a, x in enumerate(order):
+        for y in order[a + 1:]:
+            if x > y:
+                crossings[vertex_of[x]].append((x, y))
     total = 0
 
     def rec(vtx, assignment, coeff):
         nonlocal total
         if vtx == len(sizes):
-            total += coeff * chord_sign([lpar[s] for s in assignment], chord)
+            total += coeff
             return
         for idx, mval in imus[vtx]:
             assigned = assignment + idx
@@ -293,6 +306,9 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
                 if not val:
                     break
             else:
+                for x, y in crossings[vtx]:
+                    if lpar[assigned[x]] and lpar[assigned[y]]:
+                        val = -val
                 rec(vtx + 1, assigned, val)
 
     rec(0, (), 1)
@@ -326,16 +342,12 @@ def wick_map(chain: CEChain) -> GraphChain:
     the order of ``chord_diagrams``, so even its key order is unchanged.
 
     The walk runs over integers: the inverse form is scaled once per chain
-    by the lcm d of its denominators (``integer_terms``), so each live
+    by the lcm d of its denominators (``integer_matrix``), so each live
     diagram yields beta_c * d^|c|, and it is divided once by d^|c|, |c| the
     number of its chords.
     """
     symp = chain.symp
-    d, entries = integer_terms({(i, j): x for i, row in enumerate(symp.inverse.rows)
-                                for j, x in enumerate(row) if x})
-    inv = [[0] * len(symp.space) for _ in symp.space.parities]
-    for (i, j), x in entries:
-        inv[i][j] = x
+    d, inv = integer_matrix(symp.inverse.rows)
 
     def terms():
         for word, coeff in chain.terms.items():

@@ -1,9 +1,13 @@
 """Differential graded commutative Frobenius algebras with odd pairing.
 
 An algebra is given by sparse structure constants, a differential matrix and a
-pairing matrix over a named basis.  Elements are sparse coefficient dicts
-{basis index: Fraction}.  The dual construction reads an algebra through its
-vertex tensors mu_k, which ``VertexTensors`` builds from one walk of products.
+pairing matrix over a named basis.  Its product ``mul``, its differential and
+its pairing act on sparse coefficient dicts {basis index: Fraction}, for the
+axioms and the gauges.  The dual construction reads an algebra through its
+vertex tensors mu_k, which ``VertexTensors`` builds from one walk of products
+over ints: the elements, their covectors and the structure constants
+(``FrobeniusAlgebra.integer_mult``) are scaled to ints once, and each entry of
+mu_k is divided once by the product of the scales.
 """
 from __future__ import annotations
 
@@ -12,7 +16,8 @@ from functools import cached_property
 from itertools import chain, combinations, islice
 
 from . import linalg
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, sparse_sum, vector_parity
+from .graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms, koszul_sign,
+                     sparse_sum, vector_parity)
 from .symplectic import BilinearForm
 
 
@@ -59,6 +64,17 @@ class FrobeniusAlgebra:
     def d_form(self) -> BilinearForm:
         """The degenerate form <-,->_d (``degenerate_form``)."""
         return degenerate_form(self)
+
+    @cached_property
+    def integer_mult(self) -> tuple:
+        """(D_m, {(i, j): [(k, c * D_m), ...]}): the structure constants c as
+        ints over the lcm D_m of their denominators (``integer_terms``)."""
+        d_m, entries = integer_terms({(i, j, k): c for (i, j), img in self.mult.items()
+                                      for k, c in img.items()})
+        out = {}
+        for (i, j, k), c in entries:
+            out.setdefault((i, j), []).append((k, c))
+        return d_m, out
 
     def kernel_of_d(self):
         return linalg.nullspace(self.diff)
@@ -151,7 +167,9 @@ class Gauge:
     """A graded isotropic complement L of d(A) with nondegenerate <-,->_d.
 
     It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
-    ``propagator``, the rows of the inverse restricted d-form.
+    ``propagator``, the rows of the inverse restricted d-form, and their
+    integer forms ``integer_mu(k)`` and ``integer_propagator``, which
+    ``dual.feynman_value`` reads.
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
@@ -180,6 +198,18 @@ class Gauge:
         except ValueError:
             raise ValueError("<-,->_d restricted to the gauge is degenerate") from None
 
+    @property
+    def propagator(self) -> list:
+        """The rows of the inverse restricted d-form.  Setting it sets
+        ``integer_propagator`` too, (D_p, the rows times D_p as ints), so the
+        two never disagree."""
+        return self._propagator
+
+    @propagator.setter
+    def propagator(self, rows):
+        self._propagator = rows
+        self.integer_propagator = integer_matrix(rows)
+
     def subspace(self) -> SuperSpace:
         return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
 
@@ -190,6 +220,10 @@ class Gauge:
     def mu(self, k: int) -> dict:
         """mu_k on the gauge basis, from the gauge's ``VertexTensors`` table."""
         return self.vertex_tensors.mu(k)
+
+    def integer_mu(self, k: int) -> tuple:
+        """(scale, integer entries) of mu_k, from the same table."""
+        return self.vertex_tensors.integer_mu(k)
 
 
 def find_gauges(alg: FrobeniusAlgebra):
@@ -276,47 +310,84 @@ class VertexTensors:
     """The vertex tensors mu_k(v_1..v_k) = <v_1 ... v_{k-1}, v_k> of a list
     of elements (the basis of A, or a gauge basis), for every k >= 2.
 
-    ``mu(k)`` holds the nonzero entries, products taken left to right, keyed
-    by index tuples in lexicographic order.  It pairs level k - 1 of one walk
-    of products, ``products(k - 1)``, with each element v through its
-    covector c = P v (P the pairing matrix): <u, v> = sum_i u_i c_i.  So mu_2
-    is the pairing itself.  Level n lists (t, v_{t_1} ... v_{t_n}) for the
-    tuples t of length n with a nonzero product, in lexicographic order; it
-    is built once, as level n - 1 times one more element, and kept for every
-    valence.  That is exact: a product is its prefix product times its last
-    factor, and a zero prefix has only zero extensions.
+    ``mu(k)`` holds the nonzero entries as Fractions, products taken left to
+    right, keyed by index tuples in lexicographic order; ``integer_mu(k)`` is
+    the same table as (scale, [(key, scale * entry)]), the form the integer
+    kernels read.  Both pair level k - 1 of one walk of products,
+    ``products(k - 1)``, with each element v through its covector c = P v
+    (P the pairing matrix): <u, v> = sum_i u_i c_i.  So mu_2 is the pairing
+    itself.  Level n lists (t, v_{t_1} ... v_{t_n}) for the tuples t of
+    length n with a nonzero product, in lexicographic order; it is built
+    once, as level n - 1 times one more element, and kept for every valence.
+    That is exact: a product is its prefix product times its last factor,
+    and a zero prefix has only zero extensions.
+
+    The walk runs over ints.  The elements are scaled to ints by one common
+    D_e, the covectors by one common D_c and the structure constants by D_m
+    (``FrobeniusAlgebra.integer_mult``), each the lcm of its list's
+    denominators (``graded.integer_terms``).  Each element v is multiplied
+    in through its right-multiplication rows u_i -> sum_{j,k} v_j c_ij^k
+    a_k, at scale D_e D_m.  Every term of a level-n product multiplies
+    exactly n element coefficients and n - 1 structure constants, so level n
+    is the exact product times D_e^n D_m^(n-1), and every entry of mu_k,
+    which adds one covector coefficient, is the exact value times
+    D_e^(k-1) D_m^(k-2) D_c: it is divided once, by that scale.
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors):
-        self.alg = alg
-        self.elements = [{i: c for i, c in enumerate(v) if c != 0} for v in vectors]
-        self.covectors = [{i: c for i, row in enumerate(alg.pairing.rows)
-                           if (c := sum(row[j] * x for j, x in el.items()))}
-                          for el in self.elements]
-        self._levels = [[((i,), el) for i, el in enumerate(self.elements) if el]]
+        d_e, elements = integer_matrix(vectors)
+        d_c, covectors = integer_matrix(
+            [[sum(row[j] * x for j, x in enumerate(v) if x) for row in alg.pairing.rows]
+             for v in vectors])
+        d_m, mult = alg.integer_mult
+        elements = [{i: c for i, c in enumerate(row) if c} for row in elements]
+        self._covectors = [{i: c for i, c in enumerate(row) if c} for row in covectors]
+        self._right = [[tuple(sparse_sum(((k, b * c) for j, b in el.items()
+                                          for k, c in mult.get((i, j), ())), None).items())
+                        for i in range(len(alg.space))] for el in elements]
+        self._scales = d_e, d_m, d_c
+        self._levels = [[((i,), el) for i, el in enumerate(elements) if el]]
+        self._integer_mu = {}
         self._mu = {}
 
     def products(self, n: int) -> list:
-        """Level n >= 1 of the walk, each level below it built first, once."""
+        """Level n >= 1 of the walk over ints, each product times
+        ``product_scale(n)``; each level below it is built first, once."""
         while len(self._levels) < n:
             self._levels.append([(t + (i,), p) for t, prod in self._levels[-1]
-                                 for i, el in enumerate(self.elements)
-                                 if (p := self.alg.mul(prod, el))])
+                                 for i, right in enumerate(self._right)
+                                 if (p := _product_step(prod, right))])
         return self._levels[n - 1]
 
-    def mu(self, k: int) -> dict:
-        """mu_k as a sparse dict, built once per valence k >= 2."""
+    def product_scale(self, n: int) -> int:
+        """D_e^n D_m^(n-1), the scale of level n of the walk."""
+        d_e, d_m, _ = self._scales
+        return d_e ** n * d_m ** (n - 1)
+
+    def integer_mu(self, k: int) -> tuple:
+        """(D_e^(k-1) D_m^(k-2) D_c, [(key, entry * that scale)]) for mu_k,
+        built once per valence k >= 2."""
         if k < 2:
             raise ValueError("vertex tensors need valence >= 2")
+        if k not in self._integer_mu:
+            self._integer_mu[k] = (self.product_scale(k - 1) * self._scales[2], [
+                (prefix + (last,), val) for prefix, prod in self.products(k - 1)
+                for last, cov in enumerate(self._covectors)
+                if (val := sum(a * cov[i] for i, a in prod.items() if i in cov))])
+        return self._integer_mu[k]
+
+    def mu(self, k: int) -> dict:
+        """mu_k as a sparse dict of Fractions, built once per valence k >= 2."""
         if k not in self._mu:
-            out = {}
-            for prefix, prod in self.products(k - 1):
-                for last, cov in enumerate(self.covectors):
-                    val = sum(a * cov[i] for i, a in prod.items() if i in cov)
-                    if val:
-                        out[prefix + (last,)] = val
-            self._mu[k] = out
+            scale, entries = self.integer_mu(k)
+            self._mu[k] = {key: Fraction(val, scale) for key, val in entries}
         return self._mu[k]
+
+
+def _product_step(prod, right) -> dict:
+    """One step of the walk: an integer product times one element, given by
+    the element's right-multiplication rows."""
+    return sparse_sum(((k, a * c) for i, a in prod.items() for k, c in right[i]), None)
 
 
 def vertex_tensor(alg: FrobeniusAlgebra, k: int) -> dict:
@@ -409,6 +480,36 @@ def so3_reduced() -> FrobeniusAlgebra:
     }
     subsets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
     return _grassmann_span(3, subsets, d_images, name="so3red")
+
+
+def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
+    """The block direct sum A + B: the basis of A, then that of B; d acts
+    blockwise, and products and the pairing vanish across the blocks.
+
+    The pairing makes the blocks orthogonal, so a gauge may map a
+    complement of d in one block into the image of d in the other.  So
+    ``direct_sum(so3_reduced(), g3())``, which has no unit since so3red has
+    none, has gauges of mixed parity with mu_3 ... mu_6 all nonzero.
+    """
+    n = len(a.space)
+    size = n + len(b.space)
+    space = SuperSpace([f"{a.name}.{x}" for x in a.space.names]
+                       + [f"{b.name}.{x}" for x in b.space.names],
+                       a.space.parities + b.space.parities)
+    mult = dict(a.mult)
+    mult.update({(i + n, j + n): {k + n: c for k, c in img.items()}
+                 for (i, j), img in b.mult.items()})
+
+    def blocks(upper, lower):
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for off, mat in ((0, upper), (n, lower)):
+            for i, row in enumerate(mat):
+                for j, c in enumerate(row):
+                    rows[off + i][off + j] = c
+        return rows
+    return FrobeniusAlgebra(space, mult, blocks(a.diff, b.diff),
+                            blocks(a.pairing.rows, b.pairing.rows),
+                            name=f"{a.name}+{b.name}")
 
 
 def k2_gauge(alg=None) -> Gauge:

@@ -17,12 +17,13 @@ of equal keys, drops zero sums once and returns each other sum as one
 Fraction, divided by a common denominator if one is given, so that integer
 values add as plain ints.  ``SuperPolynomial.sum`` is its polynomial case.
 The integer kernels (the polynomial product and the restriction
-``substitute``, the Hamiltonian field and the odd Laplacian, Psi of a
-monomial, the Feynman amplitude ``dual.feynman_value`` and the live chords
-of the map I) scale their Fraction inputs to plain ints with
-``integer_terms``, the one place that takes the lcm of denominators, and
-divide once by the product of the scales, mostly by passing it to
-``sparse_sum`` as the denominator.
+``substitute``, the Hamiltonian field and the odd Laplacian, the walk of
+products behind the vertex tensors mu_k, Psi of a monomial, the Feynman
+amplitude ``dual.feynman_value`` and the live chords of the map I) scale
+their Fraction inputs to plain ints with ``integer_terms``, the one place
+that takes the lcm of denominators (``integer_matrix`` is its case for a
+whole matrix), and divide once by the product of the scales, mostly by
+passing it to ``sparse_sum`` as the denominator.
 
 The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
@@ -175,6 +176,17 @@ def integer_terms(terms: dict):
     products of such ints and divide once by the product of their scales."""
     d = lcm(*(v.denominator for v in terms.values()))
     return d, [(k, v.numerator * (d // v.denominator)) for k, v in terms.items()]
+
+
+def integer_matrix(rows):
+    """(D, the rows times D as lists of ints), one D for the whole matrix:
+    the lcm of the denominators of its nonzero entries (``integer_terms``)."""
+    d, entries = integer_terms({(i, j): x for i, row in enumerate(rows)
+                                for j, x in enumerate(row) if x})
+    out = [[0] * len(row) for row in rows]
+    for (i, j), x in entries:
+        out[i][j] = x
+    return d, out
 
 
 def permute_tensor(space: SuperSpace, t: dict, order) -> dict:

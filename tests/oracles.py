@@ -28,6 +28,10 @@ and ``psi_monomial_oracle`` sums Psi of a monomial as one
 ``polynomial_parity`` is the parity of a homogeneous polynomial, for tests
 that state a sign (-1)^{|a|}, and ``parity_components`` splits a polynomial
 into its even and odd parts, for tests that state a rule on each part.
+``feynman_leaf_sign_oracle`` is the cut Feynman recursion that takes the
+chord sign by ``koszul_sign`` at each leaf, the route the folded sign of
+``feynman_value`` replaced.  ``rescaled`` writes an algebra in a scaled
+basis, so that its structure constants and pairing get denominators.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -35,13 +39,14 @@ from itertools import combinations_with_replacement, permutations, product
 
 from bvgraph import linalg
 from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word, shuffle_sign
+from bvgraph.frobenius import FrobeniusAlgebra
 from bvgraph.forms import FormContext
-from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, monomial_parity,
-                            perm_parity, sort_indices_with_sign)
+from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
+                            monomial_parity, perm_parity, sort_indices_with_sign)
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import upsilon_inverse
-from bvgraph.wick import berezin_integrate, chord_diagrams, double_factorial
+from bvgraph.wick import berezin_integrate, chord_diagrams, chord_sign, double_factorial
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +164,65 @@ def feynman_value_oracle(gauge, graph):
             val *= factor
         total += val
     return total
+
+
+def feynman_leaf_sign_oracle(gauge, graph):
+    """F(Gamma) by the cut recursion with the chord sign taken at each leaf.
+
+    It assigns one entry of mu_k per vertex block over the integer entries
+    of ``gauge.mu(k)`` and of ``gauge.propagator``, multiplies in the
+    propagator entries of the chords that close in the block and cuts at a
+    zero; each leaf multiplies by ``wick.chord_sign`` (``koszul_sign``) of
+    all its assigned parities.  Reads only ``gauge.mu(k)``,
+    ``gauge.propagator`` and ``gauge.parities``.
+    """
+    sizes, chord = chord_presentation(graph)
+    scaled = {k: integer_terms(gauge.mu(k)) for k in set(sizes)}
+    d_p, entries = integer_terms({(i, j): p for i, row in enumerate(gauge.propagator)
+                                  for j, p in enumerate(row) if p})
+    prop = [[0] * len(gauge.propagator) for _ in gauge.propagator]
+    for (i, j), p in entries:
+        prop[i][j] = p
+    lpar = gauge.parities
+    vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
+    closes = [[] for _ in sizes]
+    for i, j in chord:
+        closes[vertex_of[max(i, j)]].append((i, j))
+    total = 0
+
+    def rec(vtx, assignment, coeff):
+        nonlocal total
+        if vtx == len(sizes):
+            total += coeff * chord_sign([lpar[s] for s in assignment], chord)
+            return
+        for idx, mval in scaled[sizes[vtx]][1]:
+            assigned = assignment + idx
+            val = coeff * mval
+            for i, j in closes[vtx]:
+                val *= prop[assigned[i]][assigned[j]]
+                if not val:
+                    break
+            else:
+                rec(vtx + 1, assigned, val)
+
+    rec(0, (), 1)
+    scale = d_p ** len(chord)
+    for k in sizes:
+        scale *= scaled[k][0]
+    return Fraction(total, scale)
+
+
+def rescaled(alg, scales):
+    """The algebra in the basis b_i = scales[i] a_i: b_i b_j =
+    sum_k s_i s_j c_ij^k / s_k b_k, d(b_j) = sum_k s_j d_kj / s_k b_k and
+    <b_i, b_j> = s_i s_j <a_i, a_j>."""
+    n = len(alg.space)
+    mult = {(i, j): {k: scales[i] * scales[j] * c / scales[k] for k, c in img.items()}
+            for (i, j), img in alg.mult.items()}
+    diff = [[scales[j] * alg.diff[k][j] / scales[k] for j in range(n)] for k in range(n)]
+    pairing = [[scales[i] * scales[j] * alg.pairing.rows[i][j] for j in range(n)]
+               for i in range(n)]
+    return FrobeniusAlgebra(alg.space, mult, diff, pairing, name=alg.name + "_scaled")
 
 
 def polynomial_parity(p):

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
-                            symmetrize_tensor)
+from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms,
+                            koszul_sign, perm_parity, symmetrize_tensor)
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
-from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, find_gauges, g3, g3_gauge, k2,
-                               k2_gauge, so3_reduced, verify_axioms,
+from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, find_gauges, g3,
+                               g3_gauge, k2, k2_gauge, so3_reduced, verify_axioms,
                                vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
 from bvgraph.graphs import (CanonicalGraph, canonicalize_directed, cycle_space,
@@ -28,10 +28,10 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           wedge_sign, wick_map)
 from bvgraph import dual, sampling, symplectic
 from oracles import (beta_contract_indices, connected_components,
-                     feynman_product_oracle,
+                     feynman_leaf_sign_oracle, feynman_product_oracle,
                      feynman_value_oracle, hamiltonian_field_form_oracle,
                      odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
-                     restricted_word_oracle, wick_map_oracle)
+                     rescaled, restricted_word_oracle, wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -74,19 +74,6 @@ def test_psi_degree_preserved_parity_reversed():
             continue
         assert img.max_degree() == deg and img.min_degree() == deg
         assert polynomial_parity(img) == (par + 1) % 2
-
-
-def rescaled(alg, scales):
-    """The algebra in the basis b_i = scales[i] a_i: b_i b_j =
-    sum_k s_i s_j c_ij^k / s_k b_k, d(b_j) = sum_k s_j d_kj / s_k b_k and
-    <b_i, b_j> = s_i s_j <a_i, a_j>."""
-    n = len(alg.space)
-    mult = {(i, j): {k: scales[i] * scales[j] * c / scales[k] for k, c in img.items()}
-            for (i, j), img in alg.mult.items()}
-    diff = [[scales[j] * alg.diff[k][j] / scales[k] for j in range(n)] for k in range(n)]
-    pairing = [[scales[i] * scales[j] * alg.pairing.rows[i][j] for j in range(n)]
-               for i in range(n)]
-    return FrobeniusAlgebra(alg.space, mult, diff, pairing, name=alg.name + "_scaled")
 
 
 def so3_scaled():
@@ -158,9 +145,13 @@ def test_psi_field_compatibility_square():
     # parity-transport twist (-1)^{|h| (|a_alpha| + 1)} at the variable
     # a_alpha (x) w_i: the odd-side Hamiltonian iso is [Phi^{-1} d Pi] and the
     # Pi bookkeeping lands exactly there.  For even h the square commutes on
-    # the nose.
+    # the nose.  The rescaled algebras have structure constants with
+    # denominators, so Gamma divides its integer products by their scale.
     rng = random.Random(3)
-    for model in (model_k2(V21), model_g3(V21)):
+    g3_scaled = rescaled(g3(), [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), 1,
+                                Fraction(5, 2), 3, Fraction(-1, 4), 7])
+    for model in (model_k2(V21), model_g3(V21), TensorModel(g3_scaled, V21),
+                  TensorModel(so3_scaled(), V21)):
         apar = model.alg.space.parities
         nv = model.nv
         for _ in range(5):
@@ -409,15 +400,23 @@ def test_feynman_vanishes_on_g3_at_5_8_and_6_9():
 
 
 def test_gauge_owns_its_feynman_data():
-    # the propagator is taken once, when the gauge is validated, and mu_k
-    # once per valence; a gauge model carries neither
+    # the propagator is taken once, when the gauge is validated, its integer
+    # form with it, and mu_k with its integer form once per valence; a gauge
+    # model carries neither
     alg = g3()
     for params in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 2, 3, 4)):
         gauge = g3_gauge(*params, alg=alg)
         assert gauge.propagator == gauge.restricted_form().inverse().rows
+        d_p, prop = gauge.integer_propagator
+        assert gauge.integer_propagator is gauge.integer_propagator
+        assert prop == [[x * d_p for x in row] for row in gauge.propagator]
         for k in (3, 4):
             assert gauge.mu(k) == vertex_tensor_on_vectors(alg, gauge.vectors, k)
             assert gauge.mu(k) is gauge.mu(k)
+            scale, entries = gauge.integer_mu(k)
+            assert gauge.integer_mu(k) is gauge.integer_mu(k)
+            assert list(gauge.mu(k).items()) == [(key, Fraction(val, scale))
+                                                 for key, val in entries]
         assert feynman_value(gauge, theta_graph()) == 0
     model = model_g3()
     gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
@@ -474,6 +473,16 @@ def test_so3_fixture_gives_nonzero_amplitudes(monkeypatch):
         assert [feynman_on_chain(gauge, z) for z in cycles] == values
 
 
+def test_feynman_value_reads_a_reassigned_propagator():
+    # setting propagator sets integer_propagator too, so F follows a
+    # propagator reassigned after F was evaluated: theta has 3 chords
+    gauge = find_gauges(so3_reduced())[0][0]
+    assert feynman_value(gauge, theta_graph()) == 6
+    gauge.propagator = [[-x for x in row] for row in gauge.propagator]
+    assert gauge.integer_propagator == integer_matrix(gauge.propagator)
+    assert feynman_value(gauge, theta_graph()) == -6
+
+
 def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
     # F of a disconnected graph is the product of F on its components, up to
     # the signs of presenting the components as consecutive vertex blocks
@@ -497,8 +506,8 @@ def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
 def test_feynman_value_is_exact_on_fractional_tensors():
     # F does not depend on the basis of L.  Scaled by 1/2, -2/3 and 3/5, mu_3
     # has denominator 5 and the propagator 4 and 9, so the recursion runs over
-    # mu_3 * 5 and prop * 36: a dropped division by 5^|V| 36^|E|, or a wrong
-    # exponent, changes every value below
+    # mu_3 times its table's scale and prop * 36: a dropped division by the
+    # scales, or a wrong exponent, changes every value below
     gauge = find_gauges(so3_reduced())[0][0]
     scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
@@ -514,6 +523,27 @@ def test_feynman_value_is_exact_on_fractional_tensors():
         assert all(type(x) is Fraction for x in cochain.values())
         if v == 4:
             assert all(x == feynman_value_oracle(scaled, g) for g, x in cochain.items())
+
+
+def test_feynman_values_at_a_mixed_parity_dense_gauge():
+    # so3red + G3 at a gauge whose L has even and odd vectors: unlike on
+    # so3red's all-odd L, the parity test of the folded chord sign decides
+    # these nonzero values; each is checked against the recursion that
+    # takes the chord sign by koszul_sign at every leaf
+    alg = direct_sum(so3_reduced(), g3())
+    assert verify_axioms(alg)["ok"]
+    gauge = next(g for g in find_gauges(alg)[0]
+                 if g.label == "(1, 1, 0, 0, 0, 0, 0, 0, 1, 0)")
+    assert gauge.parities == [ODD] * 4 + [EVEN] * 2 + [ODD]
+    assert [len(gauge.mu(k)) for k in (3, 4, 5, 6)] == [33, 76, 165, 306]
+    theta = feynman_value(gauge, theta_graph())
+    assert theta == 6 == feynman_value_oracle(gauge, theta_graph())
+    assert theta == feynman_leaf_sign_oracle(gauge, theta_graph())
+    for (v, e), values in (((4, 6), [36, -12, -6]),
+                           ((6, 9), [216, -72, -36, 24, -24, 12, 6])):
+        cochain = feynman_cochain(gauge, v, e)
+        assert list(cochain.values()) == values
+        assert all(x == feynman_leaf_sign_oracle(gauge, g) for g, x in cochain.items())
 
 
 def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
@@ -606,7 +636,8 @@ class SyntheticGauge:
     """What ``feynman_value`` reads from a gauge, drawn at random over a
     4-dimensional space: graded-symmetric mu_3..mu_5 of odd total parity, and
     the inverse of an even skew form as propagator (zero between opposite
-    parities, so the recursion's cut is exercised)."""
+    parities, so the recursion's cut is exercised), each also in its integer
+    form.  The oracles read ``mu(k)`` and ``propagator``."""
 
     def __init__(self, seed, parities):
         rng = random.Random(seed)
@@ -624,6 +655,13 @@ class SyntheticGauge:
 
     def mu(self, k):
         return self._mu[k]
+
+    def integer_mu(self, k):
+        return integer_terms(self._mu[k])
+
+    @property
+    def integer_propagator(self):
+        return integer_matrix(self.propagator)
 
 
 SYNTHETIC_SETTINGS = [(seed, parities) for seed in (0, 1, 2)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import ast
 
@@ -12,8 +13,33 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
                                so3_reduced, verify_axioms, vertex_tensor,
                                vertex_tensor_on_vectors)
 from bvgraph import frobenius, linalg
-from bvgraph.graded import EVEN, ODD, SuperSpace, is_symmetric_tensor, perm_parity
-from oracles import vertex_tensor_oracle
+from bvgraph.graded import EVEN, ODD, is_symmetric_tensor, perm_parity
+from oracles import rescaled, vertex_tensor_oracle
+
+# so3red in a scaled basis: its structure constants and its pairing have
+# denominators
+SO3_SCALES = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1), Fraction(5, 2),
+              Fraction(3)]
+# a gauge of so3red + G3 whose L mixes parities, with mu_3..mu_6 all nonzero
+DENSE_LABEL = "(1, 1, 0, 0, 0, 0, 0, 0, 1, 0)"
+
+
+def so3_rescaled():
+    return rescaled(so3_reduced(), SO3_SCALES)
+
+
+def so3_plus_g3():
+    return frobenius.direct_sum(so3_reduced(), g3())
+
+
+def dense_gauge(alg):
+    return next(g for g in find_gauges(alg)[0] if g.label == DENSE_LABEL)
+
+
+def scaled_gauge_vectors(alg):
+    """The first gauge of alg with its basis scaled by 1/2, -2/3 and 3/5."""
+    return [[s * x for x in v] for s, v in zip((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)),
+                                               find_gauges(alg)[0][0].vectors)]
 
 
 def test_k2_axioms_pass():
@@ -191,9 +217,11 @@ VERTEX_TENSOR_CASES = {
        for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4))},
     "so3": (so3_reduced, lambda alg: find_gauges(alg)[0][0].vectors),
     # the so(3) gauge with its basis scaled by 1/2, -2/3 and 3/5
-    "so3_scaled": (so3_reduced, lambda alg: [
-        [s * x for x in v] for s, v in zip((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)),
-                                           find_gauges(alg)[0][0].vectors)]),
+    "so3_scaled": (so3_reduced, scaled_gauge_vectors),
+    # structure constants with denominators, on the basis and on a gauge
+    "so3_rescaled": (so3_rescaled, lambda alg: linalg.identity(6)),
+    "so3_rescaled_gauge": (so3_rescaled, scaled_gauge_vectors),
+    "so3+G3_dense": (so3_plus_g3, lambda alg: dense_gauge(alg).vectors),
 }
 
 
@@ -206,6 +234,31 @@ def test_vertex_tensor_matches_oracle(case):
         mu = vertex_tensor_on_vectors(alg, vectors, k)
         # equal entries, and the keys in the same (lexicographic) order
         assert list(mu.items()) == list(vertex_tensor_oracle(alg, vectors, k).items())
+
+
+def test_vertex_tensors_of_a_rescaled_algebra_divide_once_by_every_scale():
+    # the walk runs over the elements * D_e, the structure constants * D_m
+    # and the covectors * D_c: a level-n product carries D_e^n D_m^(n-1),
+    # so mu_k is divided by D_e^(k-1) D_m^(k-2) D_c
+    alg = so3_rescaled()
+    assert verify_axioms(alg)["ok"]
+    d_m = lcm(*(c.denominator for img in alg.mult.values() for c in img.values()))
+    assert alg.integer_mult[0] == d_m == 75
+    denominators = set()
+    for vectors, scales in ((linalg.identity(6), (1, 75, 30)),
+                            (scaled_gauge_vectors(alg), (30, 75, 900))):
+        d_e = lcm(*(x.denominator for v in vectors for x in v))
+        d_c = lcm(*(c.denominator for v in vectors for row in alg.pairing.rows
+                    if (c := sum(r * x for r, x in zip(row, v)))))
+        assert (d_e, d_m, d_c) == scales
+        table = VertexTensors(alg, vectors)
+        for k in (2, 3, 4):
+            scale, entries = table.integer_mu(k)
+            assert scale == d_e ** (k - 1) * d_m ** (k - 2) * d_c
+            assert all(type(val) is int for _, val in entries)
+            assert table.mu(k) == {key: Fraction(val, scale) for key, val in entries}
+            denominators |= {c.denominator for c in table.mu(k).values()}
+    assert all(any(d % p == 0 for d in denominators) for p in (2, 3, 5))
 
 
 def test_vertex_tensor_matches_oracle_at_valence_6():
@@ -232,14 +285,16 @@ def test_vertex_tensors_match_the_oracle_in_any_order():
         assert table.mu(k) is mu
 
 
-def test_vertex_tensors_build_each_level_of_products_once():
+def test_vertex_tensors_build_each_level_of_products_once(monkeypatch):
     # mu_3..mu_k multiply each product of levels 1..k-2 by every element
-    # once; a walk per valence would make 1,096 and 1,136 products here
+    # once, one step of the integer walk each; a walk per valence would make
+    # 1,096 and 1,136 products here
     alg = g3()
     gauge = g3_gauge(1, 2, 3, 4, alg=alg)
     calls = []
-    mul = alg.mul
-    alg.mul = lambda u, v: calls.append(1) or mul(u, v)
+    step = frobenius._product_step
+    monkeypatch.setattr(frobenius, "_product_step",
+                        lambda prod, right: calls.append(1) or step(prod, right))
     for vectors, valences, count in ((gauge.vectors, (3, 4, 5, 6), 760),
                                      (linalg.identity(8), (3, 4, 5), 792)):
         calls.clear()
@@ -257,32 +312,8 @@ def test_mu_2_on_a_basis_is_the_pairing(make_alg):
                                  for j, c in enumerate(row) if c]
 
 
-def direct_sum(a, b):
-    """The block direct sum of two algebras: d acts blockwise, and products
-    and the pairing vanish across the blocks."""
-    n = len(a.space)
-    size = n + len(b.space)
-    space = SuperSpace([f"{a.name}.{x}" for x in a.space.names]
-                       + [f"{b.name}.{x}" for x in b.space.names],
-                       a.space.parities + b.space.parities)
-    mult = dict(a.mult)
-    mult.update({(i + n, j + n): {k + n: c for k, c in img.items()}
-                 for (i, j), img in b.mult.items()})
-
-    def blocks(upper, lower):
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for off, mat in ((0, upper), (n, lower)):
-            for i, row in enumerate(mat):
-                for j, c in enumerate(row):
-                    rows[off + i][off + j] = c
-        return rows
-    return FrobeniusAlgebra(space, mult, blocks(a.diff, b.diff),
-                            blocks(a.pairing.rows, b.pairing.rows),
-                            name=f"{a.name}+{b.name}")
-
-
 def test_find_gauges_reaches_every_direction():
-    alg = direct_sum(so3_reduced(), g3())
+    alg = so3_plus_g3()
     assert verify_axioms(alg)["ok"]
     assert check_contractible(alg) == (True, 7)
     gauges, info = find_gauges(alg)

@@ -206,11 +206,15 @@ def test_library_never_imports_the_tests():
     assert hits == []
 
 
-# the kernels that tests/oracles.py checks: the Feynman route, and the
+# the kernels that tests/oracles.py checks: the Feynman route (with the
+# integer walk of products behind mu_k, its scaled structure constants, the
+# integer vertex tensors and propagator, and the matrix scaling), and the
 # polynomial product (its key merge), the restriction and Psi of a monomial
 # on the BV route
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
-           "live_chords", "__mul__", "merge_keys", "_psi_monomial", "substitute"}
+           "_product_step", "integer_mult", "integer_mu", "integer_propagator",
+           "integer_matrix", "live_chords", "__mul__", "merge_keys",
+           "_psi_monomial", "substitute"}
 
 
 def kernel_uses(source):
@@ -235,9 +239,12 @@ def test_oracles_never_use_the_kernels_they_check():
               "w.live_chords(pars, idxs, inv)\n"
               "from bvgraph.superpoly import merge_keys\n"
               "SuperPolynomial.__mul__(a, b)\n"
-              "model._psi_monomial(key)\n")
+              "model._psi_monomial(key)\n"
+              "d, entries = gauge.integer_mu(3)\n"
+              "d_p, prop = graded.integer_matrix(gauge.propagator)\n")
     assert kernel_uses(source) == ["VertexTensors", "__mul__", "_psi_monomial",
-                                   "feynman_value", "live_chords", "merge_keys"]
+                                   "feynman_value", "integer_matrix", "integer_mu",
+                                   "live_chords", "merge_keys"]
     assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
 
 
