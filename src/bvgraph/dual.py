@@ -5,10 +5,16 @@ and the restricted weight.  F reads a ``frobenius.Gauge`` alone: the vertex
 tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
 routes share no object, and the commuting-diagram check S = F o I is the
 keystone that pins every remaining sign convention end to end.
+
+The kernel ``feynman_value`` looks each vertex's entries of mu_k up by the
+partners, under the propagator, of the indices already assigned to the
+other ends of its chords.  The suites read F through the gauge's bounded
+``amplitudes``, so it is computed once per (gauge, graph).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, product
 from math import prod
 
 from . import linalg
@@ -259,10 +265,19 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
     blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
     times the chord sign of the assigned gauge indices a.  The recursion
-    assigns one block at a time and multiplies in the propagator entries of
-    the chords whose later end lies in that block (a loop closes at its own
-    vertex), so a branch is cut as soon as one of them is 0: every leaf below
-    it has a zero product.
+    assigns one block at a time.  A chord whose ends lie in two blocks
+    closes in the block of its later end.  With a the index at its earlier
+    end, its entry is nonzero only where the later index x is a partner of
+    a: prop[a][x] != 0 (the row support of a) when the later end is the
+    chord's second slot, and prop[x][a] != 0 (the column support) when it is
+    the first.  So each block's entries are indexed once per call by their
+    indices at the later ends of its closing chords (the keys), and a node
+    runs over the product of the partner lists of the assigned earlier ends,
+    multiplies those propagator entries once per key and looks the key up:
+    the entries it never visits are exactly those whose product is 0.  A
+    chord with both ends in the block (a loop) is multiplied in per entry,
+    and a branch is cut where it gives 0.  Nothing is memoised here; the
+    suites read F through ``gauge.amplitudes``.
 
     The chord sign is the Koszul sign of reordering the slots into
     (i1, j1, i2, j2, ...): -1 for each inverted pair of slots x > y, x
@@ -278,51 +293,98 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """
     sizes, chord = chord_presentation(graph)
     scaled = {k: gauge.integer_mu(k) for k in set(sizes)}
-    imus = [scaled[k][1] for k in sizes]
     d_p, prop = gauge.integer_propagator
     lpar = gauge.parities
+    # a closing chord's entry is mat[a][x], mat the propagator when its later
+    # end is its second slot and the transpose otherwise; supports[.][a]
+    # lists the partners x of a
+    mats = (prop, list(zip(*prop)))
+    supports = [[tuple(compress(range(len(prop)), row)) for row in mat] for mat in mats]
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
-    closes = [[] for _ in sizes]
+    offsets = [vertex_of.index(vtx) for vtx in range(len(sizes))]
+    earlier = [[] for _ in sizes]  # (earlier slot, supports, mat) per chord
+    keys = [[] for _ in sizes]     # its later slot, counted in the block
+    loops = [[] for _ in sizes]
     for i, j in chord:
-        closes[vertex_of[max(i, j)]].append((i, j))
+        vtx = vertex_of[max(i, j)]
+        if vertex_of[min(i, j)] == vtx:
+            loops[vtx].append((i, j))
+        else:
+            earlier[vtx].append((min(i, j), supports[i > j], mats[i > j]))
+            keys[vtx].append(max(i, j) - offsets[vtx])
+    tables = []  # each block's entries by their indices at the keys
+    for k, ks in zip(sizes, keys):
+        table = {}
+        for idx, mval in scaled[k][1]:
+            table.setdefault(tuple([idx[s] for s in ks]), []).append((idx, mval))
+        tables.append(table)
     order = [s for pair in chord for s in pair]
     crossings = [[] for _ in sizes]
     for a, x in enumerate(order):
         for y in order[a + 1:]:
             if x > y:
                 crossings[vertex_of[x]].append((x, y))
-    total = 0
+    total = 0 if sizes else 1  # the empty graph is the empty product
 
     def rec(vtx, assignment, coeff):
         nonlocal total
-        if vtx == len(sizes):
-            total += coeff
-            return
-        for idx, mval in imus[vtx]:
-            assigned = assignment + idx
-            val = coeff * mval
-            for i, j in closes[vtx]:
-                val *= prop[assigned[i]][assigned[j]]
-                if not val:
-                    break
-            else:
-                for x, y in crossings[vtx]:
-                    if lpar[assigned[x]] and lpar[assigned[y]]:
-                        val = -val
-                rec(vtx + 1, assigned, val)
+        table, ends = tables[vtx], earlier[vtx]
+        own, crossed = loops[vtx], crossings[vtx]
+        leaf = vtx + 1 == len(sizes)
+        for key in product(*[support[assignment[s]] for s, support, _ in ends]):
+            entries = table.get(key)
+            if entries is None:
+                continue
+            key_coeff = coeff
+            for (s, _, mat), x in zip(ends, key):
+                key_coeff *= mat[assignment[s]][x]
+            for idx, mval in entries:
+                assigned = assignment + idx
+                val = key_coeff * mval
+                for i, j in own:
+                    val *= prop[assigned[i]][assigned[j]]
+                    if not val:
+                        break
+                else:
+                    for x, y in crossed:
+                        if lpar[assigned[x]] and lpar[assigned[y]]:
+                            val = -val
+                    if leaf:
+                        total += val
+                    else:
+                        rec(vtx + 1, assigned, val)
 
-    rec(0, (), 1)
+    if sizes:
+        rec(0, (), 1)
     return Fraction(total, prod(scaled[k][0] for k in sizes) * d_p ** len(chord))
 
 
+# Bounds each gauge's ``amplitudes``, which is cleared when full; a feynman
+# benchmark pass reads 18 (gauge, graph) pairs.
+_AMPLITUDES_SIZE = 1 << 12
+
+
+def _amplitude(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
+    """F(graph) through the gauge's ``amplitudes``: ``feynman_value`` runs
+    once per (gauge, graph) until the propagator is reassigned."""
+    memo = gauge.amplitudes
+    val = memo.get(graph)
+    if val is None:
+        val = feynman_value(gauge, graph)
+        if len(memo) >= _AMPLITUDES_SIZE:
+            memo.clear()
+        memo[graph] = val
+    return val
+
+
 def feynman_cochain(gauge: Gauge, v: int, e: int) -> dict:
-    return {g: feynman_value(gauge, g) for g in enumerate_graphs(v, e)}
+    return {g: _amplitude(gauge, g) for g in enumerate_graphs(v, e)}
 
 
 def feynman_on_chain(gauge: Gauge, chain: GraphChain) -> Fraction:
     total = Fraction(0)
     for g, c in chain.terms.items():
-        total += c * feynman_value(gauge, g)
+        total += c * _amplitude(gauge, g)
     return total
 
 

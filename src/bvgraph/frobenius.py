@@ -168,8 +168,11 @@ class Gauge:
 
     It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
     ``propagator``, the rows of the inverse restricted d-form, and their
-    integer forms ``integer_mu(k)`` and ``integer_propagator``, which
-    ``dual.feynman_value`` reads.
+    integer forms ``integer_mu(k)`` and ``integer_propagator``.
+    ``dual.feynman_value`` reads only those integer forms and ``parities``.
+    It also carries ``amplitudes``, the values F(Gamma) already computed on
+    it by graph, which ``dual.feynman_on_chain`` and ``dual.feynman_cochain``
+    read through; they bound its size.
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
@@ -202,13 +205,15 @@ class Gauge:
     def propagator(self) -> list:
         """The rows of the inverse restricted d-form.  Setting it sets
         ``integer_propagator`` too, (D_p, the rows times D_p as ints), so the
-        two never disagree."""
+        two never disagree, and empties ``amplitudes``, the values of F under
+        the propagator it replaces."""
         return self._propagator
 
     @propagator.setter
     def propagator(self, rows):
         self._propagator = rows
         self.integer_propagator = integer_matrix(rows)
+        self.amplitudes = {}
 
     def subspace(self) -> SuperSpace:
         return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
@@ -483,8 +488,9 @@ def so3_reduced() -> FrobeniusAlgebra:
 
 
 def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
-    """The block direct sum A + B: the basis of A, then that of B; d acts
-    blockwise, and products and the pairing vanish across the blocks.
+    """The block direct sum A + B: the basis of A, then that of B, each name
+    prefixed by its block's position, 0 or 1, so that A + A is defined; d
+    acts blockwise, and products and the pairing vanish across the blocks.
 
     The pairing makes the blocks orthogonal, so a gauge may map a
     complement of d in one block into the image of d in the other.  So
@@ -493,8 +499,8 @@ def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
     """
     n = len(a.space)
     size = n + len(b.space)
-    space = SuperSpace([f"{a.name}.{x}" for x in a.space.names]
-                       + [f"{b.name}.{x}" for x in b.space.names],
+    space = SuperSpace([f"{pos}.{x}" for pos, alg in enumerate((a, b))
+                        for x in alg.space.names],
                        a.space.parities + b.space.parities)
     mult = dict(a.mult)
     mult.update({(i + n, j + n): {k + n: c for k, c in img.items()}

@@ -98,8 +98,8 @@ _CANON_CACHE_SIZE = 1 << 14
 _canon_cache = {}
 
 # The graph lists of ``enumerate_graphs`` by bidegree (v, e), cleared when
-# full: ``cycle_space`` reads two bidegrees, and the upper one of (v, e) is
-# the lower one of (v + 1, e + 1).
+# full: the cocycle and gauge-independence checks read one bidegree again
+# and again.
 _GRAPH_LISTS_SIZE = 32
 _graph_lists = {}
 
@@ -164,7 +164,7 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     return result
 
 
-def _minimal_code(nv: int, edges, bound=None):
+def _minimal_code(nv: int, edges, bound=None, signed=True):
     """(minimal sorted edge code, sign) of a loopless multigraph; see
     ``canonicalize_directed``.
 
@@ -173,7 +173,8 @@ def _minimal_code(nv: int, edges, bound=None):
     gives None as soon as a branch's fixed prefix falls strictly below it.
     When no relabeling beats the bound, the bound is the minimum, and the
     search, which keeps every relabeling whose code is <= the bound, still
-    visits every minimal one, so the sign is exact.
+    visits every minimal one, so the sign is exact.  With ``signed`` false
+    the leaves take no sign, and the sign returned is None.
     """
     mult = [[0] * nv for _ in range(nv)]
     for a, b in edges:
@@ -196,13 +197,12 @@ def _minimal_code(nv: int, edges, bound=None):
         nonlocal best, signs
         k = len(order)
         if k == nv:
-            flips = sum(1 for a, b in edges if label[a] > label[b])
-            sign = -perm_parity(label) if flips % 2 else perm_parity(label)
             if best is None or prefix < best:
                 best = prefix[:]
-                signs = {sign}
-            else:
-                signs.add(sign)
+                signs = set()
+            if signed:
+                flips = sum(1 for a, b in edges if label[a] > label[b])
+                signs.add(-perm_parity(label) if flips % 2 else perm_parity(label))
             return True
         if first_open < k:
             row = mult[order[first_open]]
@@ -244,6 +244,8 @@ def _minimal_code(nv: int, edges, bound=None):
 
     if not search(0):
         return None
+    if not signed:
+        return tuple(best), None
     if sum(not row for row in nbrs) > 1:
         return tuple(best), 0
     return tuple(best), (signs.pop() if len(signs) == 1 else 0)
@@ -346,7 +348,8 @@ def enumerate_graphs(v: int, e: int):
     the search of ``canonicalize_directed`` bounded by the prefix itself: it
     stops at the first relabeling that beats it.  Each class then reaches
     exactly one leaf, its canonical code, and the bounded search that passed
-    that leaf also gives its sign, since it visits every minimal relabeling.
+    that leaf also gives its sign, since it visits every minimal relabeling;
+    the searches of shorter prefixes take no sign.
 
     The last cut is exact because being canonical passes to prefixes: let P
     be the first m edges of a code C, and suppose a relabeling pi gives
@@ -383,7 +386,7 @@ def _orderly_graphs(v: int, e: int) -> tuple:
         if deficit > 2 * left:
             return
         code = tuple(combo)
-        minimal = _minimal_code(v, code, code)
+        minimal = _minimal_code(v, code, code, signed=not left)
         if minimal is None:
             return
         if not left:
@@ -410,19 +413,26 @@ def _orderly_graphs(v: int, e: int) -> tuple:
 def cycle_space(v: int, e: int):
     """Exact rational kernel basis of the boundary in bidegree (v, e).
 
-    Returns (basis graphs of the bidegree, list of kernel chains).
+    Returns (basis graphs of the bidegree, list of kernel chains).  The rows
+    of the boundary matrix are the graphs of (v - 1, e - 1) that some
+    boundary reaches, in the order they first appear, so the lower bidegree
+    is never enumerated: a row that no boundary reaches is zero, and the
+    kernel, read off the reduced row echelon form, does not depend on the
+    order of the rows.
     """
     basis = enumerate_graphs(v, e)
     if not basis:
         return [], []
-    lower = enumerate_graphs(v - 1, e - 1)
-    lower_index = {g.key(): i for i, g in enumerate(lower)}
-    rows = [[Fraction(0)] * len(basis) for _ in range(max(1, len(lower)))]
+    row_of = {}
+    entries = []
     for col, g in enumerate(basis):
         for h, c in boundary_of_graph(g).terms.items():
-            if h.key() not in lower_index:
+            if (h.n_vertices, len(h.edges)) != (v - 1, e - 1):
                 raise AssertionError("boundary left the expected bidegree")
-            rows[lower_index[h.key()]][col] = c
+            entries.append((row_of.setdefault(h, len(row_of)), col, c))
+    rows = [[Fraction(0)] * len(basis) for _ in range(max(1, len(row_of)))]
+    for row, col, c in entries:
+        rows[row][col] = c
     return basis, [GraphChain(zip(basis, vec)) for vec in linalg.nullspace(rows)]
 
 

@@ -13,8 +13,8 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, find_gauges,
                                g3_gauge, k2, k2_gauge, so3_reduced, verify_axioms,
                                vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
-from bvgraph.graphs import (CanonicalGraph, canonicalize_directed, cycle_space,
-                            enumerate_graphs, theta_graph)
+from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
+                            cycle_space, enumerate_graphs, theta_graph)
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, graph_from_chord,
@@ -475,12 +475,57 @@ def test_so3_fixture_gives_nonzero_amplitudes(monkeypatch):
 
 def test_feynman_value_reads_a_reassigned_propagator():
     # setting propagator sets integer_propagator too, so F follows a
-    # propagator reassigned after F was evaluated: theta has 3 chords
+    # propagator reassigned after F was evaluated: theta has 3 chords.  The
+    # suites read F through the gauge's amplitudes, which the setter
+    # empties, so no amplitude outlives the propagator it was taken with
     gauge = find_gauges(so3_reduced())[0][0]
-    assert feynman_value(gauge, theta_graph()) == 6
+    theta = GraphChain({theta_graph(): Fraction(1)})
+    assert feynman_value(gauge, theta_graph()) == 6 == feynman_on_chain(gauge, theta)
+    assert gauge.amplitudes == {theta_graph(): 6}
     gauge.propagator = [[-x for x in row] for row in gauge.propagator]
     assert gauge.integer_propagator == integer_matrix(gauge.propagator)
-    assert feynman_value(gauge, theta_graph()) == -6
+    assert gauge.amplitudes == {}
+    assert feynman_value(gauge, theta_graph()) == -6 == feynman_on_chain(gauge, theta)
+    assert feynman_cochain(gauge, 2, 3) == {theta_graph(): -6}
+
+
+def test_amplitudes_are_computed_once_and_stay_within_their_bound(monkeypatch):
+    # one feynman_value call per (gauge, graph) while the memo holds it; a
+    # full memo is cleared, so it never holds more than its bound
+    monkeypatch.setattr(dual, "_AMPLITUDES_SIZE", 3)
+    gauge = find_gauges(so3_reduced())[0][0]
+    kernel = dual.feynman_value
+    calls = []
+
+    def counted(g, graph):
+        assert len(g.amplitudes) <= 3
+        calls.append(graph)
+        return kernel(g, graph)
+
+    monkeypatch.setattr(dual, "feynman_value", counted)
+    values = [216, -72, -36, 24, -24, 12, 6]
+    assert list(feynman_cochain(gauge, 6, 9).values()) == values
+    assert calls == enumerate_graphs(6, 9) and len(gauge.amplitudes) <= 3
+    # the last clear left the last graph alone in the memo
+    last = GraphChain({calls[-1]: Fraction(1)})
+    assert feynman_on_chain(gauge, last) == 6 and len(calls) == 7
+    assert list(feynman_cochain(gauge, 6, 9).values()) == values
+    assert len(calls) == 14 and len(gauge.amplitudes) <= 3
+
+
+def test_a_patched_feynman_value_shows_on_fresh_gauges(monkeypatch):
+    # a fault injected into feynman_value reaches the suites only through
+    # gauges whose amplitudes it computes: a warm gauge answers from its memo,
+    # so a fault-injection test builds its gauges fresh
+    warm = so3_commute_case()
+    assert verify_commute(*warm)["status"] == "pass"
+    kernel = dual.feynman_value
+    monkeypatch.setattr(dual, "feynman_value", lambda g, graph: -kernel(g, graph))
+    assert verify_commute(*warm)["status"] == "pass"
+    model, gm, chain = so3_commute_case()
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S": "-36", "F_I": "36", "chain": chain.to_json()}]
 
 
 def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
@@ -637,13 +682,15 @@ class SyntheticGauge:
     4-dimensional space: graded-symmetric mu_3..mu_5 of odd total parity, and
     the inverse of an even skew form as propagator (zero between opposite
     parities, so the recursion's cut is exercised), each also in its integer
-    form.  The oracles read ``mu(k)`` and ``propagator``."""
+    form, and the empty ``amplitudes`` that the suites read F through.  The
+    oracles read ``mu(k)`` and ``propagator``."""
 
     def __init__(self, seed, parities):
         rng = random.Random(seed)
         space = SuperSpace(("a", "b", "c", "d"), parities)
         self.parities = list(parities)
         self.propagator = _random_even_skew(rng, space).inverse().rows
+        self.amplitudes = {}
         self._mu = {}
         for k in (3, 4, 5):
             raw = {}
@@ -687,6 +734,33 @@ def test_feynman_value_matches_oracle_on_synthetic_data():
             assert val == feynman_value_oracle(gauge, g), (seed, parities, g)
             values.append(val)
     assert 3 * sum(1 for x in values if x) >= len(values)
+
+
+def test_feynman_value_looks_up_chords_closing_in_both_directions():
+    # the tetrahedron with the edges (2, 1) and (3, 1) reversed: vertex 2
+    # closes a chord from vertex 0 at its second slot and one from vertex 1
+    # at its first, so its entries are looked up by a row of one assigned
+    # index and a column of another, and vertex 3 closes chords from three
+    # blocks; the second graph adds a loop at vertex 3, taken per entry.  A
+    # graded-skew propagator hides a row and column swap, since prop[x][a] =
+    # +-prop[a][x], so each gauge is also taken with its propagator made
+    # lopsided: 1 added above the diagonal between indices of one parity
+    edges = ((0, 1), (0, 2), (2, 1), (0, 3), (3, 1), (2, 3))
+    graphs = [CanonicalGraph(4, edges), CanonicalGraph(4, edges + ((3, 3),))]
+    nonzero = 0
+    for seed, parities in SYNTHETIC_SETTINGS:
+        gauge = SyntheticGauge(seed, parities)
+        skew = gauge.propagator
+        lopsided = [[p + (a < b and parities[a] == parities[b]) for b, p in enumerate(row)]
+                    for a, row in enumerate(skew)]
+        for prop in (skew, lopsided):
+            gauge.propagator = prop
+            for g in graphs:
+                val = feynman_value(gauge, g)
+                assert val == feynman_leaf_sign_oracle(gauge, g), (seed, parities, g)
+                assert val == feynman_value_oracle(gauge, g), (seed, parities, g)
+                nonzero += val != 0
+    assert nonzero == 13
 
 
 def test_feynman_value_relabeling_law_on_synthetic_data():

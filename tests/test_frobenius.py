@@ -323,6 +323,24 @@ def test_find_gauges_reaches_every_direction():
     assert all(any(lam[j] == 1 for lam in lams) for j in range(10))
 
 
+def test_direct_sum_of_an_algebra_with_itself():
+    # the blocks' names are prefixed by their position, so A + A is defined;
+    # so3red + so3red has no gauge parameter, and its one gauge is the
+    # reference complement xi1, xi2, xi3 of each block, with mu_3 on it the
+    # two blocks' mu_3 side by side
+    alg = frobenius.direct_sum(so3_reduced(), so3_reduced())
+    assert alg.name == "so3red+so3red"
+    assert alg.space.names[::6] == ("0.xi1", "1.xi1")
+    assert verify_axioms(alg)["ok"]
+    gauges, info = find_gauges(alg)
+    assert info["n_parameters"] == 0
+    assert [g.label for g in gauges] == ["()"]
+    basis = linalg.identity(12)
+    assert gauges[0].vectors == [tuple(basis[i]) for i in (0, 1, 2, 6, 7, 8)]
+    assert gauges[0].parities == [ODD] * 6
+    assert len(gauges[0].mu(3)) == 2 * len(find_gauges(so3_reduced())[0][0].mu(3)) == 12
+
+
 def test_find_gauges_builds_d_image_and_d_form_once_per_algebra(monkeypatch):
     # d(A) and <-,->_d depend on the algebra alone, not on the gauge
     calls = {"degenerate_form": 0, "column_space_basis": 0}
