@@ -14,11 +14,11 @@ other ends of its chords.  The suites read F through the gauge's bounded
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from math import prod
 
 from . import linalg
-from .graded import (EVEN, SuperSpace, integer_matrix, monomial_parity,
+from .graded import (EVEN, SuperSpace, integer_matrix, memoised, monomial_parity,
                      sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
                         divergence)
@@ -259,8 +259,8 @@ def chord_presentation(graph: CanonicalGraph):
 def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """F(Gamma) = beta_c over L* of mu_{k_1} (x) .. (x) mu_{k_l}, with the
     inverse restricted d-form as propagator.  It reads only
-    ``gauge.integer_mu(k)``, ``gauge.integer_propagator`` and
-    ``gauge.parities``.
+    ``gauge.integer_mu(k)``, ``gauge.integer_propagator``, the propagator's
+    ``gauge.partners`` and ``gauge.parities``.
 
     That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
     blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
@@ -297,9 +297,9 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     lpar = gauge.parities
     # a closing chord's entry is mat[a][x], mat the propagator when its later
     # end is its second slot and the transpose otherwise; supports[.][a]
-    # lists the partners x of a
+    # lists the partners x of a (``frobenius.partner_lists``)
     mats = (prop, list(zip(*prop)))
-    supports = [[tuple(compress(range(len(prop)), row)) for row in mat] for mat in mats]
+    supports = gauge.partners
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
     offsets = [vertex_of.index(vtx) for vtx in range(len(sizes))]
     earlier = [[] for _ in sizes]  # (earlier slot, supports, mat) per chord
@@ -367,14 +367,8 @@ _AMPLITUDES_SIZE = 1 << 12
 def _amplitude(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """F(graph) through the gauge's ``amplitudes``: ``feynman_value`` runs
     once per (gauge, graph) until the propagator is reassigned."""
-    memo = gauge.amplitudes
-    val = memo.get(graph)
-    if val is None:
-        val = feynman_value(gauge, graph)
-        if len(memo) >= _AMPLITUDES_SIZE:
-            memo.clear()
-        memo[graph] = val
-    return val
+    return memoised(gauge.amplitudes, _AMPLITUDES_SIZE, graph,
+                    lambda: feynman_value(gauge, graph))
 
 
 def feynman_cochain(gauge: Gauge, v: int, e: int) -> dict:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, compress, islice
 
 from . import linalg
-from .graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms, koszul_sign,
-                     sparse_sum, vector_parity)
+from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_matrix, integer_terms,
+                     koszul_sign, sparse_sum, vector_parity)
 from .symplectic import BilinearForm
 
 
@@ -168,16 +168,16 @@ class Gauge:
 
     It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
     ``propagator``, the rows of the inverse restricted d-form, and their
-    integer forms ``integer_mu(k)`` and ``integer_propagator``.
-    ``dual.feynman_value`` reads only those integer forms and ``parities``.
-    It also carries ``amplitudes``, the values F(Gamma) already computed on
-    it by graph, which ``dual.feynman_on_chain`` and ``dual.feynman_cochain``
-    read through; they bound its size.
+    integer forms ``integer_mu(k)`` and ``integer_propagator``, and the
+    propagator's ``partners``: ``dual.feynman_value`` reads only those and
+    ``parities``.  It also carries ``amplitudes``, the values F(Gamma)
+    already computed on it by graph, which ``dual.feynman_on_chain`` and
+    ``dual.feynman_cochain`` read through; they bound its size.
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
         self.alg = alg
-        self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+        self.vectors = dense_vectors(alg.space, vectors)
         self.label = label
         self.vertex_tensors = VertexTensors(alg, self.vectors)
         self.parities = [vector_parity(alg.space, v) for v in self.vectors]
@@ -188,10 +188,8 @@ class Gauge:
         n = len(alg.space)
         if 2 * len(self.vectors) != n:
             raise ValueError("gauge must be half-dimensional")
-        for u in self.vectors:
-            for v in self.vectors:
-                if alg.pairing.evaluate(u, v) != 0:
-                    raise ValueError("gauge is not isotropic for the pairing")
+        if any(map(any, alg.pairing.restrict(self.vectors))):
+            raise ValueError("gauge is not isotropic for the pairing")
         img = alg.d_image
         stacked = [list(v) for v in self.vectors] + [list(v) for v in img]
         if linalg.rank(stacked) != n:
@@ -204,15 +202,16 @@ class Gauge:
     @property
     def propagator(self) -> list:
         """The rows of the inverse restricted d-form.  Setting it sets
-        ``integer_propagator`` too, (D_p, the rows times D_p as ints), so the
-        two never disagree, and empties ``amplitudes``, the values of F under
-        the propagator it replaces."""
+        ``integer_propagator`` too, (D_p, the rows times D_p as ints), and
+        ``partners``, so the three never disagree, and empties
+        ``amplitudes``, the values of F under the propagator it replaces."""
         return self._propagator
 
     @propagator.setter
     def propagator(self, rows):
         self._propagator = rows
         self.integer_propagator = integer_matrix(rows)
+        self.partners = partner_lists(rows)
         self.amplitudes = {}
 
     def subspace(self) -> SuperSpace:
@@ -229,6 +228,13 @@ class Gauge:
     def integer_mu(self, k: int) -> tuple:
         """(scale, integer entries) of mu_k, from the same table."""
         return self.vertex_tensors.integer_mu(k)
+
+
+def partner_lists(rows) -> tuple:
+    """(by row, by column): for each index a of a square matrix, the x with
+    rows[a][x] != 0, and the x with rows[x][a] != 0, ascending."""
+    idx = range(len(rows))
+    return tuple([tuple(compress(idx, r)) for r in mat] for mat in (rows, zip(*rows)))
 
 
 def find_gauges(alg: FrobeniusAlgebra):
@@ -576,31 +582,35 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
 
 def algebra_from_json(data: dict) -> FrobeniusAlgebra:
     """The algebra a JSON record describes; ValueError unless it has a basis
-    of named entries with parities in {0, 1}, its indices lie in [0, n) and
-    it passes verify_axioms."""
+    of named entries with parities in {0, 1}, its indices lie in [0, n), its
+    coefficients are ints or strings, not floats, and it passes verify_axioms.
+    A bool is no int here: the checks read type(), not isinstance()."""
     basis = data.get("basis")
     if basis is None or any("name" not in b or "parity" not in b for b in basis):
         raise ValueError("every basis entry needs a name and a parity")
-    if any(b["parity"] not in (EVEN, ODD) for b in basis):
+    if any(type(b["parity"]) is not int or b["parity"] not in (EVEN, ODD) for b in basis):
         raise ValueError("basis parities must be 0 or 1")
     space = SuperSpace([b["name"] for b in basis], [b["parity"] for b in basis])
     n = len(space)
 
     def entries(field, arity):
         for entry in data.get(field, []):
-            if not all(isinstance(i, int) and 0 <= i < n for i in entry[:arity]):
+            *idx, c = entry
+            if len(idx) != arity or not all(type(i) is int and 0 <= i < n for i in idx):
                 raise ValueError(f"{field} index out of range in {entry}")
-            yield entry
+            if type(c) not in (int, str):
+                raise ValueError(f"{field} coefficient must be an int or a string in {entry}")
+            yield (*idx, Fraction(c))
 
     mult = {}
     for i, j, k, c in entries("mult", 3):
-        mult.setdefault((i, j), {})[k] = Fraction(c)
+        mult.setdefault((i, j), {})[k] = c
     pairing = [[Fraction(0)] * n for _ in range(n)]
     for i, j, c in entries("pairing", 2):
-        pairing[i][j] = Fraction(c)
+        pairing[i][j] = c
     diff = [[Fraction(0)] * n for _ in range(n)]
     for i, j, c in entries("differential", 2):
-        diff[i][j] = Fraction(c)
+        diff[i][j] = c
     alg = FrobeniusAlgebra(space, mult, diff, pairing, name=data.get("name", ""))
     report = verify_axioms(alg)
     if not report["ok"]:

@@ -28,11 +28,13 @@ passing it to ``sparse_sum`` as the denominator.
 The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 ``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
 serve the vertex tensors mu_k (``frobenius``) and the multilinear maps of
-``superpoly`` (keys ``args + (out,)``).  ``vector_parity`` is the parity test
-of a basis vector for the gauges of ``frobenius`` and ``symplectic``, and
-``monomial_parity`` the parity of a monomial key: every parity in the package
-is read off the terms through it, so no caller declares the parity of a whole
-polynomial, field or derivation.
+``superpoly`` (keys ``args + (out,)``).  ``dense_vectors`` and
+``vector_parity`` are the length and parity tests of the basis vectors of the
+gauges of ``frobenius`` and ``symplectic``, and ``monomial_parity`` the parity
+of a monomial key: every parity in the package is read off the terms through
+it, so no caller declares the parity of a whole polynomial, field or
+derivation.  ``memoised`` is the one bounded memo, the graph, graph-list and
+amplitude caches of ``graphs`` and ``dual``.
 """
 from __future__ import annotations
 
@@ -228,6 +230,27 @@ def vector_parity(space: SuperSpace, v) -> int:
     if len(ps) != 1:
         raise ValueError("basis vectors must be nonzero and parity homogeneous")
     return ps.pop()
+
+
+def dense_vectors(space: SuperSpace, vectors) -> list:
+    """The coefficient vectors as tuples of Fractions; ValueError unless each
+    has one entry per basis vector of `space`."""
+    out = [tuple(Fraction(x) for x in v) for v in vectors]
+    if any(len(v) != len(space) for v in out):
+        raise ValueError(f"each vector needs {len(space)} entries, one per basis vector")
+    return out
+
+
+def memoised(cache: dict, size: int, key, compute):
+    """cache[key], or compute() stored under key, the cache emptied first
+    when it holds `size` entries: the one bounded memo of the package."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = compute()
+        if len(cache) >= size:
+            cache.clear()
+        cache[key] = hit
+    return hit
 
 
 def sort_indices_with_sign(space: SuperSpace, key):

@@ -1,62 +1,18 @@
 """Oriented graphs, canonical forms with signs, contraction and the boundary.
 
-Orientation data is a vertex ordering plus an orientation of every edge; the
-sign group is generated by vertex transpositions and single edge flips, each
-contributing -1.  A graph vanishes (sign 0) precisely when some automorphism
-induces an odd total sign; loops always do, via the half-edge swap.
+A graph has one representation: its vertex count and its directed edges
+between the ordered vertex slots; ``CanonicalGraph`` represents its class.
+The sign group is generated by vertex transpositions and single edge flips,
+each contributing -1.  A graph vanishes (sign 0) precisely when some
+automorphism induces an odd total sign; loops always do, via the half-edge
+swap.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import linalg
-from .graded import perm_parity, sparse_sum
-
-
-class OrientedGraph:
-    """Half-edge presentation matching the JSON interchange format."""
-
-    def __init__(self, n_half, vertices, edges, vertex_order=None):
-        self.n_half = n_half
-        self.vertices = [sorted(block) for block in vertices]
-        self.edges = [tuple(e) for e in edges]
-        self.vertex_order = list(vertex_order
-                                 if vertex_order is not None
-                                 else range(len(self.vertices)))
-        self.validate()
-
-    def validate(self):
-        halves = sorted(h for block in self.vertices for h in block)
-        if halves != list(range(1, self.n_half + 1)):
-            raise ValueError("vertex blocks must partition the half-edges 1..2E")
-        covered = sorted(h for e in self.edges for h in e)
-        if covered != list(range(1, self.n_half + 1)):
-            raise ValueError("edges must partition the half-edges into pairs")
-        if any(len(e) != 2 for e in self.edges):
-            raise ValueError("edges must have exactly two half-edges")
-        if sorted(self.vertex_order) != list(range(len(self.vertices))):
-            raise ValueError("vertex_order must order the vertex blocks")
-        if any(len(block) < 3 for block in self.vertices):
-            raise ValueError("every vertex must have valence >= 3")
-
-    def directed_multigraph(self):
-        """(vertex count, tuple of directed edges over ordered vertex slots)."""
-        slot = {}
-        for pos, block_idx in enumerate(self.vertex_order):
-            for h in self.vertices[block_idx]:
-                slot[h] = pos
-        return len(self.vertices), tuple((slot[a], slot[b]) for a, b in self.edges)
-
-    def to_json(self):
-        return {"half_edges": self.n_half,
-                "vertices": [list(b) for b in self.vertices],
-                "edges": [list(e) for e in self.edges],
-                "vertex_order": list(self.vertex_order)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["half_edges"], data["vertices"], data["edges"],
-                   data.get("vertex_order"))
+from .graded import memoised, perm_parity, sparse_sum
 
 
 class CanonicalGraph:
@@ -152,16 +108,11 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     edges = tuple(edges)
     if any(a == b for a, b in edges):
         return None, 0
-    cache_key = (nv, edges)
-    hit = _canon_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    code, sign = _minimal_code(nv, edges)
-    result = (CanonicalGraph(nv, code), sign)
-    if len(_canon_cache) >= _CANON_CACHE_SIZE:
-        _canon_cache.clear()
-    _canon_cache[cache_key] = result
-    return result
+
+    def compute():
+        code, sign = _minimal_code(nv, edges)
+        return CanonicalGraph(nv, code), sign
+    return memoised(_canon_cache, _CANON_CACHE_SIZE, (nv, edges), compute)
 
 
 def _minimal_code(nv: int, edges, bound=None, signed=True):
@@ -249,11 +200,6 @@ def _minimal_code(nv: int, edges, bound=None, signed=True):
     if sum(not row for row in nbrs) > 1:
         return tuple(best), 0
     return tuple(best), (signs.pop() if len(signs) == 1 else 0)
-
-
-def canonicalize(g: OrientedGraph):
-    nv, edges = g.directed_multigraph()
-    return canonicalize_directed(nv, edges)
 
 
 def contract_directed(nv: int, edges, edge_index: int):
@@ -359,13 +305,8 @@ def enumerate_graphs(v: int, e: int):
     either.  So a non-canonical prefix has no canonical extension
     (Read-Faradzev orderly generation).
     """
-    hit = _graph_lists.get((v, e))
-    if hit is None:
-        hit = _orderly_graphs(v, e)
-        if len(_graph_lists) >= _GRAPH_LISTS_SIZE:
-            _graph_lists.clear()
-        _graph_lists[(v, e)] = hit
-    return list(hit)
+    return list(memoised(_graph_lists, _GRAPH_LISTS_SIZE, (v, e),
+                         lambda: _orderly_graphs(v, e)))
 
 
 def _orderly_graphs(v: int, e: int) -> tuple:

@@ -31,7 +31,9 @@ coefficients and top the largest degree.
 
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
-convention.
+convention.  ``SuperPolynomial.deriv_left`` is its one definition:
+``wick.right_deriv`` and ``divergence`` are derived from it through the
+grading involution.
 
 Derivations and vector fields take no declared parity: each sign is the
 Koszul sign of one term, read off with ``graded.monomial_parity``, so a field
@@ -63,23 +65,12 @@ def merge_keys(space: SuperSpace, k1, k2):
     return tuple(sorted(k1 + k2)), sign
 
 
-def left_partial(pars, key, v):
-    """(rest, f) with d^L_v y_key = f * y_rest, v in the canonical monomial key: f is
-    the multiplicity of an even v, and (-1)^{|P|} for an odd v after the prefix P."""
-    pos = key.index(v)
-    if pars[v]:
-        f = -1 if sum(pars[i] for i in key[:pos]) % 2 else 1
-    else:
-        f = key.count(v)
-    return key[:pos] + key[pos + 1:], f
-
-
 def left_partials(pars, key):
     """{v: (pos, f)} for each variable v of the canonical monomial key, in key
     order, in one walk: pos is the first position of v and d^L_v y_key = f *
-    y_rest with rest the key without that position, f as in ``left_partial``
-    (the multiplicity of an even v, (-1)^{|P|} for an odd v after the prefix
-    P; odd variables never repeat, so |P| is the count of odd ones before)."""
+    y_rest with rest the key without that position, f as in
+    ``SuperPolynomial.deriv_left`` (odd variables never repeat, so |P| is
+    the count of odd ones before)."""
     out = {}
     odd = 0
     for pos, v in enumerate(key):
@@ -204,14 +195,18 @@ class SuperPolynomial:
 
     # -- calculus -----------------------------------------------------------
     def deriv_left(self, var: int) -> "SuperPolynomial":
-        """Left partial derivative with respect to variable `var`."""
+        """Left partial derivative with respect to variable `var`: y_key goes
+        to f * y_key with its first y_var dropped, f the multiplicity of an
+        even var and (-1)^{|P|} for an odd var after the prefix P."""
         pars = self.space.parities
 
         def terms():
             for key, val in self.terms.items():
                 if var in key:
-                    rest, f = left_partial(pars, key, var)
-                    yield rest, f * val
+                    pos = key.index(var)
+                    f = ((-1 if sum(pars[i] for i in key[:pos]) % 2 else 1)
+                         if pars[var] else key.count(var))
+                    yield key[:pos] + key[pos + 1:], f * val
         return SuperPolynomial(self.space, sparse_sum(terms()))
 
     def substitute(self, images, target_space: SuperSpace) -> "SuperPolynomial":
@@ -350,23 +345,17 @@ def apply_derivation(space, images, f: SuperPolynomial) -> SuperPolynomial:
 
 
 def divergence(eta: VectorField) -> SuperPolynomial:
-    """nabla(eta) = sum_i (-1)^{p_i + p_i|eta|} d/dy_i [eta(y_i)], in one pass.
+    """nabla(eta) = sum_i (-1)^{p_i + p_i|eta|} d/dy_i [eta(y_i)].
 
     A monomial m of eta(y_i) lies in the part of eta of parity |m| + p_i, so
     it takes the sign (-1)^{p_i + p_i(|m| + p_i)} = (-1)^{p_i|m|}; a field of
-    mixed parity needs no splitting.
+    mixed parity needs no splitting.  For an odd y_i, d^L_i m has parity
+    |m| - 1, so the sign is minus the grading involution of d^L_i eta(y_i).
     """
     space = eta.space
-    pars = space.parities
-
-    def terms():
-        for i, img in enumerate(eta.images):
-            for key, val in img.terms.items():
-                if i in key:
-                    rest, f = left_partial(pars, key, i)
-                    odd = pars[i] and monomial_parity(space, key)
-                    yield rest, (-f if odd else f) * val
-    return SuperPolynomial(space, sparse_sum(terms()))
+    return SuperPolynomial.sum(space, (
+        -img.deriv_left(i).grading_involution() if p else img.deriv_left(i)
+        for i, (img, p) in enumerate(zip(eta.images, space.parities))))
 
 
 class MultilinearMap:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import (EVEN, ODD, SuperSpace, integer_terms, monomial_parity, sparse_sum,
-                     tensor_space, vector_parity)
+from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_terms,
+                     monomial_parity, sparse_sum, tensor_space, vector_parity)
 from .forms import FormContext
 from .superpoly import SuperPolynomial, VectorField, left_partials, merge_keys
 
@@ -148,13 +148,10 @@ def upsilon(ctx: FormContext, omega: SuperPolynomial) -> BilinearForm:
         else:
             rows[i][j] += si * val
             rows[j][i] += -si * (-1 if (pars[i] and pars[j]) else 1) * val
-    parity = None
-    for key in omega.terms:
-        p = (pars[key[0] - n] + pars[key[1] - n]) % 2
-        parity = p if parity is None else parity
-        if parity != p:
-            raise ValueError("2-form must be parity homogeneous")
-    return BilinearForm(ctx.base, rows, EVEN if parity is None else parity, "skew")
+    parities = {monomial_parity(ctx.space, k) for k in omega.terms} or {EVEN}
+    if len(parities) > 1:
+        raise ValueError("2-form must be parity homogeneous")
+    return BilinearForm(ctx.base, rows, parities.pop(), "skew")
 
 
 def upsilon_inverse(ctx: FormContext, b: BilinearForm) -> SuperPolynomial:
@@ -376,21 +373,15 @@ class LagrangianSubspace:
         if symp.parity != ODD:
             raise ValueError("Lagrangian gauges live in odd symplectic spaces")
         self.symp = symp
-        self.vectors = [tuple(Fraction(x) for x in v) for v in vectors]
+        self.vectors = dense_vectors(symp.space, vectors)
         n = len(symp.space) // 2
         if len(self.vectors) != n:
             raise ValueError("a Lagrangian in n|n has total dimension n")
         self.parities = [vector_parity(symp.space, v) for v in self.vectors]
         if linalg.rank([list(v) for v in self.vectors]) != n:
             raise ValueError("basis vectors are dependent")
-        for u in self.vectors:
-            for w in self.vectors:
-                if symp.form.evaluate(u, w) != 0:
-                    raise ValueError("subspace is not isotropic")
-
-    def dim(self):
-        ev = sum(1 for p in self.parities if p == EVEN)
-        return (ev, len(self.parities) - ev)
+        if any(map(any, symp.form.restrict(self.vectors))):
+            raise ValueError("subspace is not isotropic")
 
     def subspace(self) -> SuperSpace:
         return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, sparse_sum
-from .superpoly import SuperPolynomial, VectorField, divergence, left_partial
+from .graded import EVEN, ODD, SuperSpace, koszul_sign
+from .superpoly import SuperPolynomial, VectorField, divergence
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          pi2_of_form, restrict_polynomial)
 
@@ -155,17 +155,9 @@ class QuadraticWeight:
 
 def right_deriv(f: SuperPolynomial, var: int) -> SuperPolynomial:
     """Right-acting partial derivative (odd integration convention): for an odd
-    var, (-1)^{|m| - 1} times the left one on a monomial m."""
-    pars = f.space.parities
-
-    def terms():
-        for key, val in f.terms.items():
-            if var in key:
-                rest, c = left_partial(pars, key, var)
-                if pars[var] and not sum(pars[i] for i in key) % 2:
-                    c = -c
-                yield rest, c * val
-    return SuperPolynomial(f.space, sparse_sum(terms()))
+    var, the grading involution of the left one, (-1)^{|m| - 1} on a monomial m."""
+    d = f.deriv_left(var)
+    return d.grading_involution() if f.space.parities[var] else d
 
 
 def berezin_integrate(f: SuperPolynomial, odd_vars) -> SuperPolynomial:

@@ -10,8 +10,8 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms
 from bvgraph.superpoly import MultilinearMap, SuperPolynomial
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, find_gauges, g3,
-                               g3_gauge, k2, k2_gauge, so3_reduced, verify_axioms,
-                               vertex_tensor_on_vectors)
+                               g3_gauge, k2, k2_gauge, partner_lists, so3_reduced,
+                               verify_axioms, vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
 from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
                             cycle_space, enumerate_graphs, theta_graph)
@@ -474,19 +474,31 @@ def test_so3_fixture_gives_nonzero_amplitudes(monkeypatch):
 
 
 def test_feynman_value_reads_a_reassigned_propagator():
-    # setting propagator sets integer_propagator too, so F follows a
-    # propagator reassigned after F was evaluated: theta has 3 chords.  The
-    # suites read F through the gauge's amplitudes, which the setter
-    # empties, so no amplitude outlives the propagator it was taken with
+    # setting propagator sets integer_propagator and the partner lists too,
+    # so F follows a propagator reassigned after F was evaluated: theta has 3
+    # chords.  The suites read F through the gauge's amplitudes, which the
+    # setter empties, so no amplitude outlives the propagator it was taken
+    # with
     gauge = find_gauges(so3_reduced())[0][0]
     theta = GraphChain({theta_graph(): Fraction(1)})
     assert feynman_value(gauge, theta_graph()) == 6 == feynman_on_chain(gauge, theta)
     assert gauge.amplitudes == {theta_graph(): 6}
     gauge.propagator = [[-x for x in row] for row in gauge.propagator]
     assert gauge.integer_propagator == integer_matrix(gauge.propagator)
+    assert gauge.partners == partner_lists(gauge.propagator)
     assert gauge.amplitudes == {}
     assert feynman_value(gauge, theta_graph()) == -6 == feynman_on_chain(gauge, theta)
     assert feynman_cochain(gauge, 2, 3) == {theta_graph(): -6}
+    # F looks its chords up by the partner lists: through a propagator with
+    # no partners and back, stale lists would keep F at 0
+    negated = gauge.propagator
+    dim = len(negated)
+    gauge.propagator = [[Fraction(0)] * dim for _ in range(dim)]
+    assert gauge.partners == ([()] * dim, [()] * dim)
+    assert feynman_value(gauge, theta_graph()) == 0 == feynman_on_chain(gauge, theta)
+    gauge.propagator = negated
+    assert gauge.partners == partner_lists(negated) != ([()] * dim, [()] * dim)
+    assert feynman_value(gauge, theta_graph()) == -6 == feynman_on_chain(gauge, theta)
 
 
 def test_amplitudes_are_computed_once_and_stay_within_their_bound(monkeypatch):
@@ -682,8 +694,9 @@ class SyntheticGauge:
     4-dimensional space: graded-symmetric mu_3..mu_5 of odd total parity, and
     the inverse of an even skew form as propagator (zero between opposite
     parities, so the recursion's cut is exercised), each also in its integer
-    form, and the empty ``amplitudes`` that the suites read F through.  The
-    oracles read ``mu(k)`` and ``propagator``."""
+    form, the propagator's partner lists, and the empty ``amplitudes`` that
+    the suites read F through.  The oracles read ``mu(k)`` and
+    ``propagator``."""
 
     def __init__(self, seed, parities):
         rng = random.Random(seed)
@@ -709,6 +722,10 @@ class SyntheticGauge:
     @property
     def integer_propagator(self):
         return integer_matrix(self.propagator)
+
+    @property
+    def partners(self):
+        return partner_lists(self.propagator)
 
 
 SYNTHETIC_SETTINGS = [(seed, parities) for seed in (0, 1, 2)

@@ -368,15 +368,33 @@ def test_gauge_invariants():
 
 
 def test_gauge_rejects_non_isotropic():
+    # a complement of d(A), so only the isotropy test can reject it:
+    # <xi12, xi123 + xi3> = 1
     alg = g3()
     idx = {nm: i for i, nm in enumerate(alg.space.names)}
     bad = []
-    for nm in ("xi1", "xi2", "xi12", "xi123"):
+    for names in (("xi1",), ("xi12",), ("xi13",), ("xi123", "xi3")):
         v = [Fraction(0)] * 8
-        v[idx[nm]] = Fraction(1)
+        for nm in names:
+            v[idx[nm]] = Fraction(1)
         bad.append(v)
-    with pytest.raises(ValueError):
+    assert linalg.rank(bad + [list(v) for v in alg.d_image]) == 8
+    with pytest.raises(ValueError, match="isotropic"):
         Gauge(alg, bad)
+
+
+@pytest.mark.parametrize("edit", ("trailing_zero", "trailing_one", "short"))
+def test_gauge_rejects_vectors_of_the_wrong_length(edit):
+    # each vector has one entry per basis vector of A, checked before the
+    # vertex tensors or the parities read them
+    vectors = [list(v) for v in g3_gauge(0, 0, 0, 1).vectors]
+    for v in vectors:
+        if edit == "short":
+            del v[-1]
+        else:
+            v.append(Fraction(edit == "trailing_one"))
+    with pytest.raises(ValueError, match="8 entries"):
+        Gauge(g3(), vectors)
 
 
 def test_json_round_trip():
@@ -418,6 +436,46 @@ def test_json_index_out_of_range_is_rejected(field, entry):
 ], ids=["no_basis", "no_parity", "no_name"])
 def test_json_basis_without_a_field_is_rejected(data):
     with pytest.raises(ValueError, match="name and a parity"):
+        algebra_from_json(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pairing", 0.5), ("pairing", True), ("mult", 1.0), ("differential", False),
+])
+def test_json_inexact_coefficients_are_rejected(field, value):
+    # a float loads as its binary value, and a bool is not a number
+    data = algebra_to_json(g3())
+    data[field][0][-1] = value
+    with pytest.raises(ValueError, match=f"{field} coefficient"):
+        algebra_from_json(data)
+
+
+def test_json_coefficients_load_exactly_or_not_at_all():
+    # G3 with its pairing entries +-0.1 passes the axioms, and used to load
+    # with the pairing 3602879701896397/36028797018963968; as ints it loads
+    data = algebra_to_json(g3())
+    data["pairing"] = [[i, j, int(c)] for i, j, c in data["pairing"]]
+    assert algebra_from_json(data).pairing.rows == g3().pairing.rows
+    data["pairing"] = [[i, j, c / 10] for i, j, c in data["pairing"]]
+    with pytest.raises(ValueError, match="pairing coefficient"):
+        algebra_from_json(data)
+
+
+@pytest.mark.parametrize("field, slot", [
+    ("mult", 0), ("mult", 2), ("pairing", 1), ("differential", 0),
+])
+def test_json_bool_indices_are_rejected(field, slot):
+    # True is an int equal to 1, an index in range
+    data = algebra_to_json(g3())
+    data[field][0][slot] = True
+    with pytest.raises(ValueError, match=f"{field} index"):
+        algebra_from_json(data)
+
+
+def test_json_bool_parity_is_rejected():
+    data = algebra_to_json(so3_reduced())
+    data["basis"][0]["parity"] = True
+    with pytest.raises(ValueError, match="parities"):
         algebra_from_json(data)
 
 

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvgraph import graphs
 from bvgraph.graded import perm_parity
-from bvgraph.graphs import (GraphChain, OrientedGraph, boundary,
-                            boundary_of_graph, canonicalize,
+from bvgraph.graphs import (GraphChain, boundary, boundary_of_graph,
                             canonicalize_directed, contract_directed,
                             cycle_space, enumerate_graphs, theta_graph)
 from oracles import (canonical_multisets_oracle, canonicalize_oracle,
@@ -243,25 +242,6 @@ def test_cycle_space_enumerates_each_bidegree_once(monkeypatch):
     cycle_space(5, 8)
     cycle_space(6, 9)
     assert enumerated == [(5, 8), (6, 9)]
-
-
-def test_oriented_graph_half_edge_interface():
-    g = OrientedGraph(6, [[1, 2, 3], [4, 5, 6]], [(1, 4), (2, 5), (3, 6)])
-    rep, sign = canonicalize(g)
-    assert rep == theta_graph()
-    assert sign != 0
-    back = OrientedGraph.from_json(g.to_json())
-    assert canonicalize(back) == (rep, sign)
-
-
-def test_oriented_graph_rejects_low_valence():
-    with pytest.raises(ValueError):
-        OrientedGraph(4, [[1, 2], [3, 4]], [(1, 3), (2, 4)])
-
-
-def test_oriented_graph_rejects_bad_partition():
-    with pytest.raises(ValueError):
-        OrientedGraph(6, [[1, 2, 3], [4, 5]], [(1, 4), (2, 5), (3, 6)])
 
 
 def test_contract_theta_edge_gives_loops():

@@ -17,6 +17,8 @@ Fractions to ints in one place: no package module takes the ``lcm`` of
 denominators outside ``graded.integer_terms``.  Vertex tensors come from one
 table per list of elements: no package code outside the one-shot
 ``vertex_tensor`` and ``vertex_tensor_on_vectors`` calls either of them.
+Bounded memos have one idiom: no package module calls ``.clear()`` outside
+``graded.memoised``, which empties a full cache before it stores an entry.
 """
 import ast
 from pathlib import Path
@@ -374,4 +376,40 @@ def test_integer_scaling_goes_through_integer_terms():
             for hit in denominator_lcms(
                 path.read_text(encoding="utf-8"), path.name,
                 {"integer_terms"} if path.name == "graded.py" else ())]
+    assert hits == []
+
+
+def clear_calls(source, name="", exempt=()):
+    """Calls of a ``.clear()`` method; the bodies of the functions named in
+    `exempt` are skipped."""
+    tree = ast.parse(source)
+    skipped = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in exempt
+               for inner in ast.walk(node)}
+    return [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+            if id(node) not in skipped and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "clear"]
+
+
+def test_hand_rolled_memos_are_detected():
+    source = ("hit = _cache.get(key)\n"
+              "if hit is None:\n"
+              "    hit = compute(key)\n"
+              "    if len(_cache) >= _SIZE:\n"
+              "        _cache.clear()\n"
+              "    _cache[key] = hit\n"
+              "hit = memoised(_cache, _SIZE, key, compute)\n"
+              "def memoised(cache, size, key, compute):\n"
+              "    cache.clear()\n")
+    assert clear_calls(source, exempt={"memoised"}) == [":5 _cache.clear()"]
+    assert len(clear_calls(source)) == 2
+
+
+def test_bounded_memos_go_through_memoised():
+    # graded.memoised is the one bounded memo, so emptying a cache is
+    # allowed there and nowhere else
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in clear_calls(
+                path.read_text(encoding="utf-8"), path.name,
+                {"memoised"} if path.name == "graded.py" else ())]
     assert hits == []

@@ -512,7 +512,7 @@ def test_poisson_fields_match_form_route_on_v21():
 def test_lagrangian_from_zero_phi_is_canonical():
     u = SymplecticSpace.canonical_odd(2)
     l = canonical_lagrangian(u, 1)
-    assert l.dim() == (1, 1)
+    assert l.subspace().dim() == (1, 1)
     assert [list(v) for v in l.vectors] == [[1, 0, 0, 0], [0, 0, 0, 1]]
 
 
@@ -520,7 +520,7 @@ def test_lagrangian_from_generating_function_isotropic():
     u = SymplecticSpace.canonical_odd(2)
     phi = SuperPolynomial.monomial(u.space, (0, 3), 1)  # x1 xi2
     l = lagrangian_from_generating_function(u, phi, 1)
-    assert l.dim() == (1, 1)
+    assert l.subspace().dim() == (1, 1)
 
 
 def test_lagrangian_rejects_bad_phi():
@@ -545,7 +545,12 @@ def test_lagrangian_rejects_a_mixed_phi():
     ([(1, 0, 0, 0)], "total dimension"),
     ([(1, 0, 0, 0), (2, 0, 0, 0)], "dependent"),
     ([(1, 0, 0, 0), (0, 0, 1, 0)], "isotropic"),      # <x1, xi1> = 1
-], ids=["mixed_parity", "zero_vector", "wrong_count", "dependent", "not_isotropic"])
+    # one entry per basis vector, checked before anything reads the vectors
+    ([(1, 0, 0, 0, 0), (0, 0, 0, 1, 0)], "4 entries"),
+    ([(1, 0, 0, 0, 1), (0, 0, 0, 1, 0)], "4 entries"),
+    ([(1, 0, 0), (0, 0, 0)], "4 entries"),
+], ids=["mixed_parity", "zero_vector", "wrong_count", "dependent", "not_isotropic",
+        "trailing_zero", "trailing_one", "short"])
 def test_lagrangian_rejects_bad_bases(vectors, match):
     u = SymplecticSpace.canonical_odd(2)
     with pytest.raises(ValueError, match=match):
