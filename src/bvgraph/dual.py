@@ -6,10 +6,11 @@ tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
 routes share no object, and the commuting-diagram check S = F o I is the
 keystone that pins every remaining sign convention end to end.
 
-The kernel ``feynman_value`` looks each vertex's entries of mu_k up by the
-partners, under the propagator, of the indices already assigned to the
-other ends of its chords.  The suites read F through the gauge's bounded
-``amplitudes``, so it is computed once per (gauge, graph).
+The kernel ``feynman_value`` reads canonical graphs, whose chords run from an
+earlier vertex to a later one: it looks each vertex's entries of mu_k up by
+the partners, under the propagator, of the indices already assigned to the
+earlier ends of the chords that close there.  The suites read F through the
+gauge's bounded ``amplitudes``, so it is computed once per (gauge, graph).
 """
 from __future__ import annotations
 
@@ -32,6 +33,11 @@ from .ce import CEChain, ce_differential, osp_action
 
 # ---------------------------------------------------------------------------
 # The tensor model A (x) V and its odd symplectic structure
+
+# Bounds each model's memo of Psi of a monomial of V, full or restricted,
+# which is cleared when full; a commute benchmark pass misses it 33 times.
+_PSI_SIZE = 1 << 12
+
 
 class TensorModel:
     """A (x) V with its odd symplectic form and the quadratic Hamiltonian of d.
@@ -89,27 +95,26 @@ class TensorModel:
             coeff * self._psi_monomial(key) for key, coeff in h.terms.items()))
 
     def _psi_monomial(self, key) -> SuperPolynomial:
-        """Psi of one monomial of V, once per key: one ``sparse_sum`` over the
-        entries of mu_k, for k = 2 the pairing's <a_i, a_j> in row-major order.
-        It reads the table's integer entries and their scale D
-        (``VertexTensors.integer_mu``), and divides each output coefficient
-        once by D."""
-        if key in self._psi_cache:
-            return self._psi_cache[key]
-        k = len(key)
-        d, mu = self.vertex_tensors.integer_mu(k)
-        vpar = [self.v.space.parities[i] for i in key]
-        apar = self.alg.space.parities
+        """Psi of one monomial of V, once per key while the bounded memo holds
+        it: one ``sparse_sum`` over the entries of mu_k, for k = 2 the
+        pairing's <a_i, a_j> in row-major order.  It reads the table's
+        integer entries and their scale D (``VertexTensors.integer_mu``), and
+        divides each output coefficient once by D."""
+        def compute():
+            k = len(key)
+            d, mu = self.vertex_tensors.integer_mu(k)
+            vpar = [self.v.space.parities[i] for i in key]
+            apar = self.alg.space.parities
 
-        def terms():
-            for alphas, mval in mu:
-                zkey, sign = sort_indices_with_sign(
-                    self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)))
-                if zkey is not None:
-                    yield zkey, sign * shuffle_sign(vpar, [apar[a] for a in alphas]) * mval
-        out = SuperPolynomial(self.space, sparse_sum(terms(), d))
-        self._psi_cache[key] = out
-        return out
+            def terms():
+                for alphas, mval in mu:
+                    zkey, sign = sort_indices_with_sign(
+                        self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)))
+                    if zkey is not None:
+                        shuffle = shuffle_sign(vpar, [apar[a] for a in alphas])
+                        yield zkey, sign * shuffle * mval
+            return SuperPolynomial(self.space, sparse_sum(terms(), d))
+        return memoised(self._psi_cache, _PSI_SIZE, key, compute)
 
 
 def shuffle_sign(vpar, apar) -> int:
@@ -172,9 +177,8 @@ class GaugeModel:
         It restricts the full-space ``TensorModel._psi_monomial``; a gauge
         model holds no vertex tensor, so S and F share no vertex data.
         """
-        if key not in self._psi:
-            self._psi[key] = self.restrict(self.model._psi_monomial(key))
-        return self._psi[key]
+        return memoised(self._psi, _PSI_SIZE, key,
+                        lambda: self.restrict(self.model._psi_monomial(key)))
 
     def psi_of_word(self, word) -> SuperPolynomial:
         """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) of the restricted factors."""
@@ -265,19 +269,15 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
     blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
     times the chord sign of the assigned gauge indices a.  The recursion
-    assigns one block at a time.  A chord whose ends lie in two blocks
-    closes in the block of its later end.  With a the index at its earlier
-    end, its entry is nonzero only where the later index x is a partner of
-    a: prop[a][x] != 0 (the row support of a) when the later end is the
-    chord's second slot, and prop[x][a] != 0 (the column support) when it is
-    the first.  So each block's entries are indexed once per call by their
-    indices at the later ends of its closing chords (the keys), and a node
-    runs over the product of the partner lists of the assigned earlier ends,
-    multiplies those propagator entries once per key and looks the key up:
-    the entries it never visits are exactly those whose product is 0.  A
-    chord with both ends in the block (a loop) is multiplied in per entry,
-    and a branch is cut where it gives 0.  Nothing is memoised here; the
-    suites read F through ``gauge.amplitudes``.
+    assigns one block at a time.  A canonical graph's edges run small to
+    large, so each chord (i, j) closes in the later block, that of j, and
+    prop[a_i][x] != 0 only for x a partner of a_i (its row support).  So
+    each block's entries are indexed once per call by their indices at the
+    later ends of its closing chords (the keys), and a node runs over the
+    product of the partner lists of the assigned earlier ends, multiplies
+    those propagator entries once per key and looks the key up: the entries
+    it never visits are exactly those whose product is 0.  Nothing is
+    memoised here; the suites read F through ``gauge.amplitudes``.
 
     The chord sign is the Koszul sign of reordering the slots into
     (i1, j1, i2, j2, ...): -1 for each inverted pair of slots x > y, x
@@ -295,23 +295,15 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     scaled = {k: gauge.integer_mu(k) for k in set(sizes)}
     d_p, prop = gauge.integer_propagator
     lpar = gauge.parities
-    # a closing chord's entry is mat[a][x], mat the propagator when its later
-    # end is its second slot and the transpose otherwise; supports[.][a]
-    # lists the partners x of a (``frobenius.partner_lists``)
-    mats = (prop, list(zip(*prop)))
-    supports = gauge.partners
+    partners = gauge.partners
     vertex_of = [vtx for vtx, k in enumerate(sizes) for _ in range(k)]
     offsets = [vertex_of.index(vtx) for vtx in range(len(sizes))]
-    earlier = [[] for _ in sizes]  # (earlier slot, supports, mat) per chord
+    earlier = [[] for _ in sizes]  # the earlier slot of each chord closing here
     keys = [[] for _ in sizes]     # its later slot, counted in the block
-    loops = [[] for _ in sizes]
     for i, j in chord:
-        vtx = vertex_of[max(i, j)]
-        if vertex_of[min(i, j)] == vtx:
-            loops[vtx].append((i, j))
-        else:
-            earlier[vtx].append((min(i, j), supports[i > j], mats[i > j]))
-            keys[vtx].append(max(i, j) - offsets[vtx])
+        vtx = vertex_of[j]
+        earlier[vtx].append(i)
+        keys[vtx].append(j - offsets[vtx])
     tables = []  # each block's entries by their indices at the keys
     for k, ks in zip(sizes, keys):
         table = {}
@@ -328,31 +320,25 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
 
     def rec(vtx, assignment, coeff):
         nonlocal total
-        table, ends = tables[vtx], earlier[vtx]
-        own, crossed = loops[vtx], crossings[vtx]
+        table, ends, crossed = tables[vtx], earlier[vtx], crossings[vtx]
         leaf = vtx + 1 == len(sizes)
-        for key in product(*[support[assignment[s]] for s, support, _ in ends]):
+        for key in product(*[partners[assignment[s]] for s in ends]):
             entries = table.get(key)
             if entries is None:
                 continue
             key_coeff = coeff
-            for (s, _, mat), x in zip(ends, key):
-                key_coeff *= mat[assignment[s]][x]
+            for s, x in zip(ends, key):
+                key_coeff *= prop[assignment[s]][x]
             for idx, mval in entries:
                 assigned = assignment + idx
                 val = key_coeff * mval
-                for i, j in own:
-                    val *= prop[assigned[i]][assigned[j]]
-                    if not val:
-                        break
+                for x, y in crossed:
+                    if lpar[assigned[x]] and lpar[assigned[y]]:
+                        val = -val
+                if leaf:
+                    total += val
                 else:
-                    for x, y in crossed:
-                        if lpar[assigned[x]] and lpar[assigned[y]]:
-                            val = -val
-                    if leaf:
-                        total += val
-                    else:
-                        rec(vtx + 1, assigned, val)
+                    rec(vtx + 1, assigned, val)
 
     if sizes:
         rec(0, (), 1)

@@ -17,7 +17,7 @@ from itertools import chain, combinations, compress, islice
 
 from . import linalg
 from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_matrix, integer_terms,
-                     koszul_sign, sparse_sum, vector_parity)
+                     koszul_sign, memoised, span_space, sparse_sum, vector_parity)
 from .symplectic import BilinearForm
 
 
@@ -169,10 +169,10 @@ class Gauge:
     It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
     ``propagator``, the rows of the inverse restricted d-form, and their
     integer forms ``integer_mu(k)`` and ``integer_propagator``, and the
-    propagator's ``partners``: ``dual.feynman_value`` reads only those and
-    ``parities``.  It also carries ``amplitudes``, the values F(Gamma)
-    already computed on it by graph, which ``dual.feynman_on_chain`` and
-    ``dual.feynman_cochain`` read through; they bound its size.
+    propagator's row supports ``partners``: ``dual.feynman_value`` reads
+    only those and ``parities``.  It also carries ``amplitudes``, the values
+    F(Gamma) already computed on it by graph, which ``dual.feynman_on_chain``
+    and ``dual.feynman_cochain`` read through; they bound its size.
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
@@ -215,7 +215,7 @@ class Gauge:
         self.amplitudes = {}
 
     def subspace(self) -> SuperSpace:
-        return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
+        return span_space(self.parities)
 
     def restricted_form(self) -> BilinearForm:
         rows = self.alg.d_form.restrict(self.vectors)
@@ -230,11 +230,9 @@ class Gauge:
         return self.vertex_tensors.integer_mu(k)
 
 
-def partner_lists(rows) -> tuple:
-    """(by row, by column): for each index a of a square matrix, the x with
-    rows[a][x] != 0, and the x with rows[x][a] != 0, ascending."""
-    idx = range(len(rows))
-    return tuple([tuple(compress(idx, r)) for r in mat] for mat in (rows, zip(*rows)))
+def partner_lists(rows) -> list:
+    """For each row a of a matrix, the x with rows[a][x] != 0, ascending."""
+    return [tuple(compress(range(len(r)), r)) for r in rows]
 
 
 def find_gauges(alg: FrobeniusAlgebra):
@@ -317,6 +315,10 @@ def find_gauges(alg: FrobeniusAlgebra):
     return gauges, info
 
 
+# Bounds each table's memos of mu_k by valence k, cleared when full.
+_VALENCES_SIZE = 64
+
+
 class VertexTensors:
     """The vertex tensors mu_k(v_1..v_k) = <v_1 ... v_{k-1}, v_k> of a list
     of elements (the basis of A, or a gauge basis), for every k >= 2.
@@ -380,19 +382,18 @@ class VertexTensors:
         built once per valence k >= 2."""
         if k < 2:
             raise ValueError("vertex tensors need valence >= 2")
-        if k not in self._integer_mu:
-            self._integer_mu[k] = (self.product_scale(k - 1) * self._scales[2], [
+        return memoised(self._integer_mu, _VALENCES_SIZE, k, lambda: (
+            self.product_scale(k - 1) * self._scales[2], [
                 (prefix + (last,), val) for prefix, prod in self.products(k - 1)
                 for last, cov in enumerate(self._covectors)
-                if (val := sum(a * cov[i] for i, a in prod.items() if i in cov))])
-        return self._integer_mu[k]
+                if (val := sum(a * cov[i] for i, a in prod.items() if i in cov))]))
 
     def mu(self, k: int) -> dict:
         """mu_k as a sparse dict of Fractions, built once per valence k >= 2."""
-        if k not in self._mu:
+        def compute():
             scale, entries = self.integer_mu(k)
-            self._mu[k] = {key: Fraction(val, scale) for key, val in entries}
-        return self._mu[k]
+            return {key: Fraction(val, scale) for key, val in entries}
+        return memoised(self._mu, _VALENCES_SIZE, k, compute)
 
 
 def _product_step(prod, right) -> dict:

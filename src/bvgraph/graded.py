@@ -30,11 +30,12 @@ The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
 serve the vertex tensors mu_k (``frobenius``) and the multilinear maps of
 ``superpoly`` (keys ``args + (out,)``).  ``dense_vectors`` and
 ``vector_parity`` are the length and parity tests of the basis vectors of the
-gauges of ``frobenius`` and ``symplectic``, and ``monomial_parity`` the parity
-of a monomial key: every parity in the package is read off the terms through
-it, so no caller declares the parity of a whole polynomial, field or
-derivation.  ``memoised`` is the one bounded memo, the graph, graph-list and
-amplitude caches of ``graphs`` and ``dual``.
+gauges of ``frobenius`` and ``symplectic``, ``span_space`` the coordinate
+space of such a basis, and ``monomial_parity`` the parity of a monomial key:
+every parity in the package is read off the terms through it, so no caller
+declares the parity of a whole polynomial, field or derivation.  ``memoised``
+is the one bounded memo of the package: every cache of a module or an object
+goes through it.
 """
 from __future__ import annotations
 
@@ -239,6 +240,11 @@ def dense_vectors(space: SuperSpace, vectors) -> list:
     if any(len(v) != len(space) for v in out):
         raise ValueError(f"each vector needs {len(space)} entries, one per basis vector")
     return out
+
+
+def span_space(parities) -> SuperSpace:
+    """The coordinates l0, l1, ... of a subspace basis of these parities."""
+    return SuperSpace([f"l{i}" for i in range(len(parities))], parities)
 
 
 def memoised(cache: dict, size: int, key, compute):

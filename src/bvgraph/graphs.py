@@ -16,13 +16,18 @@ from .graded import memoised, perm_parity, sparse_sum
 
 
 class CanonicalGraph:
-    """Canonical representative of an isomorphism class: a hashable key."""
+    """Canonical representative of an isomorphism class: a hashable key.
+    Its edges (a, b) run small to large, 0 <= a < b < n_vertices, the normal
+    form ``dual.feynman_value`` reads; anything else is a ValueError."""
 
     __slots__ = ("n_vertices", "edges")
 
     def __init__(self, n_vertices, edges):
+        edges = tuple(sorted(tuple(e) for e in edges))
+        if not all(0 <= a < b < n_vertices for a, b in edges):
+            raise ValueError(f"edges must run small to large on {n_vertices} vertices")
         self.n_vertices = n_vertices
-        self.edges = tuple(sorted(tuple(e) for e in edges))
+        self.edges = edges
 
     def valences(self):
         val = [0] * self.n_vertices

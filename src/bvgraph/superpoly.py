@@ -31,9 +31,9 @@ coefficients and top the largest degree.
 
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, Berezin integrals) inherits this single
-convention.  ``SuperPolynomial.deriv_left`` is its one definition:
-``wick.right_deriv`` and ``divergence`` are derived from it through the
-grading involution.
+convention, defined once by ``left_partials``: ``SuperPolynomial.deriv_left``
+reads it, and ``wick.right_deriv`` and ``divergence`` are derived from that
+through the grading involution.
 
 Derivations and vector fields take no declared parity: each sign is the
 Koszul sign of one term, read off with ``graded.monomial_parity``, so a field
@@ -68,9 +68,10 @@ def merge_keys(space: SuperSpace, k1, k2):
 def left_partials(pars, key):
     """{v: (pos, f)} for each variable v of the canonical monomial key, in key
     order, in one walk: pos is the first position of v and d^L_v y_key = f *
-    y_rest with rest the key without that position, f as in
-    ``SuperPolynomial.deriv_left`` (odd variables never repeat, so |P| is
-    the count of odd ones before)."""
+    y_rest with rest the key without that position.  f is the multiplicity
+    of an even v, and (-1)^{|P|} for an odd v after the prefix P (odd
+    variables never repeat, so |P| is the count of odd ones before).  It is
+    the one definition of the left derivative's factor."""
     out = {}
     odd = 0
     for pos, v in enumerate(key):
@@ -196,16 +197,14 @@ class SuperPolynomial:
     # -- calculus -----------------------------------------------------------
     def deriv_left(self, var: int) -> "SuperPolynomial":
         """Left partial derivative with respect to variable `var`: y_key goes
-        to f * y_key with its first y_var dropped, f the multiplicity of an
-        even var and (-1)^{|P|} for an odd var after the prefix P."""
+        to f * y_key with its first y_var dropped, f the factor
+        ``left_partials`` gives."""
         pars = self.space.parities
 
         def terms():
             for key, val in self.terms.items():
                 if var in key:
-                    pos = key.index(var)
-                    f = ((-1 if sum(pars[i] for i in key[:pos]) % 2 else 1)
-                         if pars[var] else key.count(var))
+                    pos, f = left_partials(pars, key)[var]
                     yield key[:pos] + key[pos + 1:], f * val
         return SuperPolynomial(self.space, sparse_sum(terms()))
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_terms,
-                     monomial_parity, sparse_sum, tensor_space, vector_parity)
+from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_terms, monomial_parity,
+                     span_space, sparse_sum, tensor_space, vector_parity)
 from .forms import FormContext
 from .superpoly import SuperPolynomial, VectorField, left_partials, merge_keys
 
@@ -384,7 +384,7 @@ class LagrangianSubspace:
             raise ValueError("subspace is not isotropic")
 
     def subspace(self) -> SuperSpace:
-        return SuperSpace([f"l{i}" for i in range(len(self.vectors))], self.parities)
+        return span_space(self.parities)
 
 
 def lagrangian_from_generating_function(symp: SymplecticSpace, phi: SuperPolynomial,

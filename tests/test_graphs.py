@@ -19,6 +19,19 @@ def test_loop_graph_canonicalizes_to_zero():
     assert canonicalize_directed(1, ((0, 0), (0, 0))) == (None, 0)
 
 
+@pytest.mark.parametrize("nv, edges", [
+    (2, ((0, 1), (0, 1), (1, 1))),  # a loop
+    (2, ((0, 1), (1, 0), (0, 1))),  # a reversed edge
+    (2, ((0, 1), (0, 1), (0, 2))),  # a vertex out of range
+    (2, ((-1, 1), (0, 1), (0, 1))),
+], ids=["loop", "reversed", "out_of_range", "negative"])
+def test_canonical_graph_rejects_edges_off_the_normal_form(nv, edges):
+    # a canonical graph's edges run small to large between its vertices,
+    # the only presentation feynman_value reads
+    with pytest.raises(ValueError, match="small to large"):
+        graphs.CanonicalGraph(nv, edges)
+
+
 def test_theta_is_nonzero():
     rep, sign = canonicalize_directed(2, ((0, 1), (0, 1), (0, 1)))
     assert sign != 0

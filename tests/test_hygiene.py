@@ -18,7 +18,9 @@ denominators outside ``graded.integer_terms``.  Vertex tensors come from one
 table per list of elements: no package code outside the one-shot
 ``vertex_tensor`` and ``vertex_tensor_on_vectors`` calls either of them.
 Bounded memos have one idiom: no package module calls ``.clear()`` outside
-``graded.memoised``, which empties a full cache before it stores an entry.
+``graded.memoised``, which empties a full cache before it stores an entry, and
+none hand-rolls a memo of its own: no ``if k in d: return d[k]``, no
+``if k not in d: d[k] = ...`` and no ``lru_cache`` or ``cache`` decorator.
 """
 import ast
 from pathlib import Path
@@ -405,11 +407,78 @@ def test_hand_rolled_memos_are_detected():
     assert len(clear_calls(source)) == 2
 
 
+def memo_lookups(source, name=""):
+    """Hand-rolled memos: ``if k in d`` whose body returns d[k], ``if k not
+    in d`` whose body assigns d[k], for a dict d that outlives a call (an
+    attribute or a module-level name), and ``lru_cache``/``cache``
+    decorators."""
+    tree = ast.parse(source)
+    module_names = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) \
+                and len(node.test.ops) == 1:
+            d = node.test.comparators[0]
+            if not (isinstance(d, ast.Attribute)
+                    or isinstance(d, ast.Name) and d.id in module_names):
+                continue
+            entry = ast.unparse(ast.Subscript(d, node.test.left))
+            inner = [n for stmt in node.body for n in ast.walk(stmt)]
+            returned = {ast.unparse(n.value) for n in inner
+                        if isinstance(n, ast.Return) and n.value is not None}
+            assigned = {ast.unparse(t) for n in inner if isinstance(n, ast.Assign)
+                        for t in n.targets}
+            op = type(node.test.ops[0])
+            if entry in {ast.In: returned, ast.NotIn: assigned}.get(op, ()):
+                hits.append(f"{name}:{node.lineno} if {ast.unparse(node.test)}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                called = target.attr if isinstance(target, ast.Attribute) else \
+                    getattr(target, "id", None)
+                if called in ("lru_cache", "cache"):
+                    hits.append(f"{name}:{dec.lineno} @{ast.unparse(dec)}")
+    return hits
+
+
+def test_memo_lookups_and_cache_decorators_are_detected():
+    # a dict local to one call, such as the first position of each variable
+    # in a walk, is no memo
+    source = ("_lists = {}\n"
+              "if key in self._memo:\n"
+              "    return self._memo[key]\n"
+              "if k not in self._mu:\n"
+              "    self._mu[k] = build(k)\n"
+              "if k not in _lists:\n"
+              "    _lists[k] = build(k)\n"
+              "@lru_cache(maxsize=None)\n"
+              "def diagrams(k):\n"
+              "    return k\n"
+              "@functools.cache\n"
+              "def table(k):\n"
+              "    return k\n"
+              "if k in self._out:\n"
+              "    self._out[k] += v\n"
+              "if k not in self._seen:\n"
+              "    self._seen.add(k)\n"
+              "if v not in first:\n"
+              "    first[v] = pos\n"
+              "@cached_property\n"
+              "def d_image(self):\n"
+              "    return 1\n")
+    assert memo_lookups(source) == [
+        ":2 if key in self._memo", ":4 if k not in self._mu", ":6 if k not in _lists",
+        ":8 @lru_cache(maxsize=None)", ":11 @functools.cache"]
+
+
 def test_bounded_memos_go_through_memoised():
     # graded.memoised is the one bounded memo, so emptying a cache is
-    # allowed there and nowhere else
-    hits = [hit for path in sorted(SRC.glob("*.py"))
-            for hit in clear_calls(
-                path.read_text(encoding="utf-8"), path.name,
-                {"memoised"} if path.name == "graded.py" else ())]
+    # allowed there and nowhere else, and no module keeps a memo of its own
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        hits += clear_calls(source, path.name,
+                            {"memoised"} if path.name == "graded.py" else ())
+        hits += memo_lookups(source, path.name)
     assert hits == []
