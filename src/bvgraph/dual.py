@@ -50,16 +50,15 @@ class TensorModel:
             raise ValueError("V must carry an even symplectic form")
         self.alg = alg
         self.v = v
-        self.space = tensor_space(alg.space, v.space)
+        form = alg.pairing.tensor_with(v.form)
+        self.space = form.space
         self.nv = len(v.space)
-        form = alg.pairing.tensor_with(v.form, space=self.space)
         self.symp = SymplecticSpace(form)
         self.vertex_tensors = VertexTensors(alg, linalg.identity(len(alg.space)))
         self.mu = self.vertex_tensors.mu
         self._psi_cache = {}
         self.sigma = self._sigma_tilde()
-        self.dform = BilinearForm(self.space, i2_of_quadratic(self.sigma),
-                                  EVEN, "sym", check=False)
+        self.dform = i2_of_quadratic(self.sigma)
 
     def z(self, alpha: int, i: int) -> int:
         """Variable index of a* (x) w* for algebra slot alpha, V slot i."""
@@ -77,7 +76,7 @@ class TensorModel:
 
     def dform_entrywise(self) -> BilinearForm:
         """The printed tensored form: (-1)^{|w1||a2|} <a1,a2>_d <w1,w2>_W."""
-        return self.alg.d_form.tensor_with(self.v.form, space=self.space)
+        return self.alg.d_form.tensor_with(self.v.form)
 
     # -- Psi on Hamiltonians -------------------------------------------------
     def psi(self, h: SuperPolynomial) -> SuperPolynomial:

@@ -2,10 +2,11 @@
 
 An algebra is given by sparse structure constants, a differential matrix and a
 pairing matrix over a named basis.  Its product ``mul``, its differential and
-its pairing act on sparse coefficient dicts {basis index: Fraction}, for the
-axioms and the gauges.  The dual construction reads an algebra through its
-vertex tensors mu_k, which ``VertexTensors`` builds from one walk of products
-over ints: the elements, their covectors and the structure constants
+its pairing (``BilinearForm.evaluate``) act on sparse coefficient dicts
+{basis index: Fraction}, for the axioms.  A gauge is a Lagrangian of the
+pairing.  The dual construction reads an algebra through its vertex tensors
+mu_k, which ``VertexTensors`` builds from one walk of products over ints: the
+elements, their covectors and the structure constants
 (``FrobeniusAlgebra.integer_mult``) are scaled to ints once, and each entry of
 mu_k is divided once by the product of the scales.
 """
@@ -16,9 +17,9 @@ from functools import cached_property
 from itertools import chain, combinations, compress, islice
 
 from . import linalg
-from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_matrix, integer_terms,
-                     koszul_sign, memoised, span_space, sparse_sum, vector_parity)
-from .symplectic import BilinearForm
+from .graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms, koszul_sign,
+                     memoised, sparse_sum, vector_parity)
+from .symplectic import BilinearForm, LagrangianSubspace
 
 
 class FrobeniusAlgebra:
@@ -34,9 +35,6 @@ class FrobeniusAlgebra:
         self.pairing = BilinearForm(space, pairing, ODD, "sym", check=False)
 
     # -- element algebra ------------------------------------------------------
-    def basis_element(self, i):
-        return {i: Fraction(1)}
-
     def mul(self, u, v):
         return sparse_sum((k, a * b * c) for i, a in u.items() for j, b in v.items()
                           for k, c in self.mult.get((i, j), {}).items())
@@ -44,13 +42,6 @@ class FrobeniusAlgebra:
     def d_of(self, u):
         return sparse_sum((k, self.diff[k][j] * c) for j, c in u.items()
                           for k in range(len(self.space)) if self.diff[k][j])
-
-    def pair(self, u, v) -> Fraction:
-        total = Fraction(0)
-        for i, a in u.items():
-            for j, b in v.items():
-                total += a * self.pairing.rows[i][j] * b
-        return total
 
     # -- structural data -----------------------------------------------------
     # An algebra is not changed after construction, so d(A) and <-,->_d are
@@ -86,7 +77,8 @@ def verify_axioms(alg: FrobeniusAlgebra) -> dict:
     sp = alg.space
     n = len(sp)
     p = sp.parities
-    e = [alg.basis_element(i) for i in range(n)]
+    e = [{i: Fraction(1)} for i in range(n)]
+    pair = alg.pairing.evaluate
 
     for (i, j), img in alg.mult.items():
         for k, c in img.items():
@@ -113,7 +105,7 @@ def verify_axioms(alg: FrobeniusAlgebra) -> dict:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if alg.pair(alg.mul(e[i], e[j]), e[k]) != alg.pair(e[i], alg.mul(e[j], e[k])):
+                if pair(alg.mul(e[i], e[j]), e[k]) != pair(e[i], alg.mul(e[j], e[k])):
                     failures.append(f"invariance <ab,c>=<a,bc> fails at ({i},{j},{k})")
     for j in range(n):
         for k in range(n):
@@ -133,23 +125,20 @@ def verify_axioms(alg: FrobeniusAlgebra) -> dict:
             failures.append(f"d^2 != 0 on basis vector {j}")
     for i in range(n):
         for j in range(n):
-            lhs = alg.pair(alg.d_of(e[i]), e[j])
-            rhs = alg.pair(e[i], alg.d_of(e[j])) * (-1 if p[i] else 1)
+            lhs = pair(alg.d_of(e[i]), e[j])
+            rhs = pair(e[i], alg.d_of(e[j])) * (-1 if p[i] else 1)
             if lhs + rhs != 0:
                 failures.append(f"d-invariance of the pairing fails at ({i},{j})")
     return {"ok": not failures, "failures": sorted(set(failures))}
 
 
 def degenerate_form(alg: FrobeniusAlgebra) -> BilinearForm:
-    """<a,b>_d = (-1)^a <a, d(b)> ; even, super-antisymmetric, kernel >= ker d."""
-    n = len(alg.space)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        si = -1 if alg.space.parities[i] else 1
-        for j in range(n):
-            rows[i][j] = si * alg.pair(alg.basis_element(i),
-                                       alg.d_of(alg.basis_element(j)))
-    return BilinearForm(alg.space, rows, EVEN, "skew")
+    """<a,b>_d = (-1)^a <a, d(b)>: the matrix (-1)^{p_i} (P D)_ij, P the
+    pairing and D the differential; even, super-antisymmetric, kernel >= ker d."""
+    cols = linalg.transpose(alg.diff)
+    return BilinearForm(alg.space, [
+        [(-1 if p else 1) * sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
+        for row, p in zip(alg.pairing.rows, alg.space.parities)], EVEN, "skew")
 
 
 def check_contractible(alg: FrobeniusAlgebra):
@@ -163,8 +152,9 @@ def check_contractible(alg: FrobeniusAlgebra):
     return linalg.rank(stacked) == rk_img, rk_img
 
 
-class Gauge:
-    """A graded isotropic complement L of d(A) with nondegenerate <-,->_d.
+class Gauge(LagrangianSubspace):
+    """A Lagrangian L of the pairing that complements d(A), with <-,->_d
+    nondegenerate on it; ``LagrangianSubspace`` checks the basis.
 
     It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
     ``propagator``, the rows of the inverse restricted d-form, and their
@@ -176,23 +166,17 @@ class Gauge:
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
+        super().__init__(alg.pairing, vectors)
         self.alg = alg
-        self.vectors = dense_vectors(alg.space, vectors)
         self.label = label
-        self.vertex_tensors = VertexTensors(alg, self.vectors)
-        self.parities = [vector_parity(alg.space, v) for v in self.vectors]
         self.validate()
+        self.vertex_tensors = VertexTensors(alg, self.vectors)
 
     def validate(self):
-        alg = self.alg
-        n = len(alg.space)
-        if 2 * len(self.vectors) != n:
-            raise ValueError("gauge must be half-dimensional")
-        if any(map(any, alg.pairing.restrict(self.vectors))):
-            raise ValueError("gauge is not isotropic for the pairing")
-        img = alg.d_image
-        stacked = [list(v) for v in self.vectors] + [list(v) for v in img]
-        if linalg.rank(stacked) != n:
+        """The complement test and the propagator; ``LagrangianSubspace``
+        has checked the basis."""
+        stacked = [list(v) for v in self.vectors] + [list(v) for v in self.alg.d_image]
+        if linalg.rank(stacked) != len(self.alg.space):
             raise ValueError("gauge does not complement d(A)")
         try:
             self.propagator = self.restricted_form().inverse().rows
@@ -213,9 +197,6 @@ class Gauge:
         self.integer_propagator = integer_matrix(rows)
         self.partners = partner_lists(rows)
         self.amplitudes = {}
-
-    def subspace(self) -> SuperSpace:
-        return span_space(self.parities)
 
     def restricted_form(self) -> BilinearForm:
         rows = self.alg.d_form.restrict(self.vectors)
@@ -315,7 +296,7 @@ def find_gauges(alg: FrobeniusAlgebra):
     return gauges, info
 
 
-# Bounds each table's memos of mu_k by valence k, cleared when full.
+# Bounds each table's memo of integer mu_k by valence k, cleared when full.
 _VALENCES_SIZE = 64
 
 
@@ -323,11 +304,11 @@ class VertexTensors:
     """The vertex tensors mu_k(v_1..v_k) = <v_1 ... v_{k-1}, v_k> of a list
     of elements (the basis of A, or a gauge basis), for every k >= 2.
 
-    ``mu(k)`` holds the nonzero entries as Fractions, products taken left to
-    right, keyed by index tuples in lexicographic order; ``integer_mu(k)`` is
-    the same table as (scale, [(key, scale * entry)]), the form the integer
-    kernels read.  Both pair level k - 1 of one walk of products,
-    ``products(k - 1)``, with each element v through its covector c = P v
+    ``mu(k)`` gives the nonzero entries as Fractions, products taken left to
+    right, keyed by index tuples in lexicographic order; ``integer_mu(k)``,
+    kept once per valence, is the same table as (scale, [(key, scale *
+    entry)]), the form the integer kernels read.  Both pair level k - 1 of
+    one walk of products, ``products(k - 1)``, with each element v through its covector c = P v
     (P the pairing matrix): <u, v> = sum_i u_i c_i.  So mu_2 is the pairing
     itself.  Level n lists (t, v_{t_1} ... v_{t_n}) for the tuples t of
     length n with a nonzero product, in lexicographic order; it is built
@@ -361,7 +342,6 @@ class VertexTensors:
         self._scales = d_e, d_m, d_c
         self._levels = [[((i,), el) for i, el in enumerate(elements) if el]]
         self._integer_mu = {}
-        self._mu = {}
 
     def products(self, n: int) -> list:
         """Level n >= 1 of the walk over ints, each product times
@@ -389,11 +369,9 @@ class VertexTensors:
                 if (val := sum(a * cov[i] for i, a in prod.items() if i in cov))]))
 
     def mu(self, k: int) -> dict:
-        """mu_k as a sparse dict of Fractions, built once per valence k >= 2."""
-        def compute():
-            scale, entries = self.integer_mu(k)
-            return {key: Fraction(val, scale) for key, val in entries}
-        return memoised(self._mu, _VALENCES_SIZE, k, compute)
+        """mu_k as a sparse dict of Fractions, from ``integer_mu(k)``."""
+        scale, entries = self.integer_mu(k)
+        return {key: Fraction(val, scale) for key, val in entries}
 
 
 def _product_step(prod, right) -> dict:

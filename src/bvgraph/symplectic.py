@@ -75,22 +75,18 @@ class BilinearForm:
         return BilinearForm(self.space.dual(), binv, self.parity, sym)
 
     def evaluate(self, u, v) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    total += a * self.rows[i][j] * b
-        return total
+        """<u, v> = sum_ij u_i B_ij v_j, each vector a dense sequence or a
+        sparse {index: coefficient} dict."""
+        vs = [(j, b) for j, b in _entries(v) if b]
+        return sum((a * self.rows[i][j] * b for i, a in _entries(u) if a for j, b in vs),
+                   Fraction(0))
 
     def restrict(self, vectors):
         """Gram matrix on a list of (homogeneous) vectors."""
         return [[self.evaluate(u, v) for v in vectors] for u in vectors]
 
-    def tensor_with(self, other: "BilinearForm", space=None) -> "BilinearForm":
+    def tensor_with(self, other: "BilinearForm") -> "BilinearForm":
         """<a1 (x) w1, a2 (x) w2> = (-1)^{|w1||a2|} <a1,a2> <w1,w2>."""
-        sp = space or tensor_space(self.space, other.space)
         na, nw = len(self.space), len(other.space)
         rows = [[Fraction(0)] * (na * nw) for _ in range(na * nw)]
         for a1 in range(na):
@@ -103,11 +99,17 @@ class BilinearForm:
                             rows[a1 * nw + w1][a2 * nw + w2] = sgn * v
         parity = (self.parity + other.parity) % 2
         symmetry = "sym" if self.symmetry == other.symmetry else "skew"
-        return BilinearForm(sp, rows, parity, symmetry)
+        return BilinearForm(tensor_space(self.space, other.space), rows, parity, symmetry)
 
 
-def i2_of_quadratic(sigma: SuperPolynomial) -> list:
-    """The bilinear form i_2(sigma) of a quadratic function, as a matrix."""
+def _entries(x):
+    """The (index, coefficient) pairs of a dense sequence or a sparse dict."""
+    return x.items() if isinstance(x, dict) else enumerate(x)
+
+
+def i2_of_quadratic(sigma: SuperPolynomial) -> BilinearForm:
+    """The even symmetric bilinear form i_2(sigma) of a quadratic function;
+    ValueError unless sigma is even and quadratic."""
     n = len(sigma.space)
     pars = sigma.space.parities
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -120,7 +122,7 @@ def i2_of_quadratic(sigma: SuperPolynomial) -> list:
         else:
             rows[i][j] += val
             rows[j][i] += (-1 if (pars[i] and pars[j]) else 1) * val
-    return rows
+    return BilinearForm(sigma.space, rows, EVEN, "sym")
 
 
 def pi2_of_form(b: BilinearForm) -> SuperPolynomial:
@@ -367,20 +369,21 @@ def _gradient(pars, key):
 
 
 class LagrangianSubspace:
-    """Graded maximally isotropic subspace of an odd symplectic space."""
+    """A Lagrangian of an odd nondegenerate form: a graded isotropic subspace
+    of half the total dimension, given by a basis."""
 
-    def __init__(self, symp: SymplecticSpace, vectors):
-        if symp.parity != ODD:
+    def __init__(self, form: BilinearForm, vectors):
+        if form.parity != ODD:
             raise ValueError("Lagrangian gauges live in odd symplectic spaces")
-        self.symp = symp
-        self.vectors = dense_vectors(symp.space, vectors)
-        n = len(symp.space) // 2
+        self.form = form
+        self.vectors = dense_vectors(form.space, vectors)
+        n = len(form.space) // 2
         if len(self.vectors) != n:
             raise ValueError("a Lagrangian in n|n has total dimension n")
-        self.parities = [vector_parity(symp.space, v) for v in self.vectors]
+        self.parities = [vector_parity(form.space, v) for v in self.vectors]
         if linalg.rank([list(v) for v in self.vectors]) != n:
             raise ValueError("basis vectors are dependent")
-        if any(map(any, symp.form.restrict(self.vectors))):
+        if any(map(any, form.restrict(self.vectors))):
             raise ValueError("subspace is not isotropic")
 
     def subspace(self) -> SuperSpace:
@@ -414,7 +417,7 @@ def lagrangian_from_generating_function(symp: SymplecticSpace, phi: SuperPolynom
         for i in range(k):      # xi_i = -d phi / dx_i
             vec[n + i] = -phi.deriv_left(i).coefficient((n + t,))
         vectors.append(vec)
-    return LagrangianSubspace(symp, vectors)
+    return LagrangianSubspace(symp.form, vectors)
 
 
 def canonical_lagrangian(symp: SymplecticSpace, k: int) -> LagrangianSubspace:

@@ -109,7 +109,7 @@ class QuadraticWeight:
 
     @classmethod
     def from_sigma(cls, sigma: SuperPolynomial) -> "QuadraticWeight":
-        return cls(BilinearForm(sigma.space, i2_of_quadratic(sigma), EVEN, "sym"))
+        return cls(i2_of_quadratic(sigma))
 
     def sigma(self) -> SuperPolynomial:
         return pi2_of_form(self.form)

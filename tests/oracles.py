@@ -124,7 +124,7 @@ def vertex_tensor_oracle(alg, vectors, k):
     out = {}
     for tup in product(range(len(els)), repeat=k):
         prod = reduce(alg.mul, (els[i] for i in tup[:-1]))
-        val = alg.pair(prod, els[tup[-1]])
+        val = alg.pairing.evaluate(prod, els[tup[-1]])
         if val:
             out[tup] = val
     return out

@@ -387,7 +387,7 @@ def test_psi_vev_vertex_tensor_and_diagram_memos_stay_within_their_bounds(monkey
     table = model.vertex_tensors
     assert [table.mu(k) for k in (3, 2, 3)] == [frobenius.vertex_tensor(model.alg, k)
                                                  for k in (3, 2, 3)]
-    assert len(table._mu) == len(table._integer_mu) == 1
+    assert len(table._integer_mu) == 1
     assert [len(chord_diagrams(k)) for k in (3, 2, 3)] == [15, 3, 15]
     assert len(wick._chord_diagrams) == 1
 
@@ -441,7 +441,6 @@ def test_gauge_owns_its_feynman_data():
         assert prop == [[x * d_p for x in row] for row in gauge.propagator]
         for k in (3, 4):
             assert gauge.mu(k) == vertex_tensor_on_vectors(alg, gauge.vectors, k)
-            assert gauge.mu(k) is gauge.mu(k)
             scale, entries = gauge.integer_mu(k)
             assert gauge.integer_mu(k) is gauge.integer_mu(k)
             assert list(gauge.mu(k).items()) == [(key, Fraction(val, scale))

@@ -14,6 +14,7 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
                                vertex_tensor_on_vectors)
 from bvgraph import frobenius, linalg
 from bvgraph.graded import EVEN, ODD, is_symmetric_tensor, perm_parity
+from bvgraph.symplectic import LagrangianSubspace
 from oracles import rescaled, vertex_tensor_oracle
 
 # so3red in a scaled basis: its structure constants and its pairing have
@@ -141,6 +142,19 @@ def test_gauge_with_a_degenerate_restricted_d_form_is_rejected():
     alg = FrobeniusAlgebra(base.space, base.mult, base.diff, [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="degenerate"):
         Gauge(alg, [(0, 1)])
+
+
+def test_gauge_basis_is_checked_as_a_lagrangian():
+    # a gauge is a Lagrangian of the pairing, so three vectors of a G3 gauge,
+    # or a repeated one, fail the Lagrangian's basis checks before the
+    # complement test
+    alg = g3()
+    vectors = g3_gauge(1, 2, 3, 4, alg=alg).vectors
+    assert isinstance(g3_gauge(alg=alg), LagrangianSubspace)
+    with pytest.raises(ValueError, match="total dimension"):
+        Gauge(alg, vectors[:3])
+    with pytest.raises(ValueError, match="dependent"):
+        Gauge(alg, vectors[:3] + vectors[:1])
 
 
 def test_so3_reduced_fixture():
@@ -282,7 +296,6 @@ def test_vertex_tensors_match_the_oracle_in_any_order():
     for k in (6, 3, 5, 4):
         mu = table.mu(k)
         assert list(mu.items()) == list(vertex_tensor_oracle(alg, vectors, k).items())
-        assert table.mu(k) is mu
 
 
 def test_vertex_tensors_build_each_level_of_products_once(monkeypatch):

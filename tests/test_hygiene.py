@@ -21,6 +21,8 @@ Bounded memos have one idiom: no package module calls ``.clear()`` outside
 ``graded.memoised``, which empties a full cache before it stores an entry, and
 none hand-rolls a memo of its own: no ``if k in d: return d[k]``, no
 ``if k not in d: d[k] = ...`` and no ``lru_cache`` or ``cache`` decorator.
+Every ``BilinearForm`` of the package is checked when it is built, but for
+the pairing of a ``FrobeniusAlgebra``, which ``verify_axioms`` reports on.
 """
 import ast
 from pathlib import Path
@@ -482,3 +484,49 @@ def test_bounded_memos_go_through_memoised():
                             {"memoised"} if path.name == "graded.py" else ())
         hits += memo_lookups(source, path.name)
     assert hits == []
+
+
+def unchecked_forms(source, name=""):
+    """``BilinearForm`` calls that may skip the form's check: a ``check``
+    argument other than the literal True, by keyword or in fifth place, each
+    as 'file:line owner', the owner the classes and functions around it."""
+    hits = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and called_name(child) == "BilinearForm":
+                flags = [k.value for k in child.keywords if k.arg == "check"]
+                flags += child.args[4:5]
+                if any(not (isinstance(f, ast.Constant) and f.value is True) for f in flags):
+                    hits.append(f"{name}:{child.lineno} {'.'.join(owner)}")
+            visit(child, owner)
+    visit(ast.parse(source), ())
+    return hits
+
+
+def test_unchecked_forms_are_detected():
+    source = ("class FrobeniusAlgebra:\n"
+              "    def __init__(self, space, rows):\n"
+              "        self.pairing = BilinearForm(space, rows, ODD, 'sym', check=False)\n"
+              "def i2_of_quadratic(sigma):\n"
+              "    return symplectic.BilinearForm(space, rows, EVEN, 'sym', check=False)\n"
+              "form = BilinearForm(space, rows, EVEN, 'sym', check=flag)\n"
+              "form = BilinearForm(space, rows, EVEN, 'sym', False)\n"
+              "form = BilinearForm(space, rows, EVEN, 'sym', check=True)\n"
+              "form = BilinearForm(space, rows, EVEN, 'sym')\n"
+              "report = verify(alg, check=False)\n")
+    assert unchecked_forms(source) == [":3 FrobeniusAlgebra.__init__",
+                                       ":5 i2_of_quadratic", ":6 ", ":7 "]
+
+
+def test_only_the_algebra_pairing_skips_the_form_check():
+    # an algebra's pairing may be degenerate or even (the vanishing theorem's
+    # control algebra has an even one): verify_axioms reports it, so it is
+    # built unchecked; every other form is checked
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in unchecked_forms(path.read_text(encoding="utf-8"), path.name)]
+    assert [hit.split(" ", 1)[1] for hit in hits] == ["FrobeniusAlgebra.__init__"]
+    assert hits[0].startswith("frobenius.py:")

@@ -12,7 +12,7 @@ from bvgraph.symplectic import (BilinearForm, LagrangianSubspace, SymplecticSpac
                                 i2_of_quadratic, pi2_of_form,
                                 lagrangian_from_generating_function,
                                 restrict_polynomial, upsilon, upsilon_inverse)
-from bvgraph.frobenius import g3, k2, so3_reduced
+from bvgraph.frobenius import FrobeniusAlgebra, Gauge, g3, k2, so3_reduced, verify_axioms
 from bvgraph.dual import TensorModel, psi_of_word
 from bvgraph import linalg, sampling
 from oracles import (canonical_laplacian_oracle, contraction_matrix_oracle,
@@ -94,8 +94,8 @@ def test_inverse_form_commutes_with_tensor():
     v = SymplecticSpace.canonical_even(1, 0)
     tens = pa.tensor_with(v.form)
     lhs = tens.inverse()
-    rhs = pa.inverse().tensor_with(v.form.inverse(), space=lhs.space)
-    assert lhs.matrix() == rhs.matrix()
+    rhs = pa.inverse().tensor_with(v.form.inverse())
+    assert lhs.rows == rhs.rows
 
 
 def test_singular_inverse_raises():
@@ -112,8 +112,8 @@ def test_i2_pi2_round_trip():
         sigma = sampling.polynomial(rng, v.space, 2, parity=EVEN, min_degree=2)
         sigma = SuperPolynomial(v.space, {k: c for k, c in sigma.terms.items()
                                           if len(k) == 2})
-        rows = i2_of_quadratic(sigma)
-        b = BilinearForm(v.space, rows, EVEN, "sym")
+        b = i2_of_quadratic(sigma)
+        assert (b.parity, b.symmetry) == (EVEN, "sym")
         assert pi2_of_form(b) == sigma
 
 
@@ -539,7 +539,7 @@ def test_lagrangian_rejects_a_mixed_phi():
         lagrangian_from_generating_function(u, mixed, 1)
 
 
-@pytest.mark.parametrize("vectors, match", [
+BAD_BASES = pytest.mark.parametrize("vectors, match", [
     ([(1, 0, 1, 0), (0, 1, 0, 0)], "homogeneous"),   # x1 + xi1
     ([(0, 0, 0, 0), (0, 1, 0, 0)], "nonzero"),
     ([(1, 0, 0, 0)], "total dimension"),
@@ -551,10 +551,26 @@ def test_lagrangian_rejects_a_mixed_phi():
     ([(1, 0, 0), (0, 0, 0)], "4 entries"),
 ], ids=["mixed_parity", "zero_vector", "wrong_count", "dependent", "not_isotropic",
         "trailing_zero", "trailing_one", "short"])
+
+
+@BAD_BASES
 def test_lagrangian_rejects_bad_bases(vectors, match):
     u = SymplecticSpace.canonical_odd(2)
     with pytest.raises(ValueError, match=match):
-        LagrangianSubspace(u, vectors)
+        LagrangianSubspace(u.form, vectors)
+
+
+@BAD_BASES
+def test_gauge_rejects_bad_bases(vectors, match):
+    # a gauge is a Lagrangian of the pairing: on U_{2|2}'s space with the odd
+    # symmetric pairing <x_i, xi_i> = 1 (zero product and differential) the
+    # same bases fail with the same messages
+    u = SymplecticSpace.canonical_odd(2)
+    alg = FrobeniusAlgebra(u.space, {}, linalg.zeros(4, 4),
+                           [[abs(c) for c in row] for row in u.form.rows])
+    assert verify_axioms(alg)["ok"]
+    with pytest.raises(ValueError, match=match):
+        Gauge(alg, vectors)
 
 
 def test_duality_map_examples():
