@@ -73,11 +73,14 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     parity of the relabeling times one -1 per redirected edge, and 0 when two
     relabelings achieve the minimum with opposite signs (odd automorphism).
     A graph with a loop is zero in the graph complex: it gives (None, 0),
-    before the cache is consulted.
+    before the cache is consulted.  Neither the code nor the sign depends on
+    the order of the edges, so the cache is keyed, and the search run, on
+    the sorted edges.
 
     The minimum is found by a depth-first search that gives labels 0, 1, 2,
-    ... in turn and reaches every minimal relabeling, so the sign is exact.
-    Both of its cuts only drop relabelings whose code is strictly larger:
+    ... in turn and reaches every minimal relabeling up to twin swaps (the
+    last cut), so the sign is exact.  Its cuts only drop relabelings whose
+    code is strictly larger, or that a twin swap turns into one it keeps:
 
     - Prefix: call the edges (i, j), j > i, of one label i its block.  With
       labels 0..k-1 given, the code is fixed up to the first block i* that
@@ -96,32 +99,63 @@ def canonicalize_directed(nv: int, edges) -> tuple:
       so for the profile (m_1, m_2, ...) block k is (k, k+1) m_1 times, then
       (k, k+2) m_2 times, and so on, after blocks already fixed: a smaller
       profile gives a larger code.  Degree is not the key: a theta vertex,
-      profile (3), comes before one of profile (2, 2).  An isolated vertex
-      has the least profile, the empty one, so it is taken only when every
-      vertex left is isolated, and then only the one of least index.
-    - Isolated vertices: a vertex with no edge is never a candidate while a
-      block is open, and any permutation of the isolated vertices is an
-      automorphism: it changes no edge.  So a minimal relabeling composed
-      with the permutation that puts its isolated vertices in index order is
-      again minimal, and the full search reaches it along a path on which
-      each isolated vertex is the least unlabelled one when it is labelled;
-      the cut search keeps that path, so it finds the same minimum.  It drops
-      the other orders of the isolated vertices, and with them the signs they
-      carry: with two or more isolated vertices their transposition is an
-      automorphism of sign -1 (odd parity, no edge flipped), so the sign is 0.
+      profile (3), comes before one of profile (2, 2).
+    - Twins: vertices u and w are twins when they have the same number of
+      edges to every third vertex x.  Twinship is an equivalence, all pairs
+      of one class are joined by the same number m of edges, and twins are
+      candidates together, since the rules above see only their edges to
+      other vertices.  The transposition (u w) is an automorphism: the edges
+      u-x and w-x trade places, and each reverses exactly when its twin
+      does, so they flip an even number of edges in all; the m edges u-w
+      each reverse.  Its sign is therefore -(-1)^m.  Composing a minimal
+      relabeling with a permutation inside a class gives another minimal
+      one, so the search labels each class in index order: of the
+      unlabelled vertices of a class only the least is a candidate.  When
+      some class of two or more has m even (isolated vertices have m = 0)
+      the graph has an odd automorphism and the sign is 0.  Otherwise every
+      twin swap is even, the minimal relabelings the search drops have the
+      signs of those it keeps, and the sign over the kept ones is exact.
     """
-    edges = tuple(edges)
+    edges = tuple(sorted(edges))
     if any(a == b for a, b in edges):
         return None, 0
 
     def compute():
-        code, sign = _minimal_code(nv, edges)
+        code, sign = _minimal_code(_multiplicities(nv, edges), edges)
         return CanonicalGraph(nv, code), sign
     return memoised(_canon_cache, _CANON_CACHE_SIZE, (nv, edges), compute)
 
 
-def _minimal_code(nv: int, edges, bound=None, signed=True):
-    """(minimal sorted edge code, sign) of a loopless multigraph; see
+def _multiplicities(nv: int, edges) -> list:
+    """mult[u][w]: the number of edges between vertices u and w."""
+    mult = [[0] * nv for _ in range(nv)]
+    for a, b in edges:
+        mult[a][b] += 1
+        mult[b][a] += 1
+    return mult
+
+
+def _previous_twins(mult) -> list:
+    """For each vertex w, the greatest u < w that is w's twin, else None.
+
+    u and w are twins when their rows agree off {u, w}; as mult[u][w] =
+    mult[w][u] and both diagonal entries are 0, that is when row u with
+    entries u and w swapped equals row w.
+    """
+    previous = [None] * len(mult)
+    for w in range(1, len(mult)):
+        for u in range(w - 1, -1, -1):
+            swapped = mult[u][:]
+            swapped[u], swapped[w] = swapped[w], 0
+            if swapped == mult[w]:
+                previous[w] = u
+                break
+    return previous
+
+
+def _minimal_code(mult, edges, bound=None, signed=True):
+    """(minimal sorted edge code, sign) of the loopless multigraph with
+    multiplicity matrix ``mult`` and directed ``edges``; see
     ``canonicalize_directed``.
 
     ``bound``, a sorted edge code of the graph, turns the search into a
@@ -129,82 +163,108 @@ def _minimal_code(nv: int, edges, bound=None, signed=True):
     gives None as soon as a branch's fixed prefix falls strictly below it.
     When no relabeling beats the bound, the bound is the minimum, and the
     search, which keeps every relabeling whose code is <= the bound, still
-    visits every minimal one, so the sign is exact.  With ``signed`` false
-    the leaves take no sign, and the sign returned is None.
+    visits every minimal one up to twin swaps, so the sign is exact.  With
+    ``signed`` false the leaves take no sign, and the sign returned is None.
+
+    Each node compares only the edges its label appended with the same
+    slice of the best code, and carries down whether its prefix is already
+    strictly below the best one's; a leaf that lowers the best code makes
+    every node on its path equal to it again.
     """
-    mult = [[0] * nv for _ in range(nv)]
-    for a, b in edges:
-        mult[a][b] += 1
-        mult[b][a] += 1
-    nbrs = [[w for w in range(nv) if row[w]] for row in mult]
+    nv = len(mult)
+    nbrs = [[w for w, m in enumerate(row) if m] for row in mult]
     # profile[w]: the multiplicities of w's edges, largest first
-    profile = [sorted((row[u] for u in nbrs[w]), reverse=True)
-               for w, row in enumerate(mult)]
+    profile = [sorted(filter(None, row), reverse=True) for row in mult]
     open_half = [sum(row) for row in mult]  # half-edges to unlabelled vertices
     label = [-1] * nv
     order = []   # order[i] is the vertex labelled i
     prefix = []  # the code fixed by the labels so far
     best = None if bound is None else list(bound)
     signs = set()
+    lowered = 0  # how many leaves have lowered the best code
+    # twin[w]: the greatest twin of w below it, or None; needed at the
+    # first node with two candidates, and at once for a sign
+    twin = None
+    zero = False
+    if signed:
+        twin = _previous_twins(mult)
+        zero = any(w is not None and not mult[u][w] % 2
+                   for u, w in enumerate(twin))
 
-    def search(first_open):
+    def search(first_open, below):
         # first_open: the first label whose vertex has open half-edges, or
-        # len(order) when there is none; False once a prefix beats the bound
-        nonlocal best, signs
+        # len(order) when there is none; below: prefix is strictly below
+        # the same prefix of best (always while there is no best).  False
+        # once a prefix beats the bound.
+        nonlocal best, signs, lowered, twin
         k = len(order)
         if k == nv:
-            if best is None or prefix < best:
+            if below:
                 best = prefix[:]
                 signs = set()
-            if signed:
+                lowered += 1
+            if signed and not zero:
                 flips = sum(1 for a, b in edges if label[a] > label[b])
                 signs.add(-perm_parity(label) if flips % 2 else perm_parity(label))
             return True
         if first_open < k:
             row = mult[order[first_open]]
             free = [w for w in nbrs[order[first_open]] if label[w] < 0]
-            most = max(row[w] for w in free)
+            most = max(map(row.__getitem__, free))
             candidates = [w for w in free if row[w] == most]
         else:
             free = [w for w in range(nv) if label[w] < 0]
-            top = max(profile[w] for w in free)
+            top = max(map(profile.__getitem__, free))
             candidates = [w for w in free if profile[w] == top]
-            if not top:
-                del candidates[1:]  # isolated: only the least index
+        if len(candidates) > 1:
+            if twin is None:
+                twin = _previous_twins(mult)
+            # each class is labelled in index order, so the least unlabelled
+            # vertex of a class is the one whose previous twin is labelled
+            candidates = [w for w in candidates
+                          if twin[w] is None or label[twin[w]] >= 0]
+        mark = len(prefix)
         for w in candidates:
-            mark = len(prefix)
             label[w] = k
             order.append(w)
+            row = mult[w]
             for u in nbrs[w]:
-                open_half[u] -= mult[u][w]
+                open_half[u] -= row[u]
             i = first_open
             if i < k:
-                prefix.extend([(i, k)] * mult[order[i]][w])
+                prefix.extend([(i, k)] * row[order[i]])
             while i <= k and not open_half[order[i]]:
                 i += 1
                 if i <= k:
-                    row = mult[order[i]]
+                    row_i = mult[order[i]]
                     for j in range(i + 1, k + 1):
-                        prefix.extend([(i, j)] * row[order[j]])
-            head = prefix if best is None else best[:len(prefix)]
-            if bound is not None and prefix < head:
-                return False
-            if prefix <= head and not search(i):
-                return False
+                        prefix.extend([(i, j)] * row_i[order[j]])
+            if below:
+                keep = lower = True
+            else:
+                added = prefix[mark:]
+                head = best[mark:len(prefix)]
+                keep, lower = added <= head, added < head
+                if lower and bound is not None:
+                    return False
+            if keep:
+                seen = lowered
+                if not search(i, lower):
+                    return False
+                if lowered != seen:
+                    below = False
             del prefix[mark:]
             for u in nbrs[w]:
-                open_half[u] += mult[u][w]
+                open_half[u] += row[u]
             order.pop()
             label[w] = -1
         return True
 
-    if not search(0):
+    if not search(0, best is None):
         return None
     if not signed:
         return tuple(best), None
-    if sum(not row for row in nbrs) > 1:
-        return tuple(best), 0
-    return tuple(best), (signs.pop() if len(signs) == 1 else 0)
+    return tuple(best), (signs.pop() if len(signs) == 1 and not zero else 0)
 
 
 def contract_directed(nv: int, edges, edge_index: int):
@@ -296,11 +356,12 @@ def enumerate_graphs(v: int, e: int):
     is a sorted code.  A prefix is dropped once a vertex whose last pair has
     passed has valence < 3, or the valence still missing exceeds two per edge
     left, or the prefix is not its own canonical code.  That last test is
-    the search of ``canonicalize_directed`` bounded by the prefix itself: it
-    stops at the first relabeling that beats it.  Each class then reaches
-    exactly one leaf, its canonical code, and the bounded search that passed
-    that leaf also gives its sign, since it visits every minimal relabeling;
-    the searches of shorter prefixes take no sign.
+    the search of ``canonicalize_directed`` run with the prefix itself as
+    the best code so far, on the multiplicity matrix the generator keeps
+    edge by edge: it stops at the first branch that falls below the prefix.
+    Each class then reaches exactly one leaf, its canonical code, and the
+    test of that leaf also gives its sign; the tests of shorter prefixes
+    take no sign.
 
     The last cut is exact because being canonical passes to prefixes: let P
     be the first m edges of a code C, and suppose a relabeling pi gives
@@ -309,6 +370,22 @@ def enumerate_graphs(v: int, e: int):
     of sorted(pi(C)) are < P, sorted(pi(C)) < C, and C is not canonical
     either.  So a non-canonical prefix has no canonical extension
     (Read-Faradzev orderly generation).
+
+    Two more cuts, each O(1), drop pairs before that test.  Each names, for
+    the prefix P that ends in the new pair (a, b), a transposition pi of two
+    vertices with sorted(pi(P)) < P, so P is not canonical and the test
+    would drop it too:
+
+    - (a) Vertices enter the code in label order: the vertices a prefix
+      reaches are 0..s-1 for some s.  If a < s and b > s, pi = (b s) fixes
+      the edges before (a, b), which miss both, and gives (a, s) < (a, b).
+      So a new component must start with (s, s+1): for a > s, pi = (a s)
+      gives (s, b), and for a = s and b > s+1, pi = (b s+1) gives (s, s+1).
+    - (b) Block a gives the vertices it introduces non-increasing
+      multiplicities.  If b-1 and b were both introduced by a, every edge of
+      P at either of them is (a, b-1) or (a, b); with m copies of each
+      before the new (a, b), pi = (b-1 b) gives m+1 copies of (a, b-1) where
+      P has m, followed by a larger (a, b).
     """
     return list(memoised(_graph_lists, _GRAPH_LISTS_SIZE, (v, e),
                          lambda: _orderly_graphs(v, e)))
@@ -324,35 +401,58 @@ def _orderly_graphs(v: int, e: int) -> tuple:
     for u in range(v):
         closing[max(p for p, pair in enumerate(pairs) if u in pair) + 1].append(u)
     degs = [0] * v
+    mult = [[0] * v for _ in range(v)]
+    # intro[b]: the vertex whose block introduced b, -1 for the first vertex
+    # of a component; read for the vertices reached only
+    intro = [-1] * v
     combo = []
     found = []
 
-    def extend(start, deficit):
+    def extend(start, deficit, reached):
+        # reached: the prefix meets vertices 0..reached-1 and no other
         left = e - len(combo)
         if deficit > 2 * left:
             return
-        code = tuple(combo)
-        minimal = _minimal_code(v, code, code, signed=not left)
+        minimal = _minimal_code(mult, combo, combo, signed=not left)
         if minimal is None:
             return
         if not left:
             if minimal[1]:
-                found.append(CanonicalGraph(v, code))
+                found.append(CanonicalGraph(v, tuple(combo)))
             return
         for p in range(start, len(pairs)):
             if p > start and any(degs[u] < 3 for u in closing[p]):
                 return
             a, b = pairs[p]
+            if b < reached:
+                if intro[b] == a == intro[b - 1] and mult[a][b] == mult[a][b - 1]:
+                    continue  # cut (b)
+                grown = reached
+            elif a < reached:
+                if b > reached:
+                    continue  # cut (a): b skips vertex `reached`
+                intro[b] = a
+                grown = reached + 1
+            elif a == reached and b == a + 1:
+                intro[a] = -1
+                intro[b] = a
+                grown = reached + 2
+            else:
+                return  # cut (a): every later pair skips a vertex
             gain = (degs[a] < 3) + (degs[b] < 3)
             degs[a] += 1
             degs[b] += 1
+            mult[a][b] += 1
+            mult[b][a] += 1
             combo.append(pairs[p])
-            extend(p, deficit - gain)
+            extend(p, deficit - gain, grown)
             combo.pop()
+            mult[a][b] -= 1
+            mult[b][a] -= 1
             degs[a] -= 1
             degs[b] -= 1
 
-    extend(0, 3 * v)
+    extend(0, 3 * v, 0)
     return tuple(sorted(found, key=lambda g: g.key()))
 
 

@@ -24,13 +24,14 @@ from .superpoly import SuperPolynomial, VectorField, left_partials, merge_keys
 class BilinearForm:
     """Matrix of a parity-homogeneous super-(skew)symmetric bilinear form."""
 
-    __slots__ = ("space", "rows", "parity", "symmetry")
+    __slots__ = ("space", "rows", "parity", "symmetry", "_nondegenerate")
 
     def __init__(self, space: SuperSpace, rows, parity, symmetry, check=True):
         self.space = space
         self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
         self.parity = parity
         self.symmetry = symmetry  # "sym" | "skew"
+        self._nondegenerate = None
         if check:
             self.validate()
 
@@ -53,8 +54,12 @@ class BilinearForm:
         return [list(r) for r in self.rows]
 
     def is_nondegenerate(self) -> bool:
-        n = len(self.space)
-        return n == 0 or linalg.rank(self.matrix()) == n
+        """Whether the matrix has full rank; found once per form, whose rows
+        are a tuple of tuples and never change."""
+        if self._nondegenerate is None:
+            n = len(self.space)
+            self._nondegenerate = n == 0 or linalg.rank(self.matrix()) == n
+        return self._nondegenerate
 
     def inverse(self) -> "BilinearForm":
         """Inverse form on the dual space, via the D_l/D_r diagram.
@@ -375,6 +380,8 @@ class LagrangianSubspace:
     def __init__(self, form: BilinearForm, vectors):
         if form.parity != ODD:
             raise ValueError("Lagrangian gauges live in odd symplectic spaces")
+        if not form.is_nondegenerate():
+            raise ValueError("the form is degenerate: a Lagrangian needs a nondegenerate one")
         self.form = form
         self.vectors = dense_vectors(form.space, vectors)
         n = len(form.space) // 2

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -99,6 +100,31 @@ def test_every_prefix_of_a_canonical_code_is_canonical(case):
         assert canonicalize_directed(nv, code[:m])[0].edges == code[:m]
 
 
+@pytest.mark.parametrize("v, e", [(5, 9), (6, 9)])
+def test_canonical_codes_introduce_vertices_in_label_order(v, e):
+    # the lemma behind the O(1) cuts of enumerate_graphs: a code reaches its
+    # vertices in label order, a new component starting with (s, s+1), and
+    # each block gives the vertices it introduces non-increasing multiplicities
+    codes = {rep.edges for _, (rep, _) in canonical_multisets_oracle(v, e)}
+    disconnected = 0
+    for code in codes:
+        reached = 0
+        intro = {}  # vertex: the block that introduced it, None for a root
+        for a, b in code:
+            for u in (a, b):
+                if u >= reached:
+                    assert u == reached, code
+                    intro[u] = a if u == b else None
+                    reached += 1
+        assert reached == v
+        count = Counter(code)
+        for a in range(v):
+            mults = [count[a, b] for b in sorted(intro) if intro[b] == a]
+            assert mults == sorted(mults, reverse=True), code
+        disconnected += list(intro.values()).count(None) > 1
+    assert disconnected or v == 5
+
+
 def test_canonicalize_disconnected_minimum_at_a_low_degree_vertex():
     # the minimal code labels a degree-3 theta vertex 0, not a degree-4 one,
     # so a search that tries highest degree first misses it
@@ -141,8 +167,9 @@ def test_bounded_search_matches_oracle_on_every_prefix(v, e):
     seen = {"not canonical": 0, "signed": 0}
     for prefix in sorted(prefixes):
         rep, sign = canonicalize_oracle(v, prefix)
-        minimal = graphs._minimal_code(v, prefix, prefix)
-        unsigned = graphs._minimal_code(v, prefix, prefix, signed=False)
+        mult = graphs._multiplicities(v, prefix)
+        minimal = graphs._minimal_code(mult, prefix, prefix)
+        unsigned = graphs._minimal_code(mult, prefix, prefix, signed=False)
         if rep.edges != prefix:
             assert minimal is None is unsigned, prefix
             seen["not canonical"] += 1
@@ -153,19 +180,53 @@ def test_bounded_search_matches_oracle_on_every_prefix(v, e):
     assert all(seen.values())
 
 
+def _twin_multiplicities(nv, edges):
+    """The multiplicity m of each pair of twins u < w, both with an edge:
+    vertices with the same number of edges to every third vertex."""
+    count = Counter(tuple(sorted(edge)) for edge in edges)
+
+    def mult(x, y):
+        return count[min(x, y), max(x, y)]
+    touched = {u for edge in edges for u in edge}
+    return [mult(u, w) for u in touched for w in touched if u < w
+            and all(mult(u, x) == mult(w, x) for x in range(nv) if x not in (u, w))]
+
+
 def test_canonicalize_matches_oracle_with_isolated_vertices():
-    # every loopless multigraph on 5 vertices with at most 4 edges, so that
-    # 0 to 5 vertices are isolated
+    # every loopless multigraph on 5 vertices with at most 6 edges, so that
+    # 0 to 5 vertices are isolated; twins u, w make the swap (u w) an
+    # automorphism of sign -(-1)^m, m the edges between them
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     signed = {0: 0, 1: 0}
-    for e in range(5):
+    seen = {"odd swap of twins, zero": 0, "odd twin class, nonzero": 0}
+    for e in range(7):
         for edges in combinations_with_replacement(pairs, e):
             rep, sign = canonicalize_directed(5, edges)
             assert (rep, sign) == canonicalize_oracle(5, edges), edges
             n_isolated = 5 - len({v for edge in edges for v in edge})
             if n_isolated < 2 and sign:
                 signed[n_isolated] += 1
+            twins = _twin_multiplicities(5, edges)
+            seen["odd swap of twins, zero"] += not sign and any(m % 2 == 0 for m in twins)
+            seen["odd twin class, nonzero"] += bool(sign) and any(m % 2 for m in twins)
     assert signed[0] and signed[1]
+    assert all(seen.values()), seen
+
+
+_K33 = tuple((a, b) for a in range(3) for b in range(3, 6))
+_K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize("nv, edges, nonzero", [
+    (6, _K33, False),                    # non-adjacent twins: an odd swap
+    (4, _K4, True),                      # one twin class, m = 1
+    (2, ((0, 1),) * 3, True),            # theta: one twin class, m = 3
+    (4, ((0, 1),) * 2 + _K4[1:], False),  # twins 2, 3 with m = 1, 0 and 1 with m = 2
+], ids=["K33", "K4", "theta", "K4_doubled_edge"])
+def test_canonicalize_matches_oracle_on_twin_graphs(nv, edges, nonzero):
+    rep, sign = canonicalize_directed(nv, edges)
+    assert (rep, sign) == canonicalize_oracle(nv, edges)
+    assert bool(sign) == nonzero
 
 
 @pytest.mark.parametrize("v, es", [(v, range(10)) for v in range(1, 6)] + [(6, [9])],
@@ -204,6 +265,16 @@ def test_cycle_space_at_loop_order_5(v, e, n_graphs, n_cycles):
 def test_canonicalize_matches_oracle_on_valent_multisets(v, e):
     for combo, expected in canonical_multisets_oracle(v, e):
         assert canonicalize_directed(v, combo) == expected, combo
+
+
+def test_canonicalize_memoises_by_the_edge_multiset(monkeypatch):
+    # neither the code nor the sign depends on the order of the edges, so
+    # two orderings of one multiset share one cache entry
+    monkeypatch.setattr(graphs, "_canon_cache", {})
+    edges = ((0, 1), (2, 1), (0, 2), (1, 3), (3, 2), (0, 3), (0, 1))
+    first = canonicalize_directed(4, edges)
+    assert canonicalize_directed(4, edges[::-1]) == first == canonicalize_oracle(4, edges)
+    assert len(graphs._canon_cache) == 1
 
 
 def test_canon_cache_stays_within_its_bound(monkeypatch):

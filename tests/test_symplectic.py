@@ -553,6 +553,26 @@ BAD_BASES = pytest.mark.parametrize("vectors, match", [
         "trailing_zero", "trailing_one", "short"])
 
 
+def test_lagrangian_rejects_a_degenerate_form():
+    # isotropy is vacuous for the zero form, so [x1, x2] passes every basis
+    # check; a Lagrangian is only defined for a nondegenerate form
+    u = SymplecticSpace.canonical_odd(2)
+    zero = BilinearForm(u.space, linalg.zeros(4, 4), ODD, "sym")
+    with pytest.raises(ValueError, match="degenerate"):
+        LagrangianSubspace(zero, [(1, 0, 0, 0), (0, 1, 0, 0)])
+
+
+def test_nondegeneracy_is_found_once_per_form(monkeypatch):
+    # the rank of a form's matrix is taken at the first Lagrangian of it
+    form = SymplecticSpace.canonical_odd(2).form
+    ranks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(len(rows)) or rank(rows))
+    for vectors in ([(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0), (0, 0, 0, 1)]):
+        LagrangianSubspace(form, vectors)
+    assert ranks == [4, 2, 2]
+
+
 @BAD_BASES
 def test_lagrangian_rejects_bad_bases(vectors, match):
     u = SymplecticSpace.canonical_odd(2)
