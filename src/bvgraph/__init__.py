@@ -5,7 +5,7 @@ and a Feynman amplitude over graphs) and verifies every identity relating them
 in exact rational arithmetic.
 """
 from .graded import EVEN, ODD, SuperSpace, koszul_sign, tensor_space
-from .superpoly import MultilinearMap, SuperPolynomial, VectorField, divergence
+from .superpoly import SuperPolynomial, VectorField, divergence
 from .forms import FormContext
 from .symplectic import (BilinearForm, LagrangianSubspace, SymplecticSpace,
                          canonical_lagrangian, duality_map,
@@ -13,7 +13,7 @@ from .symplectic import (BilinearForm, LagrangianSubspace, SymplecticSpace,
 
 __all__ = [
     "EVEN", "ODD", "SuperSpace", "koszul_sign", "tensor_space",
-    "SuperPolynomial", "VectorField", "MultilinearMap", "divergence",
+    "SuperPolynomial", "VectorField", "divergence",
     "FormContext", "BilinearForm", "SymplecticSpace", "LagrangianSubspace",
     "canonical_lagrangian", "lagrangian_from_generating_function",
     "duality_map", "upsilon",

@@ -1,5 +1,8 @@
 """The dual construction: Psi, sigma-tilde, S (BV side), F (Feynman side), I.
 
+Psi lifts a Hamiltonian (``TensorModel.psi``) or a vector field
+(``psi_field``) on V to A (x) V through the products of A.
+
 S reads a ``GaugeModel``: the tensor model A (x) V, Psi restricted to L (x) V
 and the restricted weight.  F reads a ``frobenius.Gauge`` alone: the vertex
 tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
@@ -21,8 +24,7 @@ from math import prod
 from . import linalg
 from .graded import (EVEN, SuperSpace, integer_matrix, memoised, monomial_parity,
                      sort_indices_with_sign, sparse_sum, tensor_space)
-from .superpoly import (MultilinearMap, SuperPolynomial, VectorField,
-                        divergence)
+from .superpoly import SuperPolynomial, VectorField, divergence
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
 from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors
 from .wick import QuadraticWeight, live_chords
@@ -57,22 +59,15 @@ class TensorModel:
         self.vertex_tensors = VertexTensors(alg, linalg.identity(len(alg.space)))
         self.mu = self.vertex_tensors.mu
         self._psi_cache = {}
-        self.sigma = self._sigma_tilde()
+        self.sigma = self.symp.hamiltonian_of(self._dtilde_field())
         self.dform = i2_of_quadratic(self.sigma)
-
-    def z(self, alpha: int, i: int) -> int:
-        """Variable index of a* (x) w* for algebra slot alpha, V slot i."""
-        return alpha * self.nv + i
 
     def _dtilde_field(self) -> VectorField:
         """(d (x) 1)^vee: z_{(alpha,i)} -> sum_beta d[alpha][beta] z_{(beta,i)}."""
-        imgs = [SuperPolynomial(self.space, {(self.z(beta, i),): c
+        imgs = [SuperPolynomial(self.space, {(tensor_index(self.nv, beta, i),): c
                                              for beta, c in enumerate(row)})
                 for row in self.alg.diff for i in range(self.nv)]
         return VectorField(self.space, imgs)
-
-    def _sigma_tilde(self) -> SuperPolynomial:
-        return self.symp.hamiltonian_of(self._dtilde_field())
 
     def dform_entrywise(self) -> BilinearForm:
         """The printed tensored form: (-1)^{|w1||a2|} <a1,a2>_d <w1,w2>_W."""
@@ -100,20 +95,30 @@ class TensorModel:
         integer entries and their scale D (``VertexTensors.integer_mu``), and
         divides each output coefficient once by D."""
         def compute():
-            k = len(key)
-            d, mu = self.vertex_tensors.integer_mu(k)
-            vpar = [self.v.space.parities[i] for i in key]
-            apar = self.alg.space.parities
-
-            def terms():
-                for alphas, mval in mu:
-                    zkey, sign = sort_indices_with_sign(
-                        self.space, tuple(self.z(alphas[r], key[r]) for r in range(k)))
-                    if zkey is not None:
-                        shuffle = shuffle_sign(vpar, [apar[a] for a in alphas])
-                        yield zkey, sign * shuffle * mval
-            return SuperPolynomial(self.space, sparse_sum(terms(), d))
+            d, mu = self.vertex_tensors.integer_mu(len(key))
+            lifted = lift_entries(self.space, self.alg.space.parities,
+                                  self.v.space.parities, key, mu)
+            return SuperPolynomial(self.space, sparse_sum(
+                ((zkey, sign * mval) for zkey, sign, mval in lifted), d))
         return memoised(self._psi_cache, _PSI_SIZE, key, compute)
+
+
+def tensor_index(nv: int, alpha: int, i: int) -> int:
+    """Index of a* (x) w* in A (x) V (``graded.tensor_space``'s order)."""
+    return alpha * nv + i
+
+
+def lift_entries(space: SuperSpace, apar, vpar, key, entries):
+    """(sorted key, sign, x) for each (alphas, x) of entries whose lift
+    prod_r z_(alpha_r, u_r) of the monomial key of V to space = A (x) V is no
+    odd square: the sort's Koszul sign times ``shuffle_sign``.  Psi of
+    Hamiltonians and of fields both lift through it."""
+    kpar = [vpar[u] for u in key]
+    for alphas, x in entries:
+        zkey, sign = sort_indices_with_sign(
+            space, tuple(tensor_index(len(vpar), a, u) for a, u in zip(alphas, key)))
+        if zkey is not None:
+            yield zkey, sign * shuffle_sign(kpar, [apar[a] for a in alphas]), x
 
 
 def shuffle_sign(vpar, apar) -> int:
@@ -122,27 +127,33 @@ def shuffle_sign(vpar, apar) -> int:
     return -1 if odd % 2 else 1
 
 
-def psi_multilinear_map(alg: FrobeniusAlgebra, vspace: SuperSpace,
-                        zeta: MultilinearMap) -> MultilinearMap:
-    """(m_n (x) zeta) o shuffle on S^n(A (x) V); needs no symplectic data."""
-    if zeta.space != vspace:
-        raise ValueError("map must live on V")
-    nv = len(vspace)
-    apar = alg.space.parities
-    vpar = vspace.parities
-    n = zeta.rank
+def psi_field(alg: FrobeniusAlgebra, eta: VectorField) -> VectorField:
+    """Psi of a formal vector field eta on V, a field on A (x) V; it needs no
+    symplectic data.  A term c y_key of eta(y_w), key = (u_1, ..., u_n), adds
+    c * shuffle_sign * (a_alpha_1 ... a_alpha_n)_beta * prod_r z_(alpha_r, u_r)
+    to the image of z_(beta, w), for each product of level n of the walk
+    (``VertexTensors.products``, so n >= 1), times the parity twist
+    (-1)^{|t|(|a_beta| + 1)}, |t| = |key| + p_w: with it X_Psi(h) = Psi(X_h)
+    for a Hamiltonian h, and nabla Psi(eta) = 0 for eta of either parity."""
+    vspace = eta.space
+    space = tensor_space(alg.space, vspace)
+    apar, vpar = alg.space.parities, vspace.parities
     table = VertexTensors(alg, linalg.identity(len(alg.space)))
-    products = table.products(n)
 
-    def entries():
-        for (args, out_w), val in zeta.entries.items():
-            for alphas, prod_vec in products:
-                sign = shuffle_sign([vpar[a] for a in args], [apar[a] for a in alphas])
-                akey = tuple(alphas[r] * nv + args[r] for r in range(n))
-                for out_a, c in prod_vec.items():
-                    yield (akey, out_a * nv + out_w), sign * val * c
-    return MultilinearMap(tensor_space(alg.space, vspace), n,
-                          sparse_sum(entries(), table.product_scale(n)))
+    def terms():
+        for w, img in enumerate(eta.images):
+            for key, val in img.terms.items():
+                coeff = Fraction(val, table.product_scale(len(key)))
+                odd = (monomial_parity(vspace, key) + vpar[w]) % 2
+                for zkey, sign, prod_vec in lift_entries(space, apar, vpar, key,
+                                                         table.products(len(key))):
+                    for beta, c in prod_vec.items():
+                        twist = -1 if odd and not apar[beta] else 1
+                        yield (tensor_index(len(vpar), beta, w), zkey), coeff * (twist * sign * c)
+    images = [{} for _ in space.names]
+    for (z, zkey), c in sparse_sum(terms()).items():
+        images[z][zkey] = c
+    return VectorField(space, [SuperPolynomial(space, t) for t in images])
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +171,7 @@ class GaugeModel:
         self.space = tensor_space(gauge.subspace(), model.v.space)
         # restriction sends z_{(alpha,i)} to sum_s L_s[alpha] l_{(s,i)}
         nv = model.nv
-        self.images = [SuperPolynomial(self.space, {(s * nv + i,): lvec[alpha]
+        self.images = [SuperPolynomial(self.space, {(tensor_index(nv, s, i),): lvec[alpha]
                                                     for s, lvec in enumerate(gauge.vectors)
                                                     if lvec[alpha]})
                        for alpha in range(len(model.alg.space)) for i in range(nv)]
@@ -413,10 +424,11 @@ def _report(check, status, witnesses=None, **inputs):
             "witnesses": witnesses or []}
 
 
-def verify_vanishing_divergence(alg: FrobeniusAlgebra, v: SymplecticSpace,
-                                zeta: MultilinearMap) -> bool:
-    gamma = psi_multilinear_map(alg, v.space, zeta)
-    return divergence(gamma.to_field()).is_zero()
+def verify_vanishing_divergence(alg: FrobeniusAlgebra, eta: VectorField) -> dict:
+    div = divergence(psi_field(alg, eta))
+    ok = div.is_zero()
+    wit = [] if ok else [{"divergence": div.render()}]
+    return _report("vanishing_divergence", ok, wit, algebra=alg.name)
 
 
 def verify_master_equations(model: TensorModel) -> dict:

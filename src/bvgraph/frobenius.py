@@ -174,14 +174,14 @@ class Gauge(LagrangianSubspace):
 
     def validate(self):
         """The complement test and the propagator; ``LagrangianSubspace``
-        has checked the basis."""
+        has checked the basis.  ``alg.d_form`` checks d-invariance, and then
+        <-,->_d is nondegenerate on L: v in its kernel has dv in L^perp = L
+        and in d(A), so dv = 0, v is in ker d = d(A)^perp, and v is
+        orthogonal to d(A) + L = A."""
         stacked = [list(v) for v in self.vectors] + [list(v) for v in self.alg.d_image]
         if linalg.rank(stacked) != len(self.alg.space):
             raise ValueError("gauge does not complement d(A)")
-        try:
-            self.propagator = self.restricted_form().inverse().rows
-        except ValueError:
-            raise ValueError("<-,->_d restricted to the gauge is degenerate") from None
+        self.propagator = self.restricted_form().inverse().rows
 
     @property
     def propagator(self) -> list:
@@ -346,6 +346,8 @@ class VertexTensors:
     def products(self, n: int) -> list:
         """Level n >= 1 of the walk over ints, each product times
         ``product_scale(n)``; each level below it is built first, once."""
+        if n < 1:
+            raise ValueError("the walk of products starts at level 1")
         while len(self._levels) < n:
             self._levels.append([(t + (i,), p) for t, prod in self._levels[-1]
                                  for i, right in enumerate(self._right)
@@ -353,7 +355,9 @@ class VertexTensors:
         return self._levels[n - 1]
 
     def product_scale(self, n: int) -> int:
-        """D_e^n D_m^(n-1), the scale of level n of the walk."""
+        """D_e^n D_m^(n-1), the scale of level n >= 1 of the walk."""
+        if n < 1:
+            raise ValueError("the walk of products starts at level 1")
         d_e, d_m, _ = self._scales
         return d_e ** n * d_m ** (n - 1)
 

@@ -1,4 +1,4 @@
-"""Parities, Koszul signs, superspaces and sparse graded tensors.
+"""Parities, Koszul signs, superspaces and sparse sums.
 
 Everything downstream (polynomials, forms, brackets, Wick sums) reduces its
 sign bookkeeping to one primitive: the Koszul sign of rearranging an ordered
@@ -11,11 +11,11 @@ small inputs.  ``dual.wedge_sign`` and ``dual.shuffle_sign`` are closed forms
 of the same sign; ``tests/test_dual.py`` pins ``shuffle_sign`` to it.
 
 Every sparse rational combination of the package (polynomial terms, vertex
-tensors, multilinear maps, graph and Chevalley-Eilenberg chains, algebra
-elements) is accumulated by one function, ``sparse_sum``: it adds the values
-of equal keys, drops zero sums once and returns each other sum as one
-Fraction, divided by a common denominator if one is given, so that integer
-values add as plain ints.  ``SuperPolynomial.sum`` is its polynomial case.
+tensors, graph and Chevalley-Eilenberg chains, algebra elements) is
+accumulated by one function, ``sparse_sum``: it adds the values of equal
+keys, drops zero sums once and returns each other sum as one Fraction,
+divided by a common denominator if one is given, so that integer values add
+as plain ints.  ``SuperPolynomial.sum`` is its polynomial case.
 The integer kernels (the polynomial product and the restriction
 ``substitute``, the Hamiltonian field and the odd Laplacian, the walk of
 products behind the vertex tensors mu_k, Psi of a monomial, the Feynman
@@ -25,23 +25,18 @@ that takes the lcm of denominators (``integer_matrix`` is its case for a
 whole matrix), and divide once by the product of the scales, mostly by
 passing it to ``sparse_sum`` as the denominator.
 
-The sparse-tensor helpers ``permute_tensor``, ``symmetrize_tensor`` and
-``is_symmetric_tensor`` act on the first `rank` slots of each key, so they
-serve the vertex tensors mu_k (``frobenius``) and the multilinear maps of
-``superpoly`` (keys ``args + (out,)``).  ``dense_vectors`` and
-``vector_parity`` are the length and parity tests of the basis vectors of the
-gauges of ``frobenius`` and ``symplectic``, ``span_space`` the coordinate
-space of such a basis, and ``monomial_parity`` the parity of a monomial key:
-every parity in the package is read off the terms through it, so no caller
-declares the parity of a whole polynomial, field or derivation.  ``memoised``
-is the one bounded memo of the package: every cache of a module or an object
-goes through it.
+``dense_vectors`` and ``vector_parity`` are the length and parity tests of
+the basis vectors of the gauges of ``frobenius`` and ``symplectic``,
+``span_space`` the coordinate space of such a basis, and ``monomial_parity``
+the parity of a monomial key: every parity in the package is read off the
+terms through it, so no caller declares the parity of a whole polynomial,
+field or derivation.  ``memoised`` is the one bounded memo of the package:
+every cache of a module or an object goes through it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial, lcm
+from math import lcm
 
 EVEN = 0
 ODD = 1
@@ -192,33 +187,6 @@ def integer_matrix(rows):
     return d, out
 
 
-def permute_tensor(space: SuperSpace, t: dict, order) -> dict:
-    """Apply the signed place permutation to the first len(order) slots of each
-    key: slot j of the result holds slot order[j]; later slots stay in place."""
-    rank = len(order)
-    return sparse_sum(
-        (tuple(key[o] for o in order) + key[rank:],
-         koszul_sign(order, [space.parities[i] for i in key[:rank]]) * val)
-        for key, val in t.items())
-
-
-def symmetrize_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
-    """The map i_n: sum of all Koszul-signed permutations of the first `rank` slots."""
-    return sparse_sum(item for order in permutations(range(rank))
-                      for item in permute_tensor(space, t, order).items())
-
-
-def is_symmetric_tensor(space: SuperSpace, t: dict, rank: int) -> bool:
-    """Whether every signed adjacent transposition of the first `rank` slots fixes t."""
-    t = sparse_sum(t.items())
-    for s in range(rank - 1):
-        order = list(range(rank))
-        order[s], order[s + 1] = s + 1, s
-        if permute_tensor(space, t, order) != t:
-            return False
-    return True
-
-
 def monomial_parity(space: SuperSpace, key) -> int:
     """Parity of the monomial of basis indices `key`: the sum of their parities."""
     return sum(space.parities[i] for i in key) % 2
@@ -272,19 +240,3 @@ def sort_indices_with_sign(space: SuperSpace, key):
             elif key[a] == key[b] and space.parities[key[a]]:
                 return None, 0
     return tuple(sorted(key)), sign
-
-
-def average_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
-    """The map pi_n: project onto the coinvariant representative and divide by n!.
-
-    Keys repeating an odd index represent classes that vanish in the symmetric
-    algebra and are dropped.
-    """
-    fact = factorial(rank)
-
-    def terms():
-        for key, val in t.items():
-            skey, sign = sort_indices_with_sign(space, key)
-            if skey is not None:
-                yield skey, Fraction(sign, fact) * val
-    return sparse_sum(terms())

@@ -1,4 +1,4 @@
-"""Seeded random generators for polynomials, fields, forms and multilinear maps.
+"""Seeded random generators for polynomials, vector fields and forms.
 
 Every sampler takes an explicit random.Random, so the seed of that generator
 fully determines what is drawn.
@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 
 from . import linalg
 from .graded import SuperSpace, monomial_parity
-from .superpoly import MultilinearMap, SuperPolynomial, VectorField
+from .superpoly import SuperPolynomial, VectorField
 from .forms import FormContext
 
 
@@ -78,18 +78,17 @@ def form(rng, ctx: FormContext, max_degree, max_form_degree, terms=3) -> SuperPo
     return _draw_terms(rng, ctx.space, pool, terms)
 
 
-def multilinear(rng, space, rank, entries=4, parity=None) -> MultilinearMap:
-    raw = {}
-    n = len(space)
-    guard = 0
-    while len(raw) < entries and guard < 200:
-        guard += 1
-        args = tuple(rng.randrange(n) for _ in range(rank))
-        out = rng.randrange(n)
-        if parity is not None and monomial_parity(space, args + (out,)) != parity:
-            continue
-        raw[(args, out)] = rational(rng, zero_ok=False)
-    return MultilinearMap(space, rank, raw).symmetrized()
+def multilinear(rng, space, degree, terms=4, parity=None) -> VectorField:
+    """A field with images of degree `degree`: `terms` draws of a target y_w
+    and a key, of parity |key| + p_w equal to `parity` unless it is None."""
+    pool = [(w, key) for w, p in enumerate(space.parities)
+            for key in monomial_keys(space, degree)
+            if parity is None or (monomial_parity(space, key) + p) % 2 == parity]
+    images = [[] for _ in space.names]
+    for _ in range(terms):
+        w, key = pool[rng.randrange(len(pool))]
+        images[w].append(SuperPolynomial.monomial(space, key, rational(rng, zero_ok=False)))
+    return VectorField(space, [SuperPolynomial.sum(space, parts) for parts in images])
 
 
 def vector(rng, space):

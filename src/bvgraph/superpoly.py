@@ -1,4 +1,4 @@
-"""Polynomial superfunctions, graded vector fields and multilinear maps.
+"""Polynomial superfunctions and graded vector fields.
 
 Monomials are tuples of variable indices sorted ascending; odd variables never
 repeat (their square is zero) and the Koszul sign of every reordering is folded
@@ -9,8 +9,8 @@ case of ``graded.sparse_sum``: it adds the terms of all its parts into one
 dict and drops zeros once.  ``+`` and ``-`` are its two-part cases; an
 accumulation passes its parts as a generator rather than folding
 ``out = out + part``, which copies and re-filters the whole running sum at
-each step.  Products, derivatives and multilinear maps sum their terms
-through ``sparse_sum`` as well.
+each step.  Products and derivatives sum their terms through ``sparse_sum``
+as well.
 
 The product of two polynomials runs over integers.  Each factor's
 coefficients are scaled by the lcm D of their denominators
@@ -38,16 +38,17 @@ through the grading involution.
 Derivations and vector fields take no declared parity: each sign is the
 Koszul sign of one term, read off with ``graded.monomial_parity``, so a field
 or a polynomial of mixed parity is never split into its parity parts.
+
+``VectorField`` is the one format of a formal vector field: a map in
+Hom(S^n W, W) is the field whose images all have degree n.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import factorial
 
-from .graded import (EVEN, SuperSpace, integer_terms, is_symmetric_tensor,
-                     monomial_parity, sort_indices_with_sign, sparse_sum,
-                     symmetrize_tensor)
+from .graded import (EVEN, SuperSpace, integer_terms, monomial_parity,
+                     sort_indices_with_sign, sparse_sum)
 
 
 def merge_keys(space: SuperSpace, k1, k2):
@@ -150,7 +151,8 @@ class SuperPolynomial:
         one coefficient of each factor, so every summand carries that scale.
         """
         if isinstance(other, SuperPolynomial):
-            self._check(other)
+            if self.space != other.space:
+                raise ValueError("polynomials live on different variable spaces")
             space = self.space
             d1, left = integer_terms(self.terms)
             d2, right = integer_terms(other.terms)
@@ -170,10 +172,6 @@ class SuperPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def _check(self, other):
-        if self.space != other.space:
-            raise ValueError("polynomials live on different variable spaces")
 
     # -- structure ----------------------------------------------------------
     def grading_involution(self) -> "SuperPolynomial":
@@ -355,90 +353,3 @@ def divergence(eta: VectorField) -> SuperPolynomial:
     return SuperPolynomial.sum(space, (
         -img.deriv_left(i).grading_involution() if p else img.deriv_left(i)
         for i, (img, p) in enumerate(zip(eta.images, space.parities))))
-
-
-class MultilinearMap:
-    """Koszul-symmetric tensor in Hom(S^n(W), W), stored sparsely.
-
-    Entries map (args tuple of basis indices, out index) -> coefficient.
-    Symmetrizing and the symmetry test are ``graded``'s sparse-tensor
-    helpers on the flattened keys ``args + (out,)``, acting on the n
-    argument slots only.
-    """
-
-    __slots__ = ("space", "rank", "entries")
-
-    def __init__(self, space: SuperSpace, rank: int, entries=None):
-        if rank < 1:
-            raise ValueError("rank must be >= 1")
-        self.space = space
-        self.rank = rank
-        self.entries = {k: v for k, v in (entries or {}).items() if v != 0}
-
-    def _flat(self) -> dict:
-        return {args + (out,): v for (args, out), v in self.entries.items()}
-
-    def symmetrized(self) -> "MultilinearMap":
-        """Average over all Koszul-signed argument permutations."""
-        fact = factorial(self.rank)
-        flat = symmetrize_tensor(self.space, self._flat(), self.rank)
-        return MultilinearMap(self.space, self.rank,
-                              {(k[:-1], k[-1]): v / fact for k, v in flat.items()})
-
-    def is_symmetric(self) -> bool:
-        return is_symmetric_tensor(self.space, self._flat(), self.rank)
-
-    def evaluate(self, vectors):
-        """Value on a tuple of coefficient vectors; a dict {out index: Fraction}."""
-        if len(vectors) != self.rank:
-            raise ValueError("argument count mismatch")
-
-        def terms():
-            for (args, tgt), val in self.entries.items():
-                c = val
-                for slot, a in enumerate(args):
-                    c *= vectors[slot][a] if a < len(vectors[slot]) else 0
-                    if c == 0:
-                        break
-                if c:
-                    yield tgt, c
-        return sparse_sum(terms())
-
-    def to_field(self) -> VectorField:
-        """The vector field pi_n(y) * d_alpha for each entry y (x) alpha.
-
-        The 1/n! of the averaging map is folded in here; the normalization is
-        pinned by the divergence-as-supertrace cross-check.
-        """
-        space = self.space
-        fact = factorial(self.rank)
-        imgs = [SuperPolynomial.sum(space, (
-            SuperPolynomial.monomial(space, args, Fraction(1, fact) * val)
-            for (args, t), val in self.entries.items() if t == tgt))
-            for tgt in range(len(space))]
-        return VectorField(space, imgs)
-
-    @classmethod
-    def from_field(cls, eta: VectorField, degree: int) -> "MultilinearMap":
-        """Inverse of to_field on fields whose images are pure degree n."""
-        flat = {}
-        for tgt, img in enumerate(eta.images):
-            for key, val in img.terms.items():
-                if len(key) != degree:
-                    raise ValueError("field images must be homogeneous of the degree")
-                flat[key + (tgt,)] = val
-        flat = symmetrize_tensor(eta.space, flat, degree)
-        return cls(eta.space, degree, {(k[:-1], k[-1]): v for k, v in flat.items()})
-
-    def supertrace_form(self, vectors) -> Fraction:
-        """tr[x -> zeta(args, x)] for n-1 argument vectors."""
-        if len(vectors) != self.rank - 1:
-            raise ValueError("argument count mismatch")
-        total = Fraction(0)
-        n = len(self.space)
-        for j in range(n):
-            basis = [Fraction(0)] * n
-            basis[j] = Fraction(1)
-            val = self.evaluate(list(vectors) + [basis]).get(j, Fraction(0))
-            total += (-1 if self.space.parities[j] else 1) * val
-        return total

@@ -28,7 +28,8 @@ class BilinearForm:
 
     def __init__(self, space: SuperSpace, rows, parity, symmetry, check=True):
         self.space = space
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        zero = Fraction(0)  # one object for all zero entries, most of a dense form's
+        self.rows = tuple(tuple(zero if x == 0 else Fraction(x) for x in r) for r in rows)
         self.parity = parity
         self.symmetry = symmetry  # "sym" | "skew"
         self._nondegenerate = None

@@ -32,17 +32,24 @@ into its even and odd parts, for tests that state a rule on each part.
 chord sign by ``koszul_sign`` at each leaf, the route the folded sign of
 ``feynman_value`` replaced.  ``rescaled`` writes an algebra in a scaled
 basis, so that its structure constants and pairing get denominators.
+``permute_tensor``, ``symmetrize_tensor``, ``is_symmetric_tensor`` and
+``average_tensor`` act on the first `rank` slots of sparse tensor keys, and
+``supertrace_oracle`` reads the supertrace of a field's Koszul-symmetric map
+off the symmetrised tensor of its terms, without ``divergence``.
 """
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 from bvgraph import linalg
-from bvgraph.dual import chord_presentation, graph_from_chord, psi_of_word, shuffle_sign
+from bvgraph.dual import (chord_presentation, graph_from_chord, psi_of_word, shuffle_sign,
+                          tensor_index)
 from bvgraph.frobenius import FrobeniusAlgebra
 from bvgraph.forms import FormContext
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
-                            monomial_parity, perm_parity, sort_indices_with_sign)
+                            monomial_parity, perm_parity, sort_indices_with_sign,
+                            sparse_sum)
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import upsilon_inverse
@@ -225,6 +232,73 @@ def rescaled(alg, scales):
     return FrobeniusAlgebra(alg.space, mult, diff, pairing, name=alg.name + "_scaled")
 
 
+def permute_tensor(space: SuperSpace, t: dict, order) -> dict:
+    """Apply the signed place permutation to the first len(order) slots of each
+    key: slot j of the result holds slot order[j]; later slots stay in place."""
+    rank = len(order)
+    return sparse_sum(
+        (tuple(key[o] for o in order) + key[rank:],
+         koszul_sign(order, [space.parities[i] for i in key[:rank]]) * val)
+        for key, val in t.items())
+
+
+def symmetrize_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
+    """The map i_n: sum of all Koszul-signed permutations of the first `rank` slots."""
+    return sparse_sum(item for order in permutations(range(rank))
+                      for item in permute_tensor(space, t, order).items())
+
+
+def is_symmetric_tensor(space: SuperSpace, t: dict, rank: int) -> bool:
+    """Whether every signed adjacent transposition of the first `rank` slots fixes t."""
+    t = sparse_sum(t.items())
+    for s in range(rank - 1):
+        order = list(range(rank))
+        order[s], order[s + 1] = s + 1, s
+        if permute_tensor(space, t, order) != t:
+            return False
+    return True
+
+
+def average_tensor(space: SuperSpace, t: dict, rank: int) -> dict:
+    """The map pi_n: project onto the coinvariant representative and divide by n!.
+
+    Keys repeating an odd index represent classes that vanish in the symmetric
+    algebra and are dropped.
+    """
+    fact = factorial(rank)
+
+    def terms():
+        for key, val in t.items():
+            skey, sign = sort_indices_with_sign(space, key)
+            if skey is not None:
+                yield skey, Fraction(sign, fact) * val
+    return sparse_sum(terms())
+
+
+def field_tensor(eta):
+    """The Koszul-symmetric map zeta in Hom(S^n W, W) of a field eta whose
+    images all have degree n, as a sparse tensor keyed args + (out,): the
+    symmetrised tensor of eta's terms, so that eta(y_out) = pi_n of zeta."""
+    n = {len(k) for img in eta.images for k in img.terms}.pop()
+    flat = {key + (w,): c for w, img in enumerate(eta.images) for key, c in img.terms.items()}
+    return n, symmetrize_tensor(eta.space, flat, n)
+
+
+def supertrace_oracle(eta, vectors):
+    """tr[x -> zeta(v_1, ..., v_{n-1}, x)] for the map zeta of the field eta
+    (``field_tensor``) and n - 1 coefficient vectors v_r."""
+    n, zeta = field_tensor(eta)
+    if len(vectors) != n - 1:
+        raise ValueError("argument count mismatch")
+    total = Fraction(0)
+    for key, val in zeta.items():
+        if key[-2] == key[-1]:
+            for slot, v in enumerate(vectors):
+                val *= v[key[slot]]
+            total += -val if eta.space.parities[key[-1]] else val
+    return total
+
+
 def polynomial_parity(p):
     """The common parity of the terms of p; None if they disagree or p is 0."""
     ps = {monomial_parity(p.space, k) for k in p.terms}
@@ -267,7 +341,7 @@ def psi_monomial_oracle(model, key):
     apar = model.alg.space.parities
     return SuperPolynomial.sum(model.space, (
         SuperPolynomial.monomial(
-            model.space, tuple(model.z(alphas[r], key[r]) for r in range(k)),
+            model.space, tuple(tensor_index(model.nv, alphas[r], key[r]) for r in range(k)),
             shuffle_sign(vpar, [apar[a] for a in alphas]) * mval)
         for alphas, mval in mu.items()))
 

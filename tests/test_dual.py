@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms,
-                            koszul_sign, perm_parity, symmetrize_tensor)
-from bvgraph.superpoly import MultilinearMap, SuperPolynomial
+                            koszul_sign, monomial_parity, perm_parity)
+from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, find_gauges, g3,
                                g3_gauge, k2, k2_gauge, partner_lists, so3_reduced,
@@ -18,20 +18,21 @@ from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, graph_from_chord,
-                          psi_multilinear_map, psi_of_word, s_functional,
-                          shuffle_sign,
+                          psi_field, psi_of_word, s_functional,
+                          shuffle_sign, tensor_index,
                           verify_cocycle_chains,
                           verify_cocycle_graphs, verify_commute,
                           verify_gauge_independence,
                           verify_kontsevich_chain_map, verify_master_equations,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
-from bvgraph import dual, frobenius, sampling, symplectic, wick
+from bvgraph import dual, frobenius, linalg, sampling, symplectic, wick
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
                      feynman_value_oracle, hamiltonian_field_form_oracle,
                      odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
-                     rescaled, restricted_word_oracle, wick_map_oracle)
+                     rescaled, restricted_word_oracle, symmetrize_tensor,
+                     wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -54,8 +55,8 @@ def test_psi_on_k2_cubic_matches_mu_patterns():
     img = model.psi(q3)
     # mu_3 on K2 is supported on permutations of (1, 1, xi); all three give
     # the same monomial z_{1,q}^2 z_{xi,q} with coefficient 1 each
-    zq1 = model.z(0, 1)
-    zqx = model.z(1, 1)
+    zq1 = tensor_index(model.nv, 0, 1)
+    zqx = tensor_index(model.nv, 1, 1)
     assert img == SuperPolynomial.monomial(model.space, (zq1, zq1, zqx), 3)
 
 
@@ -141,37 +142,27 @@ def test_psi_is_shifted_lie_map():
 
 
 def test_psi_field_compatibility_square():
-    # The two routes h -> field on A (x) V agree componentwise up to the
-    # parity-transport twist (-1)^{|h| (|a_alpha| + 1)} at the variable
-    # a_alpha (x) w_i: the odd-side Hamiltonian iso is [Phi^{-1} d Pi] and the
-    # Pi bookkeeping lands exactly there.  For even h the square commutes on
-    # the nose.  The rescaled algebras have structure constants with
-    # denominators, so Gamma divides its integer products by their scale.
+    # The two routes h -> field on A (x) V agree: the Hamiltonian field of
+    # Psi(h), and Psi of the Hamiltonian field of h.  For odd h that needs
+    # the parity twist (-1)^{|h| (|a_alpha| + 1)} at the variable
+    # a_alpha (x) w_i, which ``psi_field`` takes itself.  The rescaled
+    # algebras have structure constants with denominators, so Psi divides
+    # its integer products by their scale.
     rng = random.Random(3)
     g3_scaled = rescaled(g3(), [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), 1,
                                 Fraction(5, 2), 3, Fraction(-1, 4), 7])
-    for model in (model_k2(V21), model_g3(V21), TensorModel(g3_scaled, V21),
-                  TensorModel(so3_scaled(), V21)):
-        apar = model.alg.space.parities
-        nv = model.nv
+    odd = 0
+    for model in (model_k2(V21), model_g3(V21), TensorModel(so3_reduced(), V21),
+                  TensorModel(g3_scaled, V21), TensorModel(so3_scaled(), V21)):
         for _ in range(5):
             deg = rng.choice((3, 4))
             h = sampling.homogeneous_monomial(rng, V21.space, deg)
             lhs = model.symp.hamiltonian_field(model.psi(h))
-            zeta = MultilinearMap.from_field(V21.hamiltonian_field(h), deg - 1)
-            rhs = psi_multilinear_map(model.alg, V21.space, zeta).to_field()
-            ph = polynomial_parity(h)
-            for u, (a, b) in enumerate(zip(lhs.images, rhs.images)):
-                sgn = -1 if (ph and (apar[u // nv] + 1) % 2) else 1
-                assert (a - sgn * b).is_zero()
-
-
-def test_psi_multilinear_is_symmetric():
-    rng = random.Random(4)
-    model = model_g3()
-    zeta = sampling.multilinear(rng, V20.space, 3, entries=4, parity=0)
-    gamma = psi_multilinear_map(model.alg, V20.space, zeta)
-    assert gamma.is_symmetric()
+            rhs = psi_field(model.alg, V21.hamiltonian_field(h))
+            assert rhs.space == model.space
+            assert lhs.images == rhs.images
+            odd += polynomial_parity(h) == ODD and not lhs.is_zero()
+    assert odd >= 5
 
 
 # -- sigma tilde -------------------------------------------------------------
@@ -186,12 +177,12 @@ def test_master_equations_and_printed_dform():
 def test_sigma_pairs_k2_through_dform():
     model = model_k2()
     # <xi (x) w, xi (x) w'> = <xi,xi>_d <w,w'>_V = -<w,w'>_V ; all other pairs 0
-    b = model.dform
+    b, nv = model.dform, model.nv
     for i in (0, 1):
         for j in (0, 1):
-            assert b.rows[model.z(1, i)][model.z(1, j)] == -V20.form.rows[i][j]
-            assert b.rows[model.z(0, i)][model.z(0, j)] == 0
-            assert b.rows[model.z(0, i)][model.z(1, j)] == 0
+            assert b.rows[tensor_index(nv, 1, i)][tensor_index(nv, 1, j)] == -V20.form.rows[i][j]
+            assert b.rows[tensor_index(nv, 0, i)][tensor_index(nv, 0, j)] == 0
+            assert b.rows[tensor_index(nv, 0, i)][tensor_index(nv, 1, j)] == 0
 
 
 def test_sigma_bracket_with_psi_vanishes():
@@ -978,8 +969,88 @@ def test_vanishing_divergence_k2_and_g3():
     rng = random.Random(12)
     for alg in (k2(), g3()):
         for _ in range(5):
-            zeta = sampling.multilinear(rng, V20.space, 3, entries=4)
-            assert verify_vanishing_divergence(alg, V20, zeta)
+            eta = sampling.multilinear(rng, V20.space, 3, terms=4)
+            rep = verify_vanishing_divergence(alg, eta)
+            assert rep["status"] == "pass", rep["witnesses"]
+
+
+def mixed_parity_fields(rng, degree, count):
+    """`count` fields over V_{2|1} with images of `degree`, each with terms
+    of both parities."""
+    fields = []
+    while len(fields) < count:
+        eta = sampling.multilinear(rng, V21.space, degree, terms=6)
+        if eta.parity is None:
+            fields.append(eta)
+    return fields
+
+
+@pytest.mark.parametrize("make_alg", [k2, g3, so3_reduced,
+                                      lambda: direct_sum(so3_reduced(), g3())],
+                         ids=["K2", "G3", "so3red", "so3red+G3"])
+def test_vanishing_divergence_on_mixed_parity_fields(make_alg):
+    # over V_{2|1} a field has an odd part, on which Psi needs its twist;
+    # so3red's triple products vanish, so its degree-3 images are 0
+    rng = random.Random(17)
+    alg = make_alg()
+    nonzero = 0
+    for degree in (1, 2, 3):
+        for eta in mixed_parity_fields(rng, degree, 3):
+            rep = verify_vanishing_divergence(alg, eta)
+            assert rep["status"] == "pass", rep["witnesses"]
+            nonzero += not psi_field(alg, eta).is_zero()
+    assert nonzero >= 6
+
+
+def untwisted(alg, field):
+    """A field on A (x) V with psi_field's twist (-1)^{|t|(|a_beta| + 1)}
+    applied once more, on each term t of the image of z_{(beta, w)}: that
+    undoes it."""
+    space = field.space
+    nv = len(space) // len(alg.space)
+    apar = alg.space.parities
+
+    def image(z, img):
+        return SuperPolynomial(space, {
+            k: -c if (monomial_parity(space, k) + space.parities[z]) % 2
+            and not apar[z // nv] else c for k, c in img.terms.items()})
+    return VectorField(space, [image(z, img) for z, img in enumerate(field.images)])
+
+
+def test_psi_field_twist_is_needed_for_vanishing():
+    # without the twist, nabla Psi(eta) fails on odd fields; with it, it holds
+    rng = random.Random(18)
+    for alg in (k2(), g3()):
+        fails = 0
+        for degree in (2, 3):
+            for eta in mixed_parity_fields(rng, degree, 3):
+                gamma = psi_field(alg, eta)
+                assert divergence(gamma).is_zero()
+                fails += not divergence(untwisted(alg, gamma)).is_zero()
+        assert fails >= 2
+
+
+def test_psi_field_refuses_a_constant_term():
+    # a constant image term would be level 0 of the walk of products
+    x = SuperPolynomial.variable(V20.space, 0)
+    eta = VectorField(V20.space, [x * x, SuperPolynomial.scalar(V20.space, 1)])
+    with pytest.raises(ValueError, match="level 1"):
+        psi_field(g3(), eta)
+
+
+def test_psi_field_divides_int_coefficients_exactly():
+    # a plain int coefficient is divided by the walk's scale as a Fraction,
+    # on an algebra whose structure constants have denominators
+    alg = so3_scaled()
+    assert frobenius.VertexTensors(alg, linalg.identity(len(alg.space))).product_scale(2) > 1
+    images = [{(0, 1): 3}, {(0, 0): -2, (1, 1): 5}]
+    as_ints, as_fractions = (
+        psi_field(alg, VectorField(V20.space, [SuperPolynomial(V20.space, {
+            k: kind(c) for k, c in img.items()}) for img in images]))
+        for kind in (int, Fraction))
+    coeffs = [c for img in as_ints.images for c in img.terms.values()]
+    assert coeffs and all(type(c) is Fraction for c in coeffs)
+    assert as_ints.images == as_fractions.images
 
 
 def even_pairing_control_algebra():
@@ -997,8 +1068,8 @@ def test_vanishing_fails_for_even_pairing_control():
     alg = even_pairing_control_algebra()
     found_nonzero = False
     for _ in range(10):
-        zeta = sampling.multilinear(rng, V20.space, 2, entries=3)
-        if not verify_vanishing_divergence(alg, V20, zeta):
+        eta = sampling.multilinear(rng, V20.space, 2, terms=3)
+        if verify_vanishing_divergence(alg, eta)["status"] == "fail":
             found_nonzero = True
             break
     assert found_nonzero
@@ -1166,6 +1237,33 @@ def test_commute_fails_on_a_negated_propagator():
     assert rep["status"] == "fail"
     assert rep["witnesses"] == [{"S": "-36", "F_I": "36", "chain": chain.to_json()}]
     assert chain.render() == "(1)*[(1)*p1^3 ^ (1)*q1^3]"
+
+
+def so3_odd_chord_case():
+    """so3red's one gauge over V_{4|1} with p1^2 x ^ p2^2 x ^ q1^2 x ^ q2^2 x:
+    every factor has an odd half-edge, so I contracts odd chords."""
+    v41 = SymplecticSpace.canonical_even(2, 1)
+    model = TensorModel(so3_reduced(), v41)
+    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+    return model, gm, wedge(v41, ((0, 0, 4), (1, 1, 4), (2, 2, 4), (3, 3, 4)))
+
+
+def test_commute_pins_s_equal_f_of_i_over_odd_chords():
+    model, gm, chain = so3_odd_chord_case()
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "pass", rep["witnesses"]
+    assert s_functional(model, gm, chain) == 240
+    assert feynman_on_chain(gm.gauge, wick_map(chain)) == 240
+
+
+def test_commute_fails_without_the_chord_sign_of_i(monkeypatch):
+    # over V_{2n|0} every chord is even and the chord sign of I is 1 anyway;
+    # here dropping it turns F o I from 240 into -48, while S stays 240
+    model, gm, chain = so3_odd_chord_case()
+    monkeypatch.setattr(wick, "chord_sign", lambda parities, chord: 1)
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S": "240", "F_I": "-48", "chain": chain.to_json()}]
 
 
 def test_gauge_independence_fails_on_a_negated_propagator():

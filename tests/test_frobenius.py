@@ -13,9 +13,9 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
                                so3_reduced, verify_axioms, vertex_tensor,
                                vertex_tensor_on_vectors)
 from bvgraph import frobenius, linalg
-from bvgraph.graded import EVEN, ODD, is_symmetric_tensor, perm_parity
+from bvgraph.graded import EVEN, ODD, SuperSpace, perm_parity
 from bvgraph.symplectic import LagrangianSubspace
-from oracles import rescaled, vertex_tensor_oracle
+from oracles import is_symmetric_tensor, rescaled, vertex_tensor_oracle
 
 # so3red in a scaled basis: its structure constants and its pairing have
 # denominators
@@ -135,13 +135,26 @@ def test_named_g3_gauges_lie_in_generic_family():
         g3_gauge(*params).validate()
 
 
-def test_gauge_with_a_degenerate_restricted_d_form_is_rejected():
-    # K2's space and differential with the zero pairing: xi is isotropic and
-    # complements d(A) = span{1}, but <xi, xi>_d = 0, so there is no propagator
+def test_gauge_of_a_degenerate_pairing_is_rejected():
+    # K2's space and differential with the zero pairing: the Lagrangian
+    # checks refuse the pairing before any gauge test runs
     base = k2()
     alg = FrobeniusAlgebra(base.space, base.mult, base.diff, [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="degenerate"):
         Gauge(alg, [(0, 1)])
+
+
+def test_gauge_of_a_pairing_that_is_not_d_invariant_reports_the_d_form():
+    # U_{2|2}'s space with <x_i, xi_i> = 1, the zero product and d swapping
+    # x1 and xi2: <d x1, x2> = 1 while <x1, d x2> = 0, so the pairing is not
+    # d-invariant and <-,->_d fails its own skew check; the gauge [x2, xi1]
+    # complements d(A) and reports that error as it is
+    space = SuperSpace(("x1", "x2", "xi1", "xi2"), (EVEN, EVEN, ODD, ODD))
+    pairing = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    diff = [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+    alg = FrobeniusAlgebra(space, {}, diff, pairing, name="U22")
+    with pytest.raises(ValueError, match=r"declared skewmetry fails at \(0,1\)"):
+        Gauge(alg, [(0, 1, 0, 0), (0, 0, 1, 0)])
 
 
 def test_gauge_basis_is_checked_as_a_lagrangian():
@@ -315,6 +328,18 @@ def test_vertex_tensors_build_each_level_of_products_once(monkeypatch):
         for k in valences + valences:
             table.mu(k)
         assert len(calls) == count
+
+
+def test_vertex_tensors_refuse_a_level_below_one():
+    # level 0 would be the empty product; neither the walk nor its scale
+    # answers for it, even after a deeper level is built
+    table = VertexTensors(g3(), linalg.identity(8))
+    table.products(2)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="level 1"):
+            table.products(n)
+        with pytest.raises(ValueError, match="level 1"):
+            table.product_scale(n)
 
 
 @pytest.mark.parametrize("make_alg", (k2, g3, so3_reduced))

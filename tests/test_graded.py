@@ -6,11 +6,11 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvgraph.graded import (EVEN, ODD, SuperSpace, average_tensor, koszul_sign,
-                            perm_parity, permute_tensor, sort_indices_with_sign,
-                            sparse_sum, symmetrize_tensor, tensor_space)
+from bvgraph.graded import (EVEN, ODD, SuperSpace, koszul_sign, perm_parity,
+                            sort_indices_with_sign, sparse_sum, tensor_space)
 from bvgraph.sampling import monomial_keys, rational
-from bvgraph.superpoly import MultilinearMap, merge_keys
+from bvgraph.superpoly import merge_keys
+from oracles import average_tensor, permute_tensor, symmetrize_tensor
 
 
 def test_koszul_sign_identity():
@@ -227,8 +227,8 @@ def test_sparse_sum_values_are_fractions():
     out = sparse_sum([("a", 1), ("b", 2), ("a", 3)])
     assert out == {"a": 4, "b": 2}
     assert all(type(v) is Fraction for v in out.values())
-    # an int entry must not leak through symmetrizing as a float 1/2
+    # an int entry comes out of symmetrizing as a Fraction
     w = SuperSpace(("x", "y"), (EVEN, EVEN))
-    sym = MultilinearMap(w, 2, {((0, 1), 0): 1}).symmetrized()
-    assert sym.entries == {((0, 1), 0): Fraction(1, 2), ((1, 0), 0): Fraction(1, 2)}
-    assert all(type(v) is Fraction for v in sym.entries.values())
+    sym = symmetrize_tensor(w, {(0, 1, 0): 1}, 2)
+    assert sym == {(0, 1, 0): 1, (1, 0, 0): 1}
+    assert all(type(v) is Fraction for v in sym.values())

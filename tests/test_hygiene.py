@@ -23,6 +23,8 @@ none hand-rolls a memo of its own: no ``if k in d: return d[k]``, no
 ``if k not in d: d[k] = ...`` and no ``lru_cache`` or ``cache`` decorator.
 Every ``BilinearForm`` of the package is checked when it is built, but for
 the pairing of a ``FrobeniusAlgebra``, which ``verify_axioms`` reports on.
+Every ``verify_*`` suite of ``dual`` returns a ``_report`` dict, at every
+``return``.
 """
 import ast
 from pathlib import Path
@@ -530,3 +532,41 @@ def test_only_the_algebra_pairing_skips_the_form_check():
             for hit in unchecked_forms(path.read_text(encoding="utf-8"), path.name)]
     assert [hit.split(" ", 1)[1] for hit in hits] == ["FrobeniusAlgebra.__init__"]
     assert hits[0].startswith("frobenius.py:")
+
+
+def unreported_suites(source, name=""):
+    """Top-level ``verify_*`` functions with no ``return`` or with one whose
+    value is not a ``_report(...)`` call, as 'file:line function'."""
+    hits = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_"):
+            values = [r.value for r in ast.walk(node) if isinstance(r, ast.Return)]
+            if not values or not all(isinstance(v, ast.Call) and called_name(v) == "_report"
+                                     for v in values):
+                hits.append(f"{name}:{node.lineno} {node.name}")
+    return hits
+
+
+def test_unreported_suites_are_detected():
+    source = ("def verify_vanishing_divergence(alg, v, zeta):\n"
+              "    return divergence(psi(alg, zeta)).is_zero()\n"
+              "def verify_commute(model, gm, chain):\n"
+              "    if chain.is_zero():\n"
+              "        return True\n"
+              "    return _report('commute', ok)\n"
+              "def verify_quietly(model):\n"
+              "    model.check()\n"
+              "def verify_master_equations(model):\n"
+              "    return _report('master_equations', ok, wit)\n"
+              "def psi_field(alg, eta):\n"
+              "    return VectorField(space, images)\n")
+    assert unreported_suites(source) == [":1 verify_vanishing_divergence",
+                                         ":3 verify_commute", ":7 verify_quietly"]
+
+
+def test_every_dual_suite_returns_a_report():
+    source = (SRC / "dual.py").read_text(encoding="utf-8")
+    suites = [node.name for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")]
+    assert "verify_vanishing_divergence" in suites and len(suites) >= 8
+    assert unreported_suites(source, "dual.py") == []

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from bvgraph import linalg
-from bvgraph.graded import EVEN, ODD, SuperSpace, symmetrize_tensor
-from bvgraph.superpoly import MultilinearMap, SuperPolynomial, VectorField, divergence
+from bvgraph.graded import EVEN, ODD, SuperSpace
+from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph import sampling
-from oracles import (parity_components, polynomial_parity, polynomial_product_oracle,
-                     substitute_oracle)
+from oracles import (field_tensor, is_symmetric_tensor, parity_components,
+                     polynomial_parity, polynomial_product_oracle, substitute_oracle,
+                     supertrace_oracle, symmetrize_tensor)
 
 
 def space_11():
@@ -351,35 +352,11 @@ def test_substitute_matches_the_fraction_oracle():
     assert (y * z + eta).substitute(second, target) == odd
 
 
-def test_multilinear_identity_gives_euler_field():
-    w = space_11()
-    zeta = MultilinearMap(w, 1, {((0,), 0): Fraction(1), ((1,), 1): Fraction(1)})
-    eta = zeta.to_field()
-    assert eta.images[0] == SuperPolynomial.variable(w, 0)
-    assert eta.images[1] == SuperPolynomial.variable(w, 1)
-
-
-def test_multilinear_square_normalization():
-    w = SuperSpace(("x",), (EVEN,))
-    zeta = MultilinearMap(w, 2, {((0, 0), 0): Fraction(1)})
-    eta = zeta.to_field()
-    x = SuperPolynomial.variable(w, 0)
-    assert eta.images[0] == Fraction(1, 2) * x * x
-
-
-def test_multilinear_odd_square_gives_zero():
-    w = space_11()
-    zeta = MultilinearMap(w, 2, {((1, 1), 0): Fraction(1)})
-    assert zeta.to_field().is_zero()
-
-
 def test_supertrace_identity_maps():
     we = SuperSpace(("x",), (EVEN,))
-    zeta = MultilinearMap(we, 1, {((0,), 0): Fraction(1)})
-    assert zeta.supertrace_form([]) == 1
+    assert supertrace_oracle(VectorField(we, [SuperPolynomial.variable(we, 0)]), []) == 1
     wo = SuperSpace(("xi",), (ODD,))
-    zeta = MultilinearMap(wo, 1, {((0,), 0): Fraction(1)})
-    assert zeta.supertrace_form([]) == -1
+    assert supertrace_oracle(VectorField(wo, [SuperPolynomial.variable(wo, 0)]), []) == -1
 
 
 def tensor_evaluate(space, t, vectors):
@@ -395,53 +372,43 @@ def tensor_evaluate(space, t, vectors):
 
 
 def test_divergence_equals_supertrace_dual_path():
-    # Prop. divsupertrace: i_{n-1} nabla(zeta^vee) evaluated on arguments equals
-    # the supertrace formula; this pins the 1/n! normalization of to_field.
+    # Prop. divsupertrace: i_{n-1} nabla(eta) evaluated on arguments equals
+    # the supertrace of the field's Koszul-symmetric map, read off its
+    # symmetrised tensor by the oracle; this pins the 1/n! between the two.
     rng = random.Random(13)
     w = space_11()
     for _ in range(25):
         rank = rng.choice((2, 3))
-        zeta = sampling.multilinear(rng, w, rank, entries=5)
-        div = divergence(zeta.to_field())
+        eta = sampling.multilinear(rng, w, rank, terms=5)
+        div = divergence(eta)
         args = [sampling.vector(rng, w) for _ in range(rank - 1)]
         # lift div (degree rank-1) to the invariant tensor i_{rank-1}
-        lifted = {}
-        for key, val in div.terms.items():
-            lifted[key] = lifted.get(key, Fraction(0)) + val
-        inv = symmetrize_tensor(w, lifted, rank - 1)
+        inv = symmetrize_tensor(w, div.terms, rank - 1)
         lhs = tensor_evaluate(w, inv, args)
-        rhs = zeta.supertrace_form(args)
+        rhs = supertrace_oracle(eta, args)
         assert lhs == rhs
 
 
 def test_supertrace_dual_path_rank3_on_11():
     rng = random.Random(14)
     w = space_11()
-    zeta = sampling.multilinear(rng, w, 3, entries=6)
-    assert zeta.is_symmetric()
+    eta = sampling.multilinear(rng, w, 3, terms=6)
+    assert all(len(k) == 3 for img in eta.images for k in img.terms)
+    _, zeta = field_tensor(eta)
+    assert is_symmetric_tensor(w, zeta, 3)
     # negating one entry with two distinct arguments breaks the symmetry
-    (args, out), val = next((k, v) for k, v in zeta.entries.items()
-                            if len(set(k[0])) > 1)
-    broken = MultilinearMap(w, 3, {**zeta.entries, (args, out): -val})
-    assert not broken.is_symmetric()
-
-
-def test_from_field_round_trip():
-    rng = random.Random(15)
-    w = space_22()
-    zeta = sampling.multilinear(rng, w, 3, entries=5)
-    eta = zeta.to_field()
-    back = MultilinearMap.from_field(eta, 3)
-    assert back.entries == zeta.entries
+    key, val = next((k, v) for k, v in zeta.items() if len(set(k[:-1])) > 1)
+    assert not is_symmetric_tensor(w, {**zeta, key: -val}, 3)
 
 
 def test_multilinear_to_field_respects_commutators():
-    # the assignment sends composition-commutators to field commutators; for
-    # multilinear maps the bracket is realized on the field side, so we check
-    # [zeta^vee, gamma^vee] is again a field of the right degree shift
+    # the commutator of fields of degrees 2 and 3, drawn by the sampler of
+    # Koszul-symmetric maps, is again a field of the right degree shift
     rng = random.Random(16)
     w = space_11()
-    z2 = sampling.multilinear(rng, w, 2, entries=4, parity=0)
-    z3 = sampling.multilinear(rng, w, 3, entries=4, parity=1)
-    com = z2.to_field().commutator(z3.to_field())
+    z2 = sampling.multilinear(rng, w, 2, terms=4, parity=0)
+    z3 = sampling.multilinear(rng, w, 3, terms=4, parity=1)
+    assert (z2.parity, z3.parity) == (0, 1)
+    com = z2.commutator(z3)
     assert all(img.is_zero() or img.max_degree() == 4 for img in com.images)
+    assert not com.is_zero()

@@ -573,6 +573,15 @@ def test_nondegeneracy_is_found_once_per_form(monkeypatch):
     assert ranks == [4, 2, 2]
 
 
+def test_forms_keep_one_zero_object():
+    # a tensored form's rows are mostly zeros, which all share one Fraction
+    form = g3().pairing.tensor_with(SymplecticSpace.canonical_even(1, 1).form)
+    entries = [x for row in form.rows for x in row]
+    zeros = {id(x) for x in entries if x == 0}
+    assert len(zeros) == 1 and len(entries) - sum(x != 0 for x in entries) > 400
+    assert all(type(x) is Fraction for x in entries)
+
+
 @BAD_BASES
 def test_lagrangian_rejects_bad_bases(vectors, match):
     u = SymplecticSpace.canonical_odd(2)
