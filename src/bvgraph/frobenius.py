@@ -4,17 +4,19 @@ An algebra is given by sparse structure constants, a differential matrix and a
 pairing matrix over a named basis.  Its product ``mul``, its differential and
 its pairing (``BilinearForm.evaluate``) act on sparse coefficient dicts
 {basis index: Fraction}, for the axioms.  A gauge is a Lagrangian of the
-pairing.  The dual construction reads an algebra through its vertex tensors
-mu_k, which ``VertexTensors`` builds from one walk of products over ints: the
-elements, their covectors and the structure constants
-(``FrobeniusAlgebra.integer_mult``) are scaled to ints once, and each entry of
-mu_k is divided once by the product of the scales.
+pairing that complements d(A).  Since d(A) is isotropic, the gauges of an
+algebra form one affine family (``FrobeniusAlgebra.gauge_family``), and
+``gauge_at`` builds the gauge at a point of it.  The dual construction reads
+an algebra through its vertex tensors mu_k, which ``VertexTensors`` builds
+from one walk of products over ints: the elements, their covectors and the
+structure constants (``FrobeniusAlgebra.integer_mult``) are scaled to ints
+once, and each entry of mu_k is divided once by the product of the scales.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, combinations_with_replacement, compress
 
 from . import linalg
 from .graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms, koszul_sign,
@@ -55,6 +57,41 @@ class FrobeniusAlgebra:
     def d_form(self) -> BilinearForm:
         """The degenerate form <-,->_d (``degenerate_form``)."""
         return degenerate_form(self)
+
+    @cached_property
+    def gauge_family(self) -> tuple:
+        """(base, directions): the gauges are the bases base + sum_j c_j
+        directions[j] (``gauge_at``).  A gauge is the graph of a map
+        phi(c0_r) = sum_s t_rs d_s into d(A) that keeps parity, over the first
+        standard basis vectors c0_r independent of d(A); as d(A) is
+        isotropic, isotropy is linear in t.  base is the graph of
+        ``linalg.solve``'s solution, directions[j] is phi at the j-th vector
+        of ``linalg.nullspace``.  ValueError if the algebra is not
+        contractible or the system has no solution."""
+        if not check_contractible(self)[0]:
+            raise ValueError("algebra is not contractible")
+        img, basis = self.d_image, linalg.identity(len(self.space))
+        _, pivots = linalg.rref(linalg.transpose([list(v) for v in img] + basis))
+        c0 = [basis[p - len(img)] for p in pivots[len(img):]]
+        params = [(r, s) for r, cv in enumerate(c0) for s, iv in enumerate(img)
+                  if vector_parity(self.space, cv) == vector_parity(self.space, iv)]
+        pair = self.pairing.evaluate
+        # <c0_r + phi c0_r, c0_q + phi c0_q> = 0 for r <= q, row by row
+        pairs = list(combinations_with_replacement(range(len(c0)), 2))
+        rows = [[(pair(img[s], c0[q]) if p == r else 0) + (pair(c0[r], img[s]) if p == q else 0)
+                 for p, s in params] for r, q in pairs]
+        particular = linalg.solve(rows, [-pair(c0[r], c0[q]) for r, q in pairs])
+        if particular is None:
+            raise ValueError("no isotropic complement in this parametrization")
+
+        def graph(t, start):  # start + phi(c0_r) for each r
+            out = [list(v) for v in start]
+            for (r, s), x in zip(params, t):
+                if x:
+                    out[r] = [a + x * b for a, b in zip(out[r], img[s])]
+            return tuple(map(tuple, out))
+        zero = [[Fraction(0)] * len(self.space)] * len(c0)
+        return graph(particular, c0), tuple(graph(h, zero) for h in linalg.nullspace(rows))
 
     @cached_property
     def integer_mult(self) -> tuple:
@@ -154,7 +191,9 @@ def check_contractible(alg: FrobeniusAlgebra):
 
 class Gauge(LagrangianSubspace):
     """A Lagrangian L of the pairing that complements d(A), with <-,->_d
-    nondegenerate on it; ``LagrangianSubspace`` checks the basis.
+    nondegenerate on it; ``LagrangianSubspace`` checks the basis.  The
+    package builds each gauge with ``gauge_at``, from a point of the
+    algebra's ``gauge_family``.
 
     It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
     ``propagator``, the rows of the inverse restricted d-form, and their
@@ -216,84 +255,20 @@ def partner_lists(rows) -> list:
     return [tuple(compress(range(len(r)), r)) for r in rows]
 
 
-def find_gauges(alg: FrobeniusAlgebra):
-    """Enumerate graded isotropic complements of d(A) over the parameter box {0, 1}^m.
-
-    Complements are graphs of parity-preserving maps phi: C0 -> d(A) over a
-    reference complement C0; isotropy is linear in phi because d(A) is
-    isotropic, so the family is an affine subspace of dimension m.  At most
-    64 corners of the box are tried, fewest directions first, so that every
-    direction is reached when m < 64.  Returns (gauges, info).
-    """
-    flag, _ = check_contractible(alg)
-    if not flag:
-        return [], {"error": "algebra is not contractible"}
-    n = len(alg.space)
-    img = alg.d_image
-    # graded reference complement from standard basis vectors
-    c0 = []
-    current = [list(v) for v in img]
-    for i in range(n):
-        cand = [Fraction(0)] * n
-        cand[i] = Fraction(1)
-        if linalg.rank(current + [cand]) > len(current):
-            current.append(cand)
-            c0.append(cand)
-    # parameters t[r][s] for phi(c0_r) = sum_s t[r][s] img_s (parity matching)
-    params = []
-    for r, cv in enumerate(c0):
-        pr = vector_parity(alg.space, cv)
-        for s, iv in enumerate(img):
-            if pr == vector_parity(alg.space, iv):
-                params.append((r, s))
-    # isotropy: <c_r + phi c_r, c_q + phi c_q> = 0, linear in t
-    rows, rhs = [], []
-    for r in range(len(c0)):
-        for q in range(r, len(c0)):
-            row = [Fraction(0)] * len(params)
-            for pidx, (pr, ps) in enumerate(params):
-                if pr == r:
-                    row[pidx] += alg.pairing.evaluate(img[ps], c0[q])
-                if pr == q:
-                    row[pidx] += alg.pairing.evaluate(c0[r], img[ps])
-            const = alg.pairing.evaluate(c0[r], c0[q])
-            if any(row) or const:
-                rows.append(row)
-                rhs.append(-const)
-    if rows:
-        particular = linalg.solve(rows, rhs)
-        if particular is None:
-            return [], {"error": "no isotropic complement in this parametrization"}
-        homogeneous = linalg.nullspace(rows)
-    else:
-        particular = [Fraction(0)] * len(params)
-        homogeneous = linalg.nullspace([[Fraction(0)] * len(params)]) if params else []
-    info = {"n_parameters": len(homogeneous),
-            "reference_complement": [[str(x) for x in v] for v in c0]}
-
-    def build(tvals):
-        vectors = []
-        for r, cv in enumerate(c0):
-            vec = list(cv)
-            for pidx, (pr, ps) in enumerate(params):
-                if pr == r and tvals[pidx]:
-                    vec = [a + tvals[pidx] * b for a, b in zip(vec, img[ps])]
-            vectors.append(vec)
-        return vectors
-
-    gauges = []
-    m = len(homogeneous)
-    for used in islice(chain.from_iterable(
-            combinations(range(m), r) for r in range(m + 1)), 64):
-        lam = [int(j in used) for j in range(m)]
-        tvals = list(particular)
-        for j in used:
-            tvals = [t + h for t, h in zip(tvals, homogeneous[j])]
-        try:
-            gauges.append(Gauge(alg, build(tvals), label=str(tuple(lam))))
-        except ValueError:
-            continue
-    return gauges, info
+def gauge_at(alg: FrobeniusAlgebra, coords, label=None) -> Gauge:
+    """The gauge base + sum_j coords[j] directions[j] of the algebra's
+    ``gauge_family``, labelled ``str(tuple(coords))`` unless a label is
+    given: the one builder of gauges.  ValueError unless coords has one entry
+    per direction, or if the algebra has no gauge family."""
+    base, directions = alg.gauge_family
+    if len(coords) != len(directions):
+        raise ValueError(f"the gauge family of {alg.name or 'this algebra'} "
+                         f"has {len(directions)} directions, not {len(coords)}")
+    vectors = [list(v) for v in base]
+    for c, direction in zip(coords, directions):
+        if c:
+            vectors = [[a + c * b for a, b in zip(v, dv)] for v, dv in zip(vectors, direction)]
+    return Gauge(alg, vectors, label=str(tuple(coords)) if label is None else label)
 
 
 # Bounds each table's memo of integer mu_k by valence k, cleared when full.
@@ -507,37 +482,14 @@ def direct_sum(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
                             name=f"{a.name}+{b.name}")
 
 
-def k2_gauge(alg=None) -> Gauge:
-    alg = alg or k2()
-    return Gauge(alg, [(0, 1)], label="K2")
-
-
 def g3_gauge(a=0, b=0, c=0, d=0, alg=None) -> Gauge:
-    """The 4-parameter G3 gauge family solved from the isotropy constraints.
-
-    L(a,b,c,d) = span{xi1 + a xi2 + b xi3,
-                      xi1xi2 - d - b xi2xi3,
-                      xi1xi3 + c + a xi2xi3,
-                      xi1xi2xi3 + c xi2 + d xi3}.
-    """
-    alg = alg or g3()
+    """The G3 gauge L(a,b,c,d) = span{xi1 + a xi2 + b xi3,
+                                      xi1xi2 - d - b xi2xi3,
+                                      xi1xi3 + c + a xi2xi3,
+                                      xi1xi2xi3 + c xi2 + d xi3},
+    the point (d - b, a - c, c, d) of G3's gauge family."""
     a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    idx = {nm: i for i, nm in enumerate(alg.space.names)}
-    z = [Fraction(0)] * 8
-
-    def vec(**comps):
-        v = list(z)
-        for nm, coeff in comps.items():
-            v[idx[nm]] = coeff
-        return v
-
-    vectors = [
-        vec(xi1=Fraction(1), xi2=a, xi3=b),
-        vec(xi12=Fraction(1), **{"1": -d}, xi23=-b),
-        vec(xi13=Fraction(1), **{"1": c}, xi23=a),
-        vec(xi123=Fraction(1), xi2=c, xi3=d),
-    ]
-    return Gauge(alg, vectors, label=f"G3({a},{b},{c},{d})")
+    return gauge_at(alg or g3(), (d - b, a - c, c, d), label=f"G3({a},{b},{c},{d})")
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, memoised
+from .graded import EVEN, ODD, SuperSpace, koszul_sign, memoised, span_space
 from .superpoly import SuperPolynomial, VectorField, divergence
 from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
                          pi2_of_form, restrict_polynomial)
-
-
-def double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 # Bound the lists of ``chord_diagrams`` by k and each weight's ``monomial_vev``
@@ -217,23 +209,18 @@ def standard_even_weight(space: SuperSpace) -> SuperPolynomial:
 def flat_integral(f: SuperPolynomial) -> Fraction:
     """integral of f e^{-1/2 sum x^2} over R^{n|m}, divided by (2 pi)^{n/2}.
 
-    Odd variables integrate by right derivatives (top coefficient), even
-    variables by the unit Gaussian moments.
+    Odd variables integrate by right derivatives (top coefficient); what is
+    left, restricted to the even coordinates, has the Wick expectation of
+    the unit weight sigma_0 there.
     """
     space = f.space
-    odds = [i for i in range(len(space)) if space.parities[i] == ODD]
-    g = berezin_integrate(f, odds)
-    total = Fraction(0)
-    for key, val in g.terms.items():
-        contrib = val
-        for i in set(key):
-            deg = key.count(i)
-            if deg % 2:
-                contrib = Fraction(0)
-                break
-            contrib *= double_factorial(deg - 1)
-        total += contrib
-    return total
+    pars = space.parities
+    evens = [j for j, p in enumerate(pars) if p == EVEN]
+    body = span_space([EVEN] * len(evens))
+    g = berezin_integrate(f, [i for i, p in enumerate(pars) if p == ODD])
+    vectors = [[int(i == j) for i in range(len(space))] for j in evens]
+    return QuadraticWeight.from_sigma(standard_even_weight(body)).expectation(
+        restrict_polynomial(g, vectors, body))
 
 
 def berezin_change_of_variables(eta: VectorField, f: SuperPolynomial):

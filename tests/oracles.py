@@ -32,20 +32,25 @@ into its even and odd parts, for tests that state a rule on each part.
 chord sign by ``koszul_sign`` at each leaf, the route the folded sign of
 ``feynman_value`` replaced.  ``rescaled`` writes an algebra in a scaled
 basis, so that its structure constants and pairing get denominators.
+``g3_gauge_oracle`` is G3's gauge family solved by hand, the closed form
+``frobenius.g3_gauge`` is pinned to; ``g5`` is G3 with a second pair of
+generators, and ``g5_gauge`` draws a sparse point of its gauge family.
+``double_factorial`` gives the unit Gaussian moments of ``SplitWeight``.
 ``permute_tensor``, ``symmetrize_tensor``, ``is_symmetric_tensor`` and
 ``average_tensor`` act on the first `rank` slots of sparse tensor keys, and
 ``supertrace_oracle`` reads the supertrace of a field's Koszul-symmetric map
 off the symmetrised tensor of its terms, without ``divergence``.
 """
+import random
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 
 from bvgraph import linalg
 from bvgraph.dual import (chord_presentation, graph_from_chord, psi_of_word, shuffle_sign,
                           tensor_index)
-from bvgraph.frobenius import FrobeniusAlgebra
+from bvgraph.frobenius import FrobeniusAlgebra, Gauge, gauge_at, grassmann_algebra
 from bvgraph.forms import FormContext
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
                             monomial_parity, perm_parity, sort_indices_with_sign,
@@ -53,7 +58,7 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import upsilon_inverse
-from bvgraph.wick import berezin_integrate, chord_diagrams, chord_sign, double_factorial
+from bvgraph.wick import berezin_integrate, chord_diagrams, chord_sign
 
 
 @lru_cache(maxsize=None)
@@ -230,6 +235,50 @@ def rescaled(alg, scales):
     pairing = [[scales[i] * scales[j] * alg.pairing.rows[i][j] for j in range(n)]
                for i in range(n)]
     return FrobeniusAlgebra(alg.space, mult, diff, pairing, name=alg.name + "_scaled")
+
+
+def g3_gauge_oracle(a, b, c, d, alg):
+    """G3's gauge L(a,b,c,d), solved by hand from the isotropy constraints:
+    span{xi1 + a xi2 + b xi3, xi1xi2 - d - b xi2xi3, xi1xi3 + c + a xi2xi3,
+    xi1xi2xi3 + c xi2 + d xi3}, labelled G3(a,b,c,d)."""
+    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    idx = {nm: i for i, nm in enumerate(alg.space.names)}
+
+    def vec(**comps):
+        v = [Fraction(0)] * len(idx)
+        for nm, coeff in comps.items():
+            v[idx[nm]] = coeff
+        return v
+
+    vectors = [vec(xi1=Fraction(1), xi2=a, xi3=b),
+               vec(xi12=Fraction(1), **{"1": -d}, xi23=-b),
+               vec(xi13=Fraction(1), **{"1": c}, xi23=a),
+               vec(xi123=Fraction(1), xi2=c, xi3=d)]
+    return Gauge(alg, vectors, label=f"G3({a},{b},{c},{d})")
+
+
+def g5():
+    """G3 with a second pair: Lambda(xi1..xi5) with d(xi1 xi_S) = xi_S +
+    (xi2xi3) xi_S + (xi4xi5) xi_S for every S in {2..5}, each product sorted
+    with its Koszul sign and dropped where it repeats a generator, and d = 0
+    on the subsets without xi1."""
+    d_images = {}
+    for r in range(5):
+        for s in combinations(range(2, 6), r):
+            img = d_images[(1,) + s] = {s: Fraction(1)}
+            for merged in ((2, 3) + s, (4, 5) + s):
+                if len(set(merged)) == len(merged):
+                    order = sorted(range(len(merged)), key=merged.__getitem__)
+                    img[tuple(sorted(merged))] = Fraction(koszul_sign(order, (ODD,) * len(merged)))
+    return grassmann_algebra(5, d_images, name="G5")
+
+
+def g5_gauge(alg, seed):
+    """A sparse random point of G5's 64-direction gauge family: each
+    coordinate is uniform in {-1, 0, 1} with probability 0.2, else 0."""
+    rng = random.Random(seed)
+    coords = [rng.choice((-1, 0, 1)) if rng.random() < 0.2 else 0 for _ in range(64)]
+    return gauge_at(alg, coords, label=f"G5 seed {seed}")
 
 
 def permute_tensor(space: SuperSpace, t: dict, order) -> dict:
@@ -509,6 +558,16 @@ def odd_laplacian_form_oracle(symp, a):
     if symp.parity != ODD:
         raise ValueError("the odd Laplacian needs an odd symplectic form")
     return divergence(hamiltonian_field_form_oracle(symp, a)) / 2
+
+
+def double_factorial(n: int) -> int:
+    """n (n - 2) (n - 4) ... down to 1 or 2; 1 for n <= 1.  (2k - 1)!! is the
+    number of chord diagrams on 2k points and the unit Gaussian moment of x^2k."""
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
 
 
 class SplitWeight:

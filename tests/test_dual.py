@@ -9,8 +9,8 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms
                             koszul_sign, monomial_parity, perm_parity)
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
-from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, find_gauges, g3,
-                               g3_gauge, k2, k2_gauge, partner_lists, so3_reduced,
+from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, g3, g3_gauge,
+                               gauge_at, k2, partner_lists, so3_reduced,
                                verify_axioms, vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
 from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
@@ -27,9 +27,10 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
 from bvgraph import dual, frobenius, linalg, sampling, symplectic, wick
+import oracles
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
-                     feynman_value_oracle, hamiltonian_field_form_oracle,
+                     feynman_value_oracle, g5, g5_gauge, hamiltonian_field_form_oracle,
                      odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      rescaled, restricted_word_oracle, symmetrize_tensor,
                      wick_map_oracle)
@@ -246,10 +247,10 @@ def test_intertwining_and_form_route_fail_on_a_flipped_odd_prefix_sign(monkeypat
 
 # -- S functional -------------------------------------------------------------
 
-def test_s_vanishes_on_k2_gauge():
+def test_s_vanishes_at_the_gauge_of_k2():
     rng = random.Random(7)
     model = model_k2()
-    gm = GaugeModel(model, k2_gauge(model.alg))
+    gm = GaugeModel(model, gauge_at(model.alg, ()))
     for _ in range(6):
         polys = [sampling.homogeneous_monomial(rng, V20.space, 3)
                  for _ in range(2)]
@@ -330,7 +331,7 @@ def test_restricted_product_matches_full_space_oracle():
                 words.update(chain.terms, ce_differential(chain).terms)
         cases += [(model, gm, word) for word in sorted(words)]
     so3 = TensorModel(so3_reduced(), V20)
-    cases.append((so3, GaugeModel(so3, find_gauges(so3.alg)[0][0]),
+    cases.append((so3, GaugeModel(so3, gauge_at(so3.alg, ())),
                   ((0, 0, 0), (1, 1, 1))))
     assert len(cases) == 64
     nonzero = odd_sign = 0
@@ -394,7 +395,7 @@ def test_s_functional_rejects_a_foreign_gauge_model():
 # -- Feynman amplitudes --------------------------------------------------------
 
 def test_feynman_k2_all_zero():
-    gauge = k2_gauge()
+    gauge = gauge_at(k2(), ())
     for (v, e) in ((2, 3), (2, 5), (4, 6)):
         vals = feynman_cochain(gauge, v, e)
         assert all(x == 0 for x in vals.values())
@@ -457,7 +458,7 @@ def test_product_gauge_has_no_interactions():
     # xi A is isotropic and square-zero, so mu_k vanishes on it for every
     # k >= 3: K2's gauge is xi A, and G3's (0,0,0,0) is eta * C with
     # eta = xi1 - xi123.
-    for gauge in (k2_gauge(), g3_gauge(0, 0, 0, 0)):
+    for gauge in (gauge_at(k2(), ()), g3_gauge(0, 0, 0, 0)):
         for k in (3, 4, 5, 6):
             assert vertex_tensor_on_vectors(gauge.alg, gauge.vectors, k) == {}
 
@@ -483,7 +484,7 @@ def test_so3_fixture_gives_nonzero_amplitudes(monkeypatch):
         raise AssertionError("F built a tensor model")
 
     monkeypatch.setattr(TensorModel, "__init__", no_model)
-    gauge = find_gauges(so3_reduced())[0][0]
+    gauge = gauge_at(so3_reduced(), ())
     assert feynman_value(gauge, theta_graph()) == 6
     for (v, e), values in (((2, 3), [6]), ((4, 6), [36, -42]),
                            ((6, 9), [216, -252, 138]),
@@ -498,7 +499,7 @@ def test_feynman_value_reads_a_reassigned_propagator():
     # chords.  The suites read F through the gauge's amplitudes, which the
     # setter empties, so no amplitude outlives the propagator it was taken
     # with
-    gauge = find_gauges(so3_reduced())[0][0]
+    gauge = gauge_at(so3_reduced(), ())
     theta = GraphChain({theta_graph(): Fraction(1)})
     assert feynman_value(gauge, theta_graph()) == 6 == feynman_on_chain(gauge, theta)
     assert gauge.amplitudes == {theta_graph(): 6}
@@ -524,7 +525,7 @@ def test_amplitudes_are_computed_once_and_stay_within_their_bound(monkeypatch):
     # one feynman_value call per (gauge, graph) while the memo holds it; a
     # full memo is cleared, so it never holds more than its bound
     monkeypatch.setattr(dual, "_AMPLITUDES_SIZE", 3)
-    gauge = find_gauges(so3_reduced())[0][0]
+    gauge = gauge_at(so3_reduced(), ())
     kernel = dual.feynman_value
     calls = []
 
@@ -562,7 +563,7 @@ def test_a_patched_feynman_value_shows_on_fresh_gauges(monkeypatch):
 def test_so3_amplitudes_are_multiplicative_on_disjoint_unions():
     # F of a disconnected graph is the product of F on its components, up to
     # the signs of presenting the components as consecutive vertex blocks
-    gauge = find_gauges(so3_reduced())[0][0]
+    gauge = gauge_at(so3_reduced(), ())
 
     def value(g):
         return feynman_value(gauge, g)
@@ -584,7 +585,7 @@ def test_feynman_value_is_exact_on_fractional_tensors():
     # has denominator 5 and the propagator 4 and 9, so the recursion runs over
     # mu_3 times its table's scale and prop * 36: a dropped division by the
     # scales, or a wrong exponent, changes every value below
-    gauge = find_gauges(so3_reduced())[0][0]
+    gauge = gauge_at(so3_reduced(), ())
     scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
     assert {m.denominator for m in scaled.mu(3).values()} == {5}
@@ -608,8 +609,7 @@ def test_feynman_values_at_a_mixed_parity_dense_gauge():
     # takes the chord sign by koszul_sign at every leaf
     alg = direct_sum(so3_reduced(), g3())
     assert verify_axioms(alg)["ok"]
-    gauge = next(g for g in find_gauges(alg)[0]
-                 if g.label == "(1, 1, 0, 0, 0, 0, 0, 0, 1, 0)")
+    gauge = gauge_at(alg, (1, 1, 0, 0, 0, 0, 0, 0, 1, 0))
     assert gauge.parities == [ODD] * 4 + [EVEN] * 2 + [ODD]
     assert [len(gauge.mu(k)) for k in (3, 4, 5, 6)] == [33, 76, 165, 306]
     theta = feynman_value(gauge, theta_graph())
@@ -624,7 +624,7 @@ def test_feynman_values_at_a_mixed_parity_dense_gauge():
 
 def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
     model = TensorModel(so3_reduced(), V20)
-    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+    gm = GaugeModel(model, gauge_at(model.alg, ()))
     chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))  # p^3 ^ q^3
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "pass", rep["witnesses"]
@@ -641,7 +641,7 @@ def test_s_equals_f_of_i_on_a_fractional_so3_gauge():
     # exponent changes S, and the restricted Psi is checked against the
     # oracle that restricts by Fraction products
     model = TensorModel(so3_reduced(), V20)
-    gauge = find_gauges(model.alg)[0][0]
+    gauge = gauge_at(model.alg, ())
     scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
     gm = GaugeModel(model, scaled)
@@ -1118,6 +1118,41 @@ def test_gauge_independence_on_cycles():
             assert rep["status"] == "pass", rep["witnesses"]
 
 
+def g5_case():
+    """G5 over V_{2|0} with fresh gauges at seeds 1 and 2: the first
+    fixture on which the (4,6) cycles cancel between nonzero graphs."""
+    model = TensorModel(g5(), V20)
+    return model, g5_gauge(model.alg, 1), g5_gauge(model.alg, 2)
+
+
+def test_g5_gauges_pin_vertex_tensors_and_amplitudes():
+    # at seed 2 the (4,6) cycles read 0 by 3 * 8 - 24 = 0; at seed 1 every
+    # graph reads 0
+    model, g1, g2 = g5_case()
+    assert [len(g1.mu(k)) for k in (3, 4, 5)] == [126, 684, 3130]
+    assert [len(g2.mu(k)) for k in (3, 4, 5)] == [135, 744, 3110]
+    graphs = enumerate_graphs(4, 6)
+    assert [feynman_value(g1, g) for g in graphs] == [0, 0, 0]
+    assert [feynman_value(g2, g) for g in graphs] == [0, 8, -24]
+    _, cycles = cycle_space(4, 6)
+    for gauge in (g1, g2):
+        assert [feynman_on_chain(gauge, z) for z in cycles] == [0, 0]
+    rep = verify_gauge_independence(model, g1, g2, 4, 6)
+    assert rep["status"] == "pass", rep["witnesses"]
+
+
+def test_g5_pins_s_equal_f_of_i():
+    model, _, g2 = g5_case()
+    gm = GaugeModel(model, g2)
+    p = SuperPolynomial.variable(V20.space, 0)
+    q = SuperPolynomial.variable(V20.space, 1)
+    chain = CEChain.from_polynomials(V20, [p * p * p, p * q * q, q * q * q, p * p * q])
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "pass", rep["witnesses"]
+    assert s_functional(model, gm, chain) == -4320
+    assert feynman_on_chain(g2, wick_map(chain)) == -4320
+
+
 def test_gauge_independence_same_gauge_trivial():
     model = model_g3()
     g = g3_gauge(0, 0, 0, 1, alg=model.alg)
@@ -1182,7 +1217,7 @@ def test_osp_invariance():
 
 def so3_commute_case():
     model = TensorModel(so3_reduced(), V20)
-    gauge = find_gauges(model.alg)[0][0]
+    gauge = gauge_at(model.alg, ())
     return model, GaugeModel(model, gauge), wedge(V20, ((0, 0, 0), (1, 1, 1)))
 
 
@@ -1244,7 +1279,7 @@ def so3_odd_chord_case():
     every factor has an odd half-edge, so I contracts odd chords."""
     v41 = SymplecticSpace.canonical_even(2, 1)
     model = TensorModel(so3_reduced(), v41)
-    gm = GaugeModel(model, find_gauges(model.alg)[0][0])
+    gm = GaugeModel(model, gauge_at(model.alg, ()))
     return model, gm, wedge(v41, ((0, 0, 4), (1, 1, 4), (2, 2, 4), (3, 3, 4)))
 
 
@@ -1264,6 +1299,19 @@ def test_commute_fails_without_the_chord_sign_of_i(monkeypatch):
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "fail"
     assert rep["witnesses"] == [{"S": "240", "F_I": "-48", "chain": chain.to_json()}]
+
+
+def test_gauge_independence_fails_without_the_chord_sign_of_f(monkeypatch):
+    # F is the recursion that takes the chord sign at each leaf; with that
+    # sign kept G5's (4,6) cycles read 0 at both gauges, and with it
+    # dropped they read 576 and 384 at seed 2 but still 0 at seed 1
+    monkeypatch.setattr(dual, "feynman_value", feynman_leaf_sign_oracle)
+    rep = verify_gauge_independence(*g5_case(), 4, 6)
+    assert rep["status"] == "pass", rep["witnesses"]
+    monkeypatch.setattr(oracles, "chord_sign", lambda parities, chord: 1)
+    rep = verify_gauge_independence(*g5_case(), 4, 6)
+    assert rep["status"] == "fail"
+    assert [(w["F_L0"], w["F_L1"]) for w in rep["witnesses"]] == [("0", "576"), ("0", "384")]
 
 
 def test_gauge_independence_fails_on_a_negated_propagator():

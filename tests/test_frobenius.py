@@ -1,28 +1,26 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
-
-import ast
 
 import pytest
 
 from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
                                algebra_from_json, algebra_to_json,
-                               check_contractible, degenerate_form, find_gauges,
-                               g3, g3_gauge, grassmann_algebra, k2, k2_gauge,
-                               so3_reduced, verify_axioms, vertex_tensor,
-                               vertex_tensor_on_vectors)
+                               check_contractible, degenerate_form, g3, g3_gauge,
+                               gauge_at, grassmann_algebra, k2, so3_reduced,
+                               verify_axioms, vertex_tensor, vertex_tensor_on_vectors)
 from bvgraph import frobenius, linalg
 from bvgraph.graded import EVEN, ODD, SuperSpace, perm_parity
 from bvgraph.symplectic import LagrangianSubspace
-from oracles import is_symmetric_tensor, rescaled, vertex_tensor_oracle
+from oracles import (g3_gauge_oracle, g5, is_symmetric_tensor, rescaled,
+                     vertex_tensor_oracle)
 
 # so3red in a scaled basis: its structure constants and its pairing have
 # denominators
 SO3_SCALES = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1), Fraction(5, 2),
               Fraction(3)]
 # a gauge of so3red + G3 whose L mixes parities, with mu_3..mu_6 all nonzero
-DENSE_LABEL = "(1, 1, 0, 0, 0, 0, 0, 0, 1, 0)"
+DENSE_COORDS = (1, 1, 0, 0, 0, 0, 0, 0, 1, 0)
 
 
 def so3_rescaled():
@@ -34,13 +32,14 @@ def so3_plus_g3():
 
 
 def dense_gauge(alg):
-    return next(g for g in find_gauges(alg)[0] if g.label == DENSE_LABEL)
+    return gauge_at(alg, DENSE_COORDS)
 
 
 def scaled_gauge_vectors(alg):
-    """The first gauge of alg with its basis scaled by 1/2, -2/3 and 3/5."""
+    """The one gauge of so3red, or of its rescaled form, with its basis
+    scaled by 1/2, -2/3 and 3/5."""
     return [[s * x for x in v] for s, v in zip((Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)),
-                                               find_gauges(alg)[0][0].vectors)]
+                                               gauge_at(alg, ()).vectors)]
 
 
 def test_k2_axioms_pass():
@@ -93,18 +92,27 @@ def test_contractibility():
 
 
 def test_k2_unique_gauge():
-    gauges, info = find_gauges(k2())
-    assert info["n_parameters"] == 0
-    assert len(gauges) == 1
-    assert [list(v) for v in gauges[0].vectors] == [[0, 1]]
+    alg = k2()
+    assert alg.gauge_family == (((0, 1),), ())
+    gauge = gauge_at(alg, ())
+    assert [list(v) for v in gauge.vectors] == [[0, 1]] and gauge.label == "()"
 
 
 def test_g3_gauge_family_has_4_parameters():
-    gauges, info = find_gauges(g3())
-    assert info["n_parameters"] == 4
-    assert len(gauges) == 16
+    # the 16 corners of the box {0, 1}^4 are 16 distinct gauges
+    alg = g3()
+    assert len(alg.gauge_family[1]) == 4
+    gauges = [gauge_at(alg, coords) for coords in product((0, 1), repeat=4)]
+    assert len({tuple(g.vectors) for g in gauges}) == 16
+    assert gauges[5].label == "(0, 1, 0, 1)"
     for g in gauges:
         g.validate()
+
+
+def test_gauge_at_needs_one_coordinate_per_direction():
+    for coords in ((), (1, 2, 3), (0,) * 5):
+        with pytest.raises(ValueError, match="G3 has 4 directions"):
+            gauge_at(g3(), coords)
 
 
 def test_named_g3_gauges_validate():
@@ -133,6 +141,17 @@ def test_named_g3_gauges_lie_in_generic_family():
     for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (2, -1, 3, 1),
                    (Fraction(1, 2), 0, 1, -2)):
         g3_gauge(*params).validate()
+
+
+@pytest.mark.parametrize("params", (
+    (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4), (0, 0, 0, 0), (1, 0, 0, 0), (2, -1, 3, 1),
+    (Fraction(1, 2), 0, 1, -2), (-3, Fraction(2, 7), Fraction(-5, 3), -1)))
+def test_g3_gauge_is_the_closed_form(params):
+    # the point (d - b, a - c, c, d) of G3's family is the hand-solved
+    # L(a,b,c,d), vector by vector; the first three are the benchmark's
+    alg = g3()
+    gauge, oracle = g3_gauge(*params, alg=alg), g3_gauge_oracle(*params, alg)
+    assert gauge.vectors == oracle.vectors and gauge.label == oracle.label
 
 
 def test_gauge_of_a_degenerate_pairing_is_rejected():
@@ -176,9 +195,8 @@ def test_so3_reduced_fixture():
     assert alg.space.parities == (ODD,) * 3 + (EVEN,) * 3
     assert verify_axioms(alg)["ok"]
     assert check_contractible(alg) == (True, 3)
-    gauges, info = find_gauges(alg)
-    assert len(gauges) == 1 and info["n_parameters"] == 0
-    gauge = gauges[0]
+    assert alg.gauge_family[1] == ()
+    gauge = gauge_at(alg, ())
     assert gauge.parities == [ODD] * 3  # the odd part xi1, xi2, xi3
     assert [list(row) for row in gauge.propagator] == [
         [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
@@ -188,9 +206,17 @@ def test_so3_reduced_fixture():
 
 
 def test_non_contractible_input_has_no_gauges():
-    lam3 = grassmann_algebra(3, {})
-    gauges, info = find_gauges(lam3)
-    assert gauges == [] and "error" in info
+    with pytest.raises(ValueError, match="not contractible"):
+        gauge_at(grassmann_algebra(3, {}), ())
+    # contractible, but <d(xi), y> = <e, y> = 1 breaks d-invariance: d(A) =
+    # span{e, y} is not isotropic, and no graph over {f, xi} is isotropic
+    space = SuperSpace(("e", "f", "xi", "y"), (EVEN, EVEN, ODD, ODD))
+    pairing = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    diff = [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
+    alg = FrobeniusAlgebra(space, {}, diff, pairing)
+    assert check_contractible(alg) == (True, 2)
+    with pytest.raises(ValueError, match="no isotropic complement"):
+        gauge_at(alg, ())
 
 
 def test_vertex_tensor_k2_all_xi_is_zero():
@@ -209,7 +235,8 @@ def test_vertex_tensor_values_on_d1_gauge():
 
 
 def test_vertex_tensor_symmetry_k_up_to_4():
-    for alg, gauge in ((k2(), k2_gauge()), (g3(), g3_gauge(0, 0, 0, 1))):
+    for gauge in (gauge_at(k2(), ()), g3_gauge(0, 0, 0, 1)):
+        alg = gauge.alg
         for k in (3, 4):
             mu = vertex_tensor(alg, k)
             assert is_symmetric_tensor(alg.space, mu, k)
@@ -218,7 +245,7 @@ def test_vertex_tensor_symmetry_k_up_to_4():
 
 
 def test_symmetry_check_catches_one_negated_entry():
-    gauge = find_gauges(so3_reduced())[0][0]
+    gauge = gauge_at(so3_reduced(), ())
     eps = gauge.mu(3)
     assert is_symmetric_tensor(gauge.subspace(), eps, 3)
     for key in eps:
@@ -242,7 +269,7 @@ VERTEX_TENSOR_CASES = {
     **{"G3_" + "".join(map(str, params)):
        (g3, lambda alg, p=params: g3_gauge(*p, alg=alg).vectors)
        for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4))},
-    "so3": (so3_reduced, lambda alg: find_gauges(alg)[0][0].vectors),
+    "so3": (so3_reduced, lambda alg: gauge_at(alg, ()).vectors),
     # the so(3) gauge with its basis scaled by 1/2, -2/3 and 3/5
     "so3_scaled": (so3_reduced, scaled_gauge_vectors),
     # structure constants with denominators, on the basis and on a gauge
@@ -350,15 +377,40 @@ def test_mu_2_on_a_basis_is_the_pairing(make_alg):
                                  for j, c in enumerate(row) if c]
 
 
-def test_find_gauges_reaches_every_direction():
+def test_every_gauge_direction_moves_the_basis():
+    # each of the 10 directions displaces the base, and the gauge one unit
+    # along it is valid
     alg = so3_plus_g3()
     assert verify_axioms(alg)["ok"]
     assert check_contractible(alg) == (True, 7)
-    gauges, info = find_gauges(alg)
-    assert info["n_parameters"] == 10
-    assert 0 < len(gauges) <= 64
-    lams = [ast.literal_eval(g.label) for g in gauges]
-    assert all(any(lam[j] == 1 for lam in lams) for j in range(10))
+    base, directions = alg.gauge_family
+    assert len(directions) == 10
+    for j, direction in enumerate(directions):
+        assert any(map(any, direction))
+        unit = tuple(int(i == j) for i in range(10))
+        gauge = gauge_at(alg, unit)
+        assert gauge.vectors != list(base) and gauge.label == str(unit)
+
+
+def test_dense_gauge_of_so3_plus_g3():
+    # the basis of the dense gauge, by name: so3red's odd part mixed into
+    # G3's, and G3's unit in an even vector
+    alg = so3_plus_g3()
+    names = alg.space.names
+    assert [{names[i]: c for i, c in enumerate(v) if c} for v in dense_gauge(alg).vectors] == [
+        {"0.xi1": 1, "1.xi3": -1}, {"0.xi2": 1, "1.xi3": -1}, {"0.xi3": 1},
+        {"1.xi1": 1, "1.xi2": 1}, {"0.xi13": -1, "0.xi23": 1, "1.xi12": 1},
+        {"1.1": 1, "1.xi13": 1, "1.xi23": 1}, {"1.xi2": 1, "1.xi123": 1}]
+
+
+def test_g5_fixture():
+    # G3 with a second pair xi4 xi5: 16|16, contractible, with 64 gauge
+    # directions
+    alg = g5()
+    assert len(alg.space) == 32
+    assert verify_axioms(alg)["ok"]
+    assert check_contractible(alg) == (True, 16)
+    assert len(alg.gauge_family[1]) == 64
 
 
 def test_direct_sum_of_an_algebra_with_itself():
@@ -370,18 +422,18 @@ def test_direct_sum_of_an_algebra_with_itself():
     assert alg.name == "so3red+so3red"
     assert alg.space.names[::6] == ("0.xi1", "1.xi1")
     assert verify_axioms(alg)["ok"]
-    gauges, info = find_gauges(alg)
-    assert info["n_parameters"] == 0
-    assert [g.label for g in gauges] == ["()"]
+    assert alg.gauge_family[1] == ()
+    gauge = gauge_at(alg, ())
     basis = linalg.identity(12)
-    assert gauges[0].vectors == [tuple(basis[i]) for i in (0, 1, 2, 6, 7, 8)]
-    assert gauges[0].parities == [ODD] * 6
-    assert len(gauges[0].mu(3)) == 2 * len(find_gauges(so3_reduced())[0][0].mu(3)) == 12
+    assert gauge.vectors == [tuple(basis[i]) for i in (0, 1, 2, 6, 7, 8)]
+    assert gauge.parities == [ODD] * 6
+    assert len(gauge.mu(3)) == 2 * len(gauge_at(so3_reduced(), ()).mu(3)) == 12
 
 
-def test_find_gauges_builds_d_image_and_d_form_once_per_algebra(monkeypatch):
-    # d(A) and <-,->_d depend on the algebra alone, not on the gauge
-    calls = {"degenerate_form": 0, "column_space_basis": 0}
+def test_d_image_d_form_and_gauge_family_are_built_once_per_algebra(monkeypatch):
+    # d(A), <-,->_d and the gauge family depend on the algebra alone, not on
+    # the gauge: one solve of the isotropy system serves every gauge
+    calls = {"degenerate_form": 0, "column_space_basis": 0, "solve": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -393,9 +445,11 @@ def test_find_gauges_builds_d_image_and_d_form_once_per_algebra(monkeypatch):
 
     counted(frobenius, "degenerate_form")
     counted(linalg, "column_space_basis")
-    gauges, _ = find_gauges(g3())
-    assert len(gauges) == 16
-    assert calls == {"degenerate_form": 1, "column_space_basis": 1}
+    counted(linalg, "solve")
+    alg = g3()
+    for coords in product((0, 1), repeat=4):
+        gauge_at(alg, coords)
+    assert calls == {"degenerate_form": 1, "column_space_basis": 1, "solve": 1}
 
 
 def test_gauge_invariants():

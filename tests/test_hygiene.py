@@ -17,6 +17,8 @@ Fractions to ints in one place: no package module takes the ``lcm`` of
 denominators outside ``graded.integer_terms``.  Vertex tensors come from one
 table per list of elements: no package code outside the one-shot
 ``vertex_tensor`` and ``vertex_tensor_on_vectors`` calls either of them.
+Gauges come from one builder: no package code outside
+``frobenius.gauge_at`` calls ``Gauge``.
 Bounded memos have one idiom: no package module calls ``.clear()`` outside
 ``graded.memoised``, which empties a full cache before it stores an entry, and
 none hand-rolls a memo of its own: no ``if k in d: return d[k]``, no
@@ -260,16 +262,21 @@ def test_oracles_never_use_the_kernels_they_check():
 ONE_SHOT = {"vertex_tensor", "vertex_tensor_on_vectors"}
 
 
-def one_shot_calls(source, name=""):
-    """Calls of the one-shot vertex-tensor functions, by name or as an
-    attribute, outside the bodies of those functions."""
+def calls_outside(source, called, exempt=(), name=""):
+    """Calls of the names in `called`, by name or as an attribute, outside
+    the bodies of the functions named in `exempt`."""
     tree = ast.parse(source)
     skipped = {id(inner) for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name in ONE_SHOT
+               if isinstance(node, ast.FunctionDef) and node.name in exempt
                for inner in ast.walk(node)}
     return [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
             if id(node) not in skipped and isinstance(node, ast.Call)
-            and called_name(node) in ONE_SHOT]
+            and called_name(node) in called]
+
+
+def one_shot_calls(source, name=""):
+    """Calls of the one-shot vertex-tensor functions outside their bodies."""
+    return calls_outside(source, ONE_SHOT, ONE_SHOT, name)
 
 
 def test_one_shot_calls_are_detected():
@@ -288,6 +295,28 @@ def test_library_builds_vertex_tensors_through_one_table():
     # from it; a one-shot call would rebuild the walk of products
     hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in one_shot_calls(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def test_gauge_builds_are_detected():
+    source = ("g = Gauge(alg, [(0, 1)], label='K2')\n"
+              "g = frobenius.Gauge(alg, vectors)\n"
+              "class Gauge(LagrangianSubspace):\n"
+              "    pass\n"
+              "def gauge_at(alg, coords, label=None):\n"
+              "    return Gauge(alg, vectors, label=label)\n")
+    assert calls_outside(source, {"Gauge"}, {"gauge_at"}) == [
+        ":1 Gauge(alg, [(0, 1)], label='K2')", ":2 frobenius.Gauge(alg, vectors)"]
+    assert len(calls_outside(source, {"Gauge"})) == 3
+
+
+def test_library_builds_gauges_through_gauge_at():
+    # every gauge of the package is a point of its algebra's gauge family:
+    # frobenius.gauge_at is the one package function that builds a Gauge
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in calls_outside(path.read_text(encoding="utf-8"), {"Gauge"},
+                                     {"gauge_at"} if path.name == "frobenius.py" else (),
+                                     path.name)]
     assert hits == []
 
 

@@ -72,7 +72,7 @@ def test_inverse_form_even_identity():
     assert b.inverse().matrix() == [[1]]
 
 
-def test_inverse_form_k2_gauge_entry():
+def test_inverse_form_of_k2s_restricted_d_form():
     w = SuperSpace(("xi",), (ODD,))
     b = BilinearForm(w, [[-1]], EVEN, "skew")
     assert b.inverse().matrix() == [[-1]]

@@ -8,12 +8,12 @@ from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import (BilinearForm, SymplecticSpace, canonical_lagrangian,
                                 restrict_polynomial)
 from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
-                          bv_stokes_value, chord_diagrams, double_factorial,
+                          bv_stokes_value, chord_diagrams,
                           gaussian_stokes_even, laplacian_exponential_expansion,
                           live_chords, right_deriv)
 from bvgraph import sampling
 from oracles import (SplitWeight, berezin_oracle, beta_contract,
-                     beta_contract_indices, monomial_vev_chords_oracle)
+                     beta_contract_indices, double_factorial, monomial_vev_chords_oracle)
 
 
 def unit_weight_1d():
