@@ -18,16 +18,17 @@ gauge's bounded ``amplitudes``, so it is computed once per (gauge, graph).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import prod
+from operator import add
 
 from . import linalg
-from .graded import (EVEN, SuperSpace, integer_matrix, memoised, monomial_parity,
-                     sort_indices_with_sign, sparse_sum, tensor_space)
-from .superpoly import SuperPolynomial, VectorField, divergence
+from .graded import (EVEN, SuperSpace, integer_matrix, integer_terms, memoised,
+                     monomial_parity, sort_indices_with_sign, sparse_sum, tensor_space)
+from .superpoly import SuperPolynomial, VectorField, divergence, merged_products
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
 from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors
-from .wick import QuadraticWeight, live_chords
+from .wick import MatchingSupport, QuadraticWeight, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
 from .ce import CEChain, ce_differential, osp_action
@@ -36,8 +37,9 @@ from .ce import CEChain, ce_differential, osp_action
 # ---------------------------------------------------------------------------
 # The tensor model A (x) V and its odd symplectic structure
 
-# Bounds each model's memo of Psi of a monomial of V, full or restricted,
-# which is cleared when full; a commute benchmark pass misses it 33 times.
+# Bounds each model's memo of Psi of a monomial of V, full or restricted (and
+# the gauge model's tallied factors), each cleared when full; a commute
+# benchmark pass misses it 33 times.
 _PSI_SIZE = 1 << 12
 
 
@@ -177,6 +179,7 @@ class GaugeModel:
                        for alpha in range(len(model.alg.space)) for i in range(nv)]
         self.weight = QuadraticWeight.from_sigma(self.restrict(model.sigma))
         self._psi = {}
+        self._tallied = {}
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return f.substitute(self.images, self.space)
@@ -190,9 +193,47 @@ class GaugeModel:
         return memoised(self._psi, _PSI_SIZE, key,
                         lambda: self.restrict(self.model._psi_monomial(key)))
 
-    def psi_of_word(self, word) -> SuperPolynomial:
-        """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) of the restricted factors."""
-        return _word_product(self.space, self.model.v.space, self.psi_monomial, word)
+    def matchable_word(self, word) -> SuperPolynomial:
+        """The terms of deficiency 0 under the inverse weight
+        (``wick.MatchingSupport``) of (-1)^{p(h)} Psi(h_1) ... Psi(h_l)
+        restricted to L (x) V: the only terms with a nonzero expectation.
+
+        Restricted Psi(h_r) is homogeneous of degree |h_r|, so after r
+        factors a partial product gains R_r = |h_{r+1}| + ... + |h_l| more
+        variables, and its monomials of deficiency > R_r are dropped; at the
+        last factor R = 0.  That is exact: every term tuple that reaches a
+        final monomial of deficiency 0 passes every cut.  Terms are grouped
+        by their tally, which is additive, so one test decides a pair of
+        groups, and the pairs it drops never build a key.  As in
+        ``SuperPolynomial.__mul__``, each factor is scaled to ints by the
+        lcm D_r of its denominators, and each output coefficient is divided
+        once by the product of the D_r.
+        """
+        support = self.weight.support
+        more = sum(map(len, word))
+        scale = 1
+        terms = [((), wedge_sign(self.model.v.space, word))]
+        for key in word:
+            more -= len(key)
+            d, factor = self._tallied_factor(key)
+            scale *= d
+            kept = []
+            for t1, left in support.group(terms).items():
+                right = [term for t2, group in factor
+                         if support.completable(tuple(map(add, t1, t2)), more) for term in group]
+                kept.append(merged_products(self.space, left, right))
+            terms = list(sparse_sum(chain.from_iterable(kept), None).items())
+            if not terms:
+                break
+        return SuperPolynomial(self.space, sparse_sum(terms, scale))
+
+    def _tallied_factor(self, key) -> tuple:
+        """(D, [(tally, terms)]): restricted Psi of key over ints
+        (``integer_terms``), its terms grouped by tally, once per key."""
+        def compute():
+            d, terms = integer_terms(self.psi_monomial(key).terms)
+            return d, list(self.weight.support.group(terms).items())
+        return memoised(self._tallied, _PSI_SIZE, key, compute)
 
 
 def wedge_sign(vspace: SuperSpace, word) -> int:
@@ -205,16 +246,11 @@ def wedge_sign(vspace: SuperSpace, word) -> int:
 
 
 def psi_of_word(model: TensorModel, word) -> SuperPolynomial:
-    """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) for a word of monomial keys."""
-    return _word_product(model.space, model.v.space, model._psi_monomial, word)
-
-
-def _word_product(space: SuperSpace, vspace: SuperSpace, factor, word) -> SuperPolynomial:
-    """(-1)^{p(h)} factor(h_1) ... factor(h_l) on `space`, for a word of
-    monomial keys on `vspace`; it stops at the first zero product."""
-    out = SuperPolynomial.scalar(space, wedge_sign(vspace, word))
+    """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) for a word of monomial keys; it
+    stops at the first zero product."""
+    out = SuperPolynomial.scalar(model.space, wedge_sign(model.v.space, word))
     for key in word:
-        out = out * factor(key)
+        out = out * model._psi_monomial(key)
         if out.is_zero():
             break
     return out
@@ -225,11 +261,14 @@ def s_functional(model: TensorModel, gm: GaugeModel, chain: CEChain) -> Fraction
     < Psi(h_1) ... Psi(h_l) |_{L (x) V} >_0, the Gaussian expectation over
     L (x) V with the restricted sigma weight.
 
-    It restricts each Psi(h_r) to L (x) V before it multiplies
-    (``GaugeModel.psi_of_word``), so the product is taken on half the
-    variables.  That is exact: restriction pulls back along the inclusion
-    L (x) V -> A (x) V, a map of graded commutative algebras, so the
-    restriction of the product is the product of the restricted factors.
+    It restricts each Psi(h_r) to L (x) V before it multiplies, so the
+    product is taken on half the variables.  That is exact: restriction
+    pulls back along the inclusion L (x) V -> A (x) V, a map of graded
+    commutative algebras, so the restriction of the product is the product
+    of the restricted factors.  The products that no perfect matching
+    within the inverse weight's support can complete add 0, and are never
+    formed (``GaugeModel.matchable_word``).  The cut reads only the weight,
+    so S stays independent of F.
     """
     if chain.symp is not model.v and chain.symp.space != model.v.space:
         raise ValueError("chain over the wrong symplectic space")
@@ -237,7 +276,7 @@ def s_functional(model: TensorModel, gm: GaugeModel, chain: CEChain) -> Fraction
         raise ValueError("gauge model belongs to a different tensor model")
     total = Fraction(0)
     for word, coeff in chain.terms.items():
-        total += coeff * gm.weight.expectation(gm.psi_of_word(word))
+        total += coeff * gm.weight.expectation(gm.matchable_word(word))
     return total
 
 
@@ -389,9 +428,11 @@ def wick_map(chain: CEChain) -> GraphChain:
     beta_c contracting the factors with the inverse symplectic form.
 
     Only the diagrams with beta_c != 0 are visited (``wick.live_chords``):
-    the walk pairs a factor only with a partner of nonzero inverse-form entry.
-    The others add 0, so the image is the same, and the live diagrams come in
-    the order of ``chord_diagrams``, so even its key order is unchanged.
+    the walk pairs a factor only with a partner of nonzero inverse-form entry,
+    and skips a word of nonzero deficiency (``wick.MatchingSupport``, built
+    once per chain).  The others add 0, so the image is the same, and the
+    live diagrams come in the order of ``chord_diagrams``, so even its key
+    order is unchanged.
 
     The walk runs over integers: the inverse form is scaled once per chain
     by the lcm d of its denominators (``integer_matrix``), so each live
@@ -400,6 +441,7 @@ def wick_map(chain: CEChain) -> GraphChain:
     """
     symp = chain.symp
     d, inv = integer_matrix(symp.inverse.rows)
+    support = MatchingSupport(inv)
 
     def terms():
         for word, coeff in chain.terms.items():
@@ -407,7 +449,7 @@ def wick_map(chain: CEChain) -> GraphChain:
             sizes = [len(key) for key in word]
             pars = [symp.space.parities[i] for i in factors]
             scale = d ** (len(factors) // 2)
-            for chord, val in live_chords(pars, factors, inv):
+            for chord, val in live_chords(pars, factors, support):
                 nv, edges = graph_from_chord(sizes, chord)
                 rep, sign = canonicalize_directed(nv, edges)
                 if sign:

@@ -9,7 +9,12 @@ with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
 ``restricted_word_oracle`` multiplies a word of Psi images out over all of
 A (x) V and restricts the product to the gauge only then, with
 ``substitute_oracle``: that expands each term factor by factor with
-``polynomial_product_oracle``, over Fractions.
+``polynomial_product_oracle``, over Fractions.  ``restricted_product_oracle``
+multiplies the restricted Psi factors with every product formed, and
+``s_functional_oracle`` takes the expectation of that uncut product: the
+route the matchability cut of S replaced.  ``unmatched_oracle`` is the
+fewest points a matching along a matrix's support leaves unmatched, by
+trying every matching.
 ``wick_map_oracle`` contracts every chord diagram of a word, zero or not, and
 ``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
 ``berezin_oracle`` integrates split-diagonal weights block by block, and
@@ -49,7 +54,7 @@ from math import factorial
 
 from bvgraph import linalg
 from bvgraph.dual import (chord_presentation, graph_from_chord, psi_of_word, shuffle_sign,
-                          tensor_index)
+                          tensor_index, wedge_sign)
 from bvgraph.frobenius import FrobeniusAlgebra, Gauge, gauge_at, grassmann_algebra
 from bvgraph.forms import FormContext
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
@@ -407,6 +412,36 @@ def substitute_oracle(f, images, target_space):
         return out
     return SuperPolynomial.sum(target_space, (image(key, val)
                                               for key, val in f.terms.items()))
+
+
+def restricted_product_oracle(gm, word):
+    """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) of the restricted factors, every
+    product formed: the uncut word product of ``GaugeModel.matchable_word``."""
+    out = SuperPolynomial.scalar(gm.space, wedge_sign(gm.model.v.space, word))
+    for key in word:
+        out = out * gm.psi_monomial(key)
+    return out
+
+
+def s_functional_oracle(gm, chain):
+    """S over the uncut restricted word products (``restricted_product_oracle``):
+    every product formed, and the expectation of each summed."""
+    return sum((coeff * gm.weight.expectation(restricted_product_oracle(gm, word))
+                for word, coeff in chain.terms.items()), Fraction(0))
+
+
+def unmatched_oracle(matrix, key):
+    """The fewest points of the multiset key that a matching along the
+    nonzero entries of matrix (in either order) leaves unmatched, by trying
+    every partner of the first point and leaving it unmatched."""
+    if not key:
+        return 0
+    first, rest = key[0], key[1:]
+    best = 1 + unmatched_oracle(matrix, rest)
+    for j, other in enumerate(rest):
+        if matrix[first][other] or matrix[other][first]:
+            best = min(best, unmatched_oracle(matrix, rest[:j] + rest[j + 1:]))
+    return best
 
 
 def restricted_word_oracle(model, gm, word):

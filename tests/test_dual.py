@@ -32,7 +32,8 @@ from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
                      feynman_value_oracle, g5, g5_gauge, hamiltonian_field_form_oracle,
                      odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
-                     rescaled, restricted_word_oracle, symmetrize_tensor,
+                     rescaled, restricted_product_oracle, restricted_word_oracle,
+                     s_functional_oracle, symmetrize_tensor,
                      wick_map_oracle)
 
 
@@ -276,7 +277,7 @@ def test_s_equals_f_after_i_on_quintic_wedge_with_live_cancellation():
     q = SuperPolynomial.variable(V20.space, 1)
     chain = CEChain.from_polynomials(V20, [p * p * p * p * p, q * q * q * q * q])
     word = next(iter(chain.terms))
-    poly = gm.psi_of_word(word)
+    poly = restricted_product_oracle(gm, word)
     live = [key for key, val in poly.terms.items()
             if val != 0 and gm.weight.monomial_vev(key) != 0]
     assert len(live) >= 4  # the zero is a genuine cancellation, not vacuous
@@ -315,11 +316,19 @@ def wedge(v, keys):
         v, [SuperPolynomial.monomial(v.space, k) for k in keys])
 
 
+def matchable_part(gm, poly):
+    """The terms of poly of deficiency 0 under the gauge model's weight."""
+    support = gm.weight.support
+    return SuperPolynomial(poly.space, {k: c for k, c in poly.terms.items()
+                                        if not support.deficiency(k)})
+
+
 def test_restricted_product_matches_full_space_oracle():
-    # the gauge model multiplies the restricted Psi factors; the oracle
-    # multiplies over all of A (x) V and restricts afterwards.  The words are
-    # those of the commute pool's wedges and of their delta, plus p^3 ^ q^3
-    # on so(3); some carry the wedge sign -1 and are nonzero.
+    # the product of the restricted Psi factors equals the product over all
+    # of A (x) V restricted afterwards, and the cut product of S keeps
+    # exactly its terms of deficiency 0.  The words are those of the commute
+    # pool's wedges and of their delta, plus p^3 ^ q^3 on so(3); some carry
+    # the wedge sign -1 and are nonzero.
     cases = []
     for v in (V20, V21):
         model = model_g3(v)
@@ -336,13 +345,110 @@ def test_restricted_product_matches_full_space_oracle():
     assert len(cases) == 64
     nonzero = odd_sign = 0
     for model, gm, word in cases:
-        poly = gm.psi_of_word(word)
+        poly = restricted_product_oracle(gm, word)
         assert poly.space == gm.space
         assert poly == restricted_word_oracle(model, gm, word), word
+        assert gm.matchable_word(word) == matchable_part(gm, poly), word
         nonzero += not poly.is_zero()
         odd_sign += not poly.is_zero() and wedge_sign(model.v.space, word) < 0
     assert nonzero >= len(cases) // 2
     assert odd_sign >= 1
+
+
+# A dense point of the gauge family of so3red + G3: its mu_3 ... mu_6 have
+# 90, 404, 1,760 and 6,528 entries
+DENSE = (-1, 2, -2, 0, -2, 1, 1, 1, 1, -1)
+
+
+def seeded_wedges(rng, v, sizes, count):
+    """`count` wedges of cubics and quartics on v, of a length in `sizes`:
+    all but the first have deficiency 0 under the inverse form of v, so I
+    and S may be nonzero on them."""
+    keys = sampling.monomial_keys(v.space, 3) + sampling.monomial_keys(v.space, 4)
+    support = wick.MatchingSupport(v.inverse.rows)
+    out = [wedge(v, [rng.choice(keys) for _ in range(max(sizes))])]
+    while len(out) < count:
+        word = [rng.choice(keys) for _ in range(rng.choice(sizes))]
+        chain = wedge(v, word)
+        if chain.terms and not support.deficiency([i for key in word for i in key]):
+            out.append(chain)
+    return out
+
+
+@pytest.mark.parametrize("v", [V20, V21], ids=["V20", "V21"])
+def test_cut_s_equals_the_uncut_route(v):
+    # seeded wedges at three G3 gauges, so3red's one gauge and a dense
+    # so3red + G3 gauge: the cut S equals the expectation of the uncut
+    # restricted product, and the cut product is that product's part of
+    # deficiency 0.  Over V_{2|1} every weight has a component that is not
+    # bipartite, so the parity branch runs.
+    rng = random.Random(29)
+    dense = direct_sum(so3_reduced(), g3())
+    nonzero = parity = 0
+    for alg, gauge, sizes in ((g3(), lambda a: g3_gauge(1, 1, 1, 1, alg=a), (2, 3)),
+                              (g3(), lambda a: g3_gauge(0, 0, 0, 1, alg=a), (2, 3)),
+                              (g3(), lambda a: g3_gauge(1, 2, 3, 4, alg=a), (2, 3)),
+                              (so3_reduced(), lambda a: gauge_at(a, ()), (2, 3)),
+                              (dense, lambda a: gauge_at(a, DENSE), (2,))):
+        model = TensorModel(alg, v)
+        gm = GaugeModel(model, gauge(alg))
+        parity += not all(gm.weight.support.bipartite)
+        for chain in seeded_wedges(rng, v, sizes, 8):
+            for word in chain.terms:
+                assert gm.matchable_word(word) == matchable_part(
+                    gm, restricted_product_oracle(gm, word)), word
+            s = s_functional(model, gm, chain)
+            assert s == s_functional_oracle(gm, chain), chain.render()
+            nonzero += s != 0
+    assert nonzero >= 3
+    assert parity == (5 if v is V21 else 0)
+
+
+def dense_wedge_case():
+    """so3red + G3 at the dense gauge over V_{4|0}, with the 4-wedge
+    p1^2 p2 ^ p1 q2^2 ^ p2 q1^2 ^ p2 q1 q2."""
+    v40 = SymplecticSpace.canonical_even(2, 0)
+    alg = direct_sum(so3_reduced(), g3())
+    model = TensorModel(alg, v40)
+    gm = GaugeModel(model, gauge_at(alg, DENSE))
+    return model, gm, wedge(v40, ((0, 0, 1), (0, 3, 3), (1, 2, 2), (1, 2, 3)))
+
+
+def test_commute_pins_s_equal_f_of_i_at_a_dense_gauge():
+    # the uncut restricted product of this wedge has about a million
+    # monomials; the cut forms only those a perfect matching can complete
+    model, gm, chain = dense_wedge_case()
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "pass", rep["witnesses"]
+    assert s_functional(model, gm, chain) == -48
+    assert feynman_on_chain(gm.gauge, wick_map(chain)) == -48
+    p3q3 = wedge(V20, ((0, 0, 0), (1, 1, 1)))
+    model20 = TensorModel(model.alg, V20)
+    gm20 = GaugeModel(model20, gm.gauge)
+    assert s_functional(model20, gm20, p3q3) == -36 == s_functional_oracle(gm20, p3q3)
+    assert feynman_on_chain(gm.gauge, wick_map(p3q3)) == -36
+
+
+@pytest.mark.parametrize("last_factor_exact", [False, True])
+def test_s_pins_fail_when_the_cut_drops_at_deficiency_r(monkeypatch, last_factor_exact):
+    # the mutant drops a partial product at deficiency >= R, one too early.
+    # At the last factor (R = 0) it drops every product, so S reads 0;
+    # kept exact there, it still drops terms that complete, and the dense
+    # wedge reads 7280
+    def early(self, tally, more):
+        d = self._deficiency(tally)
+        return d < more or (last_factor_exact and d == more == 0)
+
+    monkeypatch.setattr(wick.MatchingSupport, "completable", early)
+    model, gm, chain = so3_commute_case()
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"][0]["S"] == "0" and rep["witnesses"][0]["F_I"] == "-36"
+    model, gm, chain = dense_wedge_case()
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"][0]["S"] == ("7280" if last_factor_exact else "0")
+    assert rep["witnesses"][0]["F_I"] == "-48"
 
 
 def test_restricted_psi_is_memoised_per_gauge_model():
@@ -365,14 +471,14 @@ def test_psi_vev_vertex_tensor_and_diagram_memos_stay_within_their_bounds(monkey
     monkeypatch.setattr(wick, "_chord_diagrams", {})
     model, gm, chain = so3_commute_case()
     vevs = []
-    vev = gm.weight.monomial_vev
+    vev = gm.weight._vev
 
     def watched(key):
         out = vev(key)
         vevs.append(len(gm.weight._memo))
         return out
 
-    monkeypatch.setattr(gm.weight, "monomial_vev", watched)
+    monkeypatch.setattr(gm.weight, "_vev", watched)
     assert s_functional(model, gm, chain) == -36
     assert max(vevs) == 2 and (2, 1) in zip(vevs, vevs[1:])
     assert len(model._psi_cache) == len(gm._psi) == 1
@@ -648,7 +754,7 @@ def test_s_equals_f_of_i_on_a_fractional_so3_gauge():
     assert {c.denominator for img in gm.images for c in img.terms.values()} == {2, 3, 5}
     chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))  # p^3 ^ q^3
     word = next(iter(chain.terms))
-    poly = gm.psi_of_word(word)
+    poly = restricted_product_oracle(gm, word)
     assert not poly.is_zero() and poly == restricted_word_oracle(model, gm, word)
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "pass", rep["witnesses"]

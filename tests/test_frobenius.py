@@ -62,6 +62,29 @@ def test_k2_with_even_d_injected_fails_parity():
     assert any("not odd" in f for f in rep["failures"])
 
 
+def g3_with_doubled_product(orders):
+    """G3 with xi1 xi2 doubled in the given orders of its factors."""
+    alg = g3()
+    mult = {ij: dict(img) for ij, img in alg.mult.items()}
+    for ij in orders:
+        mult[ij] = {k: 2 * c for k, c in mult[ij].items()}
+    return FrobeniusAlgebra(alg.space, mult, alg.diff, [list(r) for r in alg.pairing.rows])
+
+
+def test_axioms_fail_on_a_doubled_product():
+    # xi1 xi2 = 2 xi12 but xi2 xi1 = -xi12 breaks graded commutativity; with
+    # both orders doubled only (xi1 xi2) xi3 = 2 xi123 = 2 xi1 (xi2 xi3)
+    # is off, which associativity and invariance both see
+    rep = verify_axioms(g3_with_doubled_product([(1, 2)]))
+    assert {"graded commutativity fails at (1,2)",
+            "associativity fails at (1,2,3)"} <= set(rep["failures"])
+    rep = verify_axioms(g3_with_doubled_product([(1, 2), (2, 1)]))
+    assert not rep["ok"]
+    assert not any("commutativity" in f for f in rep["failures"])
+    assert [f for f in rep["failures"] if "(1,2,3)" in f] == [
+        "associativity fails at (1,2,3)", "invariance <ab,c>=<a,bc> fails at (1,2,3)"]
+
+
 def test_degenerate_form_k2():
     alg = k2()
     dform = degenerate_form(alg)

@@ -218,13 +218,15 @@ def test_library_never_imports_the_tests():
 
 # the kernels that tests/oracles.py checks: the Feynman route (with the
 # integer walk of products behind mu_k, its scaled structure constants, the
-# integer vertex tensors and propagator, and the matrix scaling), and the
+# integer vertex tensors and propagator, and the matrix scaling), the
 # polynomial product (its key merge), the restriction and Psi of a monomial
-# on the BV route
+# on the BV route, and the matchability cut of I, of the expectation and of
+# S (the deficiency of a multiset under a matrix's support)
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "_product_step", "integer_mult", "integer_mu", "integer_propagator",
            "integer_matrix", "live_chords", "__mul__", "merge_keys",
-           "_psi_monomial", "substitute"}
+           "_psi_monomial", "substitute", "MatchingSupport", "deficiency",
+           "completable", "matchable_word"}
 
 
 def kernel_uses(source):
@@ -251,10 +253,13 @@ def test_oracles_never_use_the_kernels_they_check():
               "SuperPolynomial.__mul__(a, b)\n"
               "model._psi_monomial(key)\n"
               "d, entries = gauge.integer_mu(3)\n"
-              "d_p, prop = graded.integer_matrix(gauge.propagator)\n")
-    assert kernel_uses(source) == ["VertexTensors", "__mul__", "_psi_monomial",
-                                   "feynman_value", "integer_matrix", "integer_mu",
-                                   "live_chords", "merge_keys"]
+              "d_p, prop = graded.integer_matrix(gauge.propagator)\n"
+              "from bvgraph.wick import MatchingSupport\n"
+              "weight.support.deficiency(key)\n")
+    assert kernel_uses(source) == ["MatchingSupport", "VertexTensors", "__mul__",
+                                   "_psi_monomial", "deficiency", "feynman_value",
+                                   "integer_matrix", "integer_mu", "live_chords",
+                                   "merge_keys"]
     assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
 
 

@@ -10,10 +10,11 @@ from bvgraph.symplectic import (BilinearForm, SymplecticSpace, canonical_lagrang
 from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
                           bv_stokes_value, chord_diagrams,
                           gaussian_stokes_even, laplacian_exponential_expansion,
-                          live_chords, right_deriv)
-from bvgraph import sampling
+                          MatchingSupport, live_chords, right_deriv)
+from bvgraph import sampling, wick
 from oracles import (SplitWeight, berezin_oracle, beta_contract,
-                     beta_contract_indices, double_factorial, monomial_vev_chords_oracle)
+                     beta_contract_indices, double_factorial, monomial_vev_chords_oracle,
+                     unmatched_oracle)
 
 
 def unit_weight_1d():
@@ -45,12 +46,126 @@ def test_live_chords_are_the_nonzero_diagrams_in_order():
         pars = [parities[i] for i in idxs]
         expected = [(c, beta_contract_indices(pars, idxs, c, matrix))
                     for c in chord_diagrams(k)]
-        assert list(live_chords(pars, idxs, matrix)) == \
+        assert list(live_chords(pars, idxs, MatchingSupport(matrix))) == \
             [(c, val) for c, val in expected if val]
         live += sum(1 for _, val in expected if val)
         total += len(expected)
     assert 0 < live < total
-    assert list(live_chords([EVEN], [0], [[1]])) == []
+    assert list(live_chords([EVEN], [0], MatchingSupport([[1]]))) == []
+
+
+def component_matrix(rng):
+    """A symmetric 8 x 8 matrix of random nonzero entries on its support, a
+    path, a triangle and a self-pair under a random relabelling."""
+    perm = list(range(8))
+    rng.shuffle(perm)
+    path, triangle, loop = perm[:4], perm[4:7], perm[7]
+    matrix = [[0] * 8 for _ in range(8)]
+    for a, b in (list(zip(path, path[1:])) + list(zip(triangle, triangle[1:] + triangle[:1]))
+                 + [(loop, loop)]):
+        matrix[a][b] = matrix[b][a] = sampling.rational(rng, zero_ok=False)
+    return matrix, path, triangle, loop
+
+
+def test_matching_support_colours_its_components():
+    matrix, path, triangle, loop = component_matrix(random.Random(1))
+    support = MatchingSupport(matrix)
+    assert support.rows is matrix
+    comps = [support.component[i] for i in (path[0], triangle[0], loop)]
+    assert all(support.component[i] == comps[0] for i in path)
+    assert all(support.component[i] == comps[1] for i in triangle)
+    assert len(set(comps)) == 3
+    assert [support.bipartite[c] for c in comps] == [True, False, False]
+    assert [support.side[i] for i in path] in ([1, -1, 1, -1], [-1, 1, -1, 1])
+    # the two ends of the path lie on opposite sides, so they balance, yet
+    # no matching pairs them: the deficiency is a lower bound only
+    assert support.deficiency([path[0], path[3]]) == 0
+    assert unmatched_oracle(matrix, [path[0], path[3]]) == 2
+    assert support.deficiency([path[0], path[2]]) == 2
+    assert support.deficiency([loop] * 3) == 1
+    assert support.deficiency(triangle[:2] + [triangle[0]]) == 1
+
+
+def test_deficiency_bounds_the_unmatched_points_and_moves_by_one():
+    # against every matching of seeded multisets; with one more variable the
+    # deficiency moves by exactly one, so dropping at deficiency > R is exact
+    rng = random.Random(2)
+    seen = set()
+    for _ in range(30):
+        matrix = component_matrix(rng)[0]
+        support = MatchingSupport(matrix)
+        for _ in range(10):
+            key = [rng.randrange(8) for _ in range(rng.randint(0, 8))]
+            d, unmatched = support.deficiency(key), unmatched_oracle(matrix, key)
+            assert d <= unmatched and d % 2 == unmatched % 2 == len(key) % 2
+            seen.add((d > 0, unmatched > 0))
+            extra = rng.randrange(8)
+            assert abs(support.deficiency(key + [extra]) - d) == 1
+            assert support.completable(support.tally(key), d)
+            assert not support.completable(support.tally(key), d - 1)
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
+def test_live_chords_match_the_nonzero_diagrams_on_component_supports():
+    # supports with a path, an odd cycle and a self-pair: the walk gives the
+    # nonzero diagrams of chord_diagrams, nothing on a multiset of nonzero
+    # deficiency, and both kinds of multiset are drawn
+    rng = random.Random(3)
+    parities = [EVEN] * 6 + [ODD] * 2
+    kinds = {True: 0, False: 0}
+    for _ in range(40):
+        matrix, *_ = component_matrix(rng)
+        support = MatchingSupport(matrix)
+        k = rng.choice((1, 2, 3))
+        idxs = [rng.randrange(8) for _ in range(2 * k)]
+        pars = [parities[i] for i in idxs]
+        expected = [(c, beta_contract_indices(pars, idxs, c, matrix))
+                    for c in chord_diagrams(k)]
+        live = list(live_chords(pars, idxs, support))
+        assert live == [(c, val) for c, val in expected if val]
+        kinds[support.deficiency(idxs) == 0] += 1
+        if support.deficiency(idxs):
+            assert live == []
+    assert min(kinds.values()) >= 5
+
+
+def test_live_chords_take_no_sign_on_an_unbalanced_word(monkeypatch):
+    # p^3 q over V_{2|0}: p pairs only with q, so no diagram is walked
+    v = SymplecticSpace.canonical_even(1, 0)
+    support = MatchingSupport(v.inverse.rows)
+    signs = []
+
+    def counted(parities, chord):
+        signs.append(chord)
+        return 1
+
+    monkeypatch.setattr(wick, "chord_sign", counted)
+    assert list(live_chords([EVEN] * 4, [0, 0, 0, 1], support)) == []
+    assert signs == []
+    assert len(list(live_chords([EVEN] * 4, [0, 0, 1, 1], support))) == 2
+    assert len(signs) == 2
+
+
+def test_monomial_vev_of_an_unmatchable_key_is_zero_without_recursing(monkeypatch):
+    # p, q pair with each other, y with itself and s with t: keys of nonzero
+    # deficiency are 0 at once, and nothing is memoised for them
+    space = SuperSpace(("p", "q", "y", "s", "t"), (EVEN, EVEN, EVEN, ODD, ODD))
+    rows = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 2, 0, 0],
+            [0, 0, 0, 0, 1], [0, 0, 0, -1, 0]]
+    wt = QuadraticWeight(BilinearForm(space, rows, EVEN, "sym"))
+    assert wt.support.bipartite == (True, True, False)  # the bipartite ones first
+    assert wt.monomial_vev((0, 1, 2, 2, 3, 4)) == monomial_vev_chords_oracle(
+        wt, (0, 1, 2, 2, 3, 4)) != 0
+
+    def refused(key):
+        raise AssertionError(f"recursed into {key}")
+
+    monkeypatch.setattr(wt, "_vev", refused)
+    memo = dict(wt._memo)
+    for key in ((0, 0), (0, 0, 0, 1), (2,), (0, 1, 2), (3, 3), (0, 1, 2, 2, 3)):
+        assert wt.support.deficiency(key) > 0
+        assert wt.monomial_vev(key) == 0 == monomial_vev_chords_oracle(wt, key)
+    assert wt._memo == memo
 
 
 def test_beta_contract_simple():
