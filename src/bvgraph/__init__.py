@@ -3,18 +3,18 @@
 The engine builds the same numbers two independent ways (a BV/Wick expectation
 and a Feynman amplitude over graphs) and verifies every identity relating them
 in exact rational arithmetic.
+
+The top level exports the graded spaces, polynomials and the symplectic
+layer.  ``forms`` (the differential-form algebra) and ``sampling`` (seeded
+random inputs) serve the tests and the benchmark only: no engine module
+imports them, so they load only when named.
 """
 from .graded import EVEN, ODD, SuperSpace, koszul_sign, tensor_space
 from .superpoly import SuperPolynomial, VectorField, divergence
-from .forms import FormContext
-from .symplectic import (BilinearForm, LagrangianSubspace, SymplecticSpace,
-                         canonical_lagrangian, duality_map,
-                         lagrangian_from_generating_function, upsilon)
+from .symplectic import BilinearForm, LagrangianSubspace, SymplecticSpace
 
 __all__ = [
     "EVEN", "ODD", "SuperSpace", "koszul_sign", "tensor_space",
     "SuperPolynomial", "VectorField", "divergence",
-    "FormContext", "BilinearForm", "SymplecticSpace", "LagrangianSubspace",
-    "canonical_lagrangian", "lagrangian_from_generating_function",
-    "duality_map", "upsilon",
+    "BilinearForm", "SymplecticSpace", "LagrangianSubspace",
 ]

@@ -401,7 +401,8 @@ _AMPLITUDES_SIZE = 1 << 12
 
 def _amplitude(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """F(graph) through the gauge's ``amplitudes``: ``feynman_value`` runs
-    once per (gauge, graph) until the propagator is reassigned."""
+    once per (gauge, graph) while the memo holds it; a gauge's propagator is
+    fixed when it is built, so no amplitude outlives it."""
     return memoised(gauge.amplitudes, _AMPLITUDES_SIZE, graph,
                     lambda: feynman_value(gauge, graph))
 

@@ -43,9 +43,6 @@ class FormContext:
     def form_degree(self, key) -> int:
         return sum(1 for i in key if i >= self.n)
 
-    def is_constant_form(self, w: SuperPolynomial) -> bool:
-        return all(all(i >= self.n for i in k) for k in w.terms)
-
     # -- the three operators --------------------------------------------------
     def d(self, w: SuperPolynomial) -> SuperPolynomial:
         """De Rham differential: odd derivation, d(y)=dy, d(dy)=0."""

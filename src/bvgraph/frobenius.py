@@ -195,47 +195,33 @@ class Gauge(LagrangianSubspace):
     package builds each gauge with ``gauge_at``, from a point of the
     algebra's ``gauge_family``.
 
-    It carries the Feynman data on L: the vertex tensors ``mu(k)`` and the
-    ``propagator``, the rows of the inverse restricted d-form, and their
-    integer forms ``integer_mu(k)`` and ``integer_propagator``, and the
-    propagator's row supports ``partners``: ``dual.feynman_value`` reads
-    only those and ``parities``.  It also carries ``amplitudes``, the values
-    F(Gamma) already computed on it by graph, which ``dual.feynman_on_chain``
-    and ``dual.feynman_cochain`` read through; they bound its size.
+    It carries the Feynman data on L, fixed when it is built: the vertex
+    tensors ``mu(k)`` and the ``propagator``, the rows of the inverse
+    restricted d-form, and their integer forms ``integer_mu(k)`` and
+    ``integer_propagator``, and the propagator's row supports ``partners``:
+    ``dual.feynman_value`` reads only those and ``parities``.  It also
+    carries ``amplitudes``, the values F(Gamma) already computed on it by
+    graph, which ``dual.feynman_on_chain`` and ``dual.feynman_cochain`` read
+    through; they bound its size.
+
+    The complement test runs before the propagator is taken.
+    ``alg.d_form`` checks d-invariance, and then <-,->_d is nondegenerate
+    on L: v in its kernel has dv in L^perp = L and in d(A), so dv = 0, v is
+    in ker d = d(A)^perp, and v is orthogonal to d(A) + L = A.
     """
 
     def __init__(self, alg: FrobeniusAlgebra, vectors, label=""):
         super().__init__(alg.pairing, vectors)
         self.alg = alg
         self.label = label
-        self.validate()
-        self.vertex_tensors = VertexTensors(alg, self.vectors)
-
-    def validate(self):
-        """The complement test and the propagator; ``LagrangianSubspace``
-        has checked the basis.  ``alg.d_form`` checks d-invariance, and then
-        <-,->_d is nondegenerate on L: v in its kernel has dv in L^perp = L
-        and in d(A), so dv = 0, v is in ker d = d(A)^perp, and v is
-        orthogonal to d(A) + L = A."""
-        stacked = [list(v) for v in self.vectors] + [list(v) for v in self.alg.d_image]
-        if linalg.rank(stacked) != len(self.alg.space):
+        stacked = [list(v) for v in self.vectors] + [list(v) for v in alg.d_image]
+        if linalg.rank(stacked) != len(alg.space):
             raise ValueError("gauge does not complement d(A)")
         self.propagator = self.restricted_form().inverse().rows
-
-    @property
-    def propagator(self) -> list:
-        """The rows of the inverse restricted d-form.  Setting it sets
-        ``integer_propagator`` too, (D_p, the rows times D_p as ints), and
-        ``partners``, so the three never disagree, and empties
-        ``amplitudes``, the values of F under the propagator it replaces."""
-        return self._propagator
-
-    @propagator.setter
-    def propagator(self, rows):
-        self._propagator = rows
-        self.integer_propagator = integer_matrix(rows)
-        self.partners = partner_lists(rows)
+        self.integer_propagator = integer_matrix(self.propagator)
+        self.partners = partner_lists(self.propagator)
         self.amplitudes = {}
+        self.vertex_tensors = VertexTensors(alg, self.vectors)
 
     def restricted_form(self) -> BilinearForm:
         rows = self.alg.d_form.restrict(self.vectors)

@@ -1,23 +1,20 @@
 """Constant symplectic structures, Hamiltonian fields, brackets, odd Laplacian.
 
-A symplectic space is the super-skew matrix b = Upsilon(omega) of its
-constant 2-form omega, and the operators read b and its inverse only.  The
-coefficients c_v of da = sum_v c_v dy_v are signed left derivatives of the
-monomials of a, the Hamiltonian field is Phi^{-1} applied to them, and the odd
-Laplacian is the second-order operator 1/2 sum Phi^{-1}[u][v] d_u d_v with
-signs; the contraction matrix Phi and its inverse are b and b^{-1} with signs.
-Brackets are Hamiltonian fields applied to functions.  The form algebra on
-the 2N variables {y, dy} serves only the form maps Upsilon, its inverse and
-the duality map; the form routes of the operators are test oracles.
+A symplectic space is the super-skew matrix b of its constant 2-form omega,
+and the operators read b and its inverse only.  The coefficients c_v of
+da = sum_v c_v dy_v are signed left derivatives of the monomials of a, the
+Hamiltonian field is Phi^{-1} applied to them, and the odd Laplacian is the
+second-order operator 1/2 sum Phi^{-1}[u][v] d_u d_v with signs; the
+contraction matrix Phi and its inverse are b and b^{-1} with signs.
+Brackets are Hamiltonian fields applied to functions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from . import linalg
-from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_terms, monomial_parity,
-                     span_space, sparse_sum, tensor_space, vector_parity)
-from .forms import FormContext
+from .graded import (EVEN, ODD, SuperSpace, dense_vectors, integer_terms, span_space,
+                     sparse_sum, tensor_space, vector_parity)
 from .superpoly import SuperPolynomial, VectorField, left_partials, merge_keys
 
 
@@ -139,46 +136,14 @@ def pi2_of_form(b: BilinearForm) -> SuperPolynomial:
         for i, row in enumerate(b.rows) for j, c in enumerate(row) if c))
 
 
-def upsilon(ctx: FormContext, omega: SuperPolynomial) -> BilinearForm:
-    """Upsilon(dx dy) = (-1)^x [x(x)y - (-1)^{xy} y(x)x], on constant 2-forms."""
-    if not ctx.is_constant_form(omega):
-        raise ValueError("2-form must be constant")
-    n = ctx.n
-    pars = ctx.base.parities
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for key, val in omega.terms.items():
-        if len(key) != 2:
-            raise ValueError("need a 2-form")
-        i, j = key[0] - n, key[1] - n
-        si = -1 if pars[i] else 1
-        if i == j:
-            rows[i][i] += -2 * val  # only odd y allows dy*dy; Upsilon gives -2 x(x)x
-        else:
-            rows[i][j] += si * val
-            rows[j][i] += -si * (-1 if (pars[i] and pars[j]) else 1) * val
-    parities = {monomial_parity(ctx.space, k) for k in omega.terms} or {EVEN}
-    if len(parities) > 1:
-        raise ValueError("2-form must be parity homogeneous")
-    return BilinearForm(ctx.base, rows, parities.pop(), "skew")
-
-
-def upsilon_inverse(ctx: FormContext, b: BilinearForm) -> SuperPolynomial:
-    """The constant 2-form with Upsilon(omega) = b, for super-skew b."""
-    n = ctx.n
-    pars = ctx.base.parities
-    return SuperPolynomial.sum(ctx.space, (
-        SuperPolynomial.monomial(ctx.space, (n + i, n + j),
-                                 -v / 2 if i == j else (-1 if pars[i] else 1) * v)
-        for i, row in enumerate(b.rows) for j, v in enumerate(row) if v and i <= j))
-
-
 class SymplecticSpace:
     """Superspace with a constant nondegenerate 2-form omega (even or odd).
 
-    The space is its matrix b = Upsilon(omega), a super-skew BilinearForm;
-    b and its inverse, taken once, give every operator.  Phi, with
-    i_{d/dy_u}(omega) = sum_v Phi[v][u] dy_v, is Phi[v][u] = (-1)^{p_u} b[u][v],
-    and Phi^{-1} = (-1)^{1 + |omega|} b^{-1}, b^{-1} the form ``inverse``.
+    The space is the matrix b = Upsilon(omega) of omega, a super-skew
+    BilinearForm; b and its inverse, taken once, give every operator.
+    Phi, with i_{d/dy_u}(omega) = sum_v Phi[v][u] dy_v, is Phi[v][u] =
+    (-1)^{p_u} b[u][v], and Phi^{-1} = (-1)^{1 + |omega|} b^{-1}, b^{-1}
+    the form ``inverse``.
     """
 
     def __init__(self, form: BilinearForm):
@@ -289,14 +254,6 @@ class SymplecticSpace:
             raise ValueError("field is not symplectic")
         return h
 
-    def is_symplectic_field(self, eta: VectorField) -> bool:
-        """Whether L_eta(omega) = 0: eta is a field on this space with a Hamiltonian."""
-        try:
-            self.hamiltonian_of(eta)
-        except ValueError:
-            return False
-        return True
-
     # -- brackets ---------------------------------------------------------------
     def poisson(self, a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
         """{a,b} = (-1)^a L_alpha(b) on an even symplectic space; the sign is
@@ -398,66 +355,9 @@ class LagrangianSubspace:
         return span_space(self.parities)
 
 
-def lagrangian_from_generating_function(symp: SymplecticSpace, phi: SuperPolynomial,
-                                        k: int) -> LagrangianSubspace:
-    """Graph-of-a-gradient Lagrangian on canonical U_{n|n}.
-
-    phi must be odd quadratic in (x_1..x_k, xi_{k+1}..xi_n) only; the locus is
-    xi_i = -d phi/dx_i (i <= k), x_j = d phi/dxi_j (j > k).
-    """
-    n = len(symp.space) // 2
-    if any(len(key) != 2 or monomial_parity(symp.space, key) != ODD for key in phi.terms):
-        raise ValueError("generating function must be odd quadratic")
-    for key in phi.terms:
-        for v in key:
-            if (v < n and v >= k) or (v >= n and v < n + k):
-                raise ValueError("phi may only involve x_1..x_k, xi_{k+1}..xi_n")
-    vectors = []
-    for s in range(k):          # even directions: x_s = 1
-        vec = [Fraction(0)] * (2 * n)
-        vec[s] = Fraction(1)
-        for j in range(k, n):   # x_j = d phi / dxi_j
-            vec[j] = phi.deriv_left(n + j).coefficient((s,))
-        vectors.append(vec)
-    for t in range(k, n):       # odd directions: xi_t = 1
-        vec = [Fraction(0)] * (2 * n)
-        vec[n + t] = Fraction(1)
-        for i in range(k):      # xi_i = -d phi / dx_i
-            vec[n + i] = -phi.deriv_left(i).coefficient((n + t,))
-        vectors.append(vec)
-    return LagrangianSubspace(symp.form, vectors)
-
-
-def canonical_lagrangian(symp: SymplecticSpace, k: int) -> LagrangianSubspace:
-    zero = SuperPolynomial.zero(symp.space)
-    return lagrangian_from_generating_function(symp, zero, k)
-
-
 def restrict_polynomial(f: SuperPolynomial, vectors, sub_space: SuperSpace) -> SuperPolynomial:
     """Pull back along the inclusion span(vectors) -> ambient, in given coordinates."""
     images = [SuperPolynomial(sub_space, {(s,): Fraction(v[i])
                                           for s, v in enumerate(vectors) if v[i]})
               for i in range(len(f.space))]
     return f.substitute(images, sub_space)
-
-
-def duality_map(symp: SymplecticSpace, g: SuperPolynomial):
-    """Inverse-Fourier duality D: functions on U_{n|n} -> forms on the body M.
-
-    D(f xi_{i1}..xi_{il}) = i_{d/dx_{i1}} o ... o i_{d/dx_{il}} [f dx_1..dx_n].
-    Returns (body FormContext, form).
-    """
-    n = len(symp.space) // 2
-    body = SuperSpace([symp.space.names[i] for i in range(n)], [EVEN] * n)
-    ctx = FormContext(body)
-    vol_key = tuple(range(n, 2 * n))
-
-    def image(key, val):
-        xs = tuple(i for i in key if i < n)
-        xis = tuple(i - n for i in key if i >= n)
-        base = SuperPolynomial(ctx.space, {xs + vol_key: val})
-        for i in reversed(xis):
-            base = ctx.contract(VectorField.coordinate(body, i), base)
-        return base
-    return ctx, SuperPolynomial.sum(
-        ctx.space, (image(key, val) for key, val in g.terms.items()))

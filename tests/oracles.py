@@ -20,10 +20,13 @@ trying every matching.
 ``berezin_oracle`` integrates split-diagonal weights block by block, and
 ``canonical_laplacian_oracle`` is the coordinate odd Laplacian of U_{n|n}.
 ``contraction_matrix_oracle`` rebuilds the 2-form omega from the matrix b of
-a symplectic space and reads Phi off its contractions in the form algebra on
-the 2N variables {y, dy}; ``hamiltonian_field_form_oracle`` solves
-i_alpha(omega) = da there, and ``odd_laplacian_form_oracle`` is 1/2 nabla of
-that field.
+a symplectic space with ``upsilon_inverse`` and reads Phi off its
+contractions in the form algebra on the 2N variables {y, dy};
+``hamiltonian_field_form_oracle`` solves i_alpha(omega) = da there, and
+``odd_laplacian_form_oracle`` is 1/2 nabla of that field.  ``duality_map``
+is the Fourier duality from functions on U_{n|n} to forms on its body, which
+sends the odd Laplacian to d, and ``coordinate_lagrangian`` spans a
+Lagrangian of U_{n|n} by unit vectors.
 ``feynman_product_oracle`` evaluates F on a disjoint union from F on its
 connected components.
 ``polynomial_product_oracle`` multiplies two polynomials with one Fraction
@@ -35,7 +38,9 @@ that state a sign (-1)^{|a|}, and ``parity_components`` splits a polynomial
 into its even and odd parts, for tests that state a rule on each part.
 ``feynman_leaf_sign_oracle`` is the cut Feynman recursion that takes the
 chord sign by ``koszul_sign`` at each leaf, the route the folded sign of
-``feynman_value`` replaced.  ``rescaled`` writes an algebra in a scaled
+``feynman_value`` replaced.  ``so3_weight_oracle`` is F at so3red's one
+gauge as the so(3) weight system, which colours the edges and reads neither
+route's vertex tensors, propagator or chord sign.  ``rescaled`` writes an algebra in a scaled
 basis, so that its structure constants and pairing get denominators.
 ``g3_gauge_oracle`` is G3's gauge family solved by hand, the closed form
 ``frobenius.g3_gauge`` is pinned to; ``g5`` is G3 with a second pair of
@@ -62,7 +67,7 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
                             sparse_sum)
 from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
-from bvgraph.symplectic import upsilon_inverse
+from bvgraph.symplectic import LagrangianSubspace
 from bvgraph.wick import berezin_integrate, chord_diagrams, chord_sign
 
 
@@ -181,6 +186,50 @@ def feynman_value_oracle(gauge, graph):
             val *= factor
         total += val
     return total
+
+
+def so3_weight_oracle(graph):
+    """F(Gamma) at so3red's one gauge as the so(3) weight system, from the
+    graph alone: no mu_k, no propagator and no chord sign of either route.
+
+    Each edge is coloured by one of {0, 1, 2}.  A vertex weighs its
+    half-edge colours, taken in edge order, by the Levi-Civita symbol:
+    ``perm_parity`` of the colours, and 0 on a repeated colour.  The
+    propagator at that gauge is -delta, so each edge also gives -1.  The
+    sign is ``perm_parity`` of the slot order (i1, j1, i2, j2, ...), with
+    the half-edge blocks laid out in vertex order and each filled in edge
+    order.  The edges are coloured one at a time, and a vertex is weighed
+    as soon as its last edge has a colour.
+    """
+    edges = graph.edges
+    half = [[] for _ in range(graph.n_vertices)]  # the edges at each vertex
+    for e, (a, b) in enumerate(edges):
+        half[a].append(e)
+        half[b].append(e)
+    offsets = [0]
+    for es in half[:-1]:
+        offsets.append(offsets[-1] + len(es))
+    slots = [offsets[v] + half[v].index(e) for e, ends in enumerate(edges) for v in ends]
+    closes = [[] for _ in edges]  # the vertices whose last edge is e
+    for v, es in enumerate(half):
+        closes[es[-1]].append(v)
+    colour = [0] * len(edges)
+
+    def weight(e):
+        if e == len(edges):
+            return 1
+        total = 0
+        for c in range(3):
+            colour[e] = c
+            eps = 1
+            for v in closes[e]:
+                colours = [colour[f] for f in half[v]]
+                eps *= perm_parity(colours) if sorted(colours) == [0, 1, 2] else 0
+            if eps:
+                total += eps * weight(e + 1)
+        return total
+
+    return perm_parity(slots) * (-1) ** len(edges) * weight(0)
 
 
 def feynman_leaf_sign_oracle(gauge, graph):
@@ -558,6 +607,47 @@ def canonical_laplacian_oracle(symp, a):
     n = len(symp.space) // 2
     return SuperPolynomial.sum(
         symp.space, (a.deriv_left(n + i).deriv_left(i) for i in range(n)))
+
+
+def upsilon_inverse(ctx, b):
+    """The constant 2-form omega with Upsilon(omega) = b, for super-skew b,
+    where Upsilon(dx dy) = (-1)^x [x(x)y - (-1)^{xy} y(x)x]."""
+    n = ctx.n
+    pars = ctx.base.parities
+    return SuperPolynomial.sum(ctx.space, (
+        SuperPolynomial.monomial(ctx.space, (n + i, n + j),
+                                 -v / 2 if i == j else (-1 if pars[i] else 1) * v)
+        for i, row in enumerate(b.rows) for j, v in enumerate(row) if v and i <= j))
+
+
+def duality_map(symp, g):
+    """Inverse-Fourier duality D: functions on U_{n|n} -> forms on the body M.
+
+    D(f xi_{i1}..xi_{il}) = i_{d/dx_{i1}} o ... o i_{d/dx_{il}} [f dx_1..dx_n].
+    Returns (body FormContext, form).
+    """
+    n = len(symp.space) // 2
+    body = SuperSpace([symp.space.names[i] for i in range(n)], [EVEN] * n)
+    ctx = FormContext(body)
+    vol_key = tuple(range(n, 2 * n))
+
+    def image(key, val):
+        xs = tuple(i for i in key if i < n)
+        xis = tuple(i - n for i in key if i >= n)
+        base = SuperPolynomial(ctx.space, {xs + vol_key: val})
+        for i in reversed(xis):
+            base = ctx.contract(VectorField.coordinate(body, i), base)
+        return base
+    return ctx, SuperPolynomial.sum(
+        ctx.space, (image(key, val) for key, val in g.terms.items()))
+
+
+def coordinate_lagrangian(symp, k):
+    """The Lagrangian of canonical U_{n|n} spanned by x_1..x_k and
+    xi_{k+1}..xi_n, as unit vectors."""
+    n = len(symp.space) // 2
+    return LagrangianSubspace(symp.form, [
+        [int(i == j) for j in range(2 * n)] for i in list(range(k)) + list(range(n + k, 2 * n))])
 
 
 def contraction_matrix_oracle(symp):

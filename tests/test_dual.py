@@ -33,7 +33,7 @@ from oracles import (beta_contract_indices, connected_components,
                      feynman_value_oracle, g5, g5_gauge, hamiltonian_field_form_oracle,
                      odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      rescaled, restricted_product_oracle, restricted_word_oracle,
-                     s_functional_oracle, symmetrize_tensor,
+                     s_functional_oracle, so3_weight_oracle, symmetrize_tensor,
                      wick_map_oracle)
 
 
@@ -527,9 +527,9 @@ def test_feynman_vanishes_on_g3_at_5_8_and_6_9():
 
 
 def test_gauge_owns_its_feynman_data():
-    # the propagator is taken once, when the gauge is validated, its integer
-    # form with it, and mu_k with its integer form once per valence; a gauge
-    # model carries neither
+    # the propagator is taken once, when the gauge is built, its integer
+    # form and row supports with it, and mu_k with its integer form once per
+    # valence; a gauge model carries neither
     alg = g3()
     for params in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 2, 3, 4)):
         gauge = g3_gauge(*params, alg=alg)
@@ -537,6 +537,7 @@ def test_gauge_owns_its_feynman_data():
         d_p, prop = gauge.integer_propagator
         assert gauge.integer_propagator is gauge.integer_propagator
         assert prop == [[x * d_p for x in row] for row in gauge.propagator]
+        assert gauge.partners == partner_lists(gauge.propagator)
         for k in (3, 4):
             assert gauge.mu(k) == vertex_tensor_on_vectors(alg, gauge.vectors, k)
             scale, entries = gauge.integer_mu(k)
@@ -599,32 +600,50 @@ def test_so3_fixture_gives_nonzero_amplitudes(monkeypatch):
         assert [feynman_on_chain(gauge, z) for z in cycles] == values
 
 
-def test_feynman_value_reads_a_reassigned_propagator():
-    # setting propagator sets integer_propagator and the partner lists too,
-    # so F follows a propagator reassigned after F was evaluated: theta has 3
-    # chords.  The suites read F through the gauge's amplitudes, which the
-    # setter empties, so no amplitude outlives the propagator it was taken
-    # with
+# the trivalent bidegrees through (10,15); so3red's mu_4 and beyond vanish
+SO3_BIDEGREES = ((2, 3), (4, 6), (6, 9), (8, 12), (10, 15))
+
+
+def so3_weight_mismatches(feynman, bidegrees):
+    """(graph, F, weight) for each graph of the bidegrees where F at so3red's
+    one gauge differs from ``so3_weight_oracle``."""
     gauge = gauge_at(so3_reduced(), ())
-    theta = GraphChain({theta_graph(): Fraction(1)})
-    assert feynman_value(gauge, theta_graph()) == 6 == feynman_on_chain(gauge, theta)
-    assert gauge.amplitudes == {theta_graph(): 6}
-    gauge.propagator = [[-x for x in row] for row in gauge.propagator]
-    assert gauge.integer_propagator == integer_matrix(gauge.propagator)
-    assert gauge.partners == partner_lists(gauge.propagator)
-    assert gauge.amplitudes == {}
-    assert feynman_value(gauge, theta_graph()) == -6 == feynman_on_chain(gauge, theta)
-    assert feynman_cochain(gauge, 2, 3) == {theta_graph(): -6}
-    # F looks its chords up by the partner lists: through a propagator with
-    # no partners and back, stale lists would keep F at 0
-    negated = gauge.propagator
-    dim = len(negated)
-    gauge.propagator = [[Fraction(0)] * dim for _ in range(dim)]
-    assert gauge.partners == [()] * dim
-    assert feynman_value(gauge, theta_graph()) == 0 == feynman_on_chain(gauge, theta)
-    gauge.propagator = negated
-    assert gauge.partners == partner_lists(negated) != [()] * dim
-    assert feynman_value(gauge, theta_graph()) == -6 == feynman_on_chain(gauge, theta)
+    return [(g, f, w) for v, e in bidegrees for g in enumerate_graphs(v, e)
+            if (f := feynman(gauge, g)) != (w := so3_weight_oracle(g))]
+
+
+def test_feynman_value_is_the_so3_weight_system():
+    # at so3red's one gauge mu_3 is eps and the propagator is -delta, so F is
+    # the so(3) weight system, read off the graph alone; it catches a fault
+    # that F and the chord sign of I would share.  All but one graph of
+    # (10,15) are nonzero
+    assert so3_weight_mismatches(feynman_value, SO3_BIDEGREES) == []
+    assert [sum(1 for g in enumerate_graphs(v, e) if so3_weight_oracle(g))
+            for v, e in SO3_BIDEGREES] == [1, 3, 7, 24, 85]
+
+
+def test_so3_weight_system_sees_a_dropped_chord_sign_of_f(monkeypatch):
+    # F is the recursion that takes the chord sign at each leaf; it agrees
+    # with the weight system, and with that sign dropped theta reads -6
+    # against 6, and the (4,6) graphs 36, 12, 6 against 36, -12, -6
+    bidegrees = ((2, 3), (4, 6))
+    assert so3_weight_mismatches(feynman_leaf_sign_oracle, bidegrees) == []
+    monkeypatch.setattr(oracles, "chord_sign", lambda parities, chord: 1)
+    assert [(g.graph_id(), f, w) for g, f, w in
+            so3_weight_mismatches(feynman_leaf_sign_oracle, bidegrees)] == [
+        ("v2e3:0-1,0-1,0-1", -6, 6), ("v4e6:0-1,0-1,0-2,1-3,2-3,2-3", 12, -12),
+        ("v4e6:0-1,0-2,0-3,1-2,1-3,2-3", 6, -6)]
+
+
+def test_so3_cycles_of_10_15_are_pinned():
+    # the nine cycles of (10,15) at so3red's one gauge, F and the weight
+    # system graph by graph alike
+    gauge = gauge_at(so3_reduced(), ())
+    _, cycles = cycle_space(10, 15)
+    values = [7776, -9072, 4968, 10584, -28944, -9492, -5796, -20736, Fraction(79518, 5)]
+    assert [feynman_on_chain(gauge, z) for z in cycles] == values
+    assert [sum(c * so3_weight_oracle(g) for g, c in z.terms.items())
+            for z in cycles] == values
 
 
 def test_amplitudes_are_computed_once_and_stay_within_their_bound(monkeypatch):
@@ -869,7 +888,8 @@ def test_feynman_value_matches_oracle_on_synthetic_data():
     # reads its entry as prop[a][x], a at the earlier end.  A graded-skew
     # propagator hides a read of prop[x][a] instead, which only flips signs,
     # so each gauge is also taken with its propagator made lopsided: 1 added
-    # above the diagonal between indices of one parity
+    # above the diagonal between indices of one parity.  An all-zero
+    # propagator leaves every partner list empty, and F is 0
     graphs = _synthetic_graphs()
     assert len(graphs) == 7
     values = []
@@ -878,14 +898,15 @@ def test_feynman_value_matches_oracle_on_synthetic_data():
         skew = gauge.propagator
         lopsided = [[p + (a < b and parities[a] == parities[b]) for b, p in enumerate(row)]
                     for a, row in enumerate(skew)]
-        for prop in (skew, lopsided):
+        zero = [[Fraction(0)] * len(skew) for _ in skew]
+        for prop in (skew, zero, lopsided):
             gauge.propagator = prop
             for g in graphs:
                 val = feynman_value(gauge, g)
                 assert val == feynman_value_oracle(gauge, g), (seed, parities, g)
                 assert val == feynman_leaf_sign_oracle(gauge, g), (seed, parities, g)
                 values.append(val)
-    assert (len(values), sum(1 for x in values if x)) == (84, 48)
+    assert (len(values), sum(1 for x in values if x)) == (126, 48)
 
 
 def test_feynman_value_relabeling_law_on_synthetic_data():
@@ -1327,9 +1348,19 @@ def so3_commute_case():
     return model, GaugeModel(model, gauge), wedge(V20, ((0, 0, 0), (1, 1, 1)))
 
 
+class NegatedGauge(Gauge):
+    """A gauge built on the negated restricted d-form, so its propagator,
+    integer propagator and partners are those of the negated propagator."""
+
+    def restricted_form(self):
+        form = super().restricted_form()
+        return BilinearForm(form.space, [[-x for x in row] for row in form.rows],
+                            EVEN, "skew")
+
+
 def negated_propagator(gauge):
-    out = Gauge(gauge.alg, gauge.vectors, label="negated")
-    out.propagator = [[-x for x in row] for row in gauge.propagator]
+    out = NegatedGauge(gauge.alg, gauge.vectors, label="negated")
+    assert out.propagator == tuple(tuple(-x for x in row) for row in gauge.propagator)
     return out
 
 
@@ -1373,7 +1404,7 @@ def test_master_equations_fail_on_a_perturbed_dform():
 
 def test_commute_fails_on_a_negated_propagator():
     model, gm, chain = so3_commute_case()
-    gm.gauge.propagator = [[-x for x in row] for row in gm.gauge.propagator]
+    gm.gauge = negated_propagator(gm.gauge)
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "fail"
     assert rep["witnesses"] == [{"S": "-36", "F_I": "36", "chain": chain.to_json()}]

@@ -128,8 +128,6 @@ def test_g3_gauge_family_has_4_parameters():
     gauges = [gauge_at(alg, coords) for coords in product((0, 1), repeat=4)]
     assert len({tuple(g.vectors) for g in gauges}) == 16
     assert gauges[5].label == "(0, 1, 0, 1)"
-    for g in gauges:
-        g.validate()
 
 
 def test_gauge_at_needs_one_coordinate_per_direction():
@@ -160,10 +158,10 @@ def test_named_g3_gauges_validate():
 
 def test_named_g3_gauges_lie_in_generic_family():
     # every named member complements d(A), is isotropic, has nondeg d-form;
-    # also random members of the family validate
+    # also random members of the family: building a gauge checks all three
     for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (2, -1, 3, 1),
                    (Fraction(1, 2), 0, 1, -2)):
-        g3_gauge(*params).validate()
+        g3_gauge(*params)
 
 
 @pytest.mark.parametrize("params", (

@@ -26,7 +26,9 @@ none hand-rolls a memo of its own: no ``if k in d: return d[k]``, no
 Every ``BilinearForm`` of the package is checked when it is built, but for
 the pairing of a ``FrobeniusAlgebra``, which ``verify_axioms`` reports on.
 Every ``verify_*`` suite of ``dual`` returns a ``_report`` dict, at every
-``return``.
+``return``.  The engine never imports the helpers of the tests and the
+benchmark: no package module but ``sampling`` imports ``forms``, and none
+imports ``sampling``.
 """
 import ast
 from pathlib import Path
@@ -213,6 +215,57 @@ def test_library_never_imports_the_tests():
             hits += [f"{path.name}:{node.lineno} {n}" for n in names
                      if n.split(".")[0] in test_modules]
     assert "oracles" in test_modules
+    assert hits == []
+
+
+# the helpers of the tests and the benchmark, each with the package modules
+# that may import it: only sampling imports the form algebra, and no package
+# module imports sampling
+HELPERS = {"forms": {"sampling"}, "sampling": set()}
+
+
+def helper_imports(source, module=""):
+    """Imports of a helper by the package module `module` (a file stem) that
+    ``HELPERS`` does not allow, relative or absolute: ``from .forms import
+    X``, ``from . import forms``, ``import bvgraph.forms`` and the like."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("bvgraph" if node.level else "", node.module)))
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (n.split(".") for n in names):
+            if (len(parts) == 2 and parts[0] == "bvgraph" and parts[1] in HELPERS
+                    and module not in HELPERS[parts[1]]):
+                hits.append(f"{module}:{node.lineno} {parts[1]}")
+    return hits
+
+
+def test_helper_imports_are_detected():
+    source = ("from .forms import FormContext\n"
+              "from . import forms, graded\n"
+              "import bvgraph.forms\n"
+              "from bvgraph.forms import FormContext\n"
+              "from bvgraph import sampling\n"
+              "from .graded import EVEN\n"
+              "import bvgraph.symplectic\n")
+    assert helper_imports(source, "symplectic") == [
+        "symplectic:1 forms", "symplectic:2 forms", "symplectic:3 forms",
+        "symplectic:4 forms", "symplectic:5 sampling"]
+    assert helper_imports(source, "sampling") == ["sampling:5 sampling"]
+    assert helper_imports(source, "__init__") == [
+        "__init__:1 forms", "__init__:2 forms", "__init__:3 forms", "__init__:4 forms",
+        "__init__:5 sampling"]
+
+
+def test_engine_never_imports_the_test_helpers():
+    # forms and sampling serve the tests and the benchmark; no engine path
+    # loads them, and ``import bvgraph`` loads neither
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in helper_imports(path.read_text(encoding="utf-8"), path.stem)]
     assert hits == []
 
 

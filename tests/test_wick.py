@@ -5,16 +5,15 @@ import pytest
 
 from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
-from bvgraph.symplectic import (BilinearForm, SymplecticSpace, canonical_lagrangian,
-                                restrict_polynomial)
+from bvgraph.symplectic import BilinearForm, SymplecticSpace, restrict_polynomial
 from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
                           bv_stokes_value, chord_diagrams,
                           gaussian_stokes_even, laplacian_exponential_expansion,
                           MatchingSupport, live_chords, right_deriv)
 from bvgraph import sampling, wick
 from oracles import (SplitWeight, berezin_oracle, beta_contract,
-                     beta_contract_indices, double_factorial, monomial_vev_chords_oracle,
-                     unmatched_oracle)
+                     beta_contract_indices, coordinate_lagrangian, double_factorial,
+                     monomial_vev_chords_oracle, unmatched_oracle)
 
 
 def unit_weight_1d():
@@ -333,7 +332,7 @@ def test_bv_stokes_trivial_q():
     # note even symmetric forms need an even-dimensional odd block, so the
     # valid canonical gauges on U_{2|2} are L_{2|0} and L_{0|2}
     u = SymplecticSpace.canonical_odd(2)
-    lag = canonical_lagrangian(u, 2)
+    lag = coordinate_lagrangian(u, 2)
     sigma = _nondeg_sigma_on(u, lag)
     one = SuperPolynomial.scalar(u.space, 1)
     assert bv_stokes_value(one, sigma, u, lag) == 0
@@ -359,7 +358,7 @@ def test_bv_stokes_random_degree_4():
     u = SymplecticSpace.canonical_odd(2)
     checked = 0
     for _ in range(40):
-        lag = canonical_lagrangian(u, rng.choice((0, 2)))
+        lag = coordinate_lagrangian(u, rng.choice((0, 2)))
         sigma = _nondeg_sigma_on(u, lag, rng, extra=1)
         sub = lag.subspace()
         try:
