@@ -22,12 +22,11 @@ from itertools import chain, product
 from math import prod
 from operator import add
 
-from . import linalg
 from .graded import (EVEN, SuperSpace, integer_matrix, integer_terms, memoised,
                      monomial_parity, sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import SuperPolynomial, VectorField, divergence, merged_products
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
-from .frobenius import FrobeniusAlgebra, Gauge, VertexTensors
+from .frobenius import FrobeniusAlgebra, Gauge
 from .wick import MatchingSupport, QuadraticWeight, live_chords
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
@@ -45,9 +44,9 @@ _PSI_SIZE = 1 << 12
 
 class TensorModel:
     """A (x) V with its odd symplectic form and the quadratic Hamiltonian of d.
-    ``mu(k)`` reads one ``VertexTensors`` table on the basis of A: Psi takes
-    the integer form of mu_k of every valence from it, mu_2 (the pairing)
-    included."""
+    ``mu(k)`` reads the algebra's ``VertexTensors`` table on the basis of A
+    (``FrobeniusAlgebra.vertex_tensors``): Psi takes the integer form of
+    mu_k of every valence from it, mu_2 (the pairing) included."""
 
     def __init__(self, alg: FrobeniusAlgebra, v: SymplecticSpace):
         if v.parity != EVEN:
@@ -58,7 +57,7 @@ class TensorModel:
         self.space = form.space
         self.nv = len(v.space)
         self.symp = SymplecticSpace(form)
-        self.vertex_tensors = VertexTensors(alg, linalg.identity(len(alg.space)))
+        self.vertex_tensors = alg.vertex_tensors
         self.mu = self.vertex_tensors.mu
         self._psi_cache = {}
         self.sigma = self.symp.hamiltonian_of(self._dtilde_field())
@@ -134,13 +133,14 @@ def psi_field(alg: FrobeniusAlgebra, eta: VectorField) -> VectorField:
     symplectic data.  A term c y_key of eta(y_w), key = (u_1, ..., u_n), adds
     c * shuffle_sign * (a_alpha_1 ... a_alpha_n)_beta * prod_r z_(alpha_r, u_r)
     to the image of z_(beta, w), for each product of level n of the walk
-    (``VertexTensors.products``, so n >= 1), times the parity twist
-    (-1)^{|t|(|a_beta| + 1)}, |t| = |key| + p_w: with it X_Psi(h) = Psi(X_h)
-    for a Hamiltonian h, and nabla Psi(eta) = 0 for eta of either parity."""
+    of the algebra's table (``alg.vertex_tensors.products``, so n >= 1),
+    times the parity twist (-1)^{|t|(|a_beta| + 1)}, |t| = |key| + p_w: with
+    it X_Psi(h) = Psi(X_h) for a Hamiltonian h, and nabla Psi(eta) = 0 for
+    eta of either parity."""
     vspace = eta.space
     space = tensor_space(alg.space, vspace)
     apar, vpar = alg.space.parities, vspace.parities
-    table = VertexTensors(alg, linalg.identity(len(alg.space)))
+    table = alg.vertex_tensors
 
     def terms():
         for w, img in enumerate(eta.images):

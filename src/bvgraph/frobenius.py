@@ -50,8 +50,10 @@ class FrobeniusAlgebra:
     # built once, for every gauge of it.
     @cached_property
     def d_image(self) -> tuple:
-        """A basis of d(A), each vector a tuple."""
-        return tuple(map(tuple, linalg.column_space_basis(self.diff)))
+        """A basis of d(A), each vector a tuple: the columns d(a_p) of the
+        differential at the pivots p of its reduced row echelon form."""
+        _, pivots = linalg.rref(self.diff)
+        return tuple(tuple(row[p] for row in self.diff) for p in pivots)
 
     @cached_property
     def d_form(self) -> BilinearForm:
@@ -63,16 +65,18 @@ class FrobeniusAlgebra:
         """(base, directions): the gauges are the bases base + sum_j c_j
         directions[j] (``gauge_at``).  A gauge is the graph of a map
         phi(c0_r) = sum_s t_rs d_s into d(A) that keeps parity, over the first
-        standard basis vectors c0_r independent of d(A); as d(A) is
-        isotropic, isotropy is linear in t.  base is the graph of
-        ``linalg.solve``'s solution, directions[j] is phi at the j-th vector
-        of ``linalg.nullspace``.  ValueError if the algebra is not
-        contractible or the system has no solution."""
+        standard basis vectors c0_r independent of d(A), taken greedily: the
+        pivots past d(A) of the matrix with columns d(A), e_0, ..., e_{n-1}.
+        As d(A) is isotropic, isotropy is linear in t.  base is the graph of
+        ``linalg.solve``'s solution (free variables 0), directions[j] is phi
+        at the j-th vector of ``linalg.nullspace``.  ValueError if the
+        algebra is not contractible or the system has no solution."""
         if not check_contractible(self)[0]:
             raise ValueError("algebra is not contractible")
-        img, basis = self.d_image, linalg.identity(len(self.space))
-        _, pivots = linalg.rref(linalg.transpose([list(v) for v in img] + basis))
-        c0 = [basis[p - len(img)] for p in pivots[len(img):]]
+        img, n = self.d_image, len(self.space)
+        _, pivots = linalg.rref({**{s: v[i] for s, v in enumerate(img)}, len(img) + i: 1}
+                                for i in range(n))
+        c0 = [unit_vector(n, p - len(img)) for p in pivots[len(img):]]
         params = [(r, s) for r, cv in enumerate(c0) for s, iv in enumerate(img)
                   if vector_parity(self.space, cv) == vector_parity(self.space, iv)]
         pair = self.pairing.evaluate
@@ -80,7 +84,7 @@ class FrobeniusAlgebra:
         pairs = list(combinations_with_replacement(range(len(c0)), 2))
         rows = [[(pair(img[s], c0[q]) if p == r else 0) + (pair(c0[r], img[s]) if p == q else 0)
                  for p, s in params] for r, q in pairs]
-        particular = linalg.solve(rows, [-pair(c0[r], c0[q]) for r, q in pairs])
+        particular = linalg.solve(rows, [-pair(c0[r], c0[q]) for r, q in pairs], len(params))
         if particular is None:
             raise ValueError("no isotropic complement in this parametrization")
 
@@ -90,8 +94,9 @@ class FrobeniusAlgebra:
                 if x:
                     out[r] = [a + x * b for a, b in zip(out[r], img[s])]
             return tuple(map(tuple, out))
-        zero = [[Fraction(0)] * len(self.space)] * len(c0)
-        return graph(particular, c0), tuple(graph(h, zero) for h in linalg.nullspace(rows))
+        zero = [[Fraction(0)] * n] * len(c0)
+        return graph(particular, c0), tuple(graph(h, zero)
+                                            for h in linalg.nullspace(rows, len(params)))
 
     @cached_property
     def integer_mult(self) -> tuple:
@@ -104,8 +109,15 @@ class FrobeniusAlgebra:
             out.setdefault((i, j), []).append((k, c))
         return d_m, out
 
+    @cached_property
+    def vertex_tensors(self) -> "VertexTensors":
+        """The one ``VertexTensors`` table on the basis of A, which every
+        reader of mu_k on that basis shares."""
+        n = len(self.space)
+        return VertexTensors(self, [unit_vector(n, i) for i in range(n)])
+
     def kernel_of_d(self):
-        return linalg.nullspace(self.diff)
+        return linalg.nullspace(self.diff, len(self.space))
 
 
 def verify_axioms(alg: FrobeniusAlgebra) -> dict:
@@ -172,7 +184,7 @@ def verify_axioms(alg: FrobeniusAlgebra) -> dict:
 def degenerate_form(alg: FrobeniusAlgebra) -> BilinearForm:
     """<a,b>_d = (-1)^a <a, d(b)>: the matrix (-1)^{p_i} (P D)_ij, P the
     pairing and D the differential; even, super-antisymmetric, kernel >= ker d."""
-    cols = linalg.transpose(alg.diff)
+    cols = list(zip(*alg.diff))
     return BilinearForm(alg.space, [
         [(-1 if p else 1) * sum(a * b for a, b in zip(row, col) if a and b) for col in cols]
         for row, p in zip(alg.pairing.rows, alg.space.parities)], EVEN, "skew")
@@ -185,8 +197,7 @@ def check_contractible(alg: FrobeniusAlgebra):
     rk_img = len(img)
     if rk_img != len(ker):
         return False, rk_img
-    stacked = [list(v) for v in img] + [list(v) for v in ker]
-    return linalg.rank(stacked) == rk_img, rk_img
+    return linalg.rank([*img, *ker]) == rk_img, rk_img
 
 
 class Gauge(LagrangianSubspace):
@@ -214,8 +225,7 @@ class Gauge(LagrangianSubspace):
         super().__init__(alg.pairing, vectors)
         self.alg = alg
         self.label = label
-        stacked = [list(v) for v in self.vectors] + [list(v) for v in alg.d_image]
-        if linalg.rank(stacked) != len(alg.space):
+        if linalg.rank([*self.vectors, *alg.d_image]) != len(alg.space):
             raise ValueError("gauge does not complement d(A)")
         self.propagator = self.restricted_form().inverse().rows
         self.integer_propagator = integer_matrix(self.propagator)
@@ -345,9 +355,14 @@ def _product_step(prod, right) -> dict:
     return sparse_sum(((k, a * c) for i, a in prod.items() for k, c in right[i]), None)
 
 
+def unit_vector(n: int, i: int) -> tuple:
+    """The standard basis vector e_i of dimension n, as a tuple of Fractions."""
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
 def vertex_tensor(alg: FrobeniusAlgebra, k: int) -> dict:
-    """mu_k on the basis of A, from a table of its own."""
-    return VertexTensors(alg, linalg.identity(len(alg.space))).mu(k)
+    """mu_k on the basis of A, from the algebra's table."""
+    return alg.vertex_tensors.mu(k)
 
 
 def vertex_tensor_on_vectors(alg: FrobeniusAlgebra, vectors, k: int) -> dict:

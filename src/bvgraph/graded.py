@@ -113,10 +113,6 @@ class SuperSpace:
         return SuperSpace(tuple(nm + "*" for nm in self.names), self.parities,
                           _dual_of=self)
 
-    def parity_reversed(self) -> "SuperSpace":
-        """Parity reversion: same labels, flipped grading."""
-        return SuperSpace(self.names, tuple(1 - p for p in self.parities))
-
     def __eq__(self, other):
         return (isinstance(other, SuperSpace)
                 and self.names == other.names

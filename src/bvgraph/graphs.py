@@ -9,8 +9,6 @@ swap.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .graded import memoised, perm_parity, sparse_sum
 
@@ -461,25 +459,23 @@ def cycle_space(v: int, e: int):
 
     Returns (basis graphs of the bidegree, list of kernel chains).  The rows
     of the boundary matrix are the graphs of (v - 1, e - 1) that some
-    boundary reaches, in the order they first appear, so the lower bidegree
-    is never enumerated: a row that no boundary reaches is zero, and the
-    kernel, read off the reduced row echelon form, does not depend on the
-    order of the rows.
+    boundary reaches, each a sparse {column: coefficient} dict, so the lower
+    bidegree is never enumerated and no dense matrix is built: a row that no
+    boundary reaches is zero, and the kernel, read off the reduced row
+    echelon form of the sparse rows (``linalg.nullspace``), does not depend
+    on the order of the rows.
     """
     basis = enumerate_graphs(v, e)
     if not basis:
         return [], []
-    row_of = {}
-    entries = []
+    rows = {}
     for col, g in enumerate(basis):
         for h, c in boundary_of_graph(g).terms.items():
             if (h.n_vertices, len(h.edges)) != (v - 1, e - 1):
                 raise AssertionError("boundary left the expected bidegree")
-            entries.append((row_of.setdefault(h, len(row_of)), col, c))
-    rows = [[Fraction(0)] * len(basis) for _ in range(max(1, len(row_of)))]
-    for row, col, c in entries:
-        rows[row][col] = c
-    return basis, [GraphChain(zip(basis, vec)) for vec in linalg.nullspace(rows)]
+            rows.setdefault(h, {})[col] = c
+    return basis, [GraphChain(zip(basis, vec))
+                   for vec in linalg.nullspace(rows.values(), len(basis))]
 
 
 def theta_graph() -> CanonicalGraph:

@@ -1,109 +1,92 @@
-"""Dense exact-rational linear algebra (desk scale, Gaussian elimination)."""
+"""Exact-rational linear algebra over sparse rows, through one elimination kernel.
+
+A row is a dense sequence or a sparse {column: value} dict.  ``rref`` brings
+the rows to reduced row echelon form, and ``rank``, ``nullspace``, ``solve``
+and ``inverse`` read their answers off it.  The reduced row echelon form of a
+matrix is unique, so these answers do not depend on the order of the rows or
+on whether they come dense or sparse.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+from .graded import sparse_sum
 
 
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
+def _items(row) -> dict:
+    """A row as a {column: value} dict, dense or sparse."""
+    return row if isinstance(row, dict) else dict(enumerate(row))
 
 
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+def rref(rows):
+    """(the reduced rows as {column: Fraction} dicts, their pivot columns
+    ascending) of the matrix with these rows.
 
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def rref(a):
-    """Reduced row echelon form; returns (R, pivot column list)."""
-    r = [row[:] for row in a]
-    m = len(r)
-    n = len(r[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if r[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    The rows are reduced one at a time against the pivot rows found so far.
+    Each pivot row holds 1 at its pivot and 0 at every other pivot, so a row
+    loses its entries at the pivots in one sparse sum; the least column left
+    in it is the new pivot, which is then cleared from the earlier pivot rows.
+    """
+    pivot_rows = {}
+    for row in rows:
+        start = {j: Fraction(x) for j, x in _items(row).items() if x}
+        row = sparse_sum(chain(start.items(), (
+            (j, -f * x) for p, f in start.items() if p in pivot_rows
+            for j, x in pivot_rows[p].items())), None)
+        if not row:
             continue
-        r[row], r[piv] = r[piv], r[row]
-        inv = 1 / r[row][col]
-        prow = r[row] = [x * inv for x in r[row]]
-        # a row changes only where the pivot row is nonzero
-        support = [j for j, y in enumerate(prow) if y]
-        for i in range(m):
-            f = r[i][col]
-            if i != row and f != 0:
-                ri = r[i]
-                for j in support:
-                    ri[j] -= f * prow[j]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return r, pivots
+        p = min(row)
+        lead = row[p]
+        row = {j: x / lead for j, x in row.items()}
+        for q in [q for q, prow in pivot_rows.items() if p in prow]:
+            f = pivot_rows[q][p]
+            pivot_rows[q] = sparse_sum(chain(
+                pivot_rows[q].items(), ((j, -f * x) for j, x in row.items())), None)
+        pivot_rows[p] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[p] for p in pivots], pivots
 
 
-def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
-def inverse(a):
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+def inverse(rows):
+    """The inverse of a square matrix, as dense rows; ValueError if singular."""
+    n = len(rows)
+    reduced, pivots = rref({**_items(row), n + i: 1} for i, row in enumerate(rows))
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    zero = Fraction(0)
+    return [[r.get(n + j, zero) for j in range(n)] for r in reduced]
 
 
-def nullspace(a):
-    """Basis of the right kernel, as a list of column vectors."""
-    if not a:
-        return []
-    m, n = len(a), len(a[0])
-    if n == 0:
-        return []
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
+def nullspace(rows, n: int):
+    """A basis of the right kernel of the matrix with these rows and n
+    columns, as dense vectors: one per free column f, with 1 at f and 0 at
+    the other free columns."""
+    reduced, pivots = rref(rows)
+    free = sorted(set(range(n)) - set(pivots))
     basis = []
     for f in free:
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
+        for r, p in zip(reduced, pivots):
+            if f in r:
+                v[p] = -r[f]
         basis.append(v)
     return basis
 
 
-def solve(a, b):
-    """One solution of a x = b, or None if inconsistent."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [a[i][:] + [b[i]] for i in range(m)]
-    r, pivots = rref(aug)
+def solve(rows, b, n: int):
+    """One solution x of rows x = b in n unknowns, its free variables 0, or
+    None if the system is inconsistent."""
+    reduced, pivots = rref({**_items(row), n: y} for row, y in zip(rows, b))
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = r[i][n]
+    zero = Fraction(0)
+    x = [zero] * n
+    for r, p in zip(reduced, pivots):
+        x[p] = r.get(n, zero)
     return x
-
-
-def column_space_basis(a):
-    """Columns of `a` forming a basis of the column space."""
-    if not a or not a[0]:
-        return []
-    _, pivots = rref(a)
-    cols = transpose(a)
-    return [cols[p] for p in pivots]

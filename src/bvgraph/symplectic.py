@@ -56,7 +56,7 @@ class BilinearForm:
         are a tuple of tuples and never change."""
         if self._nondegenerate is None:
             n = len(self.space)
-            self._nondegenerate = n == 0 or linalg.rank(self.matrix()) == n
+            self._nondegenerate = n == 0 or linalg.rank(self.rows) == n
         return self._nondegenerate
 
     def inverse(self) -> "BilinearForm":
@@ -66,7 +66,7 @@ class BilinearForm:
         E = diag((-1)^{p_i * |form|}); for odd symmetric forms the result is
         antisymmetric.
         """
-        binv = linalg.inverse(self.matrix())  # ValueError if degenerate
+        binv = linalg.inverse(self.rows)  # ValueError if degenerate
         if self.parity == ODD:
             for i in range(len(binv)):
                 for j in range(len(binv)):
@@ -346,7 +346,7 @@ class LagrangianSubspace:
         if len(self.vectors) != n:
             raise ValueError("a Lagrangian in n|n has total dimension n")
         self.parities = [vector_parity(form.space, v) for v in self.vectors]
-        if linalg.rank([list(v) for v in self.vectors]) != n:
+        if linalg.rank(self.vectors) != n:
             raise ValueError("basis vectors are dependent")
         if any(map(any, form.restrict(self.vectors))):
             raise ValueError("subspace is not isotropic")

@@ -46,6 +46,9 @@ basis, so that its structure constants and pairing get denominators.
 ``frobenius.g3_gauge`` is pinned to; ``g5`` is G3 with a second pair of
 generators, and ``g5_gauge`` draws a sparse point of its gauge family.
 ``double_factorial`` gives the unit Gaussian moments of ``SplitWeight``.
+``dense_rref_oracle`` is dense Gaussian elimination over a full matrix of
+Fractions, column by column with row swaps, the route ``linalg.rref``'s sparse
+row-by-row kernel replaced, and ``identity`` is the dense identity matrix.
 ``permute_tensor``, ``symmetrize_tensor``, ``is_symmetric_tensor`` and
 ``average_tensor`` act on the first `rank` slots of sparse tensor keys, and
 ``supertrace_oracle`` reads the supertrace of a field's Koszul-symmetric map
@@ -786,3 +789,34 @@ class SplitWeight:
 def berezin_oracle(f, weight):
     """Moment/Berezin value of <f>_0; requires a split-diagonal weight."""
     return SplitWeight(weight).expectation(f)
+
+
+def identity(n):
+    """The n x n identity matrix, as dense rows of Fractions."""
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def dense_rref_oracle(a):
+    """(reduced row echelon form as dense rows, pivot column list) of a dense
+    matrix, by column-by-column elimination with row swaps."""
+    r = [[Fraction(x) for x in row] for row in a]
+    m = len(r)
+    n = len(r[0]) if m else 0
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, m) if r[i][col] != 0), None)
+        if piv is None:
+            continue
+        r[row], r[piv] = r[piv], r[row]
+        inv = 1 / r[row][col]
+        r[row] = [x * inv for x in r[row]]
+        for i in range(m):
+            f = r[i][col]
+            if i != row and f != 0:
+                r[i] = [x - f * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return r, pivots

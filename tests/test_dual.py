@@ -26,7 +26,7 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_kontsevich_chain_map, verify_master_equations,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
-from bvgraph import dual, frobenius, linalg, sampling, symplectic, wick
+from bvgraph import dual, frobenius, sampling, symplectic, wick
 import oracles
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
@@ -1169,7 +1169,7 @@ def test_psi_field_divides_int_coefficients_exactly():
     # a plain int coefficient is divided by the walk's scale as a Fraction,
     # on an algebra whose structure constants have denominators
     alg = so3_scaled()
-    assert frobenius.VertexTensors(alg, linalg.identity(len(alg.space))).product_scale(2) > 1
+    assert alg.vertex_tensors.product_scale(2) > 1
     images = [{(0, 1): 3}, {(0, 0): -2, (1, 1): 5}]
     as_ints, as_fractions = (
         psi_field(alg, VectorField(V20.space, [SuperPolynomial(V20.space, {

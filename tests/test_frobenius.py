@@ -12,7 +12,7 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, VertexTensors,
 from bvgraph import frobenius, linalg
 from bvgraph.graded import EVEN, ODD, SuperSpace, perm_parity
 from bvgraph.symplectic import LagrangianSubspace
-from oracles import (g3_gauge_oracle, g5, is_symmetric_tensor, rescaled,
+from oracles import (g3_gauge_oracle, g5, identity, is_symmetric_tensor, rescaled,
                      vertex_tensor_oracle)
 
 # so3red in a scaled basis: its structure constants and its pairing have
@@ -128,6 +128,39 @@ def test_g3_gauge_family_has_4_parameters():
     gauges = [gauge_at(alg, coords) for coords in product((0, 1), repeat=4)]
     assert len({tuple(g.vectors) for g in gauges}) == 16
     assert gauges[5].label == "(0, 1, 0, 1)"
+
+
+def test_gauge_family_starts_from_the_first_unit_vectors_independent_of_d_image():
+    # G3 in the basis b_0 = 1 + xi12, b_j = a_j otherwise: d(A) holds
+    # b_0 - b_4 but not b_0, so the unit vectors taken greedily are b_0, b_1,
+    # b_5, b_7, while the non-pivot columns of d(A)'s echelon form would be
+    # b_1, b_4, b_5, b_7; every base vector is its c0 plus a vector of d(A)
+    old = g3()
+    n = len(old.space)
+    cols = identity(n)
+    cols[0][4] = Fraction(1)
+    m_inv = linalg.inverse([list(row) for row in zip(*cols)])
+    elements = [{i: c for i, c in enumerate(col) if c} for col in cols]
+
+    def coords(u):
+        return {k: x for k, row in enumerate(m_inv)
+                if (x := sum(row[i] * c for i, c in u.items()))}
+    mult = {(i, j): coords(old.mul(a, b)) for i, a in enumerate(elements)
+            for j, b in enumerate(elements)}
+    diff = [[coords(old.d_of(a)).get(k, 0) for a in elements] for k in range(n)]
+    pairing = [[old.pairing.evaluate(a, b) for b in elements] for a in elements]
+    alg = FrobeniusAlgebra(old.space, mult, diff, pairing, name="G3_mixed")
+    assert verify_axioms(alg)["ok"]
+    img = alg.d_image
+    chosen = []
+    for e in identity(n):
+        if linalg.rank([*img, *chosen, e]) > len(img) + len(chosen):
+            chosen.append(e)
+    assert [c.index(1) for c in chosen] == [0, 1, 5, 7]
+    base, directions = alg.gauge_family
+    assert len(directions) == 4
+    assert all(linalg.rank([*img, [a - b for a, b in zip(v, c)]]) == len(img)
+               for v, c in zip(base, chosen))
 
 
 def test_gauge_at_needs_one_coordinate_per_direction():
@@ -285,8 +318,8 @@ def test_gauge_rejects_a_vector_of_mixed_parity():
 
 
 VERTEX_TENSOR_CASES = {
-    "K2": (k2, lambda alg: linalg.identity(2)),
-    "G3": (g3, lambda alg: linalg.identity(8)),
+    "K2": (k2, lambda alg: identity(2)),
+    "G3": (g3, lambda alg: identity(8)),
     **{"G3_" + "".join(map(str, params)):
        (g3, lambda alg, p=params: g3_gauge(*p, alg=alg).vectors)
        for params in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4))},
@@ -294,7 +327,7 @@ VERTEX_TENSOR_CASES = {
     # the so(3) gauge with its basis scaled by 1/2, -2/3 and 3/5
     "so3_scaled": (so3_reduced, scaled_gauge_vectors),
     # structure constants with denominators, on the basis and on a gauge
-    "so3_rescaled": (so3_rescaled, lambda alg: linalg.identity(6)),
+    "so3_rescaled": (so3_rescaled, lambda alg: identity(6)),
     "so3_rescaled_gauge": (so3_rescaled, scaled_gauge_vectors),
     "so3+G3_dense": (so3_plus_g3, lambda alg: dense_gauge(alg).vectors),
 }
@@ -320,7 +353,7 @@ def test_vertex_tensors_of_a_rescaled_algebra_divide_once_by_every_scale():
     d_m = lcm(*(c.denominator for img in alg.mult.values() for c in img.values()))
     assert alg.integer_mult[0] == d_m == 75
     denominators = set()
-    for vectors, scales in ((linalg.identity(6), (1, 75, 30)),
+    for vectors, scales in ((identity(6), (1, 75, 30)),
                             (scaled_gauge_vectors(alg), (30, 75, 900))):
         d_e = lcm(*(x.denominator for v in vectors for x in v))
         d_c = lcm(*(c.denominator for v in vectors for row in alg.pairing.rows
@@ -370,7 +403,7 @@ def test_vertex_tensors_build_each_level_of_products_once(monkeypatch):
     monkeypatch.setattr(frobenius, "_product_step",
                         lambda prod, right: calls.append(1) or step(prod, right))
     for vectors, valences, count in ((gauge.vectors, (3, 4, 5, 6), 760),
-                                     (linalg.identity(8), (3, 4, 5), 792)):
+                                     (identity(8), (3, 4, 5), 792)):
         calls.clear()
         table = VertexTensors(alg, vectors)
         for k in valences + valences:
@@ -381,7 +414,7 @@ def test_vertex_tensors_build_each_level_of_products_once(monkeypatch):
 def test_vertex_tensors_refuse_a_level_below_one():
     # level 0 would be the empty product; neither the walk nor its scale
     # answers for it, even after a deeper level is built
-    table = VertexTensors(g3(), linalg.identity(8))
+    table = VertexTensors(g3(), identity(8))
     table.products(2)
     for n in (0, -3):
         with pytest.raises(ValueError, match="level 1"):
@@ -393,7 +426,7 @@ def test_vertex_tensors_refuse_a_level_below_one():
 @pytest.mark.parametrize("make_alg", (k2, g3, so3_reduced))
 def test_mu_2_on_a_basis_is_the_pairing(make_alg):
     alg = make_alg()
-    mu2 = VertexTensors(alg, linalg.identity(len(alg.space))).mu(2)
+    mu2 = VertexTensors(alg, identity(len(alg.space))).mu(2)
     assert list(mu2.items()) == [((i, j), c) for i, row in enumerate(alg.pairing.rows)
                                  for j, c in enumerate(row) if c]
 
@@ -445,7 +478,7 @@ def test_direct_sum_of_an_algebra_with_itself():
     assert verify_axioms(alg)["ok"]
     assert alg.gauge_family[1] == ()
     gauge = gauge_at(alg, ())
-    basis = linalg.identity(12)
+    basis = identity(12)
     assert gauge.vectors == [tuple(basis[i]) for i in (0, 1, 2, 6, 7, 8)]
     assert gauge.parities == [ODD] * 6
     assert len(gauge.mu(3)) == 2 * len(gauge_at(so3_reduced(), ()).mu(3)) == 12
@@ -453,24 +486,26 @@ def test_direct_sum_of_an_algebra_with_itself():
 
 def test_d_image_d_form_and_gauge_family_are_built_once_per_algebra(monkeypatch):
     # d(A), <-,->_d and the gauge family depend on the algebra alone, not on
-    # the gauge: one solve of the isotropy system serves every gauge
-    calls = {"degenerate_form": 0, "column_space_basis": 0, "solve": 0}
+    # the gauge: one solve of the isotropy system serves every gauge.  The
+    # differential is reduced twice per algebra, for d(A) and for ker d in
+    # the contractibility test, and never again for a gauge
+    calls = {"degenerate_form": 0, "rref of d": 0, "solve": 0}
+    alg = g3()
 
-    def counted(module, name):
+    def counted(module, name, key=None, when=lambda *args: True):
         inner = getattr(module, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[key or name] += when(*args)
             return inner(*args)
         monkeypatch.setattr(module, name, wrapper)
 
     counted(frobenius, "degenerate_form")
-    counted(linalg, "column_space_basis")
+    counted(linalg, "rref", "rref of d", lambda rows: rows is alg.diff)
     counted(linalg, "solve")
-    alg = g3()
     for coords in product((0, 1), repeat=4):
         gauge_at(alg, coords)
-    assert calls == {"degenerate_form": 1, "column_space_basis": 1, "solve": 1}
+    assert calls == {"degenerate_form": 1, "rref of d": 2, "solve": 1}
 
 
 def test_gauge_invariants():

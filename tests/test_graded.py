@@ -144,11 +144,6 @@ def test_dual_space_round_trip():
     assert w.dual().parities == w.parities
 
 
-def test_parity_reversion():
-    w = SuperSpace(("u", "v"), (EVEN, ODD))
-    assert w.parity_reversed().parities == (ODD, EVEN)
-
-
 def test_symmetrize_even_square():
     w = SuperSpace(("x",), (EVEN,))
     t = {(0, 0): Fraction(1)}

@@ -252,8 +252,9 @@ def test_enumerate_graphs_at_loop_order_5(v, e, count, digest):
 
 
 @pytest.mark.parametrize("v, e, n_graphs, n_cycles",
-                         [(7, 11, 25, 18), (8, 12, 24, 6), (10, 15, 86, 9)],
-                         ids=["v7e11", "v8e12", "v10e15"])
+                         [(7, 11, 25, 18), (8, 12, 24, 6), (10, 15, 86, 9),
+                          (12, 18, 426, 16)],
+                         ids=["v7e11", "v8e12", "v10e15", "v12e18"])
 def test_cycle_space_at_loop_order_5(v, e, n_graphs, n_cycles):
     basis, chains = cycle_space(v, e)
     assert (len(basis), len(chains)) == (n_graphs, n_cycles)

@@ -15,8 +15,9 @@ derivation reads its signs off the terms, and a sign (-1)^{|x|} is the
 grading involution ``x.grading_involution()``.  The integer kernels scale
 Fractions to ints in one place: no package module takes the ``lcm`` of
 denominators outside ``graded.integer_terms``.  Vertex tensors come from one
-table per list of elements: no package code outside the one-shot
-``vertex_tensor`` and ``vertex_tensor_on_vectors`` calls either of them.
+table per list of elements, and an algebra keeps the one on its basis
+(``FrobeniusAlgebra.vertex_tensors``): no package code outside the entry
+points ``vertex_tensor`` and ``vertex_tensor_on_vectors`` calls either of them.
 Gauges come from one builder: no package code outside
 ``frobenius.gauge_at`` calls ``Gauge``.
 Bounded memos have one idiom: no package module calls ``.clear()`` outside
@@ -26,7 +27,8 @@ none hand-rolls a memo of its own: no ``if k in d: return d[k]``, no
 Every ``BilinearForm`` of the package is checked when it is built, but for
 the pairing of a ``FrobeniusAlgebra``, which ``verify_axioms`` reports on.
 Every ``verify_*`` suite of ``dual`` returns a ``_report`` dict, at every
-``return``.  The engine never imports the helpers of the tests and the
+``return``.  Linear algebra has one elimination kernel: every public function
+of ``linalg`` but ``rref`` calls ``rref``.  The engine never imports the helpers of the tests and the
 benchmark: no package module but ``sampling`` imports ``forms``, and none
 imports ``sampling``.
 """
@@ -274,12 +276,13 @@ def test_engine_never_imports_the_test_helpers():
 # integer vertex tensors and propagator, and the matrix scaling), the
 # polynomial product (its key merge), the restriction and Psi of a monomial
 # on the BV route, and the matchability cut of I, of the expectation and of
-# S (the deficiency of a multiset under a matrix's support)
+# S (the deficiency of a multiset under a matrix's support), and the sparse
+# elimination kernel
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "_product_step", "integer_mult", "integer_mu", "integer_propagator",
            "integer_matrix", "live_chords", "__mul__", "merge_keys",
            "_psi_monomial", "substitute", "MatchingSupport", "deficiency",
-           "completable", "matchable_word"}
+           "completable", "matchable_word", "rref"}
 
 
 def kernel_uses(source):
@@ -316,7 +319,9 @@ def test_oracles_never_use_the_kernels_they_check():
     assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
 
 
-# the one-shot vertex-tensor entry points, each a table of its own
+# the vertex-tensor entry points for callers outside the package:
+# vertex_tensor reads the algebra's table, vertex_tensor_on_vectors builds
+# one of its own
 ONE_SHOT = {"vertex_tensor", "vertex_tensor_on_vectors"}
 
 
@@ -657,3 +662,37 @@ def test_every_dual_suite_returns_a_report():
               if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")]
     assert "verify_vanishing_divergence" in suites and len(suites) >= 8
     assert unreported_suites(source, "dual.py") == []
+
+
+def kernel_bypasses(source, kernel="rref", name=""):
+    """Public module-level functions, but `kernel` itself, whose bodies never
+    call `kernel`, by name or as an attribute."""
+    return [f"{name}:{node.lineno} {node.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and node.name != kernel
+            and not any(isinstance(call, ast.Call) and called_name(call) == kernel
+                        for call in ast.walk(node))]
+
+
+def test_kernel_bypasses_are_detected():
+    source = ("def rref(rows):\n    return _reduce(rows)\n"
+              "def _items(row):\n    return dict(enumerate(row))\n"
+              "def rank(rows):\n    return len(rref(rows)[1])\n"
+              "def determinant(a):\n"
+              "    for col in range(len(a)):\n"
+              "        for i in range(col + 1, len(a)):\n"
+              "            a[i] = [x - a[i][col] / a[col][col] * y for x, y in zip(a[i], a[col])]\n"
+              "    return prod(a[i][i] for i in range(len(a)))\n"
+              "def is_invertible(a):\n    return rank(a) == len(a)\n"
+              "def nullity(rows, n):\n    return n - len(linalg.rref(rows)[1])\n"
+              "class Matrix:\n    def rank(self):\n        return 0\n")
+    assert kernel_bypasses(source) == [":7 determinant", ":12 is_invertible"]
+
+
+def test_linear_algebra_goes_through_one_kernel():
+    # a second elimination loop in linalg would be a second place to keep
+    # exact; every answer is read off the one sparse kernel
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
+    names = [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    assert {"rref", "rank", "nullspace", "solve", "inverse"} <= set(names)
+    assert kernel_bypasses(source, name="linalg.py") == []

@@ -561,7 +561,7 @@ def test_lagrangian_rejects_a_degenerate_form():
     # isotropy is vacuous for the zero form, so [x1, x2] passes every basis
     # check; a Lagrangian is only defined for a nondegenerate form
     u = SymplecticSpace.canonical_odd(2)
-    zero = BilinearForm(u.space, linalg.zeros(4, 4), ODD, "sym")
+    zero = BilinearForm(u.space, [[0] * 4] * 4, ODD, "sym")
     with pytest.raises(ValueError, match="degenerate"):
         LagrangianSubspace(zero, [(1, 0, 0, 0), (0, 1, 0, 0)])
 
@@ -599,7 +599,7 @@ def test_gauge_rejects_bad_bases(vectors, match):
     # symmetric pairing <x_i, xi_i> = 1 (zero product and differential) the
     # same bases fail with the same messages
     u = SymplecticSpace.canonical_odd(2)
-    alg = FrobeniusAlgebra(u.space, {}, linalg.zeros(4, 4),
+    alg = FrobeniusAlgebra(u.space, {}, [[0] * 4] * 4,
                            [[abs(c) for c in row] for row in u.form.rows])
     assert verify_axioms(alg)["ok"]
     with pytest.raises(ValueError, match=match):
