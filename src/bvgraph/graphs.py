@@ -51,8 +51,9 @@ class CanonicalGraph:
         return self.graph_id()
 
 
-# Cleared when full; a graph_complex benchmark pass (109 distinct keys)
-# never fills it.
+# Keyed by the sorted edges, cleared when full.  Graphs with a loop never
+# enter it, and ``enumerate_graphs`` runs its search without it; a
+# graph_complex benchmark pass caches 93 graphs and never fills it.
 _CANON_CACHE_SIZE = 1 << 14
 _canon_cache = {}
 
@@ -80,24 +81,34 @@ def canonicalize_directed(nv: int, edges) -> tuple:
     last cut), so the sign is exact.  Its cuts only drop relabelings whose
     code is strictly larger, or that a twin swap turns into one it keeps:
 
-    - Prefix: call the edges (i, j), j > i, of one label i its block.  With
-      labels 0..k-1 given, the code is fixed up to the first block i* that
-      still has an edge to an unlabelled vertex: every block before i*, then
-      the edges of block i* to labels < k, which sort before its edges to
-      labels >= k.  A branch whose fixed prefix exceeds the same prefix of
-      the best code so far is cut; ties are kept.
+    - Matrix: two sorted codes of e edges compare in the reverse of the
+      lexicographic order of their upper-triangle multiplicity rows, read
+      row-major: (0, 1), (0, 2), ..., (1, 2), ...  For let (i, j) be the
+      first entry where the matrices differ, with m copies of (i, j) in one
+      code and m' < m in the other.  Both codes begin with the same edges
+      before (i, j) and m' copies of it; there the first has (i, j) again,
+      and the second, which has as many edges left, a larger pair.  So the
+      search maximises the matrix.  Call the edges (i, j), j > i, of one
+      label i its block.  With labels 0..k-1 given, let block i* be the
+      first that still has an edge to an unlabelled vertex: the rows before
+      i* are fixed, their zeros beyond k-1 included, and so is row i* up to
+      column k-1.  Label k fixes entry (i*, k) and then, for each block that
+      closes, its zeros beyond k and the next row up to column k, in
+      row-major order; the search compares just these with the same entries
+      of the best matrix so far.  A branch whose fixed entries fall below
+      the best ones is cut; ties are kept.
     - Candidates: while block i* is open, label k goes only to an unlabelled
       vertex with the most edges to vertex i*.  Giving it to one with fewer
-      puts (i*, j > k) where this puts (i*, k), after an equal prefix.  When
-      no block is open (label 0, or a new component), label k goes only to
-      an unlabelled vertex of the greatest profile: the multiplicities of its
+      makes entry (i*, k) smaller after equal entries.  When no block is
+      open (label 0, or a new component), label k goes only to an
+      unlabelled vertex of the greatest profile: the multiplicities of its
       edges, largest first, compared as lists, so a longer profile wins a
       tie on the common prefix.  Its neighbours are all unlabelled, and the
       cut above gives them labels k+1, k+2, ... in descending multiplicity,
-      so for the profile (m_1, m_2, ...) block k is (k, k+1) m_1 times, then
-      (k, k+2) m_2 times, and so on, after blocks already fixed: a smaller
-      profile gives a larger code.  Degree is not the key: a theta vertex,
-      profile (3), comes before one of profile (2, 2).
+      so for the profile (m_1, m_2, ...) row k reads m_1, m_2, ... from
+      column k+1 on, after rows already fixed: a smaller profile gives a
+      smaller matrix, so a larger code.  Degree is not the key: a theta
+      vertex, profile (3), comes before one of profile (2, 2).
     - Twins: vertices u and w are twins when they have the same number of
       edges to every third vertex x.  Twinship is an equivalence, all pairs
       of one class are joined by the same number m of edges, and twins are
@@ -157,17 +168,19 @@ def _minimal_code(mult, edges, bound=None, signed=True):
     ``canonicalize_directed``.
 
     ``bound``, a sorted edge code of the graph, turns the search into a
-    canonicity test: it starts from the bound as the best code so far and
-    gives None as soon as a branch's fixed prefix falls strictly below it.
-    When no relabeling beats the bound, the bound is the minimum, and the
-    search, which keeps every relabeling whose code is <= the bound, still
-    visits every minimal one up to twin swaps, so the sign is exact.  With
+    canonicity test: its own multiplicity matrix is the best matrix so far
+    from the start, and the search gives None as soon as a branch's fixed
+    entries rise strictly above it, a strictly smaller code.  When no
+    relabeling beats the bound, the bound is the minimum, and the search,
+    which keeps every relabeling whose code is <= the bound, still visits
+    every minimal one up to twin swaps, so the sign is exact.  With
     ``signed`` false the leaves take no sign, and the sign returned is None.
 
-    Each node compares only the edges its label appended with the same
-    slice of the best code, and carries down whether its prefix is already
-    strictly below the best one's; a leaf that lowers the best code makes
-    every node on its path equal to it again.
+    Each node compares only the entries its label fixed with the same
+    entries of the best matrix, and carries down whether its matrix is
+    already strictly above the best one; a leaf that raises the best matrix
+    makes every node on its path equal to it again.  The code is read off
+    the best matrix once, at the end.
     """
     nv = len(mult)
     nbrs = [[w for w, m in enumerate(row) if m] for row in mult]
@@ -175,9 +188,9 @@ def _minimal_code(mult, edges, bound=None, signed=True):
     profile = [sorted(filter(None, row), reverse=True) for row in mult]
     open_half = [sum(row) for row in mult]  # half-edges to unlabelled vertices
     label = [-1] * nv
-    order = []   # order[i] is the vertex labelled i
-    prefix = []  # the code fixed by the labels so far
-    best = None if bound is None else list(bound)
+    order = []  # order[i] is the vertex labelled i
+    # bm[i][j]: the multiplicity matrix of the best relabeling so far
+    bm = None if bound is None else _multiplicities(nv, bound)
     signs = set()
     lowered = 0  # how many leaves have lowered the best code
     # twin[w]: the greatest twin of w below it, or None; needed at the
@@ -191,14 +204,13 @@ def _minimal_code(mult, edges, bound=None, signed=True):
 
     def search(first_open, below):
         # first_open: the first label whose vertex has open half-edges, or
-        # len(order) when there is none; below: prefix is strictly below
-        # the same prefix of best (always while there is no best).  False
-        # once a prefix beats the bound.
-        nonlocal best, signs, lowered, twin
+        # len(order) when there is none; below: the code is already
+        # strictly below best's (always while there is no best)
+        nonlocal bm, signs, lowered, twin
         k = len(order)
         if k == nv:
             if below:
-                best = prefix[:]
+                bm = [[mult[u][w] for w in order] for u in order]
                 signs = set()
                 lowered += 1
             if signed and not zero:
@@ -210,6 +222,15 @@ def _minimal_code(mult, edges, bound=None, signed=True):
             free = [w for w in nbrs[order[first_open]] if label[w] < 0]
             most = max(map(row.__getitem__, free))
             candidates = [w for w in free if row[w] == most]
+            if not below:
+                # label k fixes entry (first_open, k) to most, whichever
+                # candidate it goes to
+                if most < bm[first_open][k]:
+                    return True
+                if most > bm[first_open][k]:
+                    if bound is not None:
+                        return False
+                    below = True
         else:
             free = [w for w in range(nv) if label[w] < 0]
             top = max(map(profile.__getitem__, free))
@@ -221,48 +242,49 @@ def _minimal_code(mult, edges, bound=None, signed=True):
             # vertex of a class is the one whose previous twin is labelled
             candidates = [w for w in candidates
                           if twin[w] is None or label[twin[w]] >= 0]
-        mark = len(prefix)
         for w in candidates:
             label[w] = k
             order.append(w)
             row = mult[w]
             for u in nbrs[w]:
                 open_half[u] -= row[u]
+            # the entries that closing blocks fix, against bm's in row-major
+            # order: cmp is 1 once one is larger (a smaller code), -1 once
+            # one is smaller
+            cmp = 1 if below else 0
             i = first_open
-            if i < k:
-                prefix.extend([(i, k)] * row[order[i]])
-            while i <= k and not open_half[order[i]]:
+            while cmp >= 0 and i <= k and not open_half[order[i]]:
+                if not cmp and any(bm[i][k + 1:]):
+                    cmp = -1  # block i closed with zeros where bm has edges
                 i += 1
-                if i <= k:
-                    row_i = mult[order[i]]
+                if i <= k and not cmp:
+                    row_i, bm_i = mult[order[i]], bm[i]
                     for j in range(i + 1, k + 1):
-                        prefix.extend([(i, j)] * row_i[order[j]])
-            if below:
-                keep = lower = True
-            else:
-                added = prefix[mark:]
-                head = best[mark:len(prefix)]
-                keep, lower = added <= head, added < head
-                if lower and bound is not None:
-                    return False
-            if keep:
+                        x, y = row_i[order[j]], bm_i[j]
+                        if x != y:
+                            cmp = 1 if x > y else -1
+                            break
+            if cmp > 0 and bound is not None:
+                return False
+            if cmp >= 0:
                 seen = lowered
-                if not search(i, lower):
+                if not search(i, cmp > 0):
                     return False
                 if lowered != seen:
                     below = False
-            del prefix[mark:]
             for u in nbrs[w]:
                 open_half[u] += row[u]
             order.pop()
             label[w] = -1
         return True
 
-    if not search(0, best is None):
+    if not search(0, bm is None):
         return None
+    code = tuple((i, j) for i in range(nv) for j in range(i + 1, nv)
+                 for _ in range(bm[i][j]))
     if not signed:
-        return tuple(best), None
-    return tuple(best), (signs.pop() if len(signs) == 1 and not zero else 0)
+        return code, None
+    return code, (signs.pop() if len(signs) == 1 and not zero else 0)
 
 
 def contract_directed(nv: int, edges, edge_index: int):
@@ -325,10 +347,16 @@ class GraphChain:
 
 
 def boundary_of_graph(graph: CanonicalGraph) -> GraphChain:
-    """Sum of single non-loop edge contractions, canonicalized with signs."""
+    """Sum of single edge contractions, canonicalized with signs.  An edge
+    with a parallel copy is skipped: contracting it turns the copy into a
+    loop, so its term is 0."""
+    edges = graph.edges
+
     def terms():
-        for i in range(len(graph.edges)):
-            nv, new_edges, csign = contract_directed(graph.n_vertices, graph.edges, i)
+        for i, edge in enumerate(edges):
+            if edges.count(edge) > 1:
+                continue
+            nv, new_edges, csign = contract_directed(graph.n_vertices, edges, i)
             rep, sign = canonicalize_directed(nv, new_edges)
             if sign:
                 yield rep, csign * sign
@@ -356,34 +384,35 @@ def enumerate_graphs(v: int, e: int):
     left, or the prefix is not its own canonical code.  That last test is
     the search of ``canonicalize_directed`` run with the prefix itself as
     the best code so far, on the multiplicity matrix the generator keeps
-    edge by edge: it stops at the first branch that falls below the prefix.
-    Each class then reaches exactly one leaf, its canonical code, and the
-    test of that leaf also gives its sign; the tests of shorter prefixes
-    take no sign.
+    edge by edge: it stops at the first branch whose code falls below the
+    prefix.
 
-    The last cut is exact because being canonical passes to prefixes: let P
+    The test is exact because being canonical passes to prefixes: let P
     be the first m edges of a code C, and suppose a relabeling pi gives
     sorted(pi(P)) < P.  pi(P) is a sub-multiset of pi(C), so the m smallest
     edges of pi(C) are elementwise <= sorted(pi(P)); hence the first m edges
     of sorted(pi(C)) are < P, sorted(pi(C)) < C, and C is not canonical
     either.  So a non-canonical prefix has no canonical extension
-    (Read-Faradzev orderly generation).
+    (Read-Faradzev orderly generation).  Since the test only drops prefixes,
+    it need not run on every one: it runs on a prefix whose last pair opens
+    a new block (its first vertex differs from the pair before it) and on
+    every full multiset, where it decides: each class reaches exactly one
+    full multiset that passes, its canonical code, and that test, the only
+    signed one, also gives its sign.
 
-    Two more cuts, each O(1), drop pairs before that test.  Each names, for
-    the prefix P that ends in the new pair (a, b), a transposition pi of two
-    vertices with sorted(pi(P)) < P, so P is not canonical and the test
-    would drop it too:
-
-    - (a) Vertices enter the code in label order: the vertices a prefix
-      reaches are 0..s-1 for some s.  If a < s and b > s, pi = (b s) fixes
-      the edges before (a, b), which miss both, and gives (a, s) < (a, b).
-      So a new component must start with (s, s+1): for a > s, pi = (a s)
-      gives (s, b), and for a = s and b > s+1, pi = (b s+1) gives (s, s+1).
-    - (b) Block a gives the vertices it introduces non-increasing
-      multiplicities.  If b-1 and b were both introduced by a, every edge of
-      P at either of them is (a, b-1) or (a, b); with m copies of each
-      before the new (a, b), pi = (b-1 b) gives m+1 copies of (a, b-1) where
-      P has m, followed by a larger (a, b).
+    One more cut drops pairs before any test.  Vertices u and w are twins in
+    a prefix P when they have the same number of edges to every third
+    vertex; the transposition (u w) then maps P to itself.  The pair (a, b)
+    is skipped when a has a twin u < a in P, or b has a twin u < b other
+    than a.  The transposition pi of the two twins fixes P and sends (a, b)
+    to (u, b), or to (a, u) or (u, a), a pair smaller than (a, b) in each
+    case.  As (a, b) is not smaller than any pair of P, inserting a smaller
+    pair into P gives a smaller code, so sorted(pi(P + (a, b))) < P + (a, b)
+    and the extended prefix is not canonical.  The unreached vertices are
+    twins of one another, so a pair reaches the least of them only, and a
+    new component starts with the two least; of two vertices that only
+    block a has reached, the later gets no more copies of its pair with a
+    than the earlier: with as many copies the two are twins.
     """
     return list(memoised(_graph_lists, _GRAPH_LISTS_SIZE, (v, e),
                          lambda: _orderly_graphs(v, e)))
@@ -400,57 +429,44 @@ def _orderly_graphs(v: int, e: int) -> tuple:
         closing[max(p for p, pair in enumerate(pairs) if u in pair) + 1].append(u)
     degs = [0] * v
     mult = [[0] * v for _ in range(v)]
-    # intro[b]: the vertex whose block introduced b, -1 for the first vertex
-    # of a component; read for the vertices reached only
-    intro = [-1] * v
     combo = []
     found = []
 
-    def extend(start, deficit, reached):
-        # reached: the prefix meets vertices 0..reached-1 and no other
+    def extend(start, deficit, opens):
+        # opens: the last pair of combo opens a new block
         left = e - len(combo)
         if deficit > 2 * left:
             return
-        minimal = _minimal_code(mult, combo, combo, signed=not left)
-        if minimal is None:
-            return
-        if not left:
-            if minimal[1]:
-                found.append(CanonicalGraph(v, tuple(combo)))
-            return
+        if opens or not left:
+            minimal = _minimal_code(mult, combo, combo, signed=not left)
+            if minimal is None:
+                return
+            if not left:
+                if minimal[1]:
+                    found.append(CanonicalGraph(v, tuple(combo)))
+                return
+        twin = _previous_twins(mult)
+        block = combo[-1][0] if combo else -1
         for p in range(start, len(pairs)):
             if p > start and any(degs[u] < 3 for u in closing[p]):
                 return
             a, b = pairs[p]
-            if b < reached:
-                if intro[b] == a == intro[b - 1] and mult[a][b] == mult[a][b - 1]:
-                    continue  # cut (b)
-                grown = reached
-            elif a < reached:
-                if b > reached:
-                    continue  # cut (a): b skips vertex `reached`
-                intro[b] = a
-                grown = reached + 1
-            elif a == reached and b == a + 1:
-                intro[a] = -1
-                intro[b] = a
-                grown = reached + 2
-            else:
-                return  # cut (a): every later pair skips a vertex
+            if twin[a] is not None or twin[b] not in (None, a):
+                continue  # a twin swap moves (a, b) below itself
             gain = (degs[a] < 3) + (degs[b] < 3)
             degs[a] += 1
             degs[b] += 1
             mult[a][b] += 1
             mult[b][a] += 1
             combo.append(pairs[p])
-            extend(p, deficit - gain, grown)
+            extend(p, deficit - gain, a != block)
             combo.pop()
             mult[a][b] -= 1
             mult[b][a] -= 1
             degs[a] -= 1
             degs[b] -= 1
 
-    extend(0, 3 * v, 0)
+    extend(0, 3 * v, False)
     return tuple(sorted(found, key=lambda g: g.key()))
 
 

@@ -3,6 +3,8 @@
 They define their results by exhaustion and are far too slow for the
 library.  ``canonicalize_oracle`` tries all nv! relabelings and
 ``valent_multisets_oracle`` walks every edge multiset of the bidegree.
+``boundary_of_graph_oracle`` contracts every edge of a graph, parallel ones
+included, and canonicalises each contraction with ``canonicalize_oracle``.
 ``vertex_tensor_oracle`` multiplies out every index tuple of mu_k, and
 ``feynman_value_oracle`` walks the full product of the vertex-tensor supports
 with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
@@ -68,7 +70,8 @@ from bvgraph.forms import FormContext
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
                             monomial_parity, perm_parity, sort_indices_with_sign,
                             sparse_sum)
-from bvgraph.graphs import CanonicalGraph, GraphChain, canonicalize_directed
+from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
+                            contract_directed)
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import LagrangianSubspace
 from bvgraph.wick import berezin_integrate, chord_diagrams, chord_sign
@@ -140,6 +143,18 @@ def enumerate_graphs_oracle(v, e):
     reps = {rep.key(): rep for _, (rep, sign) in canonical_multisets_oracle(v, e)
             if sign}
     return sorted(reps.values(), key=lambda g: g.key())
+
+
+def boundary_of_graph_oracle(graph):
+    """The boundary of a graph: every edge contracted, loops and all, and each
+    contraction canonicalised by ``canonicalize_oracle``."""
+    def terms():
+        for i in range(len(graph.edges)):
+            nv, edges, csign = contract_directed(graph.n_vertices, graph.edges, i)
+            rep, sign = canonicalize_oracle(nv, edges)
+            if sign:
+                yield rep, csign * sign
+    return GraphChain(terms())
 
 
 def vertex_tensor_oracle(alg, vectors, k):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -11,8 +12,9 @@ from bvgraph.graded import perm_parity
 from bvgraph.graphs import (GraphChain, boundary, boundary_of_graph,
                             canonicalize_directed, contract_directed,
                             cycle_space, enumerate_graphs, theta_graph)
-from oracles import (canonical_multisets_oracle, canonicalize_oracle,
-                     enumerate_graphs_oracle, valent_multisets_oracle)
+from oracles import (boundary_of_graph_oracle, canonical_multisets_oracle,
+                     canonicalize_oracle, enumerate_graphs_oracle,
+                     valent_multisets_oracle)
 
 
 def test_loop_graph_canonicalizes_to_zero():
@@ -100,11 +102,34 @@ def test_every_prefix_of_a_canonical_code_is_canonical(case):
         assert canonicalize_directed(nv, code[:m])[0].edges == code[:m]
 
 
+def _smaller_twins(nv, edges, w):
+    """The vertices u < w that are w's twins in ``edges``: u and w have the
+    same number of edges to every third vertex."""
+    count = Counter(tuple(sorted(edge)) for edge in edges)
+
+    def mult(x, y):
+        return count[min(x, y), max(x, y)]
+    return {u for u in range(w)
+            if all(mult(u, x) == mult(w, x) for x in range(nv) if x not in (u, w))}
+
+
+@pytest.mark.parametrize("v, e", [(5, 9), (6, 9)])
+def test_canonical_codes_pass_the_twin_swap_cut(v, e):
+    # the lemma behind the twin-swap cut of enumerate_graphs: the pair (a, b)
+    # a canonical code adds to its prefix never has a smaller twin of a, nor
+    # a smaller twin of b other than a, in that prefix
+    codes = {rep.edges for _, (rep, _) in canonical_multisets_oracle(v, e)}
+    for code in codes:
+        for m, (a, b) in enumerate(code):
+            assert not _smaller_twins(v, code[:m], a), (code, m)
+            assert _smaller_twins(v, code[:m], b) <= {a}, (code, m)
+
+
 @pytest.mark.parametrize("v, e", [(5, 9), (6, 9)])
 def test_canonical_codes_introduce_vertices_in_label_order(v, e):
-    # the lemma behind the O(1) cuts of enumerate_graphs: a code reaches its
-    # vertices in label order, a new component starting with (s, s+1), and
-    # each block gives the vertices it introduces non-increasing multiplicities
+    # how canonical codes look: a code reaches its vertices in label order, a
+    # new component starting with (s, s+1), and each block gives the vertices
+    # it introduces non-increasing multiplicities
     codes = {rep.edges for _, (rep, _) in canonical_multisets_oracle(v, e)}
     disconnected = 0
     for code in codes:
@@ -160,8 +185,14 @@ def test_canonicalize_disconnected_tie_on_the_first_profile_entry(nv, edges, blo
 @pytest.mark.parametrize("v, e", [(4, 8), (5, 9), (6, 9)])
 def test_bounded_search_matches_oracle_on_every_prefix(v, e):
     # the canonicity test of enumerate_graphs: None exactly when the prefix
-    # is not its own canonical code, and otherwise the oracle's sign when
-    # the sign is asked for, and no sign when it is not
+    # is not its own canonical code, and otherwise the prefix with the
+    # oracle's sign when the sign is asked for, and no sign when it is not.
+    # The bound is read as a code of its own, not as the identity labelling
+    # of the graph searched: the prefix relabelled by a seeded permutation,
+    # searched with the prefix as its bound, gets the same verdict, and the
+    # sign of the relabelled graph, the prefix's times the permutation's
+    # parity
+    rng = random.Random(0)
     prefixes = {combo[:m] for combo in valent_multisets_oracle(v, e)
                 for m in range(e + 1)}
     seen = {"not canonical": 0, "signed": 0}
@@ -170,12 +201,16 @@ def test_bounded_search_matches_oracle_on_every_prefix(v, e):
         mult = graphs._multiplicities(v, prefix)
         minimal = graphs._minimal_code(mult, prefix, prefix)
         unsigned = graphs._minimal_code(mult, prefix, prefix, signed=False)
+        perm = rng.sample(range(v), v)
+        moved = tuple((perm[a], perm[b]) for a, b in prefix)
+        relabelled = graphs._minimal_code(graphs._multiplicities(v, moved), moved, prefix)
         if rep.edges != prefix:
-            assert minimal is None is unsigned, prefix
+            assert minimal is None is unsigned is relabelled, prefix
             seen["not canonical"] += 1
         else:
             assert minimal == (prefix, sign), prefix
             assert unsigned == (prefix, None), prefix
+            assert relabelled == (prefix, sign * perm_parity(perm)), (prefix, perm)
             seen["signed"] += sign != 0
     assert all(seen.values())
 
@@ -346,6 +381,17 @@ def test_contract_k4_edge():
 def test_contract_loop_raises():
     with pytest.raises(ValueError):
         contract_directed(1, ((0, 0), (0, 0)), 0)
+
+
+@pytest.mark.parametrize("v, e", [(5, 8), (5, 9), (6, 9), (8, 12)])
+def test_boundary_of_graph_matches_oracle(v, e):
+    # the boundary skips edges with a parallel copy; the oracle contracts
+    # every edge, and those contractions carry a loop
+    skipped = 0
+    for g in enumerate_graphs(v, e):
+        assert boundary_of_graph(g) == boundary_of_graph_oracle(g), g.graph_id()
+        skipped += len(g.edges) - len(set(g.edges))
+    assert skipped
 
 
 def test_boundary_of_theta_is_zero():
