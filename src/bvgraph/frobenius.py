@@ -255,7 +255,10 @@ def gauge_at(alg: FrobeniusAlgebra, coords, label=None) -> Gauge:
     """The gauge base + sum_j coords[j] directions[j] of the algebra's
     ``gauge_family``, labelled ``str(tuple(coords))`` unless a label is
     given: the one builder of gauges.  ValueError unless coords has one entry
-    per direction, or if the algebra has no gauge family."""
+    per direction, each an int or a Fraction (a float is inexact and a bool
+    no number), or if the algebra has no gauge family."""
+    if any(type(c) not in (int, Fraction) for c in coords):
+        raise ValueError(f"gauge coordinates must be ints or Fractions, not {coords}")
     base, directions = alg.gauge_family
     if len(coords) != len(directions):
         raise ValueError(f"the gauge family of {alg.name or 'this algebra'} "
@@ -517,26 +520,42 @@ def algebra_to_json(alg: FrobeniusAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> FrobeniusAlgebra:
-    """The algebra a JSON record describes; ValueError unless it has a basis
-    of named entries with parities in {0, 1}, its indices lie in [0, n), its
-    coefficients are ints or strings, not floats, and it passes verify_axioms.
-    A bool is no int here: the checks read type(), not isinstance()."""
+    """The algebra a JSON record describes; ValueError unless it is an object
+    with a string name, if any, and a list of basis entries with string names
+    and parities in {0, 1}, its entries are lists whose indices lie in
+    [0, n), its coefficients are ints or strings of finite rationals, not
+    floats, and it passes verify_axioms.  A bool is no int here: the checks
+    read type(), not isinstance()."""
+    if type(data) is not dict or type(data.get("name", "")) is not str:
+        raise ValueError("a JSON algebra is an object with a string name")
     basis = data.get("basis")
-    if basis is None or any("name" not in b or "parity" not in b for b in basis):
+    if type(basis) is not list or any(type(b) is not dict or "name" not in b
+                                      or "parity" not in b for b in basis):
         raise ValueError("every basis entry needs a name and a parity")
+    if any(type(b["name"]) is not str for b in basis):
+        raise ValueError("basis names must be strings")
     if any(type(b["parity"]) is not int or b["parity"] not in (EVEN, ODD) for b in basis):
         raise ValueError("basis parities must be 0 or 1")
     space = SuperSpace([b["name"] for b in basis], [b["parity"] for b in basis])
     n = len(space)
 
     def entries(field, arity):
-        for entry in data.get(field, []):
+        listed = data.get(field, [])
+        if type(listed) is not list:
+            raise ValueError(f"{field} is not a list")
+        for entry in listed:
+            if type(entry) is not list:
+                raise ValueError(f"{field} entry {entry} is not a list")
             *idx, c = entry
             if len(idx) != arity or not all(type(i) is int and 0 <= i < n for i in idx):
                 raise ValueError(f"{field} index out of range in {entry}")
             if type(c) not in (int, str):
                 raise ValueError(f"{field} coefficient must be an int or a string in {entry}")
-            yield (*idx, Fraction(c))
+            try:
+                value = Fraction(c)
+            except ZeroDivisionError:
+                raise ValueError(f"{field} coefficient divides by zero in {entry}") from None
+            yield (*idx, value)
 
     mult = {}
     for i, j, k, c in entries("mult", 3):

@@ -492,9 +492,3 @@ def cycle_space(v: int, e: int):
             rows.setdefault(h, {})[col] = c
     return basis, [GraphChain(zip(basis, vec))
                    for vec in linalg.nullspace(rows.values(), len(basis))]
-
-
-def theta_graph() -> CanonicalGraph:
-    rep, sign = canonicalize_directed(2, ((0, 1), (0, 1), (0, 1)))
-    assert sign != 0
-    return rep

@@ -30,10 +30,10 @@ coefficient is divided once by D_0 D^top, D_0 the scale of the
 coefficients and top the largest degree.
 
 Odd partial derivatives act from the LEFT throughout the package; every
-downstream sign (odd Laplacian values, Berezin integrals) inherits this single
+downstream sign (odd Laplacian values, divergences) inherits this single
 convention, defined once by ``left_partials``: ``SuperPolynomial.deriv_left``
-reads it, and ``wick.right_deriv`` and ``divergence`` are derived from that
-through the grading involution.
+reads it, and ``divergence`` is derived from that through the grading
+involution.
 
 Derivations and vector fields take no declared parity: each sign is the
 Koszul sign of one term, read off with ``graded.monomial_parity``, so a field
@@ -186,12 +186,6 @@ class SuperPolynomial:
     def min_degree(self):
         return min((len(k) for k in self.terms), default=0)
 
-    def coefficient(self, seq):
-        key, sign = sort_indices_with_sign(self.space, tuple(seq))
-        if key is None:
-            return Fraction(0)
-        return sign * self.terms.get(key, Fraction(0))
-
     # -- calculus -----------------------------------------------------------
     def deriv_left(self, var: int) -> "SuperPolynomial":
         """Left partial derivative with respect to variable `var`: y_key goes
@@ -298,9 +292,6 @@ class VectorField:
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
         return apply_derivation(self.space, self.images, f)
-
-    def scale_by_poly(self, p: SuperPolynomial) -> "VectorField":
-        return VectorField(self.space, [p * img for img in self.images])
 
     def commutator(self, other: "VectorField") -> "VectorField":
         if self.parity is None or other.parity is None:

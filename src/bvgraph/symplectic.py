@@ -48,9 +48,6 @@ class BilinearForm:
                 if self.rows[i][j] != s * koszul * self.rows[j][i]:
                     raise ValueError(f"declared {self.symmetry}metry fails at ({i},{j})")
 
-    def matrix(self):
-        return [list(r) for r in self.rows]
-
     def is_nondegenerate(self) -> bool:
         """Whether the matrix has full rank; found once per form, whose rows
         are a tuple of tuples and never change."""
@@ -126,14 +123,6 @@ def i2_of_quadratic(sigma: SuperPolynomial) -> BilinearForm:
             rows[i][j] += val
             rows[j][i] += (-1 if (pars[i] and pars[j]) else 1) * val
     return BilinearForm(sigma.space, rows, EVEN, "sym")
-
-
-def pi2_of_form(b: BilinearForm) -> SuperPolynomial:
-    """The quadratic Hamiltonian pi_2(<-,->); inverse of i2 on (super)symmetric forms."""
-    space = b.space
-    return SuperPolynomial.sum(space, (
-        SuperPolynomial.monomial(space, (i, j), c / 2)
-        for i, row in enumerate(b.rows) for j, c in enumerate(row) if c))
 
 
 class SymplecticSpace:

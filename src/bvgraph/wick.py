@@ -1,17 +1,16 @@
-"""Chord diagrams, algebraic Gaussian expectation values and Stokes lemmas.
+"""Chord diagrams and algebraic Gaussian expectation values.
 
 The Wick sum over chord diagrams *is* the definition of the Gaussian integral
-here; analytic input survives only in the Berezin integrals and in the test
-suite's moment oracle, with its sign rule for negative weights.
+here; analytic input survives only in the test suite's Berezin and moment
+oracles, with their sign rule for negative weights.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EVEN, ODD, SuperSpace, koszul_sign, memoised, span_space
-from .superpoly import SuperPolynomial, VectorField, divergence
-from .symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
-                         pi2_of_form, restrict_polynomial)
+from .graded import EVEN, koszul_sign, memoised
+from .superpoly import SuperPolynomial
+from .symplectic import BilinearForm, i2_of_quadratic
 
 
 # Bound the lists of ``chord_diagrams`` by k and each weight's ``monomial_vev``
@@ -182,9 +181,6 @@ class QuadraticWeight:
     def from_sigma(cls, sigma: SuperPolynomial) -> "QuadraticWeight":
         return cls(i2_of_quadratic(sigma))
 
-    def sigma(self) -> SuperPolynomial:
-        return pi2_of_form(self.form)
-
     # -- expectation ---------------------------------------------------------
     def monomial_vev(self, key) -> Fraction:
         """<y_{k1} ... y_{k_2m}>_0 by the Wick sum, evaluated recursively.
@@ -225,97 +221,3 @@ class QuadraticWeight:
         for key, val in f.terms.items():
             total += val * self.monomial_vev(key)
         return total
-
-
-# ---------------------------------------------------------------------------
-# Berezin integration
-
-def right_deriv(f: SuperPolynomial, var: int) -> SuperPolynomial:
-    """Right-acting partial derivative (odd integration convention): for an odd
-    var, the grading involution of the left one, (-1)^{|m| - 1} on a monomial m."""
-    d = f.deriv_left(var)
-    return d.grading_involution() if f.space.parities[var] else d
-
-
-def berezin_integrate(f: SuperPolynomial, odd_vars) -> SuperPolynomial:
-    """Iterated odd integral; the listed operators act right to left."""
-    for var in reversed(list(odd_vars)):
-        f = right_deriv(f, var)
-    return f
-
-
-# ---------------------------------------------------------------------------
-# Stokes lemmas
-
-def gaussian_stokes_even(p: SuperPolynomial, var: int,
-                         weight: QuadraticWeight) -> Fraction:
-    """integral of d/dx_var [p e^{-sigma}]; must be exactly 0."""
-    sigma = weight.sigma()
-    integrand = p.deriv_left(var) - p * sigma.deriv_left(var)
-    return weight.expectation(integrand)
-
-
-def laplacian_exponential_expansion(q: SuperPolynomial, sigma: SuperPolynomial,
-                                    symp: SymplecticSpace) -> SuperPolynomial:
-    """The bracket polynomial R with Delta(q e^{-sigma}) = R e^{-sigma}:
-
-        R = Delta q - {q, sigma} + (-1)^{|q|} q ({sigma, sigma}/2 - Delta sigma),
-
-    the sign (-1)^{|q|} taken termwise, as the grading involution of q.
-    """
-    lap = symp.odd_laplacian
-    br = symp.antibracket
-    master = br(sigma, sigma) / 2 - lap(sigma)
-    return SuperPolynomial.sum(symp.space, (lap(q), -br(q, sigma),
-                                            q.grading_involution() * master))
-
-
-def bv_stokes_value(q: SuperPolynomial, sigma: SuperPolynomial,
-                    symp: SymplecticSpace, lagrangian) -> Fraction:
-    """Normalized integral over the gauge of Delta(q e^{-sigma}); exactly 0."""
-    r = laplacian_exponential_expansion(q, sigma, symp)
-    sub = lagrangian.subspace()
-    sigma_l = restrict_polynomial(sigma, lagrangian.vectors, sub)
-    weight = QuadraticWeight.from_sigma(sigma_l)
-    return weight.expectation(restrict_polynomial(r, lagrangian.vectors, sub))
-
-
-# ---------------------------------------------------------------------------
-# Infinitesimal Berezin change of variables
-
-def standard_even_weight(space: SuperSpace) -> SuperPolynomial:
-    """sigma_0 = 1/2 sum x_i^2 over the even variables."""
-    return SuperPolynomial.sum(space, (
-        SuperPolynomial.monomial(space, (i, i), Fraction(1, 2))
-        for i, p in enumerate(space.parities) if p == EVEN))
-
-
-def flat_integral(f: SuperPolynomial) -> Fraction:
-    """integral of f e^{-1/2 sum x^2} over R^{n|m}, divided by (2 pi)^{n/2}.
-
-    Odd variables integrate by right derivatives (top coefficient); what is
-    left, restricted to the even coordinates, has the Wick expectation of
-    the unit weight sigma_0 there.
-    """
-    space = f.space
-    pars = space.parities
-    evens = [j for j, p in enumerate(pars) if p == EVEN]
-    body = span_space([EVEN] * len(evens))
-    g = berezin_integrate(f, [i for i, p in enumerate(pars) if p == ODD])
-    vectors = [[int(i == j) for i in range(len(space))] for j in evens]
-    return QuadraticWeight.from_sigma(standard_even_weight(body)).expectation(
-        restrict_polynomial(g, vectors, body))
-
-
-def berezin_change_of_variables(eta: VectorField, f: SuperPolynomial):
-    """Both sides of: integral eta(g) = -integral nabla(eta) g, g = f e^{-sigma0}.
-
-    Returns (lhs, rhs) as exact rationals (they must be equal).
-    """
-    space = f.space
-    sigma0 = standard_even_weight(space)
-    if eta.parity is None:
-        raise ValueError("field must be parity homogeneous")
-    lhs = flat_integral(eta(f) - (f.grading_involution() if eta.parity else f) * eta(sigma0))
-    rhs = -flat_integral(divergence(eta) * f)
-    return lhs, rhs

@@ -19,8 +19,12 @@ fewest points a matching along a matrix's support leaves unmatched, by
 trying every matching.
 ``wick_map_oracle`` contracts every chord diagram of a word, zero or not, and
 ``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
-``berezin_oracle`` integrates split-diagonal weights block by block, and
-``canonical_laplacian_oracle`` is the coordinate odd Laplacian of U_{n|n}.
+``berezin_oracle`` integrates split-diagonal weights block by block, each
+odd pair by ``berezin_integrate``, the iterated odd integral of right
+derivatives ``right_deriv``, and ``canonical_laplacian_oracle`` is the
+coordinate odd Laplacian of U_{n|n}.  ``pi2_of_form`` is the quadratic
+function of a symmetric form, the inverse of ``symplectic.i2_of_quadratic``,
+and ``theta_graph`` is the one graph of bidegree (2, 3).
 ``contraction_matrix_oracle`` rebuilds the 2-form omega from the matrix b of
 a symplectic space with ``upsilon_inverse`` and reads Phi off its
 contractions in the form algebra on the 2N variables {y, dy};
@@ -74,7 +78,7 @@ from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
                             contract_directed)
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import LagrangianSubspace
-from bvgraph.wick import berezin_integrate, chord_diagrams, chord_sign
+from bvgraph.wick import chord_diagrams, chord_sign
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +159,13 @@ def boundary_of_graph_oracle(graph):
             if sign:
                 yield rep, csign * sign
     return GraphChain(terms())
+
+
+def theta_graph():
+    """The theta graph: two vertices joined by three edges, of bidegree (2, 3)."""
+    rep, sign = canonicalize_directed(2, ((0, 1), (0, 1), (0, 1)))
+    assert sign != 0
+    return rep
 
 
 def vertex_tensor_oracle(alg, vectors, k):
@@ -711,6 +722,28 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
+
+
+def pi2_of_form(b):
+    """The quadratic Hamiltonian pi_2(<-,->); inverse of i2 on (super)symmetric forms."""
+    space = b.space
+    return SuperPolynomial.sum(space, (
+        SuperPolynomial.monomial(space, (i, j), c / 2)
+        for i, row in enumerate(b.rows) for j, c in enumerate(row) if c))
+
+
+def right_deriv(f, var):
+    """Right-acting partial derivative (odd integration convention): for an odd
+    var, the grading involution of the left one, (-1)^{|m| - 1} on a monomial m."""
+    d = f.deriv_left(var)
+    return d.grading_involution() if f.space.parities[var] else d
+
+
+def berezin_integrate(f, odd_vars):
+    """Iterated odd integral; the listed operators act right to left."""
+    for var in reversed(list(odd_vars)):
+        f = right_deriv(f, var)
+    return f
 
 
 class SplitWeight:

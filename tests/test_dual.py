@@ -14,7 +14,7 @@ from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, g3, g3_gauge
                                verify_axioms, vertex_tensor_on_vectors)
 from bvgraph.ce import CEChain, ce_differential
 from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
-                            cycle_space, enumerate_graphs, theta_graph)
+                            cycle_space, enumerate_graphs)
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           feynman_on_chain, feynman_value, graph_from_chord,
@@ -26,7 +26,7 @@ from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
                           verify_kontsevich_chain_map, verify_master_equations,
                           verify_osp_invariance, verify_vanishing_divergence,
                           wedge_sign, wick_map)
-from bvgraph import dual, frobenius, sampling, symplectic, wick
+from bvgraph import ce, dual, frobenius, graded, sampling, symplectic, wick
 import oracles
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
@@ -34,7 +34,7 @@ from oracles import (beta_contract_indices, connected_components,
                      odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      rescaled, restricted_product_oracle, restricted_word_oracle,
                      s_functional_oracle, so3_weight_oracle, symmetrize_tensor,
-                     wick_map_oracle)
+                     theta_graph, wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -1436,6 +1436,26 @@ def test_commute_fails_without_the_chord_sign_of_i(monkeypatch):
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "fail"
     assert rep["witnesses"] == [{"S": "240", "F_I": "-48", "chain": chain.to_json()}]
+
+
+def test_commute_fails_on_a_koszul_sign_flipped_on_six_factors(monkeypatch):
+    # F takes its chord sign inline, so the flip reaches I (through
+    # wick.chord_sign) and not F: on p^3 ^ q^3 at the dense so3red + G3
+    # gauge F o I turns from -36 into 36, while S stays -36.  The case is
+    # built before the patch, and every copy of koszul_sign is patched.
+    alg = direct_sum(so3_reduced(), g3())
+    model = TensorModel(alg, V20)
+    gm = GaugeModel(model, gauge_at(alg, DENSE))
+    chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))
+
+    def flipped(order, parities):
+        return (-1 if len(order) == 6 else 1) * koszul_sign(order, parities)
+
+    for module in (graded, wick, ce, frobenius):
+        monkeypatch.setattr(module, "koszul_sign", flipped)
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S": "-36", "F_I": "36", "chain": chain.to_json()}]
 
 
 def test_gauge_independence_fails_without_the_chord_sign_of_f(monkeypatch):

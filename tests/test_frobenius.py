@@ -103,7 +103,7 @@ def test_degenerate_form_kills_closed_elements():
 
 
 def test_degenerate_form_g3_rank():
-    assert linalg.rank(degenerate_form(g3()).matrix()) == 4
+    assert linalg.rank(degenerate_form(g3()).rows) == 4
 
 
 def test_contractibility():
@@ -167,6 +167,16 @@ def test_gauge_at_needs_one_coordinate_per_direction():
     for coords in ((), (1, 2, 3), (0,) * 5):
         with pytest.raises(ValueError, match="G3 has 4 directions"):
             gauge_at(g3(), coords)
+
+
+def test_gauge_at_takes_exact_coordinates_only():
+    # a float 0.1 would build its binary value -3602879701896397/2^55 into
+    # the gauge under the label 0.1; a bool is no number, as on the JSON path
+    for coords in ((0.1, 0, 0, 0), (True, 0, 0, 0)):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            gauge_at(g3(), coords)
+    gauge = gauge_at(g3(), (Fraction(1, 10), 0, 0, 0))
+    assert gauge.vectors == g3_gauge(0, Fraction(-1, 10), 0, 0).vectors
 
 
 def test_named_g3_gauges_validate():
@@ -511,8 +521,8 @@ def test_d_image_d_form_and_gauge_family_are_built_once_per_algebra(monkeypatch)
 def test_gauge_invariants():
     g = g3_gauge(0, 0, 0, 1)
     # restricted d-form of the d=1 member, computed by hand
-    rows = g.restricted_form().matrix()
-    assert rows == [[-1, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+    rows = g.restricted_form().rows
+    assert rows == ((-1, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0))
 
 
 def test_gauge_rejects_non_isotropic():
@@ -585,6 +595,24 @@ def test_json_index_out_of_range_is_rejected(field, entry):
 def test_json_basis_without_a_field_is_rejected(data):
     with pytest.raises(ValueError, match="name and a parity"):
         algebra_from_json(data)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: [data],
+    lambda data: {**data, "basis": 7},
+    lambda data: {**data, "basis": [["name", "parity"], *data["basis"][1:]]},
+    lambda data: {**data, "mult": [*data["mult"], 5]},
+    lambda data: {**data, "mult": 5},
+    lambda data: {**data, "name": ["G3"]},
+    lambda data: {**data, "basis": [{"name": ["one"], "parity": 0}, *data["basis"][1:]]},
+    lambda data: {**data, "pairing": [[0, 7, "1/0"], *data["pairing"]]},
+], ids=["top_level_list", "basis_an_int", "basis_entry_a_list", "mult_entry_an_int",
+        "mult_an_int", "name_a_list", "basis_name_a_list", "coefficient_over_zero"])
+def test_json_malformed_records_are_rejected(edit):
+    # ValueError, as the docstring promises, not the AttributeError or
+    # TypeError of the first access to a field of the wrong type
+    with pytest.raises(ValueError):
+        algebra_from_json(edit(algebra_to_json(g3())))
 
 
 @pytest.mark.parametrize("field, value", [

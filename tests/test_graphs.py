@@ -11,9 +11,9 @@ from bvgraph import graphs
 from bvgraph.graded import perm_parity
 from bvgraph.graphs import (GraphChain, boundary, boundary_of_graph,
                             canonicalize_directed, contract_directed,
-                            cycle_space, enumerate_graphs, theta_graph)
+                            cycle_space, enumerate_graphs)
 from oracles import (boundary_of_graph_oracle, canonical_multisets_oracle,
-                     canonicalize_oracle, enumerate_graphs_oracle,
+                     canonicalize_oracle, enumerate_graphs_oracle, theta_graph,
                      valent_multisets_oracle)
 
 

@@ -30,13 +30,17 @@ Every ``verify_*`` suite of ``dual`` returns a ``_report`` dict, at every
 ``return``.  Linear algebra has one elimination kernel: every public function
 of ``linalg`` but ``rref`` calls ``rref``.  The engine never imports the helpers of the tests and the
 benchmark: no package module but ``sampling`` imports ``forms``, and none
-imports ``sampling``.
+imports ``sampling``.  Every module-level function of an engine module (all
+but ``forms`` and ``sampling``) is reached, through references inside the
+package, from a name the benchmark reads or from one of ``ENTRY_POINTS``:
+code that only the tests call lives in ``tests/``.
 """
 import ast
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "bvgraph"
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(path):
@@ -285,18 +289,19 @@ KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "completable", "matchable_word", "rref"}
 
 
+def read_names(node):
+    """The names a syntax tree reads, by name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def kernel_uses(source):
     """The kernels a module imports or reads, by name or as an attribute
     such as ``dual.feynman_value``."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return sorted(names & KERNELS)
+    tree = ast.parse(source)
+    imported = {alias.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    return sorted((imported | read_names(tree)) & KERNELS)
 
 
 def test_oracles_never_use_the_kernels_they_check():
@@ -696,3 +701,111 @@ def test_linear_algebra_goes_through_one_kernel():
     names = [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
     assert {"rref", "rank", "nullspace", "solve", "inverse"} <= set(names)
     assert kernel_bypasses(source, name="linalg.py") == []
+
+
+# the engine's entry points, each with the reason it is one; with the names
+# the benchmark reads they are the roots from which every module-level
+# function of an engine module must be reached
+ENTRY_POINTS = {
+    "verify_axioms": "suite: the DG Frobenius axioms, which every JSON algebra passes",
+    "verify_vanishing_divergence": "suite: Psi of a field has zero divergence",
+    "verify_master_equations": "suite: sigma solves both master equations",
+    "verify_commute": "suite: S = F o I on a CE chain",
+    "verify_cocycle_graphs": "suite: F vanishes on graph boundaries",
+    "verify_cocycle_chains": "suite: S vanishes on CE boundaries",
+    "verify_gauge_independence": "suite: F agrees at two gauges on graph cycles",
+    "verify_kontsevich_chain_map": "suite: I is a chain map",
+    "verify_osp_invariance": "suite: S is osp-invariant",
+    "k2": "algebra fixture K2",
+    "g3": "algebra fixture G3",
+    "so3_reduced": "algebra fixture so3red, whose F is the so(3) weight system",
+    "direct_sum": "builds the fixtures that are sums, such as so3red + G3",
+    "grassmann_algebra": "builds the Grassmann fixtures, such as G5",
+    "g3_gauge": "the G3 gauges L(a, b, c, d) of the closed form",
+    "gauge_at": "the one builder of gauges",
+    "feynman_cochain": "the graph cochain: F on every graph of a bidegree",
+    "algebra_to_json": "the JSON boundary, out",
+    "algebra_from_json": "the JSON boundary, in",
+}
+
+
+def bench_names(source):
+    """The names a benchmark module reads, and the parts of its dotted
+    identifier strings, which name the functions the tracer wraps."""
+    tree = ast.parse(source)
+    return read_names(tree).union(*(
+        n.value.split(".") for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and all(part.isidentifier() for part in n.value.split("."))))
+
+
+def unreachable(sources, roots, reported):
+    """Module-level functions of the modules in `reported` that no chain of
+    references from the names `roots` reaches, as 'module:line name';
+    `sources` maps each module to its source.
+
+    A top-level function, class or assignment reaches every name its body
+    reads; any other top-level statement but an import runs on import, so
+    what it reads is a root.  Names resolve by name alone: a dead function
+    that shares its name with a live one passes, and no function that a
+    chain of references reaches is reported.
+    """
+    reads, roots = {}, set(roots)
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                reads.setdefault(node.name, set()).update(read_names(node))
+            elif isinstance(node, ast.Assign):
+                for target in set().union(*map(read_names, node.targets)):
+                    reads.setdefault(target, set()).update(read_names(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= read_names(node)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(reads.get(name, ()))
+    return [f"{module}:{node.lineno} {node.name}" for module in sorted(reported)
+            for node in ast.parse(sources[module]).body
+            if isinstance(node, ast.FunctionDef) and node.name not in reached]
+
+
+def test_unreachable_functions_are_detected():
+    sources = {
+        "wick": ("from .graded import koszul_sign, unused\n"
+                 "_SIZE = _size()\n"
+                 "class Weight:\n"
+                 "    def sign(self):\n        return chord_sign(self.p, self.c)\n"
+                 "def chord_sign(parities, chord):\n    return koszul_sign(chord, parities)\n"
+                 "def flat_integral(f):\n    return berezin(f)\n"
+                 "def berezin(f):\n    return f\n"),
+        "graded": ("def koszul_sign(order, parities):\n    return _table()[order]\n"
+                   "def _table():\n    return {}\n"
+                   "def _size():\n    return 16\n"
+                   "def unused():\n    return 0\n"
+                   "register(hook)\n"
+                   "def hook():\n    return 1\n"),
+        "sampling": "def draw(rng):\n    return rng\n",
+    }
+    assert unreachable(sources, {"Weight"}, {"wick", "graded", "sampling"}) == [
+        "graded:5 _size", "graded:7 unused", "sampling:1 draw",
+        "wick:8 flat_integral", "wick:10 berezin"]
+    assert unreachable(sources, {"Weight", "_SIZE", "flat_integral"}, {"wick", "graded"}) == [
+        "graded:7 unused"]
+    assert bench_names('SPANS = (("wick", "QuadraticWeight.expectation", "wick.live ratio"),)\n'
+                       "dual.verify_commute(model, gm, chain)\n") == {
+        "SPANS", "wick", "QuadraticWeight", "expectation", "dual", "verify_commute",
+        "model", "gm", "chain"}
+
+
+def test_every_engine_function_is_reachable():
+    # the library holds what the engine reaches, and tests/ what only the
+    # tests call; the benchmark's names are roots, so a name it wraps stays
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    defined = {node.name for source in sources.values() for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(ENTRY_POINTS) <= defined
+    roots = set(ENTRY_POINTS).union(*(bench_names(path.read_text(encoding="utf-8"))
+                                      for path in BENCH.glob("*.py")))
+    assert unreachable(sources, roots, set(sources) - set(HELPERS)) == []

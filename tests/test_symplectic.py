@@ -9,14 +9,14 @@ from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField
 from bvgraph.forms import FormContext
 from bvgraph.symplectic import (BilinearForm, LagrangianSubspace, SymplecticSpace,
-                                i2_of_quadratic, pi2_of_form, restrict_polynomial)
+                                i2_of_quadratic, restrict_polynomial)
 from bvgraph.frobenius import FrobeniusAlgebra, Gauge, g3, k2, so3_reduced, verify_axioms
 from bvgraph.dual import TensorModel, psi_of_word
 from bvgraph import linalg, sampling
 from oracles import (canonical_laplacian_oracle, contraction_matrix_oracle,
                      coordinate_lagrangian, duality_map, hamiltonian_field_form_oracle,
-                     odd_laplacian_form_oracle, parity_components, polynomial_parity,
-                     upsilon_inverse)
+                     odd_laplacian_form_oracle, parity_components, pi2_of_form,
+                     polynomial_parity, upsilon_inverse)
 
 
 # Upsilon sends a constant 2-form to its super-skew matrix b; the library
@@ -27,7 +27,7 @@ def test_upsilon_on_dp_dq():
     v = SymplecticSpace.canonical_even(1, 0)
     ctx = FormContext(v.space)
     omega = SuperPolynomial.monomial(ctx.space, (2, 3), 1)  # dp dq
-    assert v.form.matrix() == [[0, 1], [-1, 0]]
+    assert v.form.rows == ((0, 1), (-1, 0))
     assert upsilon_inverse(ctx, v.form) == omega
 
 
@@ -35,7 +35,7 @@ def test_upsilon_on_odd_square_form():
     v = SymplecticSpace.canonical_even(0, 1)
     ctx = FormContext(v.space)
     omega = SuperPolynomial.monomial(ctx.space, (1, 1), Fraction(1, 2))  # 1/2 dx dx
-    assert v.form.matrix() == [[-1]]
+    assert v.form.rows == ((-1,),)
     assert upsilon_inverse(ctx, v.form) == omega
 
 
@@ -78,13 +78,13 @@ def test_upsilon_round_trip_random():
 def test_inverse_form_even_identity():
     w = SuperSpace(("e",), (EVEN,))
     b = BilinearForm(w, [[1]], EVEN, "sym")
-    assert b.inverse().matrix() == [[1]]
+    assert b.inverse().rows == ((1,),)
 
 
 def test_inverse_form_of_k2s_restricted_d_form():
     w = SuperSpace(("xi",), (ODD,))
     b = BilinearForm(w, [[-1]], EVEN, "skew")
-    assert b.inverse().matrix() == [[-1]]
+    assert b.inverse().rows == ((-1,),)
 
 
 def test_inverse_form_odd_symmetric_is_antisymmetric():
@@ -92,7 +92,7 @@ def test_inverse_form_odd_symmetric_is_antisymmetric():
     b = BilinearForm(w, [[0, 1], [1, 0]], ODD, "sym")
     inv = b.inverse()
     assert inv.symmetry == "skew"
-    assert inv.matrix() == [[0, -1], [1, 0]]
+    assert inv.rows == ((0, -1), (1, 0))
 
 
 def test_inverse_form_commutes_with_tensor():
@@ -215,13 +215,13 @@ def test_phi_and_its_inverse_match_the_contraction_route(name):
     n, pars, b = len(symp.space), symp.space.parities, symp.form.rows
     assert phi == [[(-1 if pars[u] else 1) * b[u][v] for u in range(n)] for v in range(n)]
     assert phi == [[symp.hamiltonian_of(VectorField.coordinate(symp.space, u))
-                    .coefficient((v,)) for u in range(n)] for v in range(n)]
+                    .terms.get((v,), 0) for u in range(n)] for v in range(n)]
     sign = -1 if symp.parity == EVEN else 1
     phi_inv = [[sign * x for x in row] for row in symp.inverse.rows]
     assert phi_inv == linalg.inverse(phi)
     fields = [symp.hamiltonian_field(SuperPolynomial.variable(symp.space, v))
               for v in range(n)]
-    assert phi_inv == [[fields[v].images[u].coefficient(()) for v in range(n)]
+    assert phi_inv == [[fields[v].images[u].terms.get((), 0) for v in range(n)]
                        for u in range(n)]
 
 

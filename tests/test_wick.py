@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign
+from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, span_space
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import BilinearForm, SymplecticSpace, restrict_polynomial
-from bvgraph.wick import (QuadraticWeight, berezin_change_of_variables,
-                          bv_stokes_value, chord_diagrams,
-                          gaussian_stokes_even, laplacian_exponential_expansion,
-                          MatchingSupport, live_chords, right_deriv)
+from bvgraph.wick import QuadraticWeight, chord_diagrams, MatchingSupport, live_chords
 from bvgraph import sampling, wick
-from oracles import (SplitWeight, berezin_oracle, beta_contract,
+from oracles import (SplitWeight, berezin_integrate, berezin_oracle, beta_contract,
                      beta_contract_indices, coordinate_lagrangian, double_factorial,
-                     monomial_vev_chords_oracle, unmatched_oracle)
+                     monomial_vev_chords_oracle, pi2_of_form, right_deriv,
+                     unmatched_oracle)
 
 
 def unit_weight_1d():
@@ -319,13 +317,38 @@ def test_oracle_rejects_non_split():
 
 
 def test_even_stokes_monomials():
+    # the integral of d/dx [p e^{-sigma}] = (p' - p sigma') e^{-sigma} is 0
     wt = unit_weight_1d()
     sp = wt.space
     x = SuperPolynomial.variable(sp, 0)
+    dsigma = pi2_of_form(wt.form).deriv_left(0)
     p = SuperPolynomial.scalar(sp, 1)
     for r in range(7):
-        assert gaussian_stokes_even(p, 0, wt) == 0
+        assert wt.expectation(p.deriv_left(0) - p * dsigma) == 0
         p = p * x
+
+
+def laplacian_exponential_expansion(q, sigma, symp):
+    """The bracket polynomial R with Delta(q e^{-sigma}) = R e^{-sigma}:
+
+        R = Delta q - {q, sigma} + (-1)^{|q|} q ({sigma, sigma}/2 - Delta sigma),
+
+    the sign (-1)^{|q|} taken termwise, as the grading involution of q.
+    """
+    lap = symp.odd_laplacian
+    br = symp.antibracket
+    master = br(sigma, sigma) / 2 - lap(sigma)
+    return SuperPolynomial.sum(symp.space, (lap(q), -br(q, sigma),
+                                            q.grading_involution() * master))
+
+
+def bv_stokes_value(q, sigma, symp, lagrangian):
+    """Normalized integral over the gauge of Delta(q e^{-sigma}); exactly 0."""
+    r = laplacian_exponential_expansion(q, sigma, symp)
+    sub = lagrangian.subspace()
+    sigma_l = restrict_polynomial(sigma, lagrangian.vectors, sub)
+    weight = QuadraticWeight.from_sigma(sigma_l)
+    return weight.expectation(restrict_polynomial(r, lagrangian.vectors, sub))
 
 
 def test_bv_stokes_trivial_q():
@@ -383,6 +406,43 @@ def test_laplacian_exponential_expansion_on_a_nilpotent_sigma():
         q = sampling.polynomial(rng, u.space, 3, terms=4)
         r = laplacian_exponential_expansion(q, sigma, u)
         assert u.odd_laplacian(q * exp) == r * exp
+
+
+def standard_even_weight(space):
+    """sigma_0 = 1/2 sum x_i^2 over the even variables."""
+    return SuperPolynomial.sum(space, (
+        SuperPolynomial.monomial(space, (i, i), Fraction(1, 2))
+        for i, p in enumerate(space.parities) if p == EVEN))
+
+
+def flat_integral(f):
+    """integral of f e^{-1/2 sum x^2} over R^{n|m}, divided by (2 pi)^{n/2}.
+
+    Odd variables integrate by right derivatives (top coefficient); what is
+    left, restricted to the even coordinates, has the Wick expectation of
+    the unit weight sigma_0 there.
+    """
+    space = f.space
+    pars = space.parities
+    evens = [j for j, p in enumerate(pars) if p == EVEN]
+    body = span_space([EVEN] * len(evens))
+    g = berezin_integrate(f, [i for i, p in enumerate(pars) if p == ODD])
+    vectors = [[int(i == j) for i in range(len(space))] for j in evens]
+    return QuadraticWeight.from_sigma(standard_even_weight(body)).expectation(
+        restrict_polynomial(g, vectors, body))
+
+
+def berezin_change_of_variables(eta, f):
+    """Both sides of: integral eta(g) = -integral nabla(eta) g, g = f e^{-sigma0}.
+
+    Returns (lhs, rhs) as exact rationals (they must be equal).
+    """
+    sigma0 = standard_even_weight(f.space)
+    if eta.parity is None:
+        raise ValueError("field must be parity homogeneous")
+    lhs = flat_integral(eta(f) - (f.grading_involution() if eta.parity else f) * eta(sigma0))
+    rhs = -flat_integral(divergence(eta) * f)
+    return lhs, rhs
 
 
 def test_berezin_change_of_variables_examples():
