@@ -1,7 +1,8 @@
 """The dual construction: Psi, sigma-tilde, S (BV side), F (Feynman side), I.
 
-Psi lifts a Hamiltonian (``TensorModel.psi``) or a vector field
-(``psi_field``) on V to A (x) V through the products of A.
+Psi lifts a monomial of V (``TensorModel._psi_monomial``, and so a
+Hamiltonian, term by term) or a vector field (``psi_field``) on V to
+A (x) V through the products of A.
 
 S reads a ``GaugeModel``: the tensor model A (x) V, Psi restricted to L (x) V
 and the restricted weight.  F reads a ``frobenius.Gauge`` alone: the vertex
@@ -36,9 +37,9 @@ from .ce import CEChain, ce_differential, osp_action
 # ---------------------------------------------------------------------------
 # The tensor model A (x) V and its odd symplectic structure
 
-# Bounds each model's memo of Psi of a monomial of V, full or restricted (and
-# the gauge model's tallied factors), each cleared when full; a commute
-# benchmark pass misses it 33 times.
+# Bounds a tensor model's memo of Psi of a monomial of V and a gauge model's
+# memo of its restricted, tallied form (``GaugeModel._tallied_factor``), each
+# cleared when full; a cold commute benchmark pass stores 33 keys in each.
 _PSI_SIZE = 1 << 12
 
 
@@ -74,25 +75,14 @@ class TensorModel:
         """The printed tensored form: (-1)^{|w1||a2|} <a1,a2>_d <w1,w2>_W."""
         return self.alg.d_form.tensor_with(self.v.form)
 
-    # -- Psi on Hamiltonians -------------------------------------------------
-    def psi(self, h: SuperPolynomial) -> SuperPolynomial:
-        """Lift a Hamiltonian on V to A (x) V through the vertex tensors.
-
-        On a degree-k monomial u_1..u_k the image is
-        sum mu_k[alpha] * shuffle_sign * prod_r z_{(alpha_r, u_r)},
-        the shuffle sign moving each u_r left past the a*'s after it.
-        """
-        if h.space != self.v.space:
-            raise ValueError("Hamiltonian must live on V")
-        if not h.is_zero() and h.min_degree() < 2:
-            raise ValueError("Psi needs polynomial order >= 2")
-        return SuperPolynomial.sum(self.space, (
-            coeff * self._psi_monomial(key) for key, coeff in h.terms.items()))
-
+    # -- Psi on monomials ----------------------------------------------------
     def _psi_monomial(self, key) -> SuperPolynomial:
-        """Psi of one monomial of V, once per key while the bounded memo holds
-        it: one ``sparse_sum`` over the entries of mu_k, for k = 2 the
-        pairing's <a_i, a_j> in row-major order.  It reads the table's
+        """Psi of one monomial u_1..u_k of V, k >= 2, lifted to A (x) V
+        through the vertex tensors: sum mu_k[alpha] * shuffle_sign *
+        prod_r z_{(alpha_r, u_r)}, the shuffle sign moving each u_r left past
+        the a*'s after it.  Once per key while the bounded memo holds it: one
+        ``sparse_sum`` over the entries of mu_k, for k = 2 the pairing's
+        <a_i, a_j> in row-major order.  It reads the table's
         integer entries and their scale D (``VertexTensors.integer_mu``), and
         divides each output coefficient once by D."""
         def compute():
@@ -178,20 +168,10 @@ class GaugeModel:
                                                     if lvec[alpha]})
                        for alpha in range(len(model.alg.space)) for i in range(nv)]
         self.weight = QuadraticWeight.from_sigma(self.restrict(model.sigma))
-        self._psi = {}
         self._tallied = {}
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return f.substitute(self.images, self.space)
-
-    def psi_monomial(self, key) -> SuperPolynomial:
-        """Psi of one monomial of V restricted to L (x) V, once per key.
-
-        It restricts the full-space ``TensorModel._psi_monomial``; a gauge
-        model holds no vertex tensor, so S and F share no vertex data.
-        """
-        return memoised(self._psi, _PSI_SIZE, key,
-                        lambda: self.restrict(self.model._psi_monomial(key)))
 
     def matchable_word(self, word) -> SuperPolynomial:
         """The terms of deficiency 0 under the inverse weight
@@ -228,10 +208,14 @@ class GaugeModel:
         return SuperPolynomial(self.space, sparse_sum(terms, scale))
 
     def _tallied_factor(self, key) -> tuple:
-        """(D, [(tally, terms)]): restricted Psi of key over ints
-        (``integer_terms``), its terms grouped by tally, once per key."""
+        """(D, [(tally, terms)]): Psi of the monomial key of V restricted to
+        L (x) V over ints (``integer_terms``), its terms grouped by tally,
+        once per key.  It restricts the full-space
+        ``TensorModel._psi_monomial``; a gauge model holds no vertex tensor,
+        so S and F share no vertex data."""
         def compute():
-            d, terms = integer_terms(self.psi_monomial(key).terms)
+            psi = self.restrict(self.model._psi_monomial(key))
+            d, terms = integer_terms(psi.terms)
             return d, list(self.weight.support.group(terms).items())
         return memoised(self._tallied, _PSI_SIZE, key, compute)
 
@@ -311,9 +295,10 @@ def chord_presentation(graph: CanonicalGraph):
 
 def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     """F(Gamma) = beta_c over L* of mu_{k_1} (x) .. (x) mu_{k_l}, with the
-    inverse restricted d-form as propagator.  It reads only
-    ``gauge.integer_mu(k)``, ``gauge.integer_propagator``, the propagator's
-    ``gauge.partners`` and ``gauge.parities``.
+    inverse restricted d-form as propagator.  It reads only the gauge's
+    vertex tensors (``gauge.vertex_tensors.integer_mu(k)``),
+    ``gauge.integer_propagator``, the propagator's ``gauge.partners`` and
+    ``gauge.parities``.
 
     That is the sum, over one entry of each mu_{k_v} (the vertices' half-edge
     blocks in order), of the entries times prod_{(i, j) in c} prop[a_i][a_j]
@@ -341,7 +326,7 @@ def feynman_value(gauge: Gauge, graph: CanonicalGraph) -> Fraction:
     v and |E| propagator entries, so F = total / (prod_v S_{k_v} * D_p^|E|).
     """
     sizes, chord = chord_presentation(graph)
-    scaled = {k: gauge.integer_mu(k) for k in set(sizes)}
+    scaled = {k: gauge.vertex_tensors.integer_mu(k) for k in set(sizes)}
     d_p, prop = gauge.integer_propagator
     lpar = gauge.parities
     partners = gauge.partners
@@ -501,6 +486,8 @@ def verify_commute(model: TensorModel, gm: GaugeModel, chain: CEChain) -> dict:
 
 def verify_cocycle_graphs(model: TensorModel, gm: GaugeModel, v: int,
                           e: int) -> dict:
+    if gm.model is not model:
+        raise ValueError("gauge model belongs to a different tensor model")
     wit = []
     for g in enumerate_graphs(v, e):
         val = feynman_on_chain(gm.gauge, boundary_of_graph(g))

@@ -116,9 +116,6 @@ class FrobeniusAlgebra:
         n = len(self.space)
         return VertexTensors(self, [unit_vector(n, i) for i in range(n)])
 
-    def kernel_of_d(self):
-        return linalg.nullspace(self.diff, len(self.space))
-
 
 def verify_axioms(alg: FrobeniusAlgebra) -> dict:
     """Exhaustive check of the DG Frobenius axioms over basis tuples.  Each
@@ -193,7 +190,7 @@ def degenerate_form(alg: FrobeniusAlgebra) -> BilinearForm:
 def check_contractible(alg: FrobeniusAlgebra):
     """ker d = im d test; returns (flag, dim d(A))."""
     img = alg.d_image
-    ker = alg.kernel_of_d()
+    ker = linalg.nullspace(alg.diff, len(alg.space))
     rk_img = len(img)
     if rk_img != len(ker):
         return False, rk_img
@@ -206,14 +203,14 @@ class Gauge(LagrangianSubspace):
     package builds each gauge with ``gauge_at``, from a point of the
     algebra's ``gauge_family``.
 
-    It carries the Feynman data on L, fixed when it is built: the vertex
-    tensors ``mu(k)`` and the ``propagator``, the rows of the inverse
-    restricted d-form, and their integer forms ``integer_mu(k)`` and
-    ``integer_propagator``, and the propagator's row supports ``partners``:
-    ``dual.feynman_value`` reads only those and ``parities``.  It also
-    carries ``amplitudes``, the values F(Gamma) already computed on it by
-    graph, which ``dual.feynman_on_chain`` and ``dual.feynman_cochain`` read
-    through; they bound its size.
+    It carries the Feynman data on L, fixed when it is built: the
+    ``vertex_tensors`` table of the gauge basis, whose ``integer_mu(k)``
+    gives mu_k on L, the ``propagator``, the rows of the inverse restricted
+    d-form, with its integer form ``integer_propagator`` and its row
+    supports ``partners``: ``dual.feynman_value`` reads only those and
+    ``parities``.  It also carries ``amplitudes``, the values F(Gamma)
+    already computed on it by graph, which ``dual.feynman_on_chain`` and
+    ``dual.feynman_cochain`` read through; they bound its size.
 
     The complement test runs before the propagator is taken.
     ``alg.d_form`` checks d-invariance, and then <-,->_d is nondegenerate
@@ -236,14 +233,6 @@ class Gauge(LagrangianSubspace):
     def restricted_form(self) -> BilinearForm:
         rows = self.alg.d_form.restrict(self.vectors)
         return BilinearForm(self.subspace(), rows, EVEN, "skew")
-
-    def mu(self, k: int) -> dict:
-        """mu_k on the gauge basis, from the gauge's ``VertexTensors`` table."""
-        return self.vertex_tensors.mu(k)
-
-    def integer_mu(self, k: int) -> tuple:
-        """(scale, integer entries) of mu_k, from the same table."""
-        return self.vertex_tensors.integer_mu(k)
 
 
 def partner_lists(rows) -> list:
@@ -523,9 +512,10 @@ def algebra_from_json(data: dict) -> FrobeniusAlgebra:
     """The algebra a JSON record describes; ValueError unless it is an object
     with a string name, if any, and a list of basis entries with string names
     and parities in {0, 1}, its entries are lists whose indices lie in
-    [0, n), its coefficients are ints or strings of finite rationals, not
-    floats, and it passes verify_axioms.  A bool is no int here: the checks
-    read type(), not isinstance()."""
+    [0, n), no two entries of a field share their indices, its coefficients
+    are ints or strings of finite rationals, not floats, and it passes
+    verify_axioms.  A bool is no int here: the checks read type(), not
+    isinstance()."""
     if type(data) is not dict or type(data.get("name", "")) is not str:
         raise ValueError("a JSON algebra is an object with a string name")
     basis = data.get("basis")
@@ -543,12 +533,16 @@ def algebra_from_json(data: dict) -> FrobeniusAlgebra:
         listed = data.get(field, [])
         if type(listed) is not list:
             raise ValueError(f"{field} is not a list")
+        seen = set()
         for entry in listed:
             if type(entry) is not list:
                 raise ValueError(f"{field} entry {entry} is not a list")
             *idx, c = entry
             if len(idx) != arity or not all(type(i) is int and 0 <= i < n for i in idx):
                 raise ValueError(f"{field} index out of range in {entry}")
+            if tuple(idx) in seen:
+                raise ValueError(f"{field} indices repeated in {entry}")
+            seen.add(tuple(idx))
             if type(c) not in (int, str):
                 raise ValueError(f"{field} coefficient must be an int or a string in {entry}")
             try:

@@ -86,9 +86,9 @@ def koszul_sign(order, parities) -> int:
 class SuperSpace:
     """Finite-dimensional Z/2-graded vector space with a named, ordered basis."""
 
-    __slots__ = ("names", "parities", "_dual_of")
+    __slots__ = ("names", "parities")
 
-    def __init__(self, names, parities, _dual_of=None):
+    def __init__(self, names, parities):
         names = tuple(names)
         parities = tuple(int(p) % 2 for p in parities)
         if len(names) != len(parities):
@@ -97,7 +97,6 @@ class SuperSpace:
             raise ValueError("basis labels must be unique")
         self.names = names
         self.parities = parities
-        self._dual_of = _dual_of
 
     def __len__(self):
         return len(self.names)
@@ -106,12 +105,6 @@ class SuperSpace:
         """Dimension pair (n_even, n_odd)."""
         ev = sum(1 for p in self.parities if p == EVEN)
         return (ev, len(self.parities) - ev)
-
-    def dual(self) -> "SuperSpace":
-        if self._dual_of is not None:
-            return self._dual_of
-        return SuperSpace(tuple(nm + "*" for nm in self.names), self.parities,
-                          _dual_of=self)
 
     def __eq__(self, other):
         return (isinstance(other, SuperSpace)

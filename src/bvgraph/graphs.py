@@ -130,7 +130,8 @@ def canonicalize_directed(nv: int, edges) -> tuple:
         return None, 0
 
     def compute():
-        code, sign = _minimal_code(_multiplicities(nv, edges), edges)
+        mult = _multiplicities(nv, edges)
+        code, sign = _minimal_code(mult, edges, _previous_twins(mult))
         return CanonicalGraph(nv, code), sign
     return memoised(_canon_cache, _CANON_CACHE_SIZE, (nv, edges), compute)
 
@@ -162,10 +163,11 @@ def _previous_twins(mult) -> list:
     return previous
 
 
-def _minimal_code(mult, edges, bound=None, signed=True):
+def _minimal_code(mult, edges, twin, bound=None, signed=True):
     """(minimal sorted edge code, sign) of the loopless multigraph with
     multiplicity matrix ``mult`` and directed ``edges``; see
-    ``canonicalize_directed``.
+    ``canonicalize_directed``.  ``twin`` is ``_previous_twins(mult)``, which
+    the caller has at hand.
 
     ``bound``, a sorted edge code of the graph, turns the search into a
     canonicity test: its own multiplicity matrix is the best matrix so far
@@ -193,20 +195,15 @@ def _minimal_code(mult, edges, bound=None, signed=True):
     bm = None if bound is None else _multiplicities(nv, bound)
     signs = set()
     lowered = 0  # how many leaves have lowered the best code
-    # twin[w]: the greatest twin of w below it, or None; needed at the
-    # first node with two candidates, and at once for a sign
-    twin = None
-    zero = False
-    if signed:
-        twin = _previous_twins(mult)
-        zero = any(w is not None and not mult[u][w] % 2
-                   for u, w in enumerate(twin))
+    # an even swap of twins w and twin[w] is an odd automorphism
+    zero = signed and any(u is not None and not mult[u][w] % 2
+                          for w, u in enumerate(twin))
 
     def search(first_open, below):
         # first_open: the first label whose vertex has open half-edges, or
         # len(order) when there is none; below: the code is already
         # strictly below best's (always while there is no best)
-        nonlocal bm, signs, lowered, twin
+        nonlocal bm, signs, lowered
         k = len(order)
         if k == nv:
             if below:
@@ -236,8 +233,6 @@ def _minimal_code(mult, edges, bound=None, signed=True):
             top = max(map(profile.__getitem__, free))
             candidates = [w for w in free if profile[w] == top]
         if len(candidates) > 1:
-            if twin is None:
-                twin = _previous_twins(mult)
             # each class is labelled in index order, so the least unlabelled
             # vertex of a class is the one whose previous twin is labelled
             candidates = [w for w in candidates
@@ -437,15 +432,15 @@ def _orderly_graphs(v: int, e: int) -> tuple:
         left = e - len(combo)
         if deficit > 2 * left:
             return
+        twin = _previous_twins(mult)  # read by the canonicity test and the twin cut
         if opens or not left:
-            minimal = _minimal_code(mult, combo, combo, signed=not left)
+            minimal = _minimal_code(mult, combo, twin, combo, signed=not left)
             if minimal is None:
                 return
             if not left:
                 if minimal[1]:
                     found.append(CanonicalGraph(v, tuple(combo)))
                 return
-        twin = _previous_twins(mult)
         block = combo[-1][0] if combo else -1
         for p in range(start, len(pairs)):
             if p > start and any(degs[u] < 3 for u in closing[p]):

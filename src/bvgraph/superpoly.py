@@ -183,9 +183,6 @@ class SuperPolynomial:
     def max_degree(self):
         return max((len(k) for k in self.terms), default=0)
 
-    def min_degree(self):
-        return min((len(k) for k in self.terms), default=0)
-
     # -- calculus -----------------------------------------------------------
     def deriv_left(self, var: int) -> "SuperPolynomial":
         """Left partial derivative with respect to variable `var`: y_key goes
@@ -292,15 +289,6 @@ class VectorField:
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
         return apply_derivation(self.space, self.images, f)
-
-    def commutator(self, other: "VectorField") -> "VectorField":
-        if self.parity is None or other.parity is None:
-            raise ValueError("commutator needs homogeneous fields")
-        sgn = -1 if (self.parity and other.parity) else 1
-        imgs = []
-        for i in range(len(self.space)):
-            imgs.append(self(other.images[i]) - sgn * other(self.images[i]))
-        return VectorField(self.space, imgs)
 
     def is_zero(self):
         return all(img.is_zero() for img in self.images)

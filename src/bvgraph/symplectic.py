@@ -57,7 +57,8 @@ class BilinearForm:
         return self._nondegenerate
 
     def inverse(self) -> "BilinearForm":
-        """Inverse form on the dual space, via the D_l/D_r diagram.
+        """Inverse form on the dual space, via the D_l/D_r diagram; the dual
+        basis is indexed as the form's, so it keeps the form's ``space``.
 
         Chasing the diagram with Koszul signs gives Binv = B^{-1} * E with
         E = diag((-1)^{p_i * |form|}); for odd symmetric forms the result is
@@ -72,7 +73,7 @@ class BilinearForm:
         sym = self.symmetry
         if self.parity == ODD:
             sym = "skew" if self.symmetry == "sym" else "sym"
-        return BilinearForm(self.space.dual(), binv, self.parity, sym)
+        return BilinearForm(self.space, binv, self.parity, sym)
 
     def evaluate(self, u, v) -> Fraction:
         """<u, v> = sum_ij u_i B_ij v_j, each vector a dense sequence or a

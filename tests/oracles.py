@@ -14,7 +14,8 @@ A (x) V and restricts the product to the gauge only then, with
 ``polynomial_product_oracle``, over Fractions.  ``restricted_product_oracle``
 multiplies the restricted Psi factors with every product formed, and
 ``s_functional_oracle`` takes the expectation of that uncut product: the
-route the matchability cut of S replaced.  ``unmatched_oracle`` is the
+route the matchability cut of S replaced.  Both restrict Psi of each
+monomial as ``psi_monomial_oracle`` sums it.  ``unmatched_oracle`` is the
 fewest points a matching along a matrix's support leaves unmatched, by
 trying every matching.
 ``wick_map_oracle`` contracts every chord diagram of a word, zero or not, and
@@ -40,8 +41,11 @@ product per term pair, each merged key sorted by ``sort_indices_with_sign``,
 and ``psi_monomial_oracle`` sums Psi of a monomial as one
 ``SuperPolynomial.monomial`` per entry of mu_k.
 ``polynomial_parity`` is the parity of a homogeneous polynomial, for tests
-that state a sign (-1)^{|a|}, and ``parity_components`` splits a polynomial
-into its even and odd parts, for tests that state a rule on each part.
+that state a sign (-1)^{|a|}, ``parity_components`` splits a polynomial
+into its even and odd parts, for tests that state a rule on each part, and
+``min_degree`` is the least degree of its terms.  ``commutator`` is the
+graded commutator of two homogeneous vector fields, by its images on the
+coordinates.
 ``feynman_leaf_sign_oracle`` is the cut Feynman recursion that takes the
 chord sign by ``koszul_sign`` at each leaf, the route the folded sign of
 ``feynman_value`` replaced.  ``so3_weight_oracle`` is F at so3red's one
@@ -199,13 +203,14 @@ def feynman_value_oracle(gauge, graph):
     """F(Gamma) as the sum over the full product of the mu_k supports of the
     entries, the propagator entries of every chord and the chord sign.
 
-    Reads only ``gauge.mu(k)``, ``gauge.propagator`` and ``gauge.parities``.
+    Reads only ``gauge.vertex_tensors.mu(k)``, ``gauge.propagator`` and
+    ``gauge.parities``.
     """
     sizes, chord = chord_presentation(graph)
     prop = gauge.propagator
     lpar = gauge.parities
     total = Fraction(0)
-    for entries in product(*(gauge.mu(k).items() for k in sizes)):
+    for entries in product(*(gauge.vertex_tensors.mu(k).items() for k in sizes)):
         assigned = [s for idx, _ in entries for s in idx]
         props = [prop[assigned[i]][assigned[j]] for i, j in chord]
         if not all(props):
@@ -265,14 +270,15 @@ def feynman_leaf_sign_oracle(gauge, graph):
     """F(Gamma) by the cut recursion with the chord sign taken at each leaf.
 
     It assigns one entry of mu_k per vertex block over the integer entries
-    of ``gauge.mu(k)`` and of ``gauge.propagator``, multiplies in the
-    propagator entries of the chords that close in the block and cuts at a
-    zero; each leaf multiplies by ``wick.chord_sign`` (``koszul_sign``) of
-    all its assigned parities.  Reads only ``gauge.mu(k)``,
-    ``gauge.propagator`` and ``gauge.parities``.
+    of ``gauge.vertex_tensors.mu(k)`` and of ``gauge.propagator``,
+    multiplies in the propagator entries of the chords that close in the
+    block and cuts at a zero; each leaf multiplies by ``wick.chord_sign``
+    (``koszul_sign``) of all its assigned parities.  Reads only
+    ``gauge.vertex_tensors.mu(k)``, ``gauge.propagator`` and
+    ``gauge.parities``.
     """
     sizes, chord = chord_presentation(graph)
-    scaled = {k: integer_terms(gauge.mu(k)) for k in set(sizes)}
+    scaled = {k: integer_terms(gauge.vertex_tensors.mu(k)) for k in set(sizes)}
     d_p, entries = integer_terms({(i, j): p for i, row in enumerate(gauge.propagator)
                                   for j, p in enumerate(row) if p})
     prop = [[0] * len(gauge.propagator) for _ in gauge.propagator]
@@ -437,6 +443,21 @@ def polynomial_parity(p):
     return ps.pop() if len(ps) == 1 else None
 
 
+def min_degree(p):
+    """The least degree of a term of p, 0 for the zero polynomial."""
+    return min(map(len, p.terms), default=0)
+
+
+def commutator(eta, gam):
+    """[eta, gam] of two homogeneous fields: the field whose image of y_i is
+    eta(gam(y_i)) - (-1)^{|eta||gam|} gam(eta(y_i))."""
+    if eta.parity is None or gam.parity is None:
+        raise ValueError("commutator needs homogeneous fields")
+    sgn = -1 if (eta.parity and gam.parity) else 1
+    return VectorField(eta.space, [eta(b) - sgn * gam(a)
+                                   for a, b in zip(eta.images, gam.images)])
+
+
 def parity_components(p):
     """[even part, odd part] of p."""
     out = [{}, {}]
@@ -497,7 +518,7 @@ def restricted_product_oracle(gm, word):
     product formed: the uncut word product of ``GaugeModel.matchable_word``."""
     out = SuperPolynomial.scalar(gm.space, wedge_sign(gm.model.v.space, word))
     for key in word:
-        out = out * gm.psi_monomial(key)
+        out = out * gm.restrict(psi_monomial_oracle(gm.model, key))
     return out
 
 
@@ -585,7 +606,7 @@ def beta_contract_indices(parities, idxs, chord, matrix):
 
 def beta_contract(factors, chord, form):
     """beta_c on a sequence of linear functions over form.space (multilinear)."""
-    if any(f.max_degree() > 1 or f.min_degree() < 1 for f in factors if not f.is_zero()):
+    if any(f.max_degree() > 1 or min_degree(f) < 1 for f in factors if not f.is_zero()):
         raise ValueError("factors must be linear")
     pars = form.space.parities
     total = Fraction(0)

@@ -31,7 +31,7 @@ import oracles
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
                      feynman_value_oracle, g5, g5_gauge, hamiltonian_field_form_oracle,
-                     odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
+                     min_degree, odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      rescaled, restricted_product_oracle, restricted_word_oracle,
                      s_functional_oracle, so3_weight_oracle, symmetrize_tensor,
                      theta_graph, wick_map_oracle)
@@ -49,12 +49,19 @@ def model_g3(v=V20):
     return TensorModel(g3(), v)
 
 
+def psi(model, h):
+    """Psi of a Hamiltonian h on V, term by term through the engine's Psi of
+    a monomial."""
+    return SuperPolynomial.sum(model.space, (
+        c * model._psi_monomial(key) for key, c in h.terms.items()))
+
+
 # -- Psi at the Hamiltonian level ------------------------------------------
 
 def test_psi_on_k2_cubic_matches_mu_patterns():
     model = model_k2()
     q3 = SuperPolynomial.monomial(V20.space, (1, 1, 1), 1)
-    img = model.psi(q3)
+    img = psi(model, q3)
     # mu_3 on K2 is supported on permutations of (1, 1, xi); all three give
     # the same monomial z_{1,q}^2 z_{xi,q} with coefficient 1 each
     zq1 = tensor_index(model.nv, 0, 1)
@@ -72,10 +79,10 @@ def test_psi_degree_preserved_parity_reversed():
             h = sampling.homogeneous_monomial(rng, V21.space, deg, parity=par)
         except ValueError:
             continue
-        img = model.psi(h)
+        img = psi(model, h)
         if img.is_zero():
             continue
-        assert img.max_degree() == deg and img.min_degree() == deg
+        assert img.max_degree() == deg and min_degree(img) == deg
         assert polynomial_parity(img) == (par + 1) % 2
 
 
@@ -107,10 +114,11 @@ def test_psi_monomial_matches_the_per_entry_oracle(alg, v):
 
 
 def test_psi_rejects_low_order():
+    # mu_1 is no vertex tensor, so Psi of a linear monomial is refused
     model = model_k2()
     p = SuperPolynomial.variable(V20.space, 0)
     with pytest.raises(ValueError):
-        model.psi(p)
+        psi(model, p)
 
 
 def test_psi_is_shifted_lie_map():
@@ -135,8 +143,8 @@ def test_psi_is_shifted_lie_map():
         assert len(cubic_pairs) >= 6
         nonzero = 0
         for a, b in cubic_pairs + quadratic_pairs:
-            lhs = model.symp.antibracket(model.psi(a), model.psi(b))
-            rhs = model.psi(V21.poisson(a, b))
+            lhs = model.symp.antibracket(psi(model, a), psi(model, b))
+            rhs = psi(model, V21.poisson(a, b))
             sgn = -1 if polynomial_parity(a) else 1
             assert (lhs - sgn * rhs).is_zero()
             nonzero += not lhs.is_zero()
@@ -159,7 +167,7 @@ def test_psi_field_compatibility_square():
         for _ in range(5):
             deg = rng.choice((3, 4))
             h = sampling.homogeneous_monomial(rng, V21.space, deg)
-            lhs = model.symp.hamiltonian_field(model.psi(h))
+            lhs = model.symp.hamiltonian_field(psi(model, h))
             rhs = psi_field(model.alg, V21.hamiltonian_field(h))
             assert rhs.space == model.space
             assert lhs.images == rhs.images
@@ -192,7 +200,7 @@ def test_sigma_bracket_with_psi_vanishes():
     for model in (model_k2(V21), model_g3(V21)):
         for _ in range(6):
             h = sampling.homogeneous_monomial(rng, V21.space, rng.choice((3, 4)))
-            assert model.symp.antibracket(model.sigma, model.psi(h)).is_zero()
+            assert model.symp.antibracket(model.sigma, psi(model, h)).is_zero()
 
 
 # -- the intertwining Psi delta = Delta Psi ----------------------------------
@@ -452,13 +460,18 @@ def test_s_pins_fail_when_the_cut_drops_at_deficiency_r(monkeypatch, last_factor
 
 
 def test_restricted_psi_is_memoised_per_gauge_model():
+    # the restricted Psi of a monomial is kept once per key and gauge model,
+    # over ints and grouped by tally (GaugeModel._tallied_factor)
     model = model_g3(V21)
     gm = GaugeModel(model, g3_gauge(1, 1, 1, 1, alg=model.alg))
     key = (0, 1, 2)
-    assert gm.psi_monomial(key) is gm.psi_monomial(key)
-    assert gm.psi_monomial(key) == gm.restrict(model._psi_monomial(key))
+    assert gm._tallied_factor(key) is gm._tallied_factor(key)
+    d, groups = gm._tallied_factor(key)
+    restricted = gm.restrict(model._psi_monomial(key))
+    scale, terms = integer_terms(restricted.terms)
+    assert terms and (d, dict(groups)) == (scale, gm.weight.support.group(terms))
     twin = GaugeModel(model, gm.gauge)
-    assert twin.psi_monomial(key) is not gm.psi_monomial(key)
+    assert twin._tallied_factor(key) is not gm._tallied_factor(key)
 
 
 def test_psi_vev_vertex_tensor_and_diagram_memos_stay_within_their_bounds(monkeypatch):
@@ -481,13 +494,26 @@ def test_psi_vev_vertex_tensor_and_diagram_memos_stay_within_their_bounds(monkey
     monkeypatch.setattr(gm.weight, "_vev", watched)
     assert s_functional(model, gm, chain) == -36
     assert max(vevs) == 2 and (2, 1) in zip(vevs, vevs[1:])
-    assert len(model._psi_cache) == len(gm._psi) == 1
+    assert len(model._psi_cache) == len(gm._tallied) == 1
     table = model.vertex_tensors
     assert [table.mu(k) for k in (3, 2, 3)] == [frobenius.vertex_tensor(model.alg, k)
                                                  for k in (3, 2, 3)]
     assert len(table._integer_mu) == 1
     assert [len(chord_diagrams(k)) for k in (3, 2, 3)] == [15, 3, 15]
     assert len(wick._chord_diagrams) == 1
+
+
+def test_cocycle_graphs_rejects_a_foreign_gauge_model():
+    # F would be computed at the other model's gauge and reported under
+    # this model's algebra
+    model = model_g3()
+    other = TensorModel(so3_reduced(), V20)
+    gm = GaugeModel(other, gauge_at(other.alg, ()))
+    with pytest.raises(ValueError, match="different tensor model"):
+        verify_cocycle_graphs(model, gm, 2, 3)
+    twin = TensorModel(model.alg, V20)
+    with pytest.raises(ValueError, match="different tensor model"):
+        verify_cocycle_graphs(model, GaugeModel(twin, g3_gauge(1, 1, 1, 1, alg=model.alg)), 2, 3)
 
 
 def test_s_functional_rejects_a_foreign_gauge_model():
@@ -538,11 +564,12 @@ def test_gauge_owns_its_feynman_data():
         assert gauge.integer_propagator is gauge.integer_propagator
         assert prop == [[x * d_p for x in row] for row in gauge.propagator]
         assert gauge.partners == partner_lists(gauge.propagator)
+        table = gauge.vertex_tensors
         for k in (3, 4):
-            assert gauge.mu(k) == vertex_tensor_on_vectors(alg, gauge.vectors, k)
-            scale, entries = gauge.integer_mu(k)
-            assert gauge.integer_mu(k) is gauge.integer_mu(k)
-            assert list(gauge.mu(k).items()) == [(key, Fraction(val, scale))
+            assert table.mu(k) == vertex_tensor_on_vectors(alg, gauge.vectors, k)
+            scale, entries = table.integer_mu(k)
+            assert table.integer_mu(k) is table.integer_mu(k)
+            assert list(table.mu(k).items()) == [(key, Fraction(val, scale))
                                                  for key, val in entries]
         assert feynman_value(gauge, theta_graph()) == 0
     model = model_g3()
@@ -575,7 +602,7 @@ def test_feynman_vanishes_on_cycles_at_a_gauge_with_interactions():
     # gauge, hence at every gauge.  At (1,1,1,1) mu_3..mu_6 are nonempty, yet
     # F vanishes on the cycle_space bases of (2,3) and (4,6).
     gauge = g3_gauge(1, 1, 1, 1)
-    assert [len(gauge.mu(k)) for k in (3, 4, 5, 6)] == [12, 32, 80, 192]
+    assert [len(gauge.vertex_tensors.mu(k)) for k in (3, 4, 5, 6)] == [12, 32, 80, 192]
     for (v, e), n_cycles in (((2, 3), 1), ((4, 6), 2)):
         _, cycles = cycle_space(v, e)
         assert len(cycles) == n_cycles
@@ -713,7 +740,7 @@ def test_feynman_value_is_exact_on_fractional_tensors():
     gauge = gauge_at(so3_reduced(), ())
     scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
-    assert {m.denominator for m in scaled.mu(3).values()} == {5}
+    assert {m.denominator for m in scaled.vertex_tensors.mu(3).values()} == {5}
     assert {p.denominator for row in scaled.propagator for p in row} == {1, 4, 9}
     theta = feynman_value(scaled, theta_graph())
     assert theta == 6 and type(theta) is Fraction
@@ -736,7 +763,7 @@ def test_feynman_values_at_a_mixed_parity_dense_gauge():
     assert verify_axioms(alg)["ok"]
     gauge = gauge_at(alg, (1, 1, 0, 0, 0, 0, 0, 0, 1, 0))
     assert gauge.parities == [ODD] * 4 + [EVEN] * 2 + [ODD]
-    assert [len(gauge.mu(k)) for k in (3, 4, 5, 6)] == [33, 76, 165, 306]
+    assert [len(gauge.vertex_tensors.mu(k)) for k in (3, 4, 5, 6)] == [33, 76, 165, 306]
     theta = feynman_value(gauge, theta_graph())
     assert theta == 6 == feynman_value_oracle(gauge, theta_graph())
     assert theta == feynman_leaf_sign_oracle(gauge, theta_graph())
@@ -839,8 +866,9 @@ class SyntheticGauge:
     the inverse of an even skew form as propagator (zero between opposite
     parities, so the recursion's cut is exercised), each also in its integer
     form, the propagator's row supports ``partners``, and the empty
-    ``amplitudes`` that the suites read F through.  The oracles read
-    ``mu(k)`` and ``propagator``."""
+    ``amplitudes`` that the suites read F through.  ``vertex_tensors``
+    gives mu_k as ``mu(k)``, which the oracles read with ``propagator``, and
+    as ``integer_mu(k)``, which ``feynman_value`` reads."""
 
     def __init__(self, seed, parities):
         rng = random.Random(seed)
@@ -856,12 +884,8 @@ class SyntheticGauge:
                 if sum(parities[i] for i in key) % 2:
                     raw[key] = sampling.rational(rng, zero_ok=False)
             self._mu[k] = symmetrize_tensor(space, raw, k)
-
-    def mu(self, k):
-        return self._mu[k]
-
-    def integer_mu(self, k):
-        return integer_terms(self._mu[k])
+        self.vertex_tensors = SimpleNamespace(
+            mu=self._mu.__getitem__, integer_mu=lambda k: integer_terms(self._mu[k]))
 
     @property
     def integer_propagator(self):
@@ -1256,8 +1280,8 @@ def test_g5_gauges_pin_vertex_tensors_and_amplitudes():
     # at seed 2 the (4,6) cycles read 0 by 3 * 8 - 24 = 0; at seed 1 every
     # graph reads 0
     model, g1, g2 = g5_case()
-    assert [len(g1.mu(k)) for k in (3, 4, 5)] == [126, 684, 3130]
-    assert [len(g2.mu(k)) for k in (3, 4, 5)] == [135, 744, 3110]
+    assert [len(g1.vertex_tensors.mu(k)) for k in (3, 4, 5)] == [126, 684, 3130]
+    assert [len(g2.vertex_tensors.mu(k)) for k in (3, 4, 5)] == [135, 744, 3110]
     graphs = enumerate_graphs(4, 6)
     assert [feynman_value(g1, g) for g in graphs] == [0, 0, 0]
     assert [feynman_value(g2, g) for g in graphs] == [0, 8, -24]
@@ -1481,11 +1505,12 @@ def test_gauge_independence_fails_on_a_negated_propagator():
 
 def test_cocycle_graphs_fail_on_synthetic_vertex_tensors():
     # random symmetric mu_3..mu_5 satisfy no cocycle relation; the suite
-    # reads only the gauge of the gauge model and the algebra's name
+    # reads only the gauge of the gauge model, its model and the algebra's
+    # name
     gauge = SyntheticGauge(0, (EVEN, EVEN, ODD, ODD))
     gauge.label = "synthetic"
     model = SimpleNamespace(alg=SimpleNamespace(name="synthetic"))
-    rep = verify_cocycle_graphs(model, SimpleNamespace(gauge=gauge), 3, 6)
+    rep = verify_cocycle_graphs(model, SimpleNamespace(gauge=gauge, model=model), 3, 6)
     assert rep["status"] == "fail"
     assert rep["witnesses"] == [{"graph": "v3e6:0-1,0-1,0-1,0-2,0-2,1-2",
                                  "F_boundary": "245/116"}]

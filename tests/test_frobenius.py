@@ -95,7 +95,7 @@ def test_degenerate_form_k2():
 def test_degenerate_form_kills_closed_elements():
     alg = g3()
     dform = degenerate_form(alg)
-    for ker in alg.kernel_of_d():
+    for ker in linalg.nullspace(alg.diff, len(alg.space)):
         for i in range(8):
             row = [Fraction(0)] * 8
             row[i] = Fraction(1)
@@ -265,8 +265,8 @@ def test_so3_reduced_fixture():
     assert [list(row) for row in gauge.propagator] == [
         [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
     # mu_3 is the Levi-Civita symbol
-    assert gauge.mu(3) == {perm: perm_parity(perm)
-                           for perm in permutations(range(3))}
+    assert gauge.vertex_tensors.mu(3) == {perm: perm_parity(perm)
+                                          for perm in permutations(range(3))}
 
 
 def test_non_contractible_input_has_no_gauges():
@@ -310,7 +310,7 @@ def test_vertex_tensor_symmetry_k_up_to_4():
 
 def test_symmetry_check_catches_one_negated_entry():
     gauge = gauge_at(so3_reduced(), ())
-    eps = gauge.mu(3)
+    eps = gauge.vertex_tensors.mu(3)
     assert is_symmetric_tensor(gauge.subspace(), eps, 3)
     for key in eps:
         broken = dict(eps)
@@ -491,7 +491,8 @@ def test_direct_sum_of_an_algebra_with_itself():
     basis = identity(12)
     assert gauge.vectors == [tuple(basis[i]) for i in (0, 1, 2, 6, 7, 8)]
     assert gauge.parities == [ODD] * 6
-    assert len(gauge.mu(3)) == 2 * len(gauge_at(so3_reduced(), ()).mu(3)) == 12
+    single = gauge_at(so3_reduced(), ())
+    assert len(gauge.vertex_tensors.mu(3)) == 2 * len(single.vertex_tensors.mu(3)) == 12
 
 
 def test_d_image_d_form_and_gauge_family_are_built_once_per_algebra(monkeypatch):
@@ -606,11 +607,18 @@ def test_json_basis_without_a_field_is_rejected(data):
     lambda data: {**data, "name": ["G3"]},
     lambda data: {**data, "basis": [{"name": ["one"], "parity": 0}, *data["basis"][1:]]},
     lambda data: {**data, "pairing": [[0, 7, "1/0"], *data["pairing"]]},
+    lambda data: {**data, "mult": [[*data["mult"][0][:3], "7"], *data["mult"]]},
+    lambda data: {**data, "pairing": [[0, 7, "5"], *data["pairing"]]},
+    lambda data: {**data, "differential": [[*data["differential"][0][:2], "5"],
+                                           *data["differential"]]},
 ], ids=["top_level_list", "basis_an_int", "basis_entry_a_list", "mult_entry_an_int",
-        "mult_an_int", "name_a_list", "basis_name_a_list", "coefficient_over_zero"])
+        "mult_an_int", "name_a_list", "basis_name_a_list", "coefficient_over_zero",
+        "mult_indices_repeated", "pairing_indices_repeated",
+        "differential_indices_repeated"])
 def test_json_malformed_records_are_rejected(edit):
     # ValueError, as the docstring promises, not the AttributeError or
-    # TypeError of the first access to a field of the wrong type
+    # TypeError of the first access to a field of the wrong type; a repeated
+    # entry would silently overwrite the earlier one
     with pytest.raises(ValueError):
         algebra_from_json(edit(algebra_to_json(g3())))
 

@@ -137,13 +137,6 @@ def test_tensor_space_parity_table_exhaustive():
         assert tensor_space(a, b).parities == ((pa + pb) % 2,)
 
 
-def test_dual_space_round_trip():
-    w = SuperSpace(("u", "v"), (EVEN, ODD))
-    assert w.dual().names == ("u*", "v*")
-    assert w.dual().dual() is w
-    assert w.dual().parities == w.parities
-
-
 def test_symmetrize_even_square():
     w = SuperSpace(("x",), (EVEN,))
     t = {(0, 0): Fraction(1)}

@@ -199,11 +199,14 @@ def test_bounded_search_matches_oracle_on_every_prefix(v, e):
     for prefix in sorted(prefixes):
         rep, sign = canonicalize_oracle(v, prefix)
         mult = graphs._multiplicities(v, prefix)
-        minimal = graphs._minimal_code(mult, prefix, prefix)
-        unsigned = graphs._minimal_code(mult, prefix, prefix, signed=False)
+        twin = graphs._previous_twins(mult)
+        minimal = graphs._minimal_code(mult, prefix, twin, prefix)
+        unsigned = graphs._minimal_code(mult, prefix, twin, prefix, signed=False)
         perm = rng.sample(range(v), v)
         moved = tuple((perm[a], perm[b]) for a, b in prefix)
-        relabelled = graphs._minimal_code(graphs._multiplicities(v, moved), moved, prefix)
+        moved_mult = graphs._multiplicities(v, moved)
+        relabelled = graphs._minimal_code(moved_mult, moved, graphs._previous_twins(moved_mult),
+                                          prefix)
         if rep.edges != prefix:
             assert minimal is None is unsigned is relabelled, prefix
             seen["not canonical"] += 1

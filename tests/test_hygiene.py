@@ -33,10 +33,16 @@ benchmark: no package module but ``sampling`` imports ``forms``, and none
 imports ``sampling``.  Every module-level function of an engine module (all
 but ``forms`` and ``sampling``) is reached, through references inside the
 package, from a name the benchmark reads or from one of ``ENTRY_POINTS``:
-code that only the tests call lives in ``tests/``.
+code that only the tests call lives in ``tests/``; so is every method of
+their classes but the dunders.  The package has no runtime dependency: the
+project declares none, and every import of the package is relative or of a
+standard-library module.
 """
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "bvgraph"
@@ -204,6 +210,45 @@ def test_oracles_live_in_the_tests():
         [":2 berezin_oracle"]
     hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in oracle_names(path.read_text(encoding="utf-8"), path.name)]
+    assert hits == []
+
+
+def foreign_imports(source, name=""):
+    """Absolute imports of modules outside the standard library, as
+    'file:line module'."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        hits += [f"{name}:{node.lineno} {n}" for n in names
+                 if n.split(".")[0] not in sys.stdlib_module_names]
+    return hits
+
+
+def test_foreign_imports_are_detected():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from fractions import Fraction\n"
+              "from . import linalg\n"
+              "from .graded import EVEN\n"
+              "import os.path, sympy.core\n"
+              "from scipy.sparse import csr_matrix\n")
+    assert foreign_imports(source) == [":2 numpy", ":6 sympy.core", ":7 scipy.sparse"]
+
+
+def test_no_runtime_dependency():
+    # the engine runs on the standard library alone (exact Fractions, no
+    # numeric package): the project declares no dependency, and the package
+    # imports none
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in foreign_imports(path.read_text(encoding="utf-8"), path.name)]
     assert hits == []
 
 
@@ -705,7 +750,7 @@ def test_linear_algebra_goes_through_one_kernel():
 
 # the engine's entry points, each with the reason it is one; with the names
 # the benchmark reads they are the roots from which every module-level
-# function of an engine module must be reached
+# function and every method of an engine module must be reached
 ENTRY_POINTS = {
     "verify_axioms": "suite: the DG Frobenius axioms, which every JSON algebra passes",
     "verify_vanishing_divergence": "suite: Psi of a field has zero divergence",
@@ -726,6 +771,9 @@ ENTRY_POINTS = {
     "feynman_cochain": "the graph cochain: F on every graph of a bidegree",
     "algebra_to_json": "the JSON boundary, out",
     "algebra_from_json": "the JSON boundary, in",
+    "SuperPolynomial.variable": "the coordinate functions y_i, the inputs of every polynomial",
+    "VectorField.coordinate": "the coordinate fields d/dy_i, the inputs of every field",
+    "SymplecticSpace.canonical_odd": "the odd symplectic spaces U_{n|n}, the BV model spaces",
 }
 
 
@@ -739,21 +787,41 @@ def bench_names(source):
         and all(part.isidentifier() for part in n.value.split("."))))
 
 
-def unreachable(sources, roots, reported):
-    """Module-level functions of the modules in `reported` that no chain of
-    references from the names `roots` reaches, as 'module:line name';
-    `sources` maps each module to its source.
+def methods(cls):
+    """The methods of a class that Python does not call by itself: all but
+    the dunders such as ``__init__`` and ``__mul__``."""
+    return [node for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
 
-    A top-level function, class or assignment reaches every name its body
-    reads; any other top-level statement but an import runs on import, so
-    what it reads is a root.  Names resolve by name alone: a dead function
-    that shares its name with a live one passes, and no function that a
-    chain of references reaches is reported.
+
+def unreachable(sources, roots, reported):
+    """Module-level functions and methods of module-level classes of the
+    modules in `reported` that no chain of references from the names `roots`
+    reaches, as 'module:line name' or 'module:line Class.method'; `sources`
+    maps each module to its source.
+
+    A top-level function or assignment reaches every name its body reads.
+    A class reaches what its bases, decorators and body read, but for the
+    bodies of its methods other than dunders: each of those is a name of
+    its own, which reaches what it reads, and is reached where its name is
+    read, as ``obj.name`` or ``Class.name``.  Any other top-level statement
+    but an import runs on import, so what it reads is a root.  Names resolve
+    by name alone: a dead function or method that shares its name with a
+    live one passes, and no function or method that a chain of references
+    reaches is reported.
     """
     reads, roots = {}, set(roots)
     for source in sources.values():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                own = methods(node)
+                for method in own:
+                    reads.setdefault(method.name, set()).update(read_names(method))
+                reads.setdefault(node.name, set()).update(*(
+                    read_names(part) for part in (*node.bases, *node.keywords,
+                                                  *node.decorator_list, *node.body)
+                    if part not in own))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 reads.setdefault(node.name, set()).update(read_names(node))
             elif isinstance(node, ast.Assign):
                 for target in set().union(*map(read_names, node.targets)):
@@ -766,9 +834,15 @@ def unreachable(sources, roots, reported):
         if name not in reached:
             reached.add(name)
             todo.extend(reads.get(name, ()))
-    return [f"{module}:{node.lineno} {node.name}" for module in sorted(reported)
-            for node in ast.parse(sources[module]).body
-            if isinstance(node, ast.FunctionDef) and node.name not in reached]
+    hits = []
+    for module in sorted(reported):
+        for node in ast.parse(sources[module]).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in reached:
+                hits.append(f"{module}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                hits += [f"{module}:{method.lineno} {node.name}.{method.name}"
+                         for method in methods(node) if method.name not in reached]
+    return hits
 
 
 def test_unreachable_functions_are_detected():
@@ -788,24 +862,57 @@ def test_unreachable_functions_are_detected():
                    "def hook():\n    return 1\n"),
         "sampling": "def draw(rng):\n    return rng\n",
     }
-    assert unreachable(sources, {"Weight"}, {"wick", "graded", "sampling"}) == [
+    assert unreachable(sources, {"Weight", "sign"}, {"wick", "graded", "sampling"}) == [
         "graded:5 _size", "graded:7 unused", "sampling:1 draw",
         "wick:8 flat_integral", "wick:10 berezin"]
-    assert unreachable(sources, {"Weight", "_SIZE", "flat_integral"}, {"wick", "graded"}) == [
-        "graded:7 unused"]
+    assert unreachable(sources, {"Weight", "sign", "_SIZE", "flat_integral"},
+                       {"wick", "graded"}) == ["graded:7 unused"]
     assert bench_names('SPANS = (("wick", "QuadraticWeight.expectation", "wick.live ratio"),)\n'
                        "dual.verify_commute(model, gm, chain)\n") == {
         "SPANS", "wick", "QuadraticWeight", "expectation", "dual", "verify_commute",
         "model", "gm", "chain"}
 
 
+def test_unreachable_methods_are_detected():
+    # a method is reached by its name alone, from a reached name or a root:
+    # Base.table through alg.table in Model.__init__; a reached class
+    # reaches its dunders, its class body and its bases, not its other
+    # methods
+    source = ("class Model(Base):\n"
+              "    SIZE = _size()\n"
+              "    def __init__(self, alg):\n        self.mu = alg.table.mu\n"
+              "    def __mul__(self, other):\n        return self.lift(other)\n"
+              "    def lift(self, key):\n        return key\n"
+              "    def psi(self, h):\n        return self.lift(h)\n"
+              "    @classmethod\n"
+              "    def canonical(cls, n):\n        return cls(n)\n"
+              "    def render(self):\n        return _text(self)\n"
+              "class Base:\n"
+              "    def table(self):\n        return {}\n"
+              "def _size():\n    return 4\n"
+              "def _text(x):\n    return str(x)\n"
+              "def run(model):\n    return model.render()\n")
+    sources = {"dual": source}
+    assert unreachable(sources, {"Model"}, {"dual"}) == [
+        "dual:9 Model.psi", "dual:12 Model.canonical", "dual:14 Model.render",
+        "dual:21 _text", "dual:23 run"]
+    assert unreachable(sources, {"Model", "run", "canonical"}, {"dual"}) == [
+        "dual:9 Model.psi"]
+
+
 def test_every_engine_function_is_reachable():
     # the library holds what the engine reaches, and tests/ what only the
-    # tests call; the benchmark's names are roots, so a name it wraps stays
+    # tests call; the benchmark's names are roots, so a name it wraps stays.
+    # A method entry point is named as Class.method and reached by its name
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
-    defined = {node.name for source in sources.values() for node in ast.parse(source).body
-               if isinstance(node, ast.FunctionDef)}
+    defined = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined |= {f"{node.name}.{method.name}" for method in methods(node)}
     assert set(ENTRY_POINTS) <= defined
-    roots = set(ENTRY_POINTS).union(*(bench_names(path.read_text(encoding="utf-8"))
-                                      for path in BENCH.glob("*.py")))
+    roots = {name.rsplit(".", 1)[-1] for name in ENTRY_POINTS}.union(*(
+        bench_names(path.read_text(encoding="utf-8")) for path in BENCH.glob("*.py")))
     assert unreachable(sources, roots, set(sources) - set(HELPERS)) == []
