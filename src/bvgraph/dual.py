@@ -5,7 +5,12 @@ Hamiltonian, term by term) or a vector field (``psi_field``) on V to
 A (x) V through the products of A.
 
 S reads a ``GaugeModel``: the tensor model A (x) V, Psi restricted to L (x) V
-and the restricted weight.  F reads a ``frobenius.Gauge`` alone: the vertex
+and the restricted weight.  Restriction is a map of graded algebras and the
+gauge vectors L_s are homogeneous with scalar entries, so restricted Psi of a
+monomial is the lift of mu_k(L_{s_1}, ..., L_{s_k}), with the shuffle sign
+read off the gauge parities; the gauge model contracts the algebra's mu_k on
+the basis of A with the gauge basis once per valence, and never forms Psi on
+all of A (x) V.  F reads a ``frobenius.Gauge`` alone: the gauge's own vertex
 tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
 routes share no object, and the commuting-diagram check S = F o I is the
 keystone that pins every remaining sign convention end to end.
@@ -20,10 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import prod
+from math import gcd, prod
 from operator import add
 
-from .graded import (EVEN, SuperSpace, integer_matrix, integer_terms, memoised,
+from .graded import (EVEN, SuperSpace, integer_matrix, memoised,
                      monomial_parity, sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import SuperPolynomial, VectorField, divergence, merged_products
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
@@ -37,10 +42,14 @@ from .ce import CEChain, ce_differential, osp_action
 # ---------------------------------------------------------------------------
 # The tensor model A (x) V and its odd symplectic structure
 
-# Bounds a tensor model's memo of Psi of a monomial of V and a gauge model's
-# memo of its restricted, tallied form (``GaugeModel._tallied_factor``), each
-# cleared when full; a cold commute benchmark pass stores 33 keys in each.
+# Bounds a tensor model's memo of Psi of a monomial of V (read by
+# ``psi_of_word``) and a gauge model's memo of restricted Psi, tallied
+# (``GaugeModel._tallied_factor``), each cleared when full.
 _PSI_SIZE = 1 << 12
+
+# Bounds a gauge model's memo of mu_k on the gauge basis by valence k
+# (``GaugeModel.restricted_mu``), cleared when full.
+_RESTRICTED_MU_SIZE = 64
 
 
 class TensorModel:
@@ -152,8 +161,19 @@ def psi_field(alg: FrobeniusAlgebra, eta: VectorField) -> VectorField:
 # Restriction to a gauge and the BV functional
 
 class GaugeModel:
-    """The integration locus L (x) V inside A (x) V, with the restricted weight:
-    what S reads.  The gauge is kept for its label; F reads the gauge itself."""
+    """The integration locus L (x) V inside A (x) V, with the restricted weight
+    and Psi restricted to it: what S reads.  The gauge is kept for its label;
+    F reads the gauge itself.
+
+    Restriction pulls back along the inclusion L (x) V -> A (x) V, a map of
+    graded commutative algebras: z_{(alpha,i)} goes to sum_s L_s[alpha]
+    l_{(s,i)}.  Each L_s is homogeneous with scalar entries, so its nonzero
+    entries sit on a_alpha of its own parity, and Psi of a monomial
+    restricts to the lift of mu_k(L_{s_1}, ..., L_{s_k}), with the shuffle
+    sign read off the gauge parities.  Those entries are kept once per
+    valence k (``restricted_mu``): they come from the algebra's table on the
+    basis of A (``TensorModel.vertex_tensors``) and the gauge basis, and
+    never from the gauge's own table, so S and F share no vertex data."""
 
     def __init__(self, model: TensorModel, gauge: Gauge):
         if gauge.alg is not model.alg:
@@ -168,10 +188,34 @@ class GaugeModel:
                                                     if lvec[alpha]})
                        for alpha in range(len(model.alg.space)) for i in range(nv)]
         self.weight = QuadraticWeight.from_sigma(self.restrict(model.sigma))
+        d_l, rows = integer_matrix(gauge.vectors)
+        # the gauge basis over ints, by the index alpha of A: (D_L, [(s, D_L L_s[alpha])])
+        self._columns = d_l, [[(s, row[alpha]) for s, row in enumerate(rows) if row[alpha]]
+                              for alpha in range(len(model.alg.space))]
+        self._lpar = gauge.parities
+        self._mu_tables = {}
         self._tallied = {}
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
         return f.substitute(self.images, self.space)
+
+    def restricted_mu(self, k: int) -> tuple:
+        """(D_mu D_L^k, [(s, entry * that scale)]) for the nonzero
+        mu_k(L_{s_1}, ..., L_{s_k}) on the gauge basis, built once per
+        valence k >= 2.  It contracts the algebra's integer mu_k (scale
+        D_mu, ``VertexTensors.integer_mu``) with the gauge basis times D_L
+        one index at a time, collapsing equal keys as ints after each: mu_k
+        is multilinear and the entries of L_s are even scalars, so no sign
+        enters."""
+        def compute():
+            d_mu, entries = self.model.vertex_tensors.integer_mu(k)
+            d_l, columns = self._columns
+            for r in range(k):
+                entries = sparse_sum(((idx[:r] + (s,) + idx[r + 1:], x * c)
+                                      for idx, x in entries for s, c in columns[idx[r]]),
+                                     None).items()
+            return d_mu * d_l ** k, list(entries)
+        return memoised(self._mu_tables, _RESTRICTED_MU_SIZE, k, compute)
 
     def matchable_word(self, word) -> SuperPolynomial:
         """The terms of deficiency 0 under the inverse weight
@@ -209,14 +253,21 @@ class GaugeModel:
 
     def _tallied_factor(self, key) -> tuple:
         """(D, [(tally, terms)]): Psi of the monomial key of V restricted to
-        L (x) V over ints (``integer_terms``), its terms grouped by tally,
-        once per key.  It restricts the full-space
-        ``TensorModel._psi_monomial``; a gauge model holds no vertex tensor,
-        so S and F share no vertex data."""
+        L (x) V over ints, its terms grouped by tally, once per key.  It
+        lifts the entries of ``restricted_mu(|key|)`` with the gauge
+        parities: restriction is an algebra map, and L_s[alpha] != 0 only
+        where a_alpha has the parity of L_s, so the Koszul and shuffle signs
+        of the lift over A are those of the lift over L.  The lifted ints
+        and their scale are divided by their gcd, which leaves D the lcm of
+        the denominators of the restricted coefficients, and each int that
+        coefficient times D, as ``graded.integer_terms`` scales them."""
         def compute():
-            psi = self.restrict(self.model._psi_monomial(key))
-            d, terms = integer_terms(psi.terms)
-            return d, list(self.weight.support.group(terms).items())
+            scale, mu = self.restricted_mu(len(key))
+            lifted = sparse_sum(((zkey, sign * x) for zkey, sign, x in lift_entries(
+                self.space, self._lpar, self.model.v.space.parities, key, mu)), None)
+            g = gcd(scale, *lifted.values())
+            return scale // g, list(self.weight.support.group(
+                (zkey, n // g) for zkey, n in lifted.items()).items())
         return memoised(self._tallied, _PSI_SIZE, key, compute)
 
 
@@ -249,10 +300,14 @@ def s_functional(model: TensorModel, gm: GaugeModel, chain: CEChain) -> Fraction
     product is taken on half the variables.  That is exact: restriction
     pulls back along the inclusion L (x) V -> A (x) V, a map of graded
     commutative algebras, so the restriction of the product is the product
-    of the restricted factors.  The products that no perfect matching
-    within the inverse weight's support can complete add 0, and are never
-    formed (``GaugeModel.matchable_word``).  The cut reads only the weight,
-    so S stays independent of F.
+    of the restricted factors.  Each restricted factor is lifted from mu_k
+    on the gauge basis (``GaugeModel._tallied_factor``): the L_s are
+    homogeneous with scalar entries, so the shuffle sign is read off the
+    gauge parities.  The products that no perfect matching within the
+    inverse weight's support can complete add 0, and are never formed
+    (``GaugeModel.matchable_word``).  The cut reads only the weight, and
+    the factors only the algebra's mu_k on the basis of A and the gauge
+    basis, so S stays independent of F.
     """
     if chain.symp is not model.v and chain.symp.space != model.v.space:
         raise ValueError("chain over the wrong symplectic space")

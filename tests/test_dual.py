@@ -33,8 +33,8 @@ from oracles import (beta_contract_indices, connected_components,
                      feynman_value_oracle, g5, g5_gauge, hamiltonian_field_form_oracle,
                      min_degree, odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      rescaled, restricted_product_oracle, restricted_word_oracle,
-                     s_functional_oracle, so3_weight_oracle, symmetrize_tensor,
-                     theta_graph, wick_map_oracle)
+                     s_functional_oracle, so3_weight_oracle, substitute_oracle,
+                     symmetrize_tensor, theta_graph, wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -474,10 +474,60 @@ def test_restricted_psi_is_memoised_per_gauge_model():
     assert twin._tallied_factor(key) is not gm._tallied_factor(key)
 
 
+def tallied_factor_cases():
+    """(gauge model, top degree): G3 over V_{2|0}, V_{2|1} and V_{2|2} at
+    the three benchmark gauges and at one with a Fraction coordinate, whose
+    basis has D_L = 2; so3red over V_{4|1} and, rescaled so that mu_k has
+    denominators, over V_{2|1}; the dense so3red + G3 gauge; G5 at seed 2.
+    A sorted key has its odd variables last, so only V_{2|2}, with two of
+    them, reaches a shuffle sign of -1."""
+    v41 = SymplecticSpace.canonical_even(2, 1)
+    dense = direct_sum(so3_reduced(), g3())
+    five = g5()
+    cases = []
+    for v in (V20, V21, SymplecticSpace.canonical_even(1, 2)):
+        model = model_g3(v)
+        cases += [(GaugeModel(model, g3_gauge(*params, alg=model.alg)), 5)
+                  for params in ((0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4),
+                                 (Fraction(1, 2), 0, 1, 1))]
+    so3 = TensorModel(so3_reduced(), v41)
+    cases.append((GaugeModel(so3, gauge_at(so3.alg, ())), 5))
+    scaled = TensorModel(so3_scaled(), V21)
+    cases.append((GaugeModel(scaled, gauge_at(scaled.alg, ())), 5))
+    cases.append((GaugeModel(TensorModel(dense, V20), gauge_at(dense, DENSE)), 3))
+    cases.append((GaugeModel(TensorModel(five, V20), g5_gauge(five, 2)), 5))
+    return cases
+
+
+def test_tallied_factor_matches_the_restricted_full_space_oracle():
+    # Psi of every monomial of degree 2..5 restricted after the lift over A
+    # (the per-entry oracle, then the substitution oracle) equals the
+    # factor lifted from mu_k on the gauge basis, value by value and tally
+    # by tally, with D the lcm of its denominators.  The gcd step runs on a
+    # gauge basis with D_L > 1 and on restricted factors with D > 1
+    nonzero = 0
+    scales = set()
+    for gm, top in tallied_factor_cases():
+        scales.add(integer_matrix(gm.gauge.vectors)[0])
+        for degree in range(2, top + 1):
+            for key in sampling.monomial_keys(gm.model.v.space, degree):
+                d, groups = gm._tallied_factor(key)
+                ref = substitute_oracle(psi_monomial_oracle(gm.model, key), gm.images, gm.space)
+                assert d == integer_terms(ref.terms)[0], key
+                assert {t: {k: Fraction(n, d) for k, n in group} for t, group in groups} == {
+                    t: dict(group) for t, group in
+                    gm.weight.support.group(ref.terms.items()).items()}, key
+                nonzero += bool(groups)
+                scales.add(d)
+    assert nonzero and {2, 5} <= scales
+
+
 def test_psi_vev_vertex_tensor_and_diagram_memos_stay_within_their_bounds(monkeypatch):
     # with every bound below what S = -36 on p^3 q^3 reads, each memo is
-    # cleared when full and the values stay the same
+    # cleared when full and the values stay the same.  S restricts no
+    # full-space Psi, so it leaves the tensor model's Psi memo empty
     monkeypatch.setattr(dual, "_PSI_SIZE", 1)
+    monkeypatch.setattr(dual, "_RESTRICTED_MU_SIZE", 1)
     monkeypatch.setattr(wick, "_VEV_SIZE", 2)
     monkeypatch.setattr(frobenius, "_VALENCES_SIZE", 1)
     monkeypatch.setattr(wick, "_CHORD_DIAGRAMS_SIZE", 1)
@@ -494,7 +544,11 @@ def test_psi_vev_vertex_tensor_and_diagram_memos_stay_within_their_bounds(monkey
     monkeypatch.setattr(gm.weight, "_vev", watched)
     assert s_functional(model, gm, chain) == -36
     assert max(vevs) == 2 and (2, 1) in zip(vevs, vevs[1:])
-    assert len(model._psi_cache) == len(gm._tallied) == 1
+    assert len(model._psi_cache) == 0 and len(gm._tallied) == 1
+    mu3 = gm.restricted_mu(3)
+    assert [gm.restricted_mu(k) for k in (3, 2, 3)] == [
+        mu3, GaugeModel(model, gm.gauge).restricted_mu(2), mu3]
+    assert len(gm._mu_tables) == 1
     table = model.vertex_tensors
     assert [table.mu(k) for k in (3, 2, 3)] == [frobenius.vertex_tensor(model.alg, k)
                                                  for k in (3, 2, 3)]
@@ -1450,6 +1504,31 @@ def test_commute_pins_s_equal_f_of_i_over_odd_chords():
     assert rep["status"] == "pass", rep["witnesses"]
     assert s_functional(model, gm, chain) == 240
     assert feynman_on_chain(gm.gauge, wick_map(chain)) == 240
+
+
+class Sealed:
+    """A stand-in for a gauge's Feynman data that fails on any access."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"S read {name} of the gauge's Feynman data")
+
+    def _refuse(self, *args):
+        raise AssertionError("S read the gauge's Feynman data")
+
+    __getitem__ = __iter__ = __len__ = __bool__ = __contains__ = __eq__ = _refuse
+
+
+def test_s_reads_none_of_the_gauges_feynman_data():
+    # with the vertex tensors, propagator, partners and amplitudes of the
+    # gauge sealed after the gauge model is built, S keeps its three pins
+    for case, value in ((so3_commute_case, -36), (so3_odd_chord_case, 240),
+                        (dense_wedge_case, -48)):
+        model, gm, chain = case()
+        for name in ("vertex_tensors", "integer_propagator", "partners", "amplitudes"):
+            setattr(gm.gauge, name, Sealed())
+        with pytest.raises(AssertionError, match="Feynman data"):
+            feynman_on_chain(gm.gauge, wick_map(chain))
+        assert s_functional(model, gm, chain) == value
 
 
 def test_commute_fails_without_the_chord_sign_of_i(monkeypatch):

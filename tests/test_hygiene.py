@@ -30,13 +30,15 @@ Every ``verify_*`` suite of ``dual`` returns a ``_report`` dict, at every
 ``return``.  Linear algebra has one elimination kernel: every public function
 of ``linalg`` but ``rref`` calls ``rref``.  The engine never imports the helpers of the tests and the
 benchmark: no package module but ``sampling`` imports ``forms``, and none
-imports ``sampling``.  Every module-level function of an engine module (all
-but ``forms`` and ``sampling``) is reached, through references inside the
-package, from a name the benchmark reads or from one of ``ENTRY_POINTS``:
-code that only the tests call lives in ``tests/``; so is every method of
-their classes but the dunders.  The package has no runtime dependency: the
-project declares none, and every import of the package is relative or of a
-standard-library module.
+imports ``sampling``.  S reads none of the Feynman data of a gauge: no
+method of ``dual.GaugeModel`` and no ``dual.s_functional`` reads its vertex
+tensors, propagator, partners or amplitudes.  Every module-level function of
+an engine module (all but ``forms`` and ``sampling``) is reached, through
+references inside the package, from a name the benchmark reads or from one
+of ``ENTRY_POINTS``: code that only the tests call lives in ``tests/``; so
+is every method of their classes but the dunders.  The package has no
+runtime dependency: the project declares none, and every import of the
+package is relative or of a standard-library module.
 """
 import ast
 import sys
@@ -323,15 +325,15 @@ def test_engine_never_imports_the_test_helpers():
 # the kernels that tests/oracles.py checks: the Feynman route (with the
 # integer walk of products behind mu_k, its scaled structure constants, the
 # integer vertex tensors and propagator, and the matrix scaling), the
-# polynomial product (its key merge), the restriction and Psi of a monomial
-# on the BV route, and the matchability cut of I, of the expectation and of
-# S (the deficiency of a multiset under a matrix's support), and the sparse
-# elimination kernel
+# polynomial product (its key merge), the restriction, Psi of a monomial
+# and mu_k on the gauge basis behind restricted Psi on the BV route, and the
+# matchability cut of I, of the expectation and of S (the deficiency of a
+# multiset under a matrix's support), and the sparse elimination kernel
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "_product_step", "integer_mult", "integer_mu", "integer_propagator",
            "integer_matrix", "live_chords", "__mul__", "merge_keys",
-           "_psi_monomial", "substitute", "MatchingSupport", "deficiency",
-           "completable", "matchable_word", "rref"}
+           "_psi_monomial", "substitute", "restricted_mu", "MatchingSupport",
+           "deficiency", "completable", "matchable_word", "rref"}
 
 
 def read_names(node):
@@ -746,6 +748,54 @@ def test_linear_algebra_goes_through_one_kernel():
     names = [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
     assert {"rref", "rank", "nullspace", "solve", "inverse"} <= set(names)
     assert kernel_bypasses(source, name="linalg.py") == []
+
+
+# the Feynman data a gauge carries: F reads it, S must not
+FEYNMAN_DATA = {"vertex_tensors", "integer_propagator", "partners", "propagator",
+                "amplitudes"}
+
+
+def gauge_feynman_reads(source, name=""):
+    """Reads of the gauge's Feynman data on the S route: an attribute in
+    ``FEYNMAN_DATA`` of an expression that names ``gauge``, inside a method
+    of ``GaugeModel`` or inside ``s_functional``."""
+    route = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef) and top.name == "GaugeModel":
+            route += [node for node in top.body if isinstance(node, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef) and top.name == "s_functional":
+            route.append(top)
+    return [f"{name}:{node.lineno} {ast.unparse(node)}" for func in route
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr in FEYNMAN_DATA
+            and "gauge" in read_names(node.value)]
+
+
+def test_gauge_feynman_reads_are_detected():
+    source = ("class GaugeModel:\n"
+              "    def __init__(self, model, gauge):\n"
+              "        self.rows = gauge.propagator\n"
+              "        self.mu = model.vertex_tensors\n"
+              "    def _tallied_factor(self, key):\n"
+              "        return self.gauge.vertex_tensors.integer_mu(len(key))\n"
+              "class Gauge:\n"
+              "    def __init__(self):\n"
+              "        self.partners = partner_lists(self.propagator)\n"
+              "def s_functional(model, gm, chain):\n"
+              "    return gm.gauge.amplitudes, gm.gauge.vectors\n"
+              "def feynman_value(gauge, graph):\n"
+              "    return gauge.integer_propagator\n")
+    assert gauge_feynman_reads(source) == [
+        ":3 gauge.propagator", ":6 self.gauge.vertex_tensors",
+        ":11 gm.gauge.amplitudes"]
+
+
+def test_s_route_reads_none_of_the_gauges_feynman_data():
+    # S and F share no object: S reads the algebra's table on the basis of
+    # A and the gauge basis, F the gauge's own table and propagator
+    source = (SRC / "dual.py").read_text(encoding="utf-8")
+    assert "GaugeModel" in source and "s_functional" in source
+    assert gauge_feynman_reads(source, "dual.py") == []
 
 
 # the engine's entry points, each with the reason it is one; with the names
