@@ -20,6 +20,10 @@ earlier vertex to a later one: it looks each vertex's entries of mu_k up by
 the partners, under the propagator, of the indices already assigned to the
 earlier ends of the chords that close there.  The suites read F through the
 gauge's bounded ``amplitudes``, so it is computed once per (gauge, graph).
+
+I (``wick_map``) sends a CE word to the sum of beta_c Gamma(c) over its chord
+diagrams, one class of diagrams with the same chord counts between the
+variables of its vertices at a time (``wick.chord_classes``).
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .graded import (EVEN, SuperSpace, integer_matrix, memoised,
 from .superpoly import SuperPolynomial, VectorField, divergence, merged_products
 from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
 from .frobenius import FrobeniusAlgebra, Gauge
-from .wick import MatchingSupport, QuadraticWeight, live_chords
+from .wick import MatchingSupport, QuadraticWeight, chord_classes
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
                      canonicalize_directed, cycle_space, enumerate_graphs)
 from .ce import CEChain, ce_differential, osp_action
@@ -322,15 +326,6 @@ def s_functional(model: TensorModel, gm: GaugeModel, chain: CEChain) -> Fraction
 # ---------------------------------------------------------------------------
 # Feynman amplitudes
 
-def graph_from_chord(vertex_sizes, chord):
-    """Gamma(c; k_1..k_l): consecutive half-edge blocks, chord pairs as edges."""
-    vertex_of = []
-    for vtx, size in enumerate(vertex_sizes):
-        vertex_of.extend([vtx] * size)
-    edges = tuple((vertex_of[i], vertex_of[j]) for i, j in chord)
-    return len(vertex_sizes), edges
-
-
 def chord_presentation(graph: CanonicalGraph):
     """Slots and chord diagram presenting a canonical graph as Gamma(c; k)."""
     sizes = list(graph.valences())
@@ -468,33 +463,36 @@ def wick_map(chain: CEChain) -> GraphChain:
     diagrams c on its factors of a * beta_c * Gamma(c; |h_1|, ..., |h_l|),
     beta_c contracting the factors with the inverse symplectic form.
 
-    Only the diagrams with beta_c != 0 are visited (``wick.live_chords``):
-    the walk pairs a factor only with a partner of nonzero inverse-form entry,
-    and skips a word of nonzero deficiency (``wick.MatchingSupport``, built
-    once per chain).  The others add 0, so the image is the same, and the
-    live diagrams come in the order of ``chord_diagrams``, so even its key
-    order is unchanged.
+    The diagrams are summed by class (``wick.chord_classes``): a class's
+    diagrams share one graph and one beta_c, and only the classes with
+    beta_c != 0 and no loop are formed.  A word's classes are summed per
+    edge multiset, each multiset is canonicalised once, and each graph of
+    the word gets one Fraction.  The graphs come in the order of their first
+    live diagrams, as in the sum diagram by diagram, unless their terms
+    cancel within a word.
 
-    The walk runs over integers: the inverse form is scaled once per chain
-    by the lcm d of its denominators (``integer_matrix``), so each live
-    diagram yields beta_c * d^|c|, and it is divided once by d^|c|, |c| the
-    number of its chords.
+    The sums run over integers: the inverse form is scaled once per chain by
+    the lcm d of its denominators (``integer_matrix``), so a word of |c|
+    chords sums beta_c * d^|c| and divides each graph's sum once by d^|c|.
     """
     symp = chain.symp
     d, inv = integer_matrix(symp.inverse.rows)
     support = MatchingSupport(inv)
+    pars = symp.space.parities
+
+    def graphs(word):
+        classes = sparse_sum(((edges, size * beta) for edges, size, beta
+                              in chord_classes(pars, word, support)), None)
+        for edges, val in classes.items():
+            rep, sign = canonicalize_directed(len(word), edges)
+            if sign:
+                yield rep, sign * val
 
     def terms():
         for word, coeff in chain.terms.items():
-            factors = [i for key in word for i in key]
-            sizes = [len(key) for key in word]
-            pars = [symp.space.parities[i] for i in factors]
-            scale = d ** (len(factors) // 2)
-            for chord, val in live_chords(pars, factors, support):
-                nv, edges = graph_from_chord(sizes, chord)
-                rep, sign = canonicalize_directed(nv, edges)
-                if sign:
-                    yield rep, coeff * Fraction(sign * val, scale)
+            scale = d ** (sum(map(len, word)) // 2)
+            for rep, val in sparse_sum(graphs(word), None).items():
+                yield rep, coeff * Fraction(val, scale)
     return GraphChain(terms())
 
 

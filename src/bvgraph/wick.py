@@ -2,11 +2,14 @@
 
 The Wick sum over chord diagrams *is* the definition of the Gaussian integral
 here; analytic input survives only in the test suite's Berezin and moment
-oracles, with their sign rule for negative weights.
+oracles, with their sign rule for negative weights.  The map I sums the
+chord diagrams of a word by class (``chord_classes``).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from math import factorial, prod
 
 from .graded import EVEN, koszul_sign, memoised
 from .superpoly import SuperPolynomial
@@ -119,47 +122,71 @@ class MatchingSupport:
         return self._deficiency(tally) <= more
 
 
-def live_chords(parities, idxs, support: MatchingSupport):
-    """Yield (chord, beta_c) for the chord diagrams on the factors ``idxs``
-    whose contraction beta_c = chord_sign * prod_{(i, j) in c}
-    matrix[idxs[i]][idxs[j]] is nonzero, in the order of ``chord_diagrams``,
-    for the matrix ``support.rows``.
+def chord_classes(parities, word, support: MatchingSupport):
+    """Yield (edges, size, beta) per class of the loop-free chord diagrams
+    on the slots of ``word`` with beta_c != 0 under the matrix
+    ``support.rows``: the class's sorted graph edges (a, b), a < b, its
+    number of diagrams and the beta_c they share.
 
-    It yields nothing when ``idxs`` has a nonzero deficiency
-    (``MatchingSupport``; odd lengths included).  Otherwise, like
-    ``chord_diagrams``, it pairs the first open point with each later point
-    in turn, but only with a point whose matrix entry is nonzero, and carries
-    the running product; the chord sign is taken at a leaf.  A pair with a
-    zero entry makes the product of every diagram containing it 0, so the
-    diagrams skipped are exactly those with beta_c = 0, and the order of the
-    rest is unchanged.  On the canonical forms of V each component is a pair
-    {p_i, q_i} or a self-paired odd variable, so a chord keeps every
-    component balanced: a word that passes the check never dead-ends.
-
-    The running product starts from the int 1, so on a matrix of ints it
-    stays a plain int.  A caller that scaled its matrix by D to make it so
-    divides each beta_c by D^|c|, |c| = len(idxs) / 2 the number of chords:
-    each diagram multiplies exactly |c| entries.
+    Key v is vertex v; its slots split into groups, one per variable, of m_g
+    slots.  A class fixes the chord counts n_gh between groups at different
+    vertices with entry matrix[x_g][x_h] != 0, g before h: it holds
+    prod m_g! / prod n_gh! diagrams, each of product prod entry^n_gh.  An
+    odd variable repeats in no monomial (a key that does is 0 and yields
+    nothing), and the matrix, as the inverse of an even form, pairs odd
+    groups only with odd ones, so the diagrams of a class share their odd
+    chords and one ``chord_sign`` (``parities`` are the variables').  It is
+    taken on the class's first diagram in ``chord_diagrams`` order, whose
+    first open slot always pairs with the first open slot of the least group
+    left to it: the walk builds just these, so classes come in that order.
+    A chord inside a vertex makes a loop, a graph that is 0, and is never
+    formed; a word of nonzero deficiency (``MatchingSupport``) yields nothing.
     """
-    if support.deficiency(idxs):
+    slots = [i for key in word for i in key]
+    if support.deficiency(slots):
         return
-    matrix = support.rows
-    chord = []
+    groups, start = [], 0
+    for vtx, key in enumerate(word):
+        for var, run in groupby(key):
+            m = len(tuple(run))
+            if m > 1 and parities[var]:
+                return
+            groups.append((vtx, var, start, m))
+            start += m
+    matrix, n = support.rows, len(groups)
+    left = [m for *_, m in groups]
+    size = prod(map(factorial, left))
+    pars = [parities[i] for i in slots]
+    chord, edges = [], []
 
-    def rec(points, prod):
-        if not points:
-            done = tuple(chord)
-            yield done, chord_sign(parities, done) * prod
+    # g is the first group with open slots, low the least partner group left
+    # to it and run the chords of g to low so far; denom is prod n_gh!
+    def rec(g, low, run, value, denom):
+        while g < n and not left[g]:
+            g += 1
+            low, run = g + 1, 0
+        if g == n:
+            yield tuple(sorted(edges)), size // denom, chord_sign(pars, chord) * value
             return
-        row = matrix[idxs[points[0]]]
-        for pos in range(1, len(points)):
-            entry = row[idxs[points[pos]]]
-            if entry:
-                chord.append((points[0], points[pos]))
-                yield from rec(points[1:pos] + points[pos + 1:], prod * entry)
+        vg, xg, sg, mg = groups[g]
+        row = matrix[xg]
+        i = sg + mg - left[g]
+        left[g] -= 1
+        for h in range(low, n):
+            vh, xh, sh, mh = groups[h]
+            entry = row[xh]
+            if entry and left[h] and vh != vg:
+                r = run + 1 if h == low else 1
+                chord.append((i, sh + mh - left[h]))
+                edges.append((vg, vh))
+                left[h] -= 1
+                yield from rec(g, h, r, value * entry, denom * r)
+                left[h] += 1
+                edges.pop()
                 chord.pop()
+        left[g] += 1
 
-    yield from rec(tuple(range(len(idxs))), 1)
+    yield from rec(0, 1, 0, 1, 1)
 
 
 class QuadraticWeight:

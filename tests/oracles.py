@@ -20,6 +20,9 @@ fewest points a matching along a matrix's support leaves unmatched, by
 trying every matching.
 ``wick_map_oracle`` contracts every chord diagram of a word, zero or not, and
 ``monomial_vev_chords_oracle`` sums beta_c over all chord diagrams.
+``wick_map_live_oracle`` sums I over the live chord diagrams alone, one at
+a time (``live_chords``), on words too large for ``wick_map_oracle``;
+``graph_from_chord`` is the graph Gamma(c; k) of a chord diagram.
 ``berezin_oracle`` integrates split-diagonal weights block by block, each
 odd pair by ``berezin_integrate``, the iterated odd integral of right
 derivatives ``right_deriv``, and ``canonical_laplacian_oracle`` is the
@@ -39,7 +42,8 @@ connected components.
 ``polynomial_product_oracle`` multiplies two polynomials with one Fraction
 product per term pair, each merged key sorted by ``sort_indices_with_sign``,
 and ``psi_monomial_oracle`` sums Psi of a monomial as one
-``SuperPolynomial.monomial`` per entry of mu_k.
+``SuperPolynomial.monomial`` per entry of mu_k, with the sign of the explicit
+reordering by ``koszul_sign``, not ``dual.shuffle_sign``.
 ``polynomial_parity`` is the parity of a homogeneous polynomial, for tests
 that state a sign (-1)^{|a|}, ``parity_components`` splits a polynomial
 into its even and odd parts, for tests that state a rule on each part, and
@@ -71,8 +75,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import factorial
 
 from bvgraph import linalg
-from bvgraph.dual import (chord_presentation, graph_from_chord, psi_of_word, shuffle_sign,
-                          tensor_index, wedge_sign)
+from bvgraph.dual import chord_presentation, psi_of_word, tensor_index, wedge_sign
 from bvgraph.frobenius import FrobeniusAlgebra, Gauge, gauge_at, grassmann_algebra
 from bvgraph.forms import FormContext
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
@@ -492,10 +495,12 @@ def psi_monomial_oracle(model, key):
         mu = model.mu(k)
     vpar = [model.v.space.parities[i] for i in key]
     apar = model.alg.space.parities
+    # a*_1 .. a*_k u_1 .. u_k rearranged to a*_1 u_1 .. a*_k u_k
+    order = [s for r in range(k) for s in (r, k + r)]
     return SuperPolynomial.sum(model.space, (
         SuperPolynomial.monomial(
             model.space, tuple(tensor_index(model.nv, alphas[r], key[r]) for r in range(k)),
-            shuffle_sign(vpar, [apar[a] for a in alphas]) * mval)
+            koszul_sign(order, [apar[a] for a in alphas] + vpar) * mval)
         for alphas, mval in mu.items()))
 
 
@@ -628,6 +633,58 @@ def monomial_vev_chords_oracle(weight, key):
     pars = [weight.space.parities[i] for i in key]
     return sum((beta_contract_indices(pars, key, chord, weight.inverse.rows)
                 for chord in chord_diagrams(len(key) // 2)), Fraction(0))
+
+
+def graph_from_chord(vertex_sizes, chord):
+    """Gamma(c; k_1..k_l): consecutive half-edge blocks, chord pairs as edges."""
+    vertex_of = []
+    for vtx, size in enumerate(vertex_sizes):
+        vertex_of.extend([vtx] * size)
+    edges = tuple((vertex_of[i], vertex_of[j]) for i, j in chord)
+    return len(vertex_sizes), edges
+
+
+def live_chords(parities, idxs, matrix):
+    """Yield (chord, beta_c) for the chord diagrams on the factors ``idxs``
+    with beta_c = chord_sign * prod_{(i, j) in c} matrix[idxs[i]][idxs[j]]
+    nonzero, in the order of ``chord_diagrams``.  Like ``chord_diagrams`` it
+    pairs the first open point with each later point in turn, but only with
+    one of nonzero entry, and carries the running product: the diagrams it
+    skips are exactly those with beta_c = 0."""
+    chord = []
+
+    def rec(points, val):
+        if not points:
+            done = tuple(chord)
+            yield done, chord_sign(parities, done) * val
+            return
+        row = matrix[idxs[points[0]]]
+        for pos in range(1, len(points)):
+            entry = row[idxs[points[pos]]]
+            if entry:
+                chord.append((points[0], points[pos]))
+                yield from rec(points[1:pos] + points[pos + 1:], val * entry)
+                chord.pop()
+
+    yield from rec(tuple(range(len(idxs))), Fraction(1))
+
+
+def wick_map_live_oracle(chain):
+    """I(chain) one live chord diagram at a time (``live_chords``), each
+    adding coeff * beta_c times its graph, canonicalised with its sign: the
+    route the class sums of ``wick.chord_classes`` replaced, for words too
+    large for ``wick_map_oracle``."""
+    inv = chain.symp.inverse.rows
+    pars = chain.symp.space.parities
+    terms = []
+    for word, coeff in chain.terms.items():
+        factors = [i for key in word for i in key]
+        sizes = [len(key) for key in word]
+        for chord, val in live_chords([pars[i] for i in factors], factors, inv):
+            rep, sign = canonicalize_directed(*graph_from_chord(sizes, chord))
+            if sign:
+                terms.append((rep, coeff * val * sign))
+    return GraphChain(terms)
 
 
 def wick_map_oracle(chain):

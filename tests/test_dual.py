@@ -17,8 +17,7 @@ from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
                             cycle_space, enumerate_graphs)
 from bvgraph.wick import chord_diagrams
 from bvgraph.dual import (GaugeModel, TensorModel, feynman_cochain,
-                          feynman_on_chain, feynman_value, graph_from_chord,
-                          psi_field, psi_of_word, s_functional,
+                          feynman_on_chain, feynman_value, psi_field, psi_of_word, s_functional,
                           shuffle_sign, tensor_index,
                           verify_cocycle_chains,
                           verify_cocycle_graphs, verify_commute,
@@ -30,11 +29,12 @@ from bvgraph import ce, dual, frobenius, graded, sampling, symplectic, wick
 import oracles
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
-                     feynman_value_oracle, g5, g5_gauge, hamiltonian_field_form_oracle,
+                     feynman_value_oracle, g5, g5_gauge, graph_from_chord,
+                     hamiltonian_field_form_oracle,
                      min_degree, odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
                      rescaled, restricted_product_oracle, restricted_word_oracle,
                      s_functional_oracle, so3_weight_oracle, substitute_oracle,
-                     symmetrize_tensor, theta_graph, wick_map_oracle)
+                     symmetrize_tensor, theta_graph, wick_map_live_oracle, wick_map_oracle)
 
 
 V20 = SymplecticSpace.canonical_even(1, 0)
@@ -1153,6 +1153,50 @@ def test_wick_map_matches_the_oracle_on_a_fractional_form():
     assert any(d % 2 == 0 for d in denominators) and any(d % 7 == 0 for d in denominators)
 
 
+V40 = SymplecticSpace.canonical_even(2, 0)
+
+
+def test_wick_map_matches_the_live_chord_oracle_on_a_6_wedge():
+    # a weight-0 6-wedge of cubics over V_{4|0}: 17!! diagrams, too many for
+    # wick_map_oracle; the oracle that walks the live diagrams one at a time
+    # gives the same image, term by term and in key order, on seven graphs
+    chain = wedge(V40, ((0, 0, 3), (0, 1, 1), (1, 1, 1), (1, 2, 2), (2, 3, 3), (3, 3, 3)))
+    img = wick_map(chain)
+    assert len(img.terms) == 7
+    assert list(img.terms.items()) == list(wick_map_live_oracle(chain).terms.items())
+
+
+def test_wick_map_pins_an_8_wedge_of_cubics():
+    # a weight-0 8-wedge of cubics over V_{4|0}, bidegree (8, 12): the
+    # values were computed once by wick_map_live_oracle (15 s)
+    chain = wedge(V40, ((0, 0, 0), (0, 0, 3), (0, 2, 3), (0, 3, 3),
+                        (1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 2, 2)))
+    img = wick_map(chain)
+    assert [(g.graph_id(), str(c)) for g, c in img.terms.items()] == [
+        ("v8e12:" + edges, c) for edges, c in (
+            ("0-1,0-1,0-2,1-3,2-4,2-5,3-4,3-6,4-7,5-6,5-7,6-7", "5760"),
+            ("0-1,0-2,0-3,1-4,1-5,2-4,2-6,3-5,3-7,4-7,5-6,6-7", "-2304"),
+            ("0-1,0-2,0-3,1-2,1-4,2-5,3-4,3-6,4-7,5-6,5-7,6-7", "-1152"),
+            ("0-1,0-1,0-2,1-3,2-4,2-5,3-4,3-6,4-5,5-7,6-7,6-7", "2880"),
+            ("0-1,0-1,0-2,1-3,2-4,2-4,3-5,3-6,4-7,5-6,5-7,6-7", "-2880"),
+            ("0-1,0-1,0-2,1-3,2-3,2-4,3-5,4-6,4-7,5-6,5-7,6-7", "-5760"),
+            ("0-1,0-1,0-2,1-3,2-4,2-5,3-4,3-5,4-6,5-7,6-7,6-7", "-3744"),
+            ("0-1,0-1,0-2,1-3,2-4,2-5,3-6,3-7,4-5,4-6,5-7,6-7", "-1152"),
+            ("0-1,0-1,0-2,1-3,2-3,2-4,3-5,4-5,4-6,5-7,6-7,6-7", "864"),
+            ("0-1,0-1,0-1,2-3,2-3,2-4,3-5,4-6,4-7,5-6,5-7,6-7", "-1344"),
+            ("0-1,0-1,0-1,2-3,2-4,2-5,3-4,3-6,4-7,5-6,5-7,6-7", "1344"),
+            ("0-1,0-2,0-3,1-2,1-3,2-4,3-5,4-6,4-7,5-6,5-7,6-7", "-1152"),
+            ("0-1,0-1,0-2,1-3,2-3,2-4,3-5,4-6,4-6,5-7,5-7,6-7", "2016"),
+            ("0-1,0-1,0-2,1-3,2-4,2-4,3-5,3-5,4-6,5-7,6-7,6-7", "-576"),
+            ("0-1,0-1,0-1,2-3,2-3,2-4,3-5,4-5,4-6,5-7,6-7,6-7", "-240"),
+            ("0-1,0-1,0-1,2-3,2-3,2-4,3-5,4-6,4-6,5-7,5-7,6-7", "-288"),
+            ("0-1,0-1,0-2,1-3,2-3,2-3,4-5,4-6,4-7,5-6,5-7,6-7", "-576"),
+            ("0-1,0-1,0-2,1-3,2-3,2-3,4-5,4-5,4-6,5-7,6-7,6-7", "144"),
+            ("0-1,0-1,0-1,2-3,2-3,2-3,4-5,4-6,4-7,5-6,5-7,6-7", "-192"),
+            ("0-1,0-1,0-1,2-3,2-3,2-3,4-5,4-5,4-6,5-7,6-7,6-7", "48"),
+        )]
+
+
 def test_kontsevich_chain_map():
     rng = random.Random(11)
     for v in (V20, V21):
@@ -1559,6 +1603,45 @@ def test_commute_fails_on_a_koszul_sign_flipped_on_six_factors(monkeypatch):
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "fail"
     assert rep["witnesses"] == [{"S": "-36", "F_I": "36", "chain": chain.to_json()}]
+
+
+def test_commute_fails_with_each_chord_class_counted_once(monkeypatch):
+    # I sums a class of chord diagrams as its size times their common beta_c;
+    # on p^3 ^ q^3 the one class holds all 3! cross matchings, so counting it
+    # once turns F o I at the dense so3red + G3 gauge from -36 into -6
+    alg = direct_sum(so3_reduced(), g3())
+    model = TensorModel(alg, V20)
+    gm = GaugeModel(model, gauge_at(alg, DENSE))
+    chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))
+
+    def counted_once(parities, word, support):
+        return ((edges, 1, beta) for edges, _, beta in wick.chord_classes(parities, word, support))
+
+    monkeypatch.setattr(dual, "chord_classes", counted_once)
+    rep = verify_commute(model, gm, chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S": "-36", "F_I": "-6", "chain": chain.to_json()}]
+
+
+def test_commute_fails_without_the_shuffle_sign(monkeypatch):
+    # over V_{2|2} the factor p x1 x2 lifts to keys with two odd variables of
+    # V, the only keys whose shuffle sign can be -1; at the pinned so3red + G3
+    # gauge S = F o I = 0 on p^3 ^ p x1 x2 ^ q^2 x1 ^ q^2 x2, and with
+    # shuffle_sign := 1 S reads -576
+    v22 = SymplecticSpace.canonical_even(1, 2)
+    alg = direct_sum(so3_reduced(), g3())
+    chain = wedge(v22, ((0, 0, 0), (0, 2, 3), (1, 1, 2), (1, 1, 3)))
+
+    def case():
+        model = TensorModel(alg, v22)
+        return model, GaugeModel(model, gauge_at(alg, (1, 1, 0, 0, 0, 0, 0, 0, 1, 0)))
+
+    rep = verify_commute(*case(), chain)
+    assert rep["status"] == "pass", rep["witnesses"]
+    monkeypatch.setattr(dual, "shuffle_sign", lambda vpar, apar: 1)
+    rep = verify_commute(*case(), chain)
+    assert rep["status"] == "fail"
+    assert rep["witnesses"] == [{"S": "-576", "F_I": "0", "chain": chain.to_json()}]
 
 
 def test_gauge_independence_fails_without_the_chord_sign_of_f(monkeypatch):

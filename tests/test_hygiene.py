@@ -331,7 +331,7 @@ def test_engine_never_imports_the_test_helpers():
 # multiset under a matrix's support), and the sparse elimination kernel
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "_product_step", "integer_mult", "integer_mu", "integer_propagator",
-           "integer_matrix", "live_chords", "__mul__", "merge_keys",
+           "integer_matrix", "chord_classes", "__mul__", "merge_keys",
            "_psi_monomial", "substitute", "restricted_mu", "MatchingSupport",
            "deficiency", "completable", "matchable_word", "rref"}
 
@@ -356,7 +356,7 @@ def test_oracles_never_use_the_kernels_they_check():
               "from bvgraph import frobenius\n"
               "frobenius.VertexTensors(alg, els).products(2)\n"
               "import bvgraph.wick as w\n"
-              "w.live_chords(pars, idxs, inv)\n"
+              "w.chord_classes(pars, word, support)\n"
               "from bvgraph.superpoly import merge_keys\n"
               "SuperPolynomial.__mul__(a, b)\n"
               "model._psi_monomial(key)\n"
@@ -365,8 +365,8 @@ def test_oracles_never_use_the_kernels_they_check():
               "from bvgraph.wick import MatchingSupport\n"
               "weight.support.deficiency(key)\n")
     assert kernel_uses(source) == ["MatchingSupport", "VertexTensors", "__mul__",
-                                   "_psi_monomial", "deficiency", "feynman_value",
-                                   "integer_matrix", "integer_mu", "live_chords",
+                                   "_psi_monomial", "chord_classes", "deficiency",
+                                   "feynman_value", "integer_matrix", "integer_mu",
                                    "merge_keys"]
     assert kernel_uses((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
 

@@ -6,10 +6,11 @@ import pytest
 from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, span_space
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph.symplectic import BilinearForm, SymplecticSpace, restrict_polynomial
-from bvgraph.wick import QuadraticWeight, chord_diagrams, MatchingSupport, live_chords
+from bvgraph.wick import QuadraticWeight, chord_classes, chord_diagrams, MatchingSupport
 from bvgraph import sampling, wick
 from oracles import (SplitWeight, berezin_integrate, berezin_oracle, beta_contract,
                      beta_contract_indices, coordinate_lagrangian, double_factorial,
+                     graph_from_chord,
                      monomial_vev_chords_oracle, pi2_of_form, right_deriv,
                      unmatched_oracle)
 
@@ -28,27 +29,73 @@ def test_chord_counts():
         assert len(set(chord_diagrams(k))) == len(chord_diagrams(k))
 
 
-def test_live_chords_are_the_nonzero_diagrams_in_order():
-    # a sparse matrix over mixed parities: live_chords lists exactly the
-    # diagrams with beta_c != 0, with their beta_c, in chord_diagrams order
+def classes_by_graph(classes):
+    """The classes of ``chord_classes`` summed, size * beta, per edge multiset."""
+    out = {}
+    for edges, size, beta in classes:
+        assert size > 0 and beta != 0
+        assert all(a < b for a, b in edges)  # no loop class
+        out[edges] = out.get(edges, 0) + size * beta
+    return out
+
+
+def diagrams_by_graph(parities, word, matrix):
+    """Brute force: beta_c of every diagram of ``chord_diagrams`` on the
+    word's slots, nonzero and without a loop, summed per sorted edge multiset
+    of its graph in the order of the first; and the diagrams per multiset."""
+    slots = [i for key in word for i in key]
+    pars = [parities[i] for i in slots]
+    sums, counts = {}, {}
+    if len(slots) % 2:
+        return sums, counts
+    for c in chord_diagrams(len(slots) // 2):
+        val = beta_contract_indices(pars, slots, c, matrix)
+        _, edges = graph_from_chord([len(key) for key in word], c)
+        if val and all(a != b for a, b in edges):
+            edges = tuple(sorted(edges))
+            sums[edges] = sums.get(edges, 0) + val
+            counts[edges] = counts.get(edges, 0) + 1
+    return sums, counts
+
+
+def draw_word(rng, parities, slots):
+    """A word of 2-4 sorted keys on `slots` slots in all, each key at least
+    one slot long and with no odd variable twice."""
+    cuts = sorted(rng.sample(range(1, slots), rng.choice((1, 2, 3))))
+    word = []
+    for size in (b - a for a, b in zip([0] + cuts, cuts + [slots])):
+        key = []
+        while len(key) < size:
+            x = rng.randrange(len(parities))
+            if not (parities[x] and x in key):
+                key.append(x)
+        word.append(tuple(sorted(key)))
+    return tuple(word)
+
+
+def test_chord_classes_sum_the_nonzero_diagrams_by_graph():
+    # a sparse asymmetric matrix over mixed parities, its odd-even entries 0
+    # as in an even form: per graph, the classes add up to the nonzero
+    # loop-free diagrams, in the order of their first diagrams, and their
+    # sizes count those diagrams
     rng = random.Random(6)
-    n = 5
     parities = [EVEN, EVEN, ODD, ODD, ODD]
-    live = total = 0
-    for _ in range(20):
-        matrix = [[sampling.rational(rng) if rng.random() < 0.6 else 0
-                   for _ in range(n)] for _ in range(n)]
-        k = rng.choice((1, 2, 3, 4))
-        idxs = [rng.randrange(n) for _ in range(2 * k)]
-        pars = [parities[i] for i in idxs]
-        expected = [(c, beta_contract_indices(pars, idxs, c, matrix))
-                    for c in chord_diagrams(k)]
-        assert list(live_chords(pars, idxs, MatchingSupport(matrix))) == \
-            [(c, val) for c, val in expected if val]
-        live += sum(1 for _, val in expected if val)
-        total += len(expected)
-    assert 0 < live < total
-    assert list(live_chords([EVEN], [0], MatchingSupport([[1]]))) == []
+    class_sizes = []
+    for _ in range(40):
+        matrix = [[sampling.rational(rng) if rng.random() < 0.6 and pi == pj else 0
+                   for pj in parities] for pi in parities]
+        word = draw_word(rng, parities, 2 * rng.choice((2, 3, 4)))
+        classes = list(chord_classes(parities, word, MatchingSupport(matrix)))
+        sums, counts = diagrams_by_graph(parities, word, matrix)
+        assert list(classes_by_graph(classes).items()) == list(sums.items()), word
+        sizes = {}
+        for edges, size, _ in classes:
+            sizes[edges] = sizes.get(edges, 0) + size
+        assert sizes == counts
+        class_sizes += [size for _, size, _ in classes]
+    assert max(class_sizes) > 1 and min(class_sizes) == 1
+    assert matrix != [list(row) for row in zip(*matrix)]
+    assert list(chord_classes([EVEN], ((0,),), MatchingSupport([[1]]))) == []
 
 
 def component_matrix(rng):
@@ -103,43 +150,49 @@ def test_deficiency_bounds_the_unmatched_points_and_moves_by_one():
     assert seen == {(False, False), (False, True), (True, True)}
 
 
-def test_live_chords_match_the_nonzero_diagrams_on_component_supports():
-    # supports with a path, an odd cycle and a self-pair: the walk gives the
-    # nonzero diagrams of chord_diagrams, nothing on a multiset of nonzero
-    # deficiency, and both kinds of multiset are drawn
+def test_chord_classes_match_the_diagrams_on_component_supports():
+    # supports with a path (even), an odd cycle and a self-pair (odd): the
+    # classes give the nonzero diagrams per graph, nothing on a word of
+    # nonzero deficiency, and both kinds of word are drawn
     rng = random.Random(3)
-    parities = [EVEN] * 6 + [ODD] * 2
     kinds = {True: 0, False: 0}
     for _ in range(40):
-        matrix, *_ = component_matrix(rng)
+        matrix, path, *_ = component_matrix(rng)
+        parities = [EVEN if i in path else ODD for i in range(8)]
         support = MatchingSupport(matrix)
-        k = rng.choice((1, 2, 3))
-        idxs = [rng.randrange(8) for _ in range(2 * k)]
-        pars = [parities[i] for i in idxs]
-        expected = [(c, beta_contract_indices(pars, idxs, c, matrix))
-                    for c in chord_diagrams(k)]
-        live = list(live_chords(pars, idxs, support))
-        assert live == [(c, val) for c, val in expected if val]
-        kinds[support.deficiency(idxs) == 0] += 1
-        if support.deficiency(idxs):
-            assert live == []
+        word = draw_word(rng, parities, 2 * rng.choice((2, 3)))
+        classes = list(chord_classes(parities, word, support))
+        assert classes_by_graph(classes) == diagrams_by_graph(parities, word, matrix)[0]
+        deficient = support.deficiency([i for key in word for i in key]) > 0
+        kinds[deficient] += 1
+        if deficient:
+            assert classes == []
     assert min(kinds.values()) >= 5
 
 
-def test_live_chords_take_no_sign_on_an_unbalanced_word(monkeypatch):
-    # p^3 q over V_{2|0}: p pairs only with q, so no diagram is walked
+def test_chord_classes_take_no_sign_on_an_unbalanced_word(monkeypatch):
+    # p^3 q over V_{2|0}: p pairs only with q, so no class is formed; p^2 q^2
+    # is one class of two diagrams with one sign, and p q ^ p q one class:
+    # its p-q chords inside a vertex would make loops.  x^2 over V_{2|1} is 0
     v = SymplecticSpace.canonical_even(1, 0)
     support = MatchingSupport(v.inverse.rows)
     signs = []
 
     def counted(parities, chord):
-        signs.append(chord)
+        signs.append(tuple(chord))
         return 1
 
     monkeypatch.setattr(wick, "chord_sign", counted)
-    assert list(live_chords([EVEN] * 4, [0, 0, 0, 1], support)) == []
+    assert list(chord_classes([EVEN] * 2, ((0, 0, 0), (1,)), support)) == []
     assert signs == []
-    assert len(list(live_chords([EVEN] * 4, [0, 0, 1, 1], support))) == 2
+    assert list(chord_classes([EVEN] * 2, ((0, 0), (1, 1)), support)) == [
+        (((0, 1), (0, 1)), 2, 1)]
+    assert list(chord_classes([EVEN] * 2, ((0, 1), (0, 1)), support)) == [
+        (((0, 1), (0, 1)), 1, -1)]
+    assert signs == [((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    v21 = SymplecticSpace.canonical_even(1, 1)
+    assert list(chord_classes(v21.space.parities, ((0, 2, 2), (1, 2, 2)),
+                              MatchingSupport(v21.inverse.rows))) == []
     assert len(signs) == 2
 
 
