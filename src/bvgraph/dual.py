@@ -9,8 +9,10 @@ and the restricted weight.  Restriction is a map of graded algebras and the
 gauge vectors L_s are homogeneous with scalar entries, so restricted Psi of a
 monomial is the lift of mu_k(L_{s_1}, ..., L_{s_k}), with the shuffle sign
 read off the gauge parities; the gauge model contracts the algebra's mu_k on
-the basis of A with the gauge basis once per valence, and never forms Psi on
-all of A (x) V.  F reads a ``frobenius.Gauge`` alone: the gauge's own vertex
+the basis of A with the gauge basis once per valence, one entry per multiset
+of gauge indices since mu_k is graded-symmetric, and never forms Psi on all
+of A (x) V.  A word's product is formed as two halves, joined by one lookup
+per tally group (``GaugeModel.matchable_word``).  F reads a ``frobenius.Gauge`` alone: the gauge's own vertex
 tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
 routes share no object, and the commuting-diagram check S = F o I is the
 keystone that pins every remaining sign convention end to end.
@@ -28,8 +30,8 @@ variables of its vertices at a time (``wick.chord_classes``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product
-from math import gcd, prod
+from itertools import chain, combinations, groupby, product
+from math import factorial, gcd, prod
 from operator import add
 
 from .graded import (EVEN, SuperSpace, integer_matrix, memoised,
@@ -177,14 +179,20 @@ class GaugeModel:
     sign read off the gauge parities.  Those entries are kept once per
     valence k (``restricted_mu``): they come from the algebra's table on the
     basis of A (``TensorModel.vertex_tensors``) and the gauge basis, and
-    never from the gauge's own table, so S and F share no vertex data."""
+    never from the gauge's own table, so S and F share no vertex data.
+
+    A is graded commutative and its pairing invariant, so mu_k(x_1, ...,
+    x_k) = <x_1 ... x_{k-1}, x_k> is graded-symmetric: swapping two
+    neighbouring arguments x, y costs (-1)^{|x||y|}.  So the table keeps one
+    entry per multiset of gauge indices."""
 
     def __init__(self, model: TensorModel, gauge: Gauge):
         if gauge.alg is not model.alg:
             raise ValueError("gauge belongs to a different algebra")
         self.model = model
         self.gauge = gauge
-        self.space = tensor_space(gauge.subspace(), model.v.space)
+        self._lspace = gauge.subspace()
+        self.space = tensor_space(self._lspace, model.v.space)
         # restriction sends z_{(alpha,i)} to sum_s L_s[alpha] l_{(s,i)}
         nv = model.nv
         self.images = [SuperPolynomial(self.space, {(tensor_index(nv, s, i),): lvec[alpha]
@@ -196,7 +204,6 @@ class GaugeModel:
         # the gauge basis over ints, by the index alpha of A: (D_L, [(s, D_L L_s[alpha])])
         self._columns = d_l, [[(s, row[alpha]) for s, row in enumerate(rows) if row[alpha]]
                               for alpha in range(len(model.alg.space))]
-        self._lpar = gauge.parities
         self._mu_tables = {}
         self._tallied = {}
 
@@ -205,20 +212,34 @@ class GaugeModel:
 
     def restricted_mu(self, k: int) -> tuple:
         """(D_mu D_L^k, [(s, entry * that scale)]) for the nonzero
-        mu_k(L_{s_1}, ..., L_{s_k}) on the gauge basis, built once per
-        valence k >= 2.  It contracts the algebra's integer mu_k (scale
-        D_mu, ``VertexTensors.integer_mu``) with the gauge basis times D_L
-        one index at a time, collapsing equal keys as ints after each: mu_k
-        is multilinear and the entries of L_s are even scalars, so no sign
-        enters."""
+        mu_k(L_{s_1}, ..., L_{s_k}) with s_1 <= ... <= s_k, built once per
+        valence k >= 2; by graded symmetry every other entry is one of these
+        times a Koszul sign over the gauge parities.
+
+        mu_k(L_s) = sum_alpha prod_r L_{s_r}[alpha_r] mu_k(a_alpha), and
+        mu_k(a_alpha) is mu_k at the sorted alpha times the Koszul sign of
+        the reordering.  So it reads the algebra's integer mu_k (scale D_mu,
+        ``VertexTensors.integer_mu``) at sorted alpha alone, and contracts
+        one slot at a time: a state (s, rest) sends each distinct index of
+        the sorted rest to the slot, with the sign of moving it to the front
+        of rest (``fronts``), which walks each ordering of alpha once, and
+        appends only gauge indices >= the last of s, times D_L L_s[alpha].
+        L_s[alpha] != 0 only where a_alpha has the parity of L_s, and the
+        entries of L_s are even, so no other sign enters.  Equal states are
+        collapsed as ints after each slot."""
         def compute():
             d_mu, entries = self.model.vertex_tensors.integer_mu(k)
             d_l, columns = self._columns
-            for r in range(k):
-                entries = sparse_sum(((idx[:r] + (s,) + idx[r + 1:], x * c)
-                                      for idx, x in entries for s, c in columns[idx[r]]),
-                                     None).items()
-            return d_mu * d_l ** k, list(entries)
+            apar = self.model.alg.space.parities
+            states = [(((), idx), x) for idx, x in entries
+                      if all(a <= b for a, b in zip(idx, idx[1:]))]
+            for _ in range(k):
+                states = sparse_sum((((s + (t,), rest[:j] + rest[j + 1:]), sign * x * c)
+                                     for (s, rest), x in states
+                                     for j, sign in fronts(apar, rest)
+                                     for t, c in columns[rest[j]] if not s or t >= s[-1]),
+                                    None).items()
+            return d_mu * d_l ** k, [(s, x) for (s, _), x in states]
         return memoised(self._mu_tables, _RESTRICTED_MU_SIZE, k, compute)
 
     def matchable_word(self, word) -> SuperPolynomial:
@@ -226,34 +247,52 @@ class GaugeModel:
         (``wick.MatchingSupport``) of (-1)^{p(h)} Psi(h_1) ... Psi(h_l)
         restricted to L (x) V: the only terms with a nonzero expectation.
 
-        Restricted Psi(h_r) is homogeneous of degree |h_r|, so after r
-        factors a partial product gains R_r = |h_{r+1}| + ... + |h_l| more
-        variables, and its monomials of deficiency > R_r are dropped; at the
-        last factor R = 0.  That is exact: every term tuple that reaches a
-        final monomial of deficiency 0 passes every cut.  Terms are grouped
-        by their tally, which is additive, so one test decides a pair of
-        groups, and the pairs it drops never build a key.  As in
-        ``SuperPolynomial.__mul__``, each factor is scaled to ints by the
-        lcm D_r of its denominators, and each output coefficient is divided
-        once by the product of the D_r.
+        It joins the product of the first floor(l/2) factors with that of
+        the rest (``_half_product``).  The product is associative and each
+        half's cut is exact, so every term of deficiency 0 is a product of a
+        term of each half.  Tallies add, so a left term of tally t completes
+        exactly with the right terms of tally -t on the bipartite components
+        and t mod 2 on the others: one lookup by ``support.residue`` per
+        left group, and every pair merged has deficiency 0.  Each half is
+        over ints at the product of its factors' scales, and each output
+        coefficient is divided once by both scales times the wedge sign.
         """
         support = self.weight.support
-        more = sum(map(len, word))
-        scale = 1
-        terms = [((), wedge_sign(self.model.v.space, word))]
-        for key in word:
+        half = len(word) // 2
+        d_left, left = self._half_product(word[:half], sum(map(len, word[half:])))
+        d_right, right = self._half_product(word[half:], sum(map(len, word[:half])))
+        complements = {}
+        for t, group in right:
+            complements.setdefault(support.residue(t), []).extend(group)
+        joined = chain.from_iterable(
+            merged_products(self.space, group, complements.get(support.residue(t, -1), ()))
+            for t, group in left)
+        return SuperPolynomial(self.space, sparse_sum(
+            joined, d_left * d_right * wedge_sign(self.model.v.space, word)))
+
+    def _half_product(self, keys, more: int):
+        """(D, [(tally, terms)]): the product of restricted Psi of the keys
+        over ints at scale D, grouped by tally, with `more` variables of the
+        other half still to come.  Restricted Psi(h_r) is homogeneous of
+        degree |h_r|, so after each factor the partial product gains R more
+        variables, and its monomials of deficiency > R are dropped.  That is
+        exact: every term tuple that reaches deficiency 0 passes every cut.
+        Tallies add, so one test decides a pair of groups.  One key is its
+        own tallied factor, never multiplied by the unit."""
+        support = self.weight.support
+        if not keys:
+            return 1, [(support.tally(()), [((), 1)])]
+        scale, groups = self._tallied_factor(keys[0])
+        more += sum(map(len, keys[1:]))
+        for key in keys[1:]:
             more -= len(key)
             d, factor = self._tallied_factor(key)
             scale *= d
-            kept = []
-            for t1, left in support.group(terms).items():
-                right = [term for t2, group in factor
-                         if support.completable(tuple(map(add, t1, t2)), more) for term in group]
-                kept.append(merged_products(self.space, left, right))
-            terms = list(sparse_sum(chain.from_iterable(kept), None).items())
-            if not terms:
-                break
-        return SuperPolynomial(self.space, sparse_sum(terms, scale))
+            kept = [merged_products(self.space, left, right)
+                    for t1, left in groups for t2, right in factor
+                    if support.completable(tuple(map(add, t1, t2)), more)]
+            groups = support.group(sparse_sum(chain.from_iterable(kept), None).items()).items()
+        return scale, groups
 
     def _tallied_factor(self, key) -> tuple:
         """(D, [(tally, terms)]): Psi of the monomial key of V restricted to
@@ -261,18 +300,63 @@ class GaugeModel:
         lifts the entries of ``restricted_mu(|key|)`` with the gauge
         parities: restriction is an algebra map, and L_s[alpha] != 0 only
         where a_alpha has the parity of L_s, so the Koszul and shuffle signs
-        of the lift over A are those of the lift over L.  The lifted ints
-        and their scale are divided by their gcd, which leaves D the lcm of
-        the denominators of the restricted coefficients, and each int that
-        coefficient times D, as ``graded.integer_terms`` scales them."""
+        of the lift over A are those of the lift over L.
+
+        Each multiset s is lifted once per placement on the key's runs of
+        equal variables (``placements``), times the orderings of s in its
+        orbit.  They lift to one monomial with one value: swapping the gauge
+        indices a, b of two slots of a run of u changes mu_k by
+        (-1)^{|a||b|}, the sort of the z's by (-1)^{(|a|+|u|)(|b|+|u|)} and
+        the shuffle sign by (-1)^{|u|(|a|+|b|)}, in all (-1)^{|u|}, and u is
+        even since an odd variable never repeats.  The lifted ints and their
+        scale are divided by their gcd, which leaves D the lcm of the
+        denominators of the restricted coefficients, as
+        ``graded.integer_terms`` scales them."""
         def compute():
             scale, mu = self.restricted_mu(len(key))
+            runs = [len(tuple(run)) for _, run in groupby(key)]
+            placed = ((p, n * x) for s, x in mu for p, n in placements(self._lspace, s, runs))
             lifted = sparse_sum(((zkey, sign * x) for zkey, sign, x in lift_entries(
-                self.space, self._lpar, self.model.v.space.parities, key, mu)), None)
+                self.space, self._lspace.parities, self.model.v.space.parities, key, placed)),
+                None)
             g = gcd(scale, *lifted.values())
             return scale // g, list(self.weight.support.group(
                 (zkey, n // g) for zkey, n in lifted.items()).items())
         return memoised(self._tallied, _PSI_SIZE, key, compute)
+
+
+def fronts(pars, key):
+    """(j, sign) for the first position j of each distinct index of the
+    sorted key, with the Koszul sign over `pars` of moving key[j] first."""
+    odd = 0
+    for j, a in enumerate(key):
+        if not j or a != key[j - 1]:
+            yield j, -1 if odd and pars[a] else 1
+        odd ^= pars[a]
+
+
+def placements(space: SuperSpace, s, runs):
+    """(p, n) for each way p to deal the sorted tuple s onto consecutive
+    runs of these lengths, each run sorted: n is the number of orderings of
+    s that sort run by run to p, the product of the runs' multinomials,
+    times the Koszul sign over `space` of reordering s into p."""
+    def deal(rest, runs):
+        if not runs:
+            yield (), 1
+            return
+        for head in dict.fromkeys(combinations(rest, runs[0])):
+            left = list(rest)
+            for x in head:
+                left.remove(x)
+            for tail, n in deal(tuple(left), runs[1:]):
+                yield head + tail, n * multinomial(head)
+    for p, n in deal(s, runs):
+        yield p, sort_indices_with_sign(space, p)[1] * n
+
+
+def multinomial(key) -> int:
+    """The number of distinct orderings of the multiset key."""
+    return factorial(len(key)) // prod(factorial(len(tuple(run))) for _, run in groupby(key))
 
 
 def wedge_sign(vspace: SuperSpace, word) -> int:

@@ -121,6 +121,15 @@ class MatchingSupport:
         tally to deficiency 0."""
         return self._deficiency(tally) <= more
 
+    def residue(self, tally, sign=1) -> tuple:
+        """sign * tally on the bipartite components, tally mod 2 on the
+        others.  Two multisets of tallies t and u make one of deficiency 0
+        exactly when t + u is 0 on the bipartite components and even on the
+        others, that is when residue(u) == residue(t, -1)."""
+        b = self._split
+        head = tally[:b] if sign > 0 else tuple(-t for t in tally[:b])
+        return head + tuple(t & 1 for t in tally[b:])
+
 
 def chord_classes(parities, word, support: MatchingSupport):
     """Yield (edges, size, beta) per class of the loop-free chord diagrams

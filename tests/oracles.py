@@ -14,7 +14,12 @@ A (x) V and restricts the product to the gauge only then, with
 ``polynomial_product_oracle``, over Fractions.  ``restricted_product_oracle``
 multiplies the restricted Psi factors with every product formed, and
 ``s_functional_oracle`` takes the expectation of that uncut product: the
-route the matchability cut of S replaced.  Both restrict Psi of each
+route the matchability cut of S replaced.  ``matchable_word_oracle`` cuts
+that product pair of tally groups by pair, factor by factor, with its own
+``tally_deficiency``: the route the join of two half products replaced.
+``restricted_mu_oracle`` contracts mu_k with the gauge basis index by index
+at every tuple of gauge indices, the route the graded-symmetric table
+replaced.  Both restrict Psi of each
 monomial as ``psi_monomial_oracle`` sums it.  ``unmatched_oracle`` is the
 fewest points a matching along a matrix's support leaves unmatched, by
 trying every matching.
@@ -525,6 +530,50 @@ def restricted_product_oracle(gm, word):
     for key in word:
         out = out * gm.restrict(psi_monomial_oracle(gm.model, key))
     return out
+
+
+def tally_deficiency(support, tally) -> int:
+    """The deficiency of a multiset of this tally under ``support``: |t| on
+    each bipartite component, t mod 2 on each other one."""
+    return sum(abs(t) if bip else t % 2 for t, bip in zip(tally, support.bipartite))
+
+
+def matchable_word_oracle(gm, word):
+    """The terms of deficiency 0 of (-1)^{p(h)} Psi(h_1) ... Psi(h_l)
+    restricted to L (x) V, by the pairwise cut: from the unit, factor by
+    factor, each tally group of the partial product meets each tally group
+    of the next factor, and the pair is multiplied out when its summed tally
+    has deficiency (``tally_deficiency``) at most the variables still to
+    come.  Each factor restricts Psi of its key as ``psi_monomial_oracle``
+    sums it, and each pair of terms merges by ``sort_indices_with_sign``:
+    the route the join of two half products replaced."""
+    support = gm.weight.support
+    more = sum(map(len, word))
+    terms = {(): Fraction(wedge_sign(gm.model.v.space, word))}
+    for key in word:
+        more -= len(key)
+        factor = support.group(gm.restrict(psi_monomial_oracle(gm.model, key)).terms.items())
+        pairs = []
+        for t1, left in support.group(terms.items()).items():
+            for t2, right in factor.items():
+                if tally_deficiency(support, [a + b for a, b in zip(t1, t2)]) <= more:
+                    pairs += [(k1 + k2, a * b) for k1, a in left for k2, b in right]
+        merged = ((sort_indices_with_sign(gm.space, k), c) for k, c in pairs)
+        terms = sparse_sum((k, sign * c) for (k, sign), c in merged if k is not None)
+    return SuperPolynomial(gm.space, terms)
+
+
+def restricted_mu_oracle(gm, k):
+    """{s: mu_k(L_{s_1}, ..., L_{s_k})} at every tuple s of gauge indices,
+    as Fractions: the algebra's mu_k on the basis of A contracted with the
+    gauge vectors one index at a time, with no symmetry used."""
+    vectors = gm.gauge.vectors
+    entries = gm.model.mu(k).items()
+    for r in range(k):
+        entries = sparse_sum(((idx[:r] + (s,) + idx[r + 1:], x * vec[idx[r]])
+                              for idx, x in entries for s, vec in enumerate(vectors)
+                              if vec[idx[r]])).items()
+    return dict(entries)
 
 
 def s_functional_oracle(gm, chain):

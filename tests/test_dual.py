@@ -7,7 +7,7 @@ import pytest
 
 from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_matrix, integer_terms,
                             koszul_sign, monomial_parity, perm_parity)
-from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
+from bvgraph.superpoly import SuperPolynomial, VectorField, divergence, merge_keys
 from bvgraph.symplectic import BilinearForm, SymplecticSpace
 from bvgraph.frobenius import (FrobeniusAlgebra, Gauge, direct_sum, g3, g3_gauge,
                                gauge_at, k2, partner_lists, so3_reduced,
@@ -30,9 +30,10 @@ import oracles
 from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
                      feynman_value_oracle, g5, g5_gauge, graph_from_chord,
-                     hamiltonian_field_form_oracle,
+                     hamiltonian_field_form_oracle, matchable_word_oracle,
                      min_degree, odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
-                     rescaled, restricted_product_oracle, restricted_word_oracle,
+                     rescaled, restricted_mu_oracle, restricted_product_oracle,
+                     restricted_word_oracle,
                      s_functional_oracle, so3_weight_oracle, substitute_oracle,
                      symmetrize_tensor, theta_graph, wick_map_live_oracle, wick_map_oracle)
 
@@ -366,6 +367,8 @@ def test_restricted_product_matches_full_space_oracle():
 # A dense point of the gauge family of so3red + G3: its mu_3 ... mu_6 have
 # 90, 404, 1,760 and 6,528 entries
 DENSE = (-1, 2, -2, 0, -2, 1, 1, 1, 1, -1)
+# the pinned so3red + G3 gauge, at which F is pinned on (2,3), (4,6) and (6,9)
+PINNED = (1, 1, 0, 0, 0, 0, 0, 0, 1, 0)
 
 
 def seeded_wedges(rng, v, sizes, count):
@@ -440,23 +443,163 @@ def test_commute_pins_s_equal_f_of_i_at_a_dense_gauge():
 @pytest.mark.parametrize("last_factor_exact", [False, True])
 def test_s_pins_fail_when_the_cut_drops_at_deficiency_r(monkeypatch, last_factor_exact):
     # the mutant drops a partial product at deficiency >= R, one too early.
-    # At the last factor (R = 0) it drops every product, so S reads 0;
-    # kept exact there, it still drops terms that complete, and the dense
-    # wedge reads 7280
+    # The cut runs inside each half of a word, where R counts the other
+    # half's variables and so is never 0: both mutants drop terms that
+    # complete, and the dense wedge reads -5664.  p^3 ^ q^3 has halves of one
+    # factor each, which no cut tests, so its S stays right
     def early(self, tally, more):
         d = self._deficiency(tally)
         return d < more or (last_factor_exact and d == more == 0)
 
     monkeypatch.setattr(wick.MatchingSupport, "completable", early)
     model, gm, chain = so3_commute_case()
-    rep = verify_commute(model, gm, chain)
-    assert rep["status"] == "fail"
-    assert rep["witnesses"][0]["S"] == "0" and rep["witnesses"][0]["F_I"] == "-36"
+    assert verify_commute(model, gm, chain)["status"] == "pass"
     model, gm, chain = dense_wedge_case()
     rep = verify_commute(model, gm, chain)
     assert rep["status"] == "fail"
-    assert rep["witnesses"][0]["S"] == ("7280" if last_factor_exact else "0")
+    assert rep["witnesses"][0]["S"] == "-5664"
     assert rep["witnesses"][0]["F_I"] == "-48"
+
+
+def test_commute_fails_when_the_join_looks_up_the_complement_at_plus_t(monkeypatch):
+    # the mutant joins the left group of tally t with the right groups of
+    # tally +t, whose sum has deficiency 0 only where t is 0 on the
+    # bipartite components: S loses its nonzero terms
+    residue = wick.MatchingSupport.residue
+    monkeypatch.setattr(wick.MatchingSupport, "residue",
+                        lambda self, tally, sign=1: residue(self, tally))
+    for case, f_of_i in ((so3_commute_case, "-36"), (dense_wedge_case, "-48")):
+        model, gm, chain = case()
+        rep = verify_commute(model, gm, chain)
+        assert rep["status"] == "fail"
+        assert (rep["witnesses"][0]["S"], rep["witnesses"][0]["F_I"]) == ("0", f_of_i)
+
+
+# words of 1-4 monomials for the join, by V: over V_{2|1} and V_{2|2}, p, q
+# and x1 are 0, 1 and 2 (x2 is 3); over V_{4|1}, p1, p2, q1, q2 and x are
+# 0-4.  Each has deficiency 0 under the inverse form of V.  The words of odd
+# length give 0 at every gauge of ``join_cases``; the others mostly do not
+JOIN_WORDS = {
+    (1, 1): (((0, 0, 1, 1),), ((0, 0, 1), (0, 1, 1), (0, 0, 1, 1)),
+             ((0, 0, 0), (1, 1, 1)), ((0, 0, 2), (1, 1, 2)),
+             ((0, 0, 1), (0, 0, 0), (1, 1, 2), (1, 1, 2)),
+             ((1, 1, 2), (1, 1, 1), (0, 0, 0), (0, 0, 2))),
+    (1, 2): (((0, 0, 1, 1),), ((0, 0, 1), (0, 1, 1), (0, 0, 1, 1)),
+             ((0, 1, 1), (0, 0, 1)), ((0, 0, 2), (1, 1, 2)),
+             ((0, 0, 1), (1, 1, 3), (0, 0, 0), (1, 1, 3)),
+             ((0, 1, 1), (0, 0, 2), (1, 1, 1), (0, 0, 2))),
+    (2, 1): (((0, 1, 2, 3),), ((0, 1, 2), (0, 2, 3), (1, 1, 3, 3)),
+             ((0, 0, 1), (2, 2, 3)), ((1, 2, 3), (0, 0, 2)),
+             ((1, 2, 4), (0, 1, 2), (0, 3, 4), (0, 2, 3))),
+}
+
+
+def join_cases():
+    """(gauge model, words): the ``JOIN_WORDS`` over V_{2|1}, V_{2|2} and
+    V_{4|1}, at so3red's gauge, at the pinned and the dense so3red + G3
+    gauges and at G5's seed-2 gauge.  The 4-word over V_{4|1} is left out at
+    the last two, where its half products hold thousands of terms."""
+    so3, dense, five = so3_reduced(), direct_sum(so3_reduced(), g3()), g5()
+    gauges = ((so3, lambda a: gauge_at(a, ())),
+              (dense, lambda a: gauge_at(a, PINNED)),
+              (dense, lambda a: gauge_at(a, DENSE)),
+              (five, lambda a: g5_gauge(a, 2)))
+    cases = []
+    for (n, m), words in JOIN_WORDS.items():
+        v = SymplecticSpace.canonical_even(n, m)
+        models = {alg: TensorModel(alg, v) for alg in (so3, dense, five)}
+        for r, (alg, gauge) in enumerate(gauges):
+            cases.append((GaugeModel(models[alg], gauge(alg)),
+                          [w for w in words if r < 2 or n == 1 or len(w) < 4]))
+    return cases
+
+
+def half_merges(gm, word):
+    """(whether both half products of the word are nonempty, the pairs of a
+    left and a right half term of the join with the merge sign -1)."""
+    half = len(word) // 2
+    support = gm.weight.support
+    _, left = gm._half_product(word[:half], sum(map(len, word[half:])))
+    _, right = gm._half_product(word[half:], sum(map(len, word[:half])))
+    complements = {}
+    for u, group in right:
+        complements.setdefault(support.residue(u), []).extend(group)
+    odd = sum(merge_keys(gm.space, k1, k2)[1] < 0 for t, group in left for k1, _ in group
+              for k2, _ in complements.get(support.residue(t, -1), ()))
+    return bool(left and right), odd
+
+
+def test_join_of_half_products_matches_the_pairwise_cut(monkeypatch):
+    # the join equals the pairwise cut of the whole word as polynomials, on
+    # words of every length 1-4, and so on uneven halves (l = 1, 3): there
+    # both halves are nonempty and no pair completes.  Some merges of a left
+    # and a right half term that complete have the merge sign -1.  With the
+    # parity test on the non-bipartite components dropped, the join keeps
+    # terms of nonzero deficiency: S reads them as 0, but the polynomials
+    # differ
+    nonzero = {length: 0 for length in (1, 2, 3, 4)}
+    uneven = odd = 0
+    cases = join_cases()
+    for gm, words in cases:
+        for word in words:
+            poly = gm.matchable_word(word)
+            assert poly == matchable_word_oracle(gm, word), word
+            nonzero[len(word)] += not poly.is_zero()
+            both, merges = half_merges(gm, word)
+            uneven += len(word) % 2 and both
+            odd += merges
+    assert nonzero[2] >= 20 and nonzero[4] >= 8 and uneven >= 12 and odd
+    residue = wick.MatchingSupport.residue
+    monkeypatch.setattr(wick.MatchingSupport, "residue",
+                        lambda self, tally, sign=1: residue(self, tally, sign)[:self._split])
+    assert any(gm.matchable_word(word) != matchable_word_oracle(gm, word)
+               for gm, words in cases for word in words)
+
+
+def test_mu_k_on_the_a_basis_is_graded_symmetric():
+    # the premise of the restricted table: swapping two neighbouring
+    # arguments of mu_k costs (-1)^{|x||y|} on every fixture algebra
+    for alg in (k2(), g3(), so3_reduced(), so3_scaled(), direct_sum(so3_reduced(), g3()), g5()):
+        pars = alg.space.parities
+        for k in range(2, 7):
+            mu = alg.vertex_tensors.mu(k)
+            for idx, x in mu.items():
+                for r in range(k - 1):
+                    swapped = idx[:r] + (idx[r + 1], idx[r]) + idx[r + 2:]
+                    sign = -1 if pars[idx[r]] and pars[idx[r + 1]] else 1
+                    assert mu.get(swapped) == sign * x, (alg.name, idx)
+    assert g5().vertex_tensors.mu(6)
+
+
+def expand_graded_symmetric(gm, k):
+    """The entries of ``restricted_mu(k)`` at every ordering of each sorted
+    tuple of gauge indices, by the Koszul sign of the ordering."""
+    scale, entries = gm.restricted_mu(k)
+    pars = gm.gauge.parities
+    out = {}
+    for s, n in entries:
+        assert list(s) == sorted(s)
+        for perm in permutations(range(k)):
+            out[tuple(s[i] for i in perm)] = koszul_sign(perm, [pars[t] for t in s]) * Fraction(n, scale)
+    return out
+
+
+def test_symmetric_restricted_mu_expands_to_the_index_by_index_contraction():
+    # on the gauge of every fixture, one with D_L = 2 among them, and every
+    # valence 2..6, the table at sorted indices, expanded by the Koszul sign
+    # of each ordering, is mu_k on the gauge basis at every index tuple
+    two = k2()
+    gms = [gm for gm, _ in tallied_factor_cases() if gm.model.v is V20 or gm.model.alg.name != "G3"]
+    gms.append(GaugeModel(TensorModel(two, V20), gauge_at(two, ())))
+    assert any(integer_matrix(gm.gauge.vectors)[0] > 1 for gm in gms)
+    sizes = set()
+    for gm in gms:
+        for k in range(2, 7):
+            full = restricted_mu_oracle(gm, k)
+            assert expand_graded_symmetric(gm, k) == full, (gm.gauge.label, k)
+            sizes.add((len(gm.restricted_mu(k)[1]), len(full)))
+    # G3 at (1, 1, 1, 1) at k = 5, the dense so3red + G3 gauge at k = 6
+    assert {(5, 80), (48, 6528)} <= sizes
 
 
 def test_restricted_psi_is_memoised_per_gauge_model():

@@ -326,14 +326,17 @@ def test_engine_never_imports_the_test_helpers():
 # integer walk of products behind mu_k, its scaled structure constants, the
 # integer vertex tensors and propagator, and the matrix scaling), the
 # polynomial product (its key merge), the restriction, Psi of a monomial
-# and mu_k on the gauge basis behind restricted Psi on the BV route, and the
-# matchability cut of I, of the expectation and of S (the deficiency of a
-# multiset under a matrix's support), and the sparse elimination kernel
+# and mu_k on the gauge basis behind restricted Psi on the BV route (the
+# graded-symmetric table and its placement on a key), the matchability cut
+# of I, of the expectation and of S (the deficiency of a multiset under a
+# matrix's support) with the join of S's two half products, and the sparse
+# elimination kernel
 KERNELS = {"feynman_value", "vertex_tensor_on_vectors", "VertexTensors",
            "_product_step", "integer_mult", "integer_mu", "integer_propagator",
            "integer_matrix", "chord_classes", "__mul__", "merge_keys",
-           "_psi_monomial", "substitute", "restricted_mu", "MatchingSupport",
-           "deficiency", "completable", "matchable_word", "rref"}
+           "_psi_monomial", "substitute", "restricted_mu", "_tallied_factor",
+           "placements", "MatchingSupport", "deficiency", "completable", "residue",
+           "matchable_word", "_half_product", "rref"}
 
 
 def read_names(node):
