@@ -6,16 +6,19 @@ A (x) V through the products of A.
 
 S reads a ``GaugeModel``: the tensor model A (x) V, Psi restricted to L (x) V
 and the restricted weight.  Restriction is a map of graded algebras and the
-gauge vectors L_s are homogeneous with scalar entries, so restricted Psi of a
-monomial is the lift of mu_k(L_{s_1}, ..., L_{s_k}), with the shuffle sign
-read off the gauge parities; the gauge model contracts the algebra's mu_k on
-the basis of A with the gauge basis once per valence, one entry per multiset
-of gauge indices since mu_k is graded-symmetric, and never forms Psi on all
-of A (x) V.  A word's product is formed as two halves, joined by one lookup
-per tally group (``GaugeModel.matchable_word``).  F reads a ``frobenius.Gauge`` alone: the gauge's own vertex
-tensors mu_k on L and the propagator, the inverse restricted d-form.  The two
-routes share no object, and the commuting-diagram check S = F o I is the
-keystone that pins every remaining sign convention end to end.
+gauge vectors L_s are homogeneous with scalar entries.  So the weight, the
+restriction of the quadratic sigma-tilde, is one Gram matrix: the congruence
+C^T B C of B = i_2(sigma-tilde) by the inclusion C: L (x) V -> A (x) V.  And
+restricted Psi of a monomial is the lift of mu_k(L_{s_1}, ..., L_{s_k}), with
+the shuffle sign read off the gauge parities; the gauge model contracts the
+algebra's mu_k on the basis of A with the gauge basis once per valence, one
+entry per multiset of gauge indices since mu_k is graded-symmetric, and
+never forms Psi on all of A (x) V.  A word's product is formed as two halves,
+joined by one lookup per tally group (``GaugeModel.matchable_word``).  F
+reads a ``frobenius.Gauge`` alone: the gauge's own vertex tensors mu_k on L
+and the propagator, the inverse restricted d-form.  The two routes share no
+object, and the commuting-diagram check S = F o I is the keystone that pins
+every remaining sign convention end to end.
 
 The kernel ``feynman_value`` reads canonical graphs, whose chords run from an
 earlier vertex to a later one: it looks each vertex's entries of mu_k up by
@@ -37,7 +40,7 @@ from operator import add
 from .graded import (EVEN, SuperSpace, integer_matrix, memoised,
                      monomial_parity, sort_indices_with_sign, sparse_sum, tensor_space)
 from .superpoly import SuperPolynomial, VectorField, divergence, merged_products
-from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic
+from .symplectic import BilinearForm, SymplecticSpace, i2_of_quadratic, restrict_polynomial
 from .frobenius import FrobeniusAlgebra, Gauge
 from .wick import MatchingSupport, QuadraticWeight, chord_classes
 from .graphs import (CanonicalGraph, GraphChain, boundary, boundary_of_graph,
@@ -171,10 +174,16 @@ class GaugeModel:
     and Psi restricted to it: what S reads.  The gauge is kept for its label;
     F reads the gauge itself.
 
-    Restriction pulls back along the inclusion L (x) V -> A (x) V, a map of
-    graded commutative algebras: z_{(alpha,i)} goes to sum_s L_s[alpha]
-    l_{(s,i)}.  Each L_s is homogeneous with scalar entries, so its nonzero
-    entries sit on a_alpha of its own parity, and Psi of a monomial
+    Restriction pulls back along the inclusion C: L (x) V -> A (x) V, a map
+    of graded commutative algebras: z_{(alpha,i)} goes to sum_s L_s[alpha]
+    l_{(s,i)}.  ``vectors`` holds the columns of C, l_{(s,i)} -> L_s (x) w_i
+    in ``tensor_index`` order, and ``restrict`` pulls a polynomial back along
+    them (``symplectic.restrict_polynomial``).  Each L_s is homogeneous with
+    scalar entries, so its nonzero entries sit on a_alpha of its own parity.
+    So the restricted sigma-tilde, a quadratic, has the Gram matrix C^T B C
+    of B = ``model.dform`` = i_2(sigma-tilde) as its form, with no Koszul
+    sign: that is the ``weight``, read off the tensor model's form, not off
+    the gauge's restricted d-form, which F reads.  And Psi of a monomial
     restricts to the lift of mu_k(L_{s_1}, ..., L_{s_k}), with the shuffle
     sign read off the gauge parities.  Those entries are kept once per
     valence k (``restricted_mu``): they come from the algebra's table on the
@@ -193,13 +202,12 @@ class GaugeModel:
         self.gauge = gauge
         self._lspace = gauge.subspace()
         self.space = tensor_space(self._lspace, model.v.space)
-        # restriction sends z_{(alpha,i)} to sum_s L_s[alpha] l_{(s,i)}
+        # l_{(s,i)} -> L_s (x) w_i, dense on A (x) V, in tensor_index order
         nv = model.nv
-        self.images = [SuperPolynomial(self.space, {(tensor_index(nv, s, i),): lvec[alpha]
-                                                    for s, lvec in enumerate(gauge.vectors)
-                                                    if lvec[alpha]})
-                       for alpha in range(len(model.alg.space)) for i in range(nv)]
-        self.weight = QuadraticWeight.from_sigma(self.restrict(model.sigma))
+        self.vectors = [[x if j == i else 0 for x in lvec for j in range(nv)]
+                        for lvec in gauge.vectors for i in range(nv)]
+        self.weight = QuadraticWeight(BilinearForm(
+            self.space, model.dform.restrict(self.vectors), EVEN, "sym"))
         d_l, rows = integer_matrix(gauge.vectors)
         # the gauge basis over ints, by the index alpha of A: (D_L, [(s, D_L L_s[alpha])])
         self._columns = d_l, [[(s, row[alpha]) for s, row in enumerate(rows) if row[alpha]]
@@ -208,7 +216,7 @@ class GaugeModel:
         self._tallied = {}
 
     def restrict(self, f: SuperPolynomial) -> SuperPolynomial:
-        return f.substitute(self.images, self.space)
+        return restrict_polynomial(f, self.vectors, self.space)
 
     def restricted_mu(self, k: int) -> tuple:
         """(D_mu D_L^k, [(s, entry * that scale)]) for the nonzero

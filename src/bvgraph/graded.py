@@ -16,10 +16,10 @@ accumulated by one function, ``sparse_sum``: it adds the values of equal
 keys, drops zero sums once and returns each other sum as one Fraction,
 divided by a common denominator if one is given, so that integer values add
 as plain ints.  ``SuperPolynomial.sum`` is its polynomial case.
-The integer kernels (the polynomial product and the restriction
-``substitute``, the Hamiltonian field and the odd Laplacian, the walk of
-products behind the vertex tensors mu_k, Psi of a monomial, the Feynman
-amplitude ``dual.feynman_value`` and the live chords of the map I) scale
+The integer kernels (the polynomial product, the Hamiltonian field and the
+odd Laplacian, the walk of products behind the vertex tensors mu_k, Psi of a
+monomial and mu_k on the gauge basis behind S, the Feynman amplitude
+``dual.feynman_value`` and the chord classes of the map I) scale
 their Fraction inputs to plain ints with ``integer_terms``, the one place
 that takes the lcm of denominators (``integer_matrix`` is its case for a
 whole matrix), and divide once by the product of the scales, mostly by

@@ -22,12 +22,8 @@ D_1 D_2.  The values and the key order are those of the term-by-term
 Fraction product, which costs a Fraction product and a Fraction sum (each a
 gcd) per term pair instead.
 
-The restriction ``substitute`` runs over integers the same way: every
-image is scaled once, to one common D, each term is multiplied out factor
-by factor over ints with equal keys collapsed after each factor, a term of
-lower degree is padded by the missing powers of D, and each output
-coefficient is divided once by D_0 D^top, D_0 the scale of the
-coefficients and top the largest degree.
+``substitute``, the graded algebra map, is that product applied factor by
+factor to each term, the terms' images summed by ``SuperPolynomial.sum``.
 
 Odd partial derivatives act from the LEFT throughout the package; every
 downstream sign (odd Laplacian values, divergences) inherits this single
@@ -180,9 +176,6 @@ class SuperPolynomial:
         return SuperPolynomial(space, {k: -v if monomial_parity(space, k) else v
                                        for k, v in self.terms.items()})
 
-    def max_degree(self):
-        return max((len(k) for k in self.terms), default=0)
-
     # -- calculus -----------------------------------------------------------
     def deriv_left(self, var: int) -> "SuperPolynomial":
         """Left partial derivative with respect to variable `var`: y_key goes
@@ -198,46 +191,26 @@ class SuperPolynomial:
         return SuperPolynomial(self.space, sparse_sum(terms()))
 
     def substitute(self, images, target_space: SuperSpace) -> "SuperPolynomial":
-        """Graded algebra map sending variable i to images[i].
+        """Graded algebra map sending variable i to images[i]: each term
+        c y_{v_1} ... y_{v_deg} goes to c images[v_1] ... images[v_deg].
 
         Every term of images[i] must have the parity of variable i; a zero
         image is allowed.  Mixed images break graded commutativity: even y, z
         sent to x + xi and x + theta commute, but their images differ by
         2 xi theta in the two orders.
-
-        It runs over integers: the images are scaled once by one lcm D of all
-        their denominators, and the coefficients by their lcm D_0.  A term
-        c y_{v_1} ... y_{v_deg} starts from c * D_0 * D^(top - deg), top the
-        largest degree of the polynomial, and takes the scaled images in one
-        factor at a time, collapsing equal keys as ints after each factor, so
-        the work is bounded by the distinct monomials of the partial
-        products, not by the paths through the image terms.  Every summand
-        then carries the scale D_0 * D^top, and each output coefficient is
-        one Fraction n / (D_0 * D^top).  The values and the key order are
-        those of the product taken factor by factor over Fractions.
         """
         pars = self.space.parities
         if any(monomial_parity(target_space, k) != pars[i]
                for i, img in enumerate(images) for k in img.terms):
             raise ValueError("substitution must preserve parity")
-        d, scaled = integer_terms({(i, k): c for i, img in enumerate(images)
-                                   for k, c in img.terms.items()})
-        imgs = [[] for _ in images]
-        for (i, k), c in scaled:
-            imgs[i].append((k, c))
-        d0, terms = integer_terms(self.terms)
-        top = self.max_degree()
 
-        def image(key, n):
-            partial = {(): n * d ** (top - len(key))}
+        def image(key, c):
+            out = SuperPolynomial.scalar(target_space, c)
             for v in key:
-                partial = sparse_sum(
-                    merged_products(target_space, partial.items(), imgs[v]), None)
-                if not partial:
-                    break
-            return partial.items()
-        return SuperPolynomial(target_space, sparse_sum(
-            chain.from_iterable(image(key, n) for key, n in terms), d0 * d ** top))
+                out = out * images[v]
+            return out
+        return SuperPolynomial.sum(target_space,
+                                   (image(key, c) for key, c in self.terms.items()))
 
     def render(self) -> str:
         if not self.terms:

@@ -83,8 +83,15 @@ class BilinearForm:
                    Fraction(0))
 
     def restrict(self, vectors):
-        """Gram matrix on a list of (homogeneous) vectors."""
-        return [[self.evaluate(u, v) for v in vectors] for u in vectors]
+        """Gram matrix [<u, v>] on a list of (homogeneous) vectors, each a
+        dense sequence or a sparse {index: coefficient} dict: the congruence
+        C^T B C, C the vectors as columns.  B v is formed once per vector, as
+        a sparse dict, and each entry is one dot product with it."""
+        sparse = [[(j, b) for j, b in _entries(v) if b] for v in vectors]
+        images = [{i: x for i, row in enumerate(self.rows)
+                   if (x := sum(row[j] * b for j, b in vs if row[j]))} for vs in sparse]
+        return [[sum((a * bv[i] for i, a in us if i in bv), Fraction(0)) for bv in images]
+                for us in sparse]
 
     def tensor_with(self, other: "BilinearForm") -> "BilinearForm":
         """<a1 (x) w1, a2 (x) w2> = (-1)^{|w1||a2|} <a1,a2> <w1,w2>."""

@@ -13,11 +13,13 @@ from math import factorial, prod
 
 from .graded import EVEN, koszul_sign, memoised
 from .superpoly import SuperPolynomial
-from .symplectic import BilinearForm, i2_of_quadratic
+from .symplectic import BilinearForm
 
 
 # Bound the lists of ``chord_diagrams`` by k and each weight's ``monomial_vev``
-# by key, each cleared when full; a commute benchmark pass makes 1,305 calls.
+# by key, each cleared when full.  A commute benchmark pass calls no
+# ``chord_diagrams`` (the map I sums ``chord_classes``) and makes 31
+# ``monomial_vev`` calls, which leave 11 and 21 keys in its two weights' memos.
 _CHORD_DIAGRAMS_SIZE = 16
 _chord_diagrams = {}
 _VEV_SIZE = 1 << 16
@@ -212,10 +214,6 @@ class QuadraticWeight:
         self.form = form
         self.support = MatchingSupport(self.inverse.rows)
         self._memo = {}
-
-    @classmethod
-    def from_sigma(cls, sigma: SuperPolynomial) -> "QuadraticWeight":
-        return cls(i2_of_quadratic(sigma))
 
     # -- expectation ---------------------------------------------------------
     def monomial_vev(self, key) -> Fraction:

@@ -11,10 +11,14 @@ with the chord sign taken by adjacent transpositions, not ``koszul_sign``.
 ``restricted_word_oracle`` multiplies a word of Psi images out over all of
 A (x) V and restricts the product to the gauge only then, with
 ``substitute_oracle``: that expands each term factor by factor with
-``polynomial_product_oracle``, over Fractions.  ``restricted_product_oracle``
-multiplies the restricted Psi factors with every product formed, and
-``s_functional_oracle`` takes the expectation of that uncut product: the
-route the matchability cut of S replaced.  ``matchable_word_oracle`` cuts
+``polynomial_product_oracle``, over Fractions, on the images of the
+variables of A (x) V that ``restriction_images`` reads off the gauge
+model's columns.  ``restricted_weight_oracle`` restricts sigma-tilde the
+same way and takes i_2 of it: the route the Gram matrix of the weight
+replaced.  ``restricted_product_oracle`` multiplies the restricted Psi
+factors with every product formed, and ``s_functional_oracle`` takes the
+expectation of that uncut product: the route the matchability cut of S
+replaced.  ``matchable_word_oracle`` cuts
 that product pair of tally groups by pair, factor by factor, with its own
 ``tally_deficiency``: the route the join of two half products replaced.
 ``restricted_mu_oracle`` contracts mu_k with the gauge basis index by index
@@ -52,9 +56,9 @@ reordering by ``koszul_sign``, not ``dual.shuffle_sign``.
 ``polynomial_parity`` is the parity of a homogeneous polynomial, for tests
 that state a sign (-1)^{|a|}, ``parity_components`` splits a polynomial
 into its even and odd parts, for tests that state a rule on each part, and
-``min_degree`` is the least degree of its terms.  ``commutator`` is the
-graded commutator of two homogeneous vector fields, by its images on the
-coordinates.
+``min_degree`` and ``max_degree`` are the least and largest degree of its
+terms.  ``commutator`` is the graded commutator of two homogeneous vector
+fields, by its images on the coordinates.
 ``feynman_leaf_sign_oracle`` is the cut Feynman recursion that takes the
 chord sign by ``koszul_sign`` at each leaf, the route the folded sign of
 ``feynman_value`` replaced.  ``so3_weight_oracle`` is F at so3red's one
@@ -89,7 +93,7 @@ from bvgraph.graded import (EVEN, ODD, SuperSpace, integer_terms, koszul_sign,
 from bvgraph.graphs import (CanonicalGraph, GraphChain, canonicalize_directed,
                             contract_directed)
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
-from bvgraph.symplectic import LagrangianSubspace
+from bvgraph.symplectic import LagrangianSubspace, i2_of_quadratic
 from bvgraph.wick import chord_diagrams, chord_sign
 
 
@@ -456,6 +460,11 @@ def min_degree(p):
     return min(map(len, p.terms), default=0)
 
 
+def max_degree(p):
+    """The largest degree of a term of p, 0 for the zero polynomial."""
+    return max(map(len, p.terms), default=0)
+
+
 def commutator(eta, gam):
     """[eta, gam] of two homogeneous fields: the field whose image of y_i is
     eta(gam(y_i)) - (-1)^{|eta||gam|} gam(eta(y_i))."""
@@ -597,10 +606,23 @@ def unmatched_oracle(matrix, key):
     return best
 
 
+def restriction_images(gm):
+    """The image sum_s vectors[s][z] l_s of each variable z of A (x) V under
+    the restriction to L (x) V, read off the columns ``gm.vectors``."""
+    return [SuperPolynomial(gm.space, {(s,): v[z] for s, v in enumerate(gm.vectors) if v[z]})
+            for z in range(len(gm.model.space))]
+
+
 def restricted_word_oracle(model, gm, word):
     """(-1)^{p(h)} Psi(h_1) ... Psi(h_l) over all of A (x) V, restricted to
     L (x) V after the product by ``substitute_oracle``."""
-    return substitute_oracle(psi_of_word(model, word), gm.images, gm.space)
+    return substitute_oracle(psi_of_word(model, word), restriction_images(gm), gm.space)
+
+
+def restricted_weight_oracle(model, gm):
+    """i_2 of sigma-tilde restricted to L (x) V by ``substitute_oracle``: the
+    route the Gram matrix of ``GaugeModel.weight`` replaced."""
+    return i2_of_quadratic(substitute_oracle(model.sigma, restriction_images(gm), gm.space))
 
 
 def connected_components(graph):
@@ -660,7 +682,7 @@ def beta_contract_indices(parities, idxs, chord, matrix):
 
 def beta_contract(factors, chord, form):
     """beta_c on a sequence of linear functions over form.space (multilinear)."""
-    if any(f.max_degree() > 1 or min_degree(f) < 1 for f in factors if not f.is_zero()):
+    if any(max_degree(f) > 1 or min_degree(f) < 1 for f in factors if not f.is_zero()):
         raise ValueError("factors must be linear")
     pars = form.space.parities
     total = Fraction(0)

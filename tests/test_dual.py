@@ -31,9 +31,10 @@ from oracles import (beta_contract_indices, connected_components,
                      feynman_leaf_sign_oracle, feynman_product_oracle,
                      feynman_value_oracle, g5, g5_gauge, graph_from_chord,
                      hamiltonian_field_form_oracle, matchable_word_oracle,
-                     min_degree, odd_laplacian_form_oracle, polynomial_parity, psi_monomial_oracle,
-                     rescaled, restricted_mu_oracle, restricted_product_oracle,
-                     restricted_word_oracle,
+                     max_degree, min_degree, odd_laplacian_form_oracle, polynomial_parity,
+                     psi_monomial_oracle, rescaled, restricted_mu_oracle,
+                     restricted_product_oracle, restricted_weight_oracle,
+                     restricted_word_oracle, restriction_images,
                      s_functional_oracle, so3_weight_oracle, substitute_oracle,
                      symmetrize_tensor, theta_graph, wick_map_live_oracle, wick_map_oracle)
 
@@ -83,7 +84,7 @@ def test_psi_degree_preserved_parity_reversed():
         img = psi(model, h)
         if img.is_zero():
             continue
-        assert img.max_degree() == deg and min_degree(img) == deg
+        assert max_degree(img) == deg and min_degree(img) == deg
         assert polynomial_parity(img) == (par + 1) % 2
 
 
@@ -612,9 +613,49 @@ def test_restricted_psi_is_memoised_per_gauge_model():
     d, groups = gm._tallied_factor(key)
     restricted = gm.restrict(model._psi_monomial(key))
     scale, terms = integer_terms(restricted.terms)
-    assert terms and (d, dict(groups)) == (scale, gm.weight.support.group(terms))
+    assert terms and d == scale
+    # each group as a dict: the values, not the order of the terms
+    assert {t: dict(group) for t, group in groups} == {
+        t: dict(group) for t, group in gm.weight.support.group(terms).items()}
     twin = GaugeModel(model, gm.gauge)
     assert twin._tallied_factor(key) is not gm._tallied_factor(key)
+
+
+def weight_cases():
+    """Gauge models over V_{2|0}, V_{2|1}, V_{2|2} and V_{4|1}: so3red's
+    gauge, the pinned and the dense so3red + G3 gauges, G3 at (1,1,1,1),
+    (1,2,3,4) and at a Fraction coordinate, whose basis has D_L = 2, and G5
+    at seed 2."""
+    so3, dense, three, five = so3_reduced(), direct_sum(so3_reduced(), g3()), g3(), g5()
+    gauges = ((so3, lambda a: gauge_at(a, ())),
+              (dense, lambda a: gauge_at(a, PINNED)),
+              (dense, lambda a: gauge_at(a, DENSE)),
+              (three, lambda a: g3_gauge(1, 1, 1, 1, alg=a)),
+              (three, lambda a: g3_gauge(1, 2, 3, 4, alg=a)),
+              (three, lambda a: g3_gauge(Fraction(1, 2), 0, 1, 1, alg=a)),
+              (five, lambda a: g5_gauge(a, 2)))
+    for v in (V20, V21, SymplecticSpace.canonical_even(1, 2),
+              SymplecticSpace.canonical_even(2, 1)):
+        models = {alg: TensorModel(alg, v) for alg in (so3, dense, three, five)}
+        for alg, gauge in gauges:
+            yield GaugeModel(models[alg], gauge(alg))
+
+
+def test_weight_is_sigma_restricted_by_substitution():
+    # the weight is the Gram matrix C^T B C of the tensor model's form on
+    # the columns of the inclusion L (x) V -> A (x) V; it equals i_2 of
+    # sigma-tilde restricted term by term, entry for entry, on every case,
+    # entries between two odd variables and a basis with D_L = 2 included
+    scales, odd_entries, cases = set(), 0, 0
+    for gm in weight_cases():
+        rows = gm.weight.form.rows
+        assert rows == restricted_weight_oracle(gm.model, gm).rows, gm.gauge.label
+        pars = gm.space.parities
+        odd_entries += sum(1 for i, row in enumerate(rows) for j, x in enumerate(row)
+                           if x and pars[i] and pars[j])
+        scales.add(integer_matrix(gm.gauge.vectors)[0])
+        cases += 1
+    assert cases == 28 and odd_entries and 2 in scales
 
 
 def tallied_factor_cases():
@@ -655,7 +696,8 @@ def test_tallied_factor_matches_the_restricted_full_space_oracle():
         for degree in range(2, top + 1):
             for key in sampling.monomial_keys(gm.model.v.space, degree):
                 d, groups = gm._tallied_factor(key)
-                ref = substitute_oracle(psi_monomial_oracle(gm.model, key), gm.images, gm.space)
+                ref = substitute_oracle(psi_monomial_oracle(gm.model, key),
+                                        restriction_images(gm), gm.space)
                 assert d == integer_terms(ref.terms)[0], key
                 assert {t: {k: Fraction(n, d) for k, n in group} for t, group in groups} == {
                     t: dict(group) for t, group in
@@ -985,8 +1027,8 @@ def test_so3_fixture_makes_s_equal_f_of_i_compare_nonzero_values():
 
 def test_s_equals_f_of_i_on_a_fractional_so3_gauge():
     # S and F do not depend on the basis of L.  Scaled by 1/2, -2/3 and 3/5,
-    # the restriction images have denominators 2, 3 and 5, so the integer
-    # restriction runs over images * 30 and divides by 30^deg; a wrong
+    # the restriction's columns have denominators 2, 3 and 5, so mu_k on the
+    # gauge basis runs over ints at D_L = 30 and divides by 30^k; a wrong
     # exponent changes S, and the restricted Psi is checked against the
     # oracle that restricts by Fraction products
     model = TensorModel(so3_reduced(), V20)
@@ -994,7 +1036,7 @@ def test_s_equals_f_of_i_on_a_fractional_so3_gauge():
     scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
     scaled = Gauge(gauge.alg, [[s * x for x in v] for s, v in zip(scales, gauge.vectors)])
     gm = GaugeModel(model, scaled)
-    assert {c.denominator for img in gm.images for c in img.terms.values()} == {2, 3, 5}
+    assert {c.denominator for v in gm.vectors for c in v if c} == {2, 3, 5}
     chain = wedge(V20, ((0, 0, 0), (1, 1, 1)))  # p^3 ^ q^3
     word = next(iter(chain.terms))
     poly = restricted_product_oracle(gm, word)

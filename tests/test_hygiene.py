@@ -753,9 +753,11 @@ def test_linear_algebra_goes_through_one_kernel():
     assert kernel_bypasses(source, name="linalg.py") == []
 
 
-# the Feynman data a gauge carries: F reads it, S must not
+# the Feynman data a gauge carries: F reads it, S must not.  The gauge's
+# restricted d-form is the propagator's source; S's weight comes from the
+# tensor model's form instead
 FEYNMAN_DATA = {"vertex_tensors", "integer_propagator", "partners", "propagator",
-                "amplitudes"}
+                "amplitudes", "restricted_form"}
 
 
 def gauge_feynman_reads(source, name=""):
@@ -781,6 +783,8 @@ def test_gauge_feynman_reads_are_detected():
               "        self.mu = model.vertex_tensors\n"
               "    def _tallied_factor(self, key):\n"
               "        return self.gauge.vertex_tensors.integer_mu(len(key))\n"
+              "    def weight(self):\n"
+              "        return QuadraticWeight(self.gauge.restricted_form())\n"
               "class Gauge:\n"
               "    def __init__(self):\n"
               "        self.partners = partner_lists(self.propagator)\n"
@@ -790,7 +794,7 @@ def test_gauge_feynman_reads_are_detected():
               "    return gauge.integer_propagator\n")
     assert gauge_feynman_reads(source) == [
         ":3 gauge.propagator", ":6 self.gauge.vertex_tensors",
-        ":11 gm.gauge.amplitudes"]
+        ":8 self.gauge.restricted_form", ":13 gm.gauge.amplitudes"]
 
 
 def test_s_route_reads_none_of_the_gauges_feynman_data():

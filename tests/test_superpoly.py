@@ -7,9 +7,9 @@ from bvgraph import linalg
 from bvgraph.graded import EVEN, ODD, SuperSpace
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
 from bvgraph import sampling
-from oracles import (commutator, field_tensor, is_symmetric_tensor, parity_components,
-                     polynomial_parity, polynomial_product_oracle, substitute_oracle,
-                     supertrace_oracle, symmetrize_tensor)
+from oracles import (commutator, field_tensor, is_symmetric_tensor, max_degree,
+                     parity_components, polynomial_parity, polynomial_product_oracle,
+                     substitute_oracle, supertrace_oracle, symmetrize_tensor)
 
 
 def space_11():
@@ -313,10 +313,9 @@ def test_substitution_rejects_a_mixed_image():
 
 def test_substitute_matches_the_fraction_oracle():
     # y, z even and eta, zeta odd go to images over x, w even and xi, theta
-    # odd.  The first images have denominators 2, 3 and 5, so they are scaled
-    # by D = 30, and the inputs are not homogeneous, so a term below the top
-    # degree is padded by a power of D: a dropped or wrong exponent changes
-    # its coefficient.  The second set has a zero image and sends eta and
+    # odd.  The first images have denominators 2, 3 and 5, and the inputs
+    # are not homogeneous, so terms of different degrees carry different
+    # powers of them.  The second set has a zero image and sends eta and
     # zeta to the same odd image, whose square cancels; the third has
     # nonlinear images.
     source = SuperSpace(("y", "z", "eta", "zeta"), (EVEN, EVEN, ODD, ODD))
@@ -410,5 +409,5 @@ def test_multilinear_to_field_respects_commutators():
     z3 = sampling.multilinear(rng, w, 3, terms=4, parity=1)
     assert (z2.parity, z3.parity) == (0, 1)
     com = commutator(z2, z3)
-    assert all(img.is_zero() or img.max_degree() == 4 for img in com.images)
+    assert all(img.is_zero() or max_degree(img) == 4 for img in com.images)
     assert not com.is_zero()

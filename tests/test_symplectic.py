@@ -15,8 +15,8 @@ from bvgraph.dual import TensorModel, psi_of_word
 from bvgraph import linalg, sampling
 from oracles import (canonical_laplacian_oracle, contraction_matrix_oracle,
                      coordinate_lagrangian, duality_map, hamiltonian_field_form_oracle,
-                     min_degree, odd_laplacian_form_oracle, parity_components, pi2_of_form,
-                     polynomial_parity, upsilon_inverse)
+                     max_degree, min_degree, odd_laplacian_form_oracle, parity_components,
+                     pi2_of_form, polynomial_parity, upsilon_inverse)
 
 
 # Upsilon sends a constant 2-form to its super-skew matrix b; the library
@@ -301,7 +301,7 @@ def test_osp_semidirect_structure():
         g = sampling.polynomial(rng, v.space, 4, parity=rng.choice((0, 1)),
                                 min_degree=3, terms=2)
         bqq = v.poisson(qa, qb)
-        assert bqq.is_zero() or (min_degree(bqq) >= 2 and bqq.max_degree() <= 2)
+        assert bqq.is_zero() or (min_degree(bqq) >= 2 and max_degree(bqq) <= 2)
         bqg = v.poisson(qa, g)
         assert bqg.is_zero() or min_degree(bqg) >= 3
 
@@ -646,3 +646,30 @@ def test_restrict_polynomial():
     r = restrict_polynomial(x * x + x * xi, [(1, 0)], sub)
     s = SuperPolynomial.variable(sub, 0)
     assert r == s * s
+
+
+def test_gram_restriction_is_pairwise_evaluation():
+    # restrict forms B v once per vector and then the dot products; the old
+    # definition took evaluate(u, v) pair by pair.  Both must agree on even
+    # and odd forms, symmetric and skew, with the vectors dense, sparse or
+    # mixed, and with zero and repeated vectors among them
+    rng = random.Random(7)
+    alg = g3()
+    model = TensorModel(alg, SymplecticSpace.canonical_even(1, 1))
+    forms = [alg.pairing, alg.d_form, model.dform, model.symp.form]
+    assert {(f.parity, f.symmetry) for f in forms} == {
+        (ODD, "sym"), (EVEN, "skew"), (EVEN, "sym"), (ODD, "skew")}
+    nonzero = 0
+    for form in forms:
+        n = len(form.space)
+        for _ in range(4):
+            dense = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.4
+                      else 0 for _ in range(n)] for _ in range(5)]
+            dense += [[0] * n, dense[0]]
+            sparse = [{i: x for i, x in enumerate(v) if x} for v in dense]
+            mixed = [v if r % 2 else s for r, (v, s) in enumerate(zip(dense, sparse))]
+            pairwise = [[form.evaluate(u, v) for v in dense] for u in dense]
+            for vectors in (dense, sparse, mixed):
+                assert form.restrict(vectors) == pairwise
+            nonzero += sum(x != 0 for row in pairwise for x in row)
+    assert nonzero >= 40

@@ -5,7 +5,8 @@ import pytest
 
 from bvgraph.graded import EVEN, ODD, SuperSpace, koszul_sign, span_space
 from bvgraph.superpoly import SuperPolynomial, VectorField, divergence
-from bvgraph.symplectic import BilinearForm, SymplecticSpace, restrict_polynomial
+from bvgraph.symplectic import (BilinearForm, SymplecticSpace, i2_of_quadratic,
+                                restrict_polynomial)
 from bvgraph.wick import QuadraticWeight, chord_classes, chord_diagrams, MatchingSupport
 from bvgraph import sampling, wick
 from oracles import (SplitWeight, berezin_integrate, berezin_oracle, beta_contract,
@@ -400,7 +401,7 @@ def bv_stokes_value(q, sigma, symp, lagrangian):
     r = laplacian_exponential_expansion(q, sigma, symp)
     sub = lagrangian.subspace()
     sigma_l = restrict_polynomial(sigma, lagrangian.vectors, sub)
-    weight = QuadraticWeight.from_sigma(sigma_l)
+    weight = QuadraticWeight(i2_of_quadratic(sigma_l))
     return weight.expectation(restrict_polynomial(r, lagrangian.vectors, sub))
 
 
@@ -438,7 +439,7 @@ def test_bv_stokes_random_degree_4():
         sigma = _nondeg_sigma_on(u, lag, rng, extra=1)
         sub = lag.subspace()
         try:
-            QuadraticWeight.from_sigma(restrict_polynomial(sigma, lag.vectors, sub))
+            QuadraticWeight(i2_of_quadratic(restrict_polynomial(sigma, lag.vectors, sub)))
         except ValueError:
             continue
         q = sampling.polynomial(rng, u.space, 4, terms=3)
@@ -481,7 +482,7 @@ def flat_integral(f):
     body = span_space([EVEN] * len(evens))
     g = berezin_integrate(f, [i for i, p in enumerate(pars) if p == ODD])
     vectors = [[int(i == j) for i in range(len(space))] for j in evens]
-    return QuadraticWeight.from_sigma(standard_even_weight(body)).expectation(
+    return QuadraticWeight(i2_of_quadratic(standard_even_weight(body))).expectation(
         restrict_polynomial(g, vectors, body))
 
 
